@@ -5,7 +5,7 @@ GO ?= go
 # The benchmark JSON written by bench-json. Defaults to this PR's
 # committed snapshot; CI overrides it (BENCH_OUT=bench-latest.json) so
 # the workflow never needs editing when the PR number advances.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR13.json
 # Allowed ns/op and allocs/op growth (percent) before bench-gate fails.
 BENCH_TOLERANCE ?= 20
 # The package set every bench target runs: the harness tables plus the

@@ -386,6 +386,20 @@ func cmdShow(path string) error {
 	return nil
 }
 
+// printLoadReport prints what a recovery skipped and where its time went
+// (core.LoadCost: stage times as the caller waited for them, and the
+// chunk, zero-piece and SHA-256 counts behind them).
+func printLoadReport(r core.LoadReport) {
+	for _, s := range r.Skipped {
+		fmt.Printf("skipped:  %s\n", s)
+	}
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	fmt.Printf("stages:   index %v, fetch %v, apply %v, verify %v, decode %v\n",
+		us(r.Index), us(r.Fetch), us(r.Apply), us(r.Verify), us(r.Decode))
+	fmt.Printf("work:     %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed\n",
+		r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed)
+}
+
 func cmdLatest(dir string) error {
 	b, report, err := openDir(dir)
 	if err != nil {
@@ -396,9 +410,7 @@ func cmdLatest(dir string) error {
 		return err
 	}
 	fmt.Printf("restored: %s (seq %d, chain length %d)\n", loadReport.Path, loadReport.Seq, loadReport.ChainLen)
-	for _, s := range loadReport.Skipped {
-		fmt.Printf("skipped:  %s\n", s)
-	}
+	printLoadReport(loadReport)
 	printState(st)
 	report()
 	return nil
@@ -425,9 +437,7 @@ func cmdRestore(dir string) error {
 	fmt.Printf("restored: %s (seq %d, chain length %d) in %v with %d worker(s)\n",
 		loadReport.Path, loadReport.Seq, loadReport.ChainLen,
 		time.Since(start).Round(time.Microsecond), opts.Workers)
-	for _, s := range loadReport.Skipped {
-		fmt.Printf("skipped:  %s\n", s)
-	}
+	printLoadReport(loadReport)
 	printState(st)
 	report()
 	return nil

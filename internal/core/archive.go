@@ -48,7 +48,7 @@ func ArchiveBackend(src storage.Backend, cs *storage.ChunkStore, manifestPath st
 		}
 		if h.Kind.Chunked() {
 			// Resolve the manifest to its body and re-encode monolithic.
-			body, err = assembleChunks(view.cs, body)
+			body, err = view.assemble(body)
 			if err != nil {
 				return archived, fmt.Errorf("core: refusing to archive %s: %w", key, err)
 			}

@@ -1,0 +1,565 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/rng"
+	"repro/internal/storage"
+)
+
+// referenceApplyDelta is the materialising delta apply: take the whole
+// delta body, copy it, XOR the base over it. The tests below hold the
+// in-place applier to it.
+func referenceApplyDelta(base, delta []byte) ([]byte, error) {
+	if len(delta) < 16 {
+		return nil, fmt.Errorf("delta too short (%d bytes)", len(delta))
+	}
+	curLen := binary.LittleEndian.Uint64(delta)
+	baseLen := binary.LittleEndian.Uint64(delta[8:])
+	if baseLen != uint64(len(base)) {
+		return nil, fmt.Errorf("delta expects base of %d bytes, got %d", baseLen, len(base))
+	}
+	body := delta[16:]
+	if uint64(len(body)) != curLen {
+		return nil, fmt.Errorf("delta body %d bytes, header says %d", len(body), curLen)
+	}
+	out := make([]byte, curLen)
+	copy(out, body)
+	xorWith(out, base)
+	return out, nil
+}
+
+// Layouts a delta body can reach applyLink in.
+const (
+	layoutMonolithic = iota // KindDelta: the body is one piece
+	layoutFixed             // CHUNKS2: fixed-size self-framed chunks
+	layoutCDC               // CHUNKS3: content-defined self-framed chunks
+	layoutLegacy            // CHUNKS1: fixed-size bare-flate chunks
+	layoutCount
+)
+
+// Ways the fuzzer damages a delta.
+const (
+	mangleNone     = iota
+	mangleBaseLen  // header names another base length
+	mangleCurLen   // header disagrees with the body length
+	mangleShort    // body shorter than its own header
+	mangleDropTail // manifest loses its last chunk: pieces no longer add up
+	mangleCount
+)
+
+// putDeltaSnapshot stores delta in b as the snapshot object a manager
+// would write for the given layout — chunks first, then the manifest — and
+// returns its key. pieceLen sizes the chunks; dropTail leaves the last
+// chunk out of the manifest.
+func putDeltaSnapshot(t testing.TB, b storage.Backend, delta []byte, layout, pieceLen int, dropTail bool) string {
+	t.Helper()
+	h := Header{Kind: KindDelta, Seq: 1}
+	body := delta
+	if layout != layoutMonolithic {
+		h.Kind = KindDeltaChunked
+		cs := storage.NewChunkStore(storage.WithPrefix(b, ChunkPrefix))
+		var pieces [][]byte
+		p := cdcParamsFor(4 * pieceLen)
+		if layout == layoutCDC {
+			prev := 0
+			for _, cut := range appendCutpoints(nil, delta, p) {
+				pieces = append(pieces, delta[prev:cut])
+				prev = cut
+			}
+		} else {
+			pieces = splitChunks(delta, pieceLen)
+		}
+		var addrs []string
+		for _, piece := range pieces {
+			frame, err := appendChunkFrame(nil, piece)
+			if layout == layoutLegacy {
+				frame, err = compress(piece)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := cs.Put(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, addr)
+		}
+		if dropTail && len(addrs) > 0 {
+			addrs = addrs[:len(addrs)-1]
+		}
+		switch layout {
+		case layoutFixed:
+			body = encodeChunkManifest(len(delta), addrs)
+		case layoutCDC:
+			body = appendChunkManifestCDC(nil, len(delta), p, addrs)
+		case layoutLegacy:
+			body = bytes.Replace(encodeChunkManifest(len(delta), addrs), []byte(chunkManifestMagic), []byte(chunkManifestMagicV1), 1)
+		}
+	}
+	data, err := EncodeSnapshotFile(h, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := snapshotName(h.Seq, h.Kind)
+	if err := b.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// FuzzDeltaApplyInPlace holds snapshotView.applyLink — manifest walk,
+// distinct-address fetch, zero-piece skip, in-place XOR, in-place resize —
+// to referenceApplyDelta over random bases, sparse to dense edits, grown
+// and shrunk tails, every body layout, chunk sizes small enough that the
+// 16-byte header spans pieces, and payload buffers with dirty spare
+// capacity. A delta whose header the reference rejects must be rejected
+// with the payload untouched.
+func FuzzDeltaApplyInPlace(f *testing.F) {
+	f.Add(uint64(1), uint16(4096), uint16(4096), uint8(1), uint8(layoutFixed), uint8(64), uint8(mangleNone))
+	f.Add(uint64(2), uint16(3000), uint16(5000), uint8(255), uint8(layoutCDC), uint8(16), uint8(mangleNone))
+	f.Add(uint64(3), uint16(5000), uint16(100), uint8(40), uint8(layoutLegacy), uint8(5), uint8(mangleNone))
+	f.Add(uint64(4), uint16(900), uint16(900), uint8(0), uint8(layoutMonolithic), uint8(1), uint8(mangleNone))
+	f.Add(uint64(5), uint16(0), uint16(0), uint8(0), uint8(layoutFixed), uint8(3), uint8(mangleNone))
+	f.Add(uint64(6), uint16(2048), uint16(2048), uint8(3), uint8(layoutFixed), uint8(7), uint8(mangleBaseLen))
+	f.Add(uint64(7), uint16(2048), uint16(1024), uint8(3), uint8(layoutCDC), uint8(32), uint8(mangleCurLen))
+	f.Add(uint64(8), uint16(64), uint16(64), uint8(9), uint8(layoutMonolithic), uint8(1), uint8(mangleShort))
+	f.Add(uint64(9), uint16(4000), uint16(4100), uint8(2), uint8(layoutLegacy), uint8(100), uint8(mangleDropTail))
+	f.Fuzz(func(t *testing.T, seed uint64, baseLen, curLen uint16, density, layoutSel, pieceLen, mangleSel uint8) {
+		layout, mangle := int(layoutSel)%layoutCount, int(mangleSel)%mangleCount
+		r := rng.New(seed)
+		fill := func(p []byte) {
+			for i := range p {
+				p[i] = byte(r.Uint64())
+			}
+		}
+		base := make([]byte, baseLen)
+		fill(base)
+		cur := make([]byte, curLen)
+		fill(cur[copy(cur, base):]) // a grown tail is fresh bytes
+		if density == 255 {
+			fill(cur)
+		} else if len(cur) > 0 {
+			for edits := int(density) * len(cur) / 1024; edits >= 0; edits-- {
+				cur[r.Intn(len(cur))] ^= byte(1 + r.Intn(255))
+			}
+		}
+		delta := EncodeDelta(base, cur)
+		switch mangle {
+		case mangleBaseLen:
+			binary.LittleEndian.PutUint64(delta[8:], uint64(baseLen)+1+uint64(r.Intn(9)))
+		case mangleCurLen:
+			binary.LittleEndian.PutUint64(delta, uint64(curLen)+1+uint64(r.Intn(9)))
+		case mangleShort:
+			delta = delta[:r.Intn(16)]
+		}
+		want, wantErr := referenceApplyDelta(base, delta)
+		if mangle == mangleNone && (wantErr != nil || !bytes.Equal(want, cur)) {
+			t.Fatalf("reference apply does not round-trip: %v", wantErr)
+		}
+
+		mem := storage.NewMem()
+		dropTail := mangle == mangleDropTail && layout != layoutMonolithic
+		key := putDeltaSnapshot(t, mem, delta, layout, 1+int(pieceLen), dropTail)
+		// The running payload as a resolver holds it mid-chain: base, with
+		// whatever a longer ancestor left in the spare capacity behind it.
+		buf := bytes.Repeat([]byte{0xA5}, len(base)+int(seed%3)*int(pieceLen))
+		payload := buf[:copy(buf, base)]
+		v := newSnapshotView(mem, RestoreOptions{Workers: int(seed % 4)})
+		got, err := v.applyLink(key, payload)
+
+		switch {
+		case dropTail:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("manifest missing its last chunk: err = %v, want ErrCorrupt", err)
+			}
+		case wantErr != nil:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("reference rejects the delta (%v); in-place apply returned %v", wantErr, err)
+			}
+			if !bytes.Equal(payload, base) {
+				t.Fatal("a delta rejected on its header changed the payload")
+			}
+		case err != nil:
+			t.Fatalf("in-place apply failed on a sound delta: %v", err)
+		case !bytes.Equal(got, want):
+			t.Fatalf("in-place result differs from the reference (base %d, cur %d, layout %d, piece %d)", baseLen, curLen, layout, 1+int(pieceLen))
+		}
+	})
+}
+
+// copyBackend returns a Mem holding every object of src.
+func copyBackend(t testing.TB, src storage.Backend) *storage.Mem {
+	t.Helper()
+	dst := storage.NewMem()
+	keys, err := src.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		data, err := src.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Put(k, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// saveChain saves states through a delta manager on a fresh Mem and
+// returns the store. opts carries the chunking under test.
+func saveChain(t testing.TB, opts Options, states []*TrainingState) *storage.Mem {
+	t.Helper()
+	mem := storage.NewMem()
+	opts.Backend, opts.Strategy = mem, StrategyDelta
+	m, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range states {
+		if _, err := m.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return mem
+}
+
+// substituteWrongDelta replaces the delta snapshot seq in b with one that
+// passes every content check — whole-file hash, chunk addresses, delta
+// header — and still carries the original header's PayloadHash, but whose
+// body XORs one bit differently: a wrong link only a payload hash can see.
+func substituteWrongDelta(t *testing.T, b storage.Backend, seq uint64) {
+	t.Helper()
+	key := snapshotName(seq, KindDelta)
+	v := newSnapshotView(b, RestoreOptions{})
+	h, delta, err := v.readBody(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Kind.Base() != KindDelta || len(delta) <= deltaHeaderLen {
+		t.Fatalf("seq %d is not a usable delta (%v, %d bytes)", seq, h.Kind, len(delta))
+	}
+	delta[deltaHeaderLen+(len(delta)-deltaHeaderLen)/2] ^= 0x10
+	body := delta
+	if h.Kind.Chunked() {
+		body = buildChunkedBody(t, v.cs, delta, MinChunkBytes)
+	}
+	data, err := EncodeSnapshotFile(h, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWrongLinkFallsBackToOlderSnapshot is the fault sweep for in-place
+// chains: at every position of a 16-link chain substitute a content-valid
+// but wrong delta, damage only the link's PayloadHash check can see (and it
+// is made to a buffer the next candidate must not inherit). Recovery must
+// blame that link in every snapshot it skips, from the newest down to the
+// bad one, and return the one just below it, bitwise, under any worker
+// count.
+func TestWrongLinkFallsBackToOlderSnapshot(t *testing.T) {
+	const links = 16
+	for name, tc := range map[string]struct {
+		opts   Options
+		states []*TrainingState
+	}{
+		"chunked":    {chunkedOpts(Options{AnchorEvery: links}), bigSeqStates(links)},
+		"monolithic": {Options{AnchorEvery: links}, seqStates(links)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			clean := saveChain(t, tc.opts, tc.states)
+			for bad := 1; bad < links; bad++ {
+				mem := copyBackend(t, clean)
+				substituteWrongDelta(t, mem, uint64(bad))
+				for _, workers := range []int{0, 1, 2} {
+					got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: workers})
+					if err != nil {
+						t.Fatalf("bad link %d, workers %d: %v", bad, workers, err)
+					}
+					if report.Seq != uint64(bad-1) || report.ChainLen != bad || !got.Equal(tc.states[bad-1]) {
+						t.Fatalf("bad link %d, workers %d: restored seq %d (chain %d), want seq %d bitwise",
+							bad, workers, report.Seq, report.ChainLen, bad-1)
+					}
+					if len(report.Skipped) != links-bad {
+						t.Fatalf("bad link %d, workers %d: skipped %d snapshots, want %d: %v",
+							bad, workers, len(report.Skipped), links-bad, report.Skipped)
+					}
+					for i, s := range report.Skipped {
+						if want := snapshotName(uint64(links-1-i), KindDelta); !strings.HasPrefix(s, want) || !strings.Contains(s, fmt.Sprintf("at seq %d", bad)) {
+							t.Fatalf("bad link %d: Skipped[%d] = %q, want %s blamed on seq %d", bad, i, s, want, bad)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestVerifyBackendNamesTheBrokenLink: VerifyBackend walks each chain once,
+// forward. With a wrong link k in one of three chains it must report
+// exactly that chain's links >= k, each naming seq k, and pass everything
+// else.
+func TestVerifyBackendNamesTheBrokenLink(t *testing.T) {
+	const every, n, bad = 6, 18, 9 // chains 0–5, 6–11, 12–17; link 9 is wrong
+	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: every}), bigSeqStates(n))
+	if ok, problems, err := VerifyBackend(mem); err != nil || ok != n || len(problems) != 0 {
+		t.Fatalf("clean store: ok=%d problems=%v err=%v", ok, problems, err)
+	}
+	substituteWrongDelta(t, mem, bad)
+	ok, problems, err := VerifyBackend(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBroken := []uint64{11, 10, 9} // newest first, like the index
+	if ok != n-len(wantBroken) || len(problems) != len(wantBroken) {
+		t.Fatalf("ok=%d problems=%v, want %d ok and links %v broken", ok, problems, n-len(wantBroken), wantBroken)
+	}
+	for i, seq := range wantBroken {
+		if !strings.HasPrefix(problems[i], snapshotName(seq, KindDelta)) || !strings.Contains(problems[i], fmt.Sprintf("at seq %d", bad)) {
+			t.Errorf("problems[%d] = %q, want snapshot %d blamed on seq %d", i, problems[i], seq, bad)
+		}
+	}
+}
+
+// TestVerifyBackendBranchingChain: two deltas recorded against the same
+// base (a run resumed from an older snapshot and saved again) fork the
+// chain; the in-place walk must verify both branches from one base.
+func TestVerifyBackendBranchingChain(t *testing.T) {
+	states := bigSeqStates(4)
+	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states[:3])
+	// Fork: a second delta against seq 1's payload, numbered past the tip.
+	base, err := EncodePayload(states[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := EncodePayload(states[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Header{Kind: KindDelta, Seq: 3, Step: 3, BaseHash: PayloadHash(base), PayloadHash: PayloadHash(fork)}
+	data, err := EncodeSnapshotFile(h, EncodeDelta(base, fork))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put(snapshotName(3, KindDelta), data); err != nil {
+		t.Fatal(err)
+	}
+	if ok, problems, err := VerifyBackend(mem); err != nil || ok != 4 || len(problems) != 0 {
+		t.Fatalf("forked chain: ok=%d problems=%v err=%v", ok, problems, err)
+	}
+	got, report, err := LoadLatestBackend(mem, nil)
+	if err != nil || report.Seq != 3 || !got.Equal(states[3]) {
+		t.Fatalf("fork tip: seq %d err %v", report.Seq, err)
+	}
+}
+
+// incompressibleStates yields n states whose optimizer blob is random
+// bytes, redrawn for every state: anchor and delta chunks alike are stored
+// raw, so their pieces alias the frames they were read as.
+func incompressibleStates(n int) []*TrainingState {
+	r := rng.New(99)
+	s := NewTrainingState()
+	s.Optimizer = make([]byte, 32<<10)
+	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+	out := make([]*TrainingState, n)
+	for i := range out {
+		s = s.Clone()
+		s.Step = uint64(i)
+		for j := range s.Optimizer {
+			s.Optimizer[j] = byte(r.Uint64())
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestResolveDoesNotMutateTheCache resolves one chain three times through
+// one snapshotView. The second and third resolutions are served from the
+// view's cache, so they match the first only if neither in-place
+// application nor the caller scribbling over a returned payload reached
+// anything the view keeps.
+func TestResolveDoesNotMutateTheCache(t *testing.T) {
+	states := incompressibleStates(5)
+	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states)
+	want, err := EncodePayload(states[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := newSnapshotView(mem, RestoreOptions{Workers: 2})
+	bySeq, byHash, _, err := v.buildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		got, chainLen, err := v.resolvePayload(bySeq[0], byHash)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if chainLen != 5 || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: chain %d resolved to different bytes than the first time", round, chainLen)
+		}
+		for i := range got {
+			got[i] = 0xFF
+		}
+	}
+	// Only a raw chunk's piece aliases the frame it was read as; the newest
+	// delta must hold one for the above to have tried anything.
+	_, manifest, err := v.readObject(bySeq[0].key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := decodeChunkManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := 0
+	for _, addr := range info.addrs {
+		if frame, err := v.cs.Get(addr); err == nil && frame[0] == chunkFrameRaw {
+			raw++
+		}
+	}
+	if bySeq[0].h.Kind != KindDeltaChunked || raw == 0 {
+		t.Fatalf("newest snapshot is %v with %d raw chunks: no delta piece aliases a frame", bySeq[0].h.Kind, raw)
+	}
+}
+
+// TestHostileManifestLengthIsSkipped: a manifest may claim any body length,
+// and restore preallocates that many bytes. One that claims more than its
+// chunks could hold must be skipped as corrupt, not die in makeslice.
+func TestHostileManifestLengthIsSkipped(t *testing.T) {
+	states := bigSeqStates(3)
+	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 1}), states)
+	newest := snapshotName(2, KindFull)
+	data, err := mem.Get(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, manifest, err := DecodeSnapshotFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := decodeChunkManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rawLen := range []int{math.MaxInt, len(info.addrs)*MaxChunkBytes + 1} {
+		hostile, err := EncodeSnapshotFile(h, encodeChunkManifest(rawLen, info.addrs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Put(newest, hostile); err != nil {
+			t.Fatal(err)
+		}
+		got, report, err := LoadLatestBackend(mem, nil)
+		if err != nil {
+			t.Fatalf("rawLen %d: %v", rawLen, err)
+		}
+		if report.Seq != 1 || !got.Equal(states[1]) || len(report.Skipped) != 1 {
+			t.Fatalf("rawLen %d: restored seq %d, skipped %v; want fallback to seq 1", rawLen, report.Seq, report.Skipped)
+		}
+	}
+	if _, err := decodeChunkManifest(encodeChunkManifest(len(info.addrs)*MaxChunkBytes, info.addrs)); err != nil {
+		t.Errorf("a manifest of full-size chunks was refused: %v", err)
+	}
+}
+
+// TestLoadReportAttributesTheRestore checks the stage ledger of a sparse
+// chunked chain: the stages fit inside the wall-clock time, the counts
+// describe the work (one payload hash per snapshot of the chain, zero
+// pieces skipped rather than XORed), and they repeat exactly.
+func TestLoadReportAttributesTheRestore(t *testing.T) {
+	states := bigSeqStates(6)
+	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states)
+	payload, err := EncodePayload(states[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: 2})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := report.LoadCost
+	for name, d := range map[string]time.Duration{"Index": c.Index, "Fetch": c.Fetch, "Apply": c.Apply, "Verify": c.Verify, "Decode": c.Decode} {
+		if d <= 0 {
+			t.Errorf("stage %s not timed", name)
+		}
+	}
+	if sum := c.Index + c.Fetch + c.Apply + c.Verify + c.Decode; sum > wall {
+		t.Errorf("stages sum to %v, more than the %v the restore took", sum, wall)
+	}
+	if c.ChunksFetched == 0 || c.ZeroPiecesSkipped == 0 {
+		t.Errorf("ChunksFetched=%d ZeroPiecesSkipped=%d on a sparse chunked chain", c.ChunksFetched, c.ZeroPiecesSkipped)
+	}
+	// One payload hash per snapshot of the chain, plus files and chunk
+	// frames: the anchor's chunks are a payload's worth, a sparse link's
+	// are not.
+	if lo, hi := int64(report.ChainLen*len(payload)), int64((report.ChainLen+2)*len(payload)); c.BytesHashed < lo || c.BytesHashed > hi {
+		t.Errorf("BytesHashed = %d for a %d-byte payload over %d links, want within [%d, %d]", c.BytesHashed, len(payload), report.ChainLen, lo, hi)
+	}
+	_, again, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ChunksFetched != c.ChunksFetched || again.ZeroPiecesSkipped != c.ZeroPiecesSkipped || again.BytesHashed != c.BytesHashed {
+		t.Errorf("counts differ between runs: %+v vs %+v", again.LoadCost, c)
+	}
+}
+
+// BenchmarkRestoreChain is the sub-step restore in isolation: a 2 MiB state
+// in 8 KiB chunks on a Mem backend, one anchor and 15 delta links that each
+// dirtied 0.3 % of it. hashed-B/op is the restore's SHA-256 traffic —
+// snapshot files, chunk frames and one payload hash per snapshot of the
+// chain, which is what is left of a link's O(state) cost.
+func BenchmarkRestoreChain(b *testing.B) {
+	const params, links, window = 256 << 10, 16, 768 // 2 MiB of float64; 768 params ≈ 0.3 %
+	r := rng.New(13)
+	s := NewTrainingState()
+	s.Params = make([]float64, params)
+	for i := range s.Params {
+		s.Params[i] = r.NormFloat64()
+	}
+	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+	states := make([]*TrainingState, links)
+	for i := range states {
+		s = s.Clone()
+		s.Step = uint64(i)
+		for j := 0; j < window; j++ {
+			s.Params[(i*window+j)%params] += 1e-3 * r.NormFloat64()
+		}
+		states[i] = s
+	}
+	mem := saveChain(b, Options{AnchorEvery: links, ChunkBytes: 8 << 10, Workers: 2}, states)
+	opts := RestoreOptions{Workers: 2, Prefetch: 4}
+	b.SetBytes(8 * params)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var hashed int64
+	for i := 0; i < b.N; i++ {
+		got, report, err := LoadLatestBackendOptions(mem, nil, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if report.ChainLen != links || got.Step != links-1 {
+			b.Fatalf("restored step %d over a chain of %d", got.Step, report.ChainLen)
+		}
+		hashed += report.BytesHashed
+	}
+	b.ReportMetric(float64(hashed)/float64(b.N), "hashed-B/op")
+}

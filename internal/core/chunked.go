@@ -278,6 +278,11 @@ func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 		}
 		info.addrs = append(info.addrs, line)
 	}
+	// No chunk exceeds MaxChunkBytes, so a larger total is a lie — and
+	// restore preallocates rawLen bytes on the manifest's word.
+	if int64(rawLen) > int64(len(info.addrs))*MaxChunkBytes {
+		return info, fmt.Errorf("%w: chunk manifest claims %d bytes in %d chunks", ErrCorrupt, rawLen, len(info.addrs))
+	}
 	return info, nil
 }
 
@@ -303,35 +308,6 @@ func splitChunks(body []byte, size int) [][]byte {
 	return chunks
 }
 
-// assembleChunks reconstructs a chunked snapshot's body from its manifest
-// serially; assembleChunksOptions (restore.go) is the engine-selecting
-// form the recovery path uses.
-func assembleChunks(cs *storage.ChunkStore, manifest []byte) ([]byte, error) {
-	info, err := decodeChunkManifest(manifest)
-	if err != nil {
-		return nil, err
-	}
-	return assembleAddrs(cs, info.rawLen, info.addrs, info.framed)
-}
-
-// assembleAddrs is the serial assembly path: each chunk is fetched
-// (content-verified by the store), unframed, and concatenated in manifest
-// order.
-func assembleAddrs(cs *storage.ChunkStore, rawLen int, addrs []string, framed bool) ([]byte, error) {
-	body := make([]byte, 0, rawLen)
-	for _, addr := range addrs {
-		raw, err := fetchChunk(cs, addr, framed)
-		if err != nil {
-			return nil, err
-		}
-		body = append(body, raw...)
-	}
-	if len(body) != rawLen {
-		return nil, fmt.Errorf("%w: assembled %d bytes, manifest says %d", ErrCorrupt, len(body), rawLen)
-	}
-	return body, nil
-}
-
 // ChunkManifestSummary describes a chunked snapshot's manifest for
 // inspection tools (qckpt show).
 type ChunkManifestSummary struct {
@@ -353,10 +329,7 @@ func SummarizeChunkManifest(manifest []byte) (ChunkManifestSummary, error) {
 	if err != nil {
 		return ChunkManifestSummary{}, err
 	}
-	distinct := make(map[string]bool, len(info.addrs))
-	for _, a := range info.addrs {
-		distinct[a] = true
-	}
+	distinct, _ := distinctAddrs(info.addrs)
 	sum := ChunkManifestSummary{
 		RawLen: info.rawLen, Chunks: len(info.addrs), Distinct: len(distinct), Framed: info.framed,
 	}

@@ -58,22 +58,121 @@ func AppendDelta(dst, base, cur []byte) []byte {
 
 // ApplyDelta reconstructs cur from base and a delta produced by
 // EncodeDelta. It rejects deltas whose recorded base length does not match
-// the supplied base (wrong chain link).
+// the supplied base (wrong chain link). base is not modified: the result is
+// a copy the delta was applied to in place.
 func ApplyDelta(base, delta []byte) ([]byte, error) {
-	if len(delta) < 16 {
-		return nil, fmt.Errorf("core: delta too short (%d bytes)", len(delta))
+	out := make([]byte, len(base), max(len(base), len(delta)))
+	copy(out, base)
+	a := deltaApplier{payload: out, rawLen: len(delta)}
+	if err := a.visit(0, delta); err != nil {
+		return nil, err
 	}
-	curLen := binary.LittleEndian.Uint64(delta)
-	baseLen := binary.LittleEndian.Uint64(delta[8:])
-	if baseLen != uint64(len(base)) {
-		return nil, fmt.Errorf("core: delta expects base of %d bytes, got %d", baseLen, len(base))
+	return a.finish()
+}
+
+const deltaHeaderLen = 16
+
+// deltaApplier applies one delta to a payload in place. The delta body
+// arrives as read-only pieces in order — the chunks of a chunked delta, or
+// a monolithic body as one piece — and only pieces with a non-zero byte
+// cost an XOR, so a link that changed 0.3 % of the state does O(dirty)
+// work instead of materialising and XORing O(state).
+//
+// The 16-byte header is validated against the payload and the declared
+// body length before a byte of the payload changes; a rejected delta
+// leaves it as it was. The payload is then resized to curLen — zero-filled
+// growth makes the raw tail an XOR like the rest, truncation handles
+// shrink — and each piece is XORed at its running offset. Once the header
+// has passed, an error (pieces that do not add up to rawLen) leaves the
+// payload partly applied: the caller owns it and must discard it.
+type deltaApplier struct {
+	payload []byte // base going in, cur after finish; never a shared buffer
+	rawLen  int    // declared delta length, header included
+	off     int    // delta bytes consumed so far
+	hdr     [deltaHeaderLen]byte
+	zero    []bool // per distinct piece, in first-visit order: all bytes zero
+	skipped int    // zero pieces that cost no XOR
+}
+
+// visit consumes the next piece of the delta body. d numbers distinct
+// pieces by first visit (walkPieces' contract), so a piece repeated
+// through the body — the all-zero chunk, mostly — is classified once.
+func (a *deltaApplier) visit(d int, piece []byte) error {
+	if d == len(a.zero) {
+		a.zero = append(a.zero, allZero(piece))
 	}
-	body := delta[16:]
-	if uint64(len(body)) != curLen {
-		return nil, fmt.Errorf("core: delta body %d bytes, header says %d", len(body), curLen)
+	if len(piece) > a.rawLen-a.off {
+		return fmt.Errorf("%w: delta pieces exceed the %d declared bytes", ErrCorrupt, a.rawLen)
 	}
-	out := make([]byte, curLen)
-	copy(out, body)
-	xorWith(out, base)
-	return out, nil
+	if a.off < deltaHeaderLen {
+		n := copy(a.hdr[a.off:], piece)
+		a.off += n
+		piece = piece[n:]
+		if a.off < deltaHeaderLen {
+			return nil
+		}
+		if err := a.resize(); err != nil {
+			return err
+		}
+	}
+	if a.zero[d] {
+		a.skipped++
+	} else {
+		xorWith(a.payload[a.off-deltaHeaderLen:], piece)
+	}
+	a.off += len(piece)
+	return nil
+}
+
+// resize checks the completed header and gives the payload cur's length.
+func (a *deltaApplier) resize() error {
+	curLen := binary.LittleEndian.Uint64(a.hdr[:])
+	baseLen := binary.LittleEndian.Uint64(a.hdr[8:])
+	if baseLen != uint64(len(a.payload)) {
+		return fmt.Errorf("%w: delta expects base of %d bytes, got %d", ErrCorrupt, baseLen, len(a.payload))
+	}
+	if curLen != uint64(a.rawLen-deltaHeaderLen) {
+		return fmt.Errorf("%w: delta body %d bytes, header says %d", ErrCorrupt, a.rawLen-deltaHeaderLen, curLen)
+	}
+	n, old := int(curLen), len(a.payload)
+	if n > cap(a.payload) {
+		grown := make([]byte, n)
+		copy(grown, a.payload)
+		a.payload = grown
+		return nil
+	}
+	a.payload = a.payload[:n]
+	if n > old {
+		clear(a.payload[old:]) // spare capacity may hold a longer ancestor's tail
+	}
+	return nil
+}
+
+// finish returns the reconstructed payload once every declared byte of the
+// delta has been visited.
+func (a *deltaApplier) finish() ([]byte, error) {
+	if a.rawLen < deltaHeaderLen {
+		return nil, fmt.Errorf("%w: delta too short (%d bytes)", ErrCorrupt, a.rawLen)
+	}
+	if a.off != a.rawLen {
+		return nil, fmt.Errorf("%w: delta pieces hold %d bytes, %d declared", ErrCorrupt, a.off, a.rawLen)
+	}
+	return a.payload, nil
+}
+
+// allZero reports whether every byte of p is zero, word-wise with a byte
+// tail.
+func allZero(p []byte) bool {
+	i := 0
+	for ; i+8 <= len(p); i += 8 {
+		if binary.LittleEndian.Uint64(p[i:]) != 0 {
+			return false
+		}
+	}
+	for ; i < len(p); i++ {
+		if p[i] != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -4,37 +4,56 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/storage"
 )
 
-// Parallel streaming restore engine. Save became a concurrent chunked
-// pipeline in PR 1 and placement became tiered in PR 2, but restore — the
-// latency that decides how much work a failure wastes — still reassembled
-// chunks one blocking fetch at a time. This engine fans chunk fetch and
-// decompression across a bounded worker pool while a single committer
-// writes completed chunks into a preallocated buffer in manifest order,
-// and chain resolution warms the next delta's chunks while the current
-// one applies. Correctness invariants:
+// Streaming restore engine. Save became a concurrent chunked pipeline in
+// PR 1 and placement became tiered in PR 2, but restore — the latency that
+// decides how much work a failure wastes — still reassembled chunks one
+// blocking fetch at a time. This engine shares chunk fetch and
+// decompression between the restoring goroutine and a bounded set of
+// helpers while the restoring goroutine alone hands the pieces to a visitor
+// in manifest order — appended into a preallocated buffer for an anchor,
+// XORed in place into the running payload for a delta link — and chain
+// resolution warms the next delta's chunks while the current one applies.
+// A serial restore is the one-worker case: no helpers, no goroutines.
+// Correctness invariants:
 //
-//   - Ordered reassembly: chunks commit to the output buffer strictly in
-//     manifest order, whatever order workers finish in, so the recovered
-//     body is bitwise-identical to the serial path's.
-//   - Bounded window: at most Workers+Prefetch chunks past the commit
-//     frontier are in flight (fetched, decompressed, or queued), so
-//     restoring an arbitrarily large snapshot holds a bounded working set
-//     beyond the output buffer itself.
-//   - First-error cancellation: the committer surfaces the failure of the
+//   - Ordered visits: pieces reach the visitor strictly in manifest order,
+//     whoever fetched them and in whatever order the fetches finish, so the
+//     recovered body is bitwise-identical under any worker count.
+//   - Each address once: a manifest that names an address many times (a
+//     delta body repeats the all-zero chunk heavily) fetches and unframes
+//     it once; repeats share the piece, which is held until its last use.
+//   - Bounded window: at most Workers+Prefetch distinct chunks past the
+//     commit frontier are claimed (being fetched, or fetched and waiting
+//     for their turn), so restoring an arbitrarily large snapshot holds a
+//     bounded working set beyond the output buffer itself.
+//   - The caller works: the restoring goroutine is worker number one. It
+//     sleeps only when the chunk at the frontier is in a helper's hands and
+//     nothing further ahead may be claimed; otherwise it fetches the next
+//     unclaimed chunk itself. A handoff between CPUs costs about as much
+//     as fetching a chunk from a warm store and far more on a busy host,
+//     so the restore's critical path must not contain one per chunk, and a
+//     helper that is slow to be scheduled delays nothing but the one chunk
+//     it holds.
+//   - First-error cancellation: the walk surfaces the failure of the
 //     lowest-index failing chunk — deterministic under any scheduling —
-//     closes the cancel gate, and waits for every worker to drain before
+//     closes the cancel gate, and waits for every helper to drain before
 //     returning, so a failed restore leaks no goroutines.
+//   - Read-only pieces: a piece is shared by every entry that repeats its
+//     address, and a raw chunk's piece aliases the frame the store handed
+//     out, so visitors copy or XOR from a piece and never write to it.
 
-// RestoreOptions tunes the parallel streaming restore engine. The zero
-// value restores serially — exactly the pre-engine behavior — so existing
-// entry points are unchanged unless a caller opts in.
+// RestoreOptions tunes the streaming restore engine. The zero value
+// restores with one worker and no chain prefetch.
 type RestoreOptions struct {
-	// Workers sizes the chunk fetch+decompress worker pool. Values <= 1
-	// restore serially.
+	// Workers is how many goroutines fetch and decompress chunks, the
+	// restoring goroutine included. Values <= 1 restore on that goroutine
+	// alone.
 	Workers int
 	// Prefetch bounds how many chunks beyond the ordered reassembly
 	// frontier may be in flight in addition to the Workers currently
@@ -42,178 +61,223 @@ type RestoreOptions struct {
 	Prefetch int
 }
 
-// DefaultRestoreOptions sizes the worker pool to the machine: one worker
+// DefaultRestoreOptions sizes the engine to the machine: one worker
 // per CPU (decompression is the CPU-bound half of a restore) with the
 // default prefetch window.
 func DefaultRestoreOptions() RestoreOptions {
 	return RestoreOptions{Workers: runtime.NumCPU()}
 }
 
-// parallel reports whether the options select the concurrent engine.
+// workers is the number of fetching goroutines: at least the caller.
+func (o RestoreOptions) workers() int { return max(o.Workers, 1) }
+
+// parallel reports whether chain resolution should warm the next link in
+// the background.
 func (o RestoreOptions) parallel() bool { return o.Workers > 1 }
 
-// window is the bound on chunks in flight past the commit frontier.
+// window is the bound on chunks claimed past the commit frontier.
 func (o RestoreOptions) window() int {
 	pf := o.Prefetch
 	if pf <= 0 {
-		pf = 2 * o.Workers
+		pf = 2 * o.workers()
 	}
-	return o.Workers + pf
-}
-
-// assembleChunksOptions reconstructs a chunked snapshot body from its
-// manifest under opt: serially for the zero value, through the parallel
-// engine otherwise. Both paths return bitwise-identical bodies.
-func assembleChunksOptions(cs *storage.ChunkStore, manifest []byte, opt RestoreOptions) ([]byte, error) {
-	info, err := decodeChunkManifest(manifest)
-	if err != nil {
-		return nil, err
-	}
-	if !opt.parallel() || len(info.addrs) < 2 {
-		return assembleAddrs(cs, info.rawLen, info.addrs, info.framed)
-	}
-	return assembleAddrsParallel(cs, info.rawLen, info.addrs, info.framed, opt)
+	return o.workers() + pf
 }
 
 // fetchChunk is the unit of restore work: one content-verified chunk read
-// plus its unframing (raw copy-through or exact-size decompression; bare
+// plus its unframing (raw pass-through or exact-size decompression; bare
 // flate for legacy unframed chunks). Both failure modes wrap ErrCorrupt
 // so recovery falls back to an older snapshot instead of treating the
-// directory as unreadable.
-func fetchChunk(cs *storage.ChunkStore, addr string, framed bool) ([]byte, error) {
+// directory as unreadable. frameLen is what the store hashed to check the
+// address.
+func fetchChunk(cs *storage.ChunkStore, addr string, framed bool) (piece []byte, frameLen int, err error) {
 	frame, err := cs.Get(addr)
 	if err != nil {
-		return nil, fmt.Errorf("%w: chunk %.12s…: %v", ErrCorrupt, addr, err)
+		return nil, 0, fmt.Errorf("%w: chunk %.12s…: %v", ErrCorrupt, addr, err)
 	}
-	if !framed {
-		return decompress(frame)
+	if framed {
+		piece, err = decodeChunkFrame(frame)
+	} else {
+		piece, err = decompress(frame)
 	}
-	return decodeChunkFrame(frame)
+	return piece, len(frame), err
 }
 
-// chunkSlot carries one chunk's result from a worker to the committer.
-type chunkSlot struct {
-	raw  []byte
-	err  error
-	done chan struct{}
-}
-
-// assembleAddrsParallel is the concurrent engine behind
-// assembleChunksOptions (see the package comment above for invariants).
-func assembleAddrsParallel(cs *storage.ChunkStore, rawLen int, addrs []string, framed bool, opt RestoreOptions) ([]byte, error) {
-	workers := opt.Workers
-	if workers > len(addrs) {
-		workers = len(addrs)
-	}
-	slots := make([]chunkSlot, len(addrs))
-	for i := range slots {
-		slots[i].done = make(chan struct{})
-	}
-
-	// Delta bodies repeat the all-zero chunk heavily, so a manifest names
-	// the same address many times. The first occurrence fetches and
-	// decompresses; repeats share the result instead of re-reading it.
-	// Only repeated addresses are memoized, so unique chunks (the bulk of
-	// an anchor) are still released as the committer passes them.
-	type sharedChunk struct {
-		once sync.Once
-		raw  []byte
-		err  error
-	}
-	counts := make(map[string]int, len(addrs))
-	for _, a := range addrs {
-		counts[a]++
-	}
-	memo := make(map[string]*sharedChunk)
-	for a, n := range counts {
-		if n > 1 {
-			memo[a] = &sharedChunk{}
+// distinctAddrs returns the distinct addresses of a manifest in order of
+// first occurrence, and for every manifest entry the index of its address
+// in that list.
+func distinctAddrs(addrs []string) (distinct []string, ids []int) {
+	ids = make([]int, len(addrs))
+	seen := make(map[string]int)
+	for i, a := range addrs {
+		d, ok := seen[a]
+		if !ok {
+			d = len(distinct)
+			seen[a] = d
+			distinct = append(distinct, a)
 		}
+		ids[i] = d
 	}
+	return distinct, ids
+}
+
+// helperMinChunks is how many distinct chunks a walk must name for each
+// helper it starts. Waking a goroutine on another CPU costs about one warm
+// chunk fetch, so a helper pays for itself only when it can take several;
+// a sparse delta link (a handful of chunks the prefetcher has already
+// pulled into the cache) is walked by the caller alone.
+const helperMinChunks = 8
+
+// pieceSlot holds one distinct chunk's result. done is closed by the helper
+// that fetched the chunk (nil in a walk without helpers). have and reached
+// belong to the caller: the result is in the slot and visible to it; the
+// walk has come to the address's first entry.
+type pieceSlot struct {
+	piece         []byte
+	frameLen      int
+	err           error
+	done          chan struct{}
+	have, reached bool
+}
+
+// walkPieces is the engine (see the comment at the top of the file for its
+// invariants). It calls visit, on the caller's goroutine, once per
+// manifest entry in manifest order with the entry's unframed piece; d is
+// the index of the entry's address among the manifest's distinct addresses
+// in first-occurrence order, so a visitor can remember a fact per address.
+// Time the caller spends fetching or waiting for pieces is charged to
+// cost.Fetch, time inside visit to cost.Apply.
+func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptions, cost *LoadCost, visit func(d int, piece []byte) error) error {
+	distinct, ids := distinctAddrs(info.addrs)
+	n := len(distinct)
+	if n == 0 {
+		return nil
+	}
+	uses := make([]int, n) // manifest entries still to visit, per address
+	for _, d := range ids {
+		uses[d]++
+	}
+	slots := make([]pieceSlot, n)
 
 	var (
 		wg     sync.WaitGroup
 		cancel = make(chan struct{})
-		once   sync.Once
+		// Distinct addresses are claimed in order: [0, next) are taken. A
+		// claim holds a window token from before it is made until the
+		// walk first reaches the chunk.
+		next atomic.Int64
+		sem  = make(chan struct{}, opt.window())
 	)
-	stop := func() { once.Do(func() { close(cancel) }) }
+	fetch := func(d int) {
+		s := &slots[d]
+		s.piece, s.frameLen, s.err = fetchChunk(cs, distinct[d], info.framed)
+	}
 
-	// Producer: dispatch indices in order, gated by the in-flight window.
-	// The committer returns a window slot only after consuming a chunk, so
-	// dispatch never runs more than window() chunks ahead of the frontier.
-	sem := make(chan struct{}, opt.window())
-	idxCh := make(chan int)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(idxCh)
-		for i := range addrs {
-			select {
-			case sem <- struct{}{}:
-			case <-cancel:
-				return
-			}
-			select {
-			case idxCh <- i:
-			case <-cancel:
-				return
-			}
+	helpers := min(opt.workers()-1, n/helperMinChunks)
+	if helpers > 0 {
+		for d := range slots {
+			slots[d].done = make(chan struct{})
 		}
-	}()
-
-	for w := 0; w < workers; w++ {
+	}
+	for ; helpers > 0; helpers-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idxCh {
+			for {
+				select {
+				case sem <- struct{}{}:
+				case <-cancel:
+					return
+				}
+				d := int(next.Add(1) - 1)
+				if d >= n {
+					return
+				}
 				select {
 				case <-cancel:
-					// A failed restore is tearing down: complete the slot
-					// without fetching so shutdown is prompt.
-					close(slots[i].done)
-					continue
+					// A failed restore is tearing down: nobody will look
+					// at this slot, so shutdown is prompt.
+					return
 				default:
 				}
-				if sh := memo[addrs[i]]; sh != nil {
-					sh.once.Do(func() { sh.raw, sh.err = fetchChunk(cs, addrs[i], framed) })
-					slots[i].raw, slots[i].err = sh.raw, sh.err
-				} else {
-					slots[i].raw, slots[i].err = fetchChunk(cs, addrs[i], framed)
-				}
-				close(slots[i].done)
+				fetch(d)
+				close(slots[d].done)
 			}
 		}()
 	}
 
-	// Committer: consume slots strictly in manifest order into the
-	// preallocated buffer. On the first error — first by chunk index, so
-	// the reported failure is deterministic however workers interleave —
-	// cancel the pool and stop waiting on slots that were never dispatched.
-	body := make([]byte, 0, rawLen)
+	// claim takes the next unclaimed chunk for the caller if the window
+	// has room and anything is left.
+	claim := func() (int, bool) {
+		select {
+		case sem <- struct{}{}:
+		default:
+			return 0, false
+		}
+		d := int(next.Add(1) - 1)
+		if d >= n {
+			<-sem
+			return 0, false
+		}
+		return d, true
+	}
+
+	// Visit entries strictly in manifest order. The first use of an
+	// address needs its chunk: while a helper still holds it the caller
+	// fetches ahead instead of sleeping, and sleeps on the helper only when
+	// it may claim nothing. Then a helper does hold the chunk, or is about
+	// to: the walk has passed every address below d and claims are made in
+	// order, so a full window or an exhausted manifest means d is claimed,
+	// and a token taken but not yet turned into a claim is a helper whose
+	// next claim is d. On the first error — first by manifest position, so
+	// the reported failure is deterministic however the fetches interleave
+	// — cancel the helpers.
 	var firstErr error
-	for i := range slots {
-		<-slots[i].done
-		if slots[i].err != nil {
-			firstErr = slots[i].err
+	t := time.Now()
+	for _, d := range ids {
+		s := &slots[d]
+		if !s.reached { // first use of this address
+			waitFrom := time.Now()
+			cost.Apply += waitFrom.Sub(t)
+			for !s.have {
+				if s.done != nil {
+					select {
+					case <-s.done:
+						s.have = true
+						continue
+					default:
+					}
+				}
+				if c, ok := claim(); ok {
+					fetch(c)
+					slots[c].have = true
+				} else {
+					<-s.done
+					s.have = true
+				}
+			}
+			s.reached = true
+			<-sem
+			t = time.Now()
+			cost.Fetch += t.Sub(waitFrom)
+			if s.err != nil {
+				firstErr = s.err
+				break
+			}
+			cost.ChunksFetched++
+			cost.BytesHashed += int64(s.frameLen)
+		}
+		if firstErr = visit(d, s.piece); firstErr != nil {
 			break
 		}
-		if len(body)+len(slots[i].raw) > rawLen {
-			firstErr = fmt.Errorf("%w: assembled more than the %d manifest bytes", ErrCorrupt, rawLen)
-			break
+		if uses[d]--; uses[d] == 0 {
+			s.piece = nil
 		}
-		body = append(body, slots[i].raw...)
-		slots[i].raw = nil
-		<-sem
 	}
-	stop()
+	cost.Apply += time.Since(t)
+	close(cancel)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if len(body) != rawLen {
-		return nil, fmt.Errorf("%w: assembled %d bytes, manifest says %d", ErrCorrupt, len(body), rawLen)
-	}
-	return body, nil
+	return firstErr
 }
 
 // prefetcher pipelines delta-chain resolution: while one link is being
@@ -221,7 +285,8 @@ func assembleAddrsParallel(cs *storage.ChunkStore, rawLen int, addrs []string, f
 // through the snapshotView's cache in the background, so on a tiered
 // backend the cold fetches of link N+1 overlap the CPU work of link N.
 type prefetcher struct {
-	wg sync.WaitGroup
+	wg   sync.WaitGroup
+	last chan struct{} // closed when the most recently started warm is done
 }
 
 // start warms key's manifest and chunks in the background and returns a
@@ -229,14 +294,19 @@ type prefetcher struct {
 // of key: by then the warmer has been running for the whole previous
 // link, so the wait is usually instant, and blocking until the fill lands
 // keeps the foreground from racing the warmer into duplicate cold
-// fetches of the same chunks.
+// fetches of the same chunks. Two warms are in flight at a time — the one
+// the resolver waits for and the one after it — and consecutive links
+// share chunks (the all-zero one at least), so a warm fetches its manifest
+// at once but holds its chunk batch until the warm before it is done: it
+// then finds the shared addresses cached instead of reading them again.
 func (p *prefetcher) start(v *snapshotView, key string) func() {
-	done := make(chan struct{})
+	prev, done := p.last, make(chan struct{})
+	p.last = done
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		defer close(done)
-		v.warm(key)
+		v.warm(key, prev)
 	}()
 	return func() { <-done }
 }
@@ -249,8 +319,9 @@ func (p *prefetcher) wait() { p.wg.Wait() }
 // chunks — through the view's read cache, batching the chunk fetches so a
 // Tiered backend overlaps them per level. Errors are deliberately
 // dropped: prefetch is a cache warmer, and the foreground read reports
-// any failure with full context.
-func (v *snapshotView) warm(key string) {
+// any failure with full context. The chunk batch waits for after (the
+// previous warm; nil for the first) to close.
+func (v *snapshotView) warm(key string, after <-chan struct{}) {
 	data, err := v.b.Get(key)
 	if err != nil {
 		return
@@ -263,14 +334,9 @@ func (v *snapshotView) warm(key string) {
 	if err != nil {
 		return
 	}
-	addrs := info.addrs
-	seen := make(map[string]bool, len(addrs))
-	distinct := addrs[:0]
-	for _, a := range addrs {
-		if !seen[a] {
-			seen[a] = true
-			distinct = append(distinct, a)
-		}
+	distinct, _ := distinctAddrs(info.addrs)
+	if after != nil {
+		<-after
 	}
 	v.cs.GetBatch(distinct)
 }

@@ -33,6 +33,12 @@ func buildChunkedBody(t *testing.T, cs *storage.ChunkStore, body []byte, chunkBy
 	return encodeChunkManifest(len(body), addrs)
 }
 
+// assembleWith assembles manifest's body from cs the way recovery does,
+// through a snapshotView running the engine under opt.
+func assembleWith(cs *storage.ChunkStore, manifest []byte, opt RestoreOptions) ([]byte, error) {
+	return (&snapshotView{cs: cs, opts: opt}).assemble(manifest)
+}
+
 // restoreTestBody builds a body that exercises the engine: unique content
 // interleaved with long zero runs, so the manifest repeats chunk
 // addresses (the memoized path) as well as naming distinct ones.
@@ -51,7 +57,7 @@ func TestAssembleChunksParallelMatchesSerial(t *testing.T) {
 	body := restoreTestBody(64 << 10)
 	manifest := buildChunkedBody(t, cs, body, 1<<10)
 
-	serial, err := assembleChunksOptions(cs, manifest, RestoreOptions{})
+	serial, err := assembleWith(cs, manifest, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +65,14 @@ func TestAssembleChunksParallelMatchesSerial(t *testing.T) {
 		t.Fatal("serial assembly diverged from the original body")
 	}
 	for _, opt := range []RestoreOptions{
+		{Workers: -1}, // one worker, not none
+		{Workers: 1},
 		{Workers: 2},
 		{Workers: 4, Prefetch: 1},
 		{Workers: 8, Prefetch: 32},
 		{Workers: 64}, // more workers than chunks
 	} {
-		got, err := assembleChunksOptions(cs, manifest, opt)
+		got, err := assembleWith(cs, manifest, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", opt.Workers, err)
 		}
@@ -79,12 +87,54 @@ func TestAssembleChunksParallelEmptyAndTiny(t *testing.T) {
 	for _, n := range []int{0, 1, 1024, 1025} {
 		body := restoreTestBody(n)
 		manifest := buildChunkedBody(t, cs, body, 1<<10)
-		got, err := assembleChunksOptions(cs, manifest, RestoreOptions{Workers: 4})
+		got, err := assembleWith(cs, manifest, RestoreOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !bytes.Equal(got, body) {
 			t.Errorf("n=%d: round trip mismatch", n)
+		}
+	}
+}
+
+// TestWalkPiecesCallerIsAWorker pins who does the fetching: with one
+// worker, and on a manifest too small to pay for a helper, every chunk is
+// fetched on the calling goroutine and no goroutine is started; with
+// helpers the walk still visits every entry once, in order.
+func TestWalkPiecesCallerIsAWorker(t *testing.T) {
+	cs := storage.NewChunkStore(storage.NewMem())
+	big := buildChunkedBody(t, cs, restoreTestBody(64<<10), 1<<10)
+	small := buildChunkedBody(t, cs, restoreTestBody(4<<10), 1<<10)
+	for _, tc := range []struct {
+		manifest []byte
+		opt      RestoreOptions
+		alone    bool
+	}{
+		{big, RestoreOptions{}, true},
+		{big, RestoreOptions{Workers: 1, Prefetch: 8}, true},
+		{small, RestoreOptions{Workers: 8}, true}, // fewer than helperMinChunks distinct chunks
+		{big, RestoreOptions{Workers: 3, Prefetch: 1}, false},
+	} {
+		info, err := decodeChunkManifest(tc.manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, visits, started := runtime.NumGoroutine(), 0, false
+		var cost LoadCost
+		err = walkPieces(cs, info, tc.opt, &cost, func(int, []byte) error {
+			visits++
+			started = started || runtime.NumGoroutine() > before
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct, _ := distinctAddrs(info.addrs)
+		if visits != len(info.addrs) || cost.ChunksFetched != len(distinct) {
+			t.Errorf("%+v: %d visits of %d entries, %d fetches of %d distinct chunks", tc.opt, visits, len(info.addrs), cost.ChunksFetched, len(distinct))
+		}
+		if tc.alone && started {
+			t.Errorf("%+v over %d distinct chunks started a goroutine", tc.opt, len(distinct))
 		}
 	}
 }
@@ -133,7 +183,7 @@ func TestParallelRestoreCorruptChunk(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var firstMsg string
 	for trial := 0; trial < 20; trial++ {
-		_, err := assembleChunksOptions(cs, manifest, opts)
+		_, err := assembleWith(cs, manifest, opts)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("trial %d: err = %v, want ErrCorrupt", trial, err)
 		}
@@ -151,7 +201,7 @@ func TestParallelRestoreCorruptChunk(t *testing.T) {
 	if err := mem.Delete(victimKey); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := assembleChunksOptions(cs, manifest, opts); !errors.Is(err, ErrCorrupt) {
+	if _, err := assembleWith(cs, manifest, opts); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing chunk: err = %v, want ErrCorrupt", err)
 	}
 
