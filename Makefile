@@ -5,7 +5,7 @@ GO ?= go
 # The benchmark JSON written by bench-json. Defaults to this PR's
 # committed snapshot; CI overrides it (BENCH_OUT=bench-latest.json) so
 # the workflow never needs editing when the PR number advances.
-BENCH_OUT ?= BENCH_PR13.json
+BENCH_OUT ?= BENCH_PR14.json
 # Allowed ns/op and allocs/op growth (percent) before bench-gate fails.
 BENCH_TOLERANCE ?= 20
 # The package set every bench target runs: the harness tables plus the
@@ -14,7 +14,7 @@ BENCH_TOLERANCE ?= 20
 # apart.
 BENCH_PKGS = . ./internal/storage ./internal/core
 
-.PHONY: build test test-race test-net bench bench-json bench-gate bench-save fmt vet check experiments
+.PHONY: build test test-race test-net bench bench-json bench-gate bench-save bench-e2e fmt vet check experiments
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,15 @@ bench-gate:
 bench-save:
 	$(GO) run ./cmd/experiments -run T6 -quick
 	$(GO) test -bench 'Table6SavePath' -benchmem -run '^$$' .
+
+# The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): all
+# four workloads at the default 24 s each, or `make bench-e2e
+# WORKLOAD=substep_local SECONDS=8`. Exits non-zero when a run is not
+# correct.
+WORKLOAD ?= all
+SECONDS ?= 24
+bench-e2e:
+	$(GO) run -buildvcs=false ./bench -workload $(WORKLOAD) -seconds $(SECONDS)
 
 fmt:
 	gofmt -l -w .

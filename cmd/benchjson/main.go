@@ -58,6 +58,20 @@ type Output struct {
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
 
+// benchName strips the "-N" GOMAXPROCS suffix go test appends to a
+// benchmark's name whenever N != 1, so results taken at different CPU
+// counts land on the same row ("BenchmarkX-8" and "BenchmarkX" are one
+// benchmark). A sub-benchmark whose own name ends in "-<digits>" is
+// indistinguishable from a suffix; this repository has none.
+func benchName(field string) string {
+	if i := strings.LastIndexByte(field, '-'); i > 0 && i+1 < len(field) {
+		if _, err := strconv.ParseUint(field[i+1:], 10, 32); err == nil {
+			return field[:i]
+		}
+	}
+	return field
+}
+
 // parseBenchLine parses "BenchmarkName-8  100  123 ns/op  4.5 dedup-%".
 func parseBenchLine(line string) (BenchResult, bool) {
 	fields := strings.Fields(line)
@@ -68,7 +82,7 @@ func parseBenchLine(line string) (BenchResult, bool) {
 	if err != nil {
 		return BenchResult{}, false
 	}
-	res := BenchResult{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
+	res := BenchResult{Name: benchName(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

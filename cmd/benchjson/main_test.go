@@ -13,7 +13,7 @@ func TestParseBenchLine(t *testing.T) {
 	if !ok {
 		t.Fatal("line not parsed")
 	}
-	if res.Name != "BenchmarkCheckpointSaveChunked-8" || res.Iterations != 1264 {
+	if res.Name != "BenchmarkCheckpointSaveChunked" || res.Iterations != 1264 {
 		t.Errorf("header = %q / %d", res.Name, res.Iterations)
 	}
 	want := map[string]float64{"ns/op": 934591, "dedup-%": 91.23, "B/op": 2048, "allocs/op": 31}
@@ -26,6 +26,40 @@ func TestParseBenchLine(t *testing.T) {
 		if _, ok := parseBenchLine(bad); ok {
 			t.Errorf("parsed non-benchmark line %q", bad)
 		}
+	}
+}
+
+// TestParseBenchLineStripsProcsSuffix: go test spells a benchmark
+// "Name-N" at GOMAXPROCS=N and plain "Name" at 1; both must land on one
+// row, or a JSON from another CPU count reports every baseline row
+// MISSING in -compare.
+func TestParseBenchLineStripsProcsSuffix(t *testing.T) {
+	for line, want := range map[string]string{
+		"BenchmarkSaveAnchor-2 \t 300 \t 3300000 ns/op":                     "BenchmarkSaveAnchor",
+		"BenchmarkSaveAnchor \t 300 \t 3300000 ns/op":                       "BenchmarkSaveAnchor",
+		"BenchmarkIngest/64KiB-16 \t 300 \t 3300000 ns/op":                  "BenchmarkIngest/64KiB",
+		"BenchmarkShardedIngestParallel/shards=8 \t 300 \t 3300000 ns/op":   "BenchmarkShardedIngestParallel/shards=8",
+		"BenchmarkShardedIngestParallel/shards=8-2 \t 300 \t 3300000 ns/op": "BenchmarkShardedIngestParallel/shards=8",
+		"BenchmarkTable11CDC-x \t 300 \t 3300000 ns/op":                     "BenchmarkTable11CDC-x",
+		"BenchmarkTrailingDash- \t 300 \t 3300000 ns/op":                    "BenchmarkTrailingDash-",
+		"Benchmark-4 \t 300 \t 3300000 ns/op":                               "Benchmark",
+		"BenchmarkEncodePayload-2 \t 300 \t 3300000 ns/op \t 0 allocs/op":   "BenchmarkEncodePayload",
+		"BenchmarkEncodePayload-128 \t 300 \t 3300000 ns/op \t 0 allocs/op": "BenchmarkEncodePayload",
+	} {
+		res, ok := parseBenchLine(line)
+		if !ok || res.Name != want {
+			t.Errorf("%q: name %q (parsed %v), want %q", line, res.Name, ok, want)
+		}
+	}
+	// The two spellings of one benchmark merge into one row and compare as
+	// one: a baseline parsed at 8 CPUs against results parsed at 1.
+	a, _ := parseBenchLine("BenchmarkX-8 \t 10 \t 100 ns/op \t 5 allocs/op")
+	b, _ := parseBenchLine("BenchmarkX \t 10 \t 90 ns/op \t 5 allocs/op")
+	if rows := mergeResults([]BenchResult{a, b}); len(rows) != 1 || rows[0].NsPerOp != 90 {
+		t.Errorf("merged rows = %+v, want one row at 90 ns/op", rows)
+	}
+	if _, missing, failures := compareDocs(gateDoc(a), gateDoc(b), 20, false); len(missing) != 0 || failures != 0 {
+		t.Errorf("compare across CPU counts: missing %v, %d failures", missing, failures)
 	}
 }
 
@@ -70,7 +104,7 @@ func TestMergeResultsKeepsMinimumCosts(t *testing.T) {
 	if len(merged) != 2 {
 		t.Fatalf("merged to %d rows, want 2", len(merged))
 	}
-	if merged[0].Name != "BenchmarkSave-8" || merged[1].Name != "BenchmarkOther-8" {
+	if merged[0].Name != "BenchmarkSave" || merged[1].Name != "BenchmarkOther" {
 		t.Fatalf("order lost: %v, %v", merged[0].Name, merged[1].Name)
 	}
 	r := merged[0]

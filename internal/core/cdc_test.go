@@ -172,14 +172,7 @@ func TestCDCIncrementalMatchesFullIngest(t *testing.T) {
 	}
 	memFull, statsFull := run(true)
 	memIncr, statsIncr := run(false)
-	chunksOf := func(m *storage.Mem) []string {
-		addrs, err := storage.NewChunkStore(storage.WithPrefix(m, ChunkPrefix)).List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return addrs
-	}
-	if a, b := chunksOf(memFull), chunksOf(memIncr); !reflect.DeepEqual(a, b) {
+	if a, b := chunkAddrs(t, memFull), chunkAddrs(t, memIncr); !reflect.DeepEqual(a, b) {
 		t.Errorf("chunk namespaces diverge: full-ingest %d addrs, incremental %d", len(a), len(b))
 	}
 	if statsIncr.CleanChunks == 0 {
@@ -187,6 +180,83 @@ func TestCDCIncrementalMatchesFullIngest(t *testing.T) {
 	}
 	if statsFull.CleanChunks != 0 {
 		t.Errorf("full-ingest run claims clean chunks: %+v", statsFull)
+	}
+}
+
+// TestCDCAnchorLineageMatchesFullIngest is the per-kind base under the
+// content-defined chunker: a delta-chained run whose anchors are three
+// saves apart, with a save that grows the payload's tail between the first
+// two anchors (so the second anchor is planned against a base of another
+// length) and in-place drift between the next two (the aligned walk).
+// Every anchor after the first must reuse chunks of the anchor before it,
+// and the chunk namespace must be the one a full ingest computes.
+func TestCDCAnchorLineageMatchesFullIngest(t *testing.T) {
+	// One Step throughout: it sits in the payload's first bytes, and across
+	// a length change only the common prefix and suffix of two bodies can
+	// be reused.
+	states := []*TrainingState{blobState(7, cdcTestBlob(128<<10, 5))} // anchor 0
+	next := func(flipAt, grow int) {
+		s := states[len(states)-1].Clone()
+		s.Optimizer[flipAt] ^= 0xFF
+		for i := 0; i < grow; i++ {
+			s.LossHistory = append(s.LossHistory, float64(i))
+		}
+		states = append(states, s)
+	}
+	next(100<<10, 0)
+	next(101<<10, 100) // the tail section grows by 800 bytes
+	next(102<<10, 0)   // anchor 3: longer than anchor 0, shares its first 100 KiB
+	next(2000, 0)
+	next(3000, 0)
+	next(70<<10, 0) // anchor 6: same length as anchor 3
+	next(4000, 50)
+	next(5000, 0)
+
+	run := func(fullIngest bool) (*storage.Mem, []int) {
+		mem := storage.NewMem()
+		m, err := NewManager(Options{
+			Backend: mem, Strategy: StrategyDelta, AnchorEvery: 3,
+			ChunkBytes: 8 << 10, Chunker: ChunkerCDC, Workers: 2, FullIngest: fullIngest,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var anchorClean []int
+		for i, s := range states {
+			before := m.Stats().CleanChunks
+			res, err := m.Save(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kind == KindFull {
+				anchorClean = append(anchorClean, m.Stats().CleanChunks-before)
+			}
+			got, _, err := LoadLatestBackend(mem, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(s) {
+				t.Fatalf("fullIngest=%v save %d: restore not bitwise-identical", fullIngest, i)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ok, problems, err := VerifyBackend(mem); err != nil || len(problems) != 0 || ok != len(states) {
+			t.Errorf("fullIngest=%v: verify ok=%d problems=%v err=%v", fullIngest, ok, problems, err)
+		}
+		return mem, anchorClean
+	}
+	memFull, cleanFull := run(true)
+	memIncr, cleanIncr := run(false)
+	if a, b := chunkAddrs(t, memFull), chunkAddrs(t, memIncr); !reflect.DeepEqual(a, b) {
+		t.Errorf("chunk namespaces diverge: full-ingest %d addrs, incremental %d", len(a), len(b))
+	}
+	if !reflect.DeepEqual(cleanFull, []int{0, 0, 0}) {
+		t.Errorf("full-ingest anchors claim clean chunks: %v", cleanFull)
+	}
+	if len(cleanIncr) != 3 || cleanIncr[0] != 0 || cleanIncr[1] == 0 || cleanIncr[2] == 0 {
+		t.Errorf("clean chunks per anchor = %v, want none on the first and some on each later one", cleanIncr)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // a slowly moving training state most chunks are byte-identical (for delta
 // bodies, mostly-zero), so re-saving them is a Stat, not a write — and the
 // incremental save engine (DESIGN.md §9) skips even that for chunks whose
-// bytes match the retained previous body.
+// bytes match the retained previous body of the same kind.
 //
 // Manifest body format (this body is itself flate-compressed and
 // integrity-protected by the snapshot file framing):

@@ -1,13 +1,309 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/storage"
 )
+
+// subStepStates is the paper's sub-step regime in small: a 256 KiB
+// parameter vector and a dense optimizer blob of which each step perturbs
+// one 8-parameter window, so two states an anchor interval apart differ in
+// a handful of chunks (≈ 0.3 % of the bytes) and nothing grows.
+func subStepStates(n int) []*TrainingState {
+	r := rand.New(rand.NewSource(14))
+	s := NewTrainingState()
+	s.Params = make([]float64, 32<<10)
+	for i := range s.Params {
+		s.Params[i] = r.NormFloat64()
+	}
+	s.Optimizer = make([]byte, 64<<10)
+	r.Read(s.Optimizer)
+	s.RNG = make([]byte, 200)
+	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+	out := make([]*TrainingState, n)
+	for i := range out {
+		s = s.Clone()
+		s.Step = uint64(i)
+		for k := 0; k < 8; k++ {
+			s.Params[(i*8+k)%len(s.Params)] += 1e-9
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// chunkOpBackend counts the Stat and Put calls that reach the chunk
+// namespace, and fails the manifest Put of one chosen snapshot key.
+// Embedding the interface hides Mem's optional capabilities, so every
+// chunk probe and write comes through these two methods.
+type chunkOpBackend struct {
+	storage.Backend
+	mu       sync.Mutex
+	chunkOps int
+	failKey  string // set only between saves
+}
+
+var errInjected = errors.New("injected manifest put failure")
+
+func (b *chunkOpBackend) count(key string) {
+	if strings.HasPrefix(key, ChunkPrefix) {
+		b.mu.Lock()
+		b.chunkOps++
+		b.mu.Unlock()
+	}
+}
+
+func (b *chunkOpBackend) ops() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.chunkOps
+}
+
+func (b *chunkOpBackend) Stat(key string) (storage.ObjectInfo, error) {
+	b.count(key)
+	return b.Backend.Stat(key)
+}
+
+func (b *chunkOpBackend) Put(key string, data []byte) error {
+	b.count(key)
+	if key == b.failKey {
+		return errInjected
+	}
+	return b.Backend.Put(key, data)
+}
+
+// chunkAddrs lists every chunk address in b's chunk store.
+func chunkAddrs(t *testing.T, b storage.Backend) []string {
+	t.Helper()
+	addrs, err := storage.NewChunkStore(storage.WithPrefix(b, ChunkPrefix)).List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return addrs
+}
+
+// saveDelta saves one state, waits for it to commit, and returns the
+// chunk counters and backend chunk operations that save alone added.
+func saveDelta(t *testing.T, m *Manager, b *chunkOpBackend, s *TrainingState) (SaveResult, Stats, int) {
+	t.Helper()
+	before, opsBefore := m.Stats(), b.ops()
+	res, err := m.Save(s)
+	if err == nil {
+		err = m.Barrier()
+	}
+	if err != nil {
+		t.Fatalf("save step %d: %v", s.Step, err)
+	}
+	after := m.Stats()
+	return res, Stats{
+		Chunks:      after.Chunks - before.Chunks,
+		CleanChunks: after.CleanChunks - before.CleanChunks,
+		DedupHits:   after.DedupHits - before.DedupHits,
+	}, b.ops() - opsBefore
+}
+
+// TestAnchorReusesPreviousAnchorChunks is the bar for the per-kind base:
+// the second anchor of a sub-step stream is compared against the first
+// anchor, not against the delta saved just before it, so nearly all of it
+// is recognized clean and no Stat or Put reaches the store for those
+// chunks — in the sync and the async pipeline alike.
+func TestAnchorReusesPreviousAnchorChunks(t *testing.T) {
+	states := subStepStates(9)
+	for _, async := range []bool{false, true} {
+		b := &chunkOpBackend{Backend: storage.NewMem()}
+		m, err := NewManager(Options{
+			Backend: b, Strategy: StrategyDelta, AnchorEvery: 4,
+			ChunkBytes: MinChunkBytes, Workers: 2, Async: async,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchors := 0
+		for i, s := range states {
+			res, d, ops := saveDelta(t, m, b, s)
+			if (res.Kind == KindFull) != (i%4 == 0) {
+				t.Fatalf("async=%v save %d: kind %v", async, i, res.Kind)
+			}
+			if res.Kind != KindFull {
+				continue
+			}
+			anchors++
+			dirty := d.Chunks - d.CleanChunks
+			switch {
+			case i == 0 && d.CleanChunks != 0:
+				t.Errorf("async=%v: first anchor claims %d clean chunks", async, d.CleanChunks)
+			case i > 0 && d.CleanChunks*10 < d.Chunks*9:
+				t.Errorf("async=%v anchor %d: %d of %d chunks clean, want ≥ 90%%", async, i, d.CleanChunks, d.Chunks)
+			}
+			// A dirty chunk costs at most one Stat and one Put; a clean one
+			// must cost nothing.
+			if ops > 2*dirty {
+				t.Errorf("async=%v anchor %d: %d chunk store ops for %d dirty chunks (%d clean)", async, i, ops, dirty, d.CleanChunks)
+			}
+		}
+		if anchors != 3 {
+			t.Fatalf("async=%v: %d anchors, want 3", async, anchors)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := LoadLatestBackend(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(states[len(states)-1]) {
+			t.Errorf("async=%v: restore not bitwise-identical", async)
+		}
+		if ok, problems, err := VerifyBackend(b); err != nil || len(problems) != 0 || ok != len(states) {
+			t.Errorf("async=%v: verify ok=%d problems=%v err=%v", async, ok, problems, err)
+		}
+	}
+}
+
+// TestFailedAnchorCommitLeavesBaseUnadopted fails an anchor's manifest
+// Put, lets a collection reap the chunks that anchor ingested (nothing
+// references them), and then saves the same content as the next anchor. A
+// base adopted before its manifest committed would hand out the reaped
+// addresses; the lineage must still hold the last *committed* anchor and
+// re-ingest what changed.
+func TestFailedAnchorCommitLeavesBaseUnadopted(t *testing.T) {
+	states := subStepStates(5)
+	b := &chunkOpBackend{Backend: storage.NewMem()}
+	m, err := NewManager(Options{
+		Backend: b, Strategy: StrategyDelta, AnchorEvery: 2,
+		ChunkBytes: MinChunkBytes, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range states[:2] { // anchor 0, delta 1
+		saveDelta(t, m, b, s)
+	}
+	b.failKey = snapshotName(2, KindFull) // no save in flight: the manager is synchronous
+	if _, err := m.Save(states[2]); !errors.Is(err, errInjected) {
+		t.Fatalf("anchor 2: err = %v, want the injected failure", err)
+	}
+	if got := m.bases[0].seq; m.bases[0].body == nil || got != 0 {
+		t.Fatalf("anchor base after failed commit: seq %d, want the committed anchor 0", got)
+	}
+	if pinned := m.pinnedChunks(); len(pinned) != 0 {
+		t.Errorf("%d pin(s) leaked past the aborted commit", len(pinned))
+	}
+	saveDelta(t, m, b, states[3]) // delta off the uncommitted payload: unrecoverable, by design
+	if removed, _, err := m.CollectOrphans(); err != nil || removed == 0 {
+		t.Fatalf("collection after the failed anchor: removed=%d err=%v, want its orphans reaped", removed, err)
+	}
+	again := states[2].Clone()
+	again.Step = 4
+	res, d, _ := saveDelta(t, m, b, again)
+	if res.Kind != KindFull || d.CleanChunks == 0 || d.CleanChunks == d.Chunks {
+		t.Fatalf("anchor 4: kind %v, %d of %d chunks clean; want a full compared against anchor 0", res.Kind, d.CleanChunks, d.Chunks)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, report, err := LoadLatestBackend(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Seq != 4 || !got.Equal(again) {
+		t.Errorf("restored seq %d, bitwise=%v; want anchor 4 intact", report.Seq, got.Equal(again))
+	}
+}
+
+// TestRestartFirstAnchorReusesNothing: the bases die with the manager, so
+// a successor on the same store re-derives every address of its first
+// anchor (all dedup hits, no clean chunks) and the store stays whole.
+func TestRestartFirstAnchorReusesNothing(t *testing.T) {
+	states := subStepStates(4)
+	b := &chunkOpBackend{Backend: storage.NewMem()}
+	opts := Options{Backend: b, Strategy: StrategyDelta, AnchorEvery: 2, ChunkBytes: MinChunkBytes, Workers: 2}
+	m1, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range states[:3] {
+		saveDelta(t, m1, b, s)
+	}
+	if err := m1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m1.bases[0].body != nil || m1.bases[1].body != nil {
+		t.Error("Close left a dirty-compare base retained")
+	}
+	m2, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, d, _ := saveDelta(t, m2, b, states[3])
+	if res.Kind != KindFull || d.CleanChunks != 0 || d.DedupHits == 0 {
+		t.Errorf("first save after restart: kind %v, clean %d, dedup %d of %d", res.Kind, d.CleanChunks, d.DedupHits, d.Chunks)
+	}
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadLatestBackend(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(states[3]) {
+		t.Error("restore after restart not bitwise-identical")
+	}
+	if ok, problems, err := VerifyBackend(b); err != nil || len(problems) != 0 || ok != 4 {
+		t.Errorf("verify ok=%d problems=%v err=%v", ok, problems, err)
+	}
+}
+
+// TestAnchorReuseSurvivesRetention runs Retain 1 — every new anchor
+// deletes the whole previous chain — with an explicit collection after
+// every save. The anchor base is the live chain's own anchor, so what an
+// anchor reuses is always in the keep-set; the delta base is dropped when
+// its chain is deleted, so the first delta of a chain must not hand out
+// addresses of the reaped one.
+func TestAnchorReuseSurvivesRetention(t *testing.T) {
+	states := subStepStates(10)
+	b := &chunkOpBackend{Backend: storage.NewMem()}
+	m, err := NewManager(Options{
+		Backend: b, Strategy: StrategyDelta, AnchorEvery: 3, Retain: 1,
+		ChunkBytes: MinChunkBytes, Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range states {
+		res, d, _ := saveDelta(t, m, b, s)
+		if res.Kind == KindFull && i > 0 && d.CleanChunks*10 < d.Chunks*9 {
+			t.Errorf("anchor %d: %d of %d chunks clean", i, d.CleanChunks, d.Chunks)
+		}
+		if i%3 == 1 && d.CleanChunks != 0 && i > 1 {
+			t.Errorf("delta %d reused %d chunks of a chain retention deleted", i, d.CleanChunks)
+		}
+		if _, _, err := m.CollectOrphans(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := LoadLatestBackend(b, nil)
+		if err != nil {
+			t.Fatalf("restore after save %d: %v", i, err)
+		}
+		if !got.Equal(s) {
+			t.Fatalf("restore after save %d not bitwise-identical", i)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// One chain survives: anchor 9 alone.
+	if ok, problems, err := VerifyBackend(b); err != nil || len(problems) != 0 || ok != 1 {
+		t.Errorf("verify ok=%d problems=%v err=%v", ok, problems, err)
+	}
+}
 
 // TestIncrementalResaveWritesNoChunkBytes is the regression bar for the
 // dirty-chunk engine: re-saving an unchanged state writes zero new chunk
@@ -61,6 +357,7 @@ func TestIncrementalResaveWritesNoChunkBytes(t *testing.T) {
 // exactly the addresses a full ingest would have computed).
 func TestIncrementalMatchesFullIngest(t *testing.T) {
 	states := bigSeqStates(8)
+	anchorClean := 0 // clean chunks on anchor saves after the first, incremental run
 	run := func(fullIngest bool) (*storage.Mem, *TrainingState, Stats) {
 		mem := storage.NewMem()
 		mgr, err := NewManager(Options{
@@ -71,8 +368,13 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range states {
-			if _, err := mgr.Save(s); err != nil {
+			before := mgr.Stats().CleanChunks
+			res, err := mgr.Save(s)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Kind == KindFull && res.Seq > 0 {
+				anchorClean += mgr.Stats().CleanChunks - before
 			}
 		}
 		if err := mgr.Close(); err != nil {
@@ -92,15 +394,7 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 	if !gotFull.Equal(gotIncr) {
 		t.Fatal("incremental and full-ingest restores diverge")
 	}
-	chunksOf := func(m *storage.Mem) []string {
-		cs := storage.NewChunkStore(storage.WithPrefix(m, ChunkPrefix))
-		addrs, err := cs.List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return addrs
-	}
-	if a, b := chunksOf(memFull), chunksOf(memIncr); !reflect.DeepEqual(a, b) {
+	if a, b := chunkAddrs(t, memFull), chunkAddrs(t, memIncr); !reflect.DeepEqual(a, b) {
 		t.Errorf("chunk namespaces diverge: full-ingest %d addrs, incremental %d", len(a), len(b))
 	}
 	if statsIncr.CleanChunks == 0 {
@@ -108,6 +402,9 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 	}
 	if statsFull.CleanChunks != 0 {
 		t.Errorf("full-ingest run claims clean chunks: %+v", statsFull)
+	}
+	if anchorClean == 0 {
+		t.Error("anchors 3 and 6 reused no chunk of the anchor before them")
 	}
 	if statsIncr.BytesWritten > statsFull.BytesWritten {
 		t.Errorf("incremental wrote more (%d) than full ingest (%d)",
@@ -192,4 +489,66 @@ func TestLegacyChunkManifestReadable(t *testing.T) {
 			t.Errorf("workers=%d: legacy restore not bitwise-identical", opts.Workers)
 		}
 	}
+}
+
+// BenchmarkSaveAnchor times the anchor saves of a sub-step stream — the
+// save the per-kind base exists for, and a third of the save-phase wall of
+// the repo's `substep_*` benchmark workloads: 2 MiB of parameters, 8 KiB
+// chunks, an anchor every 16 saves, ≈ 0.3 % of the bytes dirty per save.
+// The 15 delta saves between two anchors run with the timer stopped.
+// clean-% is the share of an anchor's chunks reused from the anchor before
+// it; hashed-chunks/op the rest, which go through maphash and — once per
+// distinct chunk — flate, SHA-256 and the store's exists-check.
+func BenchmarkSaveAnchor(b *testing.B) {
+	const params, every, window = 256 << 10, 16, 768
+	r := rand.New(rand.NewSource(14))
+	s := NewTrainingState()
+	s.Params = make([]float64, params)
+	for i := range s.Params {
+		s.Params[i] = r.NormFloat64()
+	}
+	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+	m, err := NewManager(Options{
+		Backend: storage.NewMem(), Strategy: StrategyDelta, AnchorEvery: every,
+		ChunkBytes: 8 << 10, Workers: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	save := func() SaveResult {
+		for j := 0; j < window; j++ {
+			s.Params[(int(s.Step)*window+j)%params] += 1e-3 * r.NormFloat64()
+		}
+		s.Step++
+		res, err := m.Save(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	save() // the first anchor has no base; it is not what steady state costs
+	b.SetBytes(8 * params)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var chunks, clean int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 1; k < every; k++ {
+			save()
+		}
+		before := m.Stats()
+		b.StartTimer()
+		res := save()
+		b.StopTimer()
+		if res.Kind != KindFull {
+			b.Fatalf("timed save %d is a %v", res.Seq, res.Kind)
+		}
+		after := m.Stats()
+		chunks += after.Chunks - before.Chunks
+		clean += after.CleanChunks - before.CleanChunks
+		b.StartTimer()
+	}
+	b.ReportMetric(100*float64(clean)/float64(chunks), "clean-%")
+	b.ReportMetric(float64(chunks-clean)/float64(b.N), "hashed-chunks/op")
 }

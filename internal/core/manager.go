@@ -99,10 +99,10 @@ type Options struct {
 	Placement storage.PlacementPolicy
 	// FullIngest disables the incremental dirty-chunk save path: every
 	// chunk is framed, hashed and offered to the chunk store on every
-	// save, instead of chunks unchanged since the previous committed
-	// manifest being recognized by a word-wise compare and reusing their
-	// prior addresses outright. Kept as the comparison contender for the
-	// T6 benchmark and as an escape hatch; ignored for monolithic
+	// save, instead of chunks unchanged since the last committed body of
+	// the same kind being recognized by a word-wise compare and reusing
+	// their prior addresses outright. Kept as the comparison contender for
+	// the T6 benchmark and as an escape hatch; ignored for monolithic
 	// snapshots.
 	FullIngest bool
 }
@@ -211,10 +211,10 @@ type Stats struct {
 // sequencer goroutine (async mode) that commits snapshots strictly in
 // sequence order — a delta is never durable before its base. In chunked
 // mode the persisting goroutine compares the body word-wise against the
-// retained previous body, reuses the addresses of unchanged chunks, fans
-// only the dirty chunks out to a pool of Options.Workers writers, and
-// commits the manifest only after all referenced chunks are stored
-// (DESIGN.md §9).
+// retained last body of its kind, reuses the addresses of unchanged
+// chunks, fans only the dirty chunks out to a pool of Options.Workers
+// writers, and commits the manifest only after all referenced chunks are
+// stored (DESIGN.md §9).
 type Manager struct {
 	opt     Options
 	backend storage.Backend
@@ -239,23 +239,13 @@ type Manager struct {
 
 	// Incremental-save state, owned by whichever goroutine runs persist —
 	// the sequencer in async mode, the trainer inline otherwise; persists
-	// are strictly serialized, so none of it is guarded by mu. prevBody is
-	// the previously committed chunked body and prevAddrs its per-chunk
-	// frame addresses: a new body's chunk whose bytes match the same
-	// boundary slice of prevBody reuses prevAddrs[i] with no hashing,
-	// compression or store traffic (DESIGN.md §9). addrsSpare and
-	// pinScratch are double-buffered scratch so steady-state saves reuse
-	// their slice capacity.
-	prevBody   *refBuf
-	prevAddrs  []string
-	addrsSpare []string
+	// are strictly serialized, so none of it is guarded by mu. bases holds
+	// one dirty-compare base per body kind (see chunkBase): an anchor is
+	// compared against the last committed anchor, a delta against the last
+	// committed delta. pinScratch and reuseSpare (the CDC clean/dirty
+	// plan) are per-save scratch kept for their capacity.
+	bases      [2]chunkBase
 	pinScratch []string
-	// Content-defined chunking retains the previous body's cut offsets
-	// alongside its addresses (boundaries are no longer derivable from an
-	// index), double-buffered like the address slice. reuseSpare is the
-	// per-save clean/dirty plan scratch.
-	prevCuts   []int
-	cutsSpare  []int
 	reuseSpare []string
 
 	// qos, when non-nil, is the per-tenant QoS handle a Service wired in:
@@ -281,6 +271,30 @@ type Manager struct {
 	// may still be committing manifests. A Service must not reopen the
 	// job's namespace before that drain completes.
 	drained bool
+}
+
+// chunkBase is the dirty-compare base of one body kind (a lineage): the
+// last committed chunked body of that kind, the snapshot it was committed
+// as, and its per-chunk frame addresses. A new body's chunk whose bytes
+// match the same boundary slice of body reuses the address with no
+// hashing, compression or store traffic (DESIGN.md §9). Content-defined
+// chunking also retains the cut offsets (boundaries are not derivable from
+// an index there). The spare slices double-buffer addrs and cuts so
+// steady-state saves reuse their capacity.
+type chunkBase struct {
+	body       *refBuf
+	seq        uint64
+	addrs      []string
+	cuts       []int
+	addrsSpare []string
+	cutsSpare  []int
+}
+
+// drop forgets the base (its manifest is gone, or the manager is closing);
+// the lineage's next save finds nothing to compare against.
+func (b *chunkBase) drop() {
+	b.body.release()
+	b.body, b.addrs, b.cuts = nil, nil, nil
 }
 
 type writeJob struct {
@@ -497,26 +511,47 @@ var chunkKeySeed = maphash.MakeSeed()
 
 // persistChunked runs the incremental chunked save: the body is split on
 // the same fixed boundaries as every save before it, chunks whose bytes
-// match the retained previous body are recognized with a word-wise
-// compare and reuse their prior addresses outright, and only dirty chunks
-// are framed (adaptive raw/flate), hashed once, and offered to the chunk
-// store concurrently on the worker pool. The manifest commits only after
-// every referenced chunk is durable, so a crash can orphan chunks but
-// never dangle a manifest. At steady state with few dirty bytes, the work
-// is O(dirty bytes) plus one memcmp pass — no hashing, compression or
-// backend Stat for the clean remainder.
+// match the retained base of the body's own kind — the last committed
+// anchor for an anchor, the last committed delta for a delta — are
+// recognized with a word-wise compare and reuse their prior addresses
+// outright, and only dirty chunks are framed (adaptive raw/flate), hashed
+// once, and offered to the chunk store concurrently on the worker pool.
+// The manifest commits only after every referenced chunk is durable, so a
+// crash can orphan chunks but never dangle a manifest. At steady state
+// with few dirty bytes, the work is O(dirty bytes) plus one memcmp pass —
+// no hashing, compression or backend Stat for the clean remainder, on
+// anchors as on deltas.
 //
-// Clean-chunk reuse is sound because the previous manifest is always the
-// newest committed snapshot: retention GC never deletes it (it only
-// removes snapshots strictly older than a kept anchor), so every chunk it
-// references is in any concurrent collection's keep-set. The reused
-// addresses are pinned across the commit anyway — the same protocol dirty
-// chunks follow — so the argument does not depend on that invariant
-// alone.
+// Clean-chunk reuse is sound because a base's manifest outlives the base:
+// a base is adopted only once its manifest has committed, and the only
+// thing that deletes manifests under a live manager is retention gc, which
+// runs on this goroutine and drops every base older than its cutoff before
+// it deletes anything (the anchor base is the live chain's own anchor, so
+// it is never among them; with Retain 1 the delta base is, once per
+// chain). A manifest that exists keeps its chunks in every collection's
+// keep-set, and tier moves keep their keys. The reused addresses are
+// pinned across the commit anyway — the same protocol dirty chunks
+// follow — so the argument does not depend on that invariant alone.
 func (m *Manager) persistChunked(job writeJob) (int, error) {
 	body := job.body.b
 	incremental := !m.opt.FullIngest
 	cdc := m.opt.Chunker == ChunkerCDC
+	// The body's kind picks its lineage and its write class. The class rides
+	// every chunk of this snapshot down to the placement policy: anchor
+	// chunks are the base every restore replays from, delta chunks are tail
+	// segments only an exact-step restore reads — the policy may send the
+	// latter straight to warm.
+	lin, chunkClass := &m.bases[0], storage.ClassAnchorChunk
+	if job.h.Kind.Base() != KindFull {
+		lin, chunkClass = &m.bases[1], storage.ClassDeltaChunk
+	}
+	// prev is the base this save compares against: nil with no committed
+	// body of this kind yet (first save, restart, dropped by gc) or under
+	// FullIngest.
+	var prev *chunkBase
+	if incremental && lin.body != nil {
+		prev = lin
+	}
 	var (
 		pieces [][]byte
 		reuse  []string // CDC clean/dirty plan: reuse[i] != "" names a reused address
@@ -525,35 +560,23 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	)
 	if cdc {
 		params = cdcParamsFor(m.opt.ChunkBytes)
-		pieces, reuse, cuts = m.cdcPlan(body, params, incremental)
+		pieces, reuse, cuts = m.cdcPlan(body, params, prev, lin.cutsSpare[:0])
 		defer func() { m.reuseSpare = reuse[:0] }()
 	} else {
 		pieces = splitChunks(body, m.opt.ChunkBytes)
 	}
-	// The write class rides every chunk of this snapshot down to the
-	// placement policy: anchor chunks are the base every restore replays
-	// from, delta chunks are tail segments only an exact-step restore
-	// reads — the policy may send the latter straight to warm.
-	chunkClass := storage.ClassDeltaChunk
-	if job.h.Kind.Base() == KindFull {
-		chunkClass = storage.ClassAnchorChunk
-	}
-	// prevChunk returns the previous body's chunk i without materializing a
+	// prevChunk returns the base body's chunk i without materializing a
 	// [][]byte per save: the compare below runs inside the stall window, so
-	// it indexes the retained body by offset (ok=false when the previous
-	// body has no complete counterpart chunk there). CDC saves plan their
-	// reuse up front in cdcPlan — boundaries are not index-derivable there.
-	var prevB []byte
-	if incremental && !cdc && m.prevBody != nil {
-		prevB = m.prevBody.b
-	}
+	// it indexes the retained body by offset (ok=false when the base has no
+	// complete counterpart chunk there). CDC saves plan their reuse up
+	// front in cdcPlan — boundaries are not index-derivable there.
 	prevChunk := func(i int) ([]byte, bool) {
 		start := i * m.opt.ChunkBytes
-		if prevB == nil || start >= len(prevB) || i >= len(m.prevAddrs) {
+		if prev == nil || start >= len(prev.body.b) || i >= len(prev.addrs) {
 			return nil, false
 		}
-		end := min(start+m.opt.ChunkBytes, len(prevB))
-		return prevB[start:end], true
+		end := min(start+m.opt.ChunkBytes, len(prev.body.b))
+		return prev.body.b[start:end], true
 	}
 
 	type result struct {
@@ -572,9 +595,10 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 		piece []byte
 		res   *result
 	}
-	// addrs double-buffers against prevAddrs; every index is written below —
-	// clean chunks at compare time, dirty chunks after the workers finish.
-	addrs := m.addrsSpare
+	// addrs double-buffers against the lineage's retained addresses; every
+	// index is written below — clean chunks at compare time, dirty chunks
+	// after the workers finish.
+	addrs := lin.addrsSpare
 	if cap(addrs) < len(pieces) {
 		addrs = make([]string, len(pieces))
 	} else {
@@ -595,8 +619,8 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 		var reused string
 		if cdc {
 			reused = reuse[i]
-		} else if prev, ok := prevChunk(i); ok && bytes.Equal(piece, prev) {
-			reused = m.prevAddrs[i]
+		} else if old, ok := prevChunk(i); ok && bytes.Equal(piece, old) {
+			reused = prev.addrs[i]
 		}
 		if reused != "" {
 			addrs[i] = reused
@@ -725,12 +749,8 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	putScratch(fsp)
 	if err != nil {
 		// The deferred unpinAll releases; no manifest exists to dangle. The
-		// retained previous body stays valid — its manifest is still the
-		// newest committed one.
-		m.addrsSpare = addrs[:0]
-		if cdc {
-			m.cutsSpare = cuts[:0]
-		}
+		// lineage keeps its base — that manifest is still committed.
+		lin.addrsSpare, lin.cutsSpare = addrs[:0], cuts[:0]
 		return 0, err
 	}
 	// Chunk ownership for quota accounting: the caller is about to charge
@@ -755,24 +775,17 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	m.shared.gcGate.RLock()
 	unpinAll()
 	m.shared.gcGate.RUnlock()
-	// Adopt this body as the next save's dirty-compare base, double-
-	// buffering the address slice so steady-state saves allocate neither.
+	// Adopt this body as its lineage's dirty-compare base, double-buffering
+	// the address and cut slices so steady-state saves allocate neither.
 	if incremental {
 		job.body.retain()
-		old := m.prevBody
-		m.prevBody = job.body
-		m.addrsSpare = m.prevAddrs[:0]
-		m.prevAddrs = addrs
-		if cdc {
-			m.cutsSpare = m.prevCuts[:0]
-			m.prevCuts = cuts
+		lin.body.release()
+		*lin = chunkBase{
+			body: job.body, seq: job.h.Seq, addrs: addrs, cuts: cuts,
+			addrsSpare: lin.addrs[:0], cutsSpare: lin.cuts[:0],
 		}
-		old.release()
 	} else {
-		m.addrsSpare = addrs[:0]
-		if cdc {
-			m.cutsSpare = cuts[:0]
-		}
+		lin.addrsSpare, lin.cutsSpare = addrs[:0], cuts[:0]
 	}
 	m.mu.Lock()
 	m.stats.Chunks += len(pieces)
@@ -785,10 +798,10 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 }
 
 // cdcPlan computes the chunk layout of body under the content-defined
-// chunker: the piece slices, a parallel reuse list naming the previous
-// manifest's address for every chunk proven byte-identical ("" = dirty,
-// to be framed and ingested), and the cut offsets retained as the next
-// save's base.
+// chunker: the piece slices, a parallel reuse list naming the address prev
+// (the body's lineage base, nil for none) holds for every chunk proven
+// byte-identical ("" = dirty, to be framed and ingested), and the cut
+// offsets, appended to cuts, which the lineage retains on commit.
 //
 // The incremental path keeps steady-state saves O(dirty bytes) of hashing
 // and compression without re-running the gear hash over the whole body,
@@ -817,14 +830,17 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 //
 // Dirty chunks that merely moved still dedup at the store (their framed
 // bytes hash to resident addresses), so shifts cost re-hashing but not
-// re-writing. With no usable base (first save, FullIngest) the whole body
-// is chunked and marked dirty.
-func (m *Manager) cdcPlan(body []byte, p cdcParams, incremental bool) (pieces [][]byte, reuse []string, cuts []int) {
-	cuts = m.cutsSpare[:0]
-	reuse = m.reuseSpare[:0]
-	var prevB []byte
-	if incremental && m.prevBody != nil && len(m.prevCuts) > 0 && len(m.prevCuts) == len(m.prevAddrs) {
-		prevB = m.prevBody.b
+// re-writing. With no usable base (first save of a kind, FullIngest) the
+// whole body is chunked and marked dirty.
+func (m *Manager) cdcPlan(body []byte, p cdcParams, prev *chunkBase, cuts []int) ([][]byte, []string, []int) {
+	reuse := m.reuseSpare[:0]
+	var (
+		prevB     []byte
+		prevCuts  []int
+		prevAddrs []string
+	)
+	if prev != nil && len(prev.cuts) > 0 && len(prev.cuts) == len(prev.addrs) {
+		prevB, prevCuts, prevAddrs = prev.body.b, prev.cuts, prev.addrs
 	}
 	switch {
 	case prevB == nil:
@@ -839,16 +855,16 @@ func (m *Manager) cdcPlan(body []byte, p cdcParams, incremental bool) (pieces []
 		for pos < len(body) {
 			start := 0
 			if j > 0 {
-				start = m.prevCuts[j-1]
+				start = prevCuts[j-1]
 			}
-			if j < len(m.prevCuts) && start == pos && bytes.Equal(body[pos:m.prevCuts[j]], prevB[pos:m.prevCuts[j]]) {
+			if j < len(prevCuts) && start == pos && bytes.Equal(body[pos:prevCuts[j]], prevB[pos:prevCuts[j]]) {
 				// The old cut at prevCuts[j] was decided by exactly these
 				// bytes (the hash restarted at pos), so it is the next cut
 				// here too — including a forced end-of-data cut, since the
 				// bodies end at the same offset.
-				pos = m.prevCuts[j]
+				pos = prevCuts[j]
 				cuts = append(cuts, pos)
-				reuse = append(reuse, m.prevAddrs[j])
+				reuse = append(reuse, prevAddrs[j])
 				j++
 				continue
 			}
@@ -857,8 +873,8 @@ func (m *Manager) cdcPlan(body []byte, p cdcParams, incremental bool) (pieces []
 			reuse = append(reuse, "")
 			// Re-align: the old chunk starting at pos, if any, is the one
 			// after the old cut equal to pos.
-			j = sort.SearchInts(m.prevCuts, pos)
-			if j < len(m.prevCuts) && m.prevCuts[j] == pos {
+			j = sort.SearchInts(prevCuts, pos)
+			if j < len(prevCuts) && prevCuts[j] == pos {
 				j++
 			}
 		}
@@ -875,14 +891,14 @@ func (m *Manager) cdcPlan(body []byte, p cdcParams, incremental bool) (pieces []
 
 		// Front reuse.
 		j := 0
-		for j < len(m.prevCuts)-1 && m.prevCuts[j] <= pre {
-			cuts = append(cuts, m.prevCuts[j])
-			reuse = append(reuse, m.prevAddrs[j])
+		for j < len(prevCuts)-1 && prevCuts[j] <= pre {
+			cuts = append(cuts, prevCuts[j])
+			reuse = append(reuse, prevAddrs[j])
 			j++
 		}
 		pos := 0
 		if j > 0 {
-			pos = m.prevCuts[j-1]
+			pos = prevCuts[j-1]
 		}
 
 		// Re-chunk the dirty window, watching for resynchronization: a new
@@ -896,10 +912,10 @@ func (m *Manager) cdcPlan(body []byte, p cdcParams, incremental bool) (pieces []
 			reuse = append(reuse, "")
 			if pos >= resyncFloor && pos < len(body) {
 				old := pos - delta
-				if k := sort.SearchInts(m.prevCuts, old); k < len(m.prevCuts) && m.prevCuts[k] == old {
-					for t := k + 1; t < len(m.prevCuts); t++ {
-						cuts = append(cuts, m.prevCuts[t]+delta)
-						reuse = append(reuse, m.prevAddrs[t])
+				if k := sort.SearchInts(prevCuts, old); k < len(prevCuts) && prevCuts[k] == old {
+					for t := k + 1; t < len(prevCuts); t++ {
+						cuts = append(cuts, prevCuts[t]+delta)
+						reuse = append(reuse, prevAddrs[t])
 					}
 					break
 				}
@@ -1180,10 +1196,9 @@ func (m *Manager) Close() error {
 	m.lastHash = nil
 	m.mu.Unlock()
 	lp.release()
-	m.prevBody.release()
-	m.prevBody = nil
-	m.prevAddrs = nil
-	m.prevCuts = nil
+	for i := range m.bases {
+		m.bases[i].drop()
+	}
 	return err
 }
 
@@ -1235,6 +1250,14 @@ func (m *Manager) gc() {
 	}
 	if !found {
 		return // fewer than Retain anchors exist; keep everything
+	}
+	// A dirty-compare base must not outlive its manifest: once that is
+	// deleted nothing keeps the chunks it names. gc runs on the persist
+	// goroutine, which owns the bases.
+	for i := range m.bases {
+		if b := &m.bases[i]; b.body != nil && b.seq < cutoff {
+			b.drop()
+		}
 	}
 	deleted := false
 	for _, f := range files {

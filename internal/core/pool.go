@@ -22,7 +22,9 @@ import (
 //   - refBuf is reference-counted because one payload buffer can be live
 //     in three roles at once: the trainer's delta base (lastPayload), an
 //     in-flight async write job's body, and the persist path's retained
-//     dirty-compare base (prevBody). The last release returns it to the
+//     dirty-compare base of the body's kind (Manager.bases, chunkBase.body
+//     — an anchor's buffer is held there until the next anchor commits, a
+//     delta's until the next delta). The last release returns it to the
 //     pool; until then no role may mutate the bytes.
 //   - Plain scratch from getScratch is single-owner and must be returned
 //     with putScratch by the goroutine that took it, after the backend

@@ -71,6 +71,11 @@ type tenantQoS struct {
 
 	throttled  atomic.Int64 // throttle events (local sleeps + server rejections)
 	throttleNs atomic.Int64 // total nanoseconds of imposed delay
+
+	// The bucket's clock: time.Now and time.Sleep, except in a test that
+	// must see pacing whatever a save really takes.
+	now   func() time.Time
+	sleep func(time.Duration)
 }
 
 func (t *tenantQoS) burst() float64 {
@@ -130,7 +135,7 @@ func (t *tenantQoS) admit(n int64) (wait time.Duration, ok bool) {
 	rate := float64(t.limit.RateBytesPerSec)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := time.Now()
+	now := t.now()
 	if t.last.IsZero() {
 		t.tokens = t.burst() // a fresh tenant starts with a full bucket
 	} else {
@@ -166,7 +171,7 @@ func (t *tenantQoS) pace(n int64) {
 		}
 		t.throttled.Add(1)
 		t.throttleNs.Add(int64(wait))
-		time.Sleep(wait)
+		t.sleep(wait)
 	}
 }
 
@@ -241,7 +246,7 @@ func (q *qosTable) tenant(id string) *tenantQoS {
 	if !ok {
 		lim = q.cfg.Default
 	}
-	t := &tenantQoS{id: id, limit: lim}
+	t := &tenantQoS{id: id, limit: lim, now: time.Now, sleep: time.Sleep}
 	q.tenants[id] = t
 	return t
 }

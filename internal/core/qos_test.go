@@ -95,6 +95,14 @@ func TestServiceRatePacingThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	// The bucket runs on a clock that only a pacing sleep advances: however
+	// long a save really takes (longer than the 4 ms refill under -race on
+	// a busy box), the bucket has not refilled when the next one arrives.
+	// The manager is synchronous, so the clock stays on this goroutine.
+	clock := time.Unix(0, 0)
+	noisy := svc.qos.tenant("noisy")
+	noisy.now = func() time.Time { return clock }
+	noisy.sleep = func(d time.Duration) { clock = clock.Add(d) }
 	m, err := svc.OpenJob("noisy", Options{Strategy: StrategyFull})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +115,9 @@ func TestServiceRatePacingThrottles(t *testing.T) {
 		}
 	}
 	u := svc.QoSUsage()["noisy"]
-	if u.Throttled == 0 || u.ThrottleWait == 0 {
-		t.Errorf("rate-limited tenant was never paced: %+v", u)
+	if u.Throttled < 3 || u.ThrottleWait != clock.Sub(time.Unix(0, 0)) {
+		t.Errorf("rate-limited tenant paced %d times for %v (clock advanced %v), want every save after the first: %+v",
+			u.Throttled, u.ThrottleWait, clock.Sub(time.Unix(0, 0)), u)
 	}
 	// An unlimited tenant on the same service is untouched.
 	q, err := svc.OpenJob("quiet", Options{Strategy: StrategyFull})
@@ -137,7 +146,7 @@ func TestAdmitOrRetry(t *testing.T) {
 		t.Fatalf("over-quota ingest: retry=%v reason=%q ok=%v", retry, reason, ok)
 	}
 	// Rate dimension: drain the burst, next ingest must name a wait.
-	r := &tenantQoS{id: "r", limit: TenantQoS{RateBytesPerSec: 1000, BurstBytes: 1000}}
+	r := &tenantQoS{id: "r", limit: TenantQoS{RateBytesPerSec: 1000, BurstBytes: 1000}, now: time.Now}
 	if _, _, ok := r.admitOrRetry(2000); !ok {
 		t.Fatal("burst-riding ingest refused")
 	}

@@ -404,21 +404,25 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 }
 
 // TestServiceConcurrentJobsStress drives several jobs' managers from
-// separate goroutines — saves with retention GC plus explicit service
-// collections — and checks every tenant restores bitwise. Run with -race
-// to exercise the sharded store, striped pin table and shared GC gate
-// under real concurrency.
+// separate goroutines — saves with retention GC (Retain 1 and 2, so both
+// the kept and the dropped delta base occur) while service collections run
+// back to back until the last saver is done — and checks every tenant
+// verifies clean and restores bitwise. Each job crosses three anchors that
+// reuse chunks of the anchor before them, which is the reuse the
+// collections race. Run with -race to exercise the sharded store, striped
+// pin table and shared GC gate under real concurrency.
 func TestServiceConcurrentJobsStress(t *testing.T) {
 	svc, err := NewService(ServiceOptions{Backend: storage.NewMem(), ChunkShards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const jobs, steps = 6, 8
+	const jobs, steps = 6, 10
 	managers := make([]*Manager, jobs)
 	finals := make([]*TrainingState, jobs)
+	anchorClean := make([]int, jobs) // sync jobs only: clean chunks on anchors after the first
 	for j := 0; j < jobs; j++ {
 		m, err := svc.OpenJob(fmt.Sprintf("job%02d", j), Options{
-			Strategy: StrategyDelta, AnchorEvery: 3, Retain: 2,
+			Strategy: StrategyDelta, AnchorEvery: 3, Retain: 1 + j/2%2,
 			ChunkBytes: MinChunkBytes, Workers: 2, Async: j%2 == 0,
 		})
 		if err != nil {
@@ -426,33 +430,45 @@ func TestServiceConcurrentJobsStress(t *testing.T) {
 		}
 		managers[j] = m
 	}
-	var wg sync.WaitGroup
+	var savers, collector sync.WaitGroup
 	errs := make(chan error, jobs+1)
 	for j := 0; j < jobs; j++ {
-		wg.Add(1)
+		savers.Add(1)
 		go func(j int) {
-			defer wg.Done()
+			defer savers.Done()
 			states := serviceJobStates(j, steps)
-			for _, s := range states {
+			for i, s := range states {
+				before := managers[j].Stats().CleanChunks
 				if _, err := managers[j].Save(s); err != nil {
 					errs <- fmt.Errorf("job %d: %w", j, err)
 					return
+				}
+				if j%2 == 1 && i > 0 && i%3 == 0 {
+					anchorClean[j] += managers[j].Stats().CleanChunks - before
 				}
 			}
 			finals[j] = states[len(states)-1]
 		}(j)
 	}
-	wg.Add(1)
+	saversDone := make(chan struct{})
+	collector.Add(1)
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 4; i++ {
+		defer collector.Done()
+		for {
 			if _, _, err := svc.CollectOrphans(); err != nil {
 				errs <- fmt.Errorf("collect: %w", err)
 				return
 			}
+			select {
+			case <-saversDone:
+				return
+			default:
+			}
 		}
 	}()
-	wg.Wait()
+	savers.Wait()
+	close(saversDone)
+	collector.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -471,6 +487,12 @@ func TestServiceConcurrentJobsStress(t *testing.T) {
 		}
 		if finals[j] == nil || !got.Equal(finals[j]) {
 			t.Errorf("job %d lost its final state under concurrency", j)
+		}
+		if ok, problems, err := VerifyBackend(view); err != nil || len(problems) != 0 || ok == 0 {
+			t.Errorf("job %d: verify ok=%d problems=%v err=%v", j, ok, problems, err)
+		}
+		if j%2 == 1 && anchorClean[j] == 0 {
+			t.Errorf("job %d: no anchor reused a chunk of the anchor before it", j)
 		}
 	}
 }

@@ -326,7 +326,11 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 
 	// Amplification is measured over the checkpoint phase only: the
 	// audit's contended single key triggers read-repair pushes on
-	// purpose, which would overstate the save path's steady R× cost.
+	// purpose, which would overstate the save path's steady R× cost. A
+	// quorum write returns at W acks, so the audit's last top-ups of the
+	// third replica may still be in flight: wait them out first, or they
+	// land on the checkpoint phase's side of the line.
+	rb.Close()
 	physAudit := int64(0)
 	for i := range phys {
 		physAudit += phys[i].bytes.Load()
