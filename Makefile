@@ -14,7 +14,7 @@ BENCH_TOLERANCE ?= 20
 # apart.
 BENCH_PKGS = . ./internal/storage ./internal/core
 
-.PHONY: build test test-race test-net bench bench-json bench-gate bench-save bench-e2e fmt vet check experiments
+.PHONY: build test test-race test-net bench bench-json bench-gate bench-save bench-e2e fmt vet check experiments loc loc-gate
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,9 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent machinery (save pipeline,
-# multi-job service, sharded chunk store, parallel restore engine, cache,
-# single-flight origin coalescer, tiered batch reads). CI runs this as
-# its own job.
+# multi-job service, sharded chunk store, parallel restore engine, the
+# single-flight read cache, tiered batch reads). CI runs this as its own
+# job.
 test-race:
 	$(GO) test -race ./...
 
@@ -98,3 +98,14 @@ check:
 
 experiments:
 	$(GO) run ./cmd/experiments -quick
+
+# ROADMAP's "non-test LOC goes down" as a ratchet: loc prints the non-test
+# lines of internal/storage + internal/core, loc-gate (CI's check job)
+# fails when they exceed LOC_CEILING. A PR that shrinks the packages
+# lowers the ceiling to its own count; one that must grow them raises it
+# in its own diff, where a reviewer sees it.
+LOC_CEILING = 9913
+loc:
+	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+loc-gate:
+	@n=$$($(MAKE) -s loc); echo "loc-gate: $$n non-test lines in internal/storage + internal/core (ceiling $(LOC_CEILING))"; [ "$$n" -le $(LOC_CEILING) ]

@@ -223,7 +223,7 @@ func (l *Local) IngestChunkClass(key string, data []byte, class storage.WriteCla
 	var written int
 	var err error
 	if l.isCanonical(key, addr) {
-		_, written, err = l.svc.ChunkStore().IngestAddressedClass(addr, data, class)
+		written, err = l.svc.ChunkStore().Ingest(addr, data, class)
 		if err == nil && written > 0 && l.origin != nil {
 			// The store wrote beneath the origin cache (fresh chunk, or the
 			// repair path rewriting a corrupt resident): evict any cached

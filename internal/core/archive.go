@@ -57,8 +57,8 @@ func ArchiveBackend(src storage.Backend, cs *storage.ChunkStore, manifestPath st
 				return archived, err
 			}
 		}
-		addr, err := cs.PutClass(data, storage.ClassArchive)
-		if err != nil {
+		addr := storage.Hash(data)
+		if _, err := cs.Ingest(addr, data, storage.ClassArchive); err != nil {
 			return archived, err
 		}
 		list = append(list, entry{name: key, addr: addr})

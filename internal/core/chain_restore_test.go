@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -438,6 +439,151 @@ func TestResolveDoesNotMutateTheCache(t *testing.T) {
 	}
 }
 
+// sparseStates yields n states of params random float64 parameters, each a
+// window-parameter sub-step away from the one before: a chain whose anchor
+// holds no zero chunk and whose delta bodies are zero almost everywhere.
+func sparseStates(seed uint64, params, n, window int) []*TrainingState {
+	r := rng.New(seed)
+	s := NewTrainingState()
+	s.Params = make([]float64, params)
+	for i := range s.Params {
+		s.Params[i] = r.NormFloat64()
+	}
+	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+	out := make([]*TrainingState, n)
+	for i := range out {
+		s = s.Clone()
+		s.Step = uint64(i)
+		for j := 0; j < window; j++ {
+			s.Params[(i*window+j)%params] += 1e-3 * r.NormFloat64()
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// sharedReadGate counts every Get that reaches the store beneath a restore
+// and parks the first read of one chunk, held, until the read of another
+// delta link's chunk arrives behind it. Only the embedded interface and
+// GetRange are visible, so every full read of an object is one Get.
+type sharedReadGate struct {
+	storage.Backend
+	held        string          // key of the chunk every delta link names
+	deltaChunks map[string]bool // keys of the chunks delta links name
+
+	mu       sync.Mutex
+	gets     map[string]int
+	parked   bool
+	second   chan struct{} // closed by the first delta-chunk read that finds held parked
+	timedOut bool
+}
+
+func (g *sharedReadGate) GetRange(key string, off, n int64) ([]byte, error) {
+	return storage.GetRange(g.Backend, key, off, n)
+}
+
+func (g *sharedReadGate) Get(key string) ([]byte, error) {
+	g.mu.Lock()
+	g.gets[key]++
+	park := key == g.held && !g.parked
+	if park {
+		g.parked = true
+	} else if g.parked && g.deltaChunks[key] && g.second != nil {
+		close(g.second)
+		g.second = nil
+	}
+	second := g.second
+	g.mu.Unlock()
+	if park {
+		select {
+		case <-second:
+		case <-time.After(10 * time.Second):
+			g.mu.Lock()
+			g.timedOut = true
+			g.mu.Unlock()
+		}
+	}
+	return g.Backend.Get(key)
+}
+
+// TestSharedChunkOfTwoWarmsIsReadOnce is the property that lets the chain
+// prefetcher run its warms unordered. Every delta link of a sparse chain
+// names the all-zero chunk, and two warms are in flight at a time; the
+// first read of that chunk is parked in the store until the other warm —
+// the only reader that can get to a delta chunk meanwhile, and one that
+// asks for all of its link's chunks before it fetches any — is also past
+// asking for it. A read cache without single-flight sends that second
+// asker to the store as well.
+func TestSharedChunkOfTwoWarmsIsReadOnce(t *testing.T) {
+	const links = 16
+	states := sparseStates(7, 8<<10, links, 24)
+	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: links}), states)
+
+	// The chunks each link names, from the manifests as stored: held is
+	// the one every delta names and the anchor does not.
+	gate := &sharedReadGate{Backend: mem, deltaChunks: make(map[string]bool), gets: make(map[string]int), second: make(chan struct{})}
+	keys, err := mem.List(snapshotKeyPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	namedBy := make(map[string]int) // chunk key → delta links naming it
+	anchorChunks := make(map[string]bool)
+	for _, key := range keys {
+		data, err := mem.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, manifest, err := DecodeSnapshotFile(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := decodeChunkManifest(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct, _ := distinctAddrs(info.addrs)
+		for _, addr := range distinct {
+			if h.Kind.Base() == KindDelta {
+				gate.deltaChunks[chunkKey(addr)] = true
+				namedBy[chunkKey(addr)]++
+			} else {
+				anchorChunks[chunkKey(addr)] = true
+			}
+		}
+	}
+	for key, n := range namedBy {
+		if n == links-1 && !anchorChunks[key] {
+			gate.held = key
+		}
+	}
+	if len(keys) != links || gate.held == "" {
+		t.Fatalf("%d snapshots stored, chunk named by every delta and not by the anchor: %q", len(keys), gate.held)
+	}
+
+	got, report, err := LoadLatestBackendOptions(gate, nil, RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.ChainLen != links || len(report.Skipped) != 0 {
+		t.Fatalf("restored a chain of %d, skipped %v", report.ChainLen, report.Skipped)
+	}
+	want, _ := EncodePayload(states[links-1])
+	if have, _ := EncodePayload(got); !bytes.Equal(have, want) {
+		t.Error("restore is not bitwise")
+	}
+	if !gate.parked || gate.timedOut {
+		t.Errorf("parked=%v timedOut=%v: no second reader came for the shared chunk while its first read was held", gate.parked, gate.timedOut)
+	}
+	for key, n := range gate.gets {
+		if n != 1 {
+			t.Errorf("%s reached the store %d times", key, n)
+		}
+	}
+	if objects, _ := mem.List(""); len(gate.gets) != len(objects) {
+		t.Errorf("%d objects read of the %d the chain is made of", len(gate.gets), len(objects))
+	}
+}
+
 // TestHostileManifestLengthIsSkipped: a manifest may claim any body length,
 // and restore preallocates that many bytes. One that claims more than its
 // chunks could hold must be skipped as corrupt, not die in makeslice.
@@ -529,22 +675,7 @@ func TestLoadReportAttributesTheRestore(t *testing.T) {
 // chain, which is what is left of a link's O(state) cost.
 func BenchmarkRestoreChain(b *testing.B) {
 	const params, links, window = 256 << 10, 16, 768 // 2 MiB of float64; 768 params ≈ 0.3 %
-	r := rng.New(13)
-	s := NewTrainingState()
-	s.Params = make([]float64, params)
-	for i := range s.Params {
-		s.Params[i] = r.NormFloat64()
-	}
-	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
-	states := make([]*TrainingState, links)
-	for i := range states {
-		s = s.Clone()
-		s.Step = uint64(i)
-		for j := 0; j < window; j++ {
-			s.Params[(i*window+j)%params] += 1e-3 * r.NormFloat64()
-		}
-		states[i] = s
-	}
+	states := sparseStates(13, params, links, window)
 	mem := saveChain(b, Options{AnchorEvery: links, ChunkBytes: 8 << 10, Workers: 2}, states)
 	opts := RestoreOptions{Workers: 2, Prefetch: 4}
 	b.SetBytes(8 * params)

@@ -220,7 +220,6 @@ type Manager struct {
 	backend storage.Backend
 	tiered  *storage.Tiered     // non-nil iff the backend is tiered
 	chunks  *storage.ChunkStore // non-nil iff ChunkBytes > 0
-	jobID   string              // non-empty iff opened through a Service
 
 	// shared is the chunk machinery — store, pin table, GC gate, keep-set
 	// scanner. A standalone manager owns a private instance; managers
@@ -366,15 +365,15 @@ func NewManager(opt Options) (*Manager, error) {
 			return nil, fmt.Errorf("core: create checkpoint dir: %w", err)
 		}
 	}
-	return newManager(opt, backend, nil, "")
+	return newManager(opt, backend, nil)
 }
 
 // newManager wires a Manager over an already-resolved backend. shared,
 // when non-nil, is the service-level chunk machinery the manager joins
 // (one chunk store, pin table and GC gate for every job of a Service)
-// instead of creating its own; jobID tags the manager for reporting.
-func newManager(opt Options, backend storage.Backend, shared *sharedChunks, jobID string) (*Manager, error) {
-	m := &Manager{opt: opt, backend: backend, jobID: jobID, savedAt: make(map[uint64]time.Time)}
+// instead of creating its own.
+func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Manager, error) {
+	m := &Manager{opt: opt, backend: backend, savedAt: make(map[uint64]time.Time)}
 	m.tiered, _ = backend.(*storage.Tiered)
 	if opt.Lifecycle.enabled() {
 		if m.tiered == nil {
@@ -506,7 +505,7 @@ func (m *Manager) persist(job writeJob) (int, error) {
 // only needs a cheap process-local discriminator (collisions fall back to
 // a byte compare), so it uses maphash instead of burning a second SHA-256
 // pass over every chunk — the one content hash per chunk is of the framed
-// bytes, threaded through IngestAddressed.
+// bytes, threaded through ChunkStore.Ingest.
 var chunkKeySeed = maphash.MakeSeed()
 
 // persistChunked runs the incremental chunked save: the body is split on
@@ -580,8 +579,7 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	}
 
 	type result struct {
-		addr    string
-		pinned  string // chunk address pinned against concurrent GC
+		addr    string // set once the chunk is pinned against concurrent GC
 		written int
 		raw     bool
 		err     error
@@ -661,10 +659,10 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 			// The frame's content hash is computed exactly once here and
 			// threaded through as the chunk address.
 			addr := storage.Hash(frame)
-			r.pinned = addr
+			r.addr = addr
 			m.shared.pins.pin(addr)
 			r.raw = frame[0] == chunkFrameRaw
-			r.addr, r.written, r.err = m.chunks.IngestAddressedClass(addr, frame, chunkClass)
+			r.written, r.err = m.chunks.Ingest(addr, frame, chunkClass)
 			*sp = frame
 			putScratch(sp)
 		})
@@ -686,9 +684,8 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 		}
 		for _, gs := range groups {
 			for _, g := range gs {
-				if g.res.pinned != "" {
-					m.shared.pins.unpin(g.res.pinned)
-					g.res.pinned = ""
+				if g.res.addr != "" {
+					m.shared.pins.unpin(g.res.addr)
 				}
 			}
 		}
@@ -1128,9 +1125,6 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 // recovery entry points (LoadLatestBackend and friends) work against it
 // directly.
 func (m *Manager) Backend() storage.Backend { return m.backend }
-
-// JobID returns the service job ID, or "" for a standalone manager.
-func (m *Manager) JobID() string { return m.jobID }
 
 // isClosed reports whether Close has RUN TO COMPLETION — pipeline
 // drained, last manifest committed. A Service uses it to let a closed

@@ -38,7 +38,7 @@ func TestPinSourceShieldsChunksFromCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	addr, _, err := svc.ChunkStore().Ingest([]byte("uploaded but not yet committed"))
+	addr, err := svc.ChunkStore().Put([]byte("uploaded but not yet committed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,8 @@ func TestJobViewForwardsIngestKeyed(t *testing.T) {
 	}
 	cs := storage.NewChunkStore(storage.WithPrefix(view, ChunkPrefix))
 	data := []byte("payload")
-	addr, written, err := cs.Ingest(data)
+	addr := storage.Hash(data)
+	written, err := cs.Ingest(addr, data, storage.ClassDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestJobViewForwardsIngestKeyed(t *testing.T) {
 		t.Fatalf("chunk key escaped the chunk namespace: %s", rec.keys[0])
 	}
 	// Second ingest of identical content dedups inside the ingester.
-	if _, written, err = cs.Ingest(data); err != nil || written != 0 {
+	if written, err = cs.Ingest(addr, data, storage.ClassDefault); err != nil || written != 0 {
 		t.Fatalf("dedup ingest: written=%d err=%v", written, err)
 	}
 }

@@ -51,7 +51,7 @@ type indexEntry struct {
 	h   Header
 }
 
-// recoveryCacheBytes bounds the LRU read cache under every snapshotView.
+// recoveryCacheBytes bounds the read cache under every snapshotView.
 // Chain resolution re-reads anchors and shared chunks once per candidate;
 // on a Tiered backend each re-read of a demoted object would otherwise be
 // billed at cold-device cost. 64 MiB holds the working set of any chain
@@ -59,12 +59,14 @@ type indexEntry struct {
 const recoveryCacheBytes = 64 << 20
 
 // snapshotView reads snapshots (including chunked ones) from a backend,
-// through a bounded LRU read cache: a cold-tier restore pays the cold
-// fetch once and every later touch — repeated chain resolution, shared
-// chunks between deltas — is served warm. Its RestoreOptions size the
-// chunk engine (restore.go); the cache below it is safe under the engine's
-// concurrent readers. cost accumulates what the view's owner spent; only
-// the goroutine resolving through the view writes it.
+// through a one-shard storage.Coalescer (one shard keeps the byte budget
+// and the LRU order exact): a cold-tier restore pays the cold fetch once
+// and every later touch — repeated chain resolution, shared chunks between
+// deltas — is served warm, and the engine's workers and the chain
+// prefetcher asking for one object at the same moment share one fetch of
+// it. Its RestoreOptions size the chunk engine (restore.go). cost
+// accumulates what the view's owner spent; only the goroutine resolving
+// through the view writes it.
 type snapshotView struct {
 	b    storage.Backend
 	cs   *storage.ChunkStore
@@ -73,7 +75,7 @@ type snapshotView struct {
 }
 
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
-	cb := storage.NewCache(b, recoveryCacheBytes)
+	cb := storage.NewCoalescerShards(b, recoveryCacheBytes, 1)
 	return &snapshotView{b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts}
 }
 

@@ -285,28 +285,27 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 // through the snapshotView's cache in the background, so on a tiered
 // backend the cold fetches of link N+1 overlap the CPU work of link N.
 type prefetcher struct {
-	wg   sync.WaitGroup
-	last chan struct{} // closed when the most recently started warm is done
+	wg sync.WaitGroup
 }
 
 // start warms key's manifest and chunks in the background and returns a
 // wait function. The resolver calls it right before its foreground read
 // of key: by then the warmer has been running for the whole previous
 // link, so the wait is usually instant, and blocking until the fill lands
-// keeps the foreground from racing the warmer into duplicate cold
-// fetches of the same chunks. Two warms are in flight at a time — the one
-// the resolver waits for and the one after it — and consecutive links
-// share chunks (the all-zero one at least), so a warm fetches its manifest
-// at once but holds its chunk batch until the warm before it is done: it
-// then finds the shared addresses cached instead of reading them again.
+// keeps the foreground's chunk-at-a-time reads from leading the flights
+// the warmer's one batch would have led, which would turn a batched cold
+// read into a serial one. Two warms are in flight at a time — the one the
+// resolver waits for and the one after it — and consecutive links share
+// chunks (the all-zero one at least); the cache's single-flight makes the
+// second asker of a shared address join the first one's fetch, so the
+// warms need no ordering between them.
 func (p *prefetcher) start(v *snapshotView, key string) func() {
-	prev, done := p.last, make(chan struct{})
-	p.last = done
+	done := make(chan struct{})
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		defer close(done)
-		v.warm(key, prev)
+		v.warm(key)
 	}()
 	return func() { <-done }
 }
@@ -319,9 +318,8 @@ func (p *prefetcher) wait() { p.wg.Wait() }
 // chunks — through the view's read cache, batching the chunk fetches so a
 // Tiered backend overlaps them per level. Errors are deliberately
 // dropped: prefetch is a cache warmer, and the foreground read reports
-// any failure with full context. The chunk batch waits for after (the
-// previous warm; nil for the first) to close.
-func (v *snapshotView) warm(key string, after <-chan struct{}) {
+// any failure with full context.
+func (v *snapshotView) warm(key string) {
 	data, err := v.b.Get(key)
 	if err != nil {
 		return
@@ -335,8 +333,5 @@ func (v *snapshotView) warm(key string, after <-chan struct{}) {
 		return
 	}
 	distinct, _ := distinctAddrs(info.addrs)
-	if after != nil {
-		<-after
-	}
 	v.cs.GetBatch(distinct)
 }

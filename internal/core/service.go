@@ -148,7 +148,7 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if prev, ok := s.open[jobID]; ok && !prev.isClosed() {
 		return nil, fmt.Errorf("core: job %q already open", jobID)
 	}
-	m, err := newManager(opt.withDefaults(), newJobView(s.backend, jobID), s.shared, jobID)
+	m, err := newManager(opt.withDefaults(), newJobView(s.backend, jobID), s.shared)
 	if err != nil {
 		return nil, err
 	}

@@ -7,10 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-
-	"repro/internal/storage"
 )
 
 // Snapshot file format:
@@ -216,33 +213,6 @@ func parseHeaderBytes(buf []byte) (Header, error) {
 	copy(h.PayloadHash[:], buf[55:87])
 	h.BodyLen = binary.LittleEndian.Uint64(buf[87:])
 	return h, nil
-}
-
-// ReadHeader parses just the fixed-size header of a snapshot file (without
-// whole-file verification) — used to build the recovery index cheaply.
-func ReadHeader(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	buf := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return Header{}, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	return parseHeaderBytes(buf)
-}
-
-// WriteSnapshotFile encodes and atomically persists a snapshot.
-func WriteSnapshotFile(path string, h Header, body []byte) (int, error) {
-	data, err := EncodeSnapshotFile(h, body)
-	if err != nil {
-		return 0, err
-	}
-	if err := storage.AtomicWriteFile(path, data, 0o644); err != nil {
-		return 0, err
-	}
-	return len(data), nil
 }
 
 // ReadSnapshotFile loads and fully verifies a snapshot file.

@@ -186,10 +186,6 @@ func (c *Client) Capabilities() storage.Capabilities {
 	}
 }
 
-// ServerCaps returns the capability document fetched at Dial — the
-// server store's identity, capability set, and replication geometry.
-func (c *Client) ServerCaps() api.Caps { return c.caps }
-
 // Caps implements storage.CapsReporter. Every handle points at this
 // client: ranged reads, batch windows, the dedup handshake, classed
 // writes and delegated GC are protocol endpoints that exist on every

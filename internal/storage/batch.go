@@ -3,7 +3,7 @@ package storage
 // Batched reads: the restore engine fetches many chunks per snapshot, and
 // on a Tiered backend a naive loop pays every cold fetch in sequence.
 // BatchReader lets composite backends overlap that work — Tiered fetches
-// each level's residents in a separate goroutine, Cache serves hits
+// each level's residents in a separate goroutine, Coalescer serves hits
 // without touching the base and batch-fills its misses — while plain
 // backends fall back to sequential Gets with identical semantics.
 

@@ -142,40 +142,13 @@ func (cs *ShardedChunkStore) key(addr string) (string, error) {
 	return addr[:2] + "/" + addr, nil
 }
 
-// Put stores data and returns its content address. Re-putting identical
-// content is a no-op returning the same address.
-//
-// Hash-once contract: Put → Ingest → IngestAddressed computes data's
-// SHA-256 exactly once, at the outermost entry point that does not
-// already have it. Callers that computed the address for their own
-// purposes (the save pipeline hashes each framed chunk once to pin it
-// against GC) must use IngestAddressed so the hash is threaded through
-// instead of recomputed — BenchmarkIngestAddressed measures what the
-// second pass would cost.
+// Put stores data under its content address, which it returns: hash, then
+// Ingest. Re-putting identical content is a no-op returning the same
+// address.
 func (cs *ShardedChunkStore) Put(data []byte) (string, error) {
-	addr, _, err := cs.Ingest(data)
+	addr := Hash(data)
+	_, err := cs.Ingest(addr, data, ClassDefault)
 	return addr, err
-}
-
-// PutClass is Put with a write class attached, for callers without a
-// precomputed address (the archive packer tags its blobs ClassArchive so
-// a placement policy can route them straight to a capacity tier).
-func (cs *ShardedChunkStore) PutClass(data []byte, class WriteClass) (string, error) {
-	addr, _, err := cs.IngestAddressedClass(Hash(data), data, class)
-	return addr, err
-}
-
-// Ingest stores data and additionally reports how many bytes were newly
-// written — 0 on a verified dedup hit. The write pipeline uses this to
-// account true storage traffic under deduplication.
-//
-// A dedup hit is verified, not trusted: a Stat-only check would keep
-// whatever bytes sit at the address — a chunk corrupted since an earlier
-// save, or a torn foreign write — and silently drop the good data being
-// ingested. The resident copy is size-checked and then compared; on any
-// mismatch the good bytes are rewritten, repairing the store.
-func (cs *ShardedChunkStore) Ingest(data []byte) (addr string, written int, err error) {
-	return cs.IngestAddressed(Hash(data), data)
 }
 
 // AddressedIngester is an optional Backend extension that moves the
@@ -206,52 +179,62 @@ func TryIngestKeyed(b Backend, key, addr string, data []byte) (written int, ok b
 	return 0, false, nil
 }
 
-// IngestAddressed is Ingest for callers that already computed data's
-// content address — the save pipeline hashes each chunk once to pin it
-// and hands the address down. addr must equal Hash(data); a wrong
-// address corrupts the store's content addressing.
-func (cs *ShardedChunkStore) IngestAddressed(addr string, data []byte) (_ string, written int, err error) {
-	return cs.IngestAddressedClass(addr, data, ClassDefault)
-}
-
-// IngestAddressedClass is IngestAddressed with a write class: a miss is
-// written through the backend's ClassWriter (when it has one), so a
-// tiered store places anchor chunks hot and delta tails warm while the
-// dedup protocol stays identical. The class only influences where a
+// Ingest stores data, whose content address the caller computed, and
+// reports how many bytes were newly written — 0 on a verified dedup hit.
+// The write pipeline uses this to account true storage traffic under
+// deduplication.
+//
+// Hash-once contract: data's SHA-256 is computed exactly once, by whoever
+// needs it first. The save pipeline hashes each framed chunk to pin it
+// against GC and the server verifies an upload against its address; both
+// hand the address down instead of having the store hash the bytes again
+// (BenchmarkIngestAddressed measures what that second pass would cost).
+// addr must equal Hash(data); a wrong address corrupts the store's
+// content addressing.
+//
+// A dedup hit is verified, not trusted: a Stat-only check would keep
+// whatever bytes sit at the address — a chunk corrupted since an earlier
+// save, or a torn foreign write — and silently drop the good data being
+// ingested. The resident copy is size-checked and then compared; on any
+// mismatch the good bytes are rewritten, repairing the store.
+//
+// A miss is written through the backend's ClassWriter (when it has one),
+// so a tiered store places anchor chunks hot and delta tails warm while
+// the dedup protocol stays identical. The class only influences where a
 // *new* chunk lands — a dedup hit leaves the resident copy wherever it
 // lives, whatever class the hit carries.
-func (cs *ShardedChunkStore) IngestAddressedClass(addr string, data []byte, class WriteClass) (_ string, written int, err error) {
+func (cs *ShardedChunkStore) Ingest(addr string, data []byte, class WriteClass) (written int, err error) {
 	key, err := cs.key(addr)
 	if err != nil {
-		return "", 0, err
+		return 0, err
 	}
 	// A backend that owns the dedup decision (a remote store running the
 	// address-first handshake) takes the ingest whole; its answer is
 	// authoritative, including verification of any resident copy.
 	if w, ok, derr := TryIngestKeyedClass(cs.b, key, addr, data, class); ok {
 		if derr != nil {
-			return "", 0, derr
+			return 0, derr
 		}
-		return addr, w, nil
+		return w, nil
 	}
 	if info, serr := cs.b.Stat(key); serr == nil {
 		if cs.isVerified(addr) && info.Size == int64(len(data)) {
-			return addr, 0, nil // dedup hit, bytes already verified this process
+			return 0, nil // dedup hit, bytes already verified this process
 		}
 		if info.Size == int64(len(data)) {
 			if existing, gerr := cs.b.Get(key); gerr == nil && bytes.Equal(existing, data) {
 				cs.markVerified(addr)
-				return addr, 0, nil // verified dedup hit
+				return 0, nil // verified dedup hit
 			}
 		}
 		// Resident copy truncated, corrupt, or unreadable: fall through and
 		// overwrite it with the bytes we know hash to this address.
 	}
 	if err := PutClass(cs.b, key, data, class); err != nil {
-		return "", 0, err
+		return 0, err
 	}
 	cs.markVerified(addr)
-	return addr, len(data), nil
+	return len(data), nil
 }
 
 func (cs *ShardedChunkStore) isVerified(addr string) bool {

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// The ingest benchmarks quantify the hash-once contract: Ingest hashes
-// its input to derive the address, while IngestAddressed receives the
-// address a caller already computed (the save pipeline hashes each framed
-// chunk once to pin it against GC and threads the same digest through).
-// The delta between the two is the SHA-256 pass the old double-hash path
-// paid per chunk per save.
+// The ingest benchmarks quantify the hash-once contract: BenchmarkIngest
+// hashes its input to derive the address (what Put does), while
+// BenchmarkIngestAddressed hands Ingest an address the caller already
+// computed (the save pipeline hashes each framed chunk once to pin it
+// against GC and threads the same digest through). The delta between the
+// two is the SHA-256 pass the old double-hash path paid per chunk per
+// save.
 
 func benchChunk(n int) []byte {
 	data := make([]byte, n)
@@ -29,7 +30,7 @@ func BenchmarkIngest(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := cs.Ingest(data); err != nil {
+				if _, err := cs.Put(data); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +55,7 @@ func BenchmarkShardedIngestParallel(b *testing.B) {
 				chunks[i][0] = byte(i)
 				chunks[i][1] = byte(i >> 8)
 				var err error
-				if addrs[i], _, err = cs.Ingest(chunks[i]); err != nil {
+				if addrs[i], err = cs.Put(chunks[i]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +71,7 @@ func BenchmarkShardedIngestParallel(b *testing.B) {
 				i := 0
 				for pb.Next() {
 					i++
-					if _, _, err := cs.IngestAddressed(addrs[i%distinct], chunks[i%distinct]); err != nil {
+					if _, err := cs.Ingest(addrs[i%distinct], chunks[i%distinct], ClassDefault); err != nil {
 						errMu.Lock()
 						if firstErr == nil {
 							firstErr = err
@@ -96,7 +97,7 @@ func BenchmarkIngestAddressed(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := cs.IngestAddressed(addr, data); err != nil {
+				if _, err := cs.Ingest(addr, data, ClassDefault); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,9 +24,9 @@ func TestChunkStoreIngestRepairsCorruptDedupHit(t *testing.T) {
 	if err := mem.Put(key, bad); err != nil {
 		t.Fatal(err)
 	}
-	got, written, err := cs.Ingest(data)
-	if err != nil || got != addr {
-		t.Fatalf("Ingest over corrupt copy: addr=%q err=%v", got, err)
+	written, err := cs.Ingest(addr, data, ClassDefault)
+	if err != nil {
+		t.Fatalf("Ingest over corrupt copy: %v", err)
 	}
 	if written != len(data) {
 		t.Errorf("corrupt dedup hit reported %d bytes written, want %d (rewrite)", written, len(data))
@@ -39,7 +39,7 @@ func TestChunkStoreIngestRepairsCorruptDedupHit(t *testing.T) {
 	if err := mem.Put(key, data[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, written, err = cs.Ingest(data); err != nil || written != len(data) {
+	if written, err = cs.Ingest(addr, data, ClassDefault); err != nil || written != len(data) {
 		t.Fatalf("Ingest over truncated copy: written=%d err=%v", written, err)
 	}
 	if back, err := cs.Get(addr); err != nil || !bytes.Equal(back, data) {
@@ -47,7 +47,7 @@ func TestChunkStoreIngestRepairsCorruptDedupHit(t *testing.T) {
 	}
 
 	// A healthy resident copy is still a zero-write dedup hit.
-	if _, written, err = cs.Ingest(data); err != nil || written != 0 {
+	if written, err = cs.Ingest(addr, data, ClassDefault); err != nil || written != 0 {
 		t.Errorf("verified dedup hit: written=%d err=%v, want 0, nil", written, err)
 	}
 }
@@ -141,7 +141,7 @@ func TestShardedChunkStoreConcurrentIngest(t *testing.T) {
 				} else {
 					data = []byte(fmt.Sprintf("worker-%d-chunk-%d", w, i))
 				}
-				addr, _, err := cs.Ingest(data)
+				addr, err := cs.Put(data)
 				if err != nil {
 					errs <- err
 					return

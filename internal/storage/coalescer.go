@@ -6,24 +6,28 @@ import (
 	"sync"
 )
 
-// Coalescer is the origin read cache of the gang-restore path: a bounded,
-// sharded LRU in front of a Backend whose misses are single-flight — all
-// concurrent readers of one address collapse onto one backend fetch whose
-// result fans out to every waiter. storage.Cache (recovery.go's customer)
-// makes *repeated* reads cheap within one restorer; the Coalescer makes
-// *simultaneous* reads cheap across restorers: when N workers of an
-// elastic job gang-restore the same snapshot chain through one server,
-// the cold tier sees each chunk roughly once instead of N times.
+// Coalescer is the read cache: a bounded, sharded LRU in front of a
+// Backend whose misses are single-flight — all concurrent readers of one
+// address collapse onto one backend fetch whose result fans out to every
+// waiter. It makes *repeated* reads cheap within one restorer (chain
+// resolution re-reads anchors and shared chunks, and on a Tiered base
+// every re-read would be billed by a cold device model) and
+// *simultaneous* reads cheap across them: the engine's workers and the
+// chain prefetcher of one recovery (one shard, core/recovery.go), or N
+// workers of an elastic job gang-restoring one snapshot chain through a
+// server's origin cache (api.Local), reach the base roughly once per
+// object instead of once per reader.
 //
 // The in-flight table is shared by Get, GetBatch, and GetRange, so a
 // batch restore stream joining a singleton fetch (or vice versa) still
 // coalesces. Writes go through to the base and invalidate any cached
-// copy under a per-shard generation fence — the same racing-Put
-// discipline as Cache — so the Coalescer never serves stale objects it
-// created itself. A fetch that fails completes its flight with the error
-// (every waiter gets a clean error, never a hang) and deregisters it, so
-// one failed or abandoned restorer cannot poison the address for the
-// next reader. Every method is safe for concurrent use.
+// copy under a per-shard generation fence (see Put), so the Coalescer
+// never serves stale objects it created itself; coherence with writers
+// that bypass the wrapper is Invalidate's job. A fetch that fails
+// completes its flight with the error (every waiter gets a clean error,
+// never a hang) and deregisters it, so one failed or abandoned restorer
+// cannot poison the address for the next reader. Every method is safe
+// for concurrent use.
 type Coalescer struct {
 	base     Backend
 	perShard int64
@@ -42,6 +46,11 @@ type CoalescerStats struct {
 	Evictions int64
 	Objects   int
 	Bytes     int64
+}
+
+type cacheEntry struct {
+	key  string
+	data []byte
 }
 
 type coShard struct {
@@ -152,17 +161,19 @@ func (c *Coalescer) begin(key string) (data []byte, hit bool, fl *coFlight, gen 
 // finish completes a led flight: record the result, fill the cache (under
 // the generation fence taken at begin), deregister, and release every
 // waiter. The flight keeps a private copy of data, so waiters never see
-// memory the leader's caller can mutate.
+// memory the leader's caller can mutate; the copy is taken before the
+// shard lock so one miss's memmove does not serialise the shard's other
+// readers.
 func (c *Coalescer) finish(key string, fl *coFlight, data []byte, err error, gen uint64) {
+	fl.err = err
+	if err == nil {
+		fl.data = append([]byte(nil), data...)
+	}
 	sh := c.shard(key)
 	sh.mu.Lock()
 	delete(sh.flights, key)
 	if err == nil {
-		cp := append([]byte(nil), data...)
-		fl.data = cp
-		sh.insert(key, cp, gen, c.perShard)
-	} else {
-		fl.err = err
+		sh.insert(key, fl.data, gen, c.perShard)
 	}
 	sh.mu.Unlock()
 	close(fl.done)
@@ -393,12 +404,15 @@ func sliceRange(data []byte, off, n int64) []byte {
 }
 
 // Put implements Backend: write-through, invalidating any cached copy
-// and fencing in-flight fills (see Cache.Put for why invalidate, not
-// update-in-place). The invalidation happens even when the base write
-// FAILS: over a replicated base a failed quorum write may still have
-// landed on a minority of replicas and can surface at a later quorum
-// read once repair spreads it, so the cached old bytes are no longer
-// trustworthy either way.
+// and fencing in-flight fills. Updating the cached entry in place instead
+// would race a concurrent Put of the same key — base writes and cache
+// updates could interleave in opposite orders, pinning the loser's data
+// until eviction; dropping the entry and bumping the generation makes the
+// next Get re-read whatever the base settled on. The invalidation happens
+// even when the base write FAILS: over a replicated base a failed quorum
+// write may still have landed on a minority of replicas and can surface
+// at a later quorum read once repair spreads it, so the cached old bytes
+// are no longer trustworthy either way.
 func (c *Coalescer) Put(key string, data []byte) error {
 	err := c.base.Put(key, data)
 	c.drop(key)

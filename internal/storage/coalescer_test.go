@@ -407,6 +407,225 @@ func TestCoalescerStress(t *testing.T) {
 	}
 }
 
+// The TestCache* cases below hold the one-shard Coalescer — the read cache
+// core's recovery resolves through — to the plain read-cache contract:
+// write coherence, batch fills, range reads, and the generation fence on
+// the batch path.
+
+func newReadCache(base Backend) *Coalescer { return NewCoalescerShards(base, 1<<20, 1) }
+
+func TestCacheCoherence(t *testing.T) {
+	c := newReadCache(NewMem())
+	c.Put("k", []byte("v1"))
+	// A Put of an uncached key does not populate the cache.
+	if st := c.Stats(); st.Objects != 0 {
+		t.Fatalf("put populated the cache: %+v", st)
+	}
+	if got, _ := c.Get("k"); string(got) != "v1" {
+		t.Fatalf("got %q", got)
+	}
+	// An overwrite through the cache drops the cached copy.
+	if err := c.Put("k", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Get("k"); string(got) != "v2" {
+		t.Errorf("stale cached copy after Put: %q", got)
+	}
+	// Delete evicts.
+	if err := c.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("deleted key still served: %v", err)
+	}
+	if st := c.Stats(); st.Objects != 0 || st.Bytes != 0 {
+		t.Errorf("cache retains deleted entry: %+v", st)
+	}
+	// Callers cannot mutate cached data through returned slices — neither
+	// the leader's (the base's buffer) nor a hit's.
+	c.Put("m", []byte("abc"))
+	for i := 0; i < 2; i++ {
+		got, _ := c.Get("m")
+		got[0] = 'X'
+	}
+	if again, _ := c.Get("m"); string(again) != "abc" {
+		t.Errorf("cache aliased caller memory: %q", again)
+	}
+}
+
+func TestCacheGetRange(t *testing.T) {
+	c := newReadCache(NewMem())
+	c.Put("k", []byte("0123456789"))
+	// Range probe on a cold key passes through without filling the budget.
+	if got, err := GetRange(c, "k", 2, 3); err != nil || string(got) != "234" {
+		t.Fatalf("cold range: %q, %v", got, err)
+	}
+	if st := c.Stats(); st.Objects != 0 {
+		t.Errorf("range probe cached the object: %+v", st)
+	}
+	// After a full read the range is sliced from the cached copy.
+	c.Get("k")
+	hits := c.Stats().Hits
+	if got, err := GetRange(c, "k", 8, 10); err != nil || string(got) != "89" {
+		t.Errorf("cached range: %q, %v", got, err)
+	}
+	if got, err := GetRange(c, "k", 20, 4); err != nil || len(got) != 0 {
+		t.Errorf("cached past-EOF range: %q, %v", got, err)
+	}
+	if st := c.Stats(); st.Hits != hits+2 {
+		t.Errorf("cached ranges were not served from memory: %+v", st)
+	}
+	if _, err := GetRange(c, "k", -1, 4); err == nil {
+		t.Errorf("negative offset accepted")
+	}
+}
+
+func TestCacheGetBatch(t *testing.T) {
+	base := NewMem()
+	c := newReadCache(base)
+	for _, k := range []string{"a", "b", "c"} {
+		base.Put(k, []byte("val-"+k))
+	}
+	c.Get("b") // pre-warm one key
+	out, errs := c.GetBatch([]string{"a", "b", "c", "missing"})
+	for i, k := range []string{"a", "b", "c"} {
+		if errs[i] != nil || string(out[i]) != "val-"+k {
+			t.Errorf("batch[%d]: %q, %v", i, out[i], errs[i])
+		}
+	}
+	if !errors.Is(errs[3], ErrNotFound) {
+		t.Errorf("missing key error: %v", errs[3])
+	}
+	// The batch fill means later singleton Gets are hits.
+	st := c.Stats()
+	c.Get("a")
+	c.Get("c")
+	if after := c.Stats(); after.Hits != st.Hits+2 {
+		t.Errorf("batch did not fill the cache: %+v -> %+v", st, after)
+	}
+}
+
+// slowReadBase serves Get by snapshotting the inner value FIRST and then
+// blocking until released — the exact shape of the staleness race: a
+// batch miss reads the old bytes from the base, a Put of the same address
+// lands, and only then does the fill reach the cache. The generation
+// fence must discard that fill.
+type slowReadBase struct {
+	Backend
+	snapped chan struct{} // signaled once the old bytes are in hand
+	release chan struct{}
+}
+
+func (s *slowReadBase) Get(key string) ([]byte, error) {
+	data, err := s.Backend.Get(key)
+	s.snapped <- struct{}{}
+	<-s.release
+	return data, err
+}
+
+// TestCacheGetBatchRacingPutFencesStaleFill pins the batch-path variant
+// of the racing-Put discipline: a GetBatch miss whose base read completes
+// before a concurrent Put of the same address must not install the
+// pre-Put bytes, or the cache would serve them until eviction.
+func TestCacheGetBatchRacingPutFencesStaleFill(t *testing.T) {
+	inner := NewMem()
+	inner.Put("k", []byte("old"))
+	base := &slowReadBase{
+		Backend: inner,
+		snapped: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	c := newReadCache(base)
+
+	var batch [][]byte
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		batch, errs = c.GetBatch([]string{"k"})
+	}()
+	<-base.snapped                                    // the batch read holds the old bytes at the gate…
+	if err := c.Put("k", []byte("new")); err != nil { // …overwrite beneath it
+		t.Fatal(err)
+	}
+	base.release <- struct{}{}
+	<-done
+
+	// The batch itself may legitimately return the old bytes (its read
+	// linearized before the Put) — the bug would be *retaining* them.
+	if errs[0] != nil || string(batch[0]) != "old" {
+		t.Fatalf("batch read: %q, %v", batch[0], errs[0])
+	}
+	if st := c.Stats(); st.Objects != 0 {
+		t.Errorf("stale batch fill survived the racing Put: %+v", st)
+	}
+	go func() { <-base.snapped; base.release <- struct{}{} }() // the re-read misses and blocks
+	if got, err := c.Get("k"); err != nil || string(got) != "new" {
+		t.Errorf("read after racing Put: %q, %v", got, err)
+	}
+}
+
+// TestCacheGetBatchConcurrentPutStress is the nondeterministic companion:
+// readers hammer GetBatch over a small key set while writers bump each
+// key through a monotonic version sequence. After the storm every key
+// must read back its final version — a pinned stale fill from the batch
+// path would fail here. Run with -race (the CI race job does).
+func TestCacheGetBatchConcurrentPutStress(t *testing.T) {
+	base := NewMem()
+	const keys, versions = 4, 200
+	valueAt := func(k, v int) []byte {
+		return bytes.Repeat([]byte{byte(k*versions+v) % 251}, 64)
+	}
+	keyName := func(k int) string { return fmt.Sprintf("k%02d", k) }
+	for k := 0; k < keys; k++ {
+		if err := base.Put(keyName(k), valueAt(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newReadCache(base)
+	allKeys := make([]string, keys)
+	for k := range allKeys {
+		allKeys[k] = keyName(k)
+	}
+
+	var wg sync.WaitGroup
+	for k := 0; k < keys; k++ { // one writer per key, versions in order
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for v := 1; v <= versions; v++ {
+				if err := c.Put(keyName(k), valueAt(k, v)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(k)
+	}
+	for r := 0; r < 8; r++ { // batch readers racing the writers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				out, errs := c.GetBatch(allKeys)
+				for j := range out {
+					if errs[j] != nil || len(out[j]) != 64 {
+						t.Errorf("batch[%d]: %d bytes, %v", j, len(out[j]), errs[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// No batch fill may have outlived the Put that superseded it.
+	for k := 0; k < keys; k++ {
+		if got, err := c.Get(keyName(k)); err != nil || !bytes.Equal(got, valueAt(k, versions)) {
+			t.Errorf("post-stress read of %s is not the final version (err %v)", keyName(k), err)
+		}
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes — the tests
 // above use it to wait for goroutines to reach their classification
 // point without sleeping fixed amounts.

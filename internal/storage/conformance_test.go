@@ -53,12 +53,14 @@ func backendImpls() map[string]storagetest.Maker {
 			}
 			return tb
 		},
+		// cache-*: the one-shard Coalescer recovery reads through
+		// (core.newSnapshotView), over the bases a restore meets.
 		"cache-local": func(t *testing.T) storage.Backend {
 			b, err := storage.NewLocal(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return storage.NewCache(b, 1<<20)
+			return storage.NewCoalescerShards(b, 1<<20, 1)
 		},
 		"coalesce-mem": func(t *testing.T) storage.Backend {
 			return storage.NewCoalescer(storage.NewMem(), 1<<20)
@@ -114,7 +116,7 @@ func backendImpls() map[string]storagetest.Maker {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return storage.NewCache(tb, 1<<20)
+			return storage.NewCoalescerShards(tb, 1<<20, 1)
 		},
 	}
 }

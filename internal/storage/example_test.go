@@ -60,7 +60,7 @@ func ExampleChunkStore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a2, _, err := cs.Ingest([]byte("shared state")) // same content again
+	a2, err := cs.Put([]byte("shared state")) // same content again
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -118,7 +118,8 @@ func TestChunkStoreClassPlacement(t *testing.T) {
 	}
 	cs := NewChunkStore(WithPrefix(tb, "chunks"))
 	delta := []byte("delta chunk payload")
-	addr, written, err := cs.IngestAddressedClass(Hash(delta), delta, ClassDeltaChunk)
+	addr := Hash(delta)
+	written, err := cs.Ingest(addr, delta, ClassDeltaChunk)
 	if err != nil || written != len(delta) {
 		t.Fatalf("delta ingest: written=%d err=%v", written, err)
 	}
@@ -127,8 +128,8 @@ func TestChunkStoreClassPlacement(t *testing.T) {
 		t.Fatalf("delta chunk residency = %d, %v (want cold)", lv, err)
 	}
 	anchor := []byte("anchor chunk payload")
-	aaddr, _, err := cs.IngestAddressedClass(Hash(anchor), anchor, ClassAnchorChunk)
-	if err != nil {
+	aaddr := Hash(anchor)
+	if _, err := cs.Ingest(aaddr, anchor, ClassAnchorChunk); err != nil {
 		t.Fatal(err)
 	}
 	akey := "chunks/" + aaddr[:2] + "/" + aaddr
@@ -137,7 +138,7 @@ func TestChunkStoreClassPlacement(t *testing.T) {
 	}
 	// A dedup hit leaves the resident copy where it lives, whatever class
 	// the hit carries.
-	if _, w, err := cs.IngestAddressedClass(Hash(delta), delta, ClassAnchorChunk); err != nil || w != 0 {
+	if w, err := cs.Ingest(addr, delta, ClassAnchorChunk); err != nil || w != 0 {
 		t.Fatalf("re-ingest: written=%d err=%v", w, err)
 	}
 	if lv, _ := tb.Residency(key); lv != 1 {
@@ -289,7 +290,7 @@ func TestPutClassSupersedesResidentCopy(t *testing.T) {
 
 // TestChunkRepairSupersedesCorruptHotCopy replays the repair
 // fall-through over a tiered store: a corrupt resident chunk on hot is
-// rewritten by IngestAddressedClass with a delta class routed cold, and
+// rewritten by a classed Ingest with a delta class routed cold, and
 // the corrupt hot copy must not keep winning reads afterwards.
 func TestChunkRepairSupersedesCorruptHotCopy(t *testing.T) {
 	tb := twoLevel(t)
@@ -306,7 +307,7 @@ func TestChunkRepairSupersedesCorruptHotCopy(t *testing.T) {
 	if err := tb.Level(0).Backend.Put(key, bad); err != nil {
 		t.Fatal(err)
 	}
-	_, written, err := cs.IngestAddressedClass(addr, good, ClassDeltaChunk)
+	written, err := cs.Ingest(addr, good, ClassDeltaChunk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,11 @@
 // implementations — Local (crash-consistent atomic files), Mem (in-memory,
 // for tests and benchmarks), and Tier (any backend wrapped in a Device
 // latency/bandwidth cost model for tiers the test machine does not have:
-// local NVMe, network FS, object store) — and two composites: Tiered, an
-// ordered hot→cold level stack with read-through fallback and explicit
-// promote/demote object moves, and Cache, a bounded LRU read cache. A
+// local NVMe, network FS, object store) — and the composites over them:
+// Tiered, an ordered hot→cold level stack with read-through fallback and
+// explicit promote/demote object moves; Replicated, a quorum set; and
+// Coalescer, the one read cache — a bounded LRU whose misses are
+// single-flight, under recovery and under a server alike. A
 // content-addressed ChunkStore deduplicates identical content on any
 // backend, built on the low-level crash-consistent file primitives the
 // local backend uses.

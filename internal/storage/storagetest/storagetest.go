@@ -295,7 +295,7 @@ func testChunkStore(t *testing.T, b storage.Backend) {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}
 	// Dedup reports zero new bytes.
-	_, written, err := cs.Ingest([]byte("chunk"))
+	written, err := cs.Ingest(addr, []byte("chunk"), storage.ClassDefault)
 	if err != nil || written != 0 {
 		t.Errorf("dedup Ingest wrote %d bytes, err %v", written, err)
 	}
