@@ -2,11 +2,12 @@
 
 GO ?= go
 
-# The benchmark JSON written by bench-json. Defaults to this PR's
-# committed snapshot; CI overrides it (BENCH_OUT=bench-latest.json) so
-# the workflow never needs editing when the PR number advances.
-BENCH_OUT ?= BENCH_PR14.json
-# Allowed ns/op and allocs/op growth (percent) before bench-gate fails.
+# The benchmark JSON written by bench-json and gated by bench-gate: an
+# untracked scratch file. To regenerate the committed baseline instead,
+# pass BENCH_OUT=BENCH_PRn.json; only the newest one is ever read.
+BENCH_OUT ?= bench-latest.json
+# Allowed allocs/op growth (percent) before bench-gate fails; ns/op beyond
+# it is reported as advisory.
 BENCH_TOLERANCE ?= 20
 # The package set every bench target runs: the harness tables plus the
 # storage and core microbenchmarks. bench and bench-json MUST agree on
@@ -56,12 +57,13 @@ bench-json:
 
 # Perf-regression gate: compare $(BENCH_OUT) against the newest committed
 # baseline (the highest-numbered BENCH_PR*.json that is not the output
-# itself) and fail when any benchmark's ns/op or allocs/op regressed more
-# than $(BENCH_TOLERANCE)%, or when a baseline benchmark disappeared.
-# allocs/op is hardware-independent; ns/op assumes the baseline was
-# generated on comparable hardware (regenerate the committed baseline
-# with `make bench-json` when the reference machine changes — the
-# min-of-$(BENCH_COUNT) merge keeps run-to-run noise out of it).
+# itself) and fail when any benchmark's allocs/op regressed more than
+# $(BENCH_TOLERANCE)%, or when a baseline benchmark disappeared. allocs/op
+# is hardware-independent. ns/op is not — the baseline's host is not this
+# one, and the same tree has failed and passed on ns/op within a day — so
+# its movement is printed as ADVISORY lines that never fail the target;
+# wall-clock regressions are judged by bench-e2e's paired runs against
+# BENCHMARK.json's bounds.
 bench-gate:
 	@base=$$(ls BENCH_PR*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -V | tail -n 1); \
 	if [ -z "$$base" ]; then echo "bench-gate: no committed baseline, nothing to compare"; exit 0; fi; \
@@ -104,7 +106,7 @@ experiments:
 # fails when they exceed LOC_CEILING. A PR that shrinks the packages
 # lowers the ceiling to its own count; one that must grow them raises it
 # in its own diff, where a reviewer sees it.
-LOC_CEILING = 9913
+LOC_CEILING = 9870
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc-gate:

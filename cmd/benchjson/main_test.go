@@ -154,25 +154,29 @@ func TestCompareWithinTolerancePasses(t *testing.T) {
 
 func TestCompareDetectsRegression(t *testing.T) {
 	old := gateDoc(bench("BenchmarkSave-8", 1000, 50))
-	cur := gateDoc(bench("BenchmarkSave-8", 1300, 50)) // +30% ns/op
+	cur := gateDoc(bench("BenchmarkSave-8", 1000, 75)) // +50% allocs/op
 	report, _, failures := compareDocs(old, cur, 20, false)
 	if failures != 1 {
 		t.Fatalf("failures = %d, want 1 (%v)", failures, report)
 	}
-	if !strings.Contains(strings.Join(report, "\n"), "REGRESSED BenchmarkSave-8 ns/op") {
-		t.Errorf("report missing the ns/op regression: %v", report)
+	if !strings.Contains(strings.Join(report, "\n"), "REGRESSED BenchmarkSave-8 allocs/op") {
+		t.Errorf("report missing the allocs/op regression: %v", report)
 	}
 
-	// allocs/op is gated independently of ns/op.
-	cur = gateDoc(bench("BenchmarkSave-8", 1000, 75)) // +50% allocs/op
-	_, _, failures = compareDocs(old, cur, 20, false)
-	if failures != 1 {
-		t.Errorf("alloc regression not caught (failures = %d)", failures)
+	// ns/op is advisory: the baseline's wall-clock comes from another host,
+	// so movement beyond the tolerance is reported and never fails the gate.
+	cur = gateDoc(bench("BenchmarkSave-8", 1300, 50)) // +30% ns/op
+	report, _, failures = compareDocs(old, cur, 20, false)
+	if failures != 0 {
+		t.Errorf("ns/op movement failed the gate (failures = %d): %v", failures, report)
+	}
+	if joined := strings.Join(report, "\n"); !strings.Contains(joined, "ADVISORY  BenchmarkSave-8 ns/op") || strings.Contains(joined, "REGRESSED") {
+		t.Errorf("report should carry the ns/op movement as advisory only: %v", report)
 	}
 
-	// A looser tolerance admits the same delta.
-	if _, _, failures = compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1300, 50)), 50, false); failures != 0 {
-		t.Errorf("30%% growth failed a 50%% gate")
+	// A looser tolerance admits the same allocs delta.
+	if _, _, failures = compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1000, 75)), 60, false); failures != 0 {
+		t.Errorf("50%% growth failed a 60%% gate")
 	}
 }
 
@@ -213,7 +217,7 @@ func TestCompareAllowMissingToleratesRetiredBenchmark(t *testing.T) {
 	}
 	// -allow-missing excuses absences only — a regression elsewhere in the
 	// same run still fails the gate.
-	cur = gateDoc(bench("BenchmarkSave-8", 5000, 50))
+	cur = gateDoc(bench("BenchmarkSave-8", 1000, 250))
 	if _, _, failures := compareDocs(old, cur, 20, true); failures != 1 {
 		t.Errorf("failures = %d, want 1: -allow-missing must not excuse regressions", failures)
 	}
@@ -264,12 +268,12 @@ func TestCompareToleratesNetworkColumns(t *testing.T) {
 		t.Fatalf("new network columns tripped the gate: %v", report)
 	}
 	// Baseline that HAS the columns but with different values: still not
-	// gated — only ns/op and allocs/op are cost-gated.
+	// gated — only allocs/op is gated (ns/op advisory).
 	older := cur
 	older.Metrics = map[string]float64{"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp, "wire-bytes/op": 1}
 	_, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false)
 	if failures != 0 {
-		t.Error("wire-bytes/op growth tripped the ns/allocs gate")
+		t.Error("wire-bytes/op growth tripped the gate")
 	}
 }
 
@@ -297,15 +301,15 @@ func TestCompareToleratesQoSColumns(t *testing.T) {
 		t.Fatalf("new QoS columns tripped the gate: %v", report)
 	}
 	// Baseline that HAS the columns with very different values (p99s and
-	// throttle counts swing with machine load): only ns/op and allocs/op
-	// are cost-gated.
+	// throttle counts swing with machine load): only allocs/op is
+	// gated (ns/op advisory).
 	older := cur
 	older.Metrics = map[string]float64{
 		"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp,
 		"quiet-p99-qos-µs": 1, "throttled": 1000,
 	}
 	if _, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
-		t.Error("QoS column drift tripped the ns/allocs gate")
+		t.Error("QoS column drift tripped the gate")
 	}
 }
 
@@ -333,15 +337,15 @@ func TestCompareToleratesCDCColumns(t *testing.T) {
 		t.Fatalf("new CDC columns tripped the gate: %v", report)
 	}
 	// Baseline that HAS the columns with very different values (byte
-	// counts swing with the edit stream): only ns/op and allocs/op are
-	// cost-gated.
+	// counts swing with the edit stream): only allocs/op is
+	// gated (ns/op advisory).
 	older := cur
 	older.Metrics = map[string]float64{
 		"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp,
 		"cdc-bytes/save": 1, "cdc-dedup-ratio": 1000,
 	}
 	if _, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
-		t.Error("CDC column drift tripped the ns/allocs gate")
+		t.Error("CDC column drift tripped the gate")
 	}
 }
 
@@ -371,14 +375,14 @@ func TestCompareToleratesReplicationColumns(t *testing.T) {
 	}
 	// Baseline that HAS the columns with very different values (write
 	// amplification moves with R, observed k with read-repair timing):
-	// only ns/op and allocs/op are cost-gated.
+	// only allocs/op is gated (ns/op advisory).
 	older := cur
 	older.Metrics = map[string]float64{
 		"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp,
 		"observed-k": 0.001, "write-amp-x": 0.001, "degraded-avail-%": 0.001,
 	}
 	if _, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
-		t.Error("replication column drift tripped the ns/allocs gate")
+		t.Error("replication column drift tripped the gate")
 	}
 }
 
@@ -407,12 +411,16 @@ func TestRunCompareEndToEnd(t *testing.T) {
 	}
 	oldPath := write("old.json", gateDoc(bench("BenchmarkSave-8", 1000, 50)))
 	goodPath := write("good.json", gateDoc(bench("BenchmarkSave-8", 1100, 50)))
-	badPath := write("bad.json", gateDoc(bench("BenchmarkSave-8", 5000, 50)))
+	slowPath := write("slow.json", gateDoc(bench("BenchmarkSave-8", 5000, 50)))
+	badPath := write("bad.json", gateDoc(bench("BenchmarkSave-8", 1000, 62))) // +24% allocs/op
 	if code := runCompare(oldPath, goodPath, 20, false); code != 0 {
 		t.Errorf("good run exit code = %d", code)
 	}
+	if code := runCompare(oldPath, slowPath, 20, false); code != 0 {
+		t.Errorf("advisory ns/op movement exit code = %d", code)
+	}
 	if code := runCompare(oldPath, badPath, 20, false); code == 0 {
-		t.Error("5x regression passed the gate")
+		t.Error("allocs/op regression passed the gate")
 	}
 	if code := runCompare(filepath.Join(dir, "absent.json"), goodPath, 20, false); code == 0 {
 		t.Error("missing baseline file passed the gate")

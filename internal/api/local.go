@@ -246,7 +246,7 @@ func (l *Local) IngestChunkClass(key string, data []byte, class storage.WriteCla
 // isCanonical reports whether key addresses the service's shared chunk
 // store ("chunks/ab/<addr>"), whose sharded dedup cache we then reuse.
 func (l *Local) isCanonical(key, addr string) bool {
-	return key == core.ChunkPrefix+"/"+addr[:2]+"/"+addr
+	return key == core.ChunkKey(addr)
 }
 
 // CanonicalChunkAddr reports whether key addresses the service's shared
@@ -255,7 +255,7 @@ func (l *Local) isCanonical(key, addr string) bool {
 // addresses.
 func CanonicalChunkAddr(key string) (addr string, ok bool) {
 	addr, ok = ChunkKeyAddr(key)
-	if !ok || key != core.ChunkPrefix+"/"+addr[:2]+"/"+addr {
+	if !ok || key != core.ChunkKey(addr) {
 		return "", false
 	}
 	return addr, true

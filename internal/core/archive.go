@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/storage"
@@ -25,30 +24,28 @@ import (
 // (whole-file SHA-256), and the chunk store re-verifies content addresses
 // on read, so the archive chain is verifiable end to end.
 func ArchiveBackend(src storage.Backend, cs *storage.ChunkStore, manifestPath string) (archived int, err error) {
-	keys, err := src.List(snapshotKeyPrefix)
+	refs, err := listSnapshots(src)
 	if err != nil {
 		return 0, fmt.Errorf("core: archive list: %w", err)
 	}
 	view := newSnapshotView(src, RestoreOptions{})
-	type entry struct{ name, addr string }
-	var list []entry
-	for _, key := range keys {
-		if _, _, ok := parseSnapshotName(key); !ok {
-			continue
-		}
+	var manifest strings.Builder
+	manifest.WriteString("QCKPT-MANIFEST1\n")
+	for _, ref := range refs { // seq order is name order: the manifest comes out sorted
+		key := ref.key
 		data, err := src.Get(key)
 		if err != nil {
 			return archived, fmt.Errorf("core: archive read %s: %w", key, err)
 		}
 		// Refuse to archive corrupt snapshots: the archive is a recovery
 		// artifact and must not launder damage.
-		h, body, err := DecodeSnapshotFile(data)
+		h, body, info, err := decodeManifestObject(data)
 		if err != nil {
 			return archived, fmt.Errorf("core: refusing to archive %s: %w", key, err)
 		}
 		if h.Kind.Chunked() {
 			// Resolve the manifest to its body and re-encode monolithic.
-			body, err = view.assemble(body)
+			body, err = view.assemble(info)
 			if err != nil {
 				return archived, fmt.Errorf("core: refusing to archive %s: %w", key, err)
 			}
@@ -61,16 +58,10 @@ func ArchiveBackend(src storage.Backend, cs *storage.ChunkStore, manifestPath st
 		if _, err := cs.Ingest(addr, data, storage.ClassArchive); err != nil {
 			return archived, err
 		}
-		list = append(list, entry{name: key, addr: addr})
+		fmt.Fprintf(&manifest, "%s %s\n", addr, key)
 		archived++
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
-	var b strings.Builder
-	b.WriteString("QCKPT-MANIFEST1\n")
-	for _, e := range list {
-		fmt.Fprintf(&b, "%s %s\n", e.addr, e.name)
-	}
-	if err := storage.AtomicWriteFile(manifestPath, []byte(b.String()), 0o644); err != nil {
+	if err := storage.AtomicWriteFile(manifestPath, []byte(manifest.String()), 0o644); err != nil {
 		return archived, err
 	}
 	return archived, nil

@@ -420,11 +420,7 @@ func TestResolveDoesNotMutateTheCache(t *testing.T) {
 	}
 	// Only a raw chunk's piece aliases the frame it was read as; the newest
 	// delta must hold one for the above to have tried anything.
-	_, manifest, err := v.readObject(bySeq[0].key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := decodeChunkManifest(manifest)
+	_, _, info, err := v.readObject(bySeq[0].key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,10 +540,10 @@ func TestSharedChunkOfTwoWarmsIsReadOnce(t *testing.T) {
 		distinct, _ := distinctAddrs(info.addrs)
 		for _, addr := range distinct {
 			if h.Kind.Base() == KindDelta {
-				gate.deltaChunks[chunkKey(addr)] = true
-				namedBy[chunkKey(addr)]++
+				gate.deltaChunks[ChunkKey(addr)] = true
+				namedBy[ChunkKey(addr)]++
 			} else {
-				anchorChunks[chunkKey(addr)] = true
+				anchorChunks[ChunkKey(addr)] = true
 			}
 		}
 	}

@@ -342,52 +342,23 @@ func SummarizeChunkManifest(manifest []byte) (ChunkManifestSummary, error) {
 
 // chunkReferences collects every chunk address referenced by the snapshot
 // manifests present in b — the keep-set for chunk garbage collection.
-// Non-chunked snapshots are skipped on a header probe without reading
-// their (potentially large) bodies.
 func chunkReferences(b storage.Backend) (map[string]bool, error) {
-	keys, err := b.List(snapshotKeyPrefix)
+	refs, err := listSnapshots(b)
 	if err != nil {
 		return nil, err
 	}
 	keep := make(map[string]bool)
-	for _, key := range keys {
-		if _, _, ok := parseSnapshotName(key); !ok {
-			continue
-		}
-		buf, err := storage.GetRange(b, key, 0, headerSize)
-		if err != nil {
-			// A manifest deleted between the List and this read — another
-			// job's retention GC racing a fleet-wide keep-set scan — is not
-			// an error: a deleted manifest's chunks are exactly the ones a
-			// collection may drop (and chunks shared with live manifests are
-			// kept by those manifests' own entries).
-			if errors.Is(err, storage.ErrNotFound) {
-				continue
-			}
+	for _, ref := range refs {
+		// Only a manifest deleted between the listing and this read —
+		// another job's retention GC racing a fleet-wide scan — is forgiven:
+		// its chunks are exactly the ones a collection may drop, and those
+		// shared with live manifests are kept by those manifests' entries.
+		// Any other failed read could hide live references; nothing is swept.
+		addrs, err := manifestAddrs(b, ref.key)
+		if err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return nil, err
 		}
-		if h, err := parseHeaderBytes(buf); err != nil || !h.Kind.Chunked() {
-			// Corrupt snapshots keep their chunks out of the keep-set; they
-			// are already unrecoverable and will be skipped or deleted by
-			// recovery/retention.
-			continue
-		}
-		data, err := b.Get(key)
-		if err != nil {
-			if errors.Is(err, storage.ErrNotFound) {
-				continue
-			}
-			return nil, err
-		}
-		_, body, err := DecodeSnapshotFile(data)
-		if err != nil {
-			continue
-		}
-		info, err := decodeChunkManifest(body)
-		if err != nil {
-			continue
-		}
-		for _, a := range info.addrs {
+		for _, a := range addrs {
 			keep[a] = true
 		}
 	}

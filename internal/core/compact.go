@@ -29,24 +29,17 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 	if err != nil {
 		return "", 0, err
 	}
-	// Next sequence number after everything present.
-	keys, err := b.List(snapshotKeyPrefix)
+	refs, err := listSnapshots(b)
 	if err != nil {
 		return "", 0, err
 	}
-	var nextSeq uint64
-	for _, k := range keys {
-		if seq, _, ok := parseSnapshotName(k); ok && seq >= nextSeq {
-			nextSeq = seq + 1
-		}
-	}
 	h := Header{
 		Kind:        KindFull,
-		Seq:         nextSeq,
+		Seq:         nextSeq(refs),
 		Step:        state.Step,
 		PayloadHash: PayloadHash(payload),
 	}
-	newKey = snapshotName(nextSeq, KindFull)
+	newKey = snapshotName(h.Seq, KindFull)
 	data, err := EncodeSnapshotFile(h, payload)
 	if err != nil {
 		return "", 0, err
@@ -66,11 +59,8 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
 	}
 	if deleteOld {
-		for _, k := range keys {
-			if k == newKey {
-				continue
-			}
-			if rmErr := b.Delete(k); rmErr == nil {
+		for _, ref := range refs { // listed before the fresh anchor was written
+			if b.Delete(ref.key) == nil {
 				removed++
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/storage"
@@ -51,86 +50,6 @@ type MigrationReport struct {
 // copies in place — the crash window the fault-injection suite exercises.
 var lifecycleFaultHook func() error
 
-// chainGroup is one anchor chain: a full snapshot and the deltas saved
-// after it (up to the next anchor), in sequence order.
-type chainGroup struct {
-	keys      []string
-	newestSeq uint64
-	chunks    map[string]bool // chunk addresses its manifests reference
-}
-
-// chunkKey maps a chunk address to its backend object key.
-func chunkKey(addr string) string {
-	return ChunkPrefix + "/" + addr[:2] + "/" + addr
-}
-
-// groupChains groups the snapshots in b into anchor chains (sequence
-// order) from object names alone — no reads. Unparseable snapshots are
-// ignored; they are recovery's problem, not placement's.
-func groupChains(b storage.Backend) ([]chainGroup, error) {
-	keys, err := b.List(snapshotKeyPrefix)
-	if err != nil {
-		return nil, err
-	}
-	type snap struct {
-		seq  uint64
-		kind SnapshotKind
-		key  string
-	}
-	var snaps []snap
-	for _, k := range keys {
-		if seq, kind, ok := parseSnapshotName(k); ok {
-			snaps = append(snaps, snap{seq, kind, k})
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].seq < snaps[j].seq })
-	var chains []chainGroup
-	for _, s := range snaps {
-		if s.kind == KindFull || len(chains) == 0 {
-			chains = append(chains, chainGroup{chunks: make(map[string]bool)})
-		}
-		c := &chains[len(chains)-1]
-		c.keys = append(c.keys, s.key)
-		c.newestSeq = s.seq
-	}
-	return chains, nil
-}
-
-// loadChainRefs fills every chain's chunk-reference set: probe each
-// snapshot's header, read the manifest body only for chunked kinds. This
-// is the expensive half of chain loading — Migrate defers it until it
-// knows manifests actually have to move.
-func loadChainRefs(b storage.Backend, chains []chainGroup) {
-	for ci := range chains {
-		c := &chains[ci]
-		for _, key := range c.keys {
-			buf, err := storage.GetRange(b, key, 0, headerSize)
-			if err != nil {
-				continue
-			}
-			h, err := parseHeaderBytes(buf)
-			if err != nil || !h.Kind.Chunked() {
-				continue
-			}
-			data, err := b.Get(key)
-			if err != nil {
-				continue
-			}
-			_, body, err := DecodeSnapshotFile(data)
-			if err != nil {
-				continue
-			}
-			info, err := decodeChunkManifest(body)
-			if err != nil {
-				continue
-			}
-			for _, a := range info.addrs {
-				c.chunks[a] = true
-			}
-		}
-	}
-}
-
 // Migrate applies pol to the tiered backend t: anchor chains outside the
 // hot set are demoted to the target level, manifests plus the chunks no
 // kept chain references. age reports how long ago a sequence number was
@@ -148,20 +67,21 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.
 	if !pol.enabled() || t.Len() < 2 || target == 0 {
 		return rep, nil
 	}
-	chains, err := groupChains(t)
+	refs, err := listSnapshots(t)
 	if err != nil {
 		return rep, err
 	}
+	chains := anchorChains(refs)
 	if len(chains) < 2 {
 		return rep, nil
 	}
 	demote := make([]bool, len(chains))
-	for i := range chains[:len(chains)-1] { // newest chain always stays hot
+	for i, c := range chains[:len(chains)-1] { // newest chain always stays hot
 		if pol.KeepHotChains > 0 && i < len(chains)-pol.KeepHotChains {
 			demote[i] = true
 		}
 		if pol.MaxHotAge > 0 && age != nil {
-			if d, ok := age(chains[i].newestSeq); ok && d > pol.MaxHotAge {
+			if d, ok := age(c[len(c)-1].seq); ok && d > pol.MaxHotAge {
 				demote[i] = true
 			}
 		}
@@ -177,9 +97,9 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.
 		if !demote[i] {
 			continue
 		}
-		for _, key := range c.keys {
-			if lv, err := t.Residency(key); err == nil && lv < target {
-				manifests = append(manifests, key)
+		for _, ref := range c {
+			if lv, err := t.Residency(ref.key); err == nil && lv < target {
+				manifests = append(manifests, ref.key)
 				warmChain[i] = true
 			}
 		}
@@ -187,28 +107,37 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.
 	if len(manifests) == 0 {
 		return rep, nil
 	}
-	// A chunk demotes only when no kept chain references it.
-	loadChainRefs(t, chains)
+	// A chunk demotes only when no kept chain references it. Reading the
+	// manifest bodies is the expensive half of a pass, which is why it waits
+	// until manifests are known to move; a manifest retention deleted since
+	// the listing references nothing, any other failed read aborts the pass
+	// rather than shrink a kept chain's reference set.
 	keepAddrs := make(map[string]bool)
+	demoteAddrs := make([][]string, len(chains))
 	for i, c := range chains {
-		if !demote[i] {
-			for a := range c.chunks {
+		for _, ref := range c {
+			addrs, err := manifestAddrs(t, ref.key)
+			if err != nil && !errors.Is(err, storage.ErrNotFound) {
+				return rep, fmt.Errorf("core: migrate read %s: %w", ref.key, err)
+			}
+			if demote[i] {
+				demoteAddrs[i] = append(demoteAddrs[i], addrs...)
+				continue
+			}
+			for _, a := range addrs {
 				keepAddrs[a] = true
 			}
 		}
 	}
 	var chunkKeys []string
 	chunkSeen := make(map[string]bool)
-	for i, c := range chains {
-		if !demote[i] {
-			continue
-		}
-		for a := range c.chunks {
+	for i, addrs := range demoteAddrs {
+		for _, a := range addrs {
 			if keepAddrs[a] || chunkSeen[a] {
 				continue
 			}
 			chunkSeen[a] = true
-			key := chunkKey(a)
+			key := ChunkKey(a)
 			if lv, err := t.Residency(key); err == nil && lv < target {
 				chunkKeys = append(chunkKeys, key)
 				warmChain[i] = true

@@ -7,7 +7,6 @@ import (
 	"hash/maphash"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -404,14 +403,13 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 	// so a restarted incarnation never overwrites its predecessor's files
 	// (which would break delta chains that reference them). The first save
 	// of a restarted delta-mode manager is always a full anchor because
-	// lastPayload is empty.
-	if keys, err := backend.List(snapshotKeyPrefix); err == nil {
-		for _, k := range keys {
-			if seq, _, ok := parseSnapshotName(k); ok && seq >= m.seq {
-				m.seq = seq + 1
-			}
-		}
+	// lastPayload is empty. A listing that fails must fail the open:
+	// starting at 0 over a predecessor's files would overwrite them.
+	refs, err := listSnapshots(backend)
+	if err != nil {
+		return nil, fmt.Errorf("core: list checkpoints: %w", err)
 	}
+	m.seq = nextSeq(refs)
 	if opt.Workers > 1 && opt.ChunkBytes > 0 {
 		m.tasks = make(chan func())
 		for i := 0; i < opt.Workers; i++ {
@@ -441,26 +439,39 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 func (m *Manager) runSequencer() {
 	defer m.sequencer.Done()
 	for job := range m.jobs {
-		m.markActivity()
-		start := time.Now()
-		n, err := m.persist(job)
-		dur := time.Since(start)
-		m.markActivity()
-		job.body.release()
-		m.mu.Lock()
-		if err != nil && m.asyncErr == nil {
-			m.asyncErr = err
-		}
-		m.stats.BytesWritten += int64(n)
-		m.stats.WriteTime += dur
-		m.mu.Unlock()
-		if err == nil {
-			m.chargeQoS(n)
-			m.gc()
-			m.kickMigrate()
+		if _, _, err := m.commit(job); err != nil {
+			m.mu.Lock()
+			if m.asyncErr == nil {
+				m.asyncErr = err
+			}
+			m.mu.Unlock()
 		}
 		m.pending.Done()
 	}
+}
+
+// commit is the tail of every save, run inline by a synchronous Save and by
+// the sequencer for an asynchronous one: persist the snapshot, release its
+// body, account the write, and — once it is durable — pay the tenant's QoS
+// debt, apply retention and wake the migrator. It returns the bytes newly
+// written and how long the persist took.
+func (m *Manager) commit(job writeJob) (n int, dur time.Duration, err error) {
+	m.markActivity()
+	start := time.Now()
+	n, err = m.persist(job)
+	dur = time.Since(start)
+	m.markActivity()
+	job.body.release()
+	m.mu.Lock()
+	m.stats.BytesWritten += int64(n)
+	m.stats.WriteTime += dur
+	m.mu.Unlock()
+	if err == nil {
+		m.chargeQoS(n)
+		m.gc()
+		m.kickMigrate()
+	}
+	return n, dur, err
 }
 
 // dispatch runs fn on the worker pool when one exists, inline otherwise.
@@ -960,40 +971,6 @@ func (m *Manager) CollectOrphans() (removed int, reclaimed int64, err error) {
 	return m.shared.collectOrphans()
 }
 
-// snapshotKeyPrefix prefixes every snapshot object key; scans list by it
-// so backends can skip the chunk namespace entirely.
-const snapshotKeyPrefix = "ckpt-"
-
-// snapshotName builds the object key for a sequence number and kind.
-func snapshotName(seq uint64, kind SnapshotKind) string {
-	return fmt.Sprintf("%s%012d-%s.qckpt", snapshotKeyPrefix, seq, kind.Base())
-}
-
-// parseSnapshotName extracts (seq, base kind) from an object key; ok=false
-// for foreign keys (including everything under the chunk prefix).
-func parseSnapshotName(name string) (seq uint64, kind SnapshotKind, ok bool) {
-	if !strings.HasPrefix(name, snapshotKeyPrefix) || !strings.HasSuffix(name, ".qckpt") {
-		return 0, 0, false
-	}
-	core := strings.TrimSuffix(strings.TrimPrefix(name, snapshotKeyPrefix), ".qckpt")
-	parts := strings.SplitN(core, "-", 2)
-	if len(parts) != 2 {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(parts[0], "%d", &seq); err != nil {
-		return 0, 0, false
-	}
-	switch parts[1] {
-	case "full":
-		kind = KindFull
-	case "delta":
-		kind = KindDelta
-	default:
-		return 0, 0, false
-	}
-	return seq, kind, true
-}
-
 // resultPath reports where a snapshot landed: a file path for directory
 // backends, the backend key otherwise.
 func (m *Manager) resultPath(name string) string {
@@ -1101,23 +1078,8 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 		return res, nil
 	}
 
-	wStart := time.Now()
-	n, err := m.persist(writeJob{name: name, h: h, body: body, hash: hash})
-	body.release()
-	m.markActivity()
-	res.Write = time.Since(wStart)
-	res.FileBytes = n
-	if err != nil {
-		return res, err
-	}
-	m.mu.Lock()
-	m.stats.BytesWritten += int64(n)
-	m.stats.WriteTime += res.Write
-	m.mu.Unlock()
-	m.chargeQoS(n)
-	m.gc()
-	m.kickMigrate()
-	return res, nil
+	res.FileBytes, res.Write, err = m.commit(writeJob{name: name, h: h, body: body, hash: hash})
+	return res, err
 }
 
 // Backend returns the backend snapshots are persisted to. For a manager
@@ -1212,39 +1174,18 @@ func (m *Manager) gc() {
 	if m.opt.Retain <= 0 {
 		return
 	}
-	keys, err := m.backend.List(snapshotKeyPrefix)
+	refs, err := listSnapshots(m.backend)
 	if err != nil {
-		return
+		return // retention is best-effort: the next save's pass retries
 	}
-	type fileInfo struct {
-		seq  uint64
-		kind SnapshotKind
-		name string
-	}
-	var files []fileInfo
-	for _, k := range keys {
-		if seq, kind, ok := parseSnapshotName(k); ok {
-			files = append(files, fileInfo{seq, kind, k})
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].seq > files[j].seq })
-	// Find the Retain-th newest anchor.
-	anchors := 0
-	var cutoff uint64
-	found := false
-	for _, f := range files {
-		if f.kind == KindFull {
-			anchors++
-			if anchors == m.opt.Retain {
-				cutoff = f.seq
-				found = true
-				break
-			}
-		}
-	}
-	if !found {
+	// The oldest chain kept is the Retain-th from the end, and the cutoff its
+	// anchor — unless it is the headless leading run of orphan deltas.
+	chains := anchorChains(refs)
+	kept := len(chains) - m.opt.Retain
+	if kept < 0 || chains[kept][0].kind != KindFull {
 		return // fewer than Retain anchors exist; keep everything
 	}
+	cutoff := chains[kept][0].seq
 	// A dirty-compare base must not outlive its manifest: once that is
 	// deleted nothing keeps the chunks it names. gc runs on the persist
 	// goroutine, which owns the bases.
@@ -1254,17 +1195,17 @@ func (m *Manager) gc() {
 		}
 	}
 	deleted := false
-	for _, f := range files {
-		if f.seq < cutoff {
+	for j := len(refs) - 1; j >= 0; j-- { // newest first: what an interrupted pass leaves is still a chain
+		if f := refs[j]; f.seq < cutoff {
 			// With QoS active the tenant gets the manifest's bytes back:
 			// Stat before delete is the only moment the size is known.
 			var credit int64
 			if m.qos != nil {
-				if info, err := m.backend.Stat(f.name); err == nil {
+				if info, err := m.backend.Stat(f.key); err == nil {
 					credit = info.Size
 				}
 			}
-			if m.backend.Delete(f.name) == nil {
+			if m.backend.Delete(f.key) == nil {
 				deleted = true
 				m.qos.creditQuota(credit)
 				m.mu.Lock()

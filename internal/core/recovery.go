@@ -47,8 +47,8 @@ type LoadCost struct {
 
 // indexEntry caches one snapshot object's header for chain resolution.
 type indexEntry struct {
-	key string
-	h   Header
+	snapshotRef
+	h Header
 }
 
 // recoveryCacheBytes bounds the read cache under every snapshotView.
@@ -80,30 +80,27 @@ func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 }
 
 // readObject fetches the snapshot object at key, checks its whole-file
-// hash and returns its decompressed body as stored: payload or delta bytes
-// for monolithic kinds, the chunk manifest for chunked ones. The body is a
-// fresh buffer, never the cached object.
-func (v *snapshotView) readObject(key string) (Header, []byte, error) {
+// hash and returns its decompressed body as stored — payload or delta bytes
+// for monolithic kinds, the chunk manifest for chunked ones — and, for the
+// latter, the parsed manifest. The body is a fresh buffer, never the cached
+// object.
+func (v *snapshotView) readObject(key string) (Header, []byte, chunkManifestInfo, error) {
 	start := time.Now()
 	defer func() { v.cost.Fetch += time.Since(start) }()
 	data, err := v.b.Get(key)
 	if err != nil {
-		return Header{}, nil, err
+		return Header{}, nil, chunkManifestInfo{}, err
 	}
 	v.cost.BytesHashed += int64(len(data))
-	return DecodeSnapshotFile(data)
+	return decodeManifestObject(data)
 }
 
 // assemble reconstructs a chunked snapshot's body from its manifest into a
 // buffer the caller owns; every worker count returns bitwise-identical
 // bodies.
-func (v *snapshotView) assemble(manifest []byte) ([]byte, error) {
-	info, err := decodeChunkManifest(manifest)
-	if err != nil {
-		return nil, err
-	}
+func (v *snapshotView) assemble(info chunkManifestInfo) ([]byte, error) {
 	body := make([]byte, 0, info.rawLen)
-	err = walkPieces(v.cs, info, v.opts, &v.cost, func(_ int, piece []byte) error {
+	err := walkPieces(v.cs, info, v.opts, &v.cost, func(_ int, piece []byte) error {
 		if len(piece) > info.rawLen-len(body) {
 			return fmt.Errorf("%w: assembled more than the %d manifest bytes", ErrCorrupt, info.rawLen)
 		}
@@ -123,9 +120,9 @@ func (v *snapshotView) assemble(manifest []byte) ([]byte, error) {
 // resolved body: the payload or delta bytes, with chunked bodies assembled
 // from the chunk store.
 func (v *snapshotView) readBody(key string) (Header, []byte, error) {
-	h, body, err := v.readObject(key)
+	h, body, info, err := v.readObject(key)
 	if err == nil && h.Kind.Chunked() {
-		body, err = v.assemble(body)
+		body, err = v.assemble(info)
 	}
 	if err != nil {
 		return h, nil, err
@@ -140,16 +137,12 @@ func (v *snapshotView) readBody(key string) (Header, []byte, error) {
 // the link costs O(dirty bytes) on top of reading its manifest. payload
 // must be a buffer the caller owns; after an error it is garbage.
 func (v *snapshotView) applyLink(key string, payload []byte) ([]byte, error) {
-	h, body, err := v.readObject(key)
+	h, body, info, err := v.readObject(key)
 	if err != nil {
 		return nil, err
 	}
 	a := deltaApplier{payload: payload, rawLen: len(body)}
 	if h.Kind.Chunked() {
-		info, merr := decodeChunkManifest(body)
-		if merr != nil {
-			return nil, merr
-		}
 		a.rawLen = info.rawLen
 		err = walkPieces(v.cs, info, v.opts, &v.cost, a.visit)
 	} else {
@@ -190,26 +183,18 @@ func (v *snapshotView) applyVerified(ent indexEntry, payload []byte) ([]byte, er
 // Objects whose header cannot be parsed are reported in skipped but do not
 // abort the scan.
 func (v *snapshotView) buildIndex() (bySeq []indexEntry, byPayloadHash map[[32]byte]indexEntry, skipped []string, err error) {
-	keys, err := v.b.List(snapshotKeyPrefix)
+	refs, err := listSnapshots(v.b)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: list checkpoints: %w", err)
 	}
 	byPayloadHash = make(map[[32]byte]indexEntry)
-	for _, key := range keys {
-		if _, _, ok := parseSnapshotName(key); !ok {
+	for _, ref := range refs {
+		h, err := probeHeader(v.b, ref.key)
+		if err != nil {
+			skipped = append(skipped, ref.key)
 			continue
 		}
-		buf, gerr := storage.GetRange(v.b, key, 0, headerSize)
-		if gerr != nil {
-			skipped = append(skipped, key)
-			continue
-		}
-		h, herr := parseHeaderBytes(buf)
-		if herr != nil {
-			skipped = append(skipped, key)
-			continue
-		}
-		ent := indexEntry{key: key, h: h}
+		ent := indexEntry{ref, h}
 		bySeq = append(bySeq, ent)
 		byPayloadHash[h.PayloadHash] = ent
 	}
@@ -377,7 +362,11 @@ func LoadLatestOptions(dir string, live *Meta, opts RestoreOptions) (*TrainingSt
 // assembling chunked bodies through the chunk store next to the file
 // (<dir>/chunks).
 func ReadSnapshotBody(filePath string) (Header, []byte, error) {
-	h, body, err := ReadSnapshotFile(filePath)
+	data, err := os.ReadFile(filePath)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	h, body, info, err := decodeManifestObject(data)
 	if err != nil {
 		return h, nil, err
 	}
@@ -386,7 +375,7 @@ func ReadSnapshotBody(filePath string) (Header, []byte, error) {
 		if berr != nil {
 			return h, nil, berr
 		}
-		body, err = newSnapshotView(b, RestoreOptions{}).assemble(body)
+		body, err = newSnapshotView(b, RestoreOptions{}).assemble(info)
 		if err != nil {
 			return h, nil, err
 		}

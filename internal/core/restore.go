@@ -324,12 +324,8 @@ func (v *snapshotView) warm(key string) {
 	if err != nil {
 		return
 	}
-	h, body, err := DecodeSnapshotFile(data)
+	h, _, info, err := decodeManifestObject(data)
 	if err != nil || !h.Kind.Chunked() {
-		return
-	}
-	info, err := decodeChunkManifest(body)
-	if err != nil {
 		return
 	}
 	distinct, _ := distinctAddrs(info.addrs)

@@ -36,7 +36,11 @@ func buildChunkedBody(t *testing.T, cs *storage.ChunkStore, body []byte, chunkBy
 // assembleWith assembles manifest's body from cs the way recovery does,
 // through a snapshotView running the engine under opt.
 func assembleWith(cs *storage.ChunkStore, manifest []byte, opt RestoreOptions) ([]byte, error) {
-	return (&snapshotView{cs: cs, opts: opt}).assemble(manifest)
+	info, err := decodeChunkManifest(manifest)
+	if err != nil {
+		return nil, err
+	}
+	return (&snapshotView{cs: cs, opts: opt}).assemble(info)
 }
 
 // restoreTestBody builds a body that exercises the engine: unique content

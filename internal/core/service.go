@@ -18,12 +18,8 @@ import (
 // jobs — replicas of a fine-tuning sweep, ensemble members, restarted
 // incarnations — are stored once, and the shared pin table plus keep-set
 // scanner keep garbage collection correct across tenants: a chunk is live
-// while ANY job's manifests or in-flight saves reference it.
-//
-// Store layout:
-//
-//	jobs/<id>/ckpt-000000000042-full.qckpt   per-job snapshot manifests
-//	chunks/<first2>/<hash>                   shared deduplicated chunks
+// while ANY job's manifests or in-flight saves reference it (catalog.go
+// has the key shapes).
 //
 // Each job is driven by its own Manager (one trainer goroutine per job,
 // as always); the Service only wires them onto the shared machinery and
@@ -47,10 +43,6 @@ type ServiceOptions struct {
 	// Backend overrides where the service persists; any storage.Backend
 	// works, including a storage.Tiered hierarchy.
 	Backend storage.Backend
-	// ChunkShards is the lock-stripe count of the shared chunk store
-	// (default storage.DefaultChunkShards). More shards admit more
-	// concurrent per-chunk operations before two jobs contend on a mutex.
-	ChunkShards int
 	// Placement maps write classes to tier levels of the service backend
 	// (which must then be a *storage.Tiered). Zero value: every write
 	// lands on the hot level, as before.
@@ -88,7 +80,7 @@ func NewService(opt ServiceOptions) (*Service, error) {
 	}
 	s := &Service{backend: backend, open: make(map[string]*Manager), qos: newQoSTable(opt.QoS)}
 	s.shared = &sharedChunks{
-		store: storage.NewShardedChunkStore(storage.WithPrefix(backend, ChunkPrefix), opt.ChunkShards),
+		store: storage.NewChunkStore(storage.WithPrefix(backend, ChunkPrefix)),
 		refs:  s.allReferences,
 	}
 	return s, nil

@@ -412,7 +412,7 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 // collections race. Run with -race to exercise the sharded store, striped
 // pin table and shared GC gate under real concurrency.
 func TestServiceConcurrentJobsStress(t *testing.T) {
-	svc, err := NewService(ServiceOptions{Backend: storage.NewMem(), ChunkShards: 8})
+	svc, err := NewService(ServiceOptions{Backend: storage.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}

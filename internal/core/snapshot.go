@@ -160,28 +160,19 @@ func appendSnapshotFile(buf []byte, h Header, body []byte) ([]byte, error) {
 // DecodeSnapshotFile verifies the whole-file hash and returns the header
 // and decompressed body.
 func DecodeSnapshotFile(data []byte) (Header, []byte, error) {
-	var h Header
 	if len(data) < headerSize+32 {
-		return h, nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, len(data))
+		return Header{}, nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, len(data))
 	}
 	payloadEnd := len(data) - 32
 	var want [32]byte
 	copy(want[:], data[payloadEnd:])
 	if sum := sha256.Sum256(data[:payloadEnd]); sum != want {
-		return h, nil, fmt.Errorf("%w: file hash mismatch", ErrCorrupt)
+		return Header{}, nil, fmt.Errorf("%w: file hash mismatch", ErrCorrupt)
 	}
-	if !bytes.Equal(data[:6], magic[:]) {
-		return h, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	h, err := parseHeaderBytes(data)
+	if err != nil {
+		return h, nil, err
 	}
-	h.Kind = SnapshotKind(data[6])
-	if !validKind(h.Kind) {
-		return h, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, data[6])
-	}
-	h.Seq = binary.LittleEndian.Uint64(data[7:])
-	h.Step = binary.LittleEndian.Uint64(data[15:])
-	copy(h.BaseHash[:], data[23:55])
-	copy(h.PayloadHash[:], data[55:87])
-	h.BodyLen = binary.LittleEndian.Uint64(data[87:])
 	body := data[headerSize:payloadEnd]
 	if uint64(len(body)) != h.BodyLen {
 		return h, nil, fmt.Errorf("%w: body length %d, header says %d", ErrCorrupt, len(body), h.BodyLen)

@@ -10,7 +10,9 @@
 // asynchronous strategies (a configurable worker pipeline chunks,
 // deduplicates, compresses and writes concurrently); and recovers the
 // newest valid snapshot after a crash, guaranteeing bitwise-identical
-// resumption.
+// resumption. What a store's keys look like, and how every scanner of one
+// (retention, lifecycle, GC, recovery, compaction) lists and groups its
+// snapshots, is in catalog.go alone.
 //
 // Layering: core depends only on internal/storage. Domain objects
 // (optimizer, RNG set, gradient accumulator) arrive as the opaque binary
