@@ -101,13 +101,18 @@ check:
 experiments:
 	$(GO) run ./cmd/experiments -quick
 
-# ROADMAP's "non-test LOC goes down" as a ratchet: loc prints the non-test
-# lines of internal/storage + internal/core, loc-gate (CI's check job)
-# fails when they exceed LOC_CEILING. A PR that shrinks the packages
-# lowers the ceiling to its own count; one that must grow them raises it
-# in its own diff, where a reviewer sees it.
-LOC_CEILING = 9870
+# ROADMAP's "non-test LOC goes down" as a ratchet: loc prints two figures
+# — the non-test lines of internal/storage + internal/core, then those of
+# internal/ + cmd/ as a whole (the ROADMAP's headline number) — and
+# loc-gate (CI's check job) fails when either exceeds its ceiling. A PR
+# that shrinks the code lowers the ceilings to its own counts; one that
+# must grow it raises them in its own diff, where a reviewer sees it.
+LOC_CEILING = 9766
+LOC_CEILING_ALL = 24210
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc-gate:
-	@n=$$($(MAKE) -s loc); echo "loc-gate: $$n non-test lines in internal/storage + internal/core (ceiling $(LOC_CEILING))"; [ "$$n" -le $(LOC_CEILING) ]
+	@set -- $$($(MAKE) -s loc); \
+	echo "loc-gate: $$1 non-test lines in internal/storage + internal/core (ceiling $(LOC_CEILING)), $$2 in internal/ + cmd/ (ceiling $(LOC_CEILING_ALL))"; \
+	[ "$$1" -le $(LOC_CEILING) ] && [ "$$2" -le $(LOC_CEILING_ALL) ]

@@ -655,8 +655,8 @@ func BenchmarkCheckpointSaveChunked(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures LoadLatest over a directory with a delta
-// chain.
+// BenchmarkRecovery measures LoadLatestBackendOptions over a directory
+// with a delta chain.
 func BenchmarkRecovery(b *testing.B) {
 	dir := b.TempDir()
 	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
@@ -672,9 +672,13 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 	}
 	mgr.Close()
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.LoadLatest(dir, nil); err != nil {
+		if _, _, err := core.LoadLatestBackendOptions(store, nil, core.RestoreOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -353,10 +353,7 @@ func cmdShow(path string) error {
 	if h.Kind.Chunked() {
 		if _, manifest, err := core.ReadSnapshotFile(path); err == nil {
 			if sum, err := core.SummarizeChunkManifest(manifest); err == nil {
-				version := "v1 bare-flate"
-				if sum.Framed {
-					version = "v2 adaptive-framed"
-				}
+				version := "v2 adaptive-framed"
 				if sum.Chunker != "" {
 					version = "v3 content-defined"
 				}
@@ -405,7 +402,7 @@ func cmdLatest(dir string) error {
 	if err != nil {
 		return err
 	}
-	st, loadReport, err := core.LoadLatestBackend(b, nil)
+	st, loadReport, err := core.LoadLatestBackendOptions(b, nil, core.RestoreOptions{})
 	if err != nil {
 		return err
 	}

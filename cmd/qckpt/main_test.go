@@ -90,12 +90,12 @@ func TestCmdDiffRejectsDelta(t *testing.T) {
 // directory layout and returns the composite backend.
 func populateTiered(t *testing.T, dir string, names []string) *storage.Tiered {
 	t.Helper()
-	levels, err := storage.TieredDirLevels(dir, names)
+	tiered, err := storage.NewTieredDir(dir, names)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := core.NewManager(core.Options{
-		Dir: dir, Tiers: levels, Strategy: core.StrategyDelta, AnchorEvery: 2, ChunkBytes: core.MinChunkBytes,
+		Backend: tiered, Strategy: core.StrategyDelta, AnchorEvery: 2, ChunkBytes: core.MinChunkBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func populateTiered(t *testing.T, dir string, names []string) *storage.Tiered {
 			t.Fatal(err)
 		}
 	}
-	return m.Backend().(*storage.Tiered)
+	return tiered
 }
 
 func TestCmdTiersMigrateGc(t *testing.T) {

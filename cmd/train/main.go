@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -166,11 +167,9 @@ func main() {
 			// Tiered preset: hot level at the checkpoint dir, colder
 			// device-modeled levels under it, old anchor chains demoted once
 			// they leave the hot set.
-			levels, lerr := storage.TieredDirLevels(*ckptDir, strings.Split(*tiers, "+"))
-			if lerr != nil {
-				fatal(lerr)
+			if opt.Backend, err = storage.NewTieredDir(*ckptDir, strings.Split(*tiers, "+")); err != nil {
+				fatal(err)
 			}
-			opt.Tiers = levels
 			opt.Lifecycle = core.LifecyclePolicy{KeepHotChains: *keepHot}
 		}
 		mgr, err = core.NewManager(opt)
@@ -191,16 +190,20 @@ func main() {
 		if *restoreW <= 0 {
 			ropts = core.DefaultRestoreOptions()
 		}
-		var report core.LoadReport
-		if remoteClient != nil {
-			tr, report, err = train.ResumeLatestBackendOptions(cfg, remoteClient, ropts)
-		} else {
-			tr, report, err = train.ResumeLatestOptions(cfg, *ckptDir, ropts)
+		// A remote store reports the restored key; a directory, its file path.
+		store, where := storage.Backend(remoteClient), ""
+		if remoteClient == nil {
+			where = *ckptDir
+			if store, err = core.DirBackend(where); err != nil {
+				fatal(err)
+			}
 		}
+		var report core.LoadReport
+		tr, report, err = train.ResumeLatestBackendOptions(cfg, store, ropts)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("resumed %s at step %d (chain length %d)\n", report.Path, tr.Step(), report.ChainLen)
+		fmt.Printf("resumed %s at step %d (chain length %d)\n", filepath.Join(where, report.Path), tr.Step(), report.ChainLen)
 	} else {
 		tr, err = train.New(cfg)
 		if err != nil {
@@ -272,7 +275,11 @@ func gangDrill(n int, ckptDir, remoteURL string, restoreW int) error {
 			defer c.Close()
 			return core.LoadLatestBackendOptions(c, nil, ropts)
 		}
-		return core.LoadLatestOptions(ckptDir, nil, ropts)
+		b, err := core.DirBackend(ckptDir)
+		if err != nil {
+			return nil, core.LoadReport{}, err
+		}
+		return core.LoadLatestBackendOptions(b, nil, ropts)
 	}
 	ref, report, err := load("restore-ref")
 	if err != nil {

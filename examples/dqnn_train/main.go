@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/dqnn"
@@ -203,14 +204,18 @@ func runWithCrash(net *dqnn.Network, pairs []dqnn.Pair, dir string) ([]float64, 
 	defer mgr2.Close()
 	ts2 := newTrainerState(net)
 	live := ts2.meta()
-	st, report, err := core.LoadLatest(dir, &live)
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	st, report, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := ts2.restore(st); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("resumed from %s at step %d\n", report.Path, ts2.step)
+	fmt.Printf("resumed from %s at step %d\n", filepath.Join(dir, report.Path), ts2.step)
 	if err := ts2.runSteps(pairs, steps, mgr2); err != nil {
 		log.Fatal(err)
 	}

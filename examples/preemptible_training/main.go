@@ -127,7 +127,11 @@ func runStrategy(base train.Config, strat string, idealTime time.Duration) resul
 		}
 		if strat != "none" && attempt > 0 {
 			live := runCfg.Meta()
-			if st, _, lerr := core.LoadLatest(dir, &live); lerr == nil {
+			store, err := core.DirBackend(dir)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if st, _, lerr := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{}); lerr == nil {
 				if err := tr.Restore(st); err != nil {
 					log.Fatal(err)
 				}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -81,12 +82,16 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Manager = mgr2
-	resumed, report, err := train.ResumeLatest(cfg, ckptDir)
+	store, err := core.DirBackend(ckptDir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resumed, report, err := train.ResumeLatestBackendOptions(cfg, store, core.RestoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  restored %s (step %d, chain length %d)\n",
-		report.Path, report.Step, report.ChainLen)
+		filepath.Join(ckptDir, report.Path), report.Step, report.ChainLen)
 	if _, err := resumed.Run(30); err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -143,12 +144,16 @@ func crashResumeDemo(qubits, total, steps int) error {
 		return err
 	}
 	cfg.Manager = mgr2
-	resumed, report, err := train.ResumeLatest(cfg, dir)
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		return err
+	}
+	resumed, report, err := train.ResumeLatestBackendOptions(cfg, store, core.RestoreOptions{})
 	if err != nil {
 		return err
 	}
 	defer mgr2.Close()
-	fmt.Printf("  restored:   %s at step %d (epoch %d)\n", report.Path, resumed.Step(), resumed.Epoch())
+	fmt.Printf("  restored:   %s at step %d (epoch %d)\n", filepath.Join(dir, report.Path), resumed.Step(), resumed.Epoch())
 	if _, err := resumed.Run(steps); err != nil {
 		return err
 	}

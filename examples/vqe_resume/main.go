@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/circuit"
@@ -87,7 +88,11 @@ func main() {
 		}
 		if attempt > 1 {
 			live := runCfg.Meta()
-			st, report, lerr := core.LoadLatest(dir, &live)
+			store, lerr := core.DirBackend(dir)
+			if lerr != nil {
+				log.Fatal(lerr)
+			}
+			st, report, lerr := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
 			if lerr != nil {
 				log.Fatal(lerr)
 			}
@@ -95,7 +100,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("  attempt %d: restored step %d (+ %d/%d gradient units) from %s\n",
-				attempt, st.Step, completedUnits(st), 2*ansatz.NumParams, report.Path)
+				attempt, st.Step, completedUnits(st), 2*ansatz.NumParams, filepath.Join(dir, report.Path))
 		}
 
 		_, runErr := tr.Run(targetSteps)

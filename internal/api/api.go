@@ -13,6 +13,9 @@
 // protected from GC by time-bounded leases instead of per-connection
 // state: a client that dies mid-upload simply lets its leases lapse, and
 // the next collection reaps what it left behind.
+//
+// NewLocalOptions is the one constructor of the in-process implementation
+// (Local); the zero LocalOptions reads straight through to the backend.
 package api
 
 import (

@@ -18,7 +18,7 @@ func newLocal(t *testing.T) (*Local, *core.Service, *storage.Mem) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	return NewLocal(svc, NewLeases(time.Minute)), svc, mem
+	return NewLocalOptions(svc, NewLeases(time.Minute), LocalOptions{}), svc, mem
 }
 
 func chunkKey(addr string) string {
@@ -176,7 +176,7 @@ func TestForeignNamespaceIngest(t *testing.T) {
 	if err := mem.Put(key, bytes.ToUpper(data)); err != nil {
 		t.Fatal(err)
 	}
-	l2 := NewLocal(mustService(t, mem), NewLeases(time.Minute))
+	l2 := NewLocalOptions(mustService(t, mem), NewLeases(time.Minute), LocalOptions{})
 	if w, err := l2.IngestChunk(key, data); err != nil || w != len(data) {
 		t.Fatalf("corrupt resident not repaired: %d %v", w, err)
 	}

@@ -54,13 +54,9 @@ type LocalOptions struct {
 	CacheBytes int64
 }
 
-// NewLocal wraps svc as a transport-agnostic Service whose upload leases
-// shield in-flight remote saves from the service's GC.
-func NewLocal(svc *core.Service, leases *Leases) *Local {
-	return NewLocalOptions(svc, leases, LocalOptions{})
-}
-
-// NewLocalOptions is NewLocal with explicit options.
+// NewLocalOptions wraps svc as a transport-agnostic Service whose upload
+// leases shield in-flight remote saves from the service's GC. A nil leases
+// is a fresh table at DefaultLeaseTTL; the zero opts read straight through.
 func NewLocalOptions(svc *core.Service, leases *Leases, opts LocalOptions) *Local {
 	if leases == nil {
 		leases = NewLeases(0)

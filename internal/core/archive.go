@@ -67,15 +67,6 @@ func ArchiveBackend(src storage.Backend, cs *storage.ChunkStore, manifestPath st
 	return archived, nil
 }
 
-// Archive runs ArchiveBackend over a checkpoint directory.
-func Archive(dir string, cs *storage.ChunkStore, manifestPath string) (archived int, err error) {
-	b, err := dirBackend(dir)
-	if err != nil {
-		return 0, fmt.Errorf("core: archive read dir: %w", err)
-	}
-	return ArchiveBackend(b, cs, manifestPath)
-}
-
 // Unarchive materializes an archived checkpoint directory from a manifest
 // and chunk store into destDir (created if missing). Restored files are
 // written atomically and re-verified.

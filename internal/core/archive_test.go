@@ -24,7 +24,7 @@ func TestArchiveUnarchiveRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(t.TempDir(), "run1.manifest")
-	n, err := Archive(dir, cs, manifest)
+	n, err := ArchiveBackend(dirStore(t, dir), cs, manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestArchiveUnarchiveRoundTrip(t *testing.T) {
 	if rn != 6 {
 		t.Fatalf("restored %d files", rn)
 	}
-	got, report, err := LoadLatest(dest, nil)
+	got, report, err := loadDir(t, dest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func TestArchiveDedupAcrossRuns(t *testing.T) {
 	dirA, dirB := mk(), mk()
 
 	cs, _ := storage.OpenChunkStore(filepath.Join(t.TempDir(), "store"))
-	if _, err := Archive(dirA, cs, filepath.Join(t.TempDir(), "a.manifest")); err != nil {
+	if _, err := ArchiveBackend(dirStore(t, dirA), cs, filepath.Join(t.TempDir(), "a.manifest")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Archive(dirB, cs, filepath.Join(t.TempDir(), "b.manifest")); err != nil {
+	if _, err := ArchiveBackend(dirStore(t, dirB), cs, filepath.Join(t.TempDir(), "b.manifest")); err != nil {
 		t.Fatal(err)
 	}
 	addrs, err := cs.List()
@@ -98,7 +98,7 @@ func TestArchiveRefusesCorrupt(t *testing.T) {
 	os.WriteFile(res.Path, raw, 0o644)
 
 	cs, _ := storage.OpenChunkStore(filepath.Join(t.TempDir(), "store"))
-	if _, err := Archive(dir, cs, filepath.Join(t.TempDir(), "m")); err == nil {
+	if _, err := ArchiveBackend(dirStore(t, dir), cs, filepath.Join(t.TempDir(), "m")); err == nil {
 		t.Errorf("corrupt snapshot archived")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,12 +85,18 @@ func listSnapshots(b storage.Backend) ([]snapshotRef, error) {
 }
 
 // nextSeq is the sequence number after every snapshot in refs (seq-sorted),
-// so a successor never overwrites a predecessor's objects.
-func nextSeq(refs []snapshotRef) uint64 {
+// so a successor never overwrites a predecessor's objects. A store whose
+// newest name holds the last sequence number has no successor: wrapping to
+// 0 would start over on top of the oldest chain.
+func nextSeq(refs []snapshotRef) (uint64, error) {
 	if len(refs) == 0 {
-		return 0
+		return 0, nil
 	}
-	return refs[len(refs)-1].seq + 1
+	last := refs[len(refs)-1].seq
+	if last == math.MaxUint64 {
+		return 0, errors.New("core: sequence space exhausted")
+	}
+	return last + 1, nil
 }
 
 // anchorChains groups seq-sorted refs into anchor chains from names alone:

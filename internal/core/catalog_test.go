@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -79,7 +82,7 @@ type hookedBackend struct {
 	storage.Backend
 	listErrs int                    // fail this many Lists, then pass through
 	getErr   func(key string) error // a non-nil result fails the Get of key
-	listed   func(keys []string)    // runs after every successful List
+	listed   func(prefix string)    // runs after every successful List, before it returns
 }
 
 func (h *hookedBackend) List(prefix string) ([]string, error) {
@@ -89,7 +92,7 @@ func (h *hookedBackend) List(prefix string) ([]string, error) {
 	}
 	keys, err := h.Backend.List(prefix)
 	if err == nil && h.listed != nil {
-		h.listed(keys)
+		h.listed(prefix)
 	}
 	return keys, err
 }
@@ -120,10 +123,25 @@ func mustList(t *testing.T, b storage.Backend) []snapshotRef {
 	return refs
 }
 
+func mustNextSeq(t *testing.T, refs []snapshotRef) uint64 {
+	t.Helper()
+	seq, err := nextSeq(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// legacyManifest rewrites a CHUNKS2 manifest body as the QCKPT-CHUNKS1
+// format only PRs 1–3 wrote: an unknown magic to every reader since PR 18.
+func legacyManifest(v2 []byte) []byte {
+	return append([]byte("QCKPT-CHUNKS1"), v2[len(chunkManifestMagic):]...)
+}
+
 func TestListSnapshotsOrderAndNextSeq(t *testing.T) {
 	mem := storage.NewMem()
-	if refs := mustList(t, mem); len(refs) != 0 || nextSeq(refs) != 0 {
-		t.Fatalf("empty store: refs %v, next seq %d", refs, nextSeq(refs))
+	if refs := mustList(t, mem); len(refs) != 0 || mustNextSeq(t, refs) != 0 {
+		t.Fatalf("empty store: refs %v, next seq %d", refs, mustNextSeq(t, refs))
 	}
 	// Seq order, not name order: the 13-digit name sorts before the others.
 	want := []string{
@@ -145,11 +163,24 @@ func TestListSnapshotsOrderAndNextSeq(t *testing.T) {
 			t.Errorf("ref %d = %+v, want seq %d kind %v", i, r, seq, kind)
 		}
 	}
-	if got := nextSeq(refs); got != 1000000000001 {
+	if got := mustNextSeq(t, refs); got != 1000000000001 {
 		t.Errorf("nextSeq = %d, want 1000000000001", got)
 	}
 	if _, err := listSnapshots(&hookedBackend{Backend: mem, listErrs: 1}); !errors.Is(err, errInjected) {
 		t.Errorf("listSnapshots swallowed the backend's error: %v", err)
+	}
+	// The last sequence number has no successor: wrapping to 0 would restart
+	// on top of the oldest chain.
+	last := snapshotName(math.MaxUint64, KindFull)
+	if err := mem.Put(last, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	refs = mustList(t, mem)
+	if got := refs[len(refs)-1].key; got != last {
+		t.Fatalf("newest ref %s, want %s", got, last)
+	}
+	if seq, err := nextSeq(refs); err == nil || !strings.Contains(err.Error(), "sequence space exhausted") {
+		t.Errorf("nextSeq after seq %d = %d, %v; want the sequence space exhausted", uint64(math.MaxUint64), seq, err)
 	}
 }
 
@@ -205,12 +236,10 @@ func TestManifestAddrs(t *testing.T) {
 		}
 		return key
 	}
-	v2 := encodeChunkManifest(3*MinChunkBytes, addrs)
-	v1 := append([]byte(chunkManifestMagicV1), v2[len(chunkManifestMagic):]...)
-	v3 := appendChunkManifestCDC(nil, 3*MinChunkBytes, cdcParamsFor(MinChunkBytes), addrs)
+	v2 := appendChunkManifest(nil, 3*MinChunkBytes, cdcParams{}, addrs)
+	v3 := appendChunkManifest(nil, 3*MinChunkBytes, cdcParamsFor(MinChunkBytes), addrs)
 	mono := put(0, KindFull, []byte("a monolithic payload"))
 	chunked := map[string]string{
-		"CHUNKS1": put(1, KindDeltaChunked, v1),
 		"CHUNKS2": put(2, KindDeltaChunked, v2),
 		"CHUNKS3": put(3, KindFullChunked, v3),
 	}
@@ -226,14 +255,16 @@ func TestManifestAddrs(t *testing.T) {
 	if got, err := manifestAddrs(counting, mono); err != nil || got != nil || gets != 1 {
 		t.Errorf("monolithic: manifestAddrs = %v, %v after %d reads; want nothing after the probe alone", got, err, gets)
 	}
-	// Torn and corrupt objects reference nothing and are not an error.
+	// Torn and corrupt objects reference nothing and are not an error; a
+	// CHUNKS1 manifest, whose reader is gone, is one of them.
 	whole, _ := mem.Get(chunked["CHUNKS2"])
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)-40] ^= 1
 	badManifest, _ := EncodeSnapshotFile(Header{Kind: KindFullChunked, Seq: 9}, []byte("QCKPT-CHUNKS2\nnot a length\n"))
+	legacy, _ := EncodeSnapshotFile(Header{Kind: KindDeltaChunked, Seq: 1}, legacyManifest(v2))
 	for name, data := range map[string][]byte{
 		"empty": {}, "torn inside the header": whole[:headerSize/2], "torn after the header": whole[:headerSize+4],
-		"bit flip": flipped, "undecodable manifest": badManifest, "not a snapshot": []byte("junk that is long enough to hold a whole header, but has no magic: ....................................."),
+		"bit flip": flipped, "undecodable manifest": badManifest, "CHUNKS1 manifest": legacy, "not a snapshot": []byte("junk that is long enough to hold a whole header, but has no magic: ....................................."),
 	} {
 		key := snapshotName(20, KindFull)
 		if err := mem.Put(key, data); err != nil {
@@ -292,6 +323,35 @@ func TestNewManagerFailsOnListError(t *testing.T) {
 	}
 }
 
+// TestNewManagerFailsOnExhaustedSequence is the regression test for the
+// sequence wrap-around: over a store whose newest snapshot holds the last
+// sequence number, an open or a compaction that continued at seq 0 would
+// overwrite the oldest chain.
+func TestNewManagerFailsOnExhaustedSequence(t *testing.T) {
+	mem := saveChain(t, Options{}, seqStates(1))
+	first, err := mem.Get(snapshotName(0, KindFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Put(snapshotName(math.MaxUint64, KindFull), first); err != nil {
+		t.Fatal(err)
+	}
+	const want = "sequence space exhausted"
+	if m, err := NewManager(Options{Backend: mem}); err == nil {
+		res, _ := m.Save(sampleState())
+		m.Close()
+		t.Fatalf("NewManager opened past the last sequence number; its first save took seq %d", res.Seq)
+	} else if !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewManager error %v, want %q", err, want)
+	}
+	if key, _, err := CompactBackend(mem, true); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("CompactBackend wrote %q (err %v), want %q", key, err, want)
+	}
+	if got, err := mem.Get(snapshotName(0, KindFull)); err != nil || !bytes.Equal(got, first) {
+		t.Errorf("seq 0 was overwritten (err %v)", err)
+	}
+}
+
 // TestForeignSnapshotNamesAreLeftAlone is the regression test for the
 // lenient key parser: objects that merely look like snapshots are not
 // counted into the sequence, not deleted by retention and not reported by
@@ -325,7 +385,7 @@ func TestForeignSnapshotNamesAreLeftAlone(t *testing.T) {
 	if got, want := refKeys(mustList(t, mem)), []string{snapshotName(3, KindFull)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("after Retain 1 the store's snapshots are %v, want %v", got, want)
 	}
-	got, report, err := LoadLatestBackend(mem, nil)
+	got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil || !got.Equal(states[3]) || len(report.Skipped) != 0 {
 		t.Errorf("recovery beside foreign objects: err %v, skipped %v", err, report.Skipped)
 	}
@@ -341,12 +401,32 @@ func TestForeignSnapshotNamesAreLeftAlone(t *testing.T) {
 // refs — none has a key grammar or a chain rule of its own.
 //
 // The store: two chains of three (AnchorEvery 3, chunked), then seq 1 torn
-// to a stub, seq 4 deleted (seq 5's base is missing) and a foreign
-// "ckpt-0x10-full.qckpt" beside them.
+// to a stub, seq 4 deleted (seq 5's base is missing), a foreign
+// "ckpt-0x10-full.qckpt" beside them and, newest of all, seq 6: a delta on
+// anchor 3 whose manifest is in the CHUNKS1 format nothing reads any more.
 func TestScannersAgree(t *testing.T) {
 	states := bigSeqStates(6)
 	src := saveChain(t, Options{AnchorEvery: 3, ChunkBytes: MinChunkBytes}, states)
 	torn, missing, foreign := snapshotName(1, KindDelta), snapshotName(4, KindDelta), "ckpt-0x10-full.qckpt"
+	legacy := snapshotName(6, KindDelta)
+	{
+		anchor, err := probeHeader(src, snapshotName(3, KindFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := src.Get(snapshotName(5, KindDelta))
+		h, manifest, err := DecodeSnapshotFile(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Seq, h.BaseHash, h.PayloadHash = 6, anchor.PayloadHash, PayloadHash([]byte("never reconstructed"))
+		if data, err = EncodeSnapshotFile(h, legacyManifest(manifest)); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Put(legacy, data); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := src.Put(torn, []byte("QCKPT1 torn")); err != nil {
 		t.Fatal(err)
 	}
@@ -357,13 +437,13 @@ func TestScannersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := mustList(t, src)
-	wantKeys := []string{snapshotName(0, KindFull), torn, snapshotName(2, KindDelta), snapshotName(3, KindFull), snapshotName(5, KindDelta)}
+	wantKeys := []string{snapshotName(0, KindFull), torn, snapshotName(2, KindDelta), snapshotName(3, KindFull), snapshotName(5, KindDelta), legacy}
 	if got := refKeys(refs); !reflect.DeepEqual(got, wantKeys) {
 		t.Fatalf("refs %v, want %v", got, wantKeys)
 	}
 	chains := anchorChains(refs)
-	if len(chains) != 2 || len(chains[0]) != 3 || len(chains[1]) != 2 {
-		t.Fatalf("chains %v, want [0 1 2] [3 5]", chains)
+	if len(chains) != 2 || len(chains[0]) != 3 || len(chains[1]) != 3 {
+		t.Fatalf("chains %v, want [0 1 2] [3 5 6]", chains)
 	}
 
 	t.Run("keep-set", func(t *testing.T) {
@@ -376,8 +456,8 @@ func TestScannersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.key == torn && addrs != nil {
-				t.Errorf("torn manifest references %d chunks", len(addrs))
+			if (r.key == torn || r.key == legacy) && addrs != nil {
+				t.Errorf("unreadable manifest %s references %d chunks", r.key, len(addrs))
 			}
 			if r.key != vanishing {
 				for _, a := range addrs {
@@ -386,7 +466,7 @@ func TestScannersAgree(t *testing.T) {
 			}
 		}
 		store := copyBackend(t, src)
-		got, err := chunkReferences(&hookedBackend{Backend: store, listed: func([]string) { store.Delete(vanishing) }})
+		got, err := chunkReferences(&hookedBackend{Backend: store, listed: func(string) { store.Delete(vanishing) }})
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("keep-set has %d addresses (err %v), want the %d the surviving refs name", len(got), err, len(want))
 		}
@@ -424,18 +504,31 @@ func TestScannersAgree(t *testing.T) {
 		if !reflect.DeepEqual(all, wantKeys) {
 			t.Errorf("index ∪ skipped = %v, want the refs %v", all, wantKeys)
 		}
-		// Newest first: seq 5 has no base, seq 3 is the newest restorable.
-		got, report, err := LoadLatestBackend(src, nil)
-		if err != nil || !got.Equal(states[3]) || report.Seq != 3 || len(report.Skipped) != 2 {
-			t.Errorf("restored seq %d (err %v), skipped %v; want seq 3 past the torn stub and the baseless delta", report.Seq, err, report.Skipped)
+		// Newest first: seq 6 is a CHUNKS1 manifest, seq 5 has no base, seq 3
+		// is the newest restorable.
+		got, report, err := LoadLatestBackendOptions(src, nil, RestoreOptions{})
+		if err != nil || !got.Equal(states[3]) || report.Seq != 3 || len(report.Skipped) != 3 {
+			t.Fatalf("restored seq %d (err %v), skipped %v; want seq 3 past the torn stub, the CHUNKS1 manifest and the baseless delta", report.Seq, err, report.Skipped)
+		}
+		const rejection = "bad chunk manifest header"
+		if why := report.Skipped[1]; !strings.HasPrefix(why, legacy) || !strings.Contains(why, rejection) {
+			t.Errorf("skipped %q, want %s rejected for its manifest magic", why, legacy)
+		}
+		ok, problems, err := VerifyBackend(src)
+		named := false
+		for _, p := range problems {
+			named = named || (strings.HasPrefix(p, legacy) && strings.Contains(p, rejection))
+		}
+		if err != nil || ok != 2 || len(problems) != 4 || !named {
+			t.Errorf("verify: %d sound, problems %v, err %v; want the two anchors sound and %s named for its manifest magic", ok, problems, err, legacy)
 		}
 	})
 
 	t.Run("compaction", func(t *testing.T) {
 		store := copyBackend(t, src)
 		newKey, removed, err := CompactBackend(store, true)
-		if err != nil || newKey != snapshotName(nextSeq(refs), KindFull) || removed != len(refs) {
-			t.Fatalf("compacted to %q removing %d (err %v), want %q removing the %d refs", newKey, removed, err, snapshotName(nextSeq(refs), KindFull), len(refs))
+		if want := snapshotName(mustNextSeq(t, refs), KindFull); err != nil || newKey != want || removed != len(refs) {
+			t.Fatalf("compacted to %q removing %d (err %v), want %q removing the %d refs", newKey, removed, err, want, len(refs))
 		}
 		if got := refKeys(mustList(t, store)); !reflect.DeepEqual(got, []string{newKey}) {
 			t.Errorf("after compaction the store's snapshots are %v", got)
@@ -447,7 +540,7 @@ func TestScannersAgree(t *testing.T) {
 
 	t.Run("retention", func(t *testing.T) {
 		// A successor with Retain 2 continues at nextSeq and its first anchor
-		// makes chain [3 5] the oldest kept: the cutoff is that chain's
+		// makes chain [3 5 6] the oldest kept: the cutoff is that chain's
 		// anchor, and exactly chains[0] goes.
 		store := copyBackend(t, src)
 		m, err := NewManager(Options{Backend: store, Strategy: StrategyDelta, AnchorEvery: 3, ChunkBytes: MinChunkBytes, Retain: 2})
@@ -455,8 +548,8 @@ func TestScannersAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := m.Save(states[5])
-		if err != nil || res.Seq != nextSeq(refs) || res.Kind != KindFull {
-			t.Fatalf("successor's first save: seq %d kind %v err %v, want a full at seq %d", res.Seq, res.Kind, err, nextSeq(refs))
+		if want := mustNextSeq(t, refs); err != nil || res.Seq != want || res.Kind != KindFull {
+			t.Fatalf("successor's first save: seq %d kind %v err %v, want a full at seq %d", res.Seq, res.Kind, err, want)
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -470,7 +563,7 @@ func TestScannersAgree(t *testing.T) {
 		}
 		// What is left restores, and the collection retention triggered kept
 		// every chunk it needs.
-		if got, report, err := LoadLatestBackend(store, nil); err != nil || !got.Equal(states[5]) || report.Seq != res.Seq {
+		if got, report, err := LoadLatestBackendOptions(store, nil, RestoreOptions{}); err != nil || !got.Equal(states[5]) || report.Seq != res.Seq {
 			t.Errorf("restore after retention: seq %d, err %v", report.Seq, err)
 		}
 	})

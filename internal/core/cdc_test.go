@@ -98,7 +98,7 @@ func TestCDCShiftResilience(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every save must stay bitwise-restorable whatever the chunker.
-		got, _, err := LoadLatestBackend(mem, nil)
+		got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestCDCIncrementalMatchesFullIngest(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatestBackend(mem, nil)
+		got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestCDCAnchorLineageMatchesFullIngest(t *testing.T) {
 			if res.Kind == KindFull {
 				anchorClean = append(anchorClean, m.Stats().CleanChunks-before)
 			}
-			got, _, err := LoadLatestBackend(mem, nil)
+			got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +341,7 @@ func TestCDCMixedManifestHistory(t *testing.T) {
 	if ok, problems, err := VerifyBackend(mem); err != nil || len(problems) != 0 || ok != 4 {
 		t.Fatalf("verify mixed history: ok=%d problems=%v err=%v", ok, problems, err)
 	}
-	got, _, err := LoadLatestBackend(mem, nil)
+	got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

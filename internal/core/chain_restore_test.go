@@ -42,7 +42,7 @@ const (
 	layoutMonolithic = iota // KindDelta: the body is one piece
 	layoutFixed             // CHUNKS2: fixed-size self-framed chunks
 	layoutCDC               // CHUNKS3: content-defined self-framed chunks
-	layoutLegacy            // CHUNKS1: fixed-size bare-flate chunks
+	layoutLegacy            // CHUNKS1: a manifest magic no reader knows any more
 	layoutCount
 )
 
@@ -81,9 +81,6 @@ func putDeltaSnapshot(t testing.TB, b storage.Backend, delta []byte, layout, pie
 		var addrs []string
 		for _, piece := range pieces {
 			frame, err := appendChunkFrame(nil, piece)
-			if layout == layoutLegacy {
-				frame, err = compress(piece)
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,11 +95,11 @@ func putDeltaSnapshot(t testing.TB, b storage.Backend, delta []byte, layout, pie
 		}
 		switch layout {
 		case layoutFixed:
-			body = encodeChunkManifest(len(delta), addrs)
+			body = appendChunkManifest(nil, len(delta), cdcParams{}, addrs)
 		case layoutCDC:
-			body = appendChunkManifestCDC(nil, len(delta), p, addrs)
+			body = appendChunkManifest(nil, len(delta), p, addrs)
 		case layoutLegacy:
-			body = bytes.Replace(encodeChunkManifest(len(delta), addrs), []byte(chunkManifestMagic), []byte(chunkManifestMagicV1), 1)
+			body = legacyManifest(appendChunkManifest(nil, len(delta), cdcParams{}, addrs))
 		}
 	}
 	data, err := EncodeSnapshotFile(h, body)
@@ -122,7 +119,8 @@ func putDeltaSnapshot(t testing.TB, b storage.Backend, delta []byte, layout, pie
 // and shrunk tails, every body layout, chunk sizes small enough that the
 // 16-byte header spans pieces, and payload buffers with dirty spare
 // capacity. A delta whose header the reference rejects must be rejected
-// with the payload untouched.
+// with the payload untouched, and so must any delta behind a CHUNKS1
+// manifest.
 func FuzzDeltaApplyInPlace(f *testing.F) {
 	f.Add(uint64(1), uint16(4096), uint16(4096), uint8(1), uint8(layoutFixed), uint8(64), uint8(mangleNone))
 	f.Add(uint64(2), uint16(3000), uint16(5000), uint8(255), uint8(layoutCDC), uint8(16), uint8(mangleNone))
@@ -177,6 +175,10 @@ func FuzzDeltaApplyInPlace(f *testing.F) {
 		got, err := v.applyLink(key, payload)
 
 		switch {
+		case layout == layoutLegacy:
+			if !errors.Is(err, ErrCorrupt) || !bytes.Equal(payload, base) {
+				t.Fatalf("CHUNKS1 manifest: err = %v, want ErrCorrupt and the payload untouched", err)
+			}
 		case dropTail:
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("manifest missing its last chunk: err = %v, want ErrCorrupt", err)
@@ -363,7 +365,7 @@ func TestVerifyBackendBranchingChain(t *testing.T) {
 	if ok, problems, err := VerifyBackend(mem); err != nil || ok != 4 || len(problems) != 0 {
 		t.Fatalf("forked chain: ok=%d problems=%v err=%v", ok, problems, err)
 	}
-	got, report, err := LoadLatestBackend(mem, nil)
+	got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil || report.Seq != 3 || !got.Equal(states[3]) {
 		t.Fatalf("fork tip: seq %d err %v", report.Seq, err)
 	}
@@ -600,14 +602,14 @@ func TestHostileManifestLengthIsSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rawLen := range []int{math.MaxInt, len(info.addrs)*MaxChunkBytes + 1} {
-		hostile, err := EncodeSnapshotFile(h, encodeChunkManifest(rawLen, info.addrs))
+		hostile, err := EncodeSnapshotFile(h, appendChunkManifest(nil, rawLen, cdcParams{}, info.addrs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := mem.Put(newest, hostile); err != nil {
 			t.Fatal(err)
 		}
-		got, report, err := LoadLatestBackend(mem, nil)
+		got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatalf("rawLen %d: %v", rawLen, err)
 		}
@@ -615,7 +617,7 @@ func TestHostileManifestLengthIsSkipped(t *testing.T) {
 			t.Fatalf("rawLen %d: restored seq %d, skipped %v; want fallback to seq 1", rawLen, report.Seq, report.Skipped)
 		}
 	}
-	if _, err := decodeChunkManifest(encodeChunkManifest(len(info.addrs)*MaxChunkBytes, info.addrs)); err != nil {
+	if _, err := decodeChunkManifest(appendChunkManifest(nil, len(info.addrs)*MaxChunkBytes, cdcParams{}, info.addrs)); err != nil {
 		t.Errorf("a manifest of full-size chunks was refused: %v", err)
 	}
 }

@@ -46,9 +46,11 @@ import (
 //
 // The chunks themselves are identical self-framed version-2 frames in
 // both: restore, GC and summarization never need the chunker — they walk
-// the address list the same way whatever cut the boundaries. Version 1
-// manifests — whose chunks are bare flate streams — are still read, so
-// histories written before the framing change stay recoverable.
+// the address list the same way whatever cut the boundaries. These are the
+// two formats with a writer and the only two read: a QCKPT-CHUNKS1
+// manifest (bare-flate chunks, written only by PRs 1–3) is an unknown
+// magic like any other — ErrCorrupt, skipped by recovery, named by
+// VerifyBackend.
 
 // ChunkPrefix is the key namespace inside a Manager's backend that holds
 // the content-addressed chunks of chunked snapshots.
@@ -74,7 +76,6 @@ const (
 
 const (
 	chunkManifestMagic   = "QCKPT-CHUNKS2"
-	chunkManifestMagicV1 = "QCKPT-CHUNKS1"
 	chunkManifestMagicV3 = "QCKPT-CHUNKS3"
 )
 
@@ -166,19 +167,30 @@ func decodeChunkFrame(frame []byte) ([]byte, error) {
 	return nil, fmt.Errorf("%w: unknown chunk frame flag %#x", ErrCorrupt, frame[0])
 }
 
-// encodeChunkManifest renders the manifest body for a fixed-boundary
-// chunked snapshot.
-func encodeChunkManifest(rawLen int, addrs []string) []byte {
-	return appendChunkManifest(make([]byte, 0, len(chunkManifestMagic)+16+65*len(addrs)), rawLen, addrs)
-}
-
-// appendChunkManifest is the append-style form the save path runs on
-// pooled scratch.
-func appendChunkManifest(dst []byte, rawLen int, addrs []string) []byte {
-	dst = append(dst, chunkManifestMagic...)
+// appendChunkManifest appends a manifest body to dst (the save path runs
+// it on pooled scratch). The zero cdcParams — fixed-size boundaries —
+// writes CHUNKS2; anything else writes CHUNKS3, the same body plus the
+// chunker parameter line that makes content-defined boundaries
+// reproducible anywhere.
+func appendChunkManifest(dst []byte, rawLen int, p cdcParams, addrs []string) []byte {
+	cdc, magic := p != (cdcParams{}), chunkManifestMagic
+	if cdc {
+		magic = chunkManifestMagicV3
+	}
+	dst = append(dst, magic...)
 	dst = append(dst, '\n')
 	dst = strconv.AppendInt(dst, int64(rawLen), 10)
 	dst = append(dst, '\n')
+	if cdc {
+		dst = append(dst, cdcGearID...)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(p.minSize), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(p.normSize), 10)
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(p.maxSize), 10)
+		dst = append(dst, '\n')
+	}
 	for _, a := range addrs {
 		dst = append(dst, a...)
 		dst = append(dst, '\n')
@@ -186,43 +198,19 @@ func appendChunkManifest(dst []byte, rawLen int, addrs []string) []byte {
 	return dst
 }
 
-// appendChunkManifestCDC renders the version-3 manifest: the CHUNKS2 body
-// plus the chunker parameter line that makes the content-defined
-// boundaries reproducible anywhere.
-func appendChunkManifestCDC(dst []byte, rawLen int, p cdcParams, addrs []string) []byte {
-	dst = append(dst, chunkManifestMagicV3...)
-	dst = append(dst, '\n')
-	dst = strconv.AppendInt(dst, int64(rawLen), 10)
-	dst = append(dst, '\n')
-	dst = append(dst, cdcGearID...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(p.minSize), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(p.normSize), 10)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(p.maxSize), 10)
-	dst = append(dst, '\n')
-	for _, a := range addrs {
-		dst = append(dst, a...)
-		dst = append(dst, '\n')
-	}
-	return dst
-}
-
-// chunkManifestInfo is the parsed form of a chunk manifest body of any
-// version. Restore, GC and summarization read only rawLen/addrs/framed —
-// they are format-agnostic because chunks are self-framed; the chunker
-// fields exist for tooling and for verifying chunking compatibility.
+// chunkManifestInfo is the parsed form of a chunk manifest body of either
+// version. Restore, GC and summarization read only rawLen/addrs — they are
+// format-agnostic because chunks are self-framed; the chunker fields exist
+// for tooling and for verifying chunking compatibility.
 type chunkManifestInfo struct {
 	rawLen  int
 	addrs   []string
-	framed  bool      // self-framed v2 chunk frames (false = legacy bare flate)
 	cdc     bool      // content-defined boundaries (CHUNKS3)
 	chunker string    // gear/algorithm ID from the params line (CHUNKS3)
 	params  cdcParams // min/norm/max from the params line (CHUNKS3)
 }
 
-// decodeChunkManifest parses a manifest body of any version.
+// decodeChunkManifest parses a manifest body of either version.
 func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 	var info chunkManifestInfo
 	lines := strings.Split(string(data), "\n")
@@ -231,11 +219,7 @@ func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 	}
 	switch lines[0] {
 	case chunkManifestMagic:
-		info.framed = true
-	case chunkManifestMagicV1:
-		info.framed = false
 	case chunkManifestMagicV3:
-		info.framed = true
 		info.cdc = true
 	default:
 		return info, fmt.Errorf("%w: bad chunk manifest header", ErrCorrupt)
@@ -311,10 +295,9 @@ func splitChunks(body []byte, size int) [][]byte {
 // ChunkManifestSummary describes a chunked snapshot's manifest for
 // inspection tools (qckpt show).
 type ChunkManifestSummary struct {
-	RawLen   int  // body bytes before chunking
-	Chunks   int  // manifest entries, in order
-	Distinct int  // distinct chunk addresses (repeats are stored once)
-	Framed   bool // version-2 self-framed chunks (adaptive raw/flate)
+	RawLen   int // body bytes before chunking
+	Chunks   int // manifest entries, in order
+	Distinct int // distinct chunk addresses (repeats are stored once)
 	// Content-defined chunking (CHUNKS3 manifests). Chunker is the gear
 	// table / algorithm revision ("" for fixed-size boundaries); the sizes
 	// are the recorded min/average/max bounds.
@@ -330,9 +313,7 @@ func SummarizeChunkManifest(manifest []byte) (ChunkManifestSummary, error) {
 		return ChunkManifestSummary{}, err
 	}
 	distinct, _ := distinctAddrs(info.addrs)
-	sum := ChunkManifestSummary{
-		RawLen: info.rawLen, Chunks: len(info.addrs), Distinct: len(distinct), Framed: info.framed,
-	}
+	sum := ChunkManifestSummary{RawLen: info.rawLen, Chunks: len(info.addrs), Distinct: len(distinct)}
 	if info.cdc {
 		sum.Chunker = info.chunker
 		sum.MinSize, sum.AvgSize, sum.MaxSize = info.params.minSize, info.params.normSize, info.params.maxSize

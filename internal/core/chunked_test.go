@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,7 +58,7 @@ func TestManagerChunkedSaveRecoverLocal(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestManagerChunkedAsyncWorkersMemBackend(t *testing.T) {
 	if err := m.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(mem, nil)
+	got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestManagerChunkedCrashFallback(t *testing.T) {
 		if err := os.WriteFile(newest, raw[:len(raw)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, report, err := LoadLatest(dir, nil)
+		got, report, err := loadDir(t, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +166,7 @@ func TestManagerChunkedCrashFallback(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, ChunkPrefix, victim[:2], victim)); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatest(dir, nil)
+		got, _, err := loadDir(t, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +203,7 @@ func TestManagerChunkedCrashFallback(t *testing.T) {
 		if err := os.WriteFile(victim, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatest(dir, nil)
+		got, _, err := loadDir(t, dir, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,11 +299,11 @@ func TestManagerChunkedRetentionCollectsChunks(t *testing.T) {
 		}
 	}
 	// Everything remaining verifies, and the newest state restores.
-	ok, problems, err := VerifyDir(dir)
+	ok, problems, err := VerifyBackend(dirStore(t, dir))
 	if err != nil || len(problems) > 0 {
 		t.Fatalf("verify after retention: ok=%d problems=%v err=%v", ok, problems, err)
 	}
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestManagerChunkedRestartContinues(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +367,7 @@ func TestManagerChunkedTierBackend(t *testing.T) {
 	if st.Modeled == 0 || st.BytesWritten == 0 {
 		t.Errorf("tier did not bill the pipeline: %+v", st)
 	}
-	got, _, err := LoadLatestBackend(tier, nil)
+	got, _, err := LoadLatestBackendOptions(tier, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +381,7 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 		strings.Repeat("ab", 32),
 		strings.Repeat("cd", 32),
 	}
-	m := encodeChunkManifest(12345, addrs)
+	m := appendChunkManifest(nil, 12345, cdcParams{}, addrs)
 	info, err := decodeChunkManifest(m)
 	if err != nil {
 		t.Fatal(err)
@@ -387,24 +389,19 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 	if info.rawLen != 12345 || len(info.addrs) != 2 || info.addrs[0] != addrs[0] || info.addrs[1] != addrs[1] {
 		t.Errorf("round trip: %d %v", info.rawLen, info.addrs)
 	}
-	if !info.framed {
-		t.Errorf("current-version manifest decoded as unframed")
-	}
 	if info.cdc {
 		t.Errorf("fixed-boundary manifest decoded as content-defined")
 	}
-	// Legacy v1 manifests decode with framed=false so their bare-flate
-	// chunks are inflated without frame parsing.
-	v1 := []byte("QCKPT-CHUNKS1\n77\n" + addrs[0] + "\n")
-	info, err = decodeChunkManifest(v1)
-	if err != nil || info.rawLen != 77 || len(info.addrs) != 1 || info.framed {
-		t.Errorf("v1 manifest: %+v err=%v", info, err)
+	// A well-formed CHUNKS1 manifest (bare-flate chunks; only PRs 1–3 wrote
+	// it) is an unknown magic like any other.
+	if _, err := decodeChunkManifest(legacyManifest(m)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("CHUNKS1 manifest: err %v, want ErrCorrupt", err)
 	}
 	// Version 3 manifests carry the chunker parameter line.
 	p := cdcParamsFor(8 << 10)
-	v3 := appendChunkManifestCDC(nil, 999, p, addrs)
+	v3 := appendChunkManifest(nil, 999, p, addrs)
 	info, err = decodeChunkManifest(v3)
-	if err != nil || info.rawLen != 999 || len(info.addrs) != 2 || !info.framed || !info.cdc {
+	if err != nil || info.rawLen != 999 || len(info.addrs) != 2 || !info.cdc {
 		t.Fatalf("v3 manifest: %+v err=%v", info, err)
 	}
 	if info.chunker != cdcGearID || info.params.minSize != p.minSize ||
@@ -414,8 +411,8 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 	for _, bad := range [][]byte{
 		nil,
 		[]byte("garbage"),
-		[]byte("QCKPT-CHUNKS1\n-1\n"),
-		[]byte("QCKPT-CHUNKS1\n10\nshortaddr\n"),
+		[]byte("QCKPT-CHUNKS2\n-1\n"),
+		[]byte("QCKPT-CHUNKS2\n10\nshortaddr\n"),
 		[]byte("QCKPT-CHUNKS3\n10\n"), // missing chunker line
 		[]byte("QCKPT-CHUNKS3\n10\ngear1 2048 8192\n"),       // short chunker line
 		[]byte("QCKPT-CHUNKS3\n10\ngear1 8192 2048 32768\n"), // min > avg
@@ -426,6 +423,41 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 			t.Errorf("decodeChunkManifest(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzDecodeChunkManifest holds the manifest parser — fed by whatever a
+// snapshot object's body inflates to — to its contract: it never panics,
+// it fails only with ErrCorrupt, what it accepts names whole addresses and
+// a body length its chunks could hold (restore preallocates rawLen bytes on
+// the manifest's word), and a CHUNKS1 magic is never accepted.
+func FuzzDecodeChunkManifest(f *testing.F) {
+	addrs := []string{strings.Repeat("ab", 32), strings.Repeat("cd", 32)}
+	v2 := appendChunkManifest(nil, 12345, cdcParams{}, addrs)
+	f.Add(v2)
+	f.Add(appendChunkManifest(nil, 999, cdcParamsFor(8<<10), addrs))
+	f.Add([]byte("QCKPT-CHUNKS1\n77\n"))
+	f.Add(legacyManifest(v2))
+	f.Add(appendChunkManifest(nil, math.MaxInt, cdcParams{}, addrs)) // the hostile rawLen of TestHostileManifestLengthIsSkipped
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, err := decodeChunkManifest(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decodeChunkManifest(%q) failed with %v, want ErrCorrupt", data, err)
+			}
+			return
+		}
+		if bytes.HasPrefix(data, []byte("QCKPT-CHUNKS1")) {
+			t.Fatalf("decodeChunkManifest(%q) accepted a CHUNKS1 manifest", data)
+		}
+		for _, a := range info.addrs {
+			if len(a) != 64 {
+				t.Fatalf("decodeChunkManifest(%q) accepted address %q", data, a)
+			}
+		}
+		if info.rawLen < 0 || int64(info.rawLen) > int64(len(info.addrs))*MaxChunkBytes {
+			t.Fatalf("decodeChunkManifest(%q) accepted %d bytes in %d chunks", data, info.rawLen, len(info.addrs))
+		}
+	})
 }
 
 func TestSplitChunks(t *testing.T) {

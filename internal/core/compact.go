@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/storage"
 )
@@ -21,7 +20,7 @@ import (
 // snapshots are found at whatever level they live, the fresh anchor lands
 // on the hot level, and deletion clears every level's copy.
 func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed int, err error) {
-	state, _, err := LoadLatestBackend(b, nil)
+	state, _, err := LoadLatestBackendOptions(b, nil, RestoreOptions{})
 	if err != nil {
 		return "", 0, err
 	}
@@ -33,9 +32,13 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 	if err != nil {
 		return "", 0, err
 	}
+	seq, err := nextSeq(refs)
+	if err != nil {
+		return "", 0, err
+	}
 	h := Header{
 		Kind:        KindFull,
-		Seq:         nextSeq(refs),
+		Seq:         seq,
 		Step:        state.Step,
 		PayloadHash: PayloadHash(payload),
 	}
@@ -71,18 +74,4 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 		}
 	}
 	return newKey, removed, nil
-}
-
-// Compact runs CompactBackend over a checkpoint directory, returning the
-// new snapshot's file path.
-func Compact(dir string, deleteOld bool) (newPath string, removed int, err error) {
-	b, err := dirBackend(dir)
-	if err != nil {
-		return "", 0, err
-	}
-	newKey, removed, err := CompactBackend(b, deleteOld)
-	if err != nil {
-		return "", removed, err
-	}
-	return filepath.Join(dir, filepath.FromSlash(newKey)), removed, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -17,14 +18,14 @@ func TestCompactKeepOld(t *testing.T) {
 	}
 	m.Close()
 
-	path, removed, err := Compact(dir, false)
+	key, removed, err := CompactBackend(dirStore(t, dir), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed != 0 {
 		t.Errorf("keep mode removed %d files", removed)
 	}
-	h, err := VerifyFile(path)
+	h, err := VerifyFile(filepath.Join(dir, key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestCompactKeepOld(t *testing.T) {
 		t.Errorf("compacted header: %+v", h)
 	}
 	// Recovery now resolves in one read (chain length 1) to the same state.
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestCompactDeleteOld(t *testing.T) {
 	}
 	m.Close()
 
-	_, removed, err := Compact(dir, true)
+	_, removed, err := CompactBackend(dirStore(t, dir), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCompactDeleteOld(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("%d files remain, want 1", len(entries))
 	}
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCompactDeleteOld(t *testing.T) {
 }
 
 func TestCompactEmptyDir(t *testing.T) {
-	if _, _, err := Compact(t.TempDir(), true); !errors.Is(err, ErrNoCheckpoint) {
+	if _, _, err := CompactBackend(dirStore(t, t.TempDir()), true); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("want ErrNoCheckpoint, got %v", err)
 	}
 }
@@ -91,7 +92,7 @@ func TestCompactThenContinue(t *testing.T) {
 		m.Save(s)
 	}
 	m.Close()
-	if _, _, err := Compact(dir, true); err != nil {
+	if _, _, err := CompactBackend(dirStore(t, dir), true); err != nil {
 		t.Fatal(err)
 	}
 	m2, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})

@@ -35,7 +35,11 @@ func ExampleManager() {
 	}
 
 	// A new process recovers from the directory alone.
-	got, report, err := core.LoadLatest(dir, nil)
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	got, report, err := core.LoadLatestBackendOptions(store, nil, core.RestoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func ExampleManager_chunked() {
 		log.Fatal(err)
 	}
 
-	got, _, err := core.LoadLatestBackend(mem, nil)
+	got, _, err := core.LoadLatestBackendOptions(mem, nil, core.RestoreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestRecoveryNeverReturnsWrongState(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		got, _, err := LoadLatest(dir, nil)
+		got, _, err := loadDir(t, dir, nil)
 		if err != nil {
 			t.Fatalf("trial %d: recovery failed entirely: %v", trial, err)
 		}
@@ -112,7 +112,7 @@ func TestRecoverySurvivesTornDirectoryState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -154,7 +153,7 @@ func TestAnchorReusesPreviousAnchorChunks(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatestBackend(b, nil)
+		got, _, err := LoadLatestBackendOptions(b, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +208,7 @@ func TestFailedAnchorCommitLeavesBaseUnadopted(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, report, err := LoadLatestBackend(b, nil)
+	got, report, err := LoadLatestBackendOptions(b, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestRestartFirstAnchorReusesNothing(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(b, nil)
+	got, _, err := LoadLatestBackendOptions(b, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestAnchorReuseSurvivesRetention(t *testing.T) {
 		if _, _, err := m.CollectOrphans(); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatestBackend(b, nil)
+		got, _, err := LoadLatestBackendOptions(b, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatalf("restore after save %d: %v", i, err)
 		}
@@ -341,7 +340,7 @@ func TestIncrementalResaveWritesNoChunkBytes(t *testing.T) {
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(mem, nil)
+	got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +379,7 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 		if err := mgr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatestBackend(mem, nil)
+		got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,57 +436,12 @@ func TestIncrementalAdaptiveRawChunks(t *testing.T) {
 	if stats.RawChunks == 0 {
 		t.Errorf("no raw chunks for incompressible state: %+v", stats)
 	}
-	got, _, err := LoadLatestBackend(mem, nil)
+	got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(st) {
 		t.Errorf("raw-chunk restore not bitwise-identical")
-	}
-}
-
-// TestLegacyChunkManifestReadable writes a version-1 manifest over
-// bare-flate (unframed) chunks — the pre-framing on-disk layout — and
-// checks recovery still restores it bitwise.
-func TestLegacyChunkManifestReadable(t *testing.T) {
-	mem := storage.NewMem()
-	st := bigSeqStates(1)[0]
-	payload, err := EncodePayload(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := storage.NewChunkStore(storage.WithPrefix(mem, ChunkPrefix))
-	manifest := []byte(chunkManifestMagicV1 + "\n")
-	manifest = append(manifest, []byte(strconv.Itoa(len(payload)))...)
-	manifest = append(manifest, '\n')
-	for _, piece := range splitChunks(payload, 1<<10) {
-		comp, err := compress(piece)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := cs.Put(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		manifest = append(manifest, addr...)
-		manifest = append(manifest, '\n')
-	}
-	h := Header{Kind: KindFullChunked, Seq: 0, Step: st.Step, PayloadHash: PayloadHash(payload)}
-	data, err := EncodeSnapshotFile(h, manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Put(snapshotName(0, KindFull), data); err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []RestoreOptions{{}, {Workers: 4}} {
-		got, _, err := LoadLatestBackendOptions(mem, nil, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", opts.Workers, err)
-		}
-		if !got.Equal(st) {
-			t.Errorf("workers=%d: legacy restore not bitwise-identical", opts.Workers)
-		}
 	}
 }
 

@@ -177,8 +177,7 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.
 }
 
 // Migrate runs one lifecycle pass under the manager's policy and save
-// clock, returning what moved. It requires Options.Tiers (or a Tiered
-// backend).
+// clock, returning what moved. It requires a Tiered backend.
 func (m *Manager) Migrate() (MigrationReport, error) {
 	if m.tiered == nil {
 		return MigrationReport{}, errors.New("core: migration requires a tiered backend")

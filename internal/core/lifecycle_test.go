@@ -18,6 +18,16 @@ func memTiers(names ...string) []storage.Level {
 	return levels
 }
 
+// memTiered is the composite backend over memTiers(names...).
+func memTiered(t *testing.T, names ...string) *storage.Tiered {
+	t.Helper()
+	tb, err := storage.NewTiered(memTiers(names...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 // tieredOf unwraps the manager's composite backend.
 func tieredOf(t *testing.T, m *Manager) *storage.Tiered {
 	t.Helper()
@@ -40,7 +50,7 @@ func saveAll(t *testing.T, m *Manager, states []*TrainingState) {
 
 func TestLifecycleDemotesColdChains(t *testing.T) {
 	m, err := NewManager(Options{
-		Tiers:       memTiers("hot", "cold"),
+		Backend:     memTiered(t, "hot", "cold"),
 		Lifecycle:   LifecyclePolicy{KeepHotChains: 1},
 		Strategy:    StrategyDelta,
 		AnchorEvery: 2,
@@ -92,7 +102,7 @@ func TestLifecycleDemotesColdChains(t *testing.T) {
 	}
 
 	// Everything still recovers bitwise through the composite.
-	got, report, err := LoadLatestBackend(tb, nil)
+	got, report, err := LoadLatestBackendOptions(tb, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +206,7 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 	}
 	assertRecoverable := func(when string) {
 		t.Helper()
-		got, _, err := LoadLatestBackend(tb, nil)
+		got, _, err := LoadLatestBackendOptions(tb, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatalf("%s: recovery failed: %v", when, err)
 		}
@@ -236,13 +246,10 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 
 func TestLifecycleOptionValidation(t *testing.T) {
 	if _, err := NewManager(Options{Dir: t.TempDir(), Lifecycle: LifecyclePolicy{KeepHotChains: 1}}); err == nil {
-		t.Errorf("Lifecycle without Tiers accepted")
-	}
-	if _, err := NewManager(Options{Backend: storage.NewMem(), Tiers: memTiers("hot")}); err == nil {
-		t.Errorf("Backend plus Tiers accepted")
+		t.Errorf("Lifecycle without a tiered backend accepted")
 	}
 	if _, err := NewManager(Options{
-		Tiers:     memTiers("hot", "cold"),
+		Backend:   memTiered(t, "hot", "cold"),
 		Lifecycle: LifecyclePolicy{KeepHotChains: 1, Level: "nope"},
 	}); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("unknown lifecycle level accepted (err=%v)", err)
@@ -254,7 +261,7 @@ func TestLifecycleOptionValidation(t *testing.T) {
 // every level, and orphaned chunks are collected across levels.
 func TestCompactBackendTiered(t *testing.T) {
 	m, err := NewManager(Options{
-		Tiers:       memTiers("hot", "cold"),
+		Backend:     memTiered(t, "hot", "cold"),
 		Lifecycle:   LifecyclePolicy{KeepHotChains: 1},
 		Strategy:    StrategyDelta,
 		AnchorEvery: 2,
@@ -294,7 +301,7 @@ func TestCompactBackendTiered(t *testing.T) {
 			t.Errorf("level %d retains %d orphan chunks after compact", i, len(chunks))
 		}
 	}
-	got, _, err := LoadLatestBackend(tb, nil)
+	got, _, err := LoadLatestBackendOptions(tb, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +314,7 @@ func TestCompactBackendTiered(t *testing.T) {
 // snapshot — including demoted chunked ones — into self-contained files.
 func TestArchiveBackendTiered(t *testing.T) {
 	m, err := NewManager(Options{
-		Tiers:       memTiers("hot", "cold"),
+		Backend:     memTiered(t, "hot", "cold"),
 		Lifecycle:   LifecyclePolicy{KeepHotChains: 1},
 		Strategy:    StrategyDelta,
 		AnchorEvery: 2,
@@ -340,7 +347,7 @@ func TestArchiveBackendTiered(t *testing.T) {
 	if restored != 4 {
 		t.Errorf("restored %d snapshots, want 4", restored)
 	}
-	got, _, err := LoadLatest(dest, nil)
+	got, _, err := loadDir(t, dest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,22 +79,19 @@ type Options struct {
 	// older files (and, for chunked snapshots, unreferenced chunks); 0
 	// keeps everything.
 	Retain int
-	// Tiers, when non-empty, persists snapshots through a composite
-	// storage.Tiered backend built over these levels (ordered hot to
-	// cold): saves land on the first level, reads fall through the
-	// hierarchy. Mutually exclusive with Backend.
-	Tiers []storage.Level
 	// Lifecycle demotes anchor chains that leave the hot set (see
-	// LifecyclePolicy) down the tier hierarchy. Requires Tiers (or a
-	// Backend that is a *storage.Tiered). Migration runs on a background
-	// scheduler that paces itself and yields to foreground save traffic;
-	// Close flushes one final synchronous pass.
+	// LifecyclePolicy) down the tier hierarchy. Requires a Backend that is
+	// a *storage.Tiered (storage.NewTiered over the levels, hot to cold:
+	// saves land on the first level, reads fall through the hierarchy).
+	// Migration runs on a background scheduler that paces itself and
+	// yields to foreground save traffic; Close flushes one final
+	// synchronous pass.
 	Lifecycle LifecyclePolicy
 	// Placement maps write classes to tier levels (see
 	// storage.PlacementPolicy): manifests and anchor chunks pinned hot,
 	// delta tails straight to warm, archives cold. The zero value keeps
-	// the classic write-to-hot rule. Requires Tiers (or a Backend that is
-	// a *storage.Tiered).
+	// the classic write-to-hot rule. Requires a Backend that is a
+	// *storage.Tiered.
 	Placement storage.PlacementPolicy
 	// FullIngest disables the incremental dirty-chunk save path: every
 	// chunk is framed, hashed and offered to the chunk store on every
@@ -344,16 +341,6 @@ func NewManager(opt Options) (*Manager, error) {
 		return nil, err
 	}
 	backend := opt.Backend
-	if len(opt.Tiers) > 0 {
-		if backend != nil {
-			return nil, errors.New("core: Backend and Tiers are mutually exclusive")
-		}
-		var err error
-		backend, err = storage.NewTiered(opt.Tiers...)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if backend == nil {
 		if opt.Dir == "" {
 			return nil, errors.New("core: checkpoint directory required")
@@ -376,7 +363,7 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 	m.tiered, _ = backend.(*storage.Tiered)
 	if opt.Lifecycle.enabled() {
 		if m.tiered == nil {
-			return nil, errors.New("core: Lifecycle requires a tiered backend (set Tiers)")
+			return nil, errors.New("core: Lifecycle requires a tiered backend (set Backend to a *storage.Tiered)")
 		}
 		if opt.Lifecycle.Level != "" {
 			if _, err := m.tiered.LevelIndex(opt.Lifecycle.Level); err != nil {
@@ -386,7 +373,7 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 	}
 	if opt.Placement != (storage.PlacementPolicy{}) {
 		if m.tiered == nil {
-			return nil, errors.New("core: Placement requires a tiered backend (set Tiers)")
+			return nil, errors.New("core: Placement requires a tiered backend (set Backend to a *storage.Tiered)")
 		}
 		if err := m.tiered.SetPlacement(opt.Placement); err != nil {
 			return nil, err
@@ -409,7 +396,9 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 	if err != nil {
 		return nil, fmt.Errorf("core: list checkpoints: %w", err)
 	}
-	m.seq = nextSeq(refs)
+	if m.seq, err = nextSeq(refs); err != nil {
+		return nil, err
+	}
 	if opt.Workers > 1 && opt.ChunkBytes > 0 {
 		m.tasks = make(chan func())
 		for i := 0; i < opt.Workers; i++ {
@@ -737,12 +726,7 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	// the chunk workers above.
 	h.PayloadHash = job.hash.get()
 	msp := getScratch()
-	var manifest []byte
-	if cdc {
-		manifest = appendChunkManifestCDC((*msp)[:0], len(body), params, addrs)
-	} else {
-		manifest = appendChunkManifest((*msp)[:0], len(body), addrs)
-	}
+	manifest := appendChunkManifest((*msp)[:0], len(body), params, addrs) // zero params unless cdc
 	fsp := getScratch()
 	data, err := appendSnapshotFile((*fsp)[:0], h, manifest)
 	fileBytes := len(data)
@@ -1084,8 +1068,8 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 
 // Backend returns the backend snapshots are persisted to. For a manager
 // opened through a Service this is the job's view of the shared store, so
-// recovery entry points (LoadLatestBackend and friends) work against it
-// directly.
+// recovery entry points (LoadLatestBackendOptions and friends) work
+// against it directly.
 func (m *Manager) Backend() storage.Backend { return m.backend }
 
 // isClosed reports whether Close has RUN TO COMPLETION — pipeline

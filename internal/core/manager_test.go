@@ -7,7 +7,25 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/storage"
 )
+
+// dirStore opens a checkpoint directory as the backend the entry points take.
+func dirStore(t testing.TB, dir string) storage.Backend {
+	t.Helper()
+	b, err := DirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// loadDir restores the newest usable snapshot in a checkpoint directory.
+func loadDir(t testing.TB, dir string, live *Meta) (*TrainingState, LoadReport, error) {
+	t.Helper()
+	return LoadLatestBackendOptions(dirStore(t, dir), live, RestoreOptions{})
+}
 
 // seqStates yields n states that evolve like a training run: params drift,
 // loss history grows, step advances.
@@ -47,7 +65,7 @@ func TestManagerSaveLoadFull(t *testing.T) {
 			t.Errorf("no bytes reported")
 		}
 	}
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +101,7 @@ func TestManagerDeltaChainRestores(t *testing.T) {
 			t.Errorf("snapshot %d kind = %v, want %v", i, kinds[i], want[i])
 		}
 	}
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +162,7 @@ func TestManagerRecoversFromCorruptNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +193,7 @@ func TestManagerRecoversFromBrokenChain(t *testing.T) {
 	if err := os.Remove(paths[3]); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +203,7 @@ func TestManagerRecoversFromBrokenChain(t *testing.T) {
 }
 
 func TestManagerEmptyDir(t *testing.T) {
-	if _, _, err := LoadLatest(t.TempDir(), nil); !errors.Is(err, ErrNoCheckpoint) {
+	if _, _, err := loadDir(t, t.TempDir(), nil); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("want ErrNoCheckpoint, got %v", err)
 	}
 }
@@ -201,12 +219,12 @@ func TestManagerMetaValidationOnLoad(t *testing.T) {
 
 	wrong := s.Meta
 	wrong.CircuitFP = "a-different-ansatz"
-	if _, _, err := LoadLatest(dir, &wrong); !errors.Is(err, ErrNoCheckpoint) {
+	if _, _, err := loadDir(t, dir, &wrong); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("incompatible snapshot restored: %v", err)
 	}
 	// Matching meta loads fine.
 	live := s.Meta
-	if _, _, err := LoadLatest(dir, &live); err != nil {
+	if _, _, err := loadDir(t, dir, &live); err != nil {
 		t.Errorf("compatible snapshot rejected: %v", err)
 	}
 }
@@ -233,7 +251,7 @@ func TestManagerRetention(t *testing.T) {
 		t.Fatalf("retention kept %d files: %v", len(names), names)
 	}
 	// Latest still restores.
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +279,7 @@ func TestManagerAsync(t *testing.T) {
 	if err := m.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +314,7 @@ func TestManagerAsyncStateMutationSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,24 +369,24 @@ func TestVerifyFileAndDir(t *testing.T) {
 			t.Errorf("verify %s: %v", filepath.Base(p), err)
 		}
 	}
-	ok, problems, err := VerifyDir(dir)
+	ok, problems, err := VerifyBackend(dirStore(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok != 5 || len(problems) != 0 {
-		t.Errorf("VerifyDir: ok=%d problems=%v", ok, problems)
+		t.Errorf("VerifyBackend: ok=%d problems=%v", ok, problems)
 	}
 
-	// Corrupt one file: VerifyDir reports it, VerifyFile fails.
+	// Corrupt one file: VerifyBackend reports it, VerifyFile fails.
 	raw, _ := os.ReadFile(paths[2])
 	raw[len(raw)-5] ^= 1
 	os.WriteFile(paths[2], raw, 0o644)
 	if _, err := VerifyFile(paths[2]); err == nil {
 		t.Errorf("corrupt file verified")
 	}
-	_, problems, _ = VerifyDir(dir)
+	_, problems, _ = VerifyBackend(dirStore(t, dir))
 	if len(problems) == 0 {
-		t.Errorf("VerifyDir missed corruption")
+		t.Errorf("VerifyBackend missed corruption")
 	}
 }
 
@@ -379,7 +397,7 @@ func TestListSnapshots(t *testing.T) {
 		m.Save(s)
 	}
 	m.Close()
-	hs, skipped, err := ListSnapshots(dir)
+	hs, skipped, err := ListSnapshotsBackend(dirStore(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +418,7 @@ func TestForeignFilesIgnored(t *testing.T) {
 	s := sampleState()
 	m.Save(s)
 	m.Close()
-	got, _, err := LoadLatest(dir, nil)
+	got, _, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestStandaloneJobViewManagerKeepsForeignTenants(t *testing.T) {
 		}
 	}
 	// Its own chunks are of course also alive.
-	restored, _, err := LoadLatestBackend(view, nil)
+	restored, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

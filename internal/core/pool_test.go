@@ -226,7 +226,7 @@ func TestConcurrentSavesNoCrossAliasing(t *testing.T) {
 		}
 	}
 	for g := 0; g < runs; g++ {
-		got, _, err := LoadLatestBackend(backends[g], nil)
+		got, _, err := LoadLatestBackendOptions(backends[g], nil, RestoreOptions{})
 		if err != nil {
 			t.Fatalf("run %d: %v", g, err)
 		}

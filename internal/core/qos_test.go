@@ -52,7 +52,7 @@ func TestServiceQuotaRejectsSave(t *testing.T) {
 		t.Errorf("usage after rejection: %+v", u)
 	}
 	// The store itself stays recoverable: what was admitted restores.
-	if _, _, err := LoadLatestBackend(m.Backend(), nil); err != nil {
+	if _, _, err := LoadLatestBackendOptions(m.Backend(), nil, RestoreOptions{}); err != nil {
 		t.Fatalf("restore after quota rejection: %v", err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/storage"
 )
 
-// ErrNoCheckpoint is returned by LoadLatest when the directory contains no
-// usable snapshot.
+// ErrNoCheckpoint is returned by LoadLatestBackendOptions when the backend
+// holds no usable snapshot.
 var ErrNoCheckpoint = errors.New("core: no usable checkpoint found")
 
 // LoadReport describes a recovery: which snapshot was restored, how long
@@ -266,30 +266,25 @@ func (v *snapshotView) resolvePayload(ent indexEntry, byPayloadHash map[[32]byte
 	return payload, len(chain), nil
 }
 
-// dirBackend opens dir as a local backend for the dir-based entry points,
-// refusing to create the directory as a side effect of a read.
-func dirBackend(dir string) (storage.Backend, error) {
+// DirBackend opens an existing checkpoint directory as the local backend
+// every entry point takes, refusing to create the directory as a side
+// effect of a read.
+func DirBackend(dir string) (storage.Backend, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("core: read checkpoint dir: %w", err)
 	}
 	return storage.NewLocal(dir)
 }
 
-// LoadLatestBackend restores the newest valid snapshot stored in b,
+// LoadLatestBackendOptions restores the newest valid snapshot stored in b,
 // falling back to older snapshots when the newest is corrupt or its chain
 // is broken. If live is non-nil, snapshots whose Meta is incompatible with
 // *live are skipped (with an error recorded) rather than restored into the
-// wrong run. The report's Path is the backend key. Restore runs one chunk
-// worker and no chain prefetch; LoadLatestBackendOptions sizes the engine.
-func LoadLatestBackend(b storage.Backend, live *Meta) (*TrainingState, LoadReport, error) {
-	return LoadLatestBackendOptions(b, live, RestoreOptions{})
-}
-
-// LoadLatestBackendOptions is LoadLatestBackend with restore-engine
-// options: chunked bodies are assembled by opts.Workers concurrent
-// fetch+decompress workers and delta chains prefetch their next link
-// while the current one applies. The recovered state is bitwise-identical
-// under every worker count.
+// wrong run. The report's Path is the backend key. The zero opts run one
+// chunk worker and no chain prefetch; otherwise chunked bodies are
+// assembled by opts.Workers concurrent fetch+decompress workers and delta
+// chains prefetch their next link while the current one applies. The
+// recovered state is bitwise-identical under every worker count.
 func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
 	v := newSnapshotView(b, opts)
 	start := time.Now()
@@ -337,26 +332,6 @@ func (v *snapshotView) restore(ent indexEntry, byHash map[[32]byte]indexEntry, l
 	return state, chainLen, nil
 }
 
-// LoadLatest restores the newest valid snapshot in dir (see
-// LoadLatestBackend). The report's Path is the snapshot's file path.
-func LoadLatest(dir string, live *Meta) (*TrainingState, LoadReport, error) {
-	return LoadLatestOptions(dir, live, RestoreOptions{})
-}
-
-// LoadLatestOptions restores the newest valid snapshot in dir through the
-// restore engine configured by opts (see LoadLatestBackendOptions).
-func LoadLatestOptions(dir string, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
-	b, err := dirBackend(dir)
-	if err != nil {
-		return nil, LoadReport{}, err
-	}
-	state, report, err := LoadLatestBackendOptions(b, live, opts)
-	if report.Path != "" {
-		report.Path = filepath.Join(dir, filepath.FromSlash(report.Path))
-	}
-	return state, report, err
-}
-
 // ReadSnapshotBody loads one snapshot file and resolves its body — the
 // canonical payload for full snapshots, the delta bytes for deltas —
 // assembling chunked bodies through the chunk store next to the file
@@ -371,7 +346,7 @@ func ReadSnapshotBody(filePath string) (Header, []byte, error) {
 		return h, nil, err
 	}
 	if h.Kind.Chunked() {
-		b, berr := dirBackend(filepath.Dir(filePath))
+		b, berr := DirBackend(filepath.Dir(filePath))
 		if berr != nil {
 			return h, nil, berr
 		}
@@ -387,7 +362,7 @@ func ReadSnapshotBody(filePath string) (Header, []byte, error) {
 // decompression, and — for full snapshots — payload hash and decodability.
 // Chunked snapshots are resolved through the chunk store next to the file
 // (<dir>/chunks). Delta bodies are verified up to their own bytes; chain
-// application requires the base (use VerifyDir for that).
+// application requires the base (use VerifyBackend for that).
 func VerifyFile(filePath string) (Header, error) {
 	h, body, err := ReadSnapshotBody(filePath)
 	if err != nil {
@@ -523,15 +498,6 @@ func (w *chainVerifier) link(ent indexEntry, payload []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// VerifyDir verifies every snapshot in dir (see VerifyBackend).
-func VerifyDir(dir string) (ok int, problems []string, err error) {
-	b, err := dirBackend(dir)
-	if err != nil {
-		return 0, nil, err
-	}
-	return VerifyBackend(b)
-}
-
 // ListSnapshotsBackend returns headers of all parseable snapshots in b,
 // newest first.
 func ListSnapshotsBackend(b storage.Backend) ([]Header, []string, error) {
@@ -544,14 +510,4 @@ func ListSnapshotsBackend(b storage.Backend) ([]Header, []string, error) {
 		hs[i] = e.h
 	}
 	return hs, skipped, nil
-}
-
-// ListSnapshots returns headers of all parseable snapshots in dir, newest
-// first.
-func ListSnapshots(dir string) ([]Header, []string, error) {
-	b, err := dirBackend(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ListSnapshotsBackend(b)
 }

@@ -80,7 +80,7 @@ func TestServiceGCOverReplicatedQuorumManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(view, nil)
+	got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

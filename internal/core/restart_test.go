@@ -48,7 +48,7 @@ func TestManagerRestartContinuesSequence(t *testing.T) {
 	if len(entries) != 5 {
 		t.Fatalf("%d files on disk, want 5", len(entries))
 	}
-	got, report, err := LoadLatest(dir, nil)
+	got, report, err := loadDir(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestManagerRestartContinuesSequence(t *testing.T) {
 	}
 
 	// The pre-crash chain remains fully recoverable too.
-	ok, problems, err := VerifyDir(dir)
+	ok, problems, err := VerifyBackend(dirStore(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok != 5 || len(problems) != 0 {
-		t.Errorf("VerifyDir after restart: ok=%d problems=%v", ok, problems)
+		t.Errorf("VerifyBackend after restart: ok=%d problems=%v", ok, problems)
 	}
 }

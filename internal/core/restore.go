@@ -85,21 +85,16 @@ func (o RestoreOptions) window() int {
 }
 
 // fetchChunk is the unit of restore work: one content-verified chunk read
-// plus its unframing (raw pass-through or exact-size decompression; bare
-// flate for legacy unframed chunks). Both failure modes wrap ErrCorrupt
-// so recovery falls back to an older snapshot instead of treating the
-// directory as unreadable. frameLen is what the store hashed to check the
-// address.
-func fetchChunk(cs *storage.ChunkStore, addr string, framed bool) (piece []byte, frameLen int, err error) {
+// plus its unframing (raw pass-through or exact-size decompression). Both
+// failure modes wrap ErrCorrupt so recovery falls back to an older
+// snapshot instead of treating the directory as unreadable. frameLen is
+// what the store hashed to check the address.
+func fetchChunk(cs *storage.ChunkStore, addr string) (piece []byte, frameLen int, err error) {
 	frame, err := cs.Get(addr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: chunk %.12s…: %v", ErrCorrupt, addr, err)
 	}
-	if framed {
-		piece, err = decodeChunkFrame(frame)
-	} else {
-		piece, err = decompress(frame)
-	}
+	piece, err = decodeChunkFrame(frame)
 	return piece, len(frame), err
 }
 
@@ -170,7 +165,7 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 	)
 	fetch := func(d int) {
 		s := &slots[d]
-		s.piece, s.frameLen, s.err = fetchChunk(cs, distinct[d], info.framed)
+		s.piece, s.frameLen, s.err = fetchChunk(cs, distinct[d])
 	}
 
 	helpers := min(opt.workers()-1, n/helperMinChunks)

@@ -30,7 +30,7 @@ func buildChunkedBody(t *testing.T, cs *storage.ChunkStore, body []byte, chunkBy
 		}
 		addrs[i] = addr
 	}
-	return encodeChunkManifest(len(body), addrs)
+	return appendChunkManifest(nil, len(body), cdcParams{}, addrs)
 }
 
 // assembleWith assembles manifest's body from cs the way recovery does,
@@ -231,7 +231,11 @@ func TestLoadLatestParallelMatchesSerial(t *testing.T) {
 		{Name: "hot", Backend: storage.NewMem()},
 		{Name: "cold", Backend: storage.NewMem()},
 	}
-	mgr, err := NewManager(chunkedOpts(Options{Tiers: levels, Strategy: StrategyDelta, AnchorEvery: 4}))
+	tiered, err := storage.NewTiered(levels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(chunkedOpts(Options{Backend: tiered, Strategy: StrategyDelta, AnchorEvery: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,6 @@ func TestLoadLatestParallelMatchesSerial(t *testing.T) {
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tiered := mgr.Backend().(*storage.Tiered)
 	keys, err := tiered.List("")
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +347,7 @@ func TestGCDoesNotCollectInFlightChunks(t *testing.T) {
 	if err := m.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(mem, nil)
+	got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatalf("restore after GC-interleaved save: %v", err)
 	}

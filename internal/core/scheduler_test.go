@@ -20,7 +20,7 @@ func compressScheduler(t *testing.T) {
 func TestBackgroundMigrationRunsBeforeClose(t *testing.T) {
 	compressScheduler(t)
 	m, err := NewManager(Options{
-		Tiers:       memTiers("hot", "cold"),
+		Backend:     memTiered(t, "hot", "cold"),
 		Lifecycle:   LifecyclePolicy{KeepHotChains: 1},
 		Strategy:    StrategyDelta,
 		AnchorEvery: 2,
@@ -38,7 +38,7 @@ func TestBackgroundMigrationRunsBeforeClose(t *testing.T) {
 		t.Fatal("background migrator never ran a pass before Close")
 	}
 	// Reads work mid-migration and after: the chain restores bitwise.
-	st, _, err := LoadLatestBackend(m.Backend(), nil)
+	st, _, err := LoadLatestBackendOptions(m.Backend(), nil, RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBackgroundMigrationRunsBeforeClose(t *testing.T) {
 func TestSchedulerStopsCleanly(t *testing.T) {
 	compressScheduler(t)
 	m, err := NewManager(Options{
-		Tiers:     memTiers("hot", "cold"),
+		Backend:   memTiered(t, "hot", "cold"),
 		Lifecycle: LifecyclePolicy{KeepHotChains: 1},
 	})
 	if err != nil {

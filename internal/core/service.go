@@ -111,7 +111,7 @@ func jobKeyPrefix(id string) string { return JobPrefix + "/" + id }
 // async pipeline, retention — except that chunked saves dedup against
 // every tenant's chunks and GC honors every tenant's references.
 //
-// opt.Backend, opt.Dir, opt.Tiers and opt.Lifecycle must be unset: where
+// opt.Backend, opt.Dir and opt.Lifecycle must be unset: where
 // the data lives (and how it migrates) is decided by the service, not per
 // job. A job can be open at most once per Service at a time — two live
 // managers on one namespace would race the snapshot sequence — but may be
@@ -120,8 +120,8 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if err := validateJobID(jobID); err != nil {
 		return nil, err
 	}
-	if opt.Backend != nil || opt.Dir != "" || len(opt.Tiers) > 0 {
-		return nil, errors.New("core: job Options must not set Backend, Dir or Tiers (the service owns placement)")
+	if opt.Backend != nil || opt.Dir != "" {
+		return nil, errors.New("core: job Options must not set Backend or Dir (the service owns placement)")
 	}
 	if opt.Lifecycle.enabled() {
 		return nil, errors.New("core: per-job Lifecycle is not supported; tier the service backend instead")
@@ -179,9 +179,9 @@ func jobIDs(b storage.Backend) ([]string, error) {
 
 // JobView returns a read view of one job scoped like its Manager's
 // backend: snapshot keys under jobs/<id>/, the shared chunk namespace at
-// the store root. Every core read path (LoadLatestBackend, VerifyBackend,
-// ListSnapshotsBackend) works unchanged against it, so a job can be
-// inspected or restored without opening a Manager.
+// the store root. Every core read path (LoadLatestBackendOptions,
+// VerifyBackend, ListSnapshotsBackend) works unchanged against it, so a
+// job can be inspected or restored without opening a Manager.
 func (s *Service) JobView(jobID string) (storage.Backend, error) {
 	return JobBackend(s.backend, jobID)
 }

@@ -77,7 +77,7 @@ func TestServiceCrossJobDedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatestBackend(view, nil)
+		got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatalf("restore %s: %v", id, err)
 		}
@@ -131,7 +131,7 @@ func TestServiceJobNamespaceIsolation(t *testing.T) {
 		if len(headers) != 5 {
 			t.Errorf("job %s: sees %d snapshots, want its own 5", id, len(headers))
 		}
-		got, _, err := LoadLatestBackend(view, nil)
+		got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestServiceGCKeepsCrossJobReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(view, nil)
+	got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatalf("survivor restore after cross-job GC: %v", err)
 	}
@@ -313,7 +313,7 @@ func TestServiceCrossJobGCSaveRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(view, nil)
+	got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatalf("restore after GC-interleaved cross-job save: %v", err)
 	}
@@ -327,31 +327,6 @@ func TestServiceCrossJobGCSaveRace(t *testing.T) {
 	if pinned := frozen.pinnedChunks(); len(pinned) != 0 {
 		t.Errorf("%d chunk pin(s) leaked past the manifest commit", len(pinned))
 	}
-}
-
-// vanishingBackend deletes a chosen key the moment it is listed,
-// simulating another job's retention racing the fleet-wide keep-set
-// scan between its List and its manifest reads.
-type vanishingBackend struct {
-	storage.Backend
-	victim string
-}
-
-func (v *vanishingBackend) List(prefix string) ([]string, error) {
-	keys, err := v.Backend.List(prefix)
-	// Fire only on the manifest scan's own List (the one whose results are
-	// read back), not the earlier job-discovery List("jobs/"), so the scan
-	// really does read a key it just listed.
-	if err == nil && v.victim != "" && strings.Contains(prefix, snapshotKeyPrefix) {
-		for _, k := range keys {
-			if k == v.victim {
-				v.Backend.Delete(v.victim)
-				v.victim = ""
-				break
-			}
-		}
-	}
-	return keys, nil
 }
 
 // TestCollectOrphansToleratesConcurrentManifestDelete pins the race fix:
@@ -382,8 +357,16 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 		t.Fatalf("keys=%v err=%v", keys, err)
 	}
 	// Re-open the service over a backend that deletes the oldest manifest
-	// as soon as the scan lists it.
-	raceSvc, err := NewService(ServiceOptions{Backend: &vanishingBackend{Backend: mem, victim: keys[0]}})
+	// as soon as the scan lists it: another job's retention racing the
+	// fleet-wide keep-set scan between its List and its manifest reads. Only
+	// the scan's own List of the job's manifests fires it, not the earlier
+	// root scan or job-discovery List("jobs/"), so the scan really does read
+	// a key it just listed.
+	raceSvc, err := NewService(ServiceOptions{Backend: &hookedBackend{Backend: mem, listed: func(prefix string) {
+		if prefix == JobPrefix+"/racer/"+snapshotKeyPrefix {
+			mem.Delete(keys[0])
+		}
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +377,7 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(view, nil)
+	got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatalf("restore after racing collection: %v", err)
 	}
@@ -481,7 +464,7 @@ func TestServiceConcurrentJobsStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := LoadLatestBackend(view, nil)
+		got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 		if err != nil {
 			t.Fatalf("job %d restore: %v", j, err)
 		}
@@ -542,7 +525,7 @@ func TestStandaloneManagerGCSparesTenantChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadLatestBackend(view, nil)
+	got, _, err := LoadLatestBackendOptions(view, nil, RestoreOptions{})
 	if err != nil {
 		t.Fatalf("tenant restore after standalone GC: %v", err)
 	}

@@ -114,18 +114,6 @@ var ErrCorrupt = errors.New("core: snapshot corrupt")
 // compress well at any level.
 const CompressionLevel = flate.BestSpeed
 
-// compress flate-compresses data through the pooled writer (pool.go).
-func compress(data []byte) ([]byte, error) {
-	return compressAppend(make([]byte, 0, len(data)/2+64), data)
-}
-
-// decompress inflates a body of unknown raw size; callers that know the
-// raw length (chunk frames, manifests' rawLen) use DecompressBody with a
-// hint for exact preallocation.
-func decompress(data []byte) ([]byte, error) {
-	return DecompressBody(data, -1)
-}
-
 // EncodeSnapshotFile builds the on-disk byte image of a snapshot. For
 // KindFull, body is the canonical payload; for KindDelta, body is the delta
 // bytes and payloadHash must be the hash of the payload the delta
@@ -177,7 +165,7 @@ func DecodeSnapshotFile(data []byte) (Header, []byte, error) {
 	if uint64(len(body)) != h.BodyLen {
 		return h, nil, fmt.Errorf("%w: body length %d, header says %d", ErrCorrupt, len(body), h.BodyLen)
 	}
-	raw, err := decompress(body)
+	raw, err := DecompressBody(body, -1) // a snapshot body records no raw size
 	if err != nil {
 		return h, nil, err
 	}

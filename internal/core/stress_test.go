@@ -56,7 +56,7 @@ func TestManagerRandomizedCrashRecovery(t *testing.T) {
 			case 6, 7: // crash + recover
 				m.Close()
 				if haveSaves {
-					got, _, err := LoadLatest(dir, nil)
+					got, _, err := loadDir(t, dir, nil)
 					if err != nil {
 						t.Fatalf("op %d: recovery failed: %v", op, err)
 					}
@@ -102,7 +102,7 @@ func TestManagerRandomizedCrashRecovery(t *testing.T) {
 		}
 		m.Close()
 		if haveSaves {
-			got, _, err := LoadLatest(dir, nil)
+			got, _, err := loadDir(t, dir, nil)
 			if err != nil {
 				t.Fatalf("final recovery failed: %v", err)
 			}

@@ -62,9 +62,13 @@ func RunA1AnchorSweep(steps int, anchors []int) ([]A1Row, error) {
 		var recTotal time.Duration
 		var chain int
 		live := cfg.Meta()
+		store, err := core.DirBackend(dir)
+		if err != nil {
+			return nil, err
+		}
 		for i := 0; i < loads; i++ {
 			start := time.Now()
-			_, report, err := core.LoadLatest(dir, &live)
+			_, report, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
 			recTotal += time.Since(start)
 			if err != nil {
 				return nil, err

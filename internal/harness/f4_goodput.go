@@ -140,7 +140,11 @@ func runF4One(baseCfg train.Config, strat f4Strategy, mtbf time.Duration, stepsT
 		}
 		if strat.checkpoint && attempt > 0 {
 			live := runCfg.Meta()
-			if st, _, lerr := core.LoadLatest(dir, &live); lerr == nil {
+			store, err := core.DirBackend(dir)
+			if err != nil {
+				return row, err
+			}
+			if st, _, lerr := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{}); lerr == nil {
 				if rerr := tr.Restore(st); rerr != nil {
 					return row, rerr
 				}

@@ -235,7 +235,7 @@ func t10Run(mode string, quiet, steps int) (T10Row, error) {
 		if err != nil {
 			return err
 		}
-		got, _, err := core.LoadLatestBackend(view, nil)
+		got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{})
 		if err != nil {
 			return fmt.Errorf("%s restore: %w", jobID, err)
 		}

@@ -161,7 +161,7 @@ func t11RunOne(workload string, chunker core.Chunker, blobs [][]byte) (T11Row, e
 	if err := mgr.Close(); err != nil {
 		return T11Row{}, err
 	}
-	got, _, err := core.LoadLatestBackend(mem, nil)
+	got, _, err := core.LoadLatestBackendOptions(mem, nil, core.RestoreOptions{})
 	if err != nil {
 		return T11Row{}, fmt.Errorf("local restore: %w", err)
 	}
@@ -211,7 +211,7 @@ func t11RemotePass(chunker core.Chunker, blobs [][]byte) (int64, bool, error) {
 		return 0, false, err
 	}
 	defer svc.Close()
-	local := api.NewLocal(svc, api.NewLeases(0))
+	local := api.NewLocalOptions(svc, api.NewLeases(0), api.LocalOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, false, err
@@ -253,7 +253,7 @@ func t11RemotePass(chunker core.Chunker, blobs [][]byte) (int64, bool, error) {
 		return 0, false, err
 	}
 	wireSteady := client.ClientStats().BytesSent - afterFirst
-	got, _, err := core.LoadLatestBackend(view, nil)
+	got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{})
 	if err != nil {
 		return 0, false, fmt.Errorf("remote restore: %w", err)
 	}

@@ -400,7 +400,7 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 	okRestores := 0
 	for i := range reps {
 		reps[i].setDead(true)
-		got, _, err := core.LoadLatestBackend(view, nil)
+		got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{})
 		reps[i].setDead(false)
 		if err != nil {
 			return T12Row{}, fmt.Errorf("restore with replica %d dead: %w", i, err)
@@ -422,7 +422,7 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 		return T12Row{}, fmt.Errorf("repair finished with %d errors", st.Errors)
 	}
 	row.RepairPushed = st.Pushed
-	got, _, err := core.LoadLatestBackend(view, nil)
+	got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{})
 	if err != nil {
 		return T12Row{}, err
 	}

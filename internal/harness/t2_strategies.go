@@ -19,7 +19,7 @@ type StrategyRow struct {
 	MeanSnapshotB  int64
 	EncodeTime     time.Duration // state capture + canonical encode (foreground)
 	WriteTime      time.Duration // compression + I/O (foreground for sync, background for async)
-	RecoveryTime   time.Duration // LoadLatest wall time after the run
+	RecoveryTime   time.Duration // LoadLatestBackendOptions wall time after the run
 	RecoveredStep  uint64
 	BitwiseResume  bool          // restored state continues identically to uninterrupted
 	ForegroundTime time.Duration // time the trainer was blocked on checkpointing
@@ -94,8 +94,12 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 
 		// Recovery measurement.
 		live := liveMetaFor(cfg)
+		store, err := core.DirBackend(dir)
+		if err != nil {
+			return nil, err
+		}
 		recStart := time.Now()
-		st, _, err := core.LoadLatest(dir, &live)
+		st, _, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
 		recDur := time.Since(recStart)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s recovery: %w", spec.name, err)

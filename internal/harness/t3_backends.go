@@ -23,7 +23,7 @@ type T3Row struct {
 	BytesTotal int64         // bytes that reached the backend (dedup-adjusted)
 	DedupPct   float64       // percent of chunks skipped (store dedup + clean-chunk reuse)
 	Modeled    time.Duration // device-model time (latency-modeled tiers only)
-	Recovery   time.Duration // LoadLatest wall time at the end of the run
+	Recovery   time.Duration // LoadLatestBackendOptions wall time at the end of the run
 }
 
 // t3Spec describes one Table 3 contender.
@@ -136,7 +136,7 @@ func runT3Spec(spec t3Spec, steps int) (T3Row, error) {
 	}
 	stats := mgr.Stats()
 	recStart := time.Now()
-	got, _, err := core.LoadLatestBackend(b, nil)
+	got, _, err := core.LoadLatestBackendOptions(b, nil, core.RestoreOptions{})
 	if err != nil {
 		return T3Row{}, err
 	}

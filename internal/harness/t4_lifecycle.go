@@ -25,7 +25,7 @@ type T4Row struct {
 	Migrated  int           // objects demoted by the lifecycle engine
 	SaveBill  time.Duration // modeled write bill of the save path (hot-level Puts)
 	TotalBill time.Duration // total modeled bill incl. migration traffic
-	RecBill   time.Duration // modeled bill of one LoadLatest recovery
+	RecBill   time.Duration // modeled bill of one LoadLatestBackendOptions recovery
 	Recovery  time.Duration // recovery wall time
 	Bitwise   bool          // recovered state equals the last saved state
 	VerifyOK  bool          // every snapshot resolves from whatever level it lives on
@@ -77,8 +77,12 @@ func runT4Spec(spec t4Spec, steps int) (T4Row, error) {
 		levels[i] = storage.Level{Name: dev.Name, Backend: tiers[i]}
 		names[i] = dev.Name
 	}
+	tiered, err := storage.NewTiered(levels...)
+	if err != nil {
+		return T4Row{}, err
+	}
 	mgr, err := core.NewManager(core.Options{
-		Tiers:       levels,
+		Backend:     tiered,
 		Lifecycle:   spec.pol,
 		Strategy:    core.StrategyDelta,
 		AnchorEvery: t4AnchorEvery,
@@ -87,7 +91,6 @@ func runT4Spec(spec t4Spec, steps int) (T4Row, error) {
 	if err != nil {
 		return T4Row{}, err
 	}
-	tiered := mgr.Backend().(*storage.Tiered)
 
 	st := t3State(2048)
 	var saveTime time.Duration
@@ -134,7 +137,7 @@ func runT4Spec(spec t4Spec, steps int) (T4Row, error) {
 
 	billBefore := sumModeled()
 	recStart := time.Now()
-	got, _, err := core.LoadLatestBackend(tiered, nil)
+	got, _, err := core.LoadLatestBackendOptions(tiered, nil, core.RestoreOptions{})
 	if err != nil {
 		return T4Row{}, err
 	}

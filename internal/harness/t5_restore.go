@@ -20,7 +20,7 @@ type T5Row struct {
 	Workers   int
 	Snapshots int
 	ChainLen  int           // snapshots read to reconstruct the restored state
-	Recovery  time.Duration // LoadLatest wall time
+	Recovery  time.Duration // LoadLatestBackendOptions wall time
 	RecBill   time.Duration // modeled device bill of the restore reads
 	Bitwise   bool          // recovered state equals the last saved state
 }
@@ -67,8 +67,12 @@ func runT5Config(name string, demoted bool, steps int) ([]T5Row, error) {
 		tiers[i] = storage.NewTier(storage.NewMem(), dev)
 		levels[i] = storage.Level{Name: dev.Name, Backend: tiers[i]}
 	}
+	tiered, err := storage.NewTiered(levels...)
+	if err != nil {
+		return nil, err
+	}
 	mgr, err := core.NewManager(core.Options{
-		Tiers:       levels,
+		Backend:     tiered,
 		Strategy:    core.StrategyDelta,
 		AnchorEvery: t5AnchorEvery,
 		ChunkBytes:  t5ChunkKB << 10,
@@ -77,7 +81,6 @@ func runT5Config(name string, demoted bool, steps int) ([]T5Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	tiered := mgr.Backend().(*storage.Tiered)
 
 	st := t3State(t5Params)
 	for i := 0; i < steps; i++ {

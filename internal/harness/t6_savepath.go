@@ -101,7 +101,7 @@ func RunT6SavePath(steps int) ([]T6Row, error) {
 		if err := mgr.Close(); err != nil {
 			return nil, fmt.Errorf("harness: T6 %s: %w", cfg.name, err)
 		}
-		got, _, err := core.LoadLatestBackend(opt.Backend, nil)
+		got, _, err := core.LoadLatestBackendOptions(opt.Backend, nil, core.RestoreOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: T6 %s restore: %w", cfg.name, err)
 		}

@@ -144,7 +144,7 @@ func t7RunFleet(jobs, steps int, mgr func(j int) (*core.Manager, error), restore
 		if err != nil {
 			return t7Outcome{}, err
 		}
-		got, _, err := core.LoadLatestBackend(b, nil)
+		got, _, err := core.LoadLatestBackendOptions(b, nil, core.RestoreOptions{})
 		if err != nil {
 			return t7Outcome{}, fmt.Errorf("job %d restore: %w", j, err)
 		}

@@ -74,7 +74,7 @@ func t8RunOne(clients, steps int, rawPerSave int64) (T8Row, error) {
 		return T8Row{}, err
 	}
 	defer svc.Close()
-	local := api.NewLocal(svc, api.NewLeases(0))
+	local := api.NewLocalOptions(svc, api.NewLeases(0), api.LocalOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return T8Row{}, err

@@ -22,7 +22,7 @@ func dialTestServer(t *testing.T, opt remote.Options) *remote.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	ts := httptest.NewServer(server.New(api.NewLocal(svc, api.NewLeases(time.Minute)), server.Options{}))
+	ts := httptest.NewServer(server.New(api.NewLocalOptions(svc, api.NewLeases(time.Minute), api.LocalOptions{}), server.Options{}))
 	t.Cleanup(ts.Close)
 	c, err := remote.Dial(ts.URL, opt)
 	if err != nil {

@@ -126,7 +126,7 @@ func TestConcurrentJobsShareChunksOverTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := core.LoadLatestBackend(view, nil)
+		got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{})
 		if err != nil {
 			t.Fatalf("job %d restore: %v", j, err)
 		}

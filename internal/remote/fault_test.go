@@ -127,7 +127,7 @@ func newStack(t *testing.T) (string, *api.Local) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	local := api.NewLocal(svc, api.NewLeases(time.Minute))
+	local := api.NewLocalOptions(svc, api.NewLeases(time.Minute), api.LocalOptions{})
 	ts := httptest.NewServer(server.New(local, server.Options{}))
 	t.Cleanup(ts.Close)
 	return ts.URL, local
@@ -191,7 +191,7 @@ func TestSaveRestoreSurvivesFlakyNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, _, err := core.LoadLatestBackend(client, nil)
+	got, _, err := core.LoadLatestBackendOptions(client, nil, core.RestoreOptions{})
 	if err != nil {
 		t.Fatalf("restore over flaky wire: %v", err)
 	}

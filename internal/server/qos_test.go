@@ -35,7 +35,7 @@ func newQoSServer(t *testing.T, qos core.QoSConfig) (*httptest.Server, *storage.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	ts := httptest.NewServer(New(api.NewLocal(svc, api.NewLeases(time.Minute)), Options{}))
+	ts := httptest.NewServer(New(api.NewLocalOptions(svc, api.NewLeases(time.Minute), api.LocalOptions{}), Options{}))
 	t.Cleanup(ts.Close)
 	return ts, tb
 }
@@ -307,7 +307,7 @@ func TestServerChunkSweepCreditsQuota(t *testing.T) {
 	leases := api.NewLeases(time.Minute)
 	now := time.Now()
 	leases.SetClock(func() time.Time { return now })
-	ts := httptest.NewServer(New(api.NewLocal(svc, leases), Options{}))
+	ts := httptest.NewServer(New(api.NewLocalOptions(svc, leases, api.LocalOptions{}), Options{}))
 	t.Cleanup(ts.Close)
 
 	chunk := bytes.Repeat([]byte("c"), 700)

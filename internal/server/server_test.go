@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, opt Options) (*httptest.Server, *api.Local) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	local := api.NewLocal(svc, api.NewLeases(time.Minute))
+	local := api.NewLocalOptions(svc, api.NewLeases(time.Minute), api.LocalOptions{})
 	ts := httptest.NewServer(New(local, opt))
 	t.Cleanup(ts.Close)
 	return ts, local
@@ -197,7 +197,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	defer svc.Close()
 	blocking := &blockingService{
-		Service: api.NewLocal(svc, api.NewLeases(time.Minute)),
+		Service: api.NewLocalOptions(svc, api.NewLeases(time.Minute), api.LocalOptions{}),
 		entered: make(chan struct{}, 8),
 		release: make(chan struct{}),
 	}

@@ -76,6 +76,17 @@ func validRange(off, n int64) error {
 	return nil
 }
 
+// clampRange is that contract for an object already in memory: the
+// [off, off+n) window of data, clamped at its end and empty past it. The
+// result aliases data.
+func clampRange(data []byte, off, n int64) []byte {
+	size := int64(len(data))
+	if off >= size {
+		return nil
+	}
+	return data[off : off+min(n, size-off)]
+}
+
 // GetRange reads [off, off+n) of key, using the backend's RangeReader fast
 // path when its capability set declares one and falling back to a full
 // Get otherwise.
@@ -90,14 +101,7 @@ func GetRange(b Backend, key string, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off >= int64(len(data)) {
-		return nil, nil
-	}
-	end := off + n
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	return data[off:end], nil
+	return clampRange(data, off, n), nil
 }
 
 // ValidateKey rejects keys that could escape a filesystem root or collide

@@ -390,17 +390,10 @@ func (c *Coalescer) GetRange(key string, off, n int64) ([]byte, error) {
 	return GetRange(c.base, key, off, n)
 }
 
-// sliceRange copies out the [off, off+n) window of data with past-EOF
-// clamping, matching the GetRange contract.
+// sliceRange copies the [off, off+n) window out of a cached object, which
+// callers must never alias.
 func sliceRange(data []byte, off, n int64) []byte {
-	if off >= int64(len(data)) {
-		return nil
-	}
-	end := off + n
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	return append([]byte(nil), data[off:end]...)
+	return append([]byte(nil), clampRange(data, off, n)...)
 }
 
 // Put implements Backend: write-through, invalidating any cached copy

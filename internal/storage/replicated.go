@@ -823,14 +823,7 @@ func (r *Replicated) GetRange(key string, off, n int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off >= int64(len(data)) {
-		return nil, nil
-	}
-	end := off + n
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	return data[off:end], nil
+	return clampRange(data, off, n), nil
 }
 
 // GetBatch implements BatchReader with a small worker pool of quorum

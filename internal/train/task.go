@@ -4,6 +4,9 @@
 // gradient-work-unit (sub-step) granularity. The crash/resume contract —
 // restore from a checkpoint and continue bitwise-identically to an
 // uninterrupted run — is the system property every experiment builds on.
+// ResumeLatestBackendOptions is the one way back in: it builds a Trainer
+// and restores the newest compatible checkpoint of a storage.Backend
+// (core.DirBackend for a directory) into it.
 package train
 
 import (

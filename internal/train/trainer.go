@@ -454,37 +454,14 @@ func (t *Trainer) Restore(st *core.TrainingState) error {
 	return nil
 }
 
-// ResumeLatest restores the newest compatible checkpoint from the
-// configured manager's directory. It returns core.ErrNoCheckpoint when
-// nothing usable exists (caller starts fresh).
-func ResumeLatest(cfg Config, dir string) (*Trainer, core.LoadReport, error) {
-	return ResumeLatestOptions(cfg, dir, core.RestoreOptions{})
-}
-
-// ResumeLatestOptions is ResumeLatest through the parallel restore engine:
-// opts sizes the chunk fetch+decompress worker pool and the chain
-// prefetch window (see core.RestoreOptions). The restored trainer state
-// is bitwise-identical to a serial resume's.
-func ResumeLatestOptions(cfg Config, dir string, opts core.RestoreOptions) (*Trainer, core.LoadReport, error) {
-	t, err := New(cfg)
-	if err != nil {
-		return nil, core.LoadReport{}, err
-	}
-	live := cfg.Meta()
-	st, report, err := core.LoadLatestOptions(dir, &live, opts)
-	if err != nil {
-		return nil, report, err
-	}
-	if err := t.Restore(st); err != nil {
-		return nil, report, err
-	}
-	return t, report, nil
-}
-
-// ResumeLatestBackendOptions is ResumeLatestOptions against a storage
-// backend instead of a directory — e.g. one job's view of a multi-tenant
-// checkpoint Service (core.Service.JobView), where each job resumes its
-// own manifest namespace while chunk reads hit the shared store.
+// ResumeLatestBackendOptions builds a trainer from cfg and restores the
+// newest compatible checkpoint in b into it — a directory
+// (core.DirBackend), or e.g. one job's view of a multi-tenant checkpoint
+// Service (core.Service.JobView), where each job resumes its own manifest
+// namespace while chunk reads hit the shared store. It returns
+// core.ErrNoCheckpoint when nothing usable exists (caller starts fresh).
+// opts sizes the restore engine (see core.RestoreOptions); the restored
+// trainer state is bitwise-identical under every worker count.
 func ResumeLatestBackendOptions(cfg Config, b storage.Backend, opts core.RestoreOptions) (*Trainer, core.LoadReport, error) {
 	t, err := New(cfg)
 	if err != nil {

@@ -14,7 +14,18 @@ import (
 	"repro/internal/observable"
 	"repro/internal/qpu"
 	"repro/internal/rng"
+	"repro/internal/storage"
 )
+
+// dirStore opens a checkpoint directory as the backend the entry points take.
+func dirStore(t *testing.T, dir string) storage.Backend {
+	t.Helper()
+	b, err := core.DirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // vqeConfig builds a small, fast VQE training configuration. QPU latencies
 // are zero so tests run quickly; shot noise is on (it is the reproducibility
@@ -294,7 +305,7 @@ func TestCheckpointPolicyWritesFiles(t *testing.T) {
 	}
 	// Latest checkpoint restores to step 10.
 	live := cfg.Meta()
-	st, _, err := core.LoadLatest(dir, &live)
+	st, _, err := core.LoadLatestBackendOptions(dirStore(t, dir), &live, core.RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +342,7 @@ func TestResumeLatestEndToEnd(t *testing.T) {
 	defer mgr2.Close()
 	cfg2 := cfg
 	cfg2.Manager = mgr2
-	tr2, report, err := ResumeLatest(cfg2, dir)
+	tr2, report, err := ResumeLatestBackendOptions(cfg2, dirStore(t, dir), core.RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +374,7 @@ func TestResumeLatestEndToEnd(t *testing.T) {
 
 func TestResumeLatestNoCheckpoint(t *testing.T) {
 	cfg := vqeConfig(t)
-	if _, _, err := ResumeLatest(cfg, t.TempDir()); !errors.Is(err, core.ErrNoCheckpoint) {
+	if _, _, err := ResumeLatestBackendOptions(cfg, dirStore(t, t.TempDir()), core.RestoreOptions{}); !errors.Is(err, core.ErrNoCheckpoint) {
 		t.Errorf("want ErrNoCheckpoint, got %v", err)
 	}
 }
@@ -537,7 +548,7 @@ func TestSubStepCheckpointPolicy(t *testing.T) {
 		t.Errorf("sub-step checkpoints = %d, want 7", tr.Checkpoints())
 	}
 	// At least one snapshot contains a partial accumulator.
-	hs, _, err := core.ListSnapshots(dir)
+	hs, _, err := core.ListSnapshotsBackend(dirStore(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +556,7 @@ func TestSubStepCheckpointPolicy(t *testing.T) {
 		t.Fatalf("snapshot count %d", len(hs))
 	}
 	live := cfg.Meta()
-	st, _, err := core.LoadLatest(dir, &live)
+	st, _, err := core.LoadLatestBackendOptions(dirStore(t, dir), &live, core.RestoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +597,7 @@ func TestHintWindowCheckpointsBeforePreemption(t *testing.T) {
 			return 0, 0
 		}
 		live := cfg.Meta()
-		st, _, err := core.LoadLatest(dir, &live)
+		st, _, err := core.LoadLatestBackendOptions(dirStore(t, dir), &live, core.RestoreOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
