@@ -582,7 +582,7 @@ func cmdMigrate(dir string) error {
 	if keepChains < 1 {
 		return fmt.Errorf("-keep must be ≥ 1 (got %d)", keepChains)
 	}
-	rep, err := core.Migrate(tb, core.LifecyclePolicy{KeepHotChains: keepChains}, nil)
+	rep, err := core.Migrate(tb, core.LifecyclePolicy{KeepHotChains: keepChains})
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -97,7 +98,7 @@ func cmdServe(dir string) error {
 	fmt.Printf("qckpt serve: listening on http://%s (store %s, lease TTL %v, origin cache %s, QoS %s)\n",
 		ln.Addr(), dir, ttl, cacheNote, qosNote)
 
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := newHTTPServer(handler)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -120,6 +121,23 @@ func cmdServe(dir string) error {
 		}
 		return nil
 	}
+}
+
+// The server-side timeouts of `qckpt serve`. A peer that opens a
+// connection and never finishes its request headers is dropped after
+// readHeaderTimeout instead of holding a goroutine and a socket forever;
+// idleTimeout outlasts remote.Client's 90 s idle-connection timeout, so
+// between requests it is the client, not the server, that closes a pooled
+// connection. Bodies are deliberately not deadline-bound here: a large
+// upload over a slow link is legitimate, and admission bounds how many a
+// tenant can hold open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // parsePlacement turns "delta=object,archive=object" into a placement

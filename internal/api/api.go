@@ -127,19 +127,21 @@ type TenantStats struct {
 	ThrottleMs int64 `json:"throttle_ms"`
 }
 
-// Service is the transport-agnostic checkpoint service. All methods are
-// safe for concurrent use. Key and range semantics are exactly the
-// storage.Backend contract (ErrNotFound for absent keys, ValidateKey
-// rules, sorted listings, positional batch results), so a transport can
-// re-expose the service as a Backend without translation.
+// Service is the transport-agnostic checkpoint service and the whole
+// contract a transport codes against: the plain object and chunk planes
+// below plus the two embedded halves. All methods are safe for concurrent
+// use. Key and range semantics are exactly the storage.Backend contract
+// (ErrNotFound for absent keys, ValidateKey rules, sorted listings,
+// positional batch results), so a transport can re-expose the service as
+// a Backend without translation.
 type Service interface {
+	ClassedService
+	QoSService
+
 	// Caps reports the backing store's identity and guarantees.
 	Caps() Caps
 
-	// CommitManifest atomically commits an object — a snapshot manifest,
-	// or any other non-chunk object — at key. Commits are NOT idempotent
-	// from the transport's point of view: a client must never blindly
-	// resend one (see the remote client's verify-then-retry protocol).
+	// CommitManifest is CommitManifestClass with storage.ClassDefault.
 	CommitManifest(key string, data []byte) error
 	// GetObject, GetObjectRange, GetObjects, StatObject, ListObjects and
 	// DeleteObject are the Backend read/delete plane over the store root.
@@ -153,12 +155,10 @@ type Service interface {
 	// HasAddresses is the address-first dedup round: for each chunk key,
 	// report whether its bytes are already resident. Every address probed
 	// is lease-pinned whatever the answer, so a hit the client is about to
-	// reference in a manifest cannot be collected out from under it.
+	// reference in a manifest cannot be collected out from under it. A key
+	// CanonicalChunkAddr does not accept is refused ("not a chunk key").
 	HasAddresses(keys []string) ([]bool, error)
-	// IngestChunk stores a chunk upload at key after verifying the payload
-	// hashes to the key's address, lease-pinning the address. It returns
-	// the bytes newly written — 0 on a server-side dedup hit. Idempotent:
-	// re-uploading identical content is always safe.
+	// IngestChunk is IngestChunkClass with storage.ClassDefault.
 	IngestChunk(key string, data []byte) (written int, err error)
 
 	// Jobs lists the job namespaces present in the store.
@@ -170,38 +170,37 @@ type Service interface {
 	Stats() Stats
 }
 
-// ClassedService is the optional Service extension for class-tagged
-// writes: CommitManifestClass and IngestChunkClass behave exactly like
-// their plain forms but thread a storage.WriteClass into the store so a
-// tiered backend can place the write by role. Transports probe for it
-// and fall back to the plain methods (class dropped) when absent.
+// ClassedService is the write half of Service: every commit and chunk
+// upload carries the storage.WriteClass the client's manager assigned,
+// so a tiered backend places the write by role. The name survives as its
+// own interface only because bench's span wrapper asserts it.
 type ClassedService interface {
+	// CommitManifestClass atomically commits an object — a snapshot
+	// manifest, or any other non-chunk object — at key. Commits are NOT
+	// idempotent from the transport's point of view: a client must never
+	// blindly resend one (see the remote client's verify-then-retry
+	// protocol).
 	CommitManifestClass(key string, data []byte, class storage.WriteClass) error
+	// IngestChunkClass stores a chunk upload at a canonical chunk key
+	// after verifying the payload hashes to the key's address, lease-
+	// pinning the address. It returns the bytes newly written — 0 on a
+	// server-side dedup hit. Idempotent: re-uploading identical content is
+	// always safe.
 	IngestChunkClass(key string, data []byte, class storage.WriteClass) (written int, err error)
 }
 
-// QoSService is the optional Service extension for per-tenant admission
-// and quota accounting: Admit is consulted before accepting n bytes from
-// tenant (refusals name a retry delay and a reason, "quota" or "rate");
-// Charge bills bytes that actually landed; ChargeChunk additionally
-// records the tenant as the canonical chunk's owner so the orphan sweep
-// can credit the bytes back; Credit hands bytes back when the tenant
-// deletes an object (remote retention GC), keeping the quota a measure
-// of footprint rather than lifetime traffic. A service without QoS
-// simply doesn't implement it.
+// QoSService is the per-tenant admission and quota half of Service (its
+// own name for the same reason as ClassedService): Admit is consulted
+// before accepting n bytes from tenant (refusals name a retry delay and a
+// reason, "quota" or "rate"); Charge bills bytes that actually landed;
+// ChargeChunk additionally records the tenant as the canonical chunk's
+// owner so the orphan sweep can credit the bytes back; Credit hands bytes
+// back when the tenant deletes an object (remote retention GC), keeping
+// the quota a measure of footprint rather than lifetime traffic. A
+// service with no tenants configured admits everything.
 type QoSService interface {
 	QoSAdmit(tenant string, n int64) (retryAfter time.Duration, reason string, ok bool)
 	QoSCharge(tenant string, n int64)
 	QoSChargeChunk(tenant, addr string, n int64)
 	QoSCredit(tenant string, n int64)
-}
-
-// ChunkKeyAddr recognizes content-addressed chunk keys by shape — a final
-// segment of 64 lowercase-hex characters fanned out under its own first
-// two characters ("…/ab/ab12…ef") — and returns the embedded address.
-// This is the routing rule the remote client and server share: keys of
-// this shape ride the idempotent chunk plane, everything else is an
-// object commit.
-func ChunkKeyAddr(key string) (addr string, ok bool) {
-	return storage.ChunkKeyAddr(key)
 }

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,31 +24,6 @@ func newLocal(t *testing.T) (*Local, *core.Service, *storage.Mem) {
 
 func chunkKey(addr string) string {
 	return core.ChunkPrefix + "/" + addr[:2] + "/" + addr
-}
-
-func TestChunkKeyAddr(t *testing.T) {
-	addr := storage.Hash([]byte("x"))
-	cases := []struct {
-		key string
-		ok  bool
-	}{
-		{chunkKey(addr), true},
-		{addr[:2] + "/" + addr, true},                // chunk store at the root
-		{"ns/chunks/" + addr[:2] + "/" + addr, true}, // nested namespace
-		{"jobs/a/ckpt-000000000001-full.qckpt", false},
-		{addr, false},                             // no fan-out segment
-		{"zz/" + addr, false},                     // fan-out mismatch
-		{addr[:2] + "/" + addr[:63] + "G", false}, // not hex
-	}
-	for _, c := range cases {
-		got, ok := ChunkKeyAddr(c.key)
-		if ok != c.ok {
-			t.Errorf("ChunkKeyAddr(%q) ok=%v, want %v", c.key, ok, c.ok)
-		}
-		if ok && got != addr {
-			t.Errorf("ChunkKeyAddr(%q) = %q", c.key, got)
-		}
-	}
 }
 
 // TestIngestHasDedup drives the address-first handshake end to end: a
@@ -155,45 +131,35 @@ func TestCommittedManifestOutlivesLease(t *testing.T) {
 	}
 }
 
-// TestForeignNamespaceIngest covers chunk-shaped keys outside the
-// canonical chunks/ namespace: dedup still works, resident corruption is
-// repaired.
+// TestForeignNamespaceIngest pins the chunk plane's one routing rule: a
+// chunk-shaped key outside the canonical chunks/ namespace is refused by
+// the ingest and by the has round, and nothing is stored or leased for
+// it — such a key is an object commit.
 func TestForeignNamespaceIngest(t *testing.T) {
 	l, _, mem := newLocal(t)
 	data := []byte("foreign chunk")
 	addr := storage.Hash(data)
-	key := addr[:2] + "/" + addr
-
-	if w, err := l.IngestChunk(key, data); err != nil || w != len(data) {
-		t.Fatalf("foreign ingest: %d %v", w, err)
+	foreign := []string{addr[:2] + "/" + addr, "ns/" + chunkKey(addr), "x" + chunkKey(addr), "chunks/x/" + addr[:2] + "/" + addr}
+	for _, key := range foreign {
+		if _, err := l.IngestChunk(key, data); err == nil || !strings.Contains(err.Error(), "not a chunk key") {
+			t.Errorf("IngestChunk(%q) = %v, want a not-a-chunk-key refusal", key, err)
+		}
+		if _, err := l.HasAddresses([]string{chunkKey(addr), key}); err == nil || !strings.Contains(err.Error(), "not a chunk key") {
+			t.Errorf("HasAddresses(%q) = %v, want a not-a-chunk-key refusal", key, err)
+		}
+		if _, err := mem.Stat(key); !errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("refused ingest left %q behind (stat err=%v)", key, err)
+		}
+		if err := l.CommitManifest(key, data); err != nil {
+			t.Errorf("object plane refused %q: %v", key, err)
+		}
 	}
-	if w, err := l.IngestChunk(key, data); err != nil || w != 0 {
-		t.Fatalf("foreign dedup: %d %v", w, err)
+	if st := l.Stats(); st.ChunksIngested != 0 || st.ManifestsCommitted != int64(len(foreign)) {
+		t.Errorf("stats = %+v, want 0 chunk ingests and %d object commits", st, len(foreign))
 	}
-	// Corrupt the resident copy in place, same-size so only a byte
-	// compare can notice. A fresh Local (empty verified cache, as after a
-	// server restart) must detect the mismatch and rewrite the good bytes.
-	if err := mem.Put(key, bytes.ToUpper(data)); err != nil {
-		t.Fatal(err)
+	if got, ok := CanonicalChunkAddr(core.ChunkKey(addr)); !ok || got != addr {
+		t.Errorf("CanonicalChunkAddr(core.ChunkKey(addr)) = %q, %v", got, ok)
 	}
-	l2 := NewLocalOptions(mustService(t, mem), NewLeases(time.Minute), LocalOptions{})
-	if w, err := l2.IngestChunk(key, data); err != nil || w != len(data) {
-		t.Fatalf("corrupt resident not repaired: %d %v", w, err)
-	}
-	got, err := mem.Get(key)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("store still corrupt: %q %v", got, err)
-	}
-}
-
-func mustService(t *testing.T, b storage.Backend) *core.Service {
-	t.Helper()
-	svc, err := core.NewService(core.ServiceOptions{Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
-	return svc
 }
 
 // TestObjectPlaneMatchesBackendContract spot-checks the object plane's

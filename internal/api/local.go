@@ -1,9 +1,7 @@
 package api
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,13 +24,6 @@ type Local struct {
 	// that bypass the wrapper — the canonical chunk store ingest and the
 	// service-wide GC sweep — invalidate through it explicitly.
 	origin *storage.Coalescer
-
-	// verified caches byte-verified non-canonical chunk keys, mirroring
-	// the chunk store's per-shard cache for the canonical namespace, so a
-	// dedup hit costs one resident read per key per process instead of
-	// one per upload.
-	verMu    sync.Mutex
-	verified map[string]bool
 
 	hasQueries     atomic.Int64
 	hasHits        atomic.Int64
@@ -61,12 +52,7 @@ func NewLocalOptions(svc *core.Service, leases *Leases, opts LocalOptions) *Loca
 	if leases == nil {
 		leases = NewLeases(0)
 	}
-	l := &Local{
-		svc:      svc,
-		backend:  svc.Backend(),
-		leases:   leases,
-		verified: make(map[string]bool),
-	}
+	l := &Local{svc: svc, backend: svc.Backend(), leases: leases}
 	if opts.CacheBytes > 0 {
 		l.origin = storage.NewCoalescer(l.backend, opts.CacheBytes)
 		l.backend = l.origin
@@ -179,34 +165,29 @@ func (l *Local) DeleteObject(key string) error {
 func (l *Local) HasAddresses(keys []string) ([]bool, error) {
 	have := make([]bool, len(keys))
 	for i, key := range keys {
-		addr, ok := ChunkKeyAddr(key)
+		addr, ok := CanonicalChunkAddr(key)
 		if !ok {
 			return nil, fmt.Errorf("api: %q is not a chunk key", key)
 		}
 		l.leases.Touch(addr)
 		l.hasQueries.Add(1)
-		if l.isCanonical(key, addr) {
-			have[i] = l.svc.ChunkStore().Has(addr)
-		} else {
-			_, err := l.backend.Stat(key)
-			have[i] = err == nil
-		}
-		if have[i] {
+		if have[i] = l.svc.ChunkStore().Has(addr); have[i] {
 			l.hasHits.Add(1)
 		}
 	}
 	return have, nil
 }
 
-// IngestChunk implements Service: hash-verify, lease, dedup, store.
+// IngestChunk implements Service.
 func (l *Local) IngestChunk(key string, data []byte) (int, error) {
 	return l.IngestChunkClass(key, data, storage.ClassDefault)
 }
 
-// IngestChunkClass implements ClassedService: IngestChunk with the write
-// class threaded through to the chunk store's placement.
+// IngestChunkClass implements ClassedService: hash-verify, lease, then
+// the service chunk store's one dedup protocol, the write class threaded
+// through to its placement.
 func (l *Local) IngestChunkClass(key string, data []byte, class storage.WriteClass) (int, error) {
-	addr, ok := ChunkKeyAddr(key)
+	addr, ok := CanonicalChunkAddr(key)
 	if !ok {
 		return 0, fmt.Errorf("api: %q is not a chunk key", key)
 	}
@@ -216,75 +197,36 @@ func (l *Local) IngestChunkClass(key string, data []byte, class storage.WriteCla
 	l.leases.Touch(addr)
 	l.chunksIngested.Add(1)
 	l.chunkOffered.Add(int64(len(data)))
-	var written int
-	var err error
-	if l.isCanonical(key, addr) {
-		written, err = l.svc.ChunkStore().Ingest(addr, data, class)
-		if err == nil && written > 0 && l.origin != nil {
-			// The store wrote beneath the origin cache (fresh chunk, or the
-			// repair path rewriting a corrupt resident): evict any cached
-			// copy of the old bytes.
-			l.origin.Invalidate(key)
-		}
-	} else {
-		written, err = l.ingestForeign(key, data, class)
-	}
+	written, err := l.svc.ChunkStore().Ingest(addr, data, class)
 	if err != nil {
 		return 0, err
 	}
 	if written == 0 {
 		l.chunkDedup.Add(1)
+	} else if l.origin != nil {
+		// The store wrote beneath the origin cache (fresh chunk, or the
+		// repair path rewriting a corrupt resident): evict any cached
+		// copy of the old bytes.
+		l.origin.Invalidate(key)
 	}
 	l.chunkWritten.Add(int64(written))
 	return written, nil
 }
 
-// isCanonical reports whether key addresses the service's shared chunk
-// store ("chunks/ab/<addr>"), whose sharded dedup cache we then reuse.
-func (l *Local) isCanonical(key, addr string) bool {
-	return key == core.ChunkKey(addr)
-}
-
-// CanonicalChunkAddr reports whether key addresses the service's shared
-// chunk store and returns the embedded address — the routing rule the
-// server's quota accounting uses to attribute chunk charges to sweepable
-// addresses.
+// CanonicalChunkAddr is the chunk plane's one routing rule, shared by the
+// service, the server's quota accounting and the remote client: key rides
+// the chunk plane iff it addresses the service's shared chunk store
+// ("chunks/ab/<addr>"), and addr is the address it embeds. Every other
+// key — chunk-shaped or not — is an object commit.
 func CanonicalChunkAddr(key string) (addr string, ok bool) {
-	addr, ok = ChunkKeyAddr(key)
-	if !ok || key != core.ChunkKey(addr) {
+	addr, ok = storage.ChunkKeyAddr(key)
+	// ChunkKeyAddr vouches for the "ab/<addr>" tail; what precedes it must
+	// be exactly the chunk mount. Compared in place, not against a built
+	// core.ChunkKey(addr): the client asks this once per chunk of a save.
+	if !ok || key[:len(key)-len(addr)-len("ab/")] != core.ChunkPrefix+"/" {
 		return "", false
 	}
 	return addr, true
-}
-
-// ingestForeign is the dedup protocol for chunk-shaped keys outside the
-// canonical namespace (a client running a chunk store under its own
-// prefix): verified-compare against the resident copy, rewrite on any
-// mismatch. The incoming bytes are already hash-verified.
-func (l *Local) ingestForeign(key string, data []byte, class storage.WriteClass) (int, error) {
-	if info, err := l.backend.Stat(key); err == nil && info.Size == int64(len(data)) {
-		l.verMu.Lock()
-		ok := l.verified[key]
-		l.verMu.Unlock()
-		if ok {
-			return 0, nil
-		}
-		if existing, err := l.backend.Get(key); err == nil && bytes.Equal(existing, data) {
-			l.markForeignVerified(key)
-			return 0, nil
-		}
-	}
-	if err := storage.PutClass(l.backend, key, data, class); err != nil {
-		return 0, err
-	}
-	l.markForeignVerified(key)
-	return len(data), nil
-}
-
-func (l *Local) markForeignVerified(key string) {
-	l.verMu.Lock()
-	l.verified[key] = true
-	l.verMu.Unlock()
 }
 
 // QoSAdmit implements QoSService by delegating to the core service's

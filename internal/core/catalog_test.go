@@ -578,7 +578,7 @@ func TestScannersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Migrate(tb, LifecyclePolicy{KeepHotChains: 1}, nil)
+		rep, err := Migrate(tb, LifecyclePolicy{KeepHotChains: 1})
 		if err != nil || rep.Chains != 1 || rep.Manifests != len(chains[0]) {
 			t.Fatalf("migrate: %+v, err %v; want one chain of %d manifests", rep, err, len(chains[0]))
 		}
@@ -626,7 +626,7 @@ func TestScannersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep, err := Migrate(tb, LifecyclePolicy{KeepHotChains: 1}, nil); !errors.Is(err, errInjected) || rep.Manifests != 0 || rep.Chunks != 0 {
+		if rep, err := Migrate(tb, LifecyclePolicy{KeepHotChains: 1}); !errors.Is(err, errInjected) || rep.Manifests != 0 || rep.Chunks != 0 {
 			t.Errorf("migrate over an unreadable kept manifest: %+v, err %v; want the pass aborted", rep, err)
 		}
 		if keys, _ := levels[1].Backend.List(""); len(keys) != 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -22,19 +21,13 @@ import (
 // zero value disables the lifecycle engine.
 type LifecyclePolicy struct {
 	// KeepHotChains keeps the newest KeepHotChains anchor chains on the
-	// hot level and demotes older ones. <= 0 disables the chain-count rule.
+	// hot level and demotes older ones to the coldest. <= 0 disables the
+	// engine.
 	KeepHotChains int
-	// MaxHotAge demotes a chain once its newest snapshot was saved longer
-	// than MaxHotAge ago (by the manager's in-memory save clock; chains
-	// predating the current incarnation have unknown age and are governed
-	// by KeepHotChains alone). 0 disables the age rule.
-	MaxHotAge time.Duration
-	// Level names the demotion target level; empty selects the coldest.
-	Level string
 }
 
-// enabled reports whether any lifecycle rule is active.
-func (p LifecyclePolicy) enabled() bool { return p.KeepHotChains > 0 || p.MaxHotAge > 0 }
+// enabled reports whether the lifecycle engine is active.
+func (p LifecyclePolicy) enabled() bool { return p.KeepHotChains > 0 }
 
 // MigrationReport summarizes one migration pass.
 type MigrationReport struct {
@@ -51,20 +44,13 @@ type MigrationReport struct {
 var lifecycleFaultHook func() error
 
 // Migrate applies pol to the tiered backend t: anchor chains outside the
-// hot set are demoted to the target level, manifests plus the chunks no
-// kept chain references. age reports how long ago a sequence number was
-// saved (ok=false for unknown); nil disables the age rule. The newest
-// chain — the one still being written — is never demoted.
-func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.Duration, bool)) (MigrationReport, error) {
+// hot set are demoted to the coldest level, manifests plus the chunks no
+// kept chain references. The newest chain — the one still being written —
+// is never demoted.
+func Migrate(t *storage.Tiered, pol LifecyclePolicy) (MigrationReport, error) {
 	target := t.Len() - 1
-	if pol.Level != "" {
-		var err error
-		if target, err = t.LevelIndex(pol.Level); err != nil {
-			return MigrationReport{}, err
-		}
-	}
 	rep := MigrationReport{Level: t.Level(target).Name}
-	if !pol.enabled() || t.Len() < 2 || target == 0 {
+	if !pol.enabled() || target == 0 {
 		return rep, nil
 	}
 	refs, err := listSnapshots(t)
@@ -75,16 +61,10 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.
 	if len(chains) < 2 {
 		return rep, nil
 	}
+	// The oldest chains demote; KeepHotChains ≥ 1, so the newest never does.
 	demote := make([]bool, len(chains))
-	for i, c := range chains[:len(chains)-1] { // newest chain always stays hot
-		if pol.KeepHotChains > 0 && i < len(chains)-pol.KeepHotChains {
-			demote[i] = true
-		}
-		if pol.MaxHotAge > 0 && age != nil {
-			if d, ok := age(c[len(c)-1].seq); ok && d > pol.MaxHotAge {
-				demote[i] = true
-			}
-		}
+	for i := 0; i < len(chains)-pol.KeepHotChains; i++ {
+		demote[i] = true
 	}
 	// Cheap steady-state exit: find demoted manifests still resident warm.
 	// If there are none, the pass's chunks are cold too (a pass deletes
@@ -176,13 +156,13 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy, age func(seq uint64) (time.
 	return rep, nil
 }
 
-// Migrate runs one lifecycle pass under the manager's policy and save
-// clock, returning what moved. It requires a Tiered backend.
+// Migrate runs one lifecycle pass under the manager's policy, returning
+// what moved. It requires a Tiered backend.
 func (m *Manager) Migrate() (MigrationReport, error) {
 	if m.tiered == nil {
 		return MigrationReport{}, errors.New("core: migration requires a tiered backend")
 	}
-	rep, err := Migrate(m.tiered, m.opt.Lifecycle, m.ageOf)
+	rep, err := Migrate(m.tiered, m.opt.Lifecycle)
 	if err == nil {
 		m.mu.Lock()
 		m.stats.Migrated += rep.Manifests + rep.Chunks
@@ -190,15 +170,4 @@ func (m *Manager) Migrate() (MigrationReport, error) {
 		m.mu.Unlock()
 	}
 	return rep, err
-}
-
-// ageOf reports how long ago seq was saved by this incarnation.
-func (m *Manager) ageOf(seq uint64) (time.Duration, bool) {
-	m.mu.Lock()
-	t, ok := m.savedAt[seq]
-	m.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return time.Since(t), true
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -117,49 +115,6 @@ func TestLifecycleDemotesColdChains(t *testing.T) {
 	}
 }
 
-func TestLifecycleAgeRule(t *testing.T) {
-	levels := memTiers("hot", "cold")
-	tb, err := storage.NewTiered(levels...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(Options{
-		Backend:     tb,
-		Strategy:    StrategyDelta,
-		AnchorEvery: 2,
-		ChunkBytes:  MinChunkBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	saveAll(t, m, seqStates(6)) // 3 chains
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Everything looks ancient except the newest chain, which is immune.
-	rep, err := Migrate(tb, LifecyclePolicy{MaxHotAge: time.Minute},
-		func(seq uint64) (time.Duration, bool) { return time.Hour, true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Chains != 2 || rep.Manifests != 4 {
-		t.Errorf("age rule demoted %d chains / %d manifests, want 2 / 4", rep.Chains, rep.Manifests)
-	}
-	hotKeys, _ := tb.Level(0).Backend.List(snapshotKeyPrefix)
-	if len(hotKeys) != 2 {
-		t.Errorf("hot level holds %v after age demotion", hotKeys)
-	}
-	// Unknown ages stay put.
-	rep, err = Migrate(tb, LifecyclePolicy{MaxHotAge: time.Minute},
-		func(seq uint64) (time.Duration, bool) { return 0, false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Manifests != 0 {
-		t.Errorf("unknown-age chains were demoted: %+v", rep)
-	}
-}
-
 // TestLifecycleCrashBetweenCopyAndDelete is the migration fault-injection
 // test: a migration killed between its copy and delete phases must leave
 // every snapshot recoverable — from the hot copies that were never
@@ -190,7 +145,7 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 	defer func() { lifecycleFaultHook = nil }()
 
 	pol := LifecyclePolicy{KeepHotChains: 1}
-	if _, err := Migrate(tb, pol, nil); !errors.Is(err, injected) {
+	if _, err := Migrate(tb, pol); !errors.Is(err, injected) {
 		t.Fatalf("Migrate = %v, want injected crash", err)
 	}
 
@@ -230,7 +185,7 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 
 	// The rerun pass (no fault) settles the move and nothing is lost.
 	lifecycleFaultHook = nil
-	rep, err := Migrate(tb, pol, nil)
+	rep, err := Migrate(tb, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,12 +202,6 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 func TestLifecycleOptionValidation(t *testing.T) {
 	if _, err := NewManager(Options{Dir: t.TempDir(), Lifecycle: LifecyclePolicy{KeepHotChains: 1}}); err == nil {
 		t.Errorf("Lifecycle without a tiered backend accepted")
-	}
-	if _, err := NewManager(Options{
-		Backend:   memTiered(t, "hot", "cold"),
-		Lifecycle: LifecyclePolicy{KeepHotChains: 1, Level: "nope"},
-	}); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Errorf("unknown lifecycle level accepted (err=%v)", err)
 	}
 }
 

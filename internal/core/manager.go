@@ -228,7 +228,6 @@ type Manager struct {
 	lastPayload *refBuf      // base for the next delta (pooled, refcounted)
 	lastHash    *payloadHash // lastPayload's hash; spares deltas a second full-payload SHA-256
 	sinceAnchor int
-	savedAt     map[uint64]time.Time // save clock for the lifecycle age rule
 	stats       Stats
 	asyncErr    error
 
@@ -359,17 +358,10 @@ func NewManager(opt Options) (*Manager, error) {
 // (one chunk store, pin table and GC gate for every job of a Service)
 // instead of creating its own.
 func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Manager, error) {
-	m := &Manager{opt: opt, backend: backend, savedAt: make(map[uint64]time.Time)}
+	m := &Manager{opt: opt, backend: backend}
 	m.tiered, _ = backend.(*storage.Tiered)
-	if opt.Lifecycle.enabled() {
-		if m.tiered == nil {
-			return nil, errors.New("core: Lifecycle requires a tiered backend (set Backend to a *storage.Tiered)")
-		}
-		if opt.Lifecycle.Level != "" {
-			if _, err := m.tiered.LevelIndex(opt.Lifecycle.Level); err != nil {
-				return nil, err
-			}
-		}
+	if opt.Lifecycle.enabled() && m.tiered == nil {
+		return nil, errors.New("core: Lifecycle requires a tiered backend (set Backend to a *storage.Tiered)")
 	}
 	if opt.Placement != (storage.PlacementPolicy{}) {
 		if m.tiered == nil {
@@ -1027,11 +1019,6 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	m.lastPayload.release()
 	m.lastPayload = payload
 	m.lastHash = hash
-	if m.opt.Lifecycle.MaxHotAge > 0 {
-		// The save clock only feeds the lifecycle age rule; without it the
-		// map would grow one entry per save for the run's lifetime.
-		m.savedAt[seq] = time.Now()
-	}
 	m.stats.Snapshots++
 	if kind == KindFull {
 		m.stats.FullCount++
@@ -1192,9 +1179,6 @@ func (m *Manager) gc() {
 			if m.backend.Delete(f.key) == nil {
 				deleted = true
 				m.qos.creditQuota(credit)
-				m.mu.Lock()
-				delete(m.savedAt, f.seq)
-				m.mu.Unlock()
 			}
 		}
 	}

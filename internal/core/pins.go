@@ -116,7 +116,7 @@ type PinSource interface {
 // what makes cross-job dedup safe: a chunk is live while ANY job's
 // manifests or in-flight saves reference it (DESIGN.md §10).
 type sharedChunks struct {
-	store *storage.ShardedChunkStore
+	store *storage.ChunkStore
 	pins  pinTable
 
 	// gcGate closes the last hole pins alone cannot: a manifest that

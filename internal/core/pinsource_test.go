@@ -161,6 +161,10 @@ type recordingIngester struct {
 }
 
 func (r *recordingIngester) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
+	return r.IngestKeyedClass(key, addr, data, storage.ClassDefault)
+}
+
+func (r *recordingIngester) IngestKeyedClass(key, addr string, data []byte, _ storage.WriteClass) (int, bool, error) {
 	r.mu.Lock()
 	r.keys = append(r.keys, key)
 	r.mu.Unlock()

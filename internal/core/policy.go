@@ -32,9 +32,6 @@ func NewTracker(p Policy) *Tracker {
 	return &Tracker{policy: p}
 }
 
-// Policy returns the tracked policy.
-func (t *Tracker) Policy() Policy { return t.policy }
-
 // NoteStep records a completed optimizer step and reports whether to
 // checkpoint.
 func (t *Tracker) NoteStep(now time.Duration) bool {

@@ -200,7 +200,7 @@ func JobBackend(base storage.Backend, jobID string) (storage.Backend, error) {
 func (s *Service) Backend() storage.Backend { return s.backend }
 
 // ChunkStore returns the shared sharded chunk store.
-func (s *Service) ChunkStore() *storage.ShardedChunkStore { return s.shared.store }
+func (s *Service) ChunkStore() *storage.ChunkStore { return s.shared.store }
 
 // CollectOrphans removes chunks no tenant references: the keep-set unions
 // every job's manifests (open or not) plus any root-namespace manifests,
@@ -339,7 +339,7 @@ func (v *jobView) Caps() storage.CapSet {
 	if base.Ingest != nil {
 		out.Ingest = v
 	}
-	if base.ClassIngest != nil || base.Ingest != nil {
+	if base.ClassIngest != nil {
 		out.ClassIngest = v
 	}
 	if base.ClassWrite != nil {
@@ -351,7 +351,9 @@ func (v *jobView) Caps() storage.CapSet {
 	return out
 }
 
-func (v *jobView) Put(key string, data []byte) error { return v.route(key).Put(key, data) }
+func (v *jobView) Put(key string, data []byte) error {
+	return v.PutClass(key, data, storage.ClassDefault)
+}
 
 // PutClass forwards classed writes so placement survives the view: a
 // job's manifests still land where the service's policy says manifests
@@ -371,14 +373,13 @@ func (v *jobView) GetRange(key string, off, n int64) ([]byte, error) {
 	return storage.GetRange(v.route(key), key, off, n)
 }
 
-// IngestKeyed forwards addressed chunk ingests to the routed backend, so
-// a Manager writing through a job view of a remote store still hands the
-// dedup decision to the server (ok=false over plain backends).
 func (v *jobView) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	return storage.TryIngestKeyed(v.route(key), key, addr, data)
+	return v.IngestKeyedClass(key, addr, data, storage.ClassDefault)
 }
 
-// IngestKeyedClass is IngestKeyed with the write class attached.
+// IngestKeyedClass forwards addressed chunk ingests to the routed backend,
+// so a Manager writing through a job view of a remote store still hands
+// the dedup decision to the server (ok=false over plain backends).
 func (v *jobView) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
 	return storage.TryIngestKeyedClass(v.route(key), key, addr, data, class)
 }

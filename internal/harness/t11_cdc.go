@@ -3,14 +3,11 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/remote"
-	"repro/internal/server"
 	"repro/internal/storage"
 )
 
@@ -211,16 +208,13 @@ func t11RemotePass(chunker core.Chunker, blobs [][]byte) (int64, bool, error) {
 		return 0, false, err
 	}
 	defer svc.Close()
-	local := api.NewLocalOptions(svc, api.NewLeases(0), api.LocalOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	_, url, shutdown, err := serveLoopback(svc, api.LocalOptions{})
 	if err != nil {
 		return 0, false, err
 	}
-	httpSrv := &http.Server{Handler: server.New(local, server.Options{})}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
+	defer shutdown()
 
-	client, err := remote.Dial("http://"+ln.Addr().String(), remote.Options{
+	client, err := remote.Dial(url, remote.Options{
 		Tenant:    "t11",
 		RetryBase: time.Millisecond,
 	})

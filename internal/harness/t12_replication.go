@@ -79,14 +79,12 @@ func (c *t12LogicalCounter) PutClass(key string, data []byte, class storage.Writ
 	return storage.PutClass(c.base, key, data, class)
 }
 
-// IngestKeyed counts the bytes the store actually accepted — a dedup
-// hit writes nothing anywhere, so it must not count as logical traffic.
 func (c *t12LogicalCounter) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	written, ok, err := storage.TryIngestKeyed(c.base, key, addr, data)
-	c.bytes.Add(int64(written))
-	return written, ok, err
+	return c.IngestKeyedClass(key, addr, data, storage.ClassDefault)
 }
 
+// IngestKeyedClass counts the bytes the store actually accepted — a dedup
+// hit writes nothing anywhere, so it must not count as logical traffic.
 func (c *t12LogicalCounter) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
 	written, ok, err := storage.TryIngestKeyedClass(c.base, key, addr, data, class)
 	c.bytes.Add(int64(written))

@@ -67,22 +67,32 @@ func RunT8Network(clientCounts []int, steps int) ([]T8Row, error) {
 	return rows, nil
 }
 
+// serveLoopback puts svc on the qckpt wire protocol over a real loopback
+// socket — api.Local, server.New, an http.Server on an ephemeral port —
+// and returns the Local (for its counters), the server's base URL and
+// the func that shuts the listener down.
+func serveLoopback(svc *core.Service, opts api.LocalOptions) (local *api.Local, url string, shutdown func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, "", nil, err
+	}
+	local = api.NewLocalOptions(svc, api.NewLeases(0), opts)
+	httpSrv := &http.Server{Handler: server.New(local, server.Options{})}
+	go httpSrv.Serve(ln)
+	return local, "http://" + ln.Addr().String(), func() { httpSrv.Close() }, nil
+}
+
 func t8RunOne(clients, steps int, rawPerSave int64) (T8Row, error) {
-	// One service, one HTTP server on a real loopback socket.
 	svc, err := core.NewService(core.ServiceOptions{Backend: storage.NewMem()})
 	if err != nil {
 		return T8Row{}, err
 	}
 	defer svc.Close()
-	local := api.NewLocalOptions(svc, api.NewLeases(0), api.LocalOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	local, url, shutdown, err := serveLoopback(svc, api.LocalOptions{})
 	if err != nil {
 		return T8Row{}, err
 	}
-	httpSrv := &http.Server{Handler: server.New(local, server.Options{})}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	url := "http://" + ln.Addr().String()
+	defer shutdown()
 
 	// One pooled transport for the fleet; traffic accounting comes from
 	// each client's own ClientStats counters.

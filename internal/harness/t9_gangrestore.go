@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/remote"
-	"repro/internal/server"
 	"repro/internal/storage"
 )
 
@@ -124,15 +122,11 @@ func t9RunOne(restorers, steps int, cacheBytes int64) (t9Result, error) {
 		return t9Result{}, err
 	}
 	defer svc.Close()
-	local := api.NewLocalOptions(svc, api.NewLeases(0), api.LocalOptions{CacheBytes: cacheBytes})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	local, url, shutdown, err := serveLoopback(svc, api.LocalOptions{CacheBytes: cacheBytes})
 	if err != nil {
 		return t9Result{}, err
 	}
-	httpSrv := &http.Server{Handler: server.New(local, server.Options{})}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	url := "http://" + ln.Addr().String()
+	defer shutdown()
 
 	// One pooled transport for the whole gang, capped so 100 clients'
 	// fan-outs share a bounded socket set instead of exhausting fds.

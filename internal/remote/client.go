@@ -2,8 +2,9 @@
 // storage.Backend backed by a qckpt server (internal/server), so an
 // unmodified core.Manager saves and restores over the network.
 //
-// The client routes by key shape. Chunk-shaped keys arriving through the
-// storage.AddressedIngester fast path ride the chunk plane: an
+// The client routes by key. Canonical chunk keys (api.CanonicalChunkAddr)
+// arriving through the storage.AddressedIngester fast path ride the chunk
+// plane: an
 // address-first "which of these do you already have" round (coalesced
 // across concurrent workers into batched /v1/has requests), then verified
 // uploads only for the misses — so a chunk any tenant already stored
@@ -48,14 +49,6 @@ type Options struct {
 	// RetryBase is the first backoff delay, doubled per attempt with full
 	// jitter (0 selects DefaultRetryBase).
 	RetryBase time.Duration
-	// Timeout bounds one HTTP request (0 selects DefaultTimeout).
-	Timeout time.Duration
-	// MaxConcurrentReads bounds this client's simultaneous wire reads
-	// (Get, range and batch requests). A gang of restorers sharing one
-	// server each keep their fan-out polite instead of stampeding it with
-	// Workers × restorers sockets. 0 selects DefaultMaxConcurrentReads;
-	// negative disables the bound.
-	MaxConcurrentReads int
 }
 
 const (
@@ -63,12 +56,15 @@ const (
 	DefaultRetries = 4
 	// DefaultRetryBase is the initial backoff step.
 	DefaultRetryBase = 50 * time.Millisecond
-	// DefaultTimeout bounds a single request.
-	DefaultTimeout = 2 * time.Minute
+	// requestTimeout bounds a single HTTP request.
+	requestTimeout = 2 * time.Minute
 	// maxHasBatch caps one coalesced /v1/has round.
 	maxHasBatch = 512
-	// DefaultMaxConcurrentReads is the per-client wire read bound.
-	DefaultMaxConcurrentReads = 8
+	// maxConcurrentReads bounds this client's simultaneous wire reads
+	// (Get, range and batch requests): a gang of restorers sharing one
+	// server each keep their fan-out polite instead of stampeding it with
+	// Workers × restorers sockets.
+	maxConcurrentReads = 8
 	// maxBatchWindow caps one /v1/batch request: a restore of a long
 	// chain goes down in windows, so the server streams bounded responses
 	// and the client overlaps parsing with the next window's fetch being
@@ -98,7 +94,7 @@ type Client struct {
 	caps   api.Caps
 	haster *hasBatcher
 
-	// readSlots bounds concurrent wire reads (nil = unbounded).
+	// readSlots bounds concurrent wire reads.
 	readSlots chan struct{}
 
 	requests      atomic.Int64
@@ -132,9 +128,6 @@ func Dial(baseURL string, opt Options) (*Client, error) {
 	if opt.RetryBase <= 0 {
 		opt.RetryBase = DefaultRetryBase
 	}
-	if opt.Timeout <= 0 {
-		opt.Timeout = DefaultTimeout
-	}
 	rt := opt.Transport
 	if rt == nil {
 		rt = &http.Transport{
@@ -144,19 +137,13 @@ func Dial(baseURL string, opt Options) (*Client, error) {
 		}
 	}
 	c := &Client{
-		base: strings.TrimRight(u.String(), "/"),
-		hc:   &http.Client{Transport: rt, Timeout: opt.Timeout},
-		opt:  opt,
-	}
-	slots := opt.MaxConcurrentReads
-	if slots == 0 {
-		slots = DefaultMaxConcurrentReads
-	}
-	if slots > 0 {
-		c.readSlots = make(chan struct{}, slots)
+		base:      strings.TrimRight(u.String(), "/"),
+		hc:        &http.Client{Transport: rt, Timeout: requestTimeout},
+		opt:       opt,
+		readSlots: make(chan struct{}, maxConcurrentReads),
 	}
 	c.haster = &hasBatcher{send: c.hasRound}
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathCaps, nil, nil)
+	status, _, body, err := c.doIdem(http.MethodGet, api.PathCaps, nil, nil, storage.ClassDefault)
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", baseURL, err)
 	}
@@ -217,15 +204,10 @@ func (c *Client) Caps() storage.CapSet {
 
 // roundTrip performs one request and returns the status, headers, and the
 // fully read body. A non-nil error means the exchange itself failed —
-// the server may or may not have applied the request.
-func (c *Client) roundTrip(method, pth string, query url.Values, body []byte) (int, http.Header, []byte, error) {
-	return c.roundTripClass(method, pth, query, body, storage.ClassDefault)
-}
-
-// roundTripClass is roundTrip with the write class riding as a header on
-// classed PUTs, so the server's placement policy sees remote writes with
-// the same fidelity as local ones.
-func (c *Client) roundTripClass(method, pth string, query url.Values, body []byte, class storage.WriteClass) (int, http.Header, []byte, error) {
+// the server may or may not have applied the request. A write class other
+// than ClassDefault rides as a header, so the server's placement policy
+// sees remote writes with the same fidelity as local ones.
+func (c *Client) roundTrip(method, pth string, query url.Values, body []byte, class storage.WriteClass) (int, http.Header, []byte, error) {
 	u := c.base + pth
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -257,12 +239,8 @@ func (c *Client) roundTripClass(method, pth string, query url.Values, body []byt
 	return resp.StatusCode, resp.Header, data, nil
 }
 
-// acquireRead takes a wire read slot (no-op when unbounded); the
-// returned func releases it.
+// acquireRead takes a wire read slot; the returned func releases it.
 func (c *Client) acquireRead() func() {
-	if c.readSlots == nil {
-		return func() {}
-	}
 	c.readSlots <- struct{}{}
 	return func() { <-c.readSlots }
 }
@@ -313,12 +291,7 @@ func (c *Client) backoff(attempt int, hdr http.Header) {
 // doIdem performs an idempotent request with retries: transport errors
 // and retryable statuses are re-attempted, anything else is returned for
 // the caller to map.
-func (c *Client) doIdem(method, pth string, query url.Values, body []byte) (int, http.Header, []byte, error) {
-	return c.doIdemClass(method, pth, query, body, storage.ClassDefault)
-}
-
-// doIdemClass is doIdem carrying a write class.
-func (c *Client) doIdemClass(method, pth string, query url.Values, body []byte, class storage.WriteClass) (int, http.Header, []byte, error) {
+func (c *Client) doIdem(method, pth string, query url.Values, body []byte, class storage.WriteClass) (int, http.Header, []byte, error) {
 	var (
 		status    int
 		hdr       http.Header
@@ -330,7 +303,7 @@ func (c *Client) doIdemClass(method, pth string, query url.Values, body []byte, 
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
-		status, hdr, data, err = c.roundTripClass(method, pth, query, body, class)
+		status, hdr, data, err = c.roundTrip(method, pth, query, body, class)
 		if err == nil && !retryable(status) {
 			return status, hdr, data, nil
 		}
@@ -395,7 +368,7 @@ func (c *Client) PutClass(key string, data []byte, class storage.WriteClass) err
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
-		status, hdr, body, err := c.roundTripClass(http.MethodPut, api.PathObjects+escapeKey(key), nil, data, class)
+		status, hdr, body, err := c.roundTrip(http.MethodPut, api.PathObjects+escapeKey(key), nil, data, class)
 		if err == nil {
 			switch {
 			case status == http.StatusNoContent || status == http.StatusOK:
@@ -429,7 +402,7 @@ func (c *Client) Get(key string) ([]byte, error) {
 	}
 	release := c.acquireRead()
 	defer release()
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathObjects+escapeKey(key), nil, nil)
+	status, _, body, err := c.doIdem(http.MethodGet, api.PathObjects+escapeKey(key), nil, nil, storage.ClassDefault)
 	if err != nil {
 		return nil, fmt.Errorf("remote: get %s: %w", key, err)
 	}
@@ -452,7 +425,7 @@ func (c *Client) GetRange(key string, off, n int64) ([]byte, error) {
 	q.Set("n", strconv.FormatInt(n, 10))
 	release := c.acquireRead()
 	defer release()
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathObjects+escapeKey(key), q, nil)
+	status, _, body, err := c.doIdem(http.MethodGet, api.PathObjects+escapeKey(key), q, nil, storage.ClassDefault)
 	if err != nil {
 		return nil, fmt.Errorf("remote: get-range %s: %w", key, err)
 	}
@@ -513,7 +486,7 @@ func (c *Client) GetBatch(keys []string) ([][]byte, []error) {
 func (c *Client) batchWindow(keys []string, out [][]byte, errs []error) {
 	reqBody, _ := json.Marshal(api.KeysRequest{Keys: keys})
 	release := c.acquireRead()
-	status, _, body, err := c.doIdem(http.MethodPost, api.PathBatch, nil, reqBody)
+	status, _, body, err := c.doIdem(http.MethodPost, api.PathBatch, nil, reqBody, storage.ClassDefault)
 	release()
 	next := 0
 	if err == nil && status == http.StatusOK {
@@ -545,7 +518,7 @@ func (c *Client) Stat(key string) (storage.ObjectInfo, error) {
 	if err := storage.ValidateKey(key); err != nil {
 		return storage.ObjectInfo{}, err
 	}
-	status, hdr, body, err := c.doIdem(http.MethodHead, api.PathObjects+escapeKey(key), nil, nil)
+	status, hdr, body, err := c.doIdem(http.MethodHead, api.PathObjects+escapeKey(key), nil, nil, storage.ClassDefault)
 	if err != nil {
 		return storage.ObjectInfo{}, fmt.Errorf("remote: stat %s: %w", key, err)
 	}
@@ -563,7 +536,7 @@ func (c *Client) Stat(key string) (storage.ObjectInfo, error) {
 func (c *Client) List(prefix string) ([]string, error) {
 	q := url.Values{}
 	q.Set("prefix", prefix)
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathList, q, nil)
+	status, _, body, err := c.doIdem(http.MethodGet, api.PathList, q, nil, storage.ClassDefault)
 	if err != nil {
 		return nil, fmt.Errorf("remote: list %q: %w", prefix, err)
 	}
@@ -585,7 +558,7 @@ func (c *Client) Delete(key string) error {
 	if err := storage.ValidateKey(key); err != nil {
 		return err
 	}
-	status, _, body, err := c.roundTrip(http.MethodDelete, api.PathObjects+escapeKey(key), nil, nil)
+	status, _, body, err := c.roundTrip(http.MethodDelete, api.PathObjects+escapeKey(key), nil, nil, storage.ClassDefault)
 	if err != nil {
 		return fmt.Errorf("remote: delete %s: %w", key, err)
 	}
@@ -597,21 +570,27 @@ func (c *Client) Delete(key string) error {
 
 // --- chunk plane (storage.AddressedIngester) ---
 
-// IngestKeyed implements storage.AddressedIngester: the dedup handshake.
-// The address probe rides a coalesced batch round; only misses upload.
-// Both legs are idempotent and freely retried. Returning ok=true hands
-// the chunk store's dedup decision to the server, which sees every
-// tenant's chunks — that is the entire point of the protocol.
+// IngestKeyed implements storage.AddressedIngester.
 func (c *Client) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
 	return c.IngestKeyedClass(key, addr, data, storage.ClassDefault)
 }
 
-// IngestKeyedClass implements storage.KeyedClassIngester: the same dedup
-// handshake with the write class riding the upload leg (the probe leg
-// carries no class — a hit stays wherever it already lives).
+// IngestKeyedClass implements storage.KeyedClassIngester: the dedup
+// handshake. The address probe rides a coalesced batch round; only misses
+// upload, the write class riding the upload leg (the probe leg carries no
+// class — a hit stays wherever it already lives). Both legs are
+// idempotent and freely retried. Returning ok=true hands the chunk
+// store's dedup decision to the server, which sees every tenant's chunks
+// — that is the entire point of the protocol. The server's chunk plane
+// serves canonical keys only (api.CanonicalChunkAddr); for a chunk store
+// mounted anywhere else the answer is ok=false and the caller's generic
+// protocol runs over the object plane.
 func (c *Client) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
 	if err := storage.ValidateKey(key); err != nil {
 		return 0, false, err
+	}
+	if _, canonical := api.CanonicalChunkAddr(key); !canonical {
+		return 0, false, nil
 	}
 	have, err := c.haster.has(key)
 	if err != nil {
@@ -620,7 +599,7 @@ func (c *Client) IngestKeyedClass(key, addr string, data []byte, class storage.W
 	if have {
 		return 0, true, nil
 	}
-	status, _, body, err := c.doIdemClass(http.MethodPut, api.PathChunks+escapeKey(key), nil, data, class)
+	status, _, body, err := c.doIdem(http.MethodPut, api.PathChunks+escapeKey(key), nil, data, class)
 	if err != nil {
 		return 0, true, fmt.Errorf("remote: ingest %s: %w", key, err)
 	}
@@ -637,7 +616,7 @@ func (c *Client) IngestKeyedClass(key, addr string, data []byte, class storage.W
 // hasRound is one wire-level /v1/has exchange.
 func (c *Client) hasRound(keys []string) ([]bool, error) {
 	reqBody, _ := json.Marshal(api.KeysRequest{Keys: keys})
-	status, _, body, err := c.doIdem(http.MethodPost, api.PathHas, nil, reqBody)
+	status, _, body, err := c.doIdem(http.MethodPost, api.PathHas, nil, reqBody, storage.ClassDefault)
 	if err != nil {
 		return nil, err
 	}
@@ -719,7 +698,7 @@ func (b *hasBatcher) has(key string) (bool, error) {
 // leases. Client-side chunk sweeps would be blind to all of those, which
 // is exactly why the interface exists.
 func (c *Client) CollectOrphans() (int, int64, bool, error) {
-	status, _, body, err := c.doIdem(http.MethodPost, api.PathGC, nil, nil)
+	status, _, body, err := c.doIdem(http.MethodPost, api.PathGC, nil, nil, storage.ClassDefault)
 	if err != nil {
 		return 0, 0, true, fmt.Errorf("remote: gc: %w", err)
 	}
@@ -735,7 +714,7 @@ func (c *Client) CollectOrphans() (int, int64, bool, error) {
 
 // Jobs lists the job namespaces on the server.
 func (c *Client) Jobs() ([]string, error) {
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathJobs, nil, nil)
+	status, _, body, err := c.doIdem(http.MethodGet, api.PathJobs, nil, nil, storage.ClassDefault)
 	if err != nil {
 		return nil, fmt.Errorf("remote: jobs: %w", err)
 	}
@@ -752,7 +731,7 @@ func (c *Client) Jobs() ([]string, error) {
 // Stats snapshots the server-side counters (the T8 harness reads dedup
 // and traffic totals from here).
 func (c *Client) Stats() (api.Stats, error) {
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathStats, nil, nil)
+	status, _, body, err := c.doIdem(http.MethodGet, api.PathStats, nil, nil, storage.ClassDefault)
 	if err != nil {
 		return api.Stats{}, fmt.Errorf("remote: stats: %w", err)
 	}

@@ -2,10 +2,13 @@ package remote_test
 
 import (
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/remote"
 	"repro/internal/storage"
 )
@@ -101,12 +104,59 @@ func TestGetBatchDedupsAndWindows(t *testing.T) {
 	}
 }
 
-// TestBoundedReadConcurrency drives overlapping reads through a client
-// capped at one in-flight wire read: everything must still complete
+// readGauge is a RoundTripper that tracks how many wire reads (object
+// GETs, range GETs and batch POSTs) are in flight together. It holds
+// every read at a barrier until want of them have arrived, then lingers
+// a moment before letting them all through — time in which an unbounded
+// client's remaining readers would pile in past want.
+type readGauge struct {
+	base http.RoundTripper
+	want int
+
+	mu             sync.Mutex
+	inflight, peak int
+	full           chan struct{}
+	once           sync.Once
+}
+
+func (g *readGauge) RoundTrip(req *http.Request) (*http.Response, error) {
+	read := (req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, api.PathObjects)) ||
+		req.URL.Path == api.PathBatch
+	if !read {
+		return g.base.RoundTrip(req)
+	}
+	g.mu.Lock()
+	g.inflight++
+	g.peak = max(g.peak, g.inflight)
+	reached := g.inflight >= g.want
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inflight--
+		g.mu.Unlock()
+	}()
+	if reached {
+		g.once.Do(func() {
+			time.Sleep(50 * time.Millisecond)
+			close(g.full)
+		})
+	}
+	select {
+	case <-g.full:
+	case <-time.After(10 * time.Second):
+		return nil, fmt.Errorf("only %d reads in flight after 10s, want %d", g.inflight, g.want)
+	}
+	return g.base.RoundTrip(req)
+}
+
+// TestBoundedReadConcurrency drives four times as many overlapping
+// readers as the client has wire read slots: exactly the constant bound
+// of them are ever on the wire together, and everything still completes
 // correctly (and promptly — a slot leak would deadlock here).
 func TestBoundedReadConcurrency(t *testing.T) {
 	url, _ := newStack(t)
-	c, err := remote.Dial(url, remote.Options{MaxConcurrentReads: 1, RetryBase: time.Millisecond})
+	gauge := &readGauge{base: http.DefaultTransport, want: remote.MaxConcurrentReads, full: make(chan struct{})}
+	c, err := remote.Dial(url, remote.Options{Transport: gauge, RetryBase: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +167,7 @@ func TestBoundedReadConcurrency(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4*remote.MaxConcurrentReads; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -139,4 +189,56 @@ func TestBoundedReadConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if gauge.peak != remote.MaxConcurrentReads {
+		t.Errorf("peak wire reads in flight = %d, want the constant bound %d", gauge.peak, remote.MaxConcurrentReads)
+	}
+}
+
+// pathLog is a RoundTripper that records every request path it carries.
+type pathLog struct {
+	mu    sync.Mutex
+	paths []string
+}
+
+func (p *pathLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	p.mu.Lock()
+	p.paths = append(p.paths, req.URL.Path)
+	p.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestForeignChunkStoreRidesObjectPlane pins the client half of the chunk
+// plane's routing rule: a chunk store mounted anywhere but chunks/ gets
+// ok=false from the client's addressed ingest, so ChunkStore.Ingest runs
+// its own dedup protocol over the object plane — same bytes stored, a
+// re-ingest writes nothing, and the server's chunk plane never hears of
+// the key.
+func TestForeignChunkStoreRidesObjectPlane(t *testing.T) {
+	url, local := newStack(t)
+	wire := &pathLog{}
+	c, err := remote.Dial(url, remote.Options{Transport: wire, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cs := storage.NewChunkStore(storage.WithPrefix(c, "ns"))
+	data := []byte("a chunk under a foreign mount")
+	addr := storage.Hash(data)
+	if w, err := cs.Ingest(addr, data, storage.ClassDefault); err != nil || w != len(data) {
+		t.Fatalf("first ingest wrote %d, %v; want %d", w, err, len(data))
+	}
+	if w, err := cs.Ingest(addr, data, storage.ClassDefault); err != nil || w != 0 {
+		t.Fatalf("second ingest wrote %d, %v; want a dedup hit", w, err)
+	}
+	if got, err := local.GetObject("ns/" + addr[:2] + "/" + addr); err != nil || string(got) != string(data) {
+		t.Fatalf("server holds %q, %v", got, err)
+	}
+	for _, p := range wire.paths {
+		if p == api.PathHas || strings.HasPrefix(p, api.PathChunks) {
+			t.Errorf("foreign chunk reached the chunk plane: %s", p)
+		}
+	}
+	if st := local.Stats(); st.HasQueries != 0 || st.ChunksIngested != 0 {
+		t.Errorf("server chunk-plane counters moved: %+v", st)
+	}
 }

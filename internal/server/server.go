@@ -28,12 +28,6 @@ type Options struct {
 	// refused with 429 and a Retry-After hint. 0 selects
 	// DefaultMaxInflight; negative disables admission control.
 	MaxInflightPerTenant int
-	// MaxBodyBytes bounds a single upload body (0 selects
-	// DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// RetryAfterSeconds is the backpressure hint sent with 429 (0 selects
-	// 1 second).
-	RetryAfterSeconds int
 }
 
 // DefaultMaxInflight is the per-tenant in-flight ingest bound: enough for
@@ -41,14 +35,13 @@ type Options struct {
 // cannot monopolize the store's write path.
 const DefaultMaxInflight = 64
 
-// DefaultMaxBodyBytes bounds one uploaded object (256 MiB — far above any
+// maxBodyBytes bounds one uploaded object (256 MiB — far above any
 // chunk, roomy enough for unchunked manifests).
-const DefaultMaxBodyBytes = 256 << 20
+const maxBodyBytes = 256 << 20
 
 // Server is the http.Handler serving the qckpt wire protocol.
 type Server struct {
 	svc       api.Service
-	opt       Options
 	mux       *http.ServeMux
 	admit     admission
 	throttled atomic.Int64
@@ -59,15 +52,8 @@ func New(svc api.Service, opt Options) *Server {
 	if opt.MaxInflightPerTenant == 0 {
 		opt.MaxInflightPerTenant = DefaultMaxInflight
 	}
-	if opt.MaxBodyBytes <= 0 {
-		opt.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if opt.RetryAfterSeconds <= 0 {
-		opt.RetryAfterSeconds = 1
-	}
 	s := &Server{
 		svc:   svc,
-		opt:   opt,
 		admit: admission{limit: opt.MaxInflightPerTenant, inflight: make(map[string]int)},
 	}
 	mux := http.NewServeMux()
@@ -134,77 +120,47 @@ func tenantOf(r *http.Request) string {
 	return api.DefaultTenant
 }
 
-// admitIngest runs the admission check; on refusal it writes the 429
-// itself and returns false.
-func (s *Server) admitIngest(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+// throttle refuses a request with 429 and a whole-second Retry-After.
+func (s *Server) throttle(w http.ResponseWriter, retryAfterSecs int, msg string) {
+	s.throttled.Add(1)
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
+	writeErr(w, http.StatusTooManyRequests, api.CodeThrottled, msg)
+}
+
+// admitPut is the one admission preamble of both PUT handlers: validated
+// key, then the tenant's in-flight slot (held until commit returns), then
+// the service's QoS table for the announced length — quota headroom and
+// write-rate tokens, refused with a Retry-After from the limiter's own
+// arithmetic (bucket refill time for "rate", GC cadence for "quota") —
+// then the write-class header, then the bounded body. A refusal at any
+// step writes the response here and commit never runs.
+func (s *Server) admitPut(w http.ResponseWriter, r *http.Request, commit func(tenant, key string, body []byte, class storage.WriteClass)) {
+	key, ok := pathKey(w, r)
+	if !ok {
+		return
+	}
 	tenant := tenantOf(r)
 	if !s.admit.acquire(tenant) {
-		s.throttled.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.opt.RetryAfterSeconds))
-		writeErr(w, http.StatusTooManyRequests, api.CodeThrottled,
-			fmt.Sprintf("tenant %q has too many in-flight ingests", tenant))
-		return nil, false
+		s.throttle(w, 1, fmt.Sprintf("tenant %q has too many in-flight ingests", tenant))
+		return
 	}
-	return func() { s.admit.release(tenant) }, true
-}
-
-// admitQoS consults the service's per-tenant QoS table (when it has one)
-// for n incoming bytes — quota headroom and write-rate tokens. On
-// refusal it writes 429 with a Retry-After derived from the limiter's
-// own arithmetic (bucket refill time for "rate", GC cadence for
-// "quota") and returns false. Runs after the in-flight bound, so both
-// rejections ride the same admission path.
-func (s *Server) admitQoS(w http.ResponseWriter, r *http.Request, n int64) bool {
-	qs, ok := s.svc.(api.QoSService)
+	defer s.admit.release(tenant)
+	// A negative length is chunked transfer encoding: admit, and charge
+	// on landing.
+	if retry, reason, ok := s.svc.QoSAdmit(tenant, max(r.ContentLength, 0)); !ok {
+		s.throttle(w, max(int((retry+time.Second-1)/time.Second), 1),
+			fmt.Sprintf("tenant %q over its %s limit", tenant, reason))
+		return
+	}
+	class, ok := classOf(w, r)
 	if !ok {
-		return true
-	}
-	if n < 0 {
-		n = 0 // chunked transfer encoding: length unknown, admit and charge on landing
-	}
-	tenant := tenantOf(r)
-	retry, reason, ok := qs.QoSAdmit(tenant, n)
-	if ok {
-		return true
-	}
-	s.throttled.Add(1)
-	secs := int((retry + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeErr(w, http.StatusTooManyRequests, api.CodeThrottled,
-		fmt.Sprintf("tenant %q over its %s limit", tenant, reason))
-	return false
-}
-
-// chargeQoS bills bytes that actually landed to the tenant's quota.
-func (s *Server) chargeQoS(r *http.Request, n int64) {
-	if qs, ok := s.svc.(api.QoSService); ok && n > 0 {
-		qs.QoSCharge(tenantOf(r), n)
-	}
-}
-
-// chargeQoSChunk is chargeQoS for chunk ingests: canonical chunk-store
-// addresses carry owner bookkeeping, so the orphan sweep credits the
-// bytes back when the chunk ages out of every manifest.
-func (s *Server) chargeQoSChunk(r *http.Request, key string, n int64) {
-	qs, ok := s.svc.(api.QoSService)
-	if !ok || n <= 0 {
 		return
 	}
-	if addr, canonical := api.CanonicalChunkAddr(key); canonical {
-		qs.QoSChargeChunk(tenantOf(r), addr, n)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	qs.QoSCharge(tenantOf(r), n)
-}
-
-// creditQoS hands bytes back to the tenant's quota.
-func (s *Server) creditQoS(r *http.Request, n int64) {
-	if qs, ok := s.svc.(api.QoSService); ok && n > 0 {
-		qs.QoSCredit(tenantOf(r), n)
-	}
+	commit(tenant, key, body, class)
 }
 
 // classOf parses the write-class header; unknown names are a client bug
@@ -269,8 +225,8 @@ func pathKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return key, true
 }
 
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		// A short or oversized body is the client's problem (or the
 		// network's); either way the upload was not applied.
@@ -363,90 +319,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleChunkPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
-	}
-	release, ok := s.admitIngest(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if !s.admitQoS(w, r, r.ContentLength) {
-		return
-	}
-	class, ok := classOf(w, r)
-	if !ok {
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var written int
-	var err error
-	if cs, ok := s.svc.(api.ClassedService); ok {
-		written, err = cs.IngestChunkClass(key, body, class)
-	} else {
-		written, err = s.svc.IngestChunk(key, body)
-	}
-	if err != nil {
-		writeMappedErr(w, err)
-		return
-	}
-	s.chargeQoSChunk(r, key, int64(written))
-	writeJSON(w, api.IngestResponse{Written: written})
+	s.admitPut(w, r, func(tenant, key string, body []byte, class storage.WriteClass) {
+		written, err := s.svc.IngestChunkClass(key, body, class)
+		if err != nil {
+			writeMappedErr(w, err)
+			return
+		}
+		// The ingest accepted key, so it is canonical: the charge carries
+		// owner bookkeeping, and the orphan sweep credits the bytes back
+		// when the chunk ages out of every manifest.
+		if written > 0 {
+			addr, _ := api.CanonicalChunkAddr(key)
+			s.svc.QoSChargeChunk(tenant, addr, int64(written))
+		}
+		writeJSON(w, api.IngestResponse{Written: written})
+	})
 }
 
 func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := pathKey(w, r)
-	if !ok {
-		return
-	}
-	release, ok := s.admitIngest(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if !s.admitQoS(w, r, r.ContentLength) {
-		return
-	}
-	class, ok := classOf(w, r)
-	if !ok {
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Overwrites charge only the growth over the resident copy: the
-	// remote client's verify-then-retry protocol may legitimately re-send
-	// the same manifest after an ambiguous failure, and a re-PUT must be
-	// idempotent for quota accounting. The Stat happens only with QoS
-	// wired, so unpoliced servers pay nothing extra.
-	var prev int64
-	_, hasQoS := s.svc.(api.QoSService)
-	if hasQoS {
+	s.admitPut(w, r, func(tenant, key string, body []byte, class storage.WriteClass) {
+		// Overwrites charge only the growth over the resident copy: the
+		// remote client's verify-then-retry protocol may legitimately
+		// re-send the same manifest after an ambiguous failure, and a
+		// re-PUT must be idempotent for quota accounting — so every
+		// commit pays one Stat first, policed tenants or not.
+		var prev int64
 		if info, err := s.svc.StatObject(key); err == nil {
 			prev = info.Size
 		}
-	}
-	var err error
-	if cs, ok := s.svc.(api.ClassedService); ok {
-		err = cs.CommitManifestClass(key, body, class)
-	} else {
-		err = s.svc.CommitManifest(key, body)
-	}
-	if err != nil {
-		writeMappedErr(w, err)
-		return
-	}
-	if delta := int64(len(body)) - prev; delta > 0 {
-		s.chargeQoS(r, delta)
-	} else if delta < 0 {
-		s.creditQoS(r, -delta)
-	}
-	w.WriteHeader(http.StatusNoContent)
+		if err := s.svc.CommitManifestClass(key, body, class); err != nil {
+			writeMappedErr(w, err)
+			return
+		}
+		if delta := int64(len(body)) - prev; delta > 0 {
+			s.svc.QoSCharge(tenant, delta)
+		} else if delta < 0 {
+			s.svc.QoSCredit(tenant, -delta)
+		}
+		w.WriteHeader(http.StatusNoContent)
+	})
 }
 
 // handleObjectGet serves GET (full or ?off=&n= range reads) and, via the
@@ -503,15 +414,15 @@ func (s *Server) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
 	// Stat before delete is the only moment the size is known, mirroring
 	// Manager.gc's Stat-then-delete-then-credit.
 	var credit int64
-	if _, hasQoS := s.svc.(api.QoSService); hasQoS {
-		if info, err := s.svc.StatObject(key); err == nil {
-			credit = info.Size
-		}
+	if info, err := s.svc.StatObject(key); err == nil {
+		credit = info.Size
 	}
 	if err := s.svc.DeleteObject(key); err != nil {
 		writeMappedErr(w, err)
 		return
 	}
-	s.creditQoS(r, credit)
+	if credit > 0 {
+		s.svc.QoSCredit(tenantOf(r), credit)
+	}
 	w.WriteHeader(http.StatusNoContent)
 }

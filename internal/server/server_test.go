@@ -78,16 +78,23 @@ func TestObjectPlaneRoundTrip(t *testing.T) {
 
 func TestErrorMapping(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
+	// A chunk-shaped key outside chunks/ is not the chunk plane's to serve.
+	foreign := []byte("foreign chunk")
+	foreignKey := storage.Hash(foreign)[:2] + "/" + storage.Hash(foreign)
+	foreignHas, _ := json.Marshal(api.KeysRequest{Keys: []string{foreignKey}})
 	cases := []struct {
 		method, path string
+		body         []byte
 		status       int
 		code         string
 	}{
-		{http.MethodGet, api.PathObjects + "absent", http.StatusNotFound, api.CodeNotFound},
-		{http.MethodDelete, api.PathObjects + "absent", http.StatusNotFound, api.CodeNotFound},
+		{http.MethodGet, api.PathObjects + "absent", nil, http.StatusNotFound, api.CodeNotFound},
+		{http.MethodDelete, api.PathObjects + "absent", nil, http.StatusNotFound, api.CodeNotFound},
+		{http.MethodPut, api.PathChunks + foreignKey, foreign, http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodPost, api.PathHas, foreignHas, http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, c := range cases {
-		resp, body := doReq(t, c.method, ts.URL+c.path, nil)
+		resp, body := doReq(t, c.method, ts.URL+c.path, c.body)
 		if resp.StatusCode != c.status {
 			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.status)
 		}
@@ -171,7 +178,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// blockingService wedges IngestChunk until released, so admission tests
+// blockingService wedges IngestChunkClass until released, so admission tests
 // can hold requests in flight deterministically.
 type blockingService struct {
 	api.Service
@@ -180,10 +187,10 @@ type blockingService struct {
 	release chan struct{}
 }
 
-func (b *blockingService) IngestChunk(key string, data []byte) (int, error) {
+func (b *blockingService) IngestChunkClass(key string, data []byte, class storage.WriteClass) (int, error) {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.Service.IngestChunk(key, data)
+	return b.Service.IngestChunkClass(key, data, class)
 }
 
 // TestAdmissionControl: with a per-tenant bound of 1, a second concurrent

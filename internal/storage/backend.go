@@ -419,10 +419,7 @@ func (p *prefixed) Caps() CapSet {
 }
 
 func (p *prefixed) Put(key string, data []byte) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	return p.base.Put(p.prefix+key, data)
+	return p.PutClass(key, data, ClassDefault)
 }
 
 // PutClass forwards a classed write into the namespaced base, so class
@@ -457,17 +454,13 @@ func (p *prefixed) GetBatch(keys []string) ([][]byte, []error) {
 	return GetBatch(p.base, full)
 }
 
-// IngestKeyed forwards an addressed ingest into the namespaced base, so a
-// chunk store mounted at "chunks/" still reaches a base backend that owns
-// the dedup decision (ok=false when the base is a plain backend).
 func (p *prefixed) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return 0, false, err
-	}
-	return TryIngestKeyed(p.base, p.prefix+key, addr, data)
+	return p.IngestKeyedClass(key, addr, data, ClassDefault)
 }
 
-// IngestKeyedClass forwards a classed addressed ingest into the base.
+// IngestKeyedClass forwards an addressed ingest into the namespaced base,
+// so a chunk store mounted at "chunks/" still reaches a base backend that
+// owns the dedup decision (ok=false when the base is a plain backend).
 func (p *prefixed) IngestKeyedClass(key, addr string, data []byte, class WriteClass) (int, bool, error) {
 	if err := ValidateKey(key); err != nil {
 		return 0, false, err

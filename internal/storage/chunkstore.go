@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// ErrChunkNotFound is returned by ShardedChunkStore.Get for unknown
+// ErrChunkNotFound is returned by ChunkStore.Get for unknown
 // addresses.
 var ErrChunkNotFound = errors.New("storage: chunk not found")
 
@@ -23,8 +23,8 @@ const DefaultChunkShards = 32
 // 256 shards would leave some permanently empty).
 const maxChunkShards = 256
 
-// ShardedChunkStore is a content-addressed blob store on any Backend:
-// chunks are stored under <first2>/<hash>. Identical content is stored
+// ChunkStore is a content-addressed blob store on any Backend: chunks
+// are stored under <first2>/<hash>. Identical content is stored
 // once, which is what makes incremental checkpoint chains and chunked
 // snapshots cheap when content repeats between saves — including across
 // tenants: several checkpoint managers (one per training job) can ingest
@@ -36,14 +36,10 @@ const maxChunkShards = 256
 // only when two operations land on the same shard — with the default
 // shard count that is a 1-in-32 collision, not a global lock. All methods
 // are safe for concurrent use when the backend is.
-type ShardedChunkStore struct {
+type ChunkStore struct {
 	b      Backend
 	shards []chunkShard
 }
-
-// ChunkStore is the historical name for ShardedChunkStore; single-tenant
-// callers that never think about shard counts use it with NewChunkStore.
-type ChunkStore = ShardedChunkStore
 
 // chunkShard is one lock stripe: a mutex plus the verification cache for
 // the addresses routed to it. verified remembers addresses whose resident
@@ -61,14 +57,14 @@ type chunkShard struct {
 // given number of lock stripes (clamped to [1, 256]; values ≤ 0 select
 // DefaultChunkShards). Namespace the backend with WithPrefix when chunks
 // share it with other objects.
-func NewShardedChunkStore(b Backend, shards int) *ShardedChunkStore {
+func NewShardedChunkStore(b Backend, shards int) *ChunkStore {
 	if shards <= 0 {
 		shards = DefaultChunkShards
 	}
 	if shards > maxChunkShards {
 		shards = maxChunkShards
 	}
-	cs := &ShardedChunkStore{b: b, shards: make([]chunkShard, shards)}
+	cs := &ChunkStore{b: b, shards: make([]chunkShard, shards)}
 	for i := range cs.shards {
 		cs.shards[i].verified = make(map[string]bool)
 	}
@@ -90,11 +86,8 @@ func OpenChunkStore(dir string) (*ChunkStore, error) {
 	return NewChunkStore(b), nil
 }
 
-// Backend returns the underlying backend.
-func (cs *ShardedChunkStore) Backend() Backend { return cs.b }
-
 // Shards returns the lock-stripe count.
-func (cs *ShardedChunkStore) Shards() int { return len(cs.shards) }
+func (cs *ChunkStore) Shards() int { return len(cs.shards) }
 
 // hexNibble decodes one lowercase-hex digit; ok=false otherwise.
 func hexNibble(c byte) (byte, bool) {
@@ -127,15 +120,15 @@ func ShardIndex(addr string, n int) int {
 }
 
 // ShardOf maps a chunk address to this store's shard index.
-func (cs *ShardedChunkStore) ShardOf(addr string) int {
+func (cs *ChunkStore) ShardOf(addr string) int {
 	return ShardIndex(addr, len(cs.shards))
 }
 
-func (cs *ShardedChunkStore) shard(addr string) *chunkShard {
+func (cs *ChunkStore) shard(addr string) *chunkShard {
 	return &cs.shards[cs.ShardOf(addr)]
 }
 
-func (cs *ShardedChunkStore) key(addr string) (string, error) {
+func (cs *ChunkStore) key(addr string) (string, error) {
 	if len(addr) != 64 || strings.ContainsAny(addr, "/\\.") {
 		return "", fmt.Errorf("storage: malformed chunk address %q", addr)
 	}
@@ -145,7 +138,7 @@ func (cs *ShardedChunkStore) key(addr string) (string, error) {
 // Put stores data under its content address, which it returns: hash, then
 // Ingest. Re-putting identical content is a no-op returning the same
 // address.
-func (cs *ShardedChunkStore) Put(data []byte) (string, error) {
+func (cs *ChunkStore) Put(data []byte) (string, error) {
 	addr := Hash(data)
 	_, err := cs.Ingest(addr, data, ClassDefault)
 	return addr, err
@@ -169,9 +162,9 @@ type AddressedIngester interface {
 }
 
 // TryIngestKeyed delegates an addressed ingest to b when it implements
-// AddressedIngester, and reports ok=false otherwise. Composite backends
-// use it to forward toward their base without having to know whether the
-// base participates.
+// AddressedIngester, and reports ok=false otherwise. In-tree forwarding
+// goes through TryIngestKeyedClass; this spelling is pinned by bench's
+// span wrapper.
 func TryIngestKeyed(b Backend, key, addr string, data []byte) (written int, ok bool, err error) {
 	if ai := Caps(b).Ingest; ai != nil {
 		return ai.IngestKeyed(key, addr, data)
@@ -203,7 +196,7 @@ func TryIngestKeyed(b Backend, key, addr string, data []byte) (written int, ok b
 // the dedup protocol stays identical. The class only influences where a
 // *new* chunk lands — a dedup hit leaves the resident copy wherever it
 // lives, whatever class the hit carries.
-func (cs *ShardedChunkStore) Ingest(addr string, data []byte, class WriteClass) (written int, err error) {
+func (cs *ChunkStore) Ingest(addr string, data []byte, class WriteClass) (written int, err error) {
 	key, err := cs.key(addr)
 	if err != nil {
 		return 0, err
@@ -237,21 +230,21 @@ func (cs *ShardedChunkStore) Ingest(addr string, data []byte, class WriteClass) 
 	return len(data), nil
 }
 
-func (cs *ShardedChunkStore) isVerified(addr string) bool {
+func (cs *ChunkStore) isVerified(addr string) bool {
 	s := cs.shard(addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.verified[addr]
 }
 
-func (cs *ShardedChunkStore) markVerified(addr string) {
+func (cs *ChunkStore) markVerified(addr string) {
 	s := cs.shard(addr)
 	s.mu.Lock()
 	s.verified[addr] = true
 	s.mu.Unlock()
 }
 
-func (cs *ShardedChunkStore) unmarkVerified(addr string) {
+func (cs *ChunkStore) unmarkVerified(addr string) {
 	s := cs.shard(addr)
 	s.mu.Lock()
 	delete(s.verified, addr)
@@ -260,7 +253,7 @@ func (cs *ShardedChunkStore) unmarkVerified(addr string) {
 
 // Get retrieves the chunk at addr, verifying its content against the
 // address (detects backend corruption).
-func (cs *ShardedChunkStore) Get(addr string) ([]byte, error) {
+func (cs *ChunkStore) Get(addr string) ([]byte, error) {
 	key, err := cs.key(addr)
 	if err != nil {
 		return nil, err
@@ -280,7 +273,7 @@ func (cs *ShardedChunkStore) Get(addr string) ([]byte, error) {
 }
 
 // Has reports whether addr is present.
-func (cs *ShardedChunkStore) Has(addr string) bool {
+func (cs *ChunkStore) Has(addr string) bool {
 	key, err := cs.key(addr)
 	if err != nil {
 		return false
@@ -290,7 +283,7 @@ func (cs *ShardedChunkStore) Has(addr string) bool {
 }
 
 // List returns all stored addresses, sorted.
-func (cs *ShardedChunkStore) List() ([]string, error) {
+func (cs *ChunkStore) List() ([]string, error) {
 	keys, err := cs.b.List("")
 	if err != nil {
 		return nil, err
@@ -310,7 +303,7 @@ func (cs *ShardedChunkStore) List() ([]string, error) {
 // its address. It rides the backend's BatchReader fast path when one
 // exists, so a tiered store overlaps its per-level fetches. Results are
 // positional: out[i] (or errs[i]) corresponds to addrs[i].
-func (cs *ShardedChunkStore) GetBatch(addrs []string) (out [][]byte, errs []error) {
+func (cs *ChunkStore) GetBatch(addrs []string) (out [][]byte, errs []error) {
 	out = make([][]byte, len(addrs))
 	errs = make([]error, len(addrs))
 	keys := make([]string, len(addrs))
@@ -347,7 +340,7 @@ func (cs *ShardedChunkStore) GetBatch(addrs []string) (out [][]byte, errs []erro
 
 // GC deletes every chunk whose address is not in keep. It returns the
 // number of chunks removed and bytes reclaimed.
-func (cs *ShardedChunkStore) GC(keep map[string]bool) (removed int, reclaimed int64, err error) {
+func (cs *ChunkStore) GC(keep map[string]bool) (removed int, reclaimed int64, err error) {
 	addrs, err := cs.List()
 	if err != nil {
 		return 0, 0, err
@@ -364,7 +357,7 @@ func (cs *ShardedChunkStore) GC(keep map[string]bool) (removed int, reclaimed in
 // nil-able, observes each collected chunk's address and stored size —
 // the checkpoint engine's quota accounting credits reclaimed bytes back
 // to the tenant charged for writing them.
-func (cs *ShardedChunkStore) Sweep(addrs []string, keep map[string]bool, skip func(addr string) bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
+func (cs *ChunkStore) Sweep(addrs []string, keep map[string]bool, skip func(addr string) bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
 	for _, addr := range addrs {
 		if keep[addr] || (skip != nil && skip(addr)) {
 			continue
@@ -411,7 +404,7 @@ func TryCollectOrphans(b Backend) (removed int, reclaimed int64, ok bool, err er
 }
 
 // TotalBytes returns the summed size of all chunks.
-func (cs *ShardedChunkStore) TotalBytes() (int64, error) {
+func (cs *ChunkStore) TotalBytes() (int64, error) {
 	addrs, err := cs.List()
 	if err != nil {
 		return 0, err

@@ -205,3 +205,28 @@ func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 		t.Errorf("chunk ingested after the inventory was swept")
 	}
 }
+
+func TestChunkKeyAddr(t *testing.T) {
+	addr := Hash([]byte("x"))
+	cases := []struct {
+		key string
+		ok  bool
+	}{
+		{"chunks/" + addr[:2] + "/" + addr, true},
+		{addr[:2] + "/" + addr, true},                // chunk store at the root
+		{"ns/chunks/" + addr[:2] + "/" + addr, true}, // nested namespace
+		{"jobs/a/ckpt-000000000001-full.qckpt", false},
+		{addr, false},                             // no fan-out segment
+		{"zz/" + addr, false},                     // fan-out mismatch
+		{addr[:2] + "/" + addr[:63] + "G", false}, // not hex
+	}
+	for _, c := range cases {
+		got, ok := ChunkKeyAddr(c.key)
+		if ok != c.ok {
+			t.Errorf("ChunkKeyAddr(%q) ok=%v, want %v", c.key, ok, c.ok)
+		}
+		if ok && got != addr {
+			t.Errorf("ChunkKeyAddr(%q) = %q", c.key, got)
+		}
+	}
+}

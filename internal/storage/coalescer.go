@@ -106,9 +106,6 @@ func NewCoalescerShards(base Backend, maxBytes int64, shards int) *Coalescer {
 	return c
 }
 
-// Base returns the wrapped backend.
-func (c *Coalescer) Base() Backend { return c.base }
-
 func (c *Coalescer) shard(key string) *coShard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
@@ -272,7 +269,7 @@ func (c *Coalescer) Caps() CapSet {
 	if base.Ingest != nil {
 		out.Ingest = c
 	}
-	if base.ClassIngest != nil || base.Ingest != nil {
+	if base.ClassIngest != nil {
 		out.ClassIngest = c
 	}
 	if base.Orphans != nil {
@@ -396,8 +393,13 @@ func sliceRange(data []byte, off, n int64) []byte {
 	return append([]byte(nil), clampRange(data, off, n)...)
 }
 
-// Put implements Backend: write-through, invalidating any cached copy
-// and fencing in-flight fills. Updating the cached entry in place instead
+// Put implements Backend.
+func (c *Coalescer) Put(key string, data []byte) error {
+	return c.PutClass(key, data, ClassDefault)
+}
+
+// PutClass implements ClassWriter: write-through, invalidating any cached
+// copy and fencing in-flight fills. Updating the cached entry in place instead
 // would race a concurrent Put of the same key — base writes and cache
 // updates could interleave in opposite orders, pinning the loser's data
 // until eviction; dropping the entry and bumping the generation makes the
@@ -406,14 +408,6 @@ func sliceRange(data []byte, off, n int64) []byte {
 // write may still have landed on a minority of replicas and can surface
 // at a later quorum read once repair spreads it, so the cached old bytes
 // are no longer trustworthy either way.
-func (c *Coalescer) Put(key string, data []byte) error {
-	err := c.base.Put(key, data)
-	c.drop(key)
-	return err
-}
-
-// PutClass forwards a classed write to the base, invalidating like Put
-// (on failure too — see Put).
 func (c *Coalescer) PutClass(key string, data []byte, class WriteClass) error {
 	err := PutClass(c.base, key, data, class)
 	c.drop(key)
@@ -426,34 +420,26 @@ func (c *Coalescer) Delete(key string) error {
 	return c.base.Delete(key)
 }
 
-// IngestKeyed forwards an addressed ingest to the base (ok=false when the
-// base is a plain backend), invalidating the key when bytes were written:
-// the repair path may rewrite a corrupt resident chunk under its existing
-// address, and a cached copy of the corrupt bytes must not outlive the
-// rewrite.
+// IngestKeyed implements AddressedIngester.
 func (c *Coalescer) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return 0, false, err
-	}
-	written, ok, err := TryIngestKeyed(c.base, key, addr, data)
-	if ok && err == nil && written > 0 {
-		// Bytes actually hit the store: either a fresh chunk (never cached)
-		// or a repair rewrite of a corrupt resident — evict any cached copy
-		// of the old bytes. A dedup hit (written == 0) leaves the verified
-		// resident copy, and the cached copy with it, in place.
-		c.drop(key)
-	}
-	return written, ok, err
+	return c.IngestKeyedClass(key, addr, data, ClassDefault)
 }
 
-// IngestKeyedClass forwards a classed addressed ingest to the base with
-// the same invalidation rule as IngestKeyed.
+// IngestKeyedClass forwards an addressed ingest to the base (ok=false when
+// the base is a plain backend), invalidating the key when bytes were
+// written: the repair path may rewrite a corrupt resident chunk under its
+// existing address, and a cached copy of the corrupt bytes must not
+// outlive the rewrite.
 func (c *Coalescer) IngestKeyedClass(key, addr string, data []byte, class WriteClass) (int, bool, error) {
 	if err := ValidateKey(key); err != nil {
 		return 0, false, err
 	}
 	written, ok, err := TryIngestKeyedClass(c.base, key, addr, data, class)
 	if ok && err == nil && written > 0 {
+		// Bytes actually hit the store: either a fresh chunk (never cached)
+		// or a repair rewrite of a corrupt resident — evict any cached copy
+		// of the old bytes. A dedup hit (written == 0) leaves the verified
+		// resident copy, and the cached copy with it, in place.
 		c.drop(key)
 	}
 	return written, ok, err

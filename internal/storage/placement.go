@@ -89,16 +89,11 @@ type KeyedClassIngester interface {
 	IngestKeyedClass(key, addr string, data []byte, class WriteClass) (written int, ok bool, err error)
 }
 
-// TryIngestKeyedClass delegates to b's KeyedClassIngester if present,
-// then to its plain AddressedIngester (class dropped — the backend has
-// no placement to apply), else reports ok=false like TryIngestKeyed.
+// TryIngestKeyedClass delegates to b's KeyedClassIngester if present, else
+// reports ok=false: the caller runs the generic protocol itself.
 func TryIngestKeyedClass(b Backend, key, addr string, data []byte, class WriteClass) (int, bool, error) {
-	c := Caps(b)
-	if c.ClassIngest != nil {
-		return c.ClassIngest.IngestKeyedClass(key, addr, data, class)
-	}
-	if c.Ingest != nil {
-		return c.Ingest.IngestKeyed(key, addr, data)
+	if ci := Caps(b).ClassIngest; ci != nil {
+		return ci.IngestKeyedClass(key, addr, data, class)
 	}
 	return 0, false, nil
 }

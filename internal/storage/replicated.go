@@ -48,7 +48,7 @@ import (
 type Replicated struct {
 	replicas []*replica
 	w        int // write quorum
-	rq       int // read quorum
+	rq       int // read quorum, n - w + 1
 	domains  []string
 
 	// clock is the Lamport clock behind envelope versions: bumped past
@@ -71,10 +71,10 @@ type Replica struct {
 }
 
 // ReplicatedOptions tunes quorum geometry and health tracking. The zero
-// value picks majority quorums: W = n/2+1, ReadQuorum = n-W+1.
+// WriteQuorum picks the majority, W = n/2+1; the read quorum is always
+// n-W+1, the smallest that overlaps every write quorum.
 type ReplicatedOptions struct {
 	WriteQuorum int
-	ReadQuorum  int
 	// FailureThreshold is the consecutive-failure count that marks a
 	// replica down (default 3); ProbeInterval is how long a down replica
 	// rests between retry probes (default 2s).
@@ -92,6 +92,17 @@ type replica struct {
 	// straggler carrying version v must never overwrite a version > v
 	// that already landed. Chunk keys skip this (immutable content).
 	stripes [verStripes]verStripe
+}
+
+// observe records the outcome of one operation on this replica in its
+// health. ErrNotFound is an answer — the replica is reachable — not a
+// failure.
+func (rep *replica) observe(err error) {
+	if err == nil || errors.Is(err, ErrNotFound) {
+		rep.health.markSuccess()
+	} else {
+		rep.health.markFailure(err)
+	}
 }
 
 const verStripes = 16
@@ -148,17 +159,7 @@ func NewReplicated(opts ReplicatedOptions, members ...Replica) (*Replicated, err
 	if w < 1 || w > n {
 		return nil, fmt.Errorf("storage: write quorum %d out of range for %d replicas", w, n)
 	}
-	rq := opts.ReadQuorum
-	if rq == 0 {
-		rq = n - w + 1
-	}
-	if rq < 1 || rq > n {
-		return nil, fmt.Errorf("storage: read quorum %d out of range for %d replicas", rq, n)
-	}
-	if w+rq <= n {
-		return nil, fmt.Errorf("storage: quorums W=%d R=%d do not overlap over %d replicas", w, rq, n)
-	}
-	r := &Replicated{w: w, rq: rq}
+	r := &Replicated{w: w, rq: n - w + 1}
 	for i, m := range members {
 		if m.Backend == nil {
 			return nil, fmt.Errorf("storage: replica %d without a backend", i)
@@ -349,16 +350,12 @@ func (r *Replicated) quorumWrite(key string, ver uint64, raw []byte, class Write
 	}
 	ch := make(chan error, len(targets))
 	for _, rep := range targets {
-		rep := rep
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
 			err := rep.putOrdered(key, ver, raw, class, !chunk)
-			if err != nil {
-				rep.health.markFailure(err)
+			if rep.observe(err); err != nil {
 				rep.health.markDirty()
-			} else {
-				rep.health.markSuccess()
 			}
 			ch <- err
 		}()
@@ -436,17 +433,16 @@ func (st *repState) payload() []byte {
 	return st.raw[repHeaderSize:]
 }
 
-func (r *Replicated) fetchFull(rep *replica, key string) repState {
+// fetchFull reads rep's whole stored object at key.
+func fetchFull(rep *replica, key string) repState {
 	st := repState{rep: rep}
 	data, err := rep.b.Get(key)
+	rep.observe(err)
 	switch {
 	case errors.Is(err, ErrNotFound):
-		rep.health.markSuccess()
 	case err != nil:
-		rep.health.markFailure(err)
 		st.err = err
 	default:
-		rep.health.markSuccess()
 		st.found = true
 		st.raw = data
 		var enveloped bool
@@ -456,59 +452,55 @@ func (r *Replicated) fetchFull(rep *replica, key string) repState {
 	return st
 }
 
-func (r *Replicated) fetchProbe(rep *replica, key string) repState {
+// fetchProbe reads rep's header-level state of key: a Stat for the size,
+// then the envelope header.
+func fetchProbe(rep *replica, key string) repState {
 	st := repState{rep: rep}
 	info, err := rep.b.Stat(key)
-	if errors.Is(err, ErrNotFound) {
-		rep.health.markSuccess()
-		return st
+	var hdr []byte
+	if err == nil {
+		// ErrNotFound here is a delete between the Stat and the header
+		// read; definitively absent.
+		hdr, err = GetRange(rep.b, key, 0, repHeaderSize)
 	}
-	if err != nil {
-		rep.health.markFailure(err)
+	rep.observe(err)
+	switch {
+	case errors.Is(err, ErrNotFound):
+	case err != nil:
 		st.err = err
-		return st
-	}
-	hdr, err := GetRange(rep.b, key, 0, repHeaderSize)
-	if errors.Is(err, ErrNotFound) {
-		// Deleted between Stat and the header read; definitively absent.
-		rep.health.markSuccess()
-		return st
-	}
-	if err != nil {
-		rep.health.markFailure(err)
-		st.err = err
-		return st
-	}
-	rep.health.markSuccess()
-	st.found = true
-	var enveloped bool
-	st.ver, st.tomb, _, enveloped = decodeEnvelope(hdr)
-	st.bare = !enveloped
-	st.size = info.Size
-	if enveloped {
-		st.size = info.Size - repHeaderSize
+	default:
+		st.found = true
+		var enveloped bool
+		st.ver, st.tomb, _, enveloped = decodeEnvelope(hdr)
+		st.bare = !enveloped
+		st.size = info.Size
+		if enveloped {
+			st.size = info.Size - repHeaderSize
+		}
 	}
 	return st
 }
 
-// probeGather collects header-level states (version, tombstone, size)
-// from the replica set, returning once a read-quorum has answered.
-// Stragglers are abandoned into a buffered channel.
-func (r *Replicated) probeGather(key string) ([]repState, error) {
-	n := len(r.replicas)
-	ch := make(chan repState, n)
+// gather fans fetch out to every replica and collects replies until a
+// read-quorum has answered, bumping the clock past every version they
+// carry. Beside those states it returns the channel the stragglers will
+// still answer on and how many are pending; the channel is buffered for
+// all of them, so a caller with no use for stragglers drops it.
+func (r *Replicated) gather(key string, fetch func(*replica, string) repState) ([]repState, chan repState, int, error) {
+	pending := len(r.replicas)
+	ch := make(chan repState, pending)
 	for _, rep := range r.replicas {
-		rep := rep
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			ch <- r.fetchProbe(rep, key)
+			ch <- fetch(rep, key)
 		}()
 	}
 	var answered []repState
 	var firstErr error
-	for i := 0; i < n && len(answered) < r.rq; i++ {
+	for pending > 0 && len(answered) < r.rq {
 		st := <-ch
+		pending--
 		if st.err == nil {
 			answered = append(answered, st)
 		} else if firstErr == nil {
@@ -516,12 +508,19 @@ func (r *Replicated) probeGather(key string) ([]repState, error) {
 		}
 	}
 	if len(answered) < r.rq {
-		return nil, fmt.Errorf("storage: read quorum %d/%d unreachable for %q: %w", len(answered), r.rq, key, firstErr)
+		return nil, nil, 0, fmt.Errorf("storage: read quorum %d/%d unreachable for %q: %w", len(answered), r.rq, key, firstErr)
 	}
 	for _, st := range answered {
 		r.bumpClock(st.ver)
 	}
-	return answered, nil
+	return answered, ch, pending, nil
+}
+
+// probeGather is the header-level gather (version, tombstone, size)
+// behind Stat, Delete, ingest dedup and the pre-write version read.
+func (r *Replicated) probeGather(key string) ([]repState, error) {
+	states, _, _, err := r.gather(key, fetchProbe)
+	return states, err
 }
 
 // pickWinner returns the index of the winning state: highest version,
@@ -566,40 +565,45 @@ func (r *Replicated) Get(key string) ([]byte, error) {
 	return r.getMutable(key)
 }
 
-// getChunk is the first-success fast path: chunk bytes are immutable and
-// content-addressed (the caller verifies the hash on dedup-sensitive
-// paths), so the first healthy replica holding a non-tombstoned copy
-// answers the read. A NotFound verdict still requires a read-quorum of
-// replicas to have answered — fewer means the chunk may live only on the
-// unreachable ones.
-func (r *Replicated) getChunk(key string) ([]byte, error) {
+// firstLive is the chunk-key read walk: replicas in health order, each
+// asked for its state of key by fetch, and the first one holding a live
+// (present, not tombstoned) copy whose read succeeds answers. Chunk bytes
+// are immutable and content-addressed (the caller verifies the hash on
+// dedup-sensitive paths), so one copy is enough. A NotFound verdict still
+// requires a read-quorum of replicas to have answered — fewer means the
+// chunk may live only on the unreachable ones.
+func (r *Replicated) firstLive(key string, fetch func(*replica, string) repState, read func(repState) ([]byte, error)) ([]byte, error) {
 	answered := 0
 	var lastErr error
 	for _, rep := range r.ordered() {
-		data, err := rep.b.Get(key)
-		if errors.Is(err, ErrNotFound) {
-			rep.health.markSuccess()
-			answered++
+		st := fetch(rep, key)
+		if st.err != nil {
+			lastErr = st.err
 			continue
 		}
-		if err != nil {
-			rep.health.markFailure(err)
-			lastErr = err
-			continue
-		}
-		rep.health.markSuccess()
 		answered++
-		ver, tomb, payload, _ := decodeEnvelope(data)
-		r.bumpClock(ver)
-		if tomb {
+		if !st.found || st.tomb {
 			continue
 		}
-		return payload, nil
+		data, err := read(st)
+		if err == nil {
+			return data, nil
+		}
+		lastErr = err
 	}
 	if answered < r.rq {
 		return nil, fmt.Errorf("storage: read quorum %d/%d unreachable for %q: %w", answered, r.rq, key, lastErr)
 	}
 	return nil, ErrNotFound
+}
+
+// getChunk is the first-success fast path for whole chunk reads.
+func (r *Replicated) getChunk(key string) ([]byte, error) {
+	return r.firstLive(key, func(rep *replica, key string) repState {
+		st := fetchFull(rep, key)
+		r.bumpClock(st.ver)
+		return st
+	}, func(st repState) ([]byte, error) { return st.payload(), nil })
 }
 
 // getMutable is the ABD-style quorum read: gather a read-quorum of full
@@ -609,46 +613,22 @@ func (r *Replicated) getChunk(key string) ([]byte, error) {
 // which is exactly the inversion the k-atomicity auditor would flag.
 // Remaining stale replicas are topped up asynchronously.
 func (r *Replicated) getMutable(key string) ([]byte, error) {
-	n := len(r.replicas)
-	ch := make(chan repState, n)
-	for _, rep := range r.replicas {
-		rep := rep
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			ch <- r.fetchFull(rep, key)
-		}()
-	}
-	var answered []repState
-	var firstErr error
-	completed := 0
-	for completed < n && len(answered) < r.rq {
-		st := <-ch
-		completed++
-		if st.err == nil {
-			answered = append(answered, st)
-		} else if firstErr == nil {
-			firstErr = st.err
-		}
-	}
-	if len(answered) < r.rq {
-		return nil, fmt.Errorf("storage: read quorum %d/%d unreachable for %q: %w", len(answered), r.rq, key, firstErr)
-	}
-	for _, st := range answered {
-		r.bumpClock(st.ver)
+	answered, ch, pending, err := r.gather(key, fetchFull)
+	if err != nil {
+		return nil, err
 	}
 	win := pickWinner(answered, true)
 	if win < 0 {
 		// Never written anywhere reachable; nothing to repair.
-		r.drainTopUp(key, ch, n-completed, repState{})
+		r.drainTopUp(key, ch, pending, repState{})
 		return nil, ErrNotFound
 	}
 	winner := answered[win]
 	if err := r.writeBack(key, winner, answered); err != nil {
-		r.drainTopUp(key, ch, n-completed, repState{})
+		r.drainTopUp(key, ch, pending, repState{})
 		return nil, err
 	}
-	r.drainTopUp(key, ch, n-completed, winner)
+	r.drainTopUp(key, ch, pending, winner)
 	if winner.tomb {
 		return nil, ErrNotFound
 	}
@@ -696,13 +676,12 @@ func (r *Replicated) writeBack(key string, winner repState, answered []repState)
 		if holders >= r.w {
 			break
 		}
-		if err := rep.putOrdered(key, winner.ver, winner.raw, ClassDefault, !chunk); err != nil {
-			rep.health.markFailure(err)
+		err := rep.putOrdered(key, winner.ver, winner.raw, ClassDefault, !chunk)
+		if rep.observe(err); err != nil {
 			rep.health.markDirty()
 			lastErr = err
 			continue
 		}
-		rep.health.markSuccess()
 		holders++
 	}
 	if holders < r.w {
@@ -792,32 +771,13 @@ func (r *Replicated) GetRange(key string, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	if _, chunk := ChunkKeyAddr(key); chunk {
-		answered := 0
-		var lastErr error
-		for _, rep := range r.ordered() {
-			st := r.fetchProbe(rep, key)
-			if st.err != nil {
-				lastErr = st.err
-				continue
-			}
-			answered++
-			if !st.found || st.tomb {
-				continue
-			}
+		return r.firstLive(key, fetchProbe, func(st repState) ([]byte, error) {
 			base := int64(0)
 			if !st.bare {
 				base = repHeaderSize
 			}
-			data, err := GetRange(rep.b, key, base+off, n)
-			if err == nil {
-				return data, nil
-			}
-			lastErr = err
-		}
-		if answered < r.rq {
-			return nil, fmt.Errorf("storage: read quorum %d/%d unreachable for %q: %w", answered, r.rq, key, lastErr)
-		}
-		return nil, ErrNotFound
+			return GetRange(st.rep.b, key, base+off, n)
+		})
 	}
 	data, err := r.getMutable(key)
 	if err != nil {
@@ -826,20 +786,14 @@ func (r *Replicated) GetRange(key string, off, n int64) ([]byte, error) {
 	return clampRange(data, off, n), nil
 }
 
-// GetBatch implements BatchReader with a small worker pool of quorum
-// Gets; results and errors are positional.
-func (r *Replicated) GetBatch(keys []string) ([][]byte, []error) {
-	out := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	workers := 4
-	if len(keys) < workers {
-		workers = len(keys)
-	}
-	if workers <= 1 {
-		for i, k := range keys {
-			out[i], errs[i] = r.Get(k)
+// forEachIndex runs fn(i) for every i in [0, n) on at most workers
+// goroutines (inline when one suffices) and returns when all are done.
+func forEachIndex(n, workers int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out, errs
+		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -848,15 +802,23 @@ func (r *Replicated) GetBatch(keys []string) ([][]byte, []error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i], errs[i] = r.Get(keys[i])
+				fn(i)
 			}
 		}()
 	}
-	for i := range keys {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// GetBatch implements BatchReader with a small worker pool of quorum
+// Gets; results and errors are positional.
+func (r *Replicated) GetBatch(keys []string) ([][]byte, []error) {
+	out := make([][]byte, len(keys))
+	errs := make([]error, len(keys))
+	forEachIndex(len(keys), 4, func(i int) { out[i], errs[i] = r.Get(keys[i]) })
 	return out, errs
 }
 
@@ -899,16 +861,11 @@ func (r *Replicated) List(prefix string) ([]string, error) {
 	}
 	ch := make(chan listResult, n)
 	for _, rep := range r.replicas {
-		rep := rep
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
 			keys, err := rep.b.List(prefix)
-			if err != nil {
-				rep.health.markFailure(err)
-			} else {
-				rep.health.markSuccess()
-			}
+			rep.observe(err)
 			ch <- listResult{keys, err}
 		}()
 	}
@@ -941,32 +898,15 @@ func (r *Replicated) List(prefix string) ([]string, error) {
 	// (probe quorum lost mid-list) stay visible — for GC it is always
 	// safer to over-list than to hide a live object.
 	keep := make([]bool, len(keys))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := 8
-	if len(keys) < workers {
-		workers = len(keys)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				states, err := r.probeGather(keys[i])
-				if err != nil {
-					keep[i] = true
-					continue
-				}
-				win := pickWinner(states, false)
-				keep[i] = win >= 0 && !states[win].tomb
-			}
-		}()
-	}
-	for i := range keys {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	forEachIndex(len(keys), 8, func(i int) {
+		states, err := r.probeGather(keys[i])
+		if err != nil {
+			keep[i] = true
+			return
+		}
+		win := pickWinner(states, false)
+		keep[i] = win >= 0 && !states[win].tomb
+	})
 	out := keys[:0]
 	for i, k := range keys {
 		if keep[i] {
@@ -999,12 +939,10 @@ func (r *Replicated) Repair() (RepairStats, error) {
 	listErrs := 0
 	for _, rep := range r.replicas {
 		keys, err := rep.b.List("")
-		if err != nil {
-			rep.health.markFailure(err)
+		if rep.observe(err); err != nil {
 			listErrs++
 			continue
 		}
-		rep.health.markSuccess()
 		for _, k := range keys {
 			union[k] = true
 		}
@@ -1020,65 +958,47 @@ func (r *Replicated) Repair() (RepairStats, error) {
 	stats.Keys = len(keys)
 
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	workers := 8
-	if len(keys) < workers {
-		workers = len(keys)
-	}
 	errCount := int64(listErrs)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				key := keys[i]
-				_, chunk := ChunkKeyAddr(key)
-				states := make([]repState, len(r.replicas))
-				for j, rep := range r.replicas {
-					states[j] = r.fetchFull(rep, key)
-					if states[j].err != nil {
-						atomic.AddInt64(&errCount, 1)
-					}
-					r.bumpClock(states[j].ver)
-				}
-				win := pickWinner(states, true)
-				if win < 0 {
-					continue
-				}
-				winner := states[win]
-				for j := range states {
-					st := &states[j]
-					if st.err != nil || st.rep == winner.rep {
-						continue
-					}
-					inSync := st.found && st.ver == winner.ver && st.tomb == winner.tomb &&
-						bytes.Equal(st.payload(), winner.payload())
-					if inSync {
-						continue
-					}
-					if winner.tomb && !st.found {
-						continue
-					}
-					if err := st.rep.putOrdered(key, winner.ver, winner.raw, ClassDefault, !chunk); err != nil {
-						st.rep.health.markFailure(err)
-						atomic.AddInt64(&errCount, 1)
-						continue
-					}
-					st.rep.health.markSuccess()
-					mu.Lock()
-					stats.Pushed++
-					stats.PushedBytes += int64(len(winner.payload()))
-					mu.Unlock()
-				}
+	forEachIndex(len(keys), 8, func(i int) {
+		key := keys[i]
+		_, chunk := ChunkKeyAddr(key)
+		states := make([]repState, len(r.replicas))
+		for j, rep := range r.replicas {
+			states[j] = fetchFull(rep, key)
+			if states[j].err != nil {
+				atomic.AddInt64(&errCount, 1)
 			}
-		}()
-	}
-	for i := range keys {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+			r.bumpClock(states[j].ver)
+		}
+		win := pickWinner(states, true)
+		if win < 0 {
+			return
+		}
+		winner := states[win]
+		for j := range states {
+			st := &states[j]
+			if st.err != nil || st.rep == winner.rep {
+				continue
+			}
+			inSync := st.found && st.ver == winner.ver && st.tomb == winner.tomb &&
+				bytes.Equal(st.payload(), winner.payload())
+			if inSync {
+				continue
+			}
+			if winner.tomb && !st.found {
+				continue
+			}
+			err := st.rep.putOrdered(key, winner.ver, winner.raw, ClassDefault, !chunk)
+			if st.rep.observe(err); err != nil {
+				atomic.AddInt64(&errCount, 1)
+				continue
+			}
+			mu.Lock()
+			stats.Pushed++
+			stats.PushedBytes += int64(len(winner.payload()))
+			mu.Unlock()
+		}
+	})
 	stats.Errors = int(errCount)
 	if stats.Errors == 0 {
 		for _, rep := range r.replicas {

@@ -126,8 +126,11 @@ func TestReplicatedQuorumGeometry(t *testing.T) {
 	if _, err := storage.NewReplicated(storage.ReplicatedOptions{WriteQuorum: 4}, mk(3)...); err == nil {
 		t.Error("accepted write quorum larger than the replica set")
 	}
-	if _, err := storage.NewReplicated(storage.ReplicatedOptions{WriteQuorum: 1, ReadQuorum: 1}, mk(3)...); err == nil {
-		t.Error("accepted non-overlapping quorums W=1 R=1 over 3 replicas")
+	// The read quorum is derived, so it overlaps every write quorum.
+	if rb, err := storage.NewReplicated(storage.ReplicatedOptions{WriteQuorum: 1}, mk(3)...); err != nil {
+		t.Error(err)
+	} else if got := rb.ReplicationInfo().ReadQuorum; got != 3 {
+		t.Errorf("W=1 over 3 replicas reads at quorum %d, want 3", got)
 	}
 	if _, err := storage.NewReplicated(storage.ReplicatedOptions{}); err == nil {
 		t.Error("accepted empty replica set")

@@ -94,13 +94,9 @@ func (t *Tier) Caps() CapSet {
 	return CapSet{Range: t, ClassWrite: t, Replication: base.Replication}
 }
 
-// Put implements Backend, charging the modeled write cost on success.
+// Put implements Backend.
 func (t *Tier) Put(key string, data []byte) error {
-	if err := t.base.Put(key, data); err != nil {
-		return err
-	}
-	t.charge(t.dev.WriteCost(len(data)), int64(len(data)), 0)
-	return nil
+	return t.PutClass(key, data, ClassDefault)
 }
 
 // PutClass forwards a classed write to the base (falling back to plain
