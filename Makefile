@@ -107,8 +107,8 @@ experiments:
 # loc-gate (CI's check job) fails when either exceeds its ceiling. A PR
 # that shrinks the code lowers the ceilings to its own counts; one that
 # must grow it raises them in its own diff, where a reviewer sees it.
-LOC_CEILING = 9600
-LOC_CEILING_ALL = 23889
+LOC_CEILING = 9551
+LOC_CEILING_ALL = 23654
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

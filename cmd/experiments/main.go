@@ -20,6 +20,107 @@ import (
 	"repro/internal/harness"
 )
 
+// experiment is one row of the evaluation: its id on the command line
+// and how to produce its table at full or -quick scale.
+type experiment struct {
+	id  string
+	run func(quick bool) (*harness.Table, error)
+}
+
+// pick is the scale switch: a at full scale, b under -quick.
+func pick[T any](quick bool, a, b T) T {
+	if quick {
+		return b
+	}
+	return a
+}
+
+// render adapts a harness RunX/XTable pair: render(XTable)(RunX(…)).
+func render[R any](table func([]R) *harness.Table) func([]R, error) (*harness.Table, error) {
+	return func(rows []R, err error) (*harness.Table, error) {
+		if err != nil {
+			return nil, err
+		}
+		return table(rows), nil
+	}
+}
+
+var experiments = []experiment{
+	{"T1", func(q bool) (*harness.Table, error) {
+		// The n=16 row already makes the exponential-statevector point;
+		// training a 2^20-amplitude simulator for the table would take tens
+		// of minutes for no additional information.
+		shapes := pick(q, [][2]int{{4, 2}, {8, 2}, {8, 4}, {12, 4}, {16, 4}}, [][2]int{{4, 2}, {8, 2}, {12, 4}})
+		return render(harness.T1Table)(harness.RunT1Inventory(shapes))
+	}},
+	{"T2", func(q bool) (*harness.Table, error) {
+		return render(harness.T2Table)(harness.RunT2Strategies(pick(q, 50, 12)))
+	}},
+	{"T3", func(q bool) (*harness.Table, error) {
+		return render(harness.T3Table)(harness.RunT3Backends(pick(q, 40, 10)))
+	}},
+	{"T4", func(q bool) (*harness.Table, error) {
+		return render(harness.T4Table)(harness.RunT4Lifecycle(pick(q, 48, 16)))
+	}},
+	{"T5", func(q bool) (*harness.Table, error) {
+		return render(harness.T5Table)(harness.RunT5Restore(pick(q, 24, 8)))
+	}},
+	{"T6", func(q bool) (*harness.Table, error) {
+		return render(harness.T6Table)(harness.RunT6SavePath(pick(q, 16, 6)))
+	}},
+	{"T7", func(q bool) (*harness.Table, error) {
+		return render(harness.T7Table)(harness.RunT7MultiJob(pick(q, []int{1, 4, 16}, []int{1, 4}), pick(q, 8, 4)))
+	}},
+	{"T8", func(q bool) (*harness.Table, error) {
+		return render(harness.T8Table)(harness.RunT8Network(pick(q, []int{1, 4, 8}, []int{1, 4}), pick(q, 6, 4)))
+	}},
+	{"T9", func(q bool) (*harness.Table, error) {
+		return render(harness.T9Table)(harness.RunT9GangRestore(pick(q, []int{1, 16, 100}, []int{1, 16}), pick(q, 6, 5)))
+	}},
+	{"T10", func(q bool) (*harness.Table, error) {
+		return render(harness.T10Table)(harness.RunT10QoS(pick(q, 15, 5), pick(q, 24, 8)))
+	}},
+	{"T11", func(q bool) (*harness.Table, error) {
+		return render(harness.T11Table)(harness.RunT11CDC(pick(q, 8, 4)))
+	}},
+	{"T12", func(q bool) (*harness.Table, error) {
+		return render(harness.T12Table)(harness.RunT12Replication(pick(q, 4, 2), pick(q, 4, 2), pick(q, 6, 3)))
+	}},
+	{"F1", func(q bool) (*harness.Table, error) {
+		mtbfs := []time.Duration{
+			200 * time.Hour, 100 * time.Hour, 48 * time.Hour, 24 * time.Hour,
+			12 * time.Hour, 6 * time.Hour, 3 * time.Hour,
+		}
+		return render(harness.F1Table)(harness.RunF1WastedWork(
+			12*time.Hour, pick(q, mtbfs, mtbfs[2:]), 5*time.Second, time.Minute, pick(q, 2000, 200)))
+	}},
+	{"F2", func(q bool) (*harness.Table, error) {
+		shapes := pick(q, [][2]int{{3, 1}, {4, 2}, {6, 2}, {8, 3}, {10, 4}, {12, 6}, {14, 8}}, [][2]int{{3, 1}, {6, 2}, {8, 3}})
+		return render(harness.F2Table)(harness.RunF2Size(shapes))
+	}},
+	{"F3", func(q bool) (*harness.Table, error) {
+		return render(harness.F3Table)(harness.RunF3Overhead(pick(q, 20, 6), pick(q, []int{1, 2, 5, 10}, []int{1, 3})))
+	}},
+	{"F4", func(q bool) (*harness.Table, error) {
+		mtbfs := pick(q,
+			[]time.Duration{4 * time.Hour, time.Hour, 15 * time.Minute, 4 * time.Minute, 2 * time.Minute},
+			[]time.Duration{2 * time.Hour, 2 * time.Minute})
+		return render(harness.F4Table)(harness.RunF4Goodput(pick(q, 10, 6), mtbfs))
+	}},
+	{"F5", func(q bool) (*harness.Table, error) {
+		return render(harness.F5Table)(harness.RunF5Compression(pick(q, 60, 20), 2))
+	}},
+	{"F6", func(q bool) (*harness.Table, error) {
+		return render(harness.F6Table)(harness.RunF6Divergence(pick(q, 30, 16)))
+	}},
+	{"A1", func(q bool) (*harness.Table, error) {
+		return render(harness.A1Table)(harness.RunA1AnchorSweep(pick(q, 30, 12), pick(q, []int{1, 4, 8, 16, 30}, []int{1, 4, 12})))
+	}},
+	{"A2", func(q bool) (*harness.Table, error) {
+		return render(harness.A2Table)(harness.RunA2Grouping(pick(q, 12, 5)))
+	}},
+}
+
 func main() {
 	runFlag := flag.String("run", "all", "experiments to run, comma-separated: all, T1..T12, F1..F6, A1, A2 (e.g. -run T6,T9,T10)")
 	quick := flag.Bool("quick", false, "reduced scale (CI-friendly)")
@@ -31,286 +132,20 @@ func main() {
 			want[id] = true
 		}
 	}
-	run := func(id string) bool { return want["ALL"] || want[id] }
 	start := time.Now()
 	ranAny := false
-
-	fail := func(id string, err error) {
-		fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-		os.Exit(1)
-	}
-
-	if run("T1") {
+	for _, e := range experiments {
+		if !want["ALL"] && !want[e.id] {
+			continue
+		}
 		ranAny = true
-		// The n=16 row already makes the exponential-statevector point;
-		// training a 2^20-amplitude simulator for the table would take tens
-		// of minutes for no additional information.
-		shapes := [][2]int{{4, 2}, {8, 2}, {8, 4}, {12, 4}, {16, 4}}
-		if *quick {
-			shapes = [][2]int{{4, 2}, {8, 2}, {12, 4}}
-		}
-		rows, err := harness.RunT1Inventory(shapes)
+		table, err := e.run(*quick)
 		if err != nil {
-			fail("T1", err)
+			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.id, err)
+			os.Exit(1)
 		}
-		fmt.Println(harness.T1Table(rows))
+		fmt.Println(table)
 	}
-
-	if run("T2") {
-		ranAny = true
-		steps := 50
-		if *quick {
-			steps = 12
-		}
-		rows, err := harness.RunT2Strategies(steps)
-		if err != nil {
-			fail("T2", err)
-		}
-		fmt.Println(harness.T2Table(rows))
-	}
-
-	if run("T3") {
-		ranAny = true
-		steps := 40
-		if *quick {
-			steps = 10
-		}
-		rows, err := harness.RunT3Backends(steps)
-		if err != nil {
-			fail("T3", err)
-		}
-		fmt.Println(harness.T3Table(rows))
-	}
-
-	if run("T4") {
-		ranAny = true
-		steps := 48
-		if *quick {
-			steps = 16
-		}
-		rows, err := harness.RunT4Lifecycle(steps)
-		if err != nil {
-			fail("T4", err)
-		}
-		fmt.Println(harness.T4Table(rows))
-	}
-
-	if run("T5") {
-		ranAny = true
-		steps := 24
-		if *quick {
-			steps = 8
-		}
-		rows, err := harness.RunT5Restore(steps)
-		if err != nil {
-			fail("T5", err)
-		}
-		fmt.Println(harness.T5Table(rows))
-	}
-
-	if run("T6") {
-		ranAny = true
-		steps := 16
-		if *quick {
-			steps = 6
-		}
-		rows, err := harness.RunT6SavePath(steps)
-		if err != nil {
-			fail("T6", err)
-		}
-		fmt.Println(harness.T6Table(rows))
-	}
-
-	if run("T7") {
-		ranAny = true
-		jobCounts, steps := []int{1, 4, 16}, 8
-		if *quick {
-			jobCounts, steps = []int{1, 4}, 4
-		}
-		rows, err := harness.RunT7MultiJob(jobCounts, steps)
-		if err != nil {
-			fail("T7", err)
-		}
-		fmt.Println(harness.T7Table(rows))
-	}
-
-	if run("T8") {
-		ranAny = true
-		clientCounts, steps := []int{1, 4, 8}, 6
-		if *quick {
-			clientCounts, steps = []int{1, 4}, 4
-		}
-		rows, err := harness.RunT8Network(clientCounts, steps)
-		if err != nil {
-			fail("T8", err)
-		}
-		fmt.Println(harness.T8Table(rows))
-	}
-
-	if run("T9") {
-		ranAny = true
-		restorerCounts, steps := []int{1, 16, 100}, 6
-		if *quick {
-			restorerCounts, steps = []int{1, 16}, 5
-		}
-		rows, err := harness.RunT9GangRestore(restorerCounts, steps)
-		if err != nil {
-			fail("T9", err)
-		}
-		fmt.Println(harness.T9Table(rows))
-	}
-
-	if run("T10") {
-		ranAny = true
-		quietJobs, steps := 15, 24
-		if *quick {
-			quietJobs, steps = 5, 8
-		}
-		rows, err := harness.RunT10QoS(quietJobs, steps)
-		if err != nil {
-			fail("T10", err)
-		}
-		fmt.Println(harness.T10Table(rows))
-	}
-
-	if run("T11") {
-		ranAny = true
-		steps := 8
-		if *quick {
-			steps = 4
-		}
-		rows, err := harness.RunT11CDC(steps)
-		if err != nil {
-			fail("T11", err)
-		}
-		fmt.Println(harness.T11Table(rows))
-	}
-
-	if run("T12") {
-		ranAny = true
-		writers, readers, steps := 4, 4, 6
-		if *quick {
-			writers, readers, steps = 2, 2, 3
-		}
-		rows, err := harness.RunT12Replication(writers, readers, steps)
-		if err != nil {
-			fail("T12", err)
-		}
-		fmt.Println(harness.T12Table(rows))
-	}
-
-	if run("F1") {
-		ranAny = true
-		job := 12 * time.Hour
-		mtbfs := []time.Duration{
-			200 * time.Hour, 100 * time.Hour, 48 * time.Hour, 24 * time.Hour,
-			12 * time.Hour, 6 * time.Hour, 3 * time.Hour,
-		}
-		trials := 2000
-		if *quick {
-			trials = 200
-			mtbfs = mtbfs[2:]
-		}
-		rows, err := harness.RunF1WastedWork(job, mtbfs, 5*time.Second, time.Minute, trials)
-		if err != nil {
-			fail("F1", err)
-		}
-		fmt.Println(harness.F1Table(rows))
-	}
-
-	if run("F2") {
-		ranAny = true
-		shapes := [][2]int{{3, 1}, {4, 2}, {6, 2}, {8, 3}, {10, 4}, {12, 6}, {14, 8}}
-		if *quick {
-			shapes = [][2]int{{3, 1}, {6, 2}, {8, 3}}
-		}
-		rows, err := harness.RunF2Size(shapes)
-		if err != nil {
-			fail("F2", err)
-		}
-		fmt.Println(harness.F2Table(rows))
-	}
-
-	if run("F3") {
-		ranAny = true
-		steps, intervals := 20, []int{1, 2, 5, 10}
-		if *quick {
-			steps, intervals = 6, []int{1, 3}
-		}
-		rows, err := harness.RunF3Overhead(steps, intervals)
-		if err != nil {
-			fail("F3", err)
-		}
-		fmt.Println(harness.F3Table(rows))
-	}
-
-	if run("F4") {
-		ranAny = true
-		steps := 10
-		mtbfs := []time.Duration{4 * time.Hour, time.Hour, 15 * time.Minute, 4 * time.Minute, 2 * time.Minute}
-		if *quick {
-			steps = 6
-			mtbfs = []time.Duration{2 * time.Hour, 2 * time.Minute}
-		}
-		rows, err := harness.RunF4Goodput(steps, mtbfs)
-		if err != nil {
-			fail("F4", err)
-		}
-		fmt.Println(harness.F4Table(rows))
-	}
-
-	if run("F5") {
-		ranAny = true
-		steps, every := 60, 2
-		if *quick {
-			steps, every = 20, 2
-		}
-		rows, err := harness.RunF5Compression(steps, every)
-		if err != nil {
-			fail("F5", err)
-		}
-		fmt.Println(harness.F5Table(rows))
-	}
-
-	if run("F6") {
-		ranAny = true
-		steps := 30
-		if *quick {
-			steps = 16
-		}
-		rows, err := harness.RunF6Divergence(steps)
-		if err != nil {
-			fail("F6", err)
-		}
-		fmt.Println(harness.F6Table(rows))
-	}
-
-	if run("A1") {
-		ranAny = true
-		steps, anchors := 30, []int{1, 4, 8, 16, 30}
-		if *quick {
-			steps, anchors = 12, []int{1, 4, 12}
-		}
-		rows, err := harness.RunA1AnchorSweep(steps, anchors)
-		if err != nil {
-			fail("A1", err)
-		}
-		fmt.Println(harness.A1Table(rows))
-	}
-
-	if run("A2") {
-		ranAny = true
-		steps := 12
-		if *quick {
-			steps = 5
-		}
-		rows, err := harness.RunA2Grouping(steps)
-		if err != nil {
-			fail("A2", err)
-		}
-		fmt.Println(harness.A2Table(rows))
-	}
-
 	if !ranAny {
 		fmt.Fprintf(os.Stderr, "unknown experiment(s) %q (want a comma-separated subset of: all, T1..T12, F1..F6, A1, A2)\n", *runFlag)
 		os.Exit(2)

@@ -3,7 +3,9 @@
 // k-atomicity-verification problem: a replicated register is k-atomic
 // when every read returns one of the k most recent completed writes
 // under some serialization that respects real-time order. The harness
-// wraps a replicated backend in a Recorder, runs concurrent writers and
+// wraps a replicated backend in a Recorder (a storage.Forward wrapper: it
+// intercepts Put, Get and Delete and passes the rest on, every declared
+// capability handle its own), runs concurrent writers and
 // readers against one manifest key while replicas crash and recover, and
 // then asks the verifier for the smallest k the recorded history admits
 // — an online consistency audit instead of a hopeful claim.
@@ -65,11 +67,12 @@ type Op struct {
 type History []Op
 
 // Recorder wraps a Backend and logs Put/Get/Delete invocations on the
-// audited keys (all keys when none are given). Reads that bypass Get —
-// ranged, batch — pass through unrecorded; the audit targets the mutable
-// manifest plane, which reads whole objects.
+// audited keys (all keys when none are given). Everything else — List,
+// Stat, ranged and batch reads, ingests — passes through storage.Forward
+// unrecorded; the audit targets the mutable manifest plane, which reads
+// whole objects.
 type Recorder struct {
-	base  storage.Backend
+	storage.Forward
 	clock atomic.Int64
 	keys  map[string]bool
 
@@ -79,7 +82,7 @@ type Recorder struct {
 
 // NewRecorder wraps base, auditing only the given keys (all when empty).
 func NewRecorder(base storage.Backend, keys ...string) *Recorder {
-	r := &Recorder{base: base}
+	r := &Recorder{Forward: storage.Forward{Backend: base}}
 	if len(keys) > 0 {
 		r.keys = make(map[string]bool, len(keys))
 		for _, k := range keys {
@@ -88,9 +91,6 @@ func NewRecorder(base storage.Backend, keys ...string) *Recorder {
 	}
 	return r
 }
-
-// Base returns the wrapped backend.
-func (r *Recorder) Base() storage.Backend { return r.base }
 
 // History returns a copy of the recorded log.
 func (r *Recorder) History() History {
@@ -110,22 +110,11 @@ func (r *Recorder) record(op Op) {
 }
 
 // Name implements Backend.
-func (r *Recorder) Name() string { return "recorded+" + r.base.Name() }
+func (r *Recorder) Name() string { return "recorded+" + r.Backend.Name() }
 
-// Capabilities implements Backend.
-func (r *Recorder) Capabilities() storage.Capabilities { return r.base.Capabilities() }
-
-// Caps implements CapsReporter: classed writes route through the
-// recorder so tagged manifest commits still land in the history; the
-// remaining capabilities forward to the base's own handles (their
-// operations are outside the audited op set by design).
-func (r *Recorder) Caps() storage.CapSet {
-	c := storage.Caps(r.base)
-	if c.ClassWrite != nil {
-		c.ClassWrite = r
-	}
-	return c
-}
+// Caps implements CapsReporter: every handle is the recorder, so a
+// tagged manifest commit lands in the history like a plain one.
+func (r *Recorder) Caps() storage.CapSet { return storage.ForwardCaps(r, r.Backend) }
 
 // Put implements Backend.
 func (r *Recorder) Put(key string, data []byte) error {
@@ -135,10 +124,10 @@ func (r *Recorder) Put(key string, data []byte) error {
 // PutClass implements ClassWriter.
 func (r *Recorder) PutClass(key string, data []byte, class storage.WriteClass) error {
 	if !r.audited(key) {
-		return storage.PutClass(r.base, key, data, class)
+		return storage.PutClass(r.Backend, key, data, class)
 	}
 	op := Op{Kind: OpPut, Key: key, Value: storage.Hash(data), Start: r.clock.Add(1)}
-	err := storage.PutClass(r.base, key, data, class)
+	err := storage.PutClass(r.Backend, key, data, class)
 	op.End = r.clock.Add(1)
 	op.Err = err != nil
 	r.record(op)
@@ -148,10 +137,10 @@ func (r *Recorder) PutClass(key string, data []byte, class storage.WriteClass) e
 // Get implements Backend.
 func (r *Recorder) Get(key string) ([]byte, error) {
 	if !r.audited(key) {
-		return r.base.Get(key)
+		return r.Backend.Get(key)
 	}
 	op := Op{Kind: OpGet, Key: key, Start: r.clock.Add(1)}
-	data, err := r.base.Get(key)
+	data, err := r.Backend.Get(key)
 	op.End = r.clock.Add(1)
 	switch {
 	case err == nil:
@@ -168,18 +157,12 @@ func (r *Recorder) Get(key string) ([]byte, error) {
 // Delete implements Backend.
 func (r *Recorder) Delete(key string) error {
 	if !r.audited(key) {
-		return r.base.Delete(key)
+		return r.Backend.Delete(key)
 	}
 	op := Op{Kind: OpDelete, Key: key, Start: r.clock.Add(1)}
-	err := r.base.Delete(key)
+	err := r.Backend.Delete(key)
 	op.End = r.clock.Add(1)
 	op.Err = err != nil && !errors.Is(err, storage.ErrNotFound)
 	r.record(op)
 	return err
 }
-
-// List implements Backend (unrecorded).
-func (r *Recorder) List(prefix string) ([]string, error) { return r.base.List(prefix) }
-
-// Stat implements Backend (unrecorded).
-func (r *Recorder) Stat(key string) (storage.ObjectInfo, error) { return r.base.Stat(key) }

@@ -228,12 +228,11 @@ func (sc *sharedChunks) pinnedAnywhere(addr string) bool {
 // don't reference them. For the same reason a Manager handed one job's
 // view of a multi-tenant store scans the view's base: the view hides the
 // other jobs/ namespaces, but their manifests still reference chunks in
-// the shared namespace the sweep walks.
+// the shared namespace the sweep walks. A plain WithPrefix mount shares
+// nothing with its base (its chunks live under the prefix too), so
+// SharedBase leaves it scanning itself.
 func ownedSharedChunks(backend storage.Backend) *sharedChunks {
-	scanRoot := backend
-	if v, ok := backend.(*jobView); ok {
-		scanRoot = v.base
-	}
+	scanRoot := storage.SharedBase(backend)
 	return &sharedChunks{
 		store: storage.NewChunkStore(storage.WithPrefix(backend, ChunkPrefix)),
 		refs:  func() (map[string]bool, error) { return allChunkReferences(scanRoot) },

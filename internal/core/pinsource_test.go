@@ -119,8 +119,34 @@ func TestStandaloneJobViewManagerKeepsForeignTenants(t *testing.T) {
 	}
 }
 
+// TestPrefixedManagerRestoresAfterRetentionSweep pins the other half of
+// the scan-root rule: a plain WithPrefix mount shares no namespace with its
+// base, so a Manager over it counts references through the mount. Scanning
+// the base instead finds no manifest at its root, and retention's sweep
+// reaps the chunks of the snapshot it has just kept.
+func TestPrefixedManagerRestoresAfterRetentionSweep(t *testing.T) {
+	ns := storage.WithPrefix(storage.NewMem(), "ns")
+	m, err := NewManager(chunkedOpts(Options{Backend: ns, Strategy: StrategyFull, Retain: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := bigSeqStates(3)
+	for _, s := range states {
+		if _, err := m.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadLatestBackendOptions(ns, nil, RestoreOptions{})
+	if err != nil || !got.Equal(states[2]) {
+		t.Fatalf("restore after retention's orphan sweep: %v", err)
+	}
+}
+
 // TestJobViewForwardsIngestKeyed checks the forwarding chain a remote
-// store depends on: prefixed("chunks/") over a jobView over a backend
+// store depends on: a "chunks/" mount over a job view over a backend
 // implementing storage.AddressedIngester hands the whole ingest to that
 // backend, with the fully-qualified key.
 func TestJobViewForwardsIngestKeyed(t *testing.T) {

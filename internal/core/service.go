@@ -117,7 +117,8 @@ func jobKeyPrefix(id string) string { return JobPrefix + "/" + id }
 // managers on one namespace would race the snapshot sequence — but may be
 // reopened after its Manager is closed.
 func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
-	if err := validateJobID(jobID); err != nil {
+	view, err := JobBackend(s.backend, jobID)
+	if err != nil {
 		return nil, err
 	}
 	if opt.Backend != nil || opt.Dir != "" {
@@ -140,7 +141,7 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if prev, ok := s.open[jobID]; ok && !prev.isClosed() {
 		return nil, fmt.Errorf("core: job %q already open", jobID)
 	}
-	m, err := newManager(opt.withDefaults(), newJobView(s.backend, jobID), s.shared)
+	m, err := newManager(opt.withDefaults(), view, s.shared)
 	if err != nil {
 		return nil, err
 	}
@@ -177,11 +178,12 @@ func jobIDs(b storage.Backend) ([]string, error) {
 	return ids, nil
 }
 
-// JobView returns a read view of one job scoped like its Manager's
-// backend: snapshot keys under jobs/<id>/, the shared chunk namespace at
-// the store root. Every core read path (LoadLatestBackendOptions,
-// VerifyBackend, ListSnapshotsBackend) works unchanged against it, so a
-// job can be inspected or restored without opening a Manager.
+// JobView returns one job's slice of the store as a self-contained
+// checkpoint backend, the one its Manager writes through: snapshot keys
+// resolve under jobs/<id>/, chunk-namespace keys pass through to the store
+// root where every tenant's chunks live. Every core read path treats it
+// like a private store, so a job can be inspected or restored without
+// opening a Manager.
 func (s *Service) JobView(jobID string) (storage.Backend, error) {
 	return JobBackend(s.backend, jobID)
 }
@@ -193,7 +195,7 @@ func JobBackend(base storage.Backend, jobID string) (storage.Backend, error) {
 	if err := validateJobID(jobID); err != nil {
 		return nil, err
 	}
-	return newJobView(base, jobID), nil
+	return storage.WithSharedPrefix(base, jobKeyPrefix(jobID), ChunkPrefix), nil
 }
 
 // Backend returns the backend the service persists to.
@@ -292,175 +294,4 @@ func (s *Service) Close() error {
 		}
 	}
 	return first
-}
-
-// jobView presents one job's slice of a multi-tenant store as a
-// self-contained checkpoint backend: keys under the chunk namespace pass
-// through to the store root (where all tenants' chunks live), every other
-// key — snapshot manifests, foremost — resolves under jobs/<id>/. The
-// composition is what lets Manager and every recovery entry point treat a
-// job exactly like a private store while physically sharing chunks.
-type jobView struct {
-	job  storage.Backend // WithPrefix(base, jobs/<id>)
-	base storage.Backend
-}
-
-func newJobView(base storage.Backend, jobID string) *jobView {
-	return &jobView{job: storage.WithPrefix(base, jobKeyPrefix(jobID)), base: base}
-}
-
-// chunkNamespace is the key prefix routed to the shared store root.
-const chunkNamespace = ChunkPrefix + "/"
-
-func (v *jobView) route(key string) storage.Backend {
-	if strings.HasPrefix(key, chunkNamespace) {
-		return v.base
-	}
-	return v.job
-}
-
-func (v *jobView) Name() string                       { return v.base.Name() }
-func (v *jobView) Capabilities() storage.Capabilities { return v.base.Capabilities() }
-
-// Caps implements storage.CapsReporter: the view natively routes ranged,
-// batch, classed and ingest traffic (all handles point at the view so
-// routing is never bypassed), masked by what the base store actually
-// supports; orphan collection forwards only when the base owns it, and
-// the base's replication geometry shows through untouched.
-func (v *jobView) Caps() storage.CapSet {
-	base := storage.Caps(v.base)
-	out := storage.CapSet{Replication: base.Replication}
-	if base.Range != nil {
-		out.Range = v
-	}
-	if base.Batch != nil {
-		out.Batch = v
-	}
-	if base.Ingest != nil {
-		out.Ingest = v
-	}
-	if base.ClassIngest != nil {
-		out.ClassIngest = v
-	}
-	if base.ClassWrite != nil {
-		out.ClassWrite = v
-	}
-	if base.Orphans != nil {
-		out.Orphans = v
-	}
-	return out
-}
-
-func (v *jobView) Put(key string, data []byte) error {
-	return v.PutClass(key, data, storage.ClassDefault)
-}
-
-// PutClass forwards classed writes so placement survives the view: a
-// job's manifests still land where the service's policy says manifests
-// go, not wherever the prefix wrapper's plain Put would.
-func (v *jobView) PutClass(key string, data []byte, class storage.WriteClass) error {
-	return storage.PutClass(v.route(key), key, data, class)
-}
-func (v *jobView) Get(key string) ([]byte, error) { return v.route(key).Get(key) }
-func (v *jobView) Delete(key string) error        { return v.route(key).Delete(key) }
-func (v *jobView) Stat(key string) (storage.ObjectInfo, error) {
-	return v.route(key).Stat(key)
-}
-
-// GetRange implements storage.RangeReader via the routed backend's own
-// fast path when it has one.
-func (v *jobView) GetRange(key string, off, n int64) ([]byte, error) {
-	return storage.GetRange(v.route(key), key, off, n)
-}
-
-func (v *jobView) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	return v.IngestKeyedClass(key, addr, data, storage.ClassDefault)
-}
-
-// IngestKeyedClass forwards addressed chunk ingests to the routed backend,
-// so a Manager writing through a job view of a remote store still hands
-// the dedup decision to the server (ok=false over plain backends).
-func (v *jobView) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
-	return storage.TryIngestKeyedClass(v.route(key), key, addr, data, class)
-}
-
-// CollectOrphans forwards to the base store's authoritative collector
-// when it has one; ok=false otherwise (the caller sweeps locally).
-func (v *jobView) CollectOrphans() (int, int64, bool, error) {
-	return storage.TryCollectOrphans(v.base)
-}
-
-// GetBatch implements storage.BatchReader: keys are partitioned by route
-// and each partition rides its backend's batch fast path, so a parallel
-// restore against a tiered service store keeps its per-level overlap.
-func (v *jobView) GetBatch(keys []string) ([][]byte, []error) {
-	out := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	var chunkKeys, jobKeys []string
-	var chunkIdx, jobIdx []int
-	for i, k := range keys {
-		if strings.HasPrefix(k, chunkNamespace) {
-			chunkKeys = append(chunkKeys, k)
-			chunkIdx = append(chunkIdx, i)
-		} else {
-			jobKeys = append(jobKeys, k)
-			jobIdx = append(jobIdx, i)
-		}
-	}
-	if len(chunkKeys) > 0 {
-		datas, berrs := storage.GetBatch(v.base, chunkKeys)
-		for j, i := range chunkIdx {
-			out[i], errs[i] = datas[j], berrs[j]
-		}
-	}
-	if len(jobKeys) > 0 {
-		datas, berrs := storage.GetBatch(v.job, jobKeys)
-		for j, i := range jobIdx {
-			out[i], errs[i] = datas[j], berrs[j]
-		}
-	}
-	return out, errs
-}
-
-// List merges the job's own keys with the chunk namespace's, restricting
-// each side to the slice of the prefix it can match.
-func (v *jobView) List(prefix string) ([]string, error) {
-	var out []string
-	if !strings.HasPrefix(prefix, chunkNamespace) {
-		keys, err := v.job.List(prefix)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range keys {
-			// The job namespace holds no chunks (the manager's store writes
-			// at the root); filter defensively so the view stays unambiguous
-			// even over foreign layouts.
-			if !strings.HasPrefix(k, chunkNamespace) {
-				out = append(out, k)
-			}
-		}
-	}
-	// The chunk side matches when one of prefix/chunkNamespace extends the
-	// other ("" ⊂ "chunks/" ⊂ "chunks/ab/…").
-	var eff string
-	switch {
-	case strings.HasPrefix(prefix, chunkNamespace):
-		eff = prefix
-	case strings.HasPrefix(chunkNamespace, prefix):
-		eff = chunkNamespace
-	default:
-		sort.Strings(out)
-		return out, nil
-	}
-	chunkKeys, err := v.base.List(eff)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range chunkKeys {
-		if strings.HasPrefix(k, chunkNamespace) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -640,7 +640,10 @@ func TestOpenJobRefusedWhileCloseDrains(t *testing.T) {
 // reads through whichever side owns the key.
 func TestJobViewRouting(t *testing.T) {
 	mem := storage.NewMem()
-	view := newJobView(mem, "vjob")
+	view, err := JobBackend(mem, "vjob")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := view.Put("ckpt-000000000001-full.qckpt", []byte("manifest")); err != nil {
 		t.Fatal(err)
 	}
@@ -676,13 +679,13 @@ func TestJobViewRouting(t *testing.T) {
 	if len(chunks) != 1 {
 		t.Errorf("List(chunks/) = %v", chunks)
 	}
-	if got, err := view.GetRange("ckpt-000000000001-full.qckpt", 0, 4); err != nil || string(got) != "mani" {
+	if got, err := storage.GetRange(view, "ckpt-000000000001-full.qckpt", 0, 4); err != nil || string(got) != "mani" {
 		t.Errorf("GetRange via job side = %q, %v", got, err)
 	}
-	if got, err := view.GetRange(ChunkPrefix+"/ab/"+strings.Repeat("ab", 32), 5, 4); err != nil || string(got) != "data" {
+	if got, err := storage.GetRange(view, ChunkPrefix+"/ab/"+strings.Repeat("ab", 32), 5, 4); err != nil || string(got) != "data" {
 		t.Errorf("GetRange via chunk side = %q, %v", got, err)
 	}
-	out, errs := view.GetBatch([]string{
+	out, errs := storage.GetBatch(view, []string{
 		"ckpt-000000000001-full.qckpt",
 		ChunkPrefix + "/ab/" + strings.Repeat("ab", 32),
 	})

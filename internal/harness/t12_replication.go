@@ -46,69 +46,43 @@ const (
 	t12SlowDelay    = 200 * time.Microsecond
 )
 
-// t12Counter counts physical write traffic into one replica.
+// t12Counter counts the write traffic into the store it wraps: over one
+// replica the physical bytes, over the replicated store itself the
+// logical bytes the workload hands it before fan-out.
 type t12Counter struct {
-	base   storage.Backend
-	bytes  atomic.Int64
-	writes atomic.Int64
+	storage.Forward
+	bytes atomic.Int64
 }
 
-func (c *t12Counter) Name() string                       { return c.base.Name() }
-func (c *t12Counter) Capabilities() storage.Capabilities { return c.base.Capabilities() }
+func (c *t12Counter) Caps() storage.CapSet { return storage.ForwardCaps(c, c.Backend) }
+
 func (c *t12Counter) Put(key string, data []byte) error {
+	return c.PutClass(key, data, storage.ClassDefault)
+}
+
+func (c *t12Counter) PutClass(key string, data []byte, class storage.WriteClass) error {
 	c.bytes.Add(int64(len(data)))
-	c.writes.Add(1)
-	return c.base.Put(key, data)
-}
-func (c *t12Counter) Get(key string) ([]byte, error)              { return c.base.Get(key) }
-func (c *t12Counter) List(prefix string) ([]string, error)        { return c.base.List(prefix) }
-func (c *t12Counter) Delete(key string) error                     { return c.base.Delete(key) }
-func (c *t12Counter) Stat(key string) (storage.ObjectInfo, error) { return c.base.Stat(key) }
-
-// t12LogicalCounter counts the logical bytes the workload hands the
-// replicated store, before fan-out. It forwards the base capability set
-// with classed writes rerouted through itself so tagged traffic is
-// counted too.
-type t12LogicalCounter struct {
-	t12Counter
+	return storage.PutClass(c.Backend, key, data, class)
 }
 
-func (c *t12LogicalCounter) PutClass(key string, data []byte, class storage.WriteClass) error {
-	c.bytes.Add(int64(len(data)))
-	c.writes.Add(1)
-	return storage.PutClass(c.base, key, data, class)
-}
-
-func (c *t12LogicalCounter) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
+func (c *t12Counter) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
 	return c.IngestKeyedClass(key, addr, data, storage.ClassDefault)
 }
 
 // IngestKeyedClass counts the bytes the store actually accepted — a dedup
 // hit writes nothing anywhere, so it must not count as logical traffic.
-func (c *t12LogicalCounter) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
-	written, ok, err := storage.TryIngestKeyedClass(c.base, key, addr, data, class)
+func (c *t12Counter) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
+	written, ok, err := storage.TryIngestKeyedClass(c.Backend, key, addr, data, class)
 	c.bytes.Add(int64(written))
 	return written, ok, err
 }
 
-func (c *t12LogicalCounter) Caps() storage.CapSet {
-	set := storage.Caps(c.base)
-	if set.ClassWrite != nil {
-		set.ClassWrite = c
-	}
-	if set.Ingest != nil {
-		set.Ingest = c
-	}
-	if set.ClassIngest != nil {
-		set.ClassIngest = c
-	}
-	return set
-}
-
 // t12Replica injects the fault plan between the replicated store and
 // one replica: dead fails every operation, a delay models a slow disk.
+// It declares no optional capability (storage.Forward's default), so all
+// traffic reaches it through the five methods it gates.
 type t12Replica struct {
-	base storage.Backend
+	storage.Forward
 
 	mu    sync.Mutex
 	dead  bool
@@ -140,37 +114,36 @@ func (r *t12Replica) gate() error {
 	return nil
 }
 
-func (r *t12Replica) Name() string                       { return "t12+" + r.base.Name() }
-func (r *t12Replica) Capabilities() storage.Capabilities { return r.base.Capabilities() }
+func (r *t12Replica) Name() string { return "t12+" + r.Backend.Name() }
 func (r *t12Replica) Put(key string, data []byte) error {
 	if err := r.gate(); err != nil {
 		return err
 	}
-	return r.base.Put(key, data)
+	return r.Backend.Put(key, data)
 }
 func (r *t12Replica) Get(key string) ([]byte, error) {
 	if err := r.gate(); err != nil {
 		return nil, err
 	}
-	return r.base.Get(key)
+	return r.Backend.Get(key)
 }
 func (r *t12Replica) List(prefix string) ([]string, error) {
 	if err := r.gate(); err != nil {
 		return nil, err
 	}
-	return r.base.List(prefix)
+	return r.Backend.List(prefix)
 }
 func (r *t12Replica) Delete(key string) error {
 	if err := r.gate(); err != nil {
 		return err
 	}
-	return r.base.Delete(key)
+	return r.Backend.Delete(key)
 }
 func (r *t12Replica) Stat(key string) (storage.ObjectInfo, error) {
 	if err := r.gate(); err != nil {
 		return storage.ObjectInfo{}, err
 	}
-	return r.base.Stat(key)
+	return r.Backend.Stat(key)
 }
 
 // t12Scenario is one fault plan. fault fires once a third of the audit
@@ -236,8 +209,8 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 	members := make([]storage.Replica, 3)
 	for i := range mems {
 		mems[i] = storage.NewMem()
-		phys[i] = &t12Counter{base: mems[i]}
-		reps[i] = &t12Replica{base: phys[i]}
+		phys[i] = &t12Counter{Forward: storage.Forward{Backend: mems[i]}}
+		reps[i] = &t12Replica{Forward: storage.Forward{Backend: phys[i]}}
 		members[i] = storage.Replica{Backend: reps[i], Domain: fmt.Sprintf("zone-%d", i)}
 	}
 	rb, err := storage.NewReplicated(storage.ReplicatedOptions{
@@ -248,7 +221,7 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 		return T12Row{}, err
 	}
 	defer rb.Close()
-	logical := &t12LogicalCounter{t12Counter{base: rb}}
+	logical := &t12Counter{Forward: storage.Forward{Backend: rb}}
 
 	row := T12Row{Scenario: sc.name, Writers: writers, Readers: readers}
 

@@ -51,7 +51,7 @@ const t9CacheBytes int64 = 64 << 20
 // cache. Manifest and header traffic is deliberately excluded: the
 // amplification target is about chunk bytes, the dominant volume.
 type countingStore struct {
-	storage.Backend
+	storage.Forward
 	chunkBytes atomic.Int64
 	chunkReads atomic.Int64
 }
@@ -62,6 +62,8 @@ func (cs *countingStore) count(key string, n int) {
 		cs.chunkReads.Add(1)
 	}
 }
+
+func (cs *countingStore) Caps() storage.CapSet { return storage.ForwardCaps(cs, cs.Backend) }
 
 func (cs *countingStore) reset() {
 	cs.chunkBytes.Store(0)
@@ -116,7 +118,7 @@ type t9Result struct {
 // cacheBytes of origin cache (0 = none), then gang-restores it with
 // restorers concurrent remote clients and meters the cold store.
 func t9RunOne(restorers, steps int, cacheBytes int64) (t9Result, error) {
-	cold := &countingStore{Backend: storage.NewMem()}
+	cold := &countingStore{Forward: storage.Forward{Backend: storage.NewMem()}}
 	svc, err := core.NewService(core.ServiceOptions{Backend: cold})
 	if err != nil {
 		return t9Result{}, err

@@ -39,6 +39,15 @@ const DefaultMaxInflight = 64
 // chunk, roomy enough for unchunked manifests).
 const maxBodyBytes = 256 << 20
 
+// maxKeysBodyBytes and maxKeysPerRequest bound one /v1/has or /v1/batch
+// request. The in-tree client sends at most 512 keys per has round and
+// 256 per batch window, each under a hundred bytes; a request beyond
+// either bound is refused before any key reaches the store.
+const (
+	maxKeysBodyBytes  = 1 << 20
+	maxKeysPerRequest = 4096
+)
+
 // Server is the http.Handler serving the qckpt wire protocol.
 type Server struct {
 	svc       api.Service
@@ -236,6 +245,20 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
+func readKeys(w http.ResponseWriter, r *http.Request) ([]string, bool) {
+	var req api.KeysRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxKeysBodyBytes)).Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "decode request: "+err.Error())
+		return nil, false
+	}
+	if len(req.Keys) > maxKeysPerRequest {
+		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
+			fmt.Sprintf("%d keys in one request, limit %d", len(req.Keys), maxKeysPerRequest))
+		return nil, false
+	}
+	return req.Keys, true
+}
+
 func (s *Server) handleCaps(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.svc.Caps())
 }
@@ -274,12 +297,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHas(w http.ResponseWriter, r *http.Request) {
-	var req api.KeysRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "decode request: "+err.Error())
+	keys, ok := readKeys(w, r)
+	if !ok {
 		return
 	}
-	have, err := s.svc.HasAddresses(req.Keys)
+	have, err := s.svc.HasAddresses(keys)
 	if err != nil {
 		writeMappedErr(w, err)
 		return
@@ -294,15 +316,14 @@ func (s *Server) handleHas(w http.ResponseWriter, r *http.Request) {
 // to one store read and the unique set is sorted before it reaches the
 // backend (see batchPlan).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.KeysRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "decode request: "+err.Error())
+	keys, ok := readKeys(w, r)
+	if !ok {
 		return
 	}
-	plan := planBatch(req.Keys)
+	plan := planBatch(keys)
 	datas, errs := plan.scatter(s.svc.GetObjects(plan.fetch))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	for i := range req.Keys {
+	for i := range keys {
 		var werr error
 		switch {
 		case errs[i] == nil:

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,6 +83,16 @@ func TestErrorMapping(t *testing.T) {
 	foreign := []byte("foreign chunk")
 	foreignKey := storage.Hash(foreign)[:2] + "/" + storage.Hash(foreign)
 	foreignHas, _ := json.Marshal(api.KeysRequest{Keys: []string{foreignKey}})
+	// Key requests are bounded in bytes and in keys before anything is
+	// fetched from the store. Both bodies name only a canonical chunk key,
+	// so nothing but the bound refuses them.
+	canonical := "chunks/" + foreignKey
+	oversized := []byte(`{"keys":["` + canonical + `"]` + strings.Repeat(" ", maxKeysBodyBytes) + `}`)
+	many := make([]string, maxKeysPerRequest+1)
+	for i := range many {
+		many[i] = canonical
+	}
+	tooMany, _ := json.Marshal(api.KeysRequest{Keys: many})
 	cases := []struct {
 		method, path string
 		body         []byte
@@ -92,6 +103,10 @@ func TestErrorMapping(t *testing.T) {
 		{http.MethodDelete, api.PathObjects + "absent", nil, http.StatusNotFound, api.CodeNotFound},
 		{http.MethodPut, api.PathChunks + foreignKey, foreign, http.StatusBadRequest, api.CodeBadRequest},
 		{http.MethodPost, api.PathHas, foreignHas, http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodPost, api.PathHas, oversized, http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodPost, api.PathHas, tooMany, http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodPost, api.PathBatch, oversized, http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodPost, api.PathBatch, tooMany, http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := doReq(t, c.method, ts.URL+c.path, c.body)
@@ -100,7 +115,7 @@ func TestErrorMapping(t *testing.T) {
 		}
 		var eb api.ErrorBody
 		if err := json.Unmarshal(body, &eb); err != nil || eb.Code != c.code {
-			t.Errorf("%s %s: body %s", c.method, c.path, body)
+			t.Errorf("%s %s: body %.200s", c.method, c.path, body)
 		}
 	}
 	// A negative range on an existing key is a bad request.

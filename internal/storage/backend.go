@@ -111,12 +111,18 @@ func ValidateKey(key string) error {
 	if key == "" {
 		return errors.New("storage: empty key")
 	}
-	if strings.HasPrefix(key, "/") || strings.Contains(key, "\\") {
-		return fmt.Errorf("storage: malformed key %q", key)
-	}
-	for _, seg := range strings.Split(key, "/") {
-		if seg == "" || seg == "." || seg == ".." {
+	// Segments are walked in place: the check runs at every layer of the
+	// stack on every operation, so it must not allocate.
+	start := 0
+	for i := 0; i <= len(key); i++ {
+		switch {
+		case i < len(key) && key[i] == '\\':
 			return fmt.Errorf("storage: malformed key %q", key)
+		case i == len(key) || key[i] == '/':
+			if seg := key[start:i]; seg == "" || seg == "." || seg == ".." {
+				return fmt.Errorf("storage: malformed key %q", key)
+			}
+			start = i + 1
 		}
 	}
 	return nil
@@ -202,7 +208,13 @@ func (l *Local) GetRange(key string, off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("storage: open %s: %w", key, err)
 	}
 	defer f.Close()
-	buf := make([]byte, n)
+	// n arrives unclamped from the wire: the buffer is sized by what the
+	// file can still supply (nothing, past EOF), never by what was asked.
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("storage: stat %s: %w", key, err)
+	}
+	buf := make([]byte, max(0, min(n, st.Size()-off)))
 	m, err := f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("storage: read %s: %w", key, err)
@@ -371,130 +383,4 @@ func (m *Mem) Stat(key string) (ObjectInfo, error) {
 		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	return ObjectInfo{Key: key, Size: int64(len(data))}, nil
-}
-
-// prefixed namespaces another backend under a fixed key prefix. The
-// checkpoint manager uses it to put its chunk store under "chunks/" inside
-// the same backend that holds the snapshot manifests.
-type prefixed struct {
-	base   Backend
-	prefix string
-}
-
-// WithPrefix returns a view of base in which every key is transparently
-// prefixed. The prefix must be a valid key and is joined with "/".
-func WithPrefix(base Backend, prefix string) Backend {
-	prefix = strings.TrimSuffix(prefix, "/")
-	return &prefixed{base: base, prefix: prefix + "/"}
-}
-
-func (p *prefixed) Name() string               { return p.base.Name() }
-func (p *prefixed) Capabilities() Capabilities { return p.base.Capabilities() }
-
-// Caps implements CapsReporter: the view forwards exactly the optional
-// capabilities its base has (each handle pointing at the view itself so
-// the prefix still applies). Orphan collection and occupancy are not
-// forwarded — both are whole-store concepts a namespaced view must not
-// trigger or report as its own.
-func (p *prefixed) Caps() CapSet {
-	base := Caps(p.base)
-	var c CapSet
-	if base.Range != nil {
-		c.Range = p
-	}
-	if base.Batch != nil {
-		c.Batch = p
-	}
-	if base.Ingest != nil {
-		c.Ingest = p
-	}
-	if base.ClassWrite != nil {
-		c.ClassWrite = p
-	}
-	if base.ClassIngest != nil {
-		c.ClassIngest = p
-	}
-	c.Replication = base.Replication
-	return c
-}
-
-func (p *prefixed) Put(key string, data []byte) error {
-	return p.PutClass(key, data, ClassDefault)
-}
-
-// PutClass forwards a classed write into the namespaced base, so class
-// tags survive the "chunks/" and "jobs/<id>/" mounts on the way down to
-// a tiered store that places by class.
-func (p *prefixed) PutClass(key string, data []byte, class WriteClass) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	return PutClass(p.base, p.prefix+key, data, class)
-}
-
-func (p *prefixed) Get(key string) ([]byte, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	return p.base.Get(p.prefix + key)
-}
-
-func (p *prefixed) GetRange(key string, off, n int64) ([]byte, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	return GetRange(p.base, p.prefix+key, off, n)
-}
-
-func (p *prefixed) GetBatch(keys []string) ([][]byte, []error) {
-	full := make([]string, len(keys))
-	for i, k := range keys {
-		full[i] = p.prefix + k // the base validates the joined key
-	}
-	return GetBatch(p.base, full)
-}
-
-func (p *prefixed) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	return p.IngestKeyedClass(key, addr, data, ClassDefault)
-}
-
-// IngestKeyedClass forwards an addressed ingest into the namespaced base,
-// so a chunk store mounted at "chunks/" still reaches a base backend that
-// owns the dedup decision (ok=false when the base is a plain backend).
-func (p *prefixed) IngestKeyedClass(key, addr string, data []byte, class WriteClass) (int, bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return 0, false, err
-	}
-	return TryIngestKeyedClass(p.base, p.prefix+key, addr, data, class)
-}
-
-func (p *prefixed) List(prefix string) ([]string, error) {
-	keys, err := p.base.List(p.prefix + prefix)
-	if err != nil {
-		return nil, err
-	}
-	out := keys[:0]
-	for _, k := range keys {
-		out = append(out, strings.TrimPrefix(k, p.prefix))
-	}
-	return out, nil
-}
-
-func (p *prefixed) Delete(key string) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	return p.base.Delete(p.prefix + key)
-}
-
-func (p *prefixed) Stat(key string) (ObjectInfo, error) {
-	if err := ValidateKey(key); err != nil {
-		return ObjectInfo{}, err
-	}
-	info, err := p.base.Stat(p.prefix + key)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	info.Key = key
-	return info, nil
 }

@@ -2,15 +2,12 @@ package storage
 
 import "strings"
 
-// The capability API: one probe replacing the scattered optional-interface
-// type asserts. Backend grew optional extensions PR by PR — RangeReader,
+// The capability API: the optional Backend extensions (RangeReader,
 // BatchReader, AddressedIngester, ClassWriter, KeyedClassIngester,
-// OrphanCollector — and every composite wrapper re-asserted each of them
-// at every call site. CapSet collapses that to a single structured probe:
-// each field is the typed handle to use when the backend supports the
-// capability, nil when it does not. Callers switch on one CapSet instead
-// of repeating `if br, ok := b.(BatchReader)` chains, and wrappers declare
-// what they forward exactly once by implementing CapsReporter.
+// OrphanCollector, OccupancyReporter) are probed in one place. Callers
+// switch on one CapSet — each field the typed handle to call through, nil
+// when unsupported — and a wrapper declares what it forwards once, by
+// implementing CapsReporter with the one rule, ForwardCaps (forward.go).
 
 // CapSet is a backend's capability set. Fields hold the interface to call
 // through (non-nil = supported); Replication is a value because it carries
@@ -37,8 +34,10 @@ type CapSet struct {
 
 // CapsReporter is implemented by composite backends to declare their
 // forwarded capability set once, instead of having Caps re-probe every
-// optional interface. The declared set must agree with the methods the
-// backend actually forwards — the conformance suite cross-checks it.
+// optional interface. The declared set must agree with what the backend
+// does: storagetest's CapsAreHonest checks, on every backend the suite
+// runs against, that each handle is the backend itself and that a
+// declared classed write and batch read behave.
 type CapsReporter interface {
 	Caps() CapSet
 }

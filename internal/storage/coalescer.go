@@ -29,7 +29,7 @@ import (
 // cannot poison the address for the next reader. Every method is safe
 // for concurrent use.
 type Coalescer struct {
-	base     Backend
+	Forward  // the base; List, Stat, Capabilities and Occupancy pass through
 	perShard int64
 	shards   []coShard
 }
@@ -91,7 +91,7 @@ func NewCoalescerShards(base Backend, maxBytes int64, shards int) *Coalescer {
 	if shards < 1 {
 		shards = 1
 	}
-	c := &Coalescer{base: base, shards: make([]coShard, shards)}
+	c := &Coalescer{Forward: Forward{base}, shards: make([]coShard, shards)}
 	if maxBytes > 0 {
 		c.perShard = maxBytes / int64(shards)
 		if c.perShard < 1 {
@@ -251,30 +251,15 @@ func (c *Coalescer) InvalidateAll() {
 }
 
 // Name implements Backend.
-func (c *Coalescer) Name() string { return "coalesce+" + c.base.Name() }
+func (c *Coalescer) Name() string { return "coalesce+" + c.Backend.Name() }
 
-// Capabilities implements Backend: coalescing changes no guarantee of the
-// base.
-func (c *Coalescer) Capabilities() Capabilities { return c.base.Capabilities() }
-
-// Caps implements CapsReporter. The read-side capabilities (ranged,
-// batch) are native — every read must enter the single-flight machinery
-// or it would bypass coalescing — and so are the write-side ones, which
-// must invalidate. Ingest and orphan collection forward only when the
-// base participates: the methods exist either way, but a declared
-// capability means the base actually owns the decision.
+// Caps implements CapsReporter. Ranged, batch and classed-write traffic
+// is native whatever the base offers — every read must enter the
+// single-flight machinery and every write must invalidate — and the rest
+// forwards when the base participates.
 func (c *Coalescer) Caps() CapSet {
-	base := Caps(c.base)
-	out := CapSet{Range: c, Batch: c, ClassWrite: c, Replication: base.Replication}
-	if base.Ingest != nil {
-		out.Ingest = c
-	}
-	if base.ClassIngest != nil {
-		out.ClassIngest = c
-	}
-	if base.Orphans != nil {
-		out.Orphans = c
-	}
+	out := ForwardCaps(c, c.Backend)
+	out.Range, out.Batch, out.ClassWrite = c, c, c
 	return out
 }
 
@@ -290,7 +275,7 @@ func (c *Coalescer) Get(key string) ([]byte, error) {
 	if !lead {
 		return fl.await()
 	}
-	data, err := c.base.Get(key)
+	data, err := c.Backend.Get(key)
 	c.finish(key, fl, data, err, gen)
 	return data, err
 }
@@ -335,7 +320,7 @@ func (c *Coalescer) GetBatch(keys []string) ([][]byte, []error) {
 		for j, l := range leads {
 			leadKeys[j] = keys[l.idx]
 		}
-		datas, merrs := GetBatch(c.base, leadKeys)
+		datas, merrs := GetBatch(c.Backend, leadKeys)
 		for j, l := range leads {
 			c.finish(leadKeys[j], l.fl, datas[j], merrs[j], l.gen)
 			out[l.idx], errs[l.idx] = datas[j], merrs[j]
@@ -384,7 +369,7 @@ func (c *Coalescer) GetRange(key string, off, n int64) ([]byte, error) {
 		}
 		return sliceRange(data, off, n), nil
 	}
-	return GetRange(c.base, key, off, n)
+	return GetRange(c.Backend, key, off, n)
 }
 
 // sliceRange copies the [off, off+n) window out of a cached object, which
@@ -409,7 +394,7 @@ func (c *Coalescer) Put(key string, data []byte) error {
 // at a later quorum read once repair spreads it, so the cached old bytes
 // are no longer trustworthy either way.
 func (c *Coalescer) PutClass(key string, data []byte, class WriteClass) error {
-	err := PutClass(c.base, key, data, class)
+	err := PutClass(c.Backend, key, data, class)
 	c.drop(key)
 	return err
 }
@@ -417,7 +402,7 @@ func (c *Coalescer) PutClass(key string, data []byte, class WriteClass) error {
 // Delete implements Backend, evicting any cached copy first.
 func (c *Coalescer) Delete(key string) error {
 	c.drop(key)
-	return c.base.Delete(key)
+	return c.Backend.Delete(key)
 }
 
 // IngestKeyed implements AddressedIngester.
@@ -434,7 +419,7 @@ func (c *Coalescer) IngestKeyedClass(key, addr string, data []byte, class WriteC
 	if err := ValidateKey(key); err != nil {
 		return 0, false, err
 	}
-	written, ok, err := TryIngestKeyedClass(c.base, key, addr, data, class)
+	written, ok, err := TryIngestKeyedClass(c.Backend, key, addr, data, class)
 	if ok && err == nil && written > 0 {
 		// Bytes actually hit the store: either a fresh chunk (never cached)
 		// or a repair rewrite of a corrupt resident — evict any cached copy
@@ -449,15 +434,9 @@ func (c *Coalescer) IngestKeyedClass(key, addr string, data []byte, class WriteC
 // collect) and, when a sweep ran, empties the cache: the sweep deletes
 // chunks directly beneath this wrapper.
 func (c *Coalescer) CollectOrphans() (int, int64, bool, error) {
-	removed, reclaimed, ok, err := TryCollectOrphans(c.base)
+	removed, reclaimed, ok, err := TryCollectOrphans(c.Backend)
 	if ok {
 		c.InvalidateAll()
 	}
 	return removed, reclaimed, ok, err
 }
-
-// List implements Backend.
-func (c *Coalescer) List(prefix string) ([]string, error) { return c.base.List(prefix) }
-
-// Stat implements Backend.
-func (c *Coalescer) Stat(key string) (ObjectInfo, error) { return c.base.Stat(key) }

@@ -36,6 +36,19 @@ func backendImpls() map[string]storagetest.Maker {
 			}
 			return storage.WithPrefix(b, "ns")
 		},
+		// The shape of a job view of a multi-tenant store: "c/" passes
+		// through to the base (ConcurrentPuts writes there, ListPrefixSorted
+		// lists across both sides), everything else lives under "ns/".
+		"shared-prefix-tiered": func(t *testing.T) storage.Backend {
+			tb, err := storage.NewTiered(
+				storage.Level{Name: "hot", Backend: storage.NewMem()},
+				storage.Level{Name: "cold", Backend: storage.NewMem()},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return storage.WithSharedPrefix(tb, "ns", "c")
+		},
 		"tiered": func(t *testing.T) storage.Backend {
 			tb, err := storage.NewTiered(
 				storage.Level{Name: "hot", Backend: storage.NewMem()},

@@ -4,10 +4,14 @@
 // implementations — Local (crash-consistent atomic files), Mem (in-memory,
 // for tests and benchmarks), and Tier (any backend wrapped in a Device
 // latency/bandwidth cost model for tiers the test machine does not have:
-// local NVMe, network FS, object store) — and the composites over them:
-// Tiered, an ordered hot→cold level stack with read-through fallback and
-// explicit promote/demote object moves; Replicated, a quorum set; and
-// Coalescer, the one read cache — a bounded LRU whose misses are
+// local NVMe, network FS, object store) — and the composites that fan out
+// over several: Tiered, an ordered hot→cold level stack with read-through
+// fallback and explicit promote/demote object moves, and Replicated, a
+// quorum set. Anything else between the engine and a leaf is one of two
+// kinds of wrapper with one implementation each: re-keying (WithPrefix,
+// WithSharedPrefix — view.go) or pass-through (embed Forward, intercept
+// what you must, declare it with ForwardCaps — forward.go), the latter
+// including Coalescer, the one read cache — a bounded LRU whose misses are
 // single-flight, under recovery and under a server alike. A
 // content-addressed ChunkStore deduplicates identical content on any
 // backend, built on the low-level crash-consistent file primitives the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,5 +247,45 @@ func TestOpenChunkStoreCreatesDir(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); err != nil {
 		t.Errorf("store dir not created: %v", err)
+	}
+}
+
+// TestValidateKeyZeroAllocs keeps the key check free on the save path: it
+// runs at every layer of the wrapper stack, several times per dirty chunk.
+// storagetest's RejectsMalformedKeys is the behaviour oracle.
+func TestValidateKeyZeroAllocs(t *testing.T) {
+	key := "jobs/j0/chunks/ab/" + Hash([]byte("x"))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := ValidateKey(key); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ValidateKey: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestValidateKeyMatchesSegmentRule checks the in-place walk against the
+// rule as it reads: no empty, "." or ".." segment and no backslash.
+func TestValidateKeyMatchesSegmentRule(t *testing.T) {
+	valid := func(key string) bool {
+		if key == "" || strings.Contains(key, "\\") {
+			return false
+		}
+		for _, seg := range strings.Split(key, "/") {
+			if seg == "" || seg == "." || seg == ".." {
+				return false
+			}
+		}
+		return true
+	}
+	alphabet := []string{"a", "bc", ".", "..", "/", "\\", ""}
+	if err := quick.Check(func(picks []uint8) bool {
+		var key string
+		for _, p := range picks {
+			key += alphabet[int(p)%len(alphabet)]
+		}
+		return (ValidateKey(key) == nil) == valid(key)
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }

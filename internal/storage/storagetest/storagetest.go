@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -38,6 +40,7 @@ func Run(t *testing.T, mk Maker) {
 		{"GetRange", testGetRange},
 		{"GetRangeEdgeCases", testGetRangeEdgeCases},
 		{"CapabilitiesAndName", testCapabilitiesAndName},
+		{"CapsAreHonest", testCapsAreHonest},
 		{"ChunkStore", testChunkStore},
 	}
 	for _, p := range props {
@@ -176,6 +179,14 @@ func testRejectsMalformedKeys(t *testing.T, b storage.Backend) {
 		if _, err := b.Get(key); err == nil {
 			t.Errorf("Get(%q) accepted", key)
 		}
+		// A re-keying view relies on its base for this, so every keyed
+		// method of every backend is held to it, and a miss is no excuse.
+		if _, err := b.Stat(key); err == nil || errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("Stat(%q) = %v, want a key error", key, err)
+		}
+		if err := b.Delete(key); err == nil || errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("Delete(%q) = %v, want a key error", key, err)
+		}
 	}
 }
 
@@ -214,7 +225,10 @@ func testGetRange(t *testing.T, b storage.Backend) {
 	windows := []struct {
 		off, n int64
 		want   string
-	}{{2, 4, "2345"}, {0, 10, "0123456789"}, {6, 4, "6789"}, {9, 1, "9"}, {8, 10, "89"}, {0, 1 << 20, "0123456789"}}
+	}{{2, 4, "2345"}, {0, 10, "0123456789"}, {6, 4, "6789"}, {9, 1, "9"}, {8, 10, "89"}, {0, 1 << 20, "0123456789"},
+		// A length no allocation could honour: the window is sized by the
+		// object, not by the request (n arrives unclamped from the wire).
+		{0, math.MaxInt64, "0123456789"}, {3, math.MaxInt64, "3456789"}}
 	for _, pass := range []string{"cold", "after Get"} {
 		for _, w := range windows {
 			got, err := storage.GetRange(b, "k", w.off, w.n)
@@ -288,6 +302,40 @@ func testCapabilitiesAndName(t *testing.T, b storage.Backend) {
 	caps := b.Capabilities()
 	if !caps.Atomic {
 		t.Errorf("%s: checkpoint backends must be atomic", b.Name())
+	}
+}
+
+// testCapsAreHonest cross-checks a backend's declared capability set
+// against what it does: every handle is the backend itself (a handle to
+// anything else lets calls skip the wrapper that declared it), a declared
+// classed write is readable back, and a declared batch read is positional
+// — a duplicate and an absent key each keep their slot.
+func testCapsAreHonest(t *testing.T, b storage.Backend) {
+	caps := storage.Caps(b)
+	v := reflect.ValueOf(caps)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() == reflect.Interface && !f.IsNil() && f.Elem().Interface() != any(b) {
+			t.Errorf("Caps().%s is %T, not the backend itself", v.Type().Field(i).Name, f.Elem().Interface())
+		}
+	}
+	if caps.ClassWrite != nil {
+		if err := caps.ClassWrite.PutClass("classed", []byte("delta"), storage.ClassDeltaChunk); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := b.Get("classed"); err != nil || string(got) != "delta" {
+			t.Errorf("Get after declared PutClass = %q, %v", got, err)
+		}
+	}
+	if caps.Batch != nil {
+		if err := b.Put("p", []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+		out, errs := caps.Batch.GetBatch([]string{"p", "absent", "p"})
+		if len(out) != 3 || len(errs) != 3 || string(out[0]) != "p" || string(out[2]) != "p" ||
+			errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], storage.ErrNotFound) {
+			t.Errorf("GetBatch(p, absent, p) = %q, %v: want positional results", out, errs)
+		}
 	}
 }
 

@@ -90,8 +90,7 @@ func (t *Tier) Capabilities() Capabilities {
 // Everything else is whatever the base offers, which for a plain Tier
 // over Local/Mem is nothing.
 func (t *Tier) Caps() CapSet {
-	base := Caps(t.base)
-	return CapSet{Range: t, ClassWrite: t, Replication: base.Replication}
+	return CapSet{Range: t, ClassWrite: t, Replication: Caps(t.base).Replication}
 }
 
 // Put implements Backend.

@@ -234,46 +234,47 @@ func (t *Tiered) PutClass(key string, data []byte, class WriteClass) error {
 	return nil
 }
 
+// readThrough is the one hot→cold read loop: the first level on which
+// read succeeds answers, ErrNotFound falls through to the next level, and
+// any other error ends the read. It reports the level that answered and,
+// when count is set, books the hit or the miss.
+func readThrough[T any](t *Tiered, key string, count bool, read func(Backend) (T, error)) (T, int, error) {
+	var zero T
+	if err := ValidateKey(key); err != nil {
+		return zero, 0, err
+	}
+	for i, lv := range t.levels {
+		v, err := read(lv.Backend)
+		if err == nil {
+			if count {
+				t.hit(i)
+			}
+			return v, i, nil
+		}
+		if !errors.Is(err, ErrNotFound) {
+			return zero, 0, err
+		}
+	}
+	if count {
+		t.miss()
+	}
+	return zero, 0, fmt.Errorf("%w: %s", ErrNotFound, key)
+}
+
 // Get implements Backend: read-through from hot to cold, returning the
 // warmest copy.
 func (t *Tiered) Get(key string) ([]byte, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
-	for i, lv := range t.levels {
-		data, err := lv.Backend.Get(key)
-		if err == nil {
-			t.hit(i)
-			return data, nil
-		}
-		if !errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-	}
-	t.miss()
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+	data, _, err := readThrough(t, key, true, func(b Backend) ([]byte, error) { return b.Get(key) })
+	return data, err
 }
 
 // GetRange implements RangeReader with the same read-through order.
 func (t *Tiered) GetRange(key string, off, n int64) ([]byte, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
 	if err := validRange(off, n); err != nil {
 		return nil, err
 	}
-	for i, lv := range t.levels {
-		data, err := GetRange(lv.Backend, key, off, n)
-		if err == nil {
-			t.hit(i)
-			return data, nil
-		}
-		if !errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-	}
-	t.miss()
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+	data, _, err := readThrough(t, key, true, func(b Backend) ([]byte, error) { return GetRange(b, key, off, n) })
+	return data, err
 }
 
 // GetBatch implements BatchReader: every level attempts the whole batch
@@ -392,37 +393,15 @@ func (t *Tiered) Delete(key string) error {
 
 // Stat implements Backend: metadata of the warmest copy.
 func (t *Tiered) Stat(key string) (ObjectInfo, error) {
-	if err := ValidateKey(key); err != nil {
-		return ObjectInfo{}, err
-	}
-	for i, lv := range t.levels {
-		info, err := lv.Backend.Stat(key)
-		if err == nil {
-			t.hit(i)
-			return info, nil
-		}
-		if !errors.Is(err, ErrNotFound) {
-			return ObjectInfo{}, err
-		}
-	}
-	t.miss()
-	return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+	info, _, err := readThrough(t, key, true, func(b Backend) (ObjectInfo, error) { return b.Stat(key) })
+	return info, err
 }
 
 // Residency returns the index of the warmest level holding key, or
 // ErrNotFound.
 func (t *Tiered) Residency(key string) (int, error) {
-	if err := ValidateKey(key); err != nil {
-		return 0, err
-	}
-	for i, lv := range t.levels {
-		if _, err := lv.Backend.Stat(key); err == nil {
-			return i, nil
-		} else if !errors.Is(err, ErrNotFound) {
-			return 0, err
-		}
-	}
-	return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
+	_, level, err := readThrough(t, key, false, func(b Backend) (ObjectInfo, error) { return b.Stat(key) })
+	return level, err
 }
 
 // CopyTo copies key onto level target (verifying the copy by reading it
