@@ -385,7 +385,7 @@ func cmdShow(path string) error {
 
 // printLoadReport prints what a recovery skipped and where its time went
 // (core.LoadCost: stage times as the caller waited for them, and the
-// chunk, zero-piece and SHA-256 counts behind them).
+// chunk, zero-piece, SHA-256 and conviction-walk counts behind them).
 func printLoadReport(r core.LoadReport) {
 	for _, s := range r.Skipped {
 		fmt.Printf("skipped:  %s\n", s)
@@ -393,8 +393,8 @@ func printLoadReport(r core.LoadReport) {
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	fmt.Printf("stages:   index %v, fetch %v, apply %v, verify %v, decode %v\n",
 		us(r.Index), us(r.Fetch), us(r.Apply), us(r.Verify), us(r.Decode))
-	fmt.Printf("work:     %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed\n",
-		r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed)
+	fmt.Printf("work:     %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed, %d conviction walk(s)\n",
+		r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed, r.ConvictionWalks)
 }
 
 func cmdLatest(dir string) error {

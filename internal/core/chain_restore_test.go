@@ -239,11 +239,23 @@ func saveChain(t testing.TB, opts Options, states []*TrainingState) *storage.Mem
 	return mem
 }
 
-// substituteWrongDelta replaces the delta snapshot seq in b with one that
-// passes every content check — whole-file hash, chunk addresses, delta
-// header — and still carries the original header's PayloadHash, but whose
-// body XORs one bit differently: a wrong link only a payload hash can see.
-func substituteWrongDelta(t *testing.T, b storage.Backend, seq uint64) {
+// putSnapshot stores body under header h at key, as a snapshot object.
+func putSnapshot(t *testing.T, b storage.Backend, key string, h Header, body []byte) {
+	t.Helper()
+	data, err := EncodeSnapshotFile(h, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// substituteDelta replaces the delta snapshot seq in b with one that passes
+// every content check — whole-file hash, chunk addresses, delta header — and
+// still carries the original header's PayloadHash, but whose body mutate has
+// changed: a wrong link only a payload hash can see.
+func substituteDelta(t *testing.T, b storage.Backend, seq uint64, mutate func(delta []byte) []byte) {
 	t.Helper()
 	key := snapshotName(seq, KindDelta)
 	v := newSnapshotView(b, RestoreOptions{})
@@ -254,18 +266,36 @@ func substituteWrongDelta(t *testing.T, b storage.Backend, seq uint64) {
 	if h.Kind.Base() != KindDelta || len(delta) <= deltaHeaderLen {
 		t.Fatalf("seq %d is not a usable delta (%v, %d bytes)", seq, h.Kind, len(delta))
 	}
-	delta[deltaHeaderLen+(len(delta)-deltaHeaderLen)/2] ^= 0x10
+	delta = mutate(delta)
 	body := delta
 	if h.Kind.Chunked() {
 		body = buildChunkedBody(t, v.cs, delta, MinChunkBytes)
 	}
-	data, err := EncodeSnapshotFile(h, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(key, data); err != nil {
-		t.Fatal(err)
-	}
+	putSnapshot(t, b, key, h, body)
+}
+
+// substituteWrongDelta makes link seq XOR one bit differently. Every later
+// link still applies; only a payload hash — the link's own, or the
+// target's — can tell.
+func substituteWrongDelta(t *testing.T, b storage.Backend, seq uint64) {
+	t.Helper()
+	substituteDelta(t, b, seq, func(delta []byte) []byte {
+		delta[deltaHeaderLen+(len(delta)-deltaHeaderLen)/2] ^= 0x10
+		return delta
+	})
+}
+
+// substituteLongerDelta makes link seq reconstruct a payload three bytes
+// longer than the one its header promises (its own delta header agrees with
+// its body, so it applies). A walk that does not hash link seq is stopped
+// by the next link's baseLen check, one link above the wrong one.
+func substituteLongerDelta(t *testing.T, b storage.Backend, seq uint64) {
+	t.Helper()
+	substituteDelta(t, b, seq, func(delta []byte) []byte {
+		delta = append(delta, 0xDE, 0xAD, 0x01)
+		binary.LittleEndian.PutUint64(delta, uint64(len(delta)-deltaHeaderLen))
+		return delta
+	})
 }
 
 // TestWrongLinkFallsBackToOlderSnapshot is the fault sweep for in-place
@@ -274,7 +304,11 @@ func substituteWrongDelta(t *testing.T, b storage.Backend, seq uint64) {
 // is made to a buffer the next candidate must not inherit). Recovery must
 // blame that link in every snapshot it skips, from the newest down to the
 // bad one, and return the one just below it, bitwise, under any worker
-// count.
+// count. The clean path hashes a chain at its two ends only, so the walk
+// that meets the damage is stopped by the target's hash — or, for a wrong
+// link that also changes the payload's length, by the next link's baseLen
+// check — and it is the conviction walk that must put the blame where it
+// belongs, once: the candidates below the newest are refused from the memo.
 func TestWrongLinkFallsBackToOlderSnapshot(t *testing.T) {
 	const links = 16
 	for name, tc := range map[string]struct {
@@ -286,25 +320,45 @@ func TestWrongLinkFallsBackToOlderSnapshot(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			clean := saveChain(t, tc.opts, tc.states)
-			for bad := 1; bad < links; bad++ {
-				mem := copyBackend(t, clean)
-				substituteWrongDelta(t, mem, uint64(bad))
-				for _, workers := range []int{0, 1, 2} {
-					got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: workers})
-					if err != nil {
-						t.Fatalf("bad link %d, workers %d: %v", bad, workers, err)
-					}
-					if report.Seq != uint64(bad-1) || report.ChainLen != bad || !got.Equal(tc.states[bad-1]) {
-						t.Fatalf("bad link %d, workers %d: restored seq %d (chain %d), want seq %d bitwise",
-							bad, workers, report.Seq, report.ChainLen, bad-1)
-					}
-					if len(report.Skipped) != links-bad {
-						t.Fatalf("bad link %d, workers %d: skipped %d snapshots, want %d: %v",
-							bad, workers, len(report.Skipped), links-bad, report.Skipped)
-					}
-					for i, s := range report.Skipped {
-						if want := snapshotName(uint64(links-1-i), KindDelta); !strings.HasPrefix(s, want) || !strings.Contains(s, fmt.Sprintf("at seq %d", bad)) {
-							t.Fatalf("bad link %d: Skipped[%d] = %q, want %s blamed on seq %d", bad, i, s, want, bad)
+			payload, err := EncodePayload(tc.states[links-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for damageName, damage := range map[string]func(*testing.T, storage.Backend, uint64){
+				"wrong bit": substituteWrongDelta, "wrong length": substituteLongerDelta,
+			} {
+				for bad := 1; bad < links; bad++ {
+					mem := copyBackend(t, clean)
+					damage(t, mem, uint64(bad))
+					for _, workers := range []int{0, 1, 2} {
+						got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: workers})
+						if err != nil {
+							t.Fatalf("%s: bad link %d, workers %d: %v", damageName, bad, workers, err)
+						}
+						if report.Seq != uint64(bad-1) || report.ChainLen != bad || !got.Equal(tc.states[bad-1]) {
+							t.Fatalf("bad link %d, workers %d: restored seq %d (chain %d), want seq %d bitwise",
+								bad, workers, report.Seq, report.ChainLen, bad-1)
+						}
+						if len(report.Skipped) != links-bad {
+							t.Fatalf("bad link %d, workers %d: skipped %d snapshots, want %d: %v",
+								bad, workers, len(report.Skipped), links-bad, report.Skipped)
+						}
+						for i, s := range report.Skipped {
+							if want := snapshotName(uint64(links-1-i), KindDelta); !strings.HasPrefix(s, want) || !strings.Contains(s, fmt.Sprintf("at seq %d", bad)) {
+								t.Fatalf("bad link %d: Skipped[%d] = %q, want %s blamed on seq %d", bad, i, s, want, bad)
+							}
+						}
+						if report.ConvictionWalks != 1 {
+							t.Fatalf("bad link %d, workers %d: %d conviction walks, want the one that names the link", bad, workers, report.ConvictionWalks)
+						}
+						// The fallback's ledger, where the payload dwarfs the
+						// files: the newest candidate's walk (anchor, its frames,
+						// target), the conviction walk (anchor, frames, 8 links)
+						// and the walk that succeeds — not eight candidates each
+						// hashing their way up to the bad link (≈ 83 payloads).
+						if name == "chunked" && bad == links/2 && report.BytesHashed > int64(20*len(payload)) {
+							t.Fatalf("bad link %d, workers %d: %d bytes hashed, more than 20 payloads of %d: later candidates are not refused from the memo",
+								bad, workers, report.BytesHashed, len(payload))
 						}
 					}
 				}
@@ -369,6 +423,215 @@ func TestVerifyBackendBranchingChain(t *testing.T) {
 	if err != nil || report.Seq != 3 || !got.Equal(states[3]) {
 		t.Fatalf("fork tip: seq %d err %v", report.Seq, err)
 	}
+}
+
+// TestRepeatedStateDoesNotCutTheChain saves an unchanged state three times
+// in a row. The repeats are deltas whose payload is their own base, and
+// three snapshots hold one payload hash: a base looked up by hash alone
+// resolves the first repeat to itself (or to a newer twin), and that
+// snapshot and every later one of the chain are lost. baseOf looks only
+// below the delta it resolves.
+func TestRepeatedStateDoesNotCutTheChain(t *testing.T) {
+	s := bigSeqStates(3)
+	saved := []*TrainingState{s[0], s[1], s[1], s[1], s[2]}
+	for name, opts := range map[string]Options{
+		"monolithic": {AnchorEvery: 8},
+		"chunked":    chunkedOpts(Options{AnchorEvery: 8}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := saveChain(t, opts, saved)
+			got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Seq != 4 || report.ChainLen != len(saved) || len(report.Skipped) != 0 || !got.Equal(s[2]) {
+				t.Fatalf("restored seq %d over a chain of %d, skipped %v; want seq 4 over %d, bitwise", report.Seq, report.ChainLen, report.Skipped, len(saved))
+			}
+			if ok, problems, err := VerifyBackend(mem); err != nil || ok != len(saved) || len(problems) != 0 {
+				t.Fatalf("verify: ok=%d problems=%v err=%v, want %d ok", ok, problems, err, len(saved))
+			}
+		})
+	}
+}
+
+// TestDeltasNamingEachOtherAreOrphans: no chain can loop, whatever the
+// headers say. Two deltas that name each other's payload as their base, and
+// one that names its own, have no base below them: recovery and
+// VerifyBackend say "base missing" for each and return.
+func TestDeltasNamingEachOtherAreOrphans(t *testing.T) {
+	mem := storage.NewMem()
+	a, b, c := PayloadHash([]byte("a")), PayloadHash([]byte("b")), PayloadHash([]byte("c"))
+	for _, h := range []Header{
+		{Kind: KindDelta, Seq: 1, BaseHash: b, PayloadHash: a},
+		{Kind: KindDelta, Seq: 2, BaseHash: a, PayloadHash: b},
+		{Kind: KindDelta, Seq: 3, BaseHash: c, PayloadHash: c},
+	} {
+		putSnapshot(t, mem, snapshotName(h.Seq, h.Kind), h, EncodeDelta(nil, []byte("x")))
+	}
+	_, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
+	ok, problems, verr := VerifyBackend(mem)
+	if !errors.Is(err, ErrNoCheckpoint) || verr != nil || ok != 0 {
+		t.Fatalf("restore err = %v, verify ok=%d err=%v; want ErrNoCheckpoint and nothing sound", err, ok, verr)
+	}
+	for _, said := range [][]string{report.Skipped, problems} {
+		if len(said) != 3 {
+			t.Fatalf("%d verdicts, want one per snapshot: %v", len(said), said)
+		}
+		for i, s := range said { // newest first
+			if !strings.HasPrefix(s, snapshotName(uint64(3-i), KindDelta)) || !strings.Contains(s, "missing") {
+				t.Errorf("verdict %d = %q, want snapshot %d with its base missing", i, s, 3-i)
+			}
+		}
+	}
+}
+
+// Ways FuzzEndsOnlyMatchesPerLink damages a chain.
+const (
+	damageNone      = iota
+	damageWrongBit  // content-valid delta that XORs one bit differently
+	damageLonger    // content-valid delta whose payload is three bytes longer
+	damageFlipByte  // one stored byte flipped: a chunk of the link, or its file
+	damageTruncate  // the link's snapshot object cut short
+	damageSwapLinks // two links keep their headers and trade bodies
+	damageCount
+)
+
+// swapLinkBodies makes the snapshots at seqs i and j trade bodies — delta
+// bytes or chunk manifests — under their own headers.
+func swapLinkBodies(t *testing.T, b storage.Backend, i, j uint64) {
+	t.Helper()
+	v := newSnapshotView(b, RestoreOptions{})
+	ki, kj := snapshotName(i, KindDelta), snapshotName(j, KindDelta)
+	hi, bi, _, erri := v.readObject(ki)
+	hj, bj, _, errj := v.readObject(kj)
+	if erri != nil || errj != nil {
+		t.Fatal(erri, errj)
+	}
+	putSnapshot(t, b, ki, hi, bj)
+	putSnapshot(t, b, kj, hj, bi)
+}
+
+// rewriteObject replaces the object at key with edit(its bytes).
+func rewriteObject(t *testing.T, b storage.Backend, key string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := b.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(key, edit(bytes.Clone(data))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzEndsOnlyMatchesPerLink is the equivalence oracle for verifying a chain
+// at its two ends: whatever is done to a chain, recovery must restore the
+// same snapshot, to the same bytes, and say the same thing about every
+// snapshot it skipped as a recovery that hashes the payload after every
+// link (verifyEveryLink) — and what either returns must be, bitwise, the
+// state that was saved under that sequence number. The fuzzer picks the
+// body layout, the state family (payloads that grow every step, or keep
+// their length), a state to save twice, the damage, the link it hits and
+// the worker count.
+//
+// One divergence is allowed, and only in that direction: XOR deltas between
+// payloads of one length commute, so two such links with their bodies
+// swapped rebuild every payload above the upper one exactly. A per-link
+// recovery refuses those snapshots (the payload between the two links is
+// wrong); an ends-only recovery may return one, because its payload hashes
+// to its header — it is the saved state, which the bitwise check confirms.
+func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
+	f.Add(uint64(1), uint8(layoutMonolithic), uint8(0), uint8(damageWrongBit), uint8(3), uint16(0))
+	f.Add(uint64(2), uint8(layoutFixed), uint8(0), uint8(damageLonger), uint8(2), uint16(0))
+	f.Add(uint64(3), uint8(layoutCDC), uint8(0), uint8(damageFlipByte), uint8(5), uint16(700))
+	f.Add(uint64(4), uint8(layoutFixed), uint8(0), uint8(damageTruncate), uint8(4), uint16(90))
+	f.Add(uint64(5), uint8(layoutMonolithic), uint8(0), uint8(damageSwapLinks), uint8(2), uint16(3))
+	f.Add(uint64(6), uint8(layoutCDC), uint8(3), uint8(damageNone), uint8(0), uint16(0))
+	f.Add(uint64(7), uint8(layoutFixed), uint8(2), uint8(damageWrongBit), uint8(6), uint16(0))
+	f.Add(uint64(8), uint8(layoutFixed), uint8(0), uint8(damageSwapLinks), uint8(1), uint16(4)) // fixed-length states: the links commute
+	f.Fuzz(func(t *testing.T, seed uint64, layoutSel, dup, damageSel, at uint8, arg uint16) {
+		const n = 8
+		states := bigSeqStates(n) // every payload 8 bytes longer than the last
+		if seed%2 == 0 {
+			states = sparseStates(seed, 4<<10, n, 24) // one length throughout
+		}
+		if d := int(dup) % n; d > 0 {
+			states = append(states[:d+1], states[d:]...) // state d saved twice
+		}
+		opts := Options{AnchorEvery: len(states)}
+		switch int(layoutSel) % layoutLegacy {
+		case layoutFixed:
+			opts = chunkedOpts(opts)
+		case layoutCDC:
+			opts = chunkedOpts(opts)
+			opts.Chunker = ChunkerCDC
+		}
+		mem := saveChain(t, opts, states)
+		link := 1 + uint64(at)%uint64(len(states)-1)
+		key := snapshotName(link, KindDelta)
+		damage := int(damageSel) % damageCount
+		switch damage {
+		case damageWrongBit:
+			substituteWrongDelta(t, mem, link)
+		case damageLonger:
+			substituteLongerDelta(t, mem, link)
+		case damageFlipByte:
+			if addrs, err := manifestAddrs(mem, key); err != nil {
+				t.Fatal(err)
+			} else if len(addrs) > 0 {
+				key = ChunkKey(addrs[int(arg)%len(addrs)])
+			}
+			rewriteObject(t, mem, key, func(data []byte) []byte {
+				data[int(arg)%len(data)] ^= 0x40
+				return data
+			})
+		case damageTruncate:
+			rewriteObject(t, mem, key, func(data []byte) []byte { return data[:int(arg)%len(data)] })
+		case damageSwapLinks:
+			if other := 1 + uint64(arg)%uint64(len(states)-1); other != link {
+				swapLinkBodies(t, mem, link, other)
+			}
+		}
+
+		type outcome struct {
+			seq     uint64
+			payload []byte
+			skipped []string
+		}
+		recoverWith := func(everyLink bool) outcome {
+			verifyEveryLink = everyLink
+			defer func() { verifyEveryLink = false }()
+			got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: int(seed % 3)})
+			if errors.Is(err, ErrNoCheckpoint) {
+				return outcome{seq: math.MaxUint64, skipped: report.Skipped}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if everyLink && report.ConvictionWalks != 0 {
+				t.Fatalf("a per-link recovery ran %d conviction walks", report.ConvictionWalks)
+			}
+			payload, err := EncodePayload(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := EncodePayload(states[report.Seq]); !bytes.Equal(payload, want) {
+				t.Fatalf("everyLink=%v restored seq %d to bytes that are not the state saved under it", everyLink, report.Seq)
+			}
+			return outcome{report.Seq, payload, report.Skipped}
+		}
+		ends, perLink := recoverWith(false), recoverWith(true)
+		if damage == damageSwapLinks && ends.seq != perLink.seq {
+			if ends.seq == math.MaxUint64 || perLink.seq != math.MaxUint64 && ends.seq < perLink.seq {
+				t.Fatalf("swapped links: ends-only restored seq %d, below the per-link recovery's %d", int64(ends.seq), int64(perLink.seq))
+			}
+			return // commuting links: ends-only returned a newer snapshot, checked bitwise above
+		}
+		if ends.seq != perLink.seq || !bytes.Equal(ends.payload, perLink.payload) {
+			t.Fatalf("ends-only restored seq %d, per-link seq %d", int64(ends.seq), int64(perLink.seq))
+		}
+		if strings.Join(ends.skipped, "\n") != strings.Join(perLink.skipped, "\n") {
+			t.Fatalf("Skipped differs.\nends-only:\n%s\nper-link:\n%s", strings.Join(ends.skipped, "\n"), strings.Join(perLink.skipped, "\n"))
+		}
+	})
 }
 
 // incompressibleStates yields n states whose optimizer blob is random
@@ -624,8 +887,9 @@ func TestHostileManifestLengthIsSkipped(t *testing.T) {
 
 // TestLoadReportAttributesTheRestore checks the stage ledger of a sparse
 // chunked chain: the stages fit inside the wall-clock time, the counts
-// describe the work (one payload hash per snapshot of the chain, zero
-// pieces skipped rather than XORed), and they repeat exactly.
+// describe the work (two payload hashes — anchor and target — however long
+// the chain, zero pieces skipped rather than XORed, no conviction walk), and
+// they repeat exactly.
 func TestLoadReportAttributesTheRestore(t *testing.T) {
 	states := bigSeqStates(6)
 	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states)
@@ -651,11 +915,12 @@ func TestLoadReportAttributesTheRestore(t *testing.T) {
 	if c.ChunksFetched == 0 || c.ZeroPiecesSkipped == 0 {
 		t.Errorf("ChunksFetched=%d ZeroPiecesSkipped=%d on a sparse chunked chain", c.ChunksFetched, c.ZeroPiecesSkipped)
 	}
-	// One payload hash per snapshot of the chain, plus files and chunk
-	// frames: the anchor's chunks are a payload's worth, a sparse link's
-	// are not.
-	if lo, hi := int64(report.ChainLen*len(payload)), int64((report.ChainLen+2)*len(payload)); c.BytesHashed < lo || c.BytesHashed > hi {
-		t.Errorf("BytesHashed = %d for a %d-byte payload over %d links, want within [%d, %d]", c.BytesHashed, len(payload), report.ChainLen, lo, hi)
+	// The payload hashed at the anchor and at the target, plus files and
+	// chunk frames: the anchor's chunks are at most a payload's worth, a
+	// sparse link's are not.
+	if lo, hi := int64(2*len(payload)), int64(4*len(payload)); c.BytesHashed < lo || c.BytesHashed > hi || c.ConvictionWalks != 0 {
+		t.Errorf("BytesHashed = %d (%d conviction walks) for a %d-byte payload over %d links, want within [%d, %d] and none",
+			c.BytesHashed, c.ConvictionWalks, len(payload), report.ChainLen, lo, hi)
 	}
 	_, again, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: 1})
 	if err != nil {
@@ -669,8 +934,8 @@ func TestLoadReportAttributesTheRestore(t *testing.T) {
 // BenchmarkRestoreChain is the sub-step restore in isolation: a 2 MiB state
 // in 8 KiB chunks on a Mem backend, one anchor and 15 delta links that each
 // dirtied 0.3 % of it. hashed-B/op is the restore's SHA-256 traffic —
-// snapshot files, chunk frames and one payload hash per snapshot of the
-// chain, which is what is left of a link's O(state) cost.
+// snapshot files, chunk frames and the payload at the anchor and target:
+// two state-sized hashes however long the chain.
 func BenchmarkRestoreChain(b *testing.B) {
 	const params, links, window = 256 << 10, 16, 768 // 2 MiB of float64; 768 params ≈ 0.3 %
 	states := sparseStates(13, params, links, window)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,12 +39,13 @@ type LoadCost struct {
 	Index  time.Duration // listing snapshots and parsing their headers
 	Fetch  time.Duration // getting snapshot objects and chunks: read, content check, unframe, waits on helpers
 	Apply  time.Duration // copying anchor pieces and XORing delta pieces into the payload
-	Verify time.Duration // SHA-256 of the payload at the anchor and after every link
+	Verify time.Duration // SHA-256 of the payload at the anchor and target; after every link on a conviction walk
 	Decode time.Duration // DecodePayload and the Meta compatibility check
 
 	ChunksFetched     int   // chunk reads issued, one per distinct address per snapshot
 	ZeroPiecesSkipped int   // all-zero delta pieces that cost no XOR
 	BytesHashed       int64 // bytes fed to SHA-256: snapshot files, chunk frames, payloads
+	ConvictionWalks   int   // chains walked a second time, hashing every link, to name a wrong one
 }
 
 // indexEntry caches one snapshot object's header for chain resolution.
@@ -65,18 +68,19 @@ const recoveryCacheBytes = 64 << 20
 // deltas — is served warm, and the engine's workers and the chain
 // prefetcher asking for one object at the same moment share one fetch of
 // it. Its RestoreOptions size the chunk engine (restore.go). cost
-// accumulates what the view's owner spent; only the goroutine resolving
-// through the view writes it.
+// accumulates what the view's owner spent, convicted the links a conviction
+// walk found wrong; only the goroutine resolving through the view writes them.
 type snapshotView struct {
-	b    storage.Backend
-	cs   *storage.ChunkStore
-	opts RestoreOptions
-	cost LoadCost
+	b         storage.Backend
+	cs        *storage.ChunkStore
+	opts      RestoreOptions
+	cost      LoadCost
+	convicted map[string]error
 }
 
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 	cb := storage.NewCoalescerShards(b, recoveryCacheBytes, 1)
-	return &snapshotView{b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts}
+	return &snapshotView{b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
 }
 
 // readObject fetches the snapshot object at key, checks its whole-file
@@ -179,91 +183,113 @@ func (v *snapshotView) applyVerified(ent indexEntry, payload []byte) ([]byte, er
 	return payload, nil
 }
 
+// baseIndex is the index sorted by payload hash, a payload's holders oldest first.
+type baseIndex []indexEntry
+
+// baseOf returns the snapshot the delta at ent was recorded against: the
+// newest one older than ent that holds its base payload. A state saved twice
+// gives several snapshots one payload hash; looking only below ent makes
+// sequence numbers fall along a chain, so every chain ends and none loops.
+func (ix baseIndex) baseOf(ent indexEntry) (indexEntry, error) {
+	i := sort.Search(len(ix), func(i int) bool {
+		return cmp.Or(bytes.Compare(ix[i].h.PayloadHash[:], ent.h.BaseHash[:]), cmp.Compare(ix[i].seq, ent.seq)) >= 0
+	}) // where ent would stand among the holders of its base: right after the one wanted
+	if i == 0 || ix[i-1].h.PayloadHash != ent.h.BaseHash {
+		return indexEntry{}, fmt.Errorf("%w: delta base %x… missing", ErrCorrupt, string(ent.h.BaseHash[:6])) // a copy: ent stays on the stack
+	}
+	return ix[i-1], nil
+}
+
 // buildIndex parses the header of every snapshot object in the backend.
 // Objects whose header cannot be parsed are reported in skipped but do not
 // abort the scan.
-func (v *snapshotView) buildIndex() (bySeq []indexEntry, byPayloadHash map[[32]byte]indexEntry, skipped []string, err error) {
+func (v *snapshotView) buildIndex() (bySeq []indexEntry, byPayloadHash baseIndex, skipped []string, err error) {
 	refs, err := listSnapshots(v.b)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: list checkpoints: %w", err)
 	}
-	byPayloadHash = make(map[[32]byte]indexEntry)
+	bySeq = make([]indexEntry, 0, len(refs))
 	for _, ref := range refs {
 		h, err := probeHeader(v.b, ref.key)
 		if err != nil {
 			skipped = append(skipped, ref.key)
 			continue
 		}
-		ent := indexEntry{ref, h}
-		bySeq = append(bySeq, ent)
-		byPayloadHash[h.PayloadHash] = ent
+		bySeq = append(bySeq, indexEntry{ref, h})
 	}
+	byPayloadHash = slices.Clone(bySeq) // refs come oldest first, and the sort is stable
+	slices.SortStableFunc(byPayloadHash, func(a, b indexEntry) int { return bytes.Compare(a.h.PayloadHash[:], b.h.PayloadHash[:]) })
 	sort.Slice(bySeq, func(i, j int) bool { return bySeq[i].h.Seq > bySeq[j].h.Seq })
 	return bySeq, byPayloadHash, skipped, nil
 }
 
-// maxChainLen bounds delta-chain resolution against cyclic or degenerate
-// metadata.
-const maxChainLen = 1 << 16
+// verifyEveryLink makes every walk hash every link, as a conviction walk
+// does. Only the equivalence fuzzer of chain_restore_test.go sets it.
+var verifyEveryLink bool
 
-// resolvePayload reconstructs the canonical payload of the snapshot at ent:
-// the anchor of its delta chain is assembled into a buffer the resolver
-// owns and every link is applied to that buffer in place (applyLink), so
-// reading and applying a link costs O(dirty bytes). The payload is hashed
-// against the header of the anchor before anything is applied to it and
-// against the header of every link after it is applied, as it has been
-// since chains exist: the first wrong link is named, nothing is built on
-// it, and no payload is returned unless it hashes to the target header's
-// PayloadHash. That hash is now the one O(state) pass a link still costs
-// (DESIGN.md §4 says what hashing only the two ends would save and give
-// up). With more than one worker the next link's manifest and chunks are
-// prefetched into the view's cache while the current link is fetched and
-// applied, so cold I/O for link N+1 overlaps the CPU work of link N.
-func (v *snapshotView) resolvePayload(ent indexEntry, byPayloadHash map[[32]byte]indexEntry) (payload []byte, chainLen int, err error) {
+// resolvePayload reconstructs the canonical payload of the snapshot at ent,
+// hashing it at the two ends of the chain (walk): a wrong link in between
+// can only yield a payload that misses the target's hash, or garbage that a
+// later link's header check refuses (DESIGN.md §4). A walk that fails above
+// a link it applied unhashed says the chain is unusable, not where, so the
+// chain is walked again hashing every link and that walk's error, naming
+// the first wrong link, is reported. The link is remembered: candidates
+// built on it get the same error before any I/O.
+func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload []byte, chainLen int, err error) {
 	// Walk back collecting the chain: ent, base(ent), base(base(ent)), …
 	chain := []indexEntry{ent}
-	cur := ent
-	for cur.h.Kind.Base() == KindDelta {
-		if len(chain) > maxChainLen {
-			return nil, 0, fmt.Errorf("%w: delta chain too long", ErrCorrupt)
-		}
-		base, ok := byPayloadHash[cur.h.BaseHash]
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: delta base %x… missing", ErrCorrupt, cur.h.BaseHash[:6])
-		}
-		chain = append(chain, base)
-		cur = base
-	}
-	// Apply forward from the anchor. The deferred wait ensures no warmer
-	// outlives resolution, error or not.
-	var pf prefetcher
-	defer pf.wait()
-	var warmed func() // wait for the in-flight warm of the next link
-	if v.opts.parallel() && len(chain) >= 2 {
-		warmed = pf.start(v, chain[len(chain)-2].key)
-	}
-	anchor := chain[len(chain)-1]
-	_, payload, err = v.readBody(anchor.key)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !v.payloadIs(payload, anchor.h.PayloadHash) {
-		return nil, 0, fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
-	}
-	for i := len(chain) - 2; i >= 0; i-- {
-		ready := warmed
-		warmed = nil
-		if v.opts.parallel() && i-1 >= 0 {
-			warmed = pf.start(v, chain[i-1].key)
-		}
-		if ready != nil {
-			ready() // this link's warm has run since the previous iteration
-		}
-		if payload, err = v.applyVerified(chain[i], payload); err != nil {
+	for cur := ent; cur.h.Kind.Base() == KindDelta; chain = append(chain, cur) {
+		if cur, err = ix.baseOf(cur); err != nil {
 			return nil, 0, err
 		}
 	}
-	return payload, len(chain), nil
+	for _, link := range chain {
+		if err := v.convicted[link.key]; err != nil {
+			return nil, 0, err
+		}
+	}
+	payload, at, err := v.walk(chain, verifyEveryLink)
+	if err != nil && at < len(chain)-2 && !verifyEveryLink {
+		v.cost.ConvictionWalks++
+		if payload, at, err = v.walk(chain, true); err != nil {
+			v.convicted[chain[at].key] = err
+		}
+	}
+	return payload, len(chain), err
+}
+
+// walk assembles the anchor of chain (target first, anchor last) into a
+// buffer the resolver owns, checks it against the anchor's header and
+// applies every link to it in place, so a link costs O(dirty bytes); the
+// last link — every link, if everyLink — is checked against its header
+// (applyVerified). A failure is at chain[at]; below it, only hashed links
+// are known to be sound. The next link is warmed while this one applies.
+func (v *snapshotView) walk(chain []indexEntry, everyLink bool) (payload []byte, at int, err error) {
+	var pf prefetcher
+	defer pf.Wait() // no warmer outlives the walk, error or not
+	at = len(chain) - 1
+	warmed := pf.start(v, chain, at-1)
+	_, payload, err = v.readBody(chain[at].key)
+	if err != nil {
+		return nil, at, err
+	}
+	if !v.payloadIs(payload, chain[at].h.PayloadHash) {
+		return nil, at, fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
+	}
+	for at--; at >= 0; at-- {
+		ready := warmed
+		warmed = pf.start(v, chain, at-1)
+		ready() // this link's warm has run since the previous iteration
+		if everyLink || at == 0 {
+			payload, err = v.applyVerified(chain[at], payload)
+		} else {
+			payload, err = v.applyLink(chain[at].key, payload)
+		}
+		if err != nil {
+			return nil, at, err
+		}
+	}
+	return payload, 0, nil
 }
 
 // DirBackend opens an existing checkpoint directory as the local backend
@@ -281,10 +307,9 @@ func DirBackend(dir string) (storage.Backend, error) {
 // is broken. If live is non-nil, snapshots whose Meta is incompatible with
 // *live are skipped (with an error recorded) rather than restored into the
 // wrong run. The report's Path is the backend key. The zero opts run one
-// chunk worker and no chain prefetch; otherwise chunked bodies are
-// assembled by opts.Workers concurrent fetch+decompress workers and delta
-// chains prefetch their next link while the current one applies. The
-// recovered state is bitwise-identical under every worker count.
+// chunk worker and no chain prefetch; otherwise opts.Workers workers fetch
+// and decompress chunks and a chain prefetches its next link while the
+// current one applies. The state is bitwise-identical under every count.
 func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
 	v := newSnapshotView(b, opts)
 	start := time.Now()
@@ -313,7 +338,7 @@ func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions
 
 // restore resolves and decodes the snapshot at ent, refusing a state whose
 // Meta is incompatible with *live (when live is non-nil).
-func (v *snapshotView) restore(ent indexEntry, byHash map[[32]byte]indexEntry, live *Meta) (*TrainingState, int, error) {
+func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*TrainingState, int, error) {
 	payload, chainLen, err := v.resolvePayload(ent, byHash)
 	if err != nil {
 		return nil, 0, err
@@ -334,28 +359,13 @@ func (v *snapshotView) restore(ent indexEntry, byHash map[[32]byte]indexEntry, l
 
 // ReadSnapshotBody loads one snapshot file and resolves its body — the
 // canonical payload for full snapshots, the delta bytes for deltas —
-// assembling chunked bodies through the chunk store next to the file
-// (<dir>/chunks).
+// assembling chunked bodies from the chunk store next to it (<dir>/chunks).
 func ReadSnapshotBody(filePath string) (Header, []byte, error) {
-	data, err := os.ReadFile(filePath)
+	b, err := DirBackend(filepath.Dir(filePath))
 	if err != nil {
 		return Header{}, nil, err
 	}
-	h, body, info, err := decodeManifestObject(data)
-	if err != nil {
-		return h, nil, err
-	}
-	if h.Kind.Chunked() {
-		b, berr := DirBackend(filepath.Dir(filePath))
-		if berr != nil {
-			return h, nil, berr
-		}
-		body, err = newSnapshotView(b, RestoreOptions{}).assemble(info)
-		if err != nil {
-			return h, nil, err
-		}
-	}
-	return h, body, nil
+	return newSnapshotView(b, RestoreOptions{}).readBody(filepath.Base(filePath))
 }
 
 // VerifyFile fully verifies a single snapshot file: whole-file hash,
@@ -382,9 +392,9 @@ func VerifyFile(filePath string) (Header, error) {
 // VerifyBackend verifies every snapshot in b including delta-chain and
 // chunk resolution; it returns one error message per broken snapshot.
 // Each chain is walked forward from its anchor once, applying every link
-// in place (the same verified step recovery takes) and checking its
-// decodability, so the first broken link is named and it and every
-// snapshot built on it are reported.
+// in place and hashing the payload after it (the step a recovery's
+// conviction walk takes) and checking its decodability, so the first broken
+// link is named and it and every snapshot built on it are reported.
 func VerifyBackend(b storage.Backend) (ok int, problems []string, err error) {
 	v := newSnapshotView(b, RestoreOptions{})
 	bySeq, byHash, skipped, err := v.buildIndex()
@@ -396,25 +406,22 @@ func VerifyBackend(b storage.Backend) (ok int, problems []string, err error) {
 	for _, ent := range bySeq {
 		if ent.h.Kind.Base() != KindDelta {
 			anchors = append(anchors, ent)
-		} else if base, found := byHash[ent.h.BaseHash]; found {
+		} else if base, err := byHash.baseOf(ent); err == nil {
 			w.children[base.key] = append(w.children[base.key], ent)
 		} else {
+			w.verdict[ent.key] = err
 			orphans = append(orphans, ent)
 		}
 	}
 	for _, ent := range anchors {
 		w.anchor(ent)
 	}
-	for _, ent := range orphans {
-		w.fail(ent, fmt.Errorf("%w: delta base %x… missing", ErrCorrupt, ent.h.BaseHash[:6]))
+	for _, ent := range orphans { // now that the forest stands: everything built on them too
+		w.fail(ent, w.verdict[ent.key])
 	}
 	problems = append(problems, skipped...)
-	for _, ent := range bySeq {
-		verr, seen := w.verdict[ent.key]
-		if !seen { // reachable from no anchor and no missing base: its bases form a cycle
-			verr = fmt.Errorf("%w: delta chain too long", ErrCorrupt)
-		}
-		if verr != nil {
+	for _, ent := range bySeq { // baseOf descends, so every snapshot hangs off an anchor or an orphan
+		if verr := w.verdict[ent.key]; verr != nil {
 			problems = append(problems, fmt.Sprintf("%s: %v", path.Base(ent.key), verr))
 			continue
 		}
@@ -440,12 +447,16 @@ func (w *chainVerifier) fail(ent indexEntry, err error) {
 	}
 }
 
-// check records whether payload, which hashed to ent's PayloadHash, also
-// decodes. An undecodable snapshot is broken by itself; its bytes are
-// still the right base for the deltas built on it.
-func (w *chainVerifier) check(ent indexEntry, payload []byte) {
-	_, err := DecodePayload(payload)
-	w.verdict[ent.key] = err
+// settle records the verdict on ent, whose payload was resolved with err,
+// and reports whether the payload is its header's. One that is but does not
+// decode is broken by itself and still the right base for the deltas on it.
+func (w *chainVerifier) settle(ent indexEntry, payload []byte, err error) bool {
+	if err != nil {
+		w.fail(ent, err)
+		return false
+	}
+	_, w.verdict[ent.key] = DecodePayload(payload)
+	return true
 }
 
 // anchor verifies the full snapshot at ent and the chains hanging off it.
@@ -454,12 +465,9 @@ func (w *chainVerifier) anchor(ent indexEntry) {
 	if err == nil && !w.v.payloadIs(payload, ent.h.PayloadHash) {
 		err = fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}
-	if err != nil {
-		w.fail(ent, err)
-		return
+	if w.settle(ent, payload, err) {
+		w.descend(ent, payload)
 	}
-	w.check(ent, payload)
-	w.descend(ent, payload)
 }
 
 // descend verifies every chain built on ent, whose verified payload it is
@@ -490,12 +498,7 @@ func (w *chainVerifier) descend(ent indexEntry, payload []byte) {
 // result against ent's header.
 func (w *chainVerifier) link(ent indexEntry, payload []byte) ([]byte, bool) {
 	payload, err := w.v.applyVerified(ent, payload)
-	if err != nil {
-		w.fail(ent, err)
-		return nil, false
-	}
-	w.check(ent, payload)
-	return payload, true
+	return payload, w.settle(ent, payload, err)
 }
 
 // ListSnapshotsBackend returns headers of all parseable snapshots in b,

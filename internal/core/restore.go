@@ -10,12 +10,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Streaming restore engine. Save became a concurrent chunked pipeline in
-// PR 1 and placement became tiered in PR 2, but restore — the latency that
-// decides how much work a failure wastes — still reassembled chunks one
-// blocking fetch at a time. This engine shares chunk fetch and
-// decompression between the restoring goroutine and a bounded set of
-// helpers while the restoring goroutine alone hands the pieces to a visitor
+// Streaming restore engine: restore latency decides how much work a failure
+// wastes. The engine shares chunk fetch and decompression between the
+// restoring goroutine and a bounded set of helpers while the restoring
+// goroutine alone hands the pieces to a visitor
 // in manifest order — appended into a preallocated buffer for an anchor,
 // XORed in place into the running payload for a delta link — and chain
 // resolution warms the next delta's chunks while the current one applies.
@@ -278,36 +276,35 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 // prefetcher pipelines delta-chain resolution: while one link is being
 // fetched and applied, the next link's manifest and chunks are pulled
 // through the snapshotView's cache in the background, so on a tiered
-// backend the cold fetches of link N+1 overlap the CPU work of link N.
-type prefetcher struct {
-	wg sync.WaitGroup
-}
+// backend the cold fetches of link N+1 overlap the CPU work of link N. It
+// is the group of its warmers: the resolver defers Wait, so none outlives
+// the walk that started it.
+type prefetcher struct{ sync.WaitGroup }
 
-// start warms key's manifest and chunks in the background and returns a
-// wait function. The resolver calls it right before its foreground read
-// of key: by then the warmer has been running for the whole previous
-// link, so the wait is usually instant, and blocking until the fill lands
-// keeps the foreground's chunk-at-a-time reads from leading the flights
-// the warmer's one batch would have led, which would turn a batched cold
-// read into a serial one. Two warms are in flight at a time — the one the
-// resolver waits for and the one after it — and consecutive links share
-// chunks (the all-zero one at least); the cache's single-flight makes the
-// second asker of a shared address join the first one's fetch, so the
-// warms need no ordering between them.
-func (p *prefetcher) start(v *snapshotView, key string) func() {
+// start warms the manifest and chunks of chain[i] in the background and
+// returns a wait function; with one worker, or no link i, it does nothing.
+// The resolver waits right before its foreground read of the link: by then
+// the warmer has run for the whole previous link, so the wait is usually
+// instant, and blocking until the fill lands keeps the foreground's
+// chunk-at-a-time reads from leading the flights the warmer's one batch
+// would have led, which would turn a batched cold read into a serial one.
+// Two warms are in flight at a time — the one the resolver waits for and
+// the one after it — and consecutive links share chunks (the all-zero one
+// at least); the cache's single-flight makes the second asker of a shared
+// address join the first one's fetch, so the warms need no ordering.
+func (p *prefetcher) start(v *snapshotView, chain []indexEntry, i int) func() {
+	if !v.opts.parallel() || i < 0 {
+		return func() {}
+	}
 	done := make(chan struct{})
-	p.wg.Add(1)
+	p.Add(1)
 	go func() {
-		defer p.wg.Done()
+		defer p.Done()
 		defer close(done)
-		v.warm(key)
+		v.warm(chain[i].key)
 	}()
 	return func() { <-done }
 }
-
-// wait blocks until every outstanding prefetch has finished; callers defer
-// it so no warmers outlive the resolution that spawned them.
-func (p *prefetcher) wait() { p.wg.Wait() }
 
 // warm pulls key's snapshot object — and, for chunked kinds, its distinct
 // chunks — through the view's read cache, batching the chunk fetches so a
