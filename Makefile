@@ -107,8 +107,12 @@ experiments:
 # loc-gate (CI's check job) fails when either exceeds its ceiling. A PR
 # that shrinks the code lowers the ceilings to its own counts; one that
 # must grow it raises them in its own diff, where a reviewer sees it.
-LOC_CEILING = 9551
-LOC_CEILING_ALL = 23654
+# PR 22 raised both by the reference index's net cost (+85 / +108): what it
+# retired (the per-pass scan's plumbing, the try-lock, gc's listing and
+# Stat-before-Delete) was smaller than the index, its candidate set and the
+# service's commit/delete pair. CHANGES.md has the account.
+LOC_CEILING = 9636
+LOC_CEILING_ALL = 23762
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -131,6 +131,97 @@ func TestCommittedManifestOutlivesLease(t *testing.T) {
 	}
 }
 
+// TestManifestDeleteIsARetentionPass drives a remote tenant's whole
+// history through the service: upload, commit, commit of a second manifest
+// sharing a chunk, then retention deleting them one at a time. Each delete
+// sweeps exactly the chunks only that manifest named — no /v1/gc needed —
+// an upload whose lease lapsed uncommitted goes with the next delete, and
+// at every step an explicit collection finds nothing left to remove.
+func TestManifestDeleteIsARetentionPass(t *testing.T) {
+	l, svc, _ := newLocal(t)
+	now := time.Now()
+	l.Leases().SetClock(func() time.Time { return now })
+	m, err := svc.OpenJob("src", core.Options{Strategy: core.StrategyFull, ChunkBytes: core.MinChunkBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two authentic manifests that share most of their chunks.
+	st := core.NewTrainingState()
+	st.Params = make([]float64, 4096)
+	st.Meta = core.Meta{FormatVersion: core.FormatVersion, CircuitFP: "x", ProblemFP: "x", OptimizerName: "adam"}
+	var manifests [2][]byte
+	for i := range manifests {
+		st.Step, st.Params[0] = uint64(i), float64(i+1)
+		res, err := m.Save(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if manifests[i], err = l.GetObject("jobs/src/" + res.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := func(step string) {
+		t.Helper()
+		if removed, _, err := l.CollectOrphans(); err != nil || removed != 0 {
+			t.Fatalf("%s: an explicit collection removed %d (err %v), want nothing left to remove", step, removed, err)
+		}
+	}
+	keys := []string{"jobs/r/ckpt-000000000000-full.qckpt", "jobs/r/ckpt-000000000001-full.qckpt"}
+	for i, key := range keys {
+		if err := l.CommitManifest(key, manifests[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The source job retires its own history: every chunk lives on through r.
+	for _, key := range []string{"ckpt-000000000000-full.qckpt", "ckpt-000000000001-full.qckpt"} {
+		if err := l.DeleteObject("jobs/src/" + key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled("source retired")
+	chunks := func() int {
+		addrs, err := svc.ChunkStore().List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(addrs)
+	}
+	all := chunks()
+	view, _ := svc.JobView("r")
+	if got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{}); err != nil || !got.Equal(st) {
+		t.Fatalf("remote tenant's newest snapshot does not restore: %v", err)
+	}
+	// An upload that never commits, its lease left to lapse.
+	orphan := []byte("uploaded by a client that then died")
+	if _, err := l.IngestChunk(chunkKey(storage.Hash(orphan)), orphan); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.DeleteObject(keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := chunks(); got >= all+1 || got == 1 {
+		t.Fatalf("deleting the older manifest left %d of %d chunks (+1 leased upload): want only its own chunks gone", got, all)
+	}
+	if !svc.ChunkStore().Has(storage.Hash(orphan)) {
+		t.Fatal("a retention pass swept a leased upload")
+	}
+	if got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{}); err != nil || !got.Equal(st) {
+		t.Fatalf("the surviving snapshot lost a chunk it shares with the deleted one: %v", err)
+	}
+	settled("older manifest deleted")
+	now = now.Add(2 * time.Minute) // the lease lapses
+	if err := l.DeleteObject(keys[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := chunks(); got != 0 {
+		t.Errorf("%d chunks outlive every manifest and lease", got)
+	}
+	settled("everything deleted")
+	if err := l.DeleteObject(keys[1]); !errors.Is(err, storage.ErrNotFound) {
+		t.Errorf("deleting a deleted manifest: %v, want ErrNotFound", err)
+	}
+}
+
 // TestForeignNamespaceIngest pins the chunk plane's one routing rule: a
 // chunk-shaped key outside the canonical chunks/ namespace is refused by
 // the ingest and by the has round, and nothing is stored or leased for

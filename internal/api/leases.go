@@ -23,8 +23,9 @@ type Leases struct {
 	ttl time.Duration
 	now func() time.Time
 
-	mu  sync.Mutex
-	exp map[string]time.Time
+	mu     sync.Mutex
+	exp    map[string]time.Time
+	walkAt time.Time // Lapsed walks the table again from here on
 }
 
 // NewLeases returns an empty lease table (ttl ≤ 0 selects
@@ -58,20 +59,27 @@ func (l *Leases) Pinned(addr string) bool {
 	return ok && l.now().Before(exp)
 }
 
-// AddTo implements core.PinSource: every unexpired lease joins keep.
-// Expired entries are pruned as a side effect, so the table stays
-// proportional to recent upload traffic rather than store history.
-func (l *Leases) AddTo(keep map[string]bool) {
+// Lapsed implements core.PinSource: the addresses whose lease has run out
+// since the last call, each reported once and forgotten, so the table
+// stays proportional to recent upload traffic rather than store history.
+// The table is walked at most once per quarter TTL — retention passes ask
+// on every manifest they delete — so a lapse is reported that much late.
+func (l *Leases) Lapsed() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.now()
+	if now.Before(l.walkAt) {
+		return nil
+	}
+	l.walkAt = now.Add(l.ttl / 4)
+	var lapsed []string
 	for addr, exp := range l.exp {
-		if now.Before(exp) {
-			keep[addr] = true
-		} else {
+		if !now.Before(exp) {
+			lapsed = append(lapsed, addr)
 			delete(l.exp, addr)
 		}
 	}
+	return lapsed
 }
 
 // Active counts unexpired leases.

@@ -11,8 +11,9 @@ import (
 
 // Local implements Service directly over a core.Service: the in-process
 // end of the wire. Its lease table is registered as a PinSource with the
-// service, so both explicit CollectOrphans calls and any server-side
-// job's retention GC honor remote uploads still in flight.
+// service, so explicit CollectOrphans calls and every retention pass — a
+// server-side job's, or a client's manifest delete — honor remote uploads
+// still in flight.
 type Local struct {
 	svc     *core.Service
 	backend storage.Backend
@@ -103,7 +104,13 @@ func (l *Local) CommitManifestClass(key string, data []byte, class storage.Write
 	if err := storage.ValidateKey(key); err != nil {
 		return err
 	}
-	if err := storage.PutClass(l.backend, key, data, class); err != nil {
+	// The service writes beneath the origin cache: evict after the write,
+	// failed or not, as the cache's own write-through would.
+	err := l.svc.CommitObject(key, data, class)
+	if l.origin != nil {
+		l.origin.Invalidate(key)
+	}
+	if err != nil {
 		return err
 	}
 	l.manifests.Add(1)
@@ -152,9 +159,17 @@ func (l *Local) ListObjects(prefix string) ([]string, error) {
 	return l.backend.List(prefix)
 }
 
-// DeleteObject implements Service.
+// DeleteObject implements Service. Deleting a snapshot object sweeps the
+// chunks only it referenced, beneath the origin cache like the delete
+// itself: the key is evicted, and the whole cache when chunks went.
 func (l *Local) DeleteObject(key string) error {
-	return l.backend.Delete(key)
+	swept, err := l.svc.DeleteObject(key)
+	if l.origin != nil && swept > 0 {
+		l.origin.InvalidateAll()
+	} else if l.origin != nil {
+		l.origin.Invalidate(key)
+	}
+	return err
 }
 
 // HasAddresses implements Service. The lease is taken before the

@@ -14,7 +14,7 @@ import (
 // The snapshot catalog: the one place that knows the store's key grammar
 // and how to read what a snapshot object references (DESIGN.md §2, "Store
 // layout"). Every scanner — sequence continuation, retention, lifecycle,
-// the GC keep-set, the recovery index, compaction, archiving, the chain
+// the GC reference scan, the recovery index, compaction, archiving, the chain
 // prefetcher — is a caller of the functions below and states only its own
 // error policy.
 //
@@ -28,10 +28,13 @@ const snapshotKeyPrefix = "ckpt-"
 
 // snapshotRef is a parsed snapshot object key. kind is the base kind
 // (KindFull or KindDelta): whether the body is chunked is in the header.
+// size is the object's bytes where the manager that committed it recorded
+// them (what retention credits its tenant), zero from a listing.
 type snapshotRef struct {
 	key  string
 	seq  uint64
 	kind SnapshotKind
+	size int64
 }
 
 // snapshotName builds the object key for a sequence number and kind.

@@ -106,6 +106,44 @@ func (h *hookedBackend) Get(key string) ([]byte, error) {
 	return h.Backend.Get(key)
 }
 
+// keepSet flattens a reference scan into the addresses it names.
+func keepSet(refs map[string][]string, err error) (map[string]bool, error) {
+	keep := make(map[string]bool)
+	for _, addrs := range refs {
+		for _, a := range addrs {
+			keep[a] = true
+		}
+	}
+	return keep, err
+}
+
+// chunkReferences is what the manifests present in one namespace reference.
+func chunkReferences(b storage.Backend) (map[string]bool, error) {
+	refs := make(map[string][]string)
+	return keepSet(refs, manifestReferences(b, "", refs))
+}
+
+// allChunkReferences is the tenant-complete keep-set: the fresh scan every
+// reference index is checked against.
+func allChunkReferences(b storage.Backend) (map[string]bool, error) {
+	return keepSet(allManifestReferences(b))
+}
+
+// pinnedChunks snapshots the addresses in-flight saves pin — with a shared
+// store, every manager's.
+func (m *Manager) pinnedChunks() map[string]bool {
+	out := make(map[string]bool)
+	for i := range m.shared.pins.stripes {
+		s := &m.shared.pins.stripes[i]
+		s.mu.Lock()
+		for a := range s.refs {
+			out[a] = true
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
 func refKeys(refs []snapshotRef) []string {
 	keys := make([]string, len(refs))
 	for i, r := range refs {
@@ -114,7 +152,7 @@ func refKeys(refs []snapshotRef) []string {
 	return keys
 }
 
-func mustList(t *testing.T, b storage.Backend) []snapshotRef {
+func mustList(t testing.TB, b storage.Backend) []snapshotRef {
 	t.Helper()
 	refs, err := listSnapshots(b)
 	if err != nil {
@@ -398,7 +436,9 @@ func TestForeignSnapshotNamesAreLeftAlone(t *testing.T) {
 // sees the same snapshots in it: the sequence continuation, retention's
 // cutoff, lifecycle's chains, the GC keep-set, recovery's index and
 // compaction's next sequence number are all functions of listSnapshots'
-// refs — none has a key grammar or a chain rule of its own.
+// refs — none has a key grammar or a chain rule of its own — and that the
+// in-memory reference index says what a fresh scan says after every step of
+// every scripted sequence (refindex_test.go).
 //
 // The store: two chains of three (AnchorEvery 3, chunked), then seq 1 torn
 // to a stub, seq 4 deleted (seq 5's base is missing), a foreign
@@ -611,6 +651,8 @@ func TestScannersAgree(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("reference index", func(t *testing.T) { refIndexScripts(t, src, states) })
 
 	t.Run("lifecycle aborts on an unreadable manifest", func(t *testing.T) {
 		// A kept chain whose manifest cannot be read would silently drop out

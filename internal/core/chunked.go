@@ -321,15 +321,15 @@ func SummarizeChunkManifest(manifest []byte) (ChunkManifestSummary, error) {
 	return sum, nil
 }
 
-// chunkReferences collects every chunk address referenced by the snapshot
-// manifests present in b — the keep-set for chunk garbage collection.
-func chunkReferences(b storage.Backend) (map[string]bool, error) {
-	refs, err := listSnapshots(b)
+// manifestReferences reads what each snapshot manifest present in b
+// references into refs, keyed ns+key; manifests that reference nothing
+// (monolithic, torn, corrupt) get no entry.
+func manifestReferences(b storage.Backend, ns string, refs map[string][]string) error {
+	snaps, err := listSnapshots(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	keep := make(map[string]bool)
-	for _, ref := range refs {
+	for _, ref := range snaps {
 		// Only a manifest deleted between the listing and this read —
 		// another job's retention GC racing a fleet-wide scan — is forgiven:
 		// its chunks are exactly the ones a collection may drop, and those
@@ -337,22 +337,21 @@ func chunkReferences(b storage.Backend) (map[string]bool, error) {
 		// Any other failed read could hide live references; nothing is swept.
 		addrs, err := manifestAddrs(b, ref.key)
 		if err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return nil, err
+			return err
 		}
-		for _, a := range addrs {
-			keep[a] = true
+		if len(addrs) > 0 {
+			refs[ns+ref.key] = addrs
 		}
 	}
-	return keep, nil
+	return nil
 }
 
-// allChunkReferences is the tenant-complete keep-set: chunk references
-// from b's root manifest namespace plus every job namespace under
-// JobPrefix. Every offline GC path uses it, so collecting a multi-tenant
-// store's root can never sweep chunks that only a job still references.
-func allChunkReferences(b storage.Backend) (map[string]bool, error) {
-	keep, err := chunkReferences(b)
-	if err != nil {
+// allManifestReferences is the tenant-complete reference scan, what the
+// reference index is built from: b's root manifest namespace plus every
+// job namespace under JobPrefix, each manifest under the key b knows it by.
+func allManifestReferences(b storage.Backend) (map[string][]string, error) {
+	refs := make(map[string][]string)
+	if err := manifestReferences(b, "", refs); err != nil {
 		return nil, err
 	}
 	ids, err := jobIDs(b)
@@ -360,37 +359,25 @@ func allChunkReferences(b storage.Backend) (map[string]bool, error) {
 		return nil, err
 	}
 	for _, id := range ids {
-		refs, err := chunkReferences(storage.WithPrefix(b, jobKeyPrefix(id)))
-		if err != nil {
+		ns := jobKeyPrefix(id) + "/"
+		if err := manifestReferences(storage.WithPrefix(b, ns), ns, refs); err != nil {
 			return nil, err
 		}
-		for a := range refs {
-			keep[a] = true
-		}
 	}
-	return keep, nil
+	return refs, nil
 }
 
 // CollectOrphanChunks deletes every chunk in b's chunk namespace that no
 // readable manifest references — in the root namespace or in any job
 // namespace of a multi-tenant store — reporting how many chunks and
 // bytes were reclaimed. It is the shared tail of Compact and the `qckpt
-// gc` subcommand; on a Tiered backend the keep-set spans every level and
+// gc` subcommand; on a Tiered backend the reference scan spans every level and
 // orphans are collected wherever they live. It must not run concurrently
 // with a live writer on the same backend — a chunked save's chunks are
 // durable before the manifest that references them, so a mid-flight save
 // looks like orphans. Against a live Manager or Service use their
 // CollectOrphans, whose pin protocol makes that interleaving safe.
 func CollectOrphanChunks(b storage.Backend) (removed int, reclaimed int64, err error) {
-	keep, err := allChunkReferences(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	return storage.NewChunkStore(storage.WithPrefix(b, ChunkPrefix)).GC(keep)
-}
-
-// gcOrphanChunks is the best-effort form used inside offline GC paths: if
-// the keep-set cannot be computed, nothing is deleted.
-func gcOrphanChunks(b storage.Backend) {
-	CollectOrphanChunks(b)
+	// The live path with nothing pinned: a process that never saves.
+	return newSharedChunks(b, b).collectOrphans()
 }

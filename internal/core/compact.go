@@ -68,9 +68,10 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 			}
 		}
 		// Collect chunks orphaned by the deletions (no-op for purely
-		// monolithic histories, whose chunk namespace is empty).
+		// monolithic histories, whose chunk namespace is empty). Best-effort:
+		// if the references cannot be read, nothing is deleted.
 		if removed > 0 {
-			gcOrphanChunks(b)
+			CollectOrphanChunks(b)
 		}
 	}
 	return newKey, removed, nil

@@ -79,7 +79,7 @@ func (b *chunkOpBackend) Put(key string, data []byte) error {
 }
 
 // chunkAddrs lists every chunk address in b's chunk store.
-func chunkAddrs(t *testing.T, b storage.Backend) []string {
+func chunkAddrs(t testing.TB, b storage.Backend) []string {
 	t.Helper()
 	addrs, err := storage.NewChunkStore(storage.WithPrefix(b, ChunkPrefix)).List()
 	if err != nil {

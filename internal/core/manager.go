@@ -217,11 +217,13 @@ type Manager struct {
 	tiered  *storage.Tiered     // non-nil iff the backend is tiered
 	chunks  *storage.ChunkStore // non-nil iff ChunkBytes > 0
 
-	// shared is the chunk machinery — store, pin table, GC gate, keep-set
-	// scanner. A standalone manager owns a private instance; managers
-	// opened through a Service all hold the service's instance, which is
-	// what makes cross-job dedup and orphan collection agree on liveness.
+	// shared is the chunk machinery — store, pin table, GC gate, reference
+	// index. A standalone manager owns a private instance; managers opened
+	// through a Service all hold the service's instance, which is what
+	// makes cross-job dedup and orphan collection agree on liveness. ns is
+	// what shared.root prefixes this manager's snapshot keys with.
 	shared *sharedChunks
+	ns     string
 
 	mu          sync.Mutex
 	seq         uint64
@@ -241,6 +243,12 @@ type Manager struct {
 	bases      [2]chunkBase
 	pinScratch []string
 	reuseSpare []string
+	// refs is the namespace's catalog, oldest first: listed at open,
+	// appended to by commit, trimmed by gc, which reads it instead of the
+	// store — a manager is its namespace's only writer. A failed delete
+	// says someone else was there: stale makes the next pass list again.
+	refs  []snapshotRef
+	stale bool
 
 	// qos, when non-nil, is the per-tenant QoS handle a Service wired in:
 	// saves are charged against the tenant's byte quota and paced by its
@@ -371,9 +379,9 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 			return nil, err
 		}
 	}
-	m.shared = shared
-	if m.shared == nil {
-		m.shared = ownedSharedChunks(backend)
+	root, ns := storage.SharedBase(backend)
+	if m.shared, m.ns = shared, ns; shared == nil {
+		m.shared = newSharedChunks(backend, root)
 	}
 	if opt.ChunkBytes > 0 {
 		m.chunks = m.shared.store
@@ -384,11 +392,11 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 	// of a restarted delta-mode manager is always a full anchor because
 	// lastPayload is empty. A listing that fails must fail the open:
 	// starting at 0 over a predecessor's files would overwrite them.
-	refs, err := listSnapshots(backend)
-	if err != nil {
+	var err error
+	if m.refs, err = listSnapshots(backend); err != nil {
 		return nil, fmt.Errorf("core: list checkpoints: %w", err)
 	}
-	if m.seq, err = nextSeq(refs); err != nil {
+	if m.seq, err = nextSeq(m.refs); err != nil {
 		return nil, err
 	}
 	if opt.Workers > 1 && opt.ChunkBytes > 0 {
@@ -439,7 +447,7 @@ func (m *Manager) runSequencer() {
 func (m *Manager) commit(job writeJob) (n int, dur time.Duration, err error) {
 	m.markActivity()
 	start := time.Now()
-	n, err = m.persist(job)
+	n, fileBytes, err := m.persist(job)
 	dur = time.Since(start)
 	m.markActivity()
 	job.body.release()
@@ -448,6 +456,7 @@ func (m *Manager) commit(job writeJob) (n int, dur time.Duration, err error) {
 	m.stats.WriteTime += dur
 	m.mu.Unlock()
 	if err == nil {
+		m.refs = append(m.refs, snapshotRef{key: job.name, seq: job.h.Seq, kind: job.h.Kind.Base(), size: int64(fileBytes)})
 		m.chargeQoS(n)
 		m.gc()
 		m.kickMigrate()
@@ -470,27 +479,35 @@ func (m *Manager) dispatch(wg *sync.WaitGroup, fn func()) {
 }
 
 // persist writes one snapshot through the backend and returns the bytes
-// newly written (dedup hits and clean-chunk reuse count zero). The caller
-// keeps job.body alive until persist returns and releases it afterwards.
-func (m *Manager) persist(job writeJob) (int, error) {
+// newly written (dedup hits and clean-chunk reuse count zero) and how many
+// of them are the snapshot object itself. The caller keeps job.body alive
+// until persist returns and releases it afterwards.
+func (m *Manager) persist(job writeJob) (n, fileBytes int, err error) {
 	if m.chunks == nil {
 		job.h.PayloadHash = job.hash.get()
-		sp := getScratch()
-		data, err := appendSnapshotFile((*sp)[:0], job.h, job.body.b)
-		if err == nil {
-			err = storage.PutClass(m.backend, job.name, data, storage.ClassManifest)
-		}
-		n := len(data)
-		if data != nil {
-			*sp = data
-		}
-		putScratch(sp)
-		if err != nil {
-			return 0, err
-		}
-		return n, nil
+		n, err = m.putSnapshot(job.name, job.h, job.body.b)
+		return n, n, err
 	}
 	return m.persistChunked(job)
+}
+
+// putSnapshot encodes one snapshot object in pooled scratch and commits it,
+// returning its size.
+func (m *Manager) putSnapshot(name string, h Header, body []byte) (int, error) {
+	sp := getScratch()
+	data, err := appendSnapshotFile((*sp)[:0], h, body)
+	if err == nil {
+		err = storage.PutClass(m.backend, name, data, storage.ClassManifest)
+	}
+	n := len(data)
+	if data != nil {
+		*sp = data
+	}
+	putScratch(sp)
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // chunkKeySeed keys the intra-save duplicate-collapse map. The collapse
@@ -519,11 +536,11 @@ var chunkKeySeed = maphash.MakeSeed()
 // runs on this goroutine and drops every base older than its cutoff before
 // it deletes anything (the anchor base is the live chain's own anchor, so
 // it is never among them; with Retain 1 the delta base is, once per
-// chain). A manifest that exists keeps its chunks in every collection's
-// keep-set, and tier moves keep their keys. The reused addresses are
+// chain). A manifest that exists keeps its chunks counted in the reference
+// index, and tier moves keep their keys. The reused addresses are
 // pinned across the commit anyway — the same protocol dirty chunks
 // follow — so the argument does not depend on that invariant alone.
-func (m *Manager) persistChunked(job writeJob) (int, error) {
+func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	body := job.body.b
 	incremental := !m.opt.FullIngest
 	cdc := m.opt.Chunker == ChunkerCDC
@@ -661,12 +678,14 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	}
 	wg.Wait()
 	// Pins are released only after the manifest commit below — inside the
-	// gcGate read section, so a concurrent GC either sees the committed
-	// manifest or the still-held pins — or on abort, where no manifest
-	// will ever reference the chunks and plain release is safe. unpinAll
-	// is idempotent; the defer covers every abort path.
+	// gcGate read section, behind the manifest's entry in the reference
+	// index, so a concurrent sweep either counts the manifest or finds the
+	// pins still held — or on abort, where no manifest will ever reference
+	// the chunks: plain release is safe, and the next retention pass gets
+	// them as unclaimed. unpinAll is idempotent; the defer covers every
+	// abort path.
 	unpinned := false
-	unpinAll := func() {
+	unpinAll := func(abort bool) {
 		if unpinned {
 			return
 		}
@@ -678,11 +697,14 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 			for _, g := range gs {
 				if g.res.addr != "" {
 					m.shared.pins.unpin(g.res.addr)
+					if abort { // unpinned first: a sweep that finds it pinned forgets it
+						m.shared.unclaimed(g.res.addr)
+					}
 				}
 			}
 		}
 	}
-	defer unpinAll()
+	defer unpinAll(!m.shared.remote)
 	defer func() { m.pinScratch = cleanPins[:0] }()
 
 	total, distinct, ingestHits, raws := 0, 0, 0, 0
@@ -690,7 +712,7 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 		for _, g := range gs {
 			distinct++
 			if g.res.err != nil {
-				return 0, fmt.Errorf("core: write chunk: %w", g.res.err)
+				return 0, 0, fmt.Errorf("core: write chunk: %w", g.res.err)
 			}
 			total += g.res.written
 			if g.res.written == 0 {
@@ -719,23 +741,14 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	h.PayloadHash = job.hash.get()
 	msp := getScratch()
 	manifest := appendChunkManifest((*msp)[:0], len(body), params, addrs) // zero params unless cdc
-	fsp := getScratch()
-	data, err := appendSnapshotFile((*fsp)[:0], h, manifest)
-	fileBytes := len(data)
-	if err == nil {
-		err = storage.PutClass(m.backend, job.name, data, storage.ClassManifest)
-	}
+	fileBytes, err = m.putSnapshot(job.name, h, manifest)
 	*msp = manifest
 	putScratch(msp)
-	if data != nil {
-		*fsp = data
-	}
-	putScratch(fsp)
 	if err != nil {
 		// The deferred unpinAll releases; no manifest exists to dangle. The
 		// lineage keeps its base — that manifest is still committed.
 		lin.addrsSpare, lin.cutsSpare = addrs[:0], cuts[:0]
-		return 0, err
+		return 0, 0, err
 	}
 	// Chunk ownership for quota accounting: the caller is about to charge
 	// this save's written bytes to the tenant, so record which chunks the
@@ -751,13 +764,13 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 			}
 		}
 	}
-	// Release pins under the gcGate read side, which forces the release to
-	// land either before a collection's manifest scan (the committed
-	// manifest is then in its keep-set) or after its sweep (the pins were
-	// still live at every delete check). The gate is held only for this
-	// instant — not the manifest write or the chunk writes above.
+	// Enter the manifest in the reference index and release the pins under
+	// the gcGate read side, so the release lands either before a sweep (the
+	// addresses are counted) or after it (the pins were live at every
+	// delete check). The gate is held only for this instant.
 	m.shared.gcGate.RLock()
-	unpinAll()
+	m.shared.setRefs(m.ns+job.name, addrs)
+	unpinAll(false)
 	m.shared.gcGate.RUnlock()
 	// Adopt this body as its lineage's dirty-compare base, double-buffering
 	// the address and cut slices so steady-state saves allocate neither.
@@ -778,7 +791,7 @@ func (m *Manager) persistChunked(job writeJob) (int, error) {
 	m.stats.RawChunks += raws
 	m.stats.ChunkBytes += int64(total)
 	m.mu.Unlock()
-	return total + fileBytes, nil
+	return total + fileBytes, fileBytes, nil
 }
 
 // cdcPlan computes the chunk layout of body under the content-defined
@@ -921,25 +934,18 @@ func cdcPieces(body []byte, cuts []int) [][]byte {
 	return pieces
 }
 
-// pinnedChunks snapshots the in-flight chunk addresses for GC exclusion.
-// With a shared store the snapshot spans every manager pinning into it.
-func (m *Manager) pinnedChunks() map[string]bool {
-	return m.shared.pins.snapshot()
-}
-
 // CollectOrphans removes unreferenced chunks from the manager's chunk
 // store while honoring the pins of saves still in flight, so it is safe
 // to call concurrently with async chunked saves — unlike the
 // package-level CollectOrphanChunks, which must only run against a
-// quiescent backend. Retention GC uses the same path internally. For a
-// manager opened through a Service the store, pins and keep-set are the
-// service-wide ones, so the collection keeps every chunk any job still
-// references (see sharedChunks.collectOrphans for the safety argument).
+// quiescent backend. It walks the whole inventory, which retention never
+// does: this is where chunks a previous process left are reclaimed. For a
+// manager opened through a Service the store, pins and index are the
+// service-wide ones, so every chunk any job references is kept.
 //
 // When the backend has an authoritative collector of its own — a remote
 // store shared by clients this process cannot see — the collection is
-// delegated there: a local sweep would honor only this process's pins and
-// could reap another client's uncommitted chunks.
+// delegated there: a local sweep would honor only this process's pins.
 func (m *Manager) CollectOrphans() (removed int, reclaimed int64, err error) {
 	if removed, reclaimed, ok, err := storage.TryCollectOrphans(m.backend); ok {
 		return removed, reclaimed, err
@@ -1137,26 +1143,34 @@ func (m *Manager) Stats() Stats {
 }
 
 // gc applies the retention policy: keep every snapshot belonging to the
-// newest Retain anchor chains, delete the rest, then collect chunks no
-// remaining manifest references. Deletion touches only snapshots strictly
-// older than the kept anchor, so it is safe against concurrent writes of
-// newer files.
+// newest Retain anchor chains, delete the rest, then sweep the chunks only
+// they referenced (sharedChunks.retire). It reads the in-memory catalog,
+// not the store, and touches only snapshots strictly older than the kept
+// anchor, so it is safe against concurrent writes of newer files.
 func (m *Manager) gc() {
 	if m.opt.Retain <= 0 {
 		return
 	}
-	refs, err := listSnapshots(m.backend)
-	if err != nil {
-		return // retention is best-effort: the next save's pass retries
+	if m.stale {
+		refs, err := listSnapshots(m.backend)
+		if err != nil {
+			return // retention is best-effort: the next save's pass retries
+		}
+		m.refs, m.stale = refs, false
 	}
-	// The oldest chain kept is the Retain-th from the end, and the cutoff its
-	// anchor — unless it is the headless leading run of orphan deltas.
-	chains := anchorChains(refs)
-	kept := len(chains) - m.opt.Retain
-	if kept < 0 || chains[kept][0].kind != KindFull {
-		return // fewer than Retain anchors exist; keep everything
+	// The oldest chain kept is the Retain-th from the end (anchorChains'
+	// grouping, read backwards so a pass costs what it keeps, not what the
+	// catalog holds), and the cutoff its anchor.
+	at, anchors := len(m.refs), 0
+	for at > 0 && anchors < m.opt.Retain {
+		if at--; m.refs[at].kind == KindFull {
+			anchors++
+		}
 	}
-	cutoff := chains[kept][0].seq
+	if anchors < m.opt.Retain || at == 0 {
+		return // no more than Retain anchors exist; keep everything
+	}
+	cutoff := m.refs[at].seq
 	// A dirty-compare base must not outlive its manifest: once that is
 	// deleted nothing keeps the chunks it names. gc runs on the persist
 	// goroutine, which owns the bases.
@@ -1165,29 +1179,13 @@ func (m *Manager) gc() {
 			b.drop()
 		}
 	}
-	deleted := false
-	for j := len(refs) - 1; j >= 0; j-- { // newest first: what an interrupted pass leaves is still a chain
-		if f := refs[j]; f.seq < cutoff {
-			// With QoS active the tenant gets the manifest's bytes back:
-			// Stat before delete is the only moment the size is known.
-			var credit int64
-			if m.qos != nil {
-				if info, err := m.backend.Stat(f.key); err == nil {
-					credit = info.Size
-				}
-			}
-			if m.backend.Delete(f.key) == nil {
-				deleted = true
-				m.qos.creditQuota(credit)
-			}
-		}
+	// Everything before the cutoff's anchor goes, newest first: what an
+	// interrupted pass leaves is still a chain.
+	expired := m.refs[:sort.Search(len(m.refs), func(i int) bool { return m.refs[i].seq >= cutoff })]
+	gone, _, err := m.shared.retire(m.backend, m.ns, expired)
+	for _, f := range gone {
+		m.qos.creditQuota(f.size) // what commit charged for the manifest
 	}
-	if deleted && m.chunks != nil {
-		// Retention-triggered collection is best-effort; a backend with an
-		// authoritative collector (remote store) runs it where every
-		// client's pins are visible.
-		if _, _, ok, _ := storage.TryCollectOrphans(m.backend); !ok {
-			m.shared.collectOrphansIfIdle()
-		}
-	}
+	m.stale = err != nil
+	m.refs = m.refs[len(expired):]
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/storage"
@@ -60,33 +61,13 @@ func (t *pinTable) unpin(addr string) {
 }
 
 // pinned reports whether addr is pinned right now — the sweep's
-// delete-time check, which catches pins taken after the keep-set
-// snapshot (a save dedup-hitting an old orphan while a collection is in
-// progress).
+// delete-time check, which catches a save dedup-hitting an unreferenced
+// chunk while a sweep is in progress.
 func (t *pinTable) pinned(addr string) bool {
 	s := t.stripe(addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.refs[addr] > 0
-}
-
-// snapshot returns the currently pinned addresses for GC exclusion.
-func (t *pinTable) snapshot() map[string]bool {
-	out := make(map[string]bool)
-	t.addTo(out)
-	return out
-}
-
-// addTo adds every currently pinned address to keep.
-func (t *pinTable) addTo(keep map[string]bool) {
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		for a := range s.refs {
-			keep[a] = true
-		}
-		s.mu.Unlock()
-	}
 }
 
 // A PinSource contributes external pins to orphan collection: chunk
@@ -101,51 +82,52 @@ type PinSource interface {
 	// Pinned reports whether addr is currently pinned — the sweep's
 	// delete-time check.
 	Pinned(addr string) bool
-	// AddTo adds every currently pinned address to keep — the keep-set
-	// snapshot taken before the sweep.
-	AddTo(keep map[string]bool)
+	// Lapsed returns, once each, the addresses whose pin ran out since the
+	// last call, claimed by a commit or not; it may report late.
+	Lapsed() []string
 }
 
 // sharedChunks is the chunk machinery a Manager writes through: the
 // content-addressed store, the pin table shielding in-flight saves from
-// GC, the gate ordering pin release against collections, and the scanner
-// producing the keep-set of every manifest namespace that references the
-// store. A standalone Manager owns a private instance whose scanner reads
-// its own backend; a Service hands every job's Manager the same instance,
-// whose scanner unions every job's manifests — that sharing is precisely
-// what makes cross-job dedup safe: a chunk is live while ANY job's
-// manifests or in-flight saves reference it (DESIGN.md §10).
+// GC, the gate ordering pin release against sweeps, and the reference
+// index over every manifest namespace of the store. A standalone Manager
+// owns a private instance; a Service hands every job's Manager the same
+// one — which is what makes cross-job dedup safe: a chunk is live while ANY
+// job's manifests or in-flight saves reference it (DESIGN.md §10).
 type sharedChunks struct {
 	store *storage.ChunkStore
 	pins  pinTable
 
-	// gcGate closes the last hole pins alone cannot: a manifest that
-	// commits after GC scanned manifests but whose pins release before GC
-	// sweeps would dangle. Saves release their pins under the read side
-	// (after the manifest commit); collectOrphans holds the write side
-	// across manifest scan + sweep, so a release lands either before the
-	// scan (the manifest is in the keep-set) or after the sweep (the pins
-	// were live at every delete-time check).
+	// root's root and jobs/ namespaces hold every manifest referencing the
+	// store. remote marks one with an authoritative collector of its own (a
+	// server whose other clients' pins are invisible here): it sweeps.
+	root   storage.Backend
+	remote bool
+
+	// gcGate closes the hole pins alone cannot: a manifest that commits
+	// after a sweep read its addresses' counts but unpins before the sweep
+	// deletes would dangle. A save enters its manifest in the index and
+	// unpins under the read side; a sweep holds the write side throughout,
+	// so a release lands before it — the addresses are counted — or after
+	// it, where the pins were live at every delete-time check.
 	gcGate sync.RWMutex
 
-	// refs produces the keep-set: every chunk address referenced by a
-	// committed manifest in any namespace sharing this store. Called with
-	// gcGate held for writing.
-	refs func() (map[string]bool, error)
-
-	// collecting serializes whole collections. The keep-set scan reads
-	// every namespace's manifests under the gcGate write side, which
-	// stalls every tenant's pin release — with N jobs whose retention GCs
-	// all trigger collections, unserialized scans would queue N fleet-wide
-	// stalls back to back. Explicit collections wait their turn;
-	// retention-triggered ones are best-effort and skip instead (the
-	// collection already running, or the next retention event, picks up
-	// the garbage).
-	collecting sync.Mutex
+	// The reference index: per committed manifest (keyed as root names it)
+	// the addresses it lists, and per address how many listings name it.
+	// Built on first use by the scan a collection runs, then maintained where
+	// references change (setRefs, retire). pending is what a retention pass
+	// sweeps instead of the inventory: addresses this process may have left
+	// unreferenced — a retired manifest's, a failed save's, a lapsed
+	// upload's. Like the pin table, it takes this process for the store's
+	// only writer; what another left behind, only collectOrphans finds.
+	ixMu      sync.Mutex
+	built     bool
+	manifests map[string][]string
+	count     map[string]int
+	pending   map[string]struct{}
 
 	// sources are external pin providers (the server's upload-lease
-	// table); their pins join the keep-set and the delete-time skip check
-	// alongside the local pin table's.
+	// table), consulted by the delete-time check beside the pin table.
 	sourceMu sync.RWMutex
 	sources  []PinSource
 
@@ -173,9 +155,6 @@ func (sc *sharedChunks) recordChunkCharge(addr string, t *tenantQoS, n int64) {
 		return
 	}
 	sc.ownerMu.Lock()
-	if sc.owners == nil {
-		sc.owners = make(map[string]chunkCharge)
-	}
 	sc.owners[addr] = chunkCharge{qos: t, bytes: n}
 	sc.ownerMu.Unlock()
 }
@@ -196,14 +175,6 @@ func (sc *sharedChunks) creditSwept(addr string, _ int64) {
 	}
 }
 
-// registerPinSource adds an external pin provider consulted by every
-// subsequent collection.
-func (sc *sharedChunks) registerPinSource(ps PinSource) {
-	sc.sourceMu.Lock()
-	sc.sources = append(sc.sources, ps)
-	sc.sourceMu.Unlock()
-}
-
 // pinnedAnywhere is the sweep's delete-time check: the local pin table or
 // any registered source.
 func (sc *sharedChunks) pinnedAnywhere(addr string) bool {
@@ -220,76 +191,174 @@ func (sc *sharedChunks) pinnedAnywhere(addr string) bool {
 	return false
 }
 
-// ownedSharedChunks builds the single-tenant instance: chunks under
-// backend's ChunkPrefix. The keep-set scanner is nevertheless
-// tenant-complete (root manifests plus any jobs/ namespaces) — a
-// standalone Manager pointed at a multi-tenant store root must never
-// treat other tenants' chunks as orphans just because its own manifests
-// don't reference them. For the same reason a Manager handed one job's
-// view of a multi-tenant store scans the view's base: the view hides the
-// other jobs/ namespaces, but their manifests still reference chunks in
-// the shared namespace the sweep walks. A plain WithPrefix mount shares
-// nothing with its base (its chunks live under the prefix too), so
-// SharedBase leaves it scanning itself.
-func ownedSharedChunks(backend storage.Backend) *sharedChunks {
-	scanRoot := storage.SharedBase(backend)
+// newSharedChunks builds the chunk machinery over backend: chunks under
+// its ChunkPrefix, references counted from root. A standalone Manager's
+// root is storage.SharedBase(backend), which keeps the index
+// tenant-complete: handed one job's view of a multi-tenant store it must
+// not treat other tenants' chunks as unreferenced — the view hides their
+// jobs/ namespaces, but their manifests name chunks where the sweep
+// deletes. A plain WithPrefix mount shares nothing with its base (its
+// chunks live under the prefix too), so SharedBase leaves it counting itself.
+func newSharedChunks(backend, root storage.Backend) *sharedChunks {
 	return &sharedChunks{
-		store: storage.NewChunkStore(storage.WithPrefix(backend, ChunkPrefix)),
-		refs:  func() (map[string]bool, error) { return allChunkReferences(scanRoot) },
+		store:   storage.NewChunkStore(storage.WithPrefix(backend, ChunkPrefix)),
+		root:    root,
+		remote:  storage.Caps(root).Orphans != nil,
+		pending: make(map[string]struct{}),
+		owners:  make(map[string]chunkCharge),
 	}
 }
 
-// collectOrphans removes unreferenced chunks from the store while
-// honoring the pins of saves still in flight — possibly saves issued by
-// other managers sharing the store.
-//
-// Safety argument, combining the pin protocol with the gcGate: (1) the
-// chunk inventory is listed first, so chunks ingested after it are never
-// swept; (2) a save pins every chunk before touching the store (write or
-// dedup hit alike) and the sweep re-checks live pins immediately before
-// each delete, so a pin held across the sweep always protects its chunk;
-// (3) pins are released under the gate's read side while the manifest
-// scan + sweep run under the write side, so a release lands either
-// before the scan — the committed manifest is then in the keep-set — or
-// after the sweep, where (2) already protected the chunk. Together: no
-// chunk a committing save references is ever swept, including old orphan
-// chunks revived by a dedup hit mid-collection (if the sweep deleted the
-// chunk before the save's Stat, the dedup check misses and the save
-// rewrites the chunk instead). Every term of the argument is per-store,
-// not per-manager, so it holds unchanged when several jobs share the
-// instance.
-func (sc *sharedChunks) collectOrphans() (removed int, reclaimed int64, err error) {
-	sc.collecting.Lock()
-	defer sc.collecting.Unlock()
-	return sc.collectLocked()
-}
-
-// collectOrphansIfIdle is the retention-GC entry point: best-effort,
-// skipping when another collection is already in flight.
-func (sc *sharedChunks) collectOrphansIfIdle() {
-	if !sc.collecting.TryLock() {
+// setRefs enters (or replaces) a committed manifest's references: after the
+// manifest is durable, before its save unpins, inside one gcGate read
+// section. Until the index is built the scan that builds it reads the
+// manifest itself. A repeated address counts as often as it is listed.
+func (sc *sharedChunks) setRefs(key string, addrs []string) {
+	sc.ixMu.Lock()
+	defer sc.ixMu.Unlock()
+	if !sc.built {
 		return
 	}
-	defer sc.collecting.Unlock()
-	sc.collectLocked()
+	sc.dropLocked(key)
+	if len(addrs) > 0 {
+		sc.manifests[key] = append([]string(nil), addrs...)
+	}
+	for _, a := range addrs {
+		sc.count[a]++
+	}
 }
 
-func (sc *sharedChunks) collectLocked() (removed int, reclaimed int64, err error) {
+// dropLocked forgets a manifest; what only it named becomes pending.
+func (sc *sharedChunks) dropLocked(key string) {
+	for _, a := range sc.manifests[key] {
+		if sc.count[a]--; sc.count[a] == 0 {
+			delete(sc.count, a)
+			sc.pending[a] = struct{}{}
+		}
+	}
+	delete(sc.manifests, key)
+}
+
+// unclaimed hands the next retention pass addresses whose pin ended with no
+// manifest of the pinner's claiming them: a failed save's, a lapsed upload's.
+func (sc *sharedChunks) unclaimed(addrs ...string) {
+	sc.ixMu.Lock()
+	for _, a := range addrs {
+		sc.pending[a] = struct{}{}
+	}
+	sc.ixMu.Unlock()
+}
+
+// buildIndex (re)builds the index from the store. gcGate is held for
+// writing: no save is between its manifest commit and its pin release, so a
+// manifest the scan misses still has its pins.
+func (sc *sharedChunks) buildIndex() error {
+	manifests, err := allManifestReferences(sc.root)
+	if err != nil {
+		return err
+	}
+	sc.ixMu.Lock()
+	defer sc.ixMu.Unlock()
+	sc.built, sc.manifests, sc.count = true, manifests, make(map[string]int)
+	for _, addrs := range manifests {
+		for _, a := range addrs {
+			sc.count[a]++
+		}
+	}
+	return nil
+}
+
+// live is every sweep's delete-time check: pinned by a save or a lease, or
+// named by a committed manifest. A pinned address is not looked at again
+// until its pinner gives it up (unclaimed, Lapsed) or a manifest naming it
+// is retired.
+func (sc *sharedChunks) live(addr string) bool {
+	if sc.pinnedAnywhere(addr) {
+		return true
+	}
+	sc.ixMu.Lock()
+	defer sc.ixMu.Unlock()
+	return sc.count[addr] > 0
+}
+
+// retire is a retention pass: it deletes the manifests refs (b's keys;
+// ns+key is root's) newest first, then the chunks only they named — the
+// pending addresses, not the inventory. gone lists the refs it deleted; a
+// failed delete (err is the last) leaves its manifest counted unless someone
+// else deleted it first, and a failed index build deletes nothing, since a
+// manifest deleted with its references unknown strands them.
+//
+// Safety (DESIGN.md §10): a save pins every chunk before touching the
+// store and the sweep re-checks pins before each delete, so a pin held
+// across the sweep protects its chunk — also an unreferenced one revived by
+// a dedup hit mid-sweep; and by gcGate a pin release lands before the sweep,
+// its manifest counted, or after it. A crash between a manifest delete and
+// its sweep leaves chunks nobody remembers: collectOrphans reclaims those.
+func (sc *sharedChunks) retire(b storage.Backend, ns string, refs []snapshotRef) (gone []snapshotRef, swept int, err error) {
+	if !sc.remote {
+		sc.gcGate.Lock()
+		defer sc.gcGate.Unlock()
+		if !sc.built {
+			if err := sc.buildIndex(); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	for i := len(refs) - 1; i >= 0; i-- {
+		derr := b.Delete(refs[i].key)
+		if derr == nil {
+			gone = append(gone, refs[i])
+		} else {
+			err = derr
+		}
+		if derr == nil || errors.Is(derr, storage.ErrNotFound) {
+			sc.ixMu.Lock()
+			sc.dropLocked(ns + refs[i].key) // nothing to drop while unbuilt
+			sc.ixMu.Unlock()
+		}
+	}
+	if sc.remote {
+		return gone, 0, err
+	}
+	cands := sc.takePending()
+	swept, _, serr := sc.store.Sweep(cands, nil, sc.live, sc.creditSwept)
+	if serr != nil {
+		sc.unclaimed(cands...) // best-effort: the next pass retries
+	}
+	return gone, swept, err
+}
+
+// takePending empties pending, lapsed external pins included, into a list.
+func (sc *sharedChunks) takePending() []string {
+	sc.sourceMu.RLock()
+	for _, ps := range sc.sources {
+		sc.unclaimed(ps.Lapsed()...)
+	}
+	sc.sourceMu.RUnlock()
+	sc.ixMu.Lock()
+	defer sc.ixMu.Unlock()
+	cands := make([]string, 0, len(sc.pending))
+	for a := range sc.pending {
+		cands = append(cands, a)
+	}
+	clear(sc.pending)
+	return cands
+}
+
+// collectOrphans is the inventory-wide collection behind the explicit entry
+// points: it removes every unreferenced chunk, whoever left it, honoring the
+// pins of saves in flight on any manager sharing the store. The inventory is
+// listed first, so chunks ingested after it are never swept; the index is
+// rebuilt, which also repairs what a foreign writer did behind it.
+func (sc *sharedChunks) collectOrphans() (removed int, reclaimed int64, err error) {
 	addrs, err := sc.store.List()
 	if err != nil {
 		return 0, 0, err
 	}
 	sc.gcGate.Lock()
 	defer sc.gcGate.Unlock()
-	keep, err := sc.refs()
-	if err != nil {
+	if err := sc.buildIndex(); err != nil {
 		return 0, 0, err
 	}
-	sc.pins.addTo(keep)
-	sc.sourceMu.RLock()
-	for _, ps := range sc.sources {
-		ps.AddTo(keep)
-	}
-	sc.sourceMu.RUnlock()
-	return sc.store.Sweep(addrs, keep, sc.pinnedAnywhere, sc.creditSwept)
+	return sc.store.Sweep(append(addrs, sc.takePending()...), nil, sc.live, sc.creditSwept)
 }

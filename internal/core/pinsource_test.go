@@ -10,8 +10,9 @@ import (
 
 // mapPinSource is a test PinSource: a mutable pinned-address set.
 type mapPinSource struct {
-	mu    sync.Mutex
-	addrs map[string]bool
+	mu     sync.Mutex
+	addrs  map[string]bool
+	lapsed []string
 }
 
 func (p *mapPinSource) Pinned(addr string) bool {
@@ -20,12 +21,20 @@ func (p *mapPinSource) Pinned(addr string) bool {
 	return p.addrs[addr]
 }
 
-func (p *mapPinSource) AddTo(keep map[string]bool) {
+// Lapsed reports, once, every address released with release.
+func (p *mapPinSource) Lapsed() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for a := range p.addrs {
-		keep[a] = true
-	}
+	out := p.lapsed
+	p.lapsed = nil
+	return out
+}
+
+func (p *mapPinSource) release(addr string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.addrs, addr)
+	p.lapsed = append(p.lapsed, addr)
 }
 
 // TestPinSourceShieldsChunksFromCollection pins the external-pin contract
@@ -52,16 +61,14 @@ func TestPinSourceShieldsChunksFromCollection(t *testing.T) {
 		t.Fatal("externally pinned chunk was swept")
 	}
 
-	src.mu.Lock()
-	delete(src.addrs, addr)
-	src.mu.Unlock()
+	src.release(addr)
 	if removed, _, err := svc.CollectOrphans(); err != nil || removed != 1 {
 		t.Fatalf("released chunk not reaped: removed=%d err=%v", removed, err)
 	}
 }
 
 // TestStandaloneJobViewManagerKeepsForeignTenants pins the scan-root rule
-// of ownedSharedChunks: a standalone Manager constructed over one job's
+// of newSharedChunks: a standalone Manager constructed over one job's
 // view of a multi-tenant store must not treat other jobs' chunks as
 // orphans — their manifests live outside the view, but their chunks share
 // the namespace the sweep walks.

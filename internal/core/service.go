@@ -16,8 +16,8 @@ import (
 // (jobs/<id>/ckpt-…) while all of them share a single content-addressed,
 // sharded chunk store (chunks/…). Identical chunks written by different
 // jobs — replicas of a fine-tuning sweep, ensemble members, restarted
-// incarnations — are stored once, and the shared pin table plus keep-set
-// scanner keep garbage collection correct across tenants: a chunk is live
+// incarnations — are stored once, and the shared pin table plus reference
+// index keep garbage collection correct across tenants: a chunk is live
 // while ANY job's manifests or in-flight saves reference it (catalog.go
 // has the key shapes).
 //
@@ -78,12 +78,10 @@ func NewService(opt ServiceOptions) (*Service, error) {
 			return nil, err
 		}
 	}
-	s := &Service{backend: backend, open: make(map[string]*Manager), qos: newQoSTable(opt.QoS)}
-	s.shared = &sharedChunks{
-		store: storage.NewChunkStore(storage.WithPrefix(backend, ChunkPrefix)),
-		refs:  s.allReferences,
-	}
-	return s, nil
+	return &Service{
+		backend: backend, shared: newSharedChunks(backend, backend),
+		open: make(map[string]*Manager), qos: newQoSTable(opt.QoS),
+	}, nil
 }
 
 // validateJobID accepts job IDs that form exactly one key segment — no
@@ -204,21 +202,60 @@ func (s *Service) Backend() storage.Backend { return s.backend }
 // ChunkStore returns the shared sharded chunk store.
 func (s *Service) ChunkStore() *storage.ChunkStore { return s.shared.store }
 
-// CollectOrphans removes chunks no tenant references: the keep-set unions
-// every job's manifests (open or not) plus any root-namespace manifests,
-// and in-flight saves of every open job are shielded by the shared pin
-// table. Safe to run concurrently with saves on any job.
+// CollectOrphans removes chunks no tenant references, whoever left them:
+// the index is rebuilt from every job's manifests (open or not) plus the
+// root namespace's, and in-flight saves of every open job are shielded by
+// the shared pin table. Safe to run concurrently with saves on any job.
 func (s *Service) CollectOrphans() (removed int, reclaimed int64, err error) {
 	return s.shared.collectOrphans()
 }
 
+// isManifestKey reports whether key names a snapshot object of the root
+// namespace or of a job's: the keys the reference index is built from.
+func isManifestKey(key string) bool {
+	if rest, ok := strings.CutPrefix(key, JobPrefix+"/"); ok {
+		_, key, _ = strings.Cut(rest, "/")
+	}
+	_, _, ok := parseSnapshotName(key)
+	return ok
+}
+
+// CommitObject writes one object for a client that is not a job of this
+// process (the network server's). A snapshot object also enters the
+// reference index, once there is one, in the gcGate read section a local
+// save uses; its chunks' upload leases outlast the commit.
+func (s *Service) CommitObject(key string, data []byte, class storage.WriteClass) error {
+	if err := storage.PutClass(s.backend, key, data, class); err != nil || !isManifestKey(key) {
+		return err
+	}
+	s.shared.gcGate.RLock()
+	defer s.shared.gcGate.RUnlock()
+	if s.shared.built {
+		_, _, info, _ := decodeManifestObject(data) // undecodable: references nothing
+		s.shared.setRefs(key, info.addrs)
+	}
+	return nil
+}
+
+// DeleteObject deletes one object for such a client. Deleting a snapshot
+// object is a retention pass of one: swept counts the chunks that went.
+func (s *Service) DeleteObject(key string) (swept int, err error) {
+	if !isManifestKey(key) {
+		return 0, s.backend.Delete(key)
+	}
+	_, swept, err = s.shared.retire(s.backend, "", []snapshotRef{{key: key}})
+	return swept, err
+}
+
 // RegisterPinSource adds an external pin provider to orphan collection:
-// every address it reports pinned joins the keep-set and survives the
-// sweep. The network server registers its upload-lease table here so
+// every address it reports pinned survives every sweep. The network
+// server registers its upload-lease table here so
 // remote clients' uploaded-but-uncommitted chunks are shielded exactly
 // like local in-flight saves' pins.
 func (s *Service) RegisterPinSource(ps PinSource) {
-	s.shared.registerPinSource(ps)
+	s.shared.sourceMu.Lock()
+	s.shared.sources = append(s.shared.sources, ps)
+	s.shared.sourceMu.Unlock()
 }
 
 // QoSAdmit is the network server's admission check: would tenant's next
@@ -269,13 +306,6 @@ func (s *Service) QoSCredit(tenant string, n int64) {
 // QoSUsage snapshots every known tenant's QoS counters; nil when QoS is
 // disabled.
 func (s *Service) QoSUsage() map[string]TenantUsage { return s.qos.usage() }
-
-// allReferences is the service keep-set scanner: chunk references from
-// every job namespace in the backend, plus the root namespace so a store
-// that also carries standalone-manager history keeps it alive.
-func (s *Service) allReferences() (map[string]bool, error) {
-	return allChunkReferences(s.backend)
-}
 
 // Close closes every open job's Manager (flushing their async pipelines)
 // and refuses further OpenJob calls. It returns the first close error.

@@ -350,13 +350,13 @@ func (cs *ChunkStore) GC(keep map[string]bool) (removed int, reclaimed int64, er
 
 // Sweep deletes the chunks in addrs whose address is not in keep and not
 // excused by skip, a nil-able predicate re-evaluated immediately before
-// each delete. Callers that must order their chunk inventory against
-// other state reads — the checkpoint engine lists chunks before scanning
-// manifests and passes its live pin table as skip — list first and sweep
-// after; GC is the list-then-sweep convenience. onRemoved, also
-// nil-able, observes each collected chunk's address and stored size —
-// the checkpoint engine's quota accounting credits reclaimed bytes back
-// to the tenant charged for writing them.
+// each delete. The checkpoint engine calls it with the candidates of a
+// retention pass, or with an inventory it listed before scanning
+// manifests, and its reference-and-pin check as skip; GC is the
+// list-then-sweep convenience. An address with no chunk behind it is an
+// ordinary input and counts for nothing: removed, reclaimed and onRemoved
+// (nil-able; the engine credits the tenant charged for the chunk) cover
+// only what this sweep deleted.
 func (cs *ChunkStore) Sweep(addrs []string, keep map[string]bool, skip func(addr string) bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
 	for _, addr := range addrs {
 		if keep[addr] || (skip != nil && skip(addr)) {
@@ -366,18 +366,20 @@ func (cs *ChunkStore) Sweep(addrs []string, keep map[string]bool, skip func(addr
 		if kerr != nil {
 			continue
 		}
-		var size int64
-		if info, serr := cs.b.Stat(key); serr == nil {
-			size = info.Size
-			reclaimed += size
-		}
-		if derr := cs.b.Delete(key); derr != nil && !errors.Is(derr, ErrNotFound) {
-			return removed, reclaimed, fmt.Errorf("storage: gc remove: %w", derr)
+		info, derr := cs.b.Stat(key)
+		if !errors.Is(derr, ErrNotFound) {
+			derr = cs.b.Delete(key)
 		}
 		cs.unmarkVerified(addr)
+		if errors.Is(derr, ErrNotFound) {
+			continue // gone before this sweep got to it
+		} else if derr != nil {
+			return removed, reclaimed, fmt.Errorf("storage: gc remove: %w", derr)
+		}
 		removed++
+		reclaimed += info.Size // zero when the Stat failed
 		if onRemoved != nil {
-			onRemoved(addr, size)
+			onRemoved(addr, info.Size)
 		}
 	}
 	return removed, reclaimed, nil

@@ -206,6 +206,44 @@ func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 	}
 }
 
+// TestSweepCountsOnlyWhatItDeleted is the regression test for Sweep's
+// count: an address with no chunk behind it — swept already, or never
+// written — is an ordinary input of a candidate sweep, and must not be
+// counted as removed nor reported to onRemoved, which credits a tenant's
+// quota for it. Before the fix a Delete answering ErrNotFound counted.
+func TestSweepCountsOnlyWhatItDeleted(t *testing.T) {
+	cs := NewChunkStore(NewMem())
+	data := []byte("the one chunk that is there")
+	there, err := cs.Put(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, never := Hash([]byte("swept by an earlier pass")), Hash([]byte("never written"))
+	if _, err := cs.Ingest(gone, []byte("swept by an earlier pass"), ClassDefault); err != nil {
+		t.Fatal(err)
+	}
+	if removed, _, err := cs.Sweep([]string{gone}, nil, nil, nil); err != nil || removed != 1 {
+		t.Fatalf("first sweep: removed=%d err=%v", removed, err)
+	}
+	var credited []string
+	removed, reclaimed, err := cs.Sweep([]string{gone, never, there, "not an address"}, nil, nil, func(addr string, size int64) {
+		credited = append(credited, addr)
+		if size != int64(len(data)) {
+			t.Errorf("onRemoved(%.8s…) size %d, want %d", addr, size, len(data))
+		}
+	})
+	if err != nil || removed != 1 || reclaimed != int64(len(data)) {
+		t.Errorf("sweep of one resident and two absent addresses: removed=%d reclaimed=%d err=%v, want 1, %d", removed, reclaimed, err, len(data))
+	}
+	if len(credited) != 1 || credited[0] != there {
+		t.Errorf("onRemoved saw %v, want only the chunk this sweep deleted", credited)
+	}
+	// Re-ingesting a swept address must write: the verified mark went with it.
+	if n, err := cs.Ingest(there, data, ClassDefault); err != nil || n != len(data) {
+		t.Errorf("re-ingest after the sweep wrote %d bytes (err %v), want %d", n, err, len(data))
+	}
+}
+
 func TestChunkKeyAddr(t *testing.T) {
 	addr := Hash([]byte("x"))
 	cases := []struct {

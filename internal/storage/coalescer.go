@@ -215,14 +215,11 @@ func (sh *coShard) insert(key string, data []byte, gen uint64, budget int64) {
 	}
 }
 
-// Invalidate evicts key if cached and fences its in-flight fills — for
-// writers that rewrite an object beneath this wrapper under a path the
-// Backend methods cannot see (the chunk repair path ingesting through the
-// service's own store).
-func (c *Coalescer) Invalidate(key string) { c.drop(key) }
-
-// drop evicts key if cached and fences in-flight fills.
-func (c *Coalescer) drop(key string) {
+// Invalidate evicts key if cached and fences its in-flight fills: what
+// every write through this wrapper does, and what a writer that changes an
+// object beneath it must do (the service committing, deleting and
+// repairing through its own store).
+func (c *Coalescer) Invalidate(key string) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -395,13 +392,13 @@ func (c *Coalescer) Put(key string, data []byte) error {
 // are no longer trustworthy either way.
 func (c *Coalescer) PutClass(key string, data []byte, class WriteClass) error {
 	err := PutClass(c.Backend, key, data, class)
-	c.drop(key)
+	c.Invalidate(key)
 	return err
 }
 
 // Delete implements Backend, evicting any cached copy first.
 func (c *Coalescer) Delete(key string) error {
-	c.drop(key)
+	c.Invalidate(key)
 	return c.Backend.Delete(key)
 }
 
@@ -425,7 +422,7 @@ func (c *Coalescer) IngestKeyedClass(key, addr string, data []byte, class WriteC
 		// or a repair rewrite of a corrupt resident — evict any cached copy
 		// of the old bytes. A dedup hit (written == 0) leaves the verified
 		// resident copy, and the cached copy with it, in place.
-		c.drop(key)
+		c.Invalidate(key)
 	}
 	return written, ok, err
 }

@@ -34,15 +34,16 @@ func WithSharedPrefix(base Backend, prefix, shared string) Backend {
 func namespace(prefix string) string { return strings.TrimSuffix(prefix, "/") + "/" }
 
 // SharedBase returns the backend a WithSharedPrefix view shares its
-// namespace with, and b itself for anything else: whoever sweeps the
-// shared namespace through such a view must count references from the
-// whole base. A plain WithPrefix view shares nothing, so what is
-// reachable through it is all there is to scan.
-func SharedBase(b Backend) Backend {
+// namespace with and the prefix the view's own keys carry there, and b
+// itself (no prefix) for anything else: whoever sweeps the shared namespace
+// through such a view must count references from the whole base. A plain
+// WithPrefix view shares nothing, so what is reachable through it is all
+// there is to scan.
+func SharedBase(b Backend) (base Backend, prefix string) {
 	if v, ok := b.(*view); ok && v.shared != "" {
-		return v.Backend
+		return v.Backend, v.prefix
 	}
-	return b
+	return b, ""
 }
 
 func (v *view) inShared(key string) bool {
