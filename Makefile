@@ -110,9 +110,13 @@ experiments:
 # PR 22 raised both by the reference index's net cost (+85 / +108): what it
 # retired (the per-pass scan's plumbing, the try-lock, gc's listing and
 # Stat-before-Delete) was smaller than the index, its candidate set and the
-# service's commit/delete pair. CHANGES.md has the account.
-LOC_CEILING = 9636
-LOC_CEILING_ALL = 23762
+# service's commit/delete pair. PR 23 raised both by +207, the net cost of
+# restoring on the pooled codec layer: the view's manifest memo, the
+# ownership half of every signature that hands a payload on, scratch-backed
+# inflation, and the test hook on the pools' edges. CHANGES.md has the
+# accounts.
+LOC_CEILING = 9843
+LOC_CEILING_ALL = 23969
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -39,18 +39,24 @@ func ArchiveBackend(src storage.Backend, cs *storage.ChunkStore, manifestPath st
 		}
 		// Refuse to archive corrupt snapshots: the archive is a recovery
 		// artifact and must not launder damage.
-		h, body, info, err := decodeManifestObject(data)
+		h, text, err := DecodeSnapshotFile(data)
 		if err != nil {
 			return archived, fmt.Errorf("core: refusing to archive %s: %w", key, err)
 		}
 		if h.Kind.Chunked() {
 			// Resolve the manifest to its body and re-encode monolithic.
-			body, err = view.assemble(info)
+			info, err := decodeChunkManifest(text)
+			if err != nil {
+				return archived, fmt.Errorf("core: refusing to archive %s: %w", key, err)
+			}
+			body, err := view.assemble(info)
 			if err != nil {
 				return archived, fmt.Errorf("core: refusing to archive %s: %w", key, err)
 			}
 			h.Kind = h.Kind.Base()
-			if data, err = EncodeSnapshotFile(h, body); err != nil {
+			data, err = EncodeSnapshotFile(h, body.b)
+			body.release()
+			if err != nil {
 				return archived, err
 			}
 		}

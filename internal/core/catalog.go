@@ -134,16 +134,23 @@ func probeHeader(b storage.Backend, key string) (Header, error) {
 }
 
 // decodeManifestObject verifies a snapshot object's bytes and returns its
-// header and decompressed body, plus — for the chunked kinds, whose body is
-// a chunk manifest — the parsed manifest. It does no I/O: restore paths
-// that already hold the object call it directly.
+// header, its still-compressed body (aliasing data) and — for the chunked
+// kinds, whose body is a chunk manifest — the parsed manifest, inflated
+// through pooled scratch that is back in its pool on return. A monolithic
+// body is left for the caller to inflate where it is going. It does no I/O
+// and is pure, so a view remembers its result (recovery.go).
 func decodeManifestObject(data []byte) (Header, []byte, chunkManifestInfo, error) {
 	var info chunkManifestInfo
-	h, body, err := DecodeSnapshotFile(data)
+	h, comp, err := checkSnapshotFile(data)
 	if err == nil && h.Kind.Chunked() {
-		info, err = decodeChunkManifest(body)
+		var text []byte
+		var sp *[]byte
+		if text, sp, err = inflateScratch(comp, -1); err == nil {
+			info, err = decodeChunkManifest(text)
+			putScratch(sp)
+		}
 	}
-	return h, body, info, err
+	return h, comp, info, err
 }
 
 // manifestAddrs returns the chunk addresses the snapshot object at key

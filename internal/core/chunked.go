@@ -90,8 +90,8 @@ const (
 // probes a sample of the chunk and stores incompressible chunks raw,
 // skipping flate entirely on data that would not shrink (dense float
 // mantissas compress to ≳97% of their size while burning the stall
-// budget). The recorded rawLen lets the restore path preallocate each
-// chunk's output exactly instead of growing through io.ReadAll.
+// budget). The recorded rawLen lets the restore path size each chunk's
+// output exactly instead of growing through io.ReadAll.
 const (
 	chunkFrameRaw    = 0x00
 	chunkFrameFlate  = 0x01
@@ -146,25 +146,27 @@ func appendChunkFrame(dst, piece []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeChunkFrame reverses appendChunkFrame, preallocating the output
-// from the recorded raw length. The returned slice aliases frame for raw
-// chunks, so callers must not retain it past the frame's lifetime.
-func decodeChunkFrame(frame []byte) ([]byte, error) {
+// decodeChunkFrame reverses appendChunkFrame. A raw chunk's piece aliases
+// frame, so callers must not retain it past the frame's lifetime; a
+// compressed chunk inflates, to exactly the recorded raw length, into pooled
+// scratch that comes back beside the piece (nil for a raw chunk) for the
+// caller to putScratch at the piece's last use.
+func decodeChunkFrame(frame []byte) (piece []byte, scratch *[]byte, err error) {
 	if len(frame) < chunkFrameHeader {
-		return nil, fmt.Errorf("%w: chunk frame too short (%d bytes)", ErrCorrupt, len(frame))
+		return nil, nil, fmt.Errorf("%w: chunk frame too short (%d bytes)", ErrCorrupt, len(frame))
 	}
 	rawLen := int(binary.LittleEndian.Uint32(frame[1:]))
 	body := frame[chunkFrameHeader:]
 	switch frame[0] {
 	case chunkFrameRaw:
 		if len(body) != rawLen {
-			return nil, fmt.Errorf("%w: raw chunk %d bytes, frame says %d", ErrCorrupt, len(body), rawLen)
+			return nil, nil, fmt.Errorf("%w: raw chunk %d bytes, frame says %d", ErrCorrupt, len(body), rawLen)
 		}
-		return body, nil
+		return body, nil, nil
 	case chunkFrameFlate:
-		return DecompressBody(body, rawLen)
+		return inflateScratch(body, rawLen)
 	}
-	return nil, fmt.Errorf("%w: unknown chunk frame flag %#x", ErrCorrupt, frame[0])
+	return nil, nil, fmt.Errorf("%w: unknown chunk frame flag %#x", ErrCorrupt, frame[0])
 }
 
 // appendChunkManifest appends a manifest body to dst (the save path runs

@@ -55,10 +55,11 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 	if err != nil {
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
 	}
-	if PayloadHash(body) != gotH.PayloadHash {
+	defer body.release()
+	if PayloadHash(body.b) != gotH.PayloadHash {
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", ErrCorrupt)
 	}
-	if _, err := DecodePayload(body); err != nil {
+	if _, err := DecodePayload(body.b); err != nil {
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
 	}
 	if deleteOld {

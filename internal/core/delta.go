@@ -60,11 +60,14 @@ func AppendDelta(dst, base, cur []byte) []byte {
 func ApplyDelta(base, delta []byte) ([]byte, error) {
 	out := make([]byte, len(base), max(len(base), len(delta)))
 	copy(out, base)
-	a := deltaApplier{payload: out, rawLen: len(delta)}
+	a := deltaApplier{payload: &refBuf{b: out}, rawLen: len(delta)} // room for cur: never traded for a pooled buffer
 	if err := a.visit(0, delta); err != nil {
 		return nil, err
 	}
-	return a.finish()
+	if err := a.finish(); err != nil {
+		return nil, err
+	}
+	return a.payload.b, nil
 }
 
 const deltaHeaderLen = 16
@@ -83,9 +86,9 @@ const deltaHeaderLen = 16
 // has passed, an error (pieces that do not add up to rawLen) leaves the
 // payload partly applied: the caller owns it and must discard it.
 type deltaApplier struct {
-	payload []byte // base going in, cur after finish; never a shared buffer
-	rawLen  int    // declared delta length, header included
-	off     int    // delta bytes consumed so far
+	payload *refBuf // base going in, cur after finish; the caller is its one holder
+	rawLen  int     // declared delta length, header included
+	off     int     // delta bytes consumed so far
 	hdr     [deltaHeaderLen]byte
 	zero    []bool // per distinct piece, in first-visit order: all bytes zero
 	skipped int    // zero pieces that cost no XOR
@@ -115,46 +118,43 @@ func (a *deltaApplier) visit(d int, piece []byte) error {
 	if a.zero[d] {
 		a.skipped++
 	} else {
-		xorWith(a.payload[a.off-deltaHeaderLen:], piece)
+		xorWith(a.payload.b[a.off-deltaHeaderLen:], piece)
 	}
 	a.off += len(piece)
 	return nil
 }
 
-// resize checks the completed header and gives the payload cur's length.
+// resize checks the completed header and gives the payload cur's length,
+// growing it through the body pool when cur outgrew the buffer.
 func (a *deltaApplier) resize() error {
 	curLen := binary.LittleEndian.Uint64(a.hdr[:])
 	baseLen := binary.LittleEndian.Uint64(a.hdr[8:])
-	if baseLen != uint64(len(a.payload)) {
-		return fmt.Errorf("%w: delta expects base of %d bytes, got %d", ErrCorrupt, baseLen, len(a.payload))
+	old := len(a.payload.b)
+	if baseLen != uint64(old) {
+		return fmt.Errorf("%w: delta expects base of %d bytes, got %d", ErrCorrupt, baseLen, old)
 	}
 	if curLen != uint64(a.rawLen-deltaHeaderLen) {
 		return fmt.Errorf("%w: delta body %d bytes, header says %d", ErrCorrupt, a.rawLen-deltaHeaderLen, curLen)
 	}
-	n, old := int(curLen), len(a.payload)
-	if n > cap(a.payload) {
-		grown := make([]byte, n)
-		copy(grown, a.payload)
-		a.payload = grown
-		return nil
-	}
-	a.payload = a.payload[:n]
+	n := int(curLen)
+	a.payload.reserve(n)
+	a.payload.b = a.payload.b[:n]
 	if n > old {
-		clear(a.payload[old:]) // spare capacity may hold a longer ancestor's tail
+		clear(a.payload.b[old:]) // spare capacity may hold a longer ancestor's tail
 	}
 	return nil
 }
 
-// finish returns the reconstructed payload once every declared byte of the
-// delta has been visited.
-func (a *deltaApplier) finish() ([]byte, error) {
+// finish reports whether every declared byte of the delta has been visited:
+// the payload is then cur.
+func (a *deltaApplier) finish() error {
 	if a.rawLen < deltaHeaderLen {
-		return nil, fmt.Errorf("%w: delta too short (%d bytes)", ErrCorrupt, a.rawLen)
+		return fmt.Errorf("%w: delta too short (%d bytes)", ErrCorrupt, a.rawLen)
 	}
 	if a.off != a.rawLen {
-		return nil, fmt.Errorf("%w: delta pieces hold %d bytes, %d declared", ErrCorrupt, a.off, a.rawLen)
+		return fmt.Errorf("%w: delta pieces hold %d bytes, %d declared", ErrCorrupt, a.off, a.rawLen)
 	}
-	return a.payload, nil
+	return nil
 }
 
 // allZero reports whether every byte of p is zero, word-wise with a byte

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -12,10 +13,12 @@ import (
 // Pooled codec layer. The synchronous half of a save — payload encode,
 // delta encode, chunk framing — stalls the training loop, so at steady
 // state it must not allocate: every buffer and every flate coder it uses
-// is recycled through the pools below. Restore-side decompression shares
-// the reader pool (recovery is not the stall path, but re-priming flate
-// state per chunk was measurable there too). The zero-alloc property is
-// locked in by TestPooledEncodeZeroAllocs.
+// is recycled through the pools below. Restore shares the reader pool and
+// the buffers: a preempted job resumes in the trainer's process, so the
+// payload a restore fills is one a save recycled, compressed chunks inflate
+// into scratch, and a restore returns every buffer once the state is decoded
+// (DESIGN.md §8 has the table of who takes what and gives it back). The
+// zero-alloc property is locked in by TestPooledEncodeZeroAllocs.
 //
 // Ownership rules:
 //
@@ -29,7 +32,9 @@ import (
 //   - Plain scratch from getScratch is single-owner and must be returned
 //     with putScratch by the goroutine that took it, after the backend
 //     call consuming it returns (Backend.Put must not retain its input —
-//     see the storage.Backend contract).
+//     see the storage.Backend contract). The restore engine is the one
+//     hand-over: a helper inflates a chunk into scratch and the walking
+//     goroutine puts it back at the piece's last use.
 
 // refBuf is a pool-managed, reference-counted byte buffer.
 type refBuf struct {
@@ -39,17 +44,51 @@ type refBuf struct {
 
 var bodyPool = sync.Pool{New: func() any { return new(refBuf) }}
 
+// poolHook, when a test sets it, sees every buffer cross a pool's edge: +1
+// and nothing as one leaves, -1 and its whole capacity as one goes back.
+// The tests count with it what is still out and overwrite what goes back,
+// so a use after release reads 0xDB instead of passing by luck.
+var poolHook func(delta int, returned []byte)
+
 // getBody returns an empty buffer with at least hint capacity and one
-// reference.
+// reference. A fresh buffer gets a sixteenth of headroom: a payload grows
+// by a loss-history entry per save, and an exact fit would leave every
+// recycled buffer eight bytes short of the next one.
 func getBody(hint int) *refBuf {
+	if poolHook != nil {
+		poolHook(+1, nil)
+	}
 	rb := bodyPool.Get().(*refBuf)
 	if cap(rb.b) < hint {
-		rb.b = make([]byte, 0, hint)
+		rb.b = make([]byte, 0, hint+hint/16)
 	} else {
 		rb.b = rb.b[:0]
 	}
 	rb.refs.Store(1)
 	return rb
+}
+
+// reserve gives the buffer room for n bytes, contents kept: the buffer
+// outgrown trades places with a pooled one, so holders of rb keep holding
+// the payload. Single-holder only, like every write to the bytes.
+func (rb *refBuf) reserve(n int) {
+	if n <= cap(rb.b) {
+		return
+	}
+	grown := getBody(n)
+	grown.b = append(grown.b, rb.b...)
+	rb.b, grown.b = grown.b, rb.b
+	grown.release()
+}
+
+// detach hands the bytes to a caller outside the pools' discipline (the
+// exported readers return caller-owned memory) and recycles the emptied
+// refBuf. Single-holder only.
+func (rb *refBuf) detach() []byte {
+	b := rb.b
+	rb.b = nil
+	rb.release()
+	return b
 }
 
 // retain adds a reference for a new holder.
@@ -62,6 +101,9 @@ func (rb *refBuf) release() {
 		return
 	}
 	if n := rb.refs.Add(-1); n == 0 {
+		if poolHook != nil {
+			poolHook(-1, rb.b[:cap(rb.b)])
+		}
 		bodyPool.Put(rb)
 	} else if n < 0 {
 		panic("core: refBuf over-released")
@@ -70,12 +112,21 @@ func (rb *refBuf) release() {
 
 // scratchPool recycles transient single-owner buffers: compressed chunk
 // frames, manifest bodies, and snapshot file images, all of which die as
-// soon as the backend call consuming them returns.
+// soon as the backend call consuming them returns; on restore, inflated
+// chunks until their last visit and manifest text until it is parsed.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func getScratch() *[]byte { return scratchPool.Get().(*[]byte) }
+func getScratch() *[]byte {
+	if poolHook != nil {
+		poolHook(+1, nil)
+	}
+	return scratchPool.Get().(*[]byte)
+}
 
 func putScratch(p *[]byte) {
+	if poolHook != nil {
+		poolHook(-1, (*p)[:cap(*p)])
+	}
 	*p = (*p)[:0]
 	scratchPool.Put(p)
 }
@@ -140,20 +191,31 @@ var decompressorPool = sync.Pool{New: func() any {
 	return d
 }}
 
-// DecompressBody inflates a flate-compressed snapshot or chunk body using
-// a pooled reader. A non-negative sizeHint (the chunk frame's or
-// manifest's recorded raw length) preallocates the output exactly and
-// rejects any size mismatch as corruption; sizeHint < 0 grows the output
-// as needed (monolithic snapshot bodies, whose raw size the file format
-// does not record).
+// DecompressBody inflates a flate-compressed snapshot or chunk body into a
+// fresh buffer the caller owns. A non-negative sizeHint (the chunk frame's
+// recorded raw length) sizes the output exactly and rejects any size
+// mismatch as corruption; sizeHint < 0 grows the output as needed (snapshot
+// bodies, whose raw size the file format does not record).
 func DecompressBody(comp []byte, sizeHint int) ([]byte, error) {
+	return inflate(nil, comp, sizeHint)
+}
+
+// inflate is DecompressBody into dst's capacity, using a pooled reader:
+// dst's contents are overwritten and the result aliases dst when it fits.
+func inflate(dst, comp []byte, sizeHint int) ([]byte, error) {
 	d := decompressorPool.Get().(*decompressor)
 	d.src.Reset(comp)
 	if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		decompressorPool.Put(d)
 		return nil, fmt.Errorf("%w: flate: %v", ErrCorrupt, err)
 	}
-	out, err := readAllSized(d.fr, sizeHint)
+	if sizeHint < 0 {
+		// Manifest text and XOR deltas inflate to several times their
+		// stored size, dense payloads to about it: twice the input reaches
+		// most bodies in one step and wastes at most one body's worth.
+		dst = slices.Grow(dst[:0], max(1024, 2*len(comp)))
+	}
+	out, err := readAllSized(dst[:0], d.fr, sizeHint)
 	d.src.Reset(nil)
 	decompressorPool.Put(d)
 	if err != nil {
@@ -162,13 +224,27 @@ func DecompressBody(comp []byte, sizeHint int) ([]byte, error) {
 	return out, nil
 }
 
-// readAllSized drains r into a buffer preallocated from sizeHint. With a
+// inflateScratch is inflate into pooled scratch, which comes back beside the
+// bytes for the caller to putScratch at their last use. On an error the
+// scratch is back in its pool with the buffer it had: one sized on a bad
+// length's word is not kept.
+func inflateScratch(comp []byte, sizeHint int) ([]byte, *[]byte, error) {
+	sp := getScratch()
+	out, err := inflate(*sp, comp, sizeHint)
+	if err != nil {
+		putScratch(sp)
+		return nil, nil, err
+	}
+	*sp = out
+	return out, sp, nil
+}
+
+// readAllSized drains r into out's capacity, growing it as needed. With a
 // hint it reads exactly that many bytes and verifies EOF follows; without
-// one it grows geometrically like io.ReadAll, but starting from a
-// hint-free guess large enough that small bodies read in one step.
-func readAllSized(r io.Reader, sizeHint int) ([]byte, error) {
+// one it grows geometrically like io.ReadAll.
+func readAllSized(out []byte, r io.Reader, sizeHint int) ([]byte, error) {
 	if sizeHint >= 0 {
-		out := make([]byte, sizeHint)
+		out = slices.Grow(out, sizeHint)[:sizeHint]
 		if _, err := io.ReadFull(r, out); err != nil {
 			return nil, fmt.Errorf("body shorter than recorded length %d: %v", sizeHint, err)
 		}
@@ -178,7 +254,6 @@ func readAllSized(r io.Reader, sizeHint int) ([]byte, error) {
 		}
 		return out, nil
 	}
-	out := make([]byte, 0, 1024)
 	for {
 		if len(out) == cap(out) {
 			out = append(out, 0)[:len(out)]

@@ -2,13 +2,41 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
 )
+
+// pooledOut is how many pooled buffers — bodies and scratch — are out of
+// their pools right now (poolHook).
+var pooledOut atomic.Int64
+
+// TestMain runs every test of the package with poolHook set: each buffer
+// that goes back to a pool is overwritten with 0xDB first, so a restored
+// state, a retained base or a piece that still aliases it fails its bitwise
+// comparison instead of passing until the buffer happens to be reused, and
+// pooledOut lets a test assert that a call gave back all it took. Benchmarks
+// run without it: the fill is not part of what they measure.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if flag.Lookup("test.bench").Value.String() == "" {
+		poolHook = func(delta int, returned []byte) {
+			pooledOut.Add(int64(delta))
+			for i := range returned {
+				returned[i] = 0xDB
+			}
+		}
+	}
+	os.Exit(m.Run())
+}
 
 // TestPooledCodecRoundTrip proves the pooled append-style coders produce
 // exactly the bytes of their allocating predecessors and round-trip
@@ -118,12 +146,17 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 			if len(frame) > len(tc.piece)+chunkFrameHeader {
 				t.Errorf("frame %d bytes exceeds piece %d + header", len(frame), len(tc.piece))
 			}
-			got, err := decodeChunkFrame(frame)
+			got, scratch, err := decodeChunkFrame(frame)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, tc.piece) {
 				t.Errorf("round trip mismatch (%d vs %d bytes)", len(got), len(tc.piece))
+			}
+			if (scratch == nil) != tc.wantRaw {
+				t.Errorf("scratch returned = %v for a raw=%v frame: only a compressed chunk inflates into one", scratch != nil, tc.wantRaw)
+			} else if scratch != nil {
+				putScratch(scratch)
 			}
 			// Determinism underpins content-addressed dedup across the
 			// pooled writers: the same piece must frame identically.
@@ -176,6 +209,44 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	run() // warm the flate pools and size every buffer
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("pooled encode stage: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestGrowingPayloadReusesPooledBuffers: a training loop appends a loss per
+// step, so every payload is eight bytes longer than the last. A body pool
+// that allocates exactly what it is asked for finds each recycled buffer
+// eight bytes short and allocates a fresh payload on every save (2 MiB per
+// save here); with headroom the steady state allocates next to nothing.
+func TestGrowingPayloadReusesPooledBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools mid-run,
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a second P hide a buffer in its private slot
+	s := sparseStates(3, 256<<10, 1, 0)[0]
+	m, err := NewManager(Options{Backend: storage.NewMem(), Strategy: StrategyFull, ChunkBytes: 64 << 10, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	save := func() { // only the tail chunk changes: what is left to allocate is the payload
+		s.LossHistory = append(s.LossHistory, 1/float64(len(s.LossHistory)+1))
+		if _, err := m.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		save() // fill the pools and the retained bases
+	}
+	const saves = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < saves; i++ {
+		save()
+	}
+	runtime.ReadMemStats(&after)
+	if perSave := (after.TotalAlloc - before.TotalAlloc) / saves; perSave > 64<<10 {
+		t.Errorf("%d bytes allocated per save of a state growing 8 bytes a save, want under 64 KiB: the pooled payload buffers are not being reused", perSave)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/storage"
@@ -33,11 +34,12 @@ type LoadReport struct {
 
 // LoadCost attributes a recovery's time to stages. Every duration is
 // measured on the goroutine that ran the recovery — chunks a helper fetched
-// or the chain prefetcher warmed show up only as a shorter Fetch — so the
-// stages add up to the time the caller waited, less loop overhead.
+// or the chain prefetcher warmed show up only as a shorter Fetch, and what
+// it waited for either of them is Fetch — so the stages add up to the time
+// the caller waited, less loop overhead.
 type LoadCost struct {
 	Index  time.Duration // listing snapshots and parsing their headers
-	Fetch  time.Duration // getting snapshot objects and chunks: read, content check, unframe, waits on helpers
+	Fetch  time.Duration // getting snapshot objects and chunks: read, content check, unframe, waits on helpers and warmers
 	Apply  time.Duration // copying anchor pieces and XORing delta pieces into the payload
 	Verify time.Duration // SHA-256 of the payload at the anchor and target; after every link on a conviction walk
 	Decode time.Duration // DecodePayload and the Meta compatibility check
@@ -70,12 +72,34 @@ const recoveryCacheBytes = 64 << 20
 // it. Its RestoreOptions size the chunk engine (restore.go). cost
 // accumulates what the view's owner spent, convicted the links a conviction
 // walk found wrong; only the goroutine resolving through the view writes them.
+// manifests, on a view that has one (recovery's: it walks a chain again to
+// convict a link, and candidate after candidate over the same links), keeps
+// every chunked snapshot object checked and parsed, so each is fetched,
+// hashed, inflated and parsed once — by the chain warmer when there is one,
+// which is why mu guards it.
+//
+// Payloads the view resolves are pooled (pool.go, DESIGN.md §8): whoever is
+// handed a *refBuf is its one holder and releases it when done, on every
+// path; callees it passes the buffer to never do.
 type snapshotView struct {
 	b         storage.Backend
 	cs        *storage.ChunkStore
 	opts      RestoreOptions
 	cost      LoadCost
 	convicted map[string]error
+	mu        sync.Mutex
+	manifests map[string]*snapshotObject
+}
+
+// snapshotObject is a snapshot object that passed decodeManifestObject: the
+// parsed manifest of a chunked kind, the still-compressed body of a
+// monolithic one (never kept: it is as large as the state).
+type snapshotObject struct {
+	h       Header
+	info    chunkManifestInfo
+	comp    []byte
+	fileLen int  // bytes the whole-file hash covered
+	charged bool // the resolver has counted fileLen in cost.BytesHashed
 }
 
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
@@ -83,80 +107,124 @@ func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 	return &snapshotView{b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
 }
 
-// readObject fetches the snapshot object at key, checks its whole-file
-// hash and returns its decompressed body as stored — payload or delta bytes
-// for monolithic kinds, the chunk manifest for chunked ones — and, for the
-// latter, the parsed manifest. The body is a fresh buffer, never the cached
-// object.
-func (v *snapshotView) readObject(key string) (Header, []byte, chunkManifestInfo, error) {
-	start := time.Now()
-	defer func() { v.cost.Fetch += time.Since(start) }()
-	data, err := v.b.Get(key)
-	if err != nil {
-		return Header{}, nil, chunkManifestInfo{}, err
+// object fetches and checks the snapshot object at key, or recalls it from
+// manifests. The chain warmers call it beside the resolver.
+func (v *snapshotView) object(key string) (*snapshotObject, error) {
+	v.mu.Lock()
+	o := v.manifests[key]
+	v.mu.Unlock()
+	if o != nil {
+		return o, nil
 	}
-	v.cost.BytesHashed += int64(len(data))
-	return decodeManifestObject(data)
-}
-
-// assemble reconstructs a chunked snapshot's body from its manifest into a
-// buffer the caller owns; every worker count returns bitwise-identical
-// bodies.
-func (v *snapshotView) assemble(info chunkManifestInfo) ([]byte, error) {
-	body := make([]byte, 0, info.rawLen)
-	err := walkPieces(v.cs, info, v.opts, &v.cost, func(_ int, piece []byte) error {
-		if len(piece) > info.rawLen-len(body) {
-			return fmt.Errorf("%w: assembled more than the %d manifest bytes", ErrCorrupt, info.rawLen)
-		}
-		body = append(body, piece...)
-		return nil
-	})
+	data, err := v.b.Get(key)
 	if err != nil {
 		return nil, err
 	}
-	if len(body) != info.rawLen {
-		return nil, fmt.Errorf("%w: assembled %d bytes, manifest says %d", ErrCorrupt, len(body), info.rawLen)
+	o = &snapshotObject{fileLen: len(data)}
+	if o.h, o.comp, o.info, err = decodeManifestObject(data); err != nil {
+		return nil, err
+	}
+	if o.h.Kind.Chunked() {
+		o.comp = nil
+		v.mu.Lock()
+		if v.manifests != nil {
+			v.manifests[key] = o
+		}
+		v.mu.Unlock()
+	}
+	return o, nil
+}
+
+// readObject is object for the resolving goroutine: the time goes to Fetch
+// and the object's bytes, the first time the resolver meets it, to
+// BytesHashed.
+func (v *snapshotView) readObject(key string) (*snapshotObject, error) {
+	start := time.Now()
+	o, err := v.object(key)
+	v.cost.Fetch += time.Since(start)
+	if err == nil && !o.charged {
+		o.charged = true
+		v.cost.BytesHashed += int64(o.fileLen)
+	}
+	return o, err
+}
+
+// assemble reconstructs a chunked snapshot's body from its manifest into a
+// pooled buffer the caller holds; every worker count returns
+// bitwise-identical bodies.
+func (v *snapshotView) assemble(info chunkManifestInfo) (*refBuf, error) {
+	body := getBody(info.rawLen)
+	err := walkPieces(v.cs, info, v.opts, &v.cost, func(_ int, piece []byte) error {
+		if len(piece) > info.rawLen-len(body.b) {
+			return fmt.Errorf("%w: assembled more than the %d manifest bytes", ErrCorrupt, info.rawLen)
+		}
+		body.b = append(body.b, piece...)
+		return nil
+	})
+	if err == nil && len(body.b) != info.rawLen {
+		err = fmt.Errorf("%w: assembled %d bytes, manifest says %d", ErrCorrupt, len(body.b), info.rawLen)
+	}
+	if err != nil {
+		body.release()
+		return nil, err
 	}
 	return body, nil
 }
 
 // readBody fully verifies the snapshot object at key and returns its
-// resolved body: the payload or delta bytes, with chunked bodies assembled
-// from the chunk store.
-func (v *snapshotView) readBody(key string) (Header, []byte, error) {
-	h, body, info, err := v.readObject(key)
-	if err == nil && h.Kind.Chunked() {
-		body, err = v.assemble(info)
-	}
+// resolved body in a pooled buffer the caller holds: the payload or delta
+// bytes, with chunked bodies assembled from the chunk store.
+func (v *snapshotView) readBody(key string) (Header, *refBuf, error) {
+	o, err := v.readObject(key)
 	if err != nil {
-		return h, nil, err
+		return Header{}, nil, err
 	}
-	return h, body, nil
+	if o.h.Kind.Chunked() {
+		body, err := v.assemble(o.info)
+		return o.h, body, err
+	}
+	start := time.Now()
+	body := getBody(0) // whatever the pool has: inflate sizes it
+	body.b, err = inflate(body.b, o.comp, -1)
+	v.cost.Fetch += time.Since(start)
+	if err != nil {
+		body.release()
+		return o.h, nil, err
+	}
+	return o.h, body, nil
 }
 
-// applyLink applies the delta snapshot at key to payload in place and
-// returns the result (a new buffer only when the payload grew past its
-// capacity). The delta body is never materialised: each distinct chunk is
+// applyLink applies the delta snapshot at key to payload in place (its
+// buffer traded for a larger pooled one only if the payload outgrew it). The
+// delta body is never materialised: each distinct chunk is
 // fetched and unframed once and only its non-zero pieces are XORed in, so
-// the link costs O(dirty bytes) on top of reading its manifest. payload
-// must be a buffer the caller owns; after an error it is garbage.
-func (v *snapshotView) applyLink(key string, payload []byte) ([]byte, error) {
-	h, body, info, err := v.readObject(key)
+// the link costs O(dirty bytes) on top of reading its manifest. After an
+// error the payload's bytes are garbage.
+func (v *snapshotView) applyLink(key string, payload *refBuf) error {
+	o, err := v.readObject(key)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	a := deltaApplier{payload: payload, rawLen: len(body)}
-	if h.Kind.Chunked() {
-		a.rawLen = info.rawLen
-		err = walkPieces(v.cs, info, v.opts, &v.cost, a.visit)
+	a := deltaApplier{payload: payload}
+	if o.h.Kind.Chunked() {
+		a.rawLen = o.info.rawLen
+		err = walkPieces(v.cs, o.info, v.opts, &v.cost, a.visit)
 	} else {
 		start := time.Now()
-		err = a.visit(0, body)
-		v.cost.Apply += time.Since(start)
+		var delta []byte
+		var sp *[]byte
+		if delta, sp, err = inflateScratch(o.comp, -1); err == nil {
+			inflated := time.Now()
+			v.cost.Fetch += inflated.Sub(start)
+			a.rawLen = len(delta)
+			err = a.visit(0, delta)
+			v.cost.Apply += time.Since(inflated)
+			putScratch(sp)
+		}
 	}
 	v.cost.ZeroPiecesSkipped += a.skipped
 	if err != nil {
-		return nil, err
+		return err
 	}
 	return a.finish()
 }
@@ -172,15 +240,14 @@ func (v *snapshotView) payloadIs(payload []byte, want [32]byte) bool {
 
 // applyVerified applies the delta snapshot at ent to payload in place
 // (applyLink) and checks the result against ent's PayloadHash.
-func (v *snapshotView) applyVerified(ent indexEntry, payload []byte) ([]byte, error) {
-	payload, err := v.applyLink(ent.key, payload)
-	if err != nil {
-		return nil, err
+func (v *snapshotView) applyVerified(ent indexEntry, payload *refBuf) error {
+	if err := v.applyLink(ent.key, payload); err != nil {
+		return err
 	}
-	if !v.payloadIs(payload, ent.h.PayloadHash) {
-		return nil, fmt.Errorf("%w: reconstructed payload hash mismatch at seq %d", ErrCorrupt, ent.h.Seq)
+	if !v.payloadIs(payload.b, ent.h.PayloadHash) {
+		return fmt.Errorf("%w: reconstructed payload hash mismatch at seq %d", ErrCorrupt, ent.h.Seq)
 	}
-	return payload, nil
+	return nil
 }
 
 // baseIndex is the index sorted by payload hash, a payload's holders oldest first.
@@ -235,7 +302,7 @@ var verifyEveryLink bool
 // chain is walked again hashing every link and that walk's error, naming
 // the first wrong link, is reported. The link is remembered: candidates
 // built on it get the same error before any I/O.
-func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload []byte, chainLen int, err error) {
+func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload *refBuf, chainLen int, err error) {
 	// Walk back collecting the chain: ent, base(ent), base(base(ent)), …
 	chain := []indexEntry{ent}
 	for cur := ent; cur.h.Kind.Base() == KindDelta; chain = append(chain, cur) {
@@ -259,33 +326,42 @@ func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload []b
 }
 
 // walk assembles the anchor of chain (target first, anchor last) into a
-// buffer the resolver owns, checks it against the anchor's header and
+// pooled buffer, checks it against the anchor's header and
 // applies every link to it in place, so a link costs O(dirty bytes); the
 // last link — every link, if everyLink — is checked against its header
 // (applyVerified). A failure is at chain[at]; below it, only hashed links
-// are known to be sound. The next link is warmed while this one applies.
-func (v *snapshotView) walk(chain []indexEntry, everyLink bool) (payload []byte, at int, err error) {
+// are known to be sound, and the buffer is back in the pool. The next link
+// is warmed while this one applies; waiting for a warmer is Fetch time.
+func (v *snapshotView) walk(chain []indexEntry, everyLink bool) (payload *refBuf, at int, err error) {
 	var pf prefetcher
-	defer pf.Wait() // no warmer outlives the walk, error or not
+	defer func() { // no warmer outlives the walk, error or not
+		start := time.Now()
+		pf.Wait()
+		v.cost.Fetch += time.Since(start)
+	}()
 	at = len(chain) - 1
 	warmed := pf.start(v, chain, at-1)
 	_, payload, err = v.readBody(chain[at].key)
 	if err != nil {
 		return nil, at, err
 	}
-	if !v.payloadIs(payload, chain[at].h.PayloadHash) {
+	if !v.payloadIs(payload.b, chain[at].h.PayloadHash) {
+		payload.release()
 		return nil, at, fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}
 	for at--; at >= 0; at-- {
 		ready := warmed
 		warmed = pf.start(v, chain, at-1)
+		start := time.Now()
 		ready() // this link's warm has run since the previous iteration
+		v.cost.Fetch += time.Since(start)
 		if everyLink || at == 0 {
-			payload, err = v.applyVerified(chain[at], payload)
+			err = v.applyVerified(chain[at], payload)
 		} else {
-			payload, err = v.applyLink(chain[at].key, payload)
+			err = v.applyLink(chain[at].key, payload)
 		}
 		if err != nil {
+			payload.release()
 			return nil, at, err
 		}
 	}
@@ -312,6 +388,7 @@ func DirBackend(dir string) (storage.Backend, error) {
 // current one applies. The state is bitwise-identical under every count.
 func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
 	v := newSnapshotView(b, opts)
+	v.manifests = make(map[string]*snapshotObject)
 	start := time.Now()
 	bySeq, byHash, skipped, err := v.buildIndex()
 	if err != nil {
@@ -343,9 +420,10 @@ func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*T
 	if err != nil {
 		return nil, 0, err
 	}
+	defer payload.release() // DecodePayload copies every section out
 	start := time.Now()
 	defer func() { v.cost.Decode += time.Since(start) }()
-	state, err := DecodePayload(payload)
+	state, err := DecodePayload(payload.b)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -360,12 +438,17 @@ func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*T
 // ReadSnapshotBody loads one snapshot file and resolves its body — the
 // canonical payload for full snapshots, the delta bytes for deltas —
 // assembling chunked bodies from the chunk store next to it (<dir>/chunks).
+// The body is the caller's own.
 func ReadSnapshotBody(filePath string) (Header, []byte, error) {
 	b, err := DirBackend(filepath.Dir(filePath))
 	if err != nil {
 		return Header{}, nil, err
 	}
-	return newSnapshotView(b, RestoreOptions{}).readBody(filepath.Base(filePath))
+	h, body, err := newSnapshotView(b, RestoreOptions{}).readBody(filepath.Base(filePath))
+	if err != nil {
+		return h, nil, err
+	}
+	return h, body.detach(), nil
 }
 
 // VerifyFile fully verifies a single snapshot file: whole-file hash,
@@ -449,20 +532,22 @@ func (w *chainVerifier) fail(ent indexEntry, err error) {
 
 // settle records the verdict on ent, whose payload was resolved with err,
 // and reports whether the payload is its header's. One that is but does not
-// decode is broken by itself and still the right base for the deltas on it.
-func (w *chainVerifier) settle(ent indexEntry, payload []byte, err error) bool {
+// decode is broken by itself and still the right base for the deltas on it;
+// one that is not goes back to the pool.
+func (w *chainVerifier) settle(ent indexEntry, payload *refBuf, err error) bool {
 	if err != nil {
+		payload.release()
 		w.fail(ent, err)
 		return false
 	}
-	_, w.verdict[ent.key] = DecodePayload(payload)
+	_, w.verdict[ent.key] = DecodePayload(payload.b)
 	return true
 }
 
 // anchor verifies the full snapshot at ent and the chains hanging off it.
 func (w *chainVerifier) anchor(ent indexEntry) {
 	_, payload, err := w.v.readBody(ent.key)
-	if err == nil && !w.v.payloadIs(payload, ent.h.PayloadHash) {
+	if err == nil && !w.v.payloadIs(payload.b, ent.h.PayloadHash) {
 		err = fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}
 	if w.settle(ent, payload, err) {
@@ -473,32 +558,34 @@ func (w *chainVerifier) anchor(ent indexEntry) {
 // descend verifies every chain built on ent, whose verified payload it is
 // handed and consumes: the last child is applied to it in place (and the
 // walk continues there without recursing, so an unbranched chain of any
-// length uses one buffer and one stack frame), earlier children to copies.
-func (w *chainVerifier) descend(ent indexEntry, payload []byte) {
+// length uses one buffer and one stack frame), earlier children to pooled
+// copies, and where a chain ends its buffer goes back to the pool.
+func (w *chainVerifier) descend(ent indexEntry, payload *refBuf) {
 	for {
 		kids := w.children[ent.key]
 		if len(kids) == 0 {
+			payload.release()
 			return
 		}
 		for _, kid := range kids[:len(kids)-1] {
-			if p, ok := w.link(kid, bytes.Clone(payload)); ok {
-				w.descend(kid, p)
+			fork := getBody(len(payload.b))
+			fork.b = append(fork.b, payload.b...)
+			if w.link(kid, fork) {
+				w.descend(kid, fork)
 			}
 		}
 		last := kids[len(kids)-1]
-		p, ok := w.link(last, payload)
-		if !ok {
+		if !w.link(last, payload) {
 			return
 		}
-		ent, payload = last, p
+		ent = last
 	}
 }
 
-// link applies the delta at ent to its base's payload and checks the
-// result against ent's header.
-func (w *chainVerifier) link(ent indexEntry, payload []byte) ([]byte, bool) {
-	payload, err := w.v.applyVerified(ent, payload)
-	return payload, w.settle(ent, payload, err)
+// link applies the delta at ent to its base's payload in place and checks
+// the result against ent's header (settle).
+func (w *chainVerifier) link(ent indexEntry, payload *refBuf) bool {
+	return w.settle(ent, payload, w.v.applyVerified(ent, payload))
 }
 
 // ListSnapshotsBackend returns headers of all parseable snapshots in b,

@@ -43,8 +43,11 @@ import (
 //     closes the cancel gate, and waits for every helper to drain before
 //     returning, so a failed restore leaks no goroutines.
 //   - Read-only pieces: a piece is shared by every entry that repeats its
-//     address, and a raw chunk's piece aliases the frame the store handed
-//     out, so visitors copy or XOR from a piece and never write to it.
+//     address, a raw chunk's piece aliases the frame the store handed out
+//     and a compressed chunk's is pooled scratch that goes back to its pool
+//     after the address's last entry, so visitors copy or XOR from a piece,
+//     never write to it and never keep it past the visit. A walk that ends
+//     early puts back what its helpers still held.
 
 // RestoreOptions tunes the streaming restore engine. The zero value
 // restores with one worker and no chain prefetch.
@@ -83,17 +86,18 @@ func (o RestoreOptions) window() int {
 }
 
 // fetchChunk is the unit of restore work: one content-verified chunk read
-// plus its unframing (raw pass-through or exact-size decompression). Both
+// plus its unframing (raw pass-through, or exact-size decompression into the
+// pooled scratch returned beside the piece — decodeChunkFrame). Both
 // failure modes wrap ErrCorrupt so recovery falls back to an older
 // snapshot instead of treating the directory as unreadable. frameLen is
 // what the store hashed to check the address.
-func fetchChunk(cs *storage.ChunkStore, addr string) (piece []byte, frameLen int, err error) {
+func fetchChunk(cs *storage.ChunkStore, addr string) (piece []byte, scratch *[]byte, frameLen int, err error) {
 	frame, err := cs.Get(addr)
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: chunk %.12s…: %v", ErrCorrupt, addr, err)
+		return nil, nil, 0, fmt.Errorf("%w: chunk %.12s…: %v", ErrCorrupt, addr, err)
 	}
-	piece, err = decodeChunkFrame(frame)
-	return piece, len(frame), err
+	piece, scratch, err = decodeChunkFrame(frame)
+	return piece, scratch, len(frame), err
 }
 
 // distinctAddrs returns the distinct addresses of a manifest in order of
@@ -124,9 +128,11 @@ const helperMinChunks = 8
 // pieceSlot holds one distinct chunk's result. done is closed by the helper
 // that fetched the chunk (nil in a walk without helpers). have and reached
 // belong to the caller: the result is in the slot and visible to it; the
-// walk has come to the address's first entry.
+// walk has come to the address's first entry. scratch is what a compressed
+// chunk's piece lives in, until the caller puts it back.
 type pieceSlot struct {
 	piece         []byte
+	scratch       *[]byte
 	frameLen      int
 	err           error
 	done          chan struct{}
@@ -138,9 +144,11 @@ type pieceSlot struct {
 // manifest entry in manifest order with the entry's unframed piece; d is
 // the index of the entry's address among the manifest's distinct addresses
 // in first-occurrence order, so a visitor can remember a fact per address.
-// Time the caller spends fetching or waiting for pieces is charged to
-// cost.Fetch, time inside visit to cost.Apply.
+// Time the caller spends planning the walk, fetching or waiting for pieces
+// and waiting for its helpers to drain is charged to cost.Fetch, time inside
+// visit to cost.Apply.
 func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptions, cost *LoadCost, visit func(d int, piece []byte) error) error {
+	t := time.Now()
 	distinct, ids := distinctAddrs(info.addrs)
 	n := len(distinct)
 	if n == 0 {
@@ -163,7 +171,7 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 	)
 	fetch := func(d int) {
 		s := &slots[d]
-		s.piece, s.frameLen, s.err = fetchChunk(cs, distinct[d])
+		s.piece, s.scratch, s.frameLen, s.err = fetchChunk(cs, distinct[d])
 	}
 
 	helpers := min(opt.workers()-1, n/helperMinChunks)
@@ -226,7 +234,9 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 	// the reported failure is deterministic however the fetches interleave
 	// — cancel the helpers.
 	var firstErr error
-	t := time.Now()
+	planned := time.Now()
+	cost.Fetch += planned.Sub(t)
+	t = planned
 	for _, d := range ids {
 		s := &slots[d]
 		if !s.reached { // first use of this address
@@ -264,13 +274,27 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 			break
 		}
 		if uses[d]--; uses[d] == 0 {
-			s.piece = nil
+			s.release()
 		}
 	}
-	cost.Apply += time.Since(t)
+	drainFrom := time.Now()
+	cost.Apply += drainFrom.Sub(t)
 	close(cancel)
 	wg.Wait()
+	for d := range slots { // a walk that stopped short of some pieces' last use
+		slots[d].release()
+	}
+	cost.Fetch += time.Since(drainFrom)
 	return firstErr
+}
+
+// release lets go of the slot's piece after its last use, putting a
+// compressed chunk's scratch back in the pool.
+func (s *pieceSlot) release() {
+	if s.scratch != nil {
+		putScratch(s.scratch)
+	}
+	s.piece, s.scratch = nil, nil
 }
 
 // prefetcher pipelines delta-chain resolution: while one link is being
@@ -308,18 +332,15 @@ func (p *prefetcher) start(v *snapshotView, chain []indexEntry, i int) func() {
 
 // warm pulls key's snapshot object — and, for chunked kinds, its distinct
 // chunks — through the view's read cache, batching the chunk fetches so a
-// Tiered backend overlaps them per level. Errors are deliberately
-// dropped: prefetch is a cache warmer, and the foreground read reports
-// any failure with full context.
+// Tiered backend overlaps them per level, and leaves the object's parsed
+// manifest with the view for the foreground to pick up (object). Errors are
+// deliberately dropped: prefetch is a cache warmer, and the foreground read
+// reports any failure with full context.
 func (v *snapshotView) warm(key string) {
-	data, err := v.b.Get(key)
-	if err != nil {
+	o, err := v.object(key)
+	if err != nil || !o.h.Kind.Chunked() {
 		return
 	}
-	h, _, info, err := decodeManifestObject(data)
-	if err != nil || !h.Kind.Chunked() {
-		return
-	}
-	distinct, _ := distinctAddrs(info.addrs)
+	distinct, _ := distinctAddrs(o.info.addrs)
 	v.cs.GetBatch(distinct)
 }

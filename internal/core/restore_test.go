@@ -40,7 +40,11 @@ func assembleWith(cs *storage.ChunkStore, manifest []byte, opt RestoreOptions) (
 	if err != nil {
 		return nil, err
 	}
-	return (&snapshotView{cs: cs, opts: opt}).assemble(info)
+	body, err := (&snapshotView{cs: cs, opts: opt}).assemble(info)
+	if err != nil {
+		return nil, err
+	}
+	return body.detach(), nil
 }
 
 // restoreTestBody builds a body that exercises the engine: unique content

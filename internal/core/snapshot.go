@@ -148,6 +148,18 @@ func appendSnapshotFile(buf []byte, h Header, body []byte) ([]byte, error) {
 // DecodeSnapshotFile verifies the whole-file hash and returns the header
 // and decompressed body.
 func DecodeSnapshotFile(data []byte) (Header, []byte, error) {
+	h, comp, err := checkSnapshotFile(data)
+	if err != nil {
+		return h, nil, err
+	}
+	raw, err := DecompressBody(comp, -1) // a snapshot body records no raw size
+	return h, raw, err
+}
+
+// checkSnapshotFile verifies a snapshot file image up to its body — the
+// whole-file hash, the header, the body length — and returns the header and
+// the still-compressed body, which aliases data.
+func checkSnapshotFile(data []byte) (Header, []byte, error) {
 	if len(data) < headerSize+32 {
 		return Header{}, nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, len(data))
 	}
@@ -165,11 +177,7 @@ func DecodeSnapshotFile(data []byte) (Header, []byte, error) {
 	if uint64(len(body)) != h.BodyLen {
 		return h, nil, fmt.Errorf("%w: body length %d, header says %d", ErrCorrupt, len(body), h.BodyLen)
 	}
-	raw, err := DecompressBody(body, -1) // a snapshot body records no raw size
-	if err != nil {
-		return h, nil, err
-	}
-	return h, raw, nil
+	return h, body, nil
 }
 
 // parseHeaderBytes parses the fixed-size header prefix of a snapshot file
