@@ -7,14 +7,14 @@
 //
 // It is also the CI perf-regression gate: -compare checks a fresh
 // document against the committed baseline and exits non-zero when any
-// benchmark's allocs/op regressed beyond the tolerance, or when a
-// baseline benchmark silently disappeared (a dropped benchmark would
-// otherwise hide its own regression forever). ns/op movement beyond the
-// tolerance is printed as ADVISORY lines and never fails the gate: the
-// baseline's wall-clock was taken on another host, and wall-clock claims
-// belong to the paired runs of bench/ (BENCHMARK.json). A PR that
-// deliberately retires a benchmark passes -allow-missing: absences are
-// still listed in the report, just not counted as violations.
+// benchmark's allocs/op regressed beyond the tolerance, its hashed-B/op (a
+// restore's SHA-256 traffic, a count) grew at all, or a baseline benchmark
+// silently disappeared (it would otherwise hide its own regression
+// forever). ns/op movement beyond the tolerance is printed as ADVISORY
+// lines and never fails the gate: the baseline's wall-clock was taken on
+// another host, and wall-clock claims belong to the paired runs of bench/
+// (BENCHMARK.json). A PR that deliberately retires a benchmark passes
+// -allow-missing: absences are still listed, just not counted as violations.
 //
 // Repeated runs of one benchmark (go test -count=N) are collapsed to a
 // single row keeping the minimum of the cost columns — the noise-robust
@@ -158,29 +158,32 @@ func mergeResults(rows []BenchResult) []BenchResult {
 	return out
 }
 
-// gateMetrics are the per-benchmark columns the comparison tracks. Only
+// gateMetrics are the per-benchmark columns the comparison tracks.
 // allocs/op — hardware-independent — can fail the gate; ns/op depends on
 // the host the baseline was generated on (the same tree has failed and
 // passed on it within a day), so its movement is reported as advisory.
-// Bytes-written metrics are deterministic but change intentionally
-// whenever the workload grows, so they stay informational.
+// hashed-B/op (LoadReport.BytesHashed: a function of the code and the
+// fixture alone) is exact: any growth fails, whatever -tolerance says.
+// Bytes-written metrics change whenever the workload grows: informational.
 var gateMetrics = []struct {
 	name     string
 	get      func(BenchResult) float64
 	advisory bool
+	exact    bool
 }{
-	{"ns/op", func(r BenchResult) float64 { return r.NsPerOp }, true},
-	{"allocs/op", func(r BenchResult) float64 { return r.AllocsPerOp }, false},
+	{"ns/op", func(r BenchResult) float64 { return r.NsPerOp }, true, false},
+	{"allocs/op", func(r BenchResult) float64 { return r.AllocsPerOp }, false, false},
+	{"hashed-B/op", func(r BenchResult) float64 { return r.Metrics["hashed-B/op"] }, false, true},
 }
 
 // compareDocs gates newDoc against oldDoc: every baseline benchmark must
 // still exist, and its gated metrics must not exceed the baseline by more
-// than tolerancePct percent (advisory metrics that do are reported, not
-// counted). A zero baseline value is skipped (nothing
-// meaningful to ratio against) — which is also what keeps the gate
+// than tolerancePct percent — at all, for an exact metric (advisory metrics
+// that do are reported, not counted). A zero baseline value is skipped
+// (nothing meaningful to ratio against) — which is also what keeps the gate
 // tolerant of new metric columns: units outside gateMetrics (the network
-// benchmark's wire-bytes/op, wire-reduction-x, …) ride along in Metrics
-// and are never compared. It returns the human-readable report, the
+// benchmark's wire-bytes/op, wire-reduction-x, …) ride along in Metrics and
+// are never compared. It returns the human-readable report, the
 // names of baseline benchmarks absent from the new results, and the
 // number of violations. With allowMissing set, absent baselines are
 // still reported and listed but not counted as violations — the escape
@@ -190,7 +193,6 @@ func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool)
 	for _, r := range newDoc.Benchmarks {
 		newByName[r.Name] = r
 	}
-	limit := 1 + tolerancePct/100
 	added := len(newDoc.Benchmarks)
 	for _, old := range oldDoc.Benchmarks {
 		cur, ok := newByName[old.Name]
@@ -206,11 +208,11 @@ func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool)
 		}
 		added--
 		for _, m := range gateMetrics {
-			was, now := m.get(old), m.get(cur)
-			if was <= 0 {
-				continue
+			was, now, tolerance := m.get(old), m.get(cur), tolerancePct
+			if m.exact {
+				tolerance = 0
 			}
-			if now <= was*limit {
+			if was <= 0 || now <= was*(1+tolerance/100) {
 				continue
 			}
 			verdict := "REGRESSED"
@@ -220,7 +222,7 @@ func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool)
 				failures++
 			}
 			report = append(report, fmt.Sprintf("%s %s %s: %.4g -> %.4g (%+.1f%%, tolerance %.0f%%)",
-				verdict, old.Name, m.name, was, now, 100*(now-was)/was, tolerancePct))
+				verdict, old.Name, m.name, was, now, 100*(now-was)/was, tolerance))
 		}
 	}
 	report = append(report, fmt.Sprintf("compared %d benchmark(s), %d new, %d violation(s) at %.0f%% tolerance",

@@ -180,6 +180,31 @@ func TestCompareDetectsRegression(t *testing.T) {
 	}
 }
 
+// TestCompareGatesHashedBytesExactly: hashed-B/op is a count of the code and
+// the fixture, so one byte more fails whatever the tolerance, fewer bytes
+// pass, and a benchmark that never reported the column is left alone.
+func TestCompareGatesHashedBytesExactly(t *testing.T) {
+	hashed := func(ns, allocs, bytes float64) BenchResult {
+		r := bench("BenchmarkRestoreChain-2", ns, allocs)
+		r.Metrics["hashed-B/op"] = bytes
+		return r
+	}
+	old := gateDoc(hashed(1000, 50, 2113498), bench("BenchmarkSave-8", 1000, 50))
+	if report, _, failures := compareDocs(old, gateDoc(hashed(1000, 50, 2113498), bench("BenchmarkSave-8", 1000, 50)), 20, false); failures != 0 {
+		t.Fatalf("an unchanged count failed the gate: %v", report)
+	}
+	if report, _, failures := compareDocs(old, gateDoc(hashed(1000, 50, 2098611), bench("BenchmarkSave-8", 1000, 50)), 20, false); failures != 0 {
+		t.Fatalf("a smaller count failed the gate: %v", report)
+	}
+	report, _, failures := compareDocs(old, gateDoc(hashed(1000, 55, 2113499), bench("BenchmarkSave-8", 1000, 50)), 60, false)
+	if failures != 1 {
+		t.Fatalf("failures = %d, want 1: one hashed byte more, allocs inside the tolerance (%v)", failures, report)
+	}
+	if joined := strings.Join(report, "\n"); !strings.Contains(joined, "REGRESSED BenchmarkRestoreChain-2 hashed-B/op") || !strings.Contains(joined, "tolerance 0%") {
+		t.Errorf("report does not carry the exact gate: %v", report)
+	}
+}
+
 func TestCompareMissingBenchmarkFails(t *testing.T) {
 	old := gateDoc(bench("BenchmarkSave-8", 1000, 50), bench("BenchmarkGone-8", 10, 1))
 	cur := gateDoc(bench("BenchmarkSave-8", 1000, 50))

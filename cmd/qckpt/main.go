@@ -393,7 +393,7 @@ func printLoadReport(r core.LoadReport) {
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	fmt.Printf("stages:   index %v, fetch %v, apply %v, verify %v, decode %v\n",
 		us(r.Index), us(r.Fetch), us(r.Apply), us(r.Verify), us(r.Decode))
-	fmt.Printf("work:     %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed, %d conviction walk(s)\n",
+	fmt.Printf("work:     %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed (files + the target's payload; chunks, anchor and links too on a conviction walk), %d conviction walk(s)\n",
 		r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed, r.ConvictionWalks)
 }
 

@@ -173,7 +173,11 @@ func FuzzDeltaApplyInPlace(f *testing.F) {
 		payload := buf[:copy(buf, base)]
 		v := newSnapshotView(mem, RestoreOptions{Workers: int(seed % 4)})
 		held := &refBuf{b: payload} // a cur past buf's capacity trades it for a pooled buffer
-		err := v.applyLink(key, held)
+		h, err := probeHeader(mem, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = v.applyLink(indexEntry{snapshotRef{key: key}, h}, held)
 		got := held.b
 
 		switch {
@@ -261,7 +265,7 @@ func substituteDelta(t *testing.T, b storage.Backend, seq uint64, mutate func(de
 	t.Helper()
 	key := snapshotName(seq, KindDelta)
 	v := newSnapshotView(b, RestoreOptions{})
-	h, body, err := v.readBody(key)
+	h, body, err := v.readBody(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +310,7 @@ func substituteLongerDelta(t *testing.T, b storage.Backend, seq uint64) {
 // is made to a buffer the next candidate must not inherit). Recovery must
 // blame that link in every snapshot it skips, from the newest down to the
 // bad one, and return the one just below it, bitwise, under any worker
-// count. The clean path hashes a chain at its two ends only, so the walk
+// count. The clean path hashes a chain at its target only, so the walk
 // that meets the damage is stopped by the target's hash — or, for a wrong
 // link that also changes the payload's length, by the next link's baseLen
 // check — and it is the conviction walk that must put the blame where it
@@ -354,12 +358,12 @@ func TestWrongLinkFallsBackToOlderSnapshot(t *testing.T) {
 							t.Fatalf("bad link %d, workers %d: %d conviction walks, want the one that names the link", bad, workers, report.ConvictionWalks)
 						}
 						// The fallback's ledger, where the payload dwarfs the
-						// files: the newest candidate's walk (anchor, its frames,
-						// target), the conviction walk (anchor, frames, 8 links)
-						// and the walk that succeeds — not eight candidates each
+						// files: the newest candidate's walk (target), the
+						// conviction walk (anchor, its frames, 8 links) and the
+						// walk that succeeds (target) — not eight candidates each
 						// hashing their way up to the bad link (≈ 83 payloads).
-						if name == "chunked" && bad == links/2 && report.BytesHashed > int64(20*len(payload)) {
-							t.Fatalf("bad link %d, workers %d: %d bytes hashed, more than 20 payloads of %d: later candidates are not refused from the memo",
+						if name == "chunked" && bad == links/2 && report.BytesHashed > int64(14*len(payload)) {
+							t.Fatalf("bad link %d, workers %d: %d bytes hashed, more than 14 payloads of %d: later candidates are not refused from the memo",
 								bad, workers, report.BytesHashed, len(payload))
 						}
 					}
@@ -487,7 +491,9 @@ func TestDeltasNamingEachOtherAreOrphans(t *testing.T) {
 	}
 }
 
-// Ways FuzzEndsOnlyMatchesPerLink damages a chain.
+// Ways FuzzEndsOnlyMatchesPerLink damages a chain: the first six hit a link's
+// snapshot object (or, for a flipped byte, one of its chunks), the rest one
+// chunk of any snapshot of the chain, the anchor included.
 const (
 	damageNone      = iota
 	damageWrongBit  // content-valid delta that XORs one bit differently
@@ -495,8 +501,113 @@ const (
 	damageFlipByte  // one stored byte flipped: a chunk of the link, or its file
 	damageTruncate  // the link's snapshot object cut short
 	damageSwapLinks // two links keep their headers and trade bodies
+
+	damageChunkFlipRaw   // one byte flipped in a chunk stored raw
+	damageChunkFlipFlate // one byte flipped in a chunk stored compressed
+	damageChunkTruncate  // a chunk's frame cut short
+	damageChunkMissing   // a chunk deleted
+	damageChunkSwap      // two chunk files trade contents
+	damageChunkOther     // a valid frame of other content at the chunk's address
+	damageChunkReframe   // the chunk's own piece, framed the other way (raw ↔ flate)
 	damageCount
 )
+
+// unframed returns a copy of the piece frame holds, nil if it holds none.
+func unframed(frame []byte) []byte {
+	piece, scratch, err := decodeChunkFrame(frame, MaxChunkBytes)
+	if err != nil {
+		return nil
+	}
+	piece = bytes.Clone(piece)
+	if scratch != nil {
+		putScratch(scratch)
+	}
+	return piece
+}
+
+// damageChunk does damage to one chunk that the snapshot at snapKey names —
+// one framed raw or compressed when the damage asks for that and the
+// snapshot has one — and returns the chunk's address and whether the frame
+// now stored there, though not the one that was, still unframes to the same
+// piece. A monolithic snapshot names no chunk: addr is "".
+func damageChunk(t *testing.T, b storage.Backend, snapKey string, damage int, arg uint16) (addr string, samePiece bool) {
+	t.Helper()
+	addrs, err := manifestAddrs(b, snapKey)
+	if err != nil {
+		t.Fatal(err)
+	} else if len(addrs) == 0 {
+		return "", false
+	}
+	get := func(key string) []byte {
+		data, err := b.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	addr = addrs[int(arg)%len(addrs)]
+	if want, picky := byte(chunkFrameRaw), damage == damageChunkFlipRaw || damage == damageChunkFlipFlate; picky {
+		if damage == damageChunkFlipFlate {
+			want = chunkFrameFlate
+		}
+		for i := range addrs {
+			if a := addrs[(int(arg)+i)%len(addrs)]; get(ChunkKey(a))[0] == want {
+				addr = a
+				break
+			}
+		}
+	}
+	key := ChunkKey(addr)
+	frame := get(key)
+	piece := unframed(frame)
+	put := func(key string, data []byte) {
+		if err := b.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	header := func(flag byte) []byte {
+		return binary.LittleEndian.AppendUint32([]byte{flag}, uint32(len(piece)))
+	}
+	switch damage {
+	case damageChunkFlipRaw, damageChunkFlipFlate:
+		edited := bytes.Clone(frame)
+		edited[int(arg)%len(edited)] ^= 0x40
+		put(key, edited)
+	case damageChunkTruncate:
+		put(key, frame[:int(arg)%len(frame)])
+	case damageChunkMissing:
+		if err := b.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		return addr, false
+	case damageChunkSwap:
+		all, err := b.List(ChunkPrefix + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := all[int(arg/7)%len(all)]
+		put(key, get(other))
+		put(other, frame)
+	case damageChunkOther:
+		wrong := bytes.Clone(piece)
+		wrong[int(arg)%len(wrong)] ^= 0x04
+		other, err := appendChunkFrame(nil, wrong)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(key, other)
+	case damageChunkReframe:
+		other := append(header(chunkFrameRaw), piece...)
+		if frame[0] == chunkFrameRaw {
+			if other, err = compressAppend(header(chunkFrameFlate), piece); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(key, other)
+	}
+	now := get(key)
+	return addr, !bytes.Equal(now, frame) && bytes.Equal(unframed(now), piece)
+}
 
 // swapLinkBodies makes the snapshots at seqs i and j trade bodies — delta
 // bytes or chunk manifests — under their own headers.
@@ -532,22 +643,41 @@ func rewriteObject(t *testing.T, b storage.Backend, key string, edit func([]byte
 	}
 }
 
-// FuzzEndsOnlyMatchesPerLink is the equivalence oracle for verifying a chain
-// at its two ends: whatever is done to a chain, recovery must restore the
-// same snapshot, to the same bytes, and say the same thing about every
-// snapshot it skipped as a recovery that hashes the payload after every
-// link (verifyEveryLink) — and what either returns must be, bitwise, the
-// state that was saved under that sequence number. The fuzzer picks the
-// body layout, the state family (payloads that grow every step, or keep
-// their length), a state to save twice, the damage, the link it hits and
-// the worker count.
+// FuzzEndsOnlyMatchesPerLink is the equivalence oracle for making the
+// target's payload hash the one check of content on a clean recovery:
+// whatever is done to a chain, recovery must restore the same snapshot, to
+// the same bytes, and say the same thing about every snapshot it skipped as
+// a recovery that checks everything where it reads it — every chunk against
+// its address, the payload at the anchor and after every link
+// (verifyEveryLink) — and what either returns must be, bitwise, the state
+// that was saved under that sequence number. A clean recovery walks a chain
+// it could not use at most once more. The fuzzer picks the body layout, the
+// state family (payloads that grow every step, or keep their length and
+// have incompressible chunks), a state to save twice, the damage, the
+// snapshot it hits and the worker count.
 //
-// One divergence is allowed, and only in that direction: XOR deltas between
-// payloads of one length commute, so two such links with their bodies
-// swapped rebuild every payload above the upper one exactly. A per-link
-// recovery refuses those snapshots (the payload between the two links is
-// wrong); an ends-only recovery may return one, because its payload hashes
-// to its header — it is the saved state, which the bitwise check confirms.
+// Two divergences are allowed, and only in the direction of restoring more —
+// the clean recovery refuses what the every-check one refuses, in the same
+// words, until it stops sooner, and VerifyBackend names the damage it
+// restored through:
+//
+//   - XOR deltas between payloads of one length commute and undo themselves,
+//     so wrong intermediates can end in the right payload: two such links
+//     with their bodies swapped — or two of their chunks that cover the same
+//     bytes, with their files swapped — rebuild every payload above the upper
+//     one exactly, and a well-formed wrong piece at an address that an even
+//     number of links XOR into the same bytes (the all-zero chunk of a sparse
+//     chain) cancels out of the last of them. An every-check recovery refuses
+//     those snapshots (the payloads in between are wrong, the frames miss
+//     their addresses); a clean recovery may return one, because its payload
+//     hashes to its header — it is the saved state, which the bitwise check
+//     confirms.
+//   - A stored frame that no longer hashes to its address but still unframes
+//     to the piece that was saved there — the piece framed raw where it was
+//     compressed or the other way round, a flipped bit the inflater does not
+//     read — builds the right payload: the clean recovery restores the newest
+//     snapshot and skips nothing, the every-check recovery refuses every
+//     snapshot that names the chunk.
 func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
 	f.Add(uint64(1), uint8(layoutMonolithic), uint8(0), uint8(damageWrongBit), uint8(3), uint16(0))
 	f.Add(uint64(2), uint8(layoutFixed), uint8(0), uint8(damageLonger), uint8(2), uint16(0))
@@ -556,7 +686,22 @@ func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
 	f.Add(uint64(5), uint8(layoutMonolithic), uint8(0), uint8(damageSwapLinks), uint8(2), uint16(3))
 	f.Add(uint64(6), uint8(layoutCDC), uint8(3), uint8(damageNone), uint8(0), uint16(0))
 	f.Add(uint64(7), uint8(layoutFixed), uint8(2), uint8(damageWrongBit), uint8(6), uint16(0))
-	f.Add(uint64(8), uint8(layoutFixed), uint8(0), uint8(damageSwapLinks), uint8(1), uint16(4)) // fixed-length states: the links commute
+	f.Add(uint64(8), uint8(layoutFixed), uint8(0), uint8(damageSwapLinks), uint8(1), uint16(4))          // fixed-length states: the links commute
+	f.Add(uint64(10), uint8(layoutFixed), uint8(0), uint8(damageChunkFlipRaw), uint8(0), uint16(9))      // an anchor chunk of random floats
+	f.Add(uint64(11), uint8(layoutCDC), uint8(0), uint8(damageChunkFlipFlate), uint8(4), uint16(33))     // a link's chunk
+	f.Add(uint64(12), uint8(layoutFixed), uint8(1), uint8(damageChunkFlipFlate), uint8(0), uint16(3))    // byte 3: the frame's recorded length
+	f.Add(uint64(13), uint8(layoutCDC), uint8(0), uint8(damageChunkTruncate), uint8(0), uint16(2000))    // anchor
+	f.Add(uint64(14), uint8(layoutFixed), uint8(0), uint8(damageChunkTruncate), uint8(7), uint16(4))     // the target, cut inside its header
+	f.Add(uint64(15), uint8(layoutFixed), uint8(0), uint8(damageChunkMissing), uint8(0), uint16(1))      // anchor
+	f.Add(uint64(16), uint8(layoutCDC), uint8(2), uint8(damageChunkMissing), uint8(5), uint16(0))        // a link
+	f.Add(uint64(18), uint8(layoutFixed), uint8(0), uint8(damageChunkSwap), uint8(0), uint16(23))        // anchor chunk ↔ some other file
+	f.Add(uint64(20), uint8(layoutFixed), uint8(0), uint8(damageChunkSwap), uint8(3), uint16(0))         // two links' first chunks: they commute
+	f.Add(uint64(21), uint8(layoutCDC), uint8(0), uint8(damageChunkOther), uint8(0), uint16(77))         // anchor
+	f.Add(uint64(22), uint8(layoutFixed), uint8(0), uint8(damageChunkOther), uint8(6), uint16(5))        // a link
+	f.Add(uint64(4), uint8(layoutFixed), uint8(5), uint8(damageChunkOther), uint8(4), uint16(4))         // the all-zero chunk eight links name: the wrong bit cancels
+	f.Add(uint64(24), uint8(layoutFixed), uint8(0), uint8(damageChunkReframe), uint8(0), uint16(2))      // raw → flate at the anchor
+	f.Add(uint64(25), uint8(layoutCDC), uint8(0), uint8(damageChunkReframe), uint8(4), uint16(1))        // flate → raw at a link
+	f.Add(uint64(27), uint8(layoutMonolithic), uint8(0), uint8(damageChunkMissing), uint8(2), uint16(0)) // no chunks: nothing to damage
 	f.Fuzz(func(t *testing.T, seed uint64, layoutSel, dup, damageSel, at uint8, arg uint16) {
 		const n = 8
 		states := bigSeqStates(n) // every payload 8 bytes longer than the last
@@ -575,9 +720,12 @@ func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
 			opts.Chunker = ChunkerCDC
 		}
 		mem := saveChain(t, opts, states)
-		link := 1 + uint64(at)%uint64(len(states)-1)
+		newest := uint64(len(states) - 1)
+		link := 1 + uint64(at)%newest
 		key := snapshotName(link, KindDelta)
 		damage := int(damageSel) % damageCount
+		var chunk string   // the address a chunk damage hit
+		var samePiece bool // … and left holding another frame of the same piece
 		switch damage {
 		case damageWrongBit:
 			substituteWrongDelta(t, mem, link)
@@ -587,7 +735,8 @@ func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
 			if addrs, err := manifestAddrs(mem, key); err != nil {
 				t.Fatal(err)
 			} else if len(addrs) > 0 {
-				key = ChunkKey(addrs[int(arg)%len(addrs)])
+				chunk = addrs[int(arg)%len(addrs)]
+				key = ChunkKey(chunk)
 			}
 			rewriteObject(t, mem, key, func(data []byte) []byte {
 				data[int(arg)%len(data)] ^= 0x40
@@ -596,9 +745,17 @@ func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
 		case damageTruncate:
 			rewriteObject(t, mem, key, func(data []byte) []byte { return data[:int(arg)%len(data)] })
 		case damageSwapLinks:
-			if other := 1 + uint64(arg)%uint64(len(states)-1); other != link {
+			if other := 1 + uint64(arg)%newest; other != link {
 				swapLinkBodies(t, mem, link, other)
 			}
+		case damageNone:
+		default: // a chunk of any snapshot of the chain, the anchor included
+			if snap := uint64(at) % (newest + 1); snap == 0 {
+				key = snapshotName(0, KindFull)
+			} else {
+				key = snapshotName(snap, KindDelta)
+			}
+			chunk, samePiece = damageChunk(t, mem, key, damage, arg)
 		}
 
 		type outcome struct {
@@ -606,39 +763,65 @@ func FuzzEndsOnlyMatchesPerLink(f *testing.F) {
 			payload []byte
 			skipped []string
 		}
-		recoverWith := func(everyLink bool) outcome {
-			verifyEveryLink = everyLink
+		recoverWith := func(everything bool) outcome {
+			verifyEveryLink = everything
 			defer func() { verifyEveryLink = false }()
 			got, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: int(seed % 3)})
+			if everything && report.ConvictionWalks != 0 {
+				t.Fatalf("an every-check recovery ran %d conviction walks", report.ConvictionWalks)
+			} else if report.ConvictionWalks > 1 {
+				t.Fatalf("%d conviction walks over one damaged chain: a convicted link was walked again", report.ConvictionWalks)
+			}
 			if errors.Is(err, ErrNoCheckpoint) {
 				return outcome{seq: math.MaxUint64, skipped: report.Skipped}
 			} else if err != nil {
 				t.Fatal(err)
-			}
-			if everyLink && report.ConvictionWalks != 0 {
-				t.Fatalf("a per-link recovery ran %d conviction walks", report.ConvictionWalks)
 			}
 			payload, err := EncodePayload(got)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want, _ := EncodePayload(states[report.Seq]); !bytes.Equal(payload, want) {
-				t.Fatalf("everyLink=%v restored seq %d to bytes that are not the state saved under it", everyLink, report.Seq)
+				t.Fatalf("everything=%v restored seq %d to bytes that are not the state saved under it", everything, report.Seq)
 			}
 			return outcome{report.Seq, payload, report.Skipped}
 		}
-		ends, perLink := recoverWith(false), recoverWith(true)
-		if damage == damageSwapLinks && ends.seq != perLink.seq {
-			if ends.seq == math.MaxUint64 || perLink.seq != math.MaxUint64 && ends.seq < perLink.seq {
-				t.Fatalf("swapped links: ends-only restored seq %d, below the per-link recovery's %d", int64(ends.seq), int64(perLink.seq))
+		clean, every := recoverWith(false), recoverWith(true)
+		if samePiece && (clean.seq != newest || len(clean.skipped) != 0) {
+			t.Fatalf("chunk %.12s… holds another frame of its own piece: the clean recovery restored seq %d, skipping %v", chunk, int64(clean.seq), clean.skipped)
+		}
+		if clean.seq != every.seq {
+			// What the clean recovery refused, the every-check one refused
+			// in the same words; it may only have stopped refusing sooner,
+			// at a snapshot checked bitwise above, over damage that leaves
+			// well-formed pieces of the right length behind.
+			switch damage {
+			case damageSwapLinks, damageFlipByte, damageChunkFlipRaw, damageChunkFlipFlate, damageChunkSwap, damageChunkOther, damageChunkReframe:
+			default:
+				t.Fatalf("damage %d: clean recovery restored seq %d, every-check seq %d", damage, int64(clean.seq), int64(every.seq))
 			}
-			return // commuting links: ends-only returned a newer snapshot, checked bitwise above
+			if clean.seq == math.MaxUint64 || every.seq != math.MaxUint64 && clean.seq < every.seq {
+				t.Fatalf("the clean recovery restored seq %d, below the every-check recovery's %d", int64(clean.seq), int64(every.seq))
+			}
+			if len(every.skipped) < len(clean.skipped) {
+				t.Fatalf("the clean recovery skipped more than the every-check one: %v vs %v", clean.skipped, every.skipped)
+			}
+			named := "" // swapped links: the lower one's payload hash
+			if damage == damageChunkSwap {
+				named = "corrupt in backend" // whichever of the two a chain meets first
+			} else if chunk != "" {
+				named = "chunk " + chunk + " corrupt in backend"
+			}
+			_, problems, err := VerifyBackend(mem)
+			if said := strings.Join(problems, "\n"); err != nil || said == "" || !strings.Contains(said, named) {
+				t.Fatalf("VerifyBackend does not name the damage (chunk %q) a clean recovery restored through: %v, %v", chunk, problems, err)
+			}
+			every.skipped = every.skipped[:len(clean.skipped)]
+		} else if !bytes.Equal(clean.payload, every.payload) {
+			t.Fatalf("seq %d restored to different bytes", int64(clean.seq))
 		}
-		if ends.seq != perLink.seq || !bytes.Equal(ends.payload, perLink.payload) {
-			t.Fatalf("ends-only restored seq %d, per-link seq %d", int64(ends.seq), int64(perLink.seq))
-		}
-		if strings.Join(ends.skipped, "\n") != strings.Join(perLink.skipped, "\n") {
-			t.Fatalf("Skipped differs.\nends-only:\n%s\nper-link:\n%s", strings.Join(ends.skipped, "\n"), strings.Join(perLink.skipped, "\n"))
+		if strings.Join(clean.skipped, "\n") != strings.Join(every.skipped, "\n") {
+			t.Fatalf("Skipped differs.\nclean:\n%s\nevery check:\n%s", strings.Join(clean.skipped, "\n"), strings.Join(every.skipped, "\n"))
 		}
 	})
 }
@@ -695,7 +878,7 @@ func TestResolveDoesNotMutateTheCache(t *testing.T) {
 	}
 	// Only a raw chunk's piece aliases the frame it was read as; the newest
 	// delta must hold one for the above to have tried anything.
-	newest, err := v.readObject(bySeq[0].key)
+	newest, err := v.readObject(bySeq[0].key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -925,11 +1108,10 @@ func TestLoadReportAttributesTheRestore(t *testing.T) {
 	if c.ChunksFetched == 0 || c.ZeroPiecesSkipped == 0 {
 		t.Errorf("ChunksFetched=%d ZeroPiecesSkipped=%d on a sparse chunked chain", c.ChunksFetched, c.ZeroPiecesSkipped)
 	}
-	// The payload hashed at the anchor and at the target, plus files and
-	// chunk frames: the anchor's chunks are at most a payload's worth, a
-	// sparse link's are not.
-	if lo, hi := int64(2*len(payload)), int64(4*len(payload)); c.BytesHashed < lo || c.BytesHashed > hi || c.ConvictionWalks != 0 {
-		t.Errorf("BytesHashed = %d (%d conviction walks) for a %d-byte payload over %d links, want within [%d, %d] and none",
+	// The payload hashed once, at the target, plus the chain's snapshot
+	// files: no chunk frame, and not the anchor.
+	if lo, hi := int64(len(payload)), int64(2*len(payload)); c.BytesHashed < lo || c.BytesHashed >= hi || c.ConvictionWalks != 0 {
+		t.Errorf("BytesHashed = %d (%d conviction walks) for a %d-byte payload over %d links, want within [%d, %d) and none",
 			c.BytesHashed, c.ConvictionWalks, len(payload), report.ChainLen, lo, hi)
 	}
 	_, again, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{Workers: 1})
@@ -943,9 +1125,9 @@ func TestLoadReportAttributesTheRestore(t *testing.T) {
 
 // BenchmarkRestoreChain is the sub-step restore in isolation: a 2 MiB state
 // in 8 KiB chunks on a Mem backend, one anchor and 15 delta links that each
-// dirtied 0.3 % of it. hashed-B/op is the restore's SHA-256 traffic —
-// snapshot files, chunk frames and the payload at the anchor and target:
-// two state-sized hashes however long the chain.
+// dirtied 0.3 % of it. hashed-B/op is the restore's SHA-256 traffic — the
+// chain's snapshot files and the payload at the target: one state-sized
+// hash however long the chain.
 func BenchmarkRestoreChain(b *testing.B) {
 	const params, links, window = 256 << 10, 16, 768 // 2 MiB of float64; 768 params ≈ 0.3 %
 	states := sparseStates(13, params, links, window)
@@ -972,8 +1154,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 // snapshot of a 2 MiB state in 64 KiB chunks on a Mem backend, under the
 // options the end-to-end benchmark restores with. B/op is what is left to
 // allocate beside the decoded state once the payload and the inflated chunks
-// come from the pools; hashed-B/op is the file, the chunk frames and the
-// payload, once each.
+// come from the pools; hashed-B/op is the file and the payload, once each.
 func BenchmarkRestoreFull(b *testing.B) {
 	const params = 256 << 10 // 2 MiB of float64
 	states := sparseStates(13, params, 1, 0)

@@ -150,12 +150,16 @@ func appendChunkFrame(dst, piece []byte) ([]byte, error) {
 // frame, so callers must not retain it past the frame's lifetime; a
 // compressed chunk inflates, to exactly the recorded raw length, into pooled
 // scratch that comes back beside the piece (nil for a raw chunk) for the
-// caller to putScratch at the piece's last use.
-func decodeChunkFrame(frame []byte) (piece []byte, scratch *[]byte, err error) {
+// caller to putScratch at the piece's last use. The frame may be unchecked
+// bytes: a recorded length above limit is refused before it sizes a buffer.
+func decodeChunkFrame(frame []byte, limit int) (piece []byte, scratch *[]byte, err error) {
 	if len(frame) < chunkFrameHeader {
 		return nil, nil, fmt.Errorf("%w: chunk frame too short (%d bytes)", ErrCorrupt, len(frame))
 	}
 	rawLen := int(binary.LittleEndian.Uint32(frame[1:]))
+	if rawLen > min(limit, MaxChunkBytes) {
+		return nil, nil, fmt.Errorf("%w: chunk frame claims %d bytes, more than its snapshot holds", ErrCorrupt, rawLen)
+	}
 	body := frame[chunkFrameHeader:]
 	switch frame[0] {
 	case chunkFrameRaw:
@@ -212,51 +216,53 @@ type chunkManifestInfo struct {
 	params  cdcParams // min/norm/max from the params line (CHUNKS3)
 }
 
-// decodeChunkManifest parses a manifest body of either version.
+// decodeChunkManifest parses a manifest body of either version in place: one
+// copy of the text, whose substrings the addresses are, in a slice sized once.
 func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 	var info chunkManifestInfo
-	lines := strings.Split(string(data), "\n")
-	if len(lines) < 2 {
+	line, rest, more := strings.Cut(string(data), "\n")
+	if !more {
 		return info, fmt.Errorf("%w: bad chunk manifest header", ErrCorrupt)
 	}
-	switch lines[0] {
+	switch line {
 	case chunkManifestMagic:
 	case chunkManifestMagicV3:
 		info.cdc = true
 	default:
 		return info, fmt.Errorf("%w: bad chunk manifest header", ErrCorrupt)
 	}
-	rawLen, err := strconv.Atoi(lines[1])
+	line, rest, more = strings.Cut(rest, "\n")
+	rawLen, err := strconv.Atoi(line)
 	if err != nil || rawLen < 0 {
-		return info, fmt.Errorf("%w: bad chunk manifest length %q", ErrCorrupt, lines[1])
+		return info, fmt.Errorf("%w: bad chunk manifest length %q", ErrCorrupt, line)
 	}
 	info.rawLen = rawLen
-	rest := lines[2:]
 	if info.cdc {
-		if len(rest) == 0 {
+		if !more {
 			return info, fmt.Errorf("%w: CHUNKS3 manifest missing chunker line", ErrCorrupt)
 		}
-		f := strings.Fields(rest[0])
+		line, rest, _ = strings.Cut(rest, "\n")
+		f := strings.Fields(line)
 		if len(f) != 4 {
-			return info, fmt.Errorf("%w: bad chunker line %q", ErrCorrupt, rest[0])
+			return info, fmt.Errorf("%w: bad chunker line %q", ErrCorrupt, line)
 		}
 		info.chunker = f[0]
 		sizes := [3]int{}
 		for i, s := range f[1:] {
 			v, err := strconv.Atoi(s)
 			if err != nil || v <= 0 {
-				return info, fmt.Errorf("%w: bad chunker line %q", ErrCorrupt, rest[0])
+				return info, fmt.Errorf("%w: bad chunker line %q", ErrCorrupt, line)
 			}
 			sizes[i] = v
 		}
 		if sizes[0] > sizes[1] || sizes[1] > sizes[2] {
-			return info, fmt.Errorf("%w: bad chunker bounds %q", ErrCorrupt, rest[0])
+			return info, fmt.Errorf("%w: bad chunker bounds %q", ErrCorrupt, line)
 		}
 		info.params = cdcParams{minSize: sizes[0], normSize: sizes[1], maxSize: sizes[2]}
-		rest = rest[1:]
 	}
-	for _, line := range rest {
-		if line == "" {
+	info.addrs = make([]string, 0, strings.Count(rest, "\n"))
+	for rest != "" {
+		if line, rest, _ = strings.Cut(rest, "\n"); line == "" {
 			continue
 		}
 		if len(line) != 64 {

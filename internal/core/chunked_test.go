@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/storage"
 )
 
@@ -458,6 +462,113 @@ func FuzzDecodeChunkManifest(f *testing.F) {
 			t.Fatalf("decodeChunkManifest(%q) accepted %d bytes in %d chunks", data, info.rawLen, len(info.addrs))
 		}
 	})
+}
+
+// referenceDecodeChunkManifest is the parser decodeChunkManifest replaced: the
+// text split into a slice of lines, the addresses appended one by one.
+func referenceDecodeChunkManifest(data []byte) (chunkManifestInfo, error) {
+	var info chunkManifestInfo
+	lines := strings.Split(string(data), "\n")
+	if len(lines) < 2 {
+		return info, fmt.Errorf("%w: bad chunk manifest header", ErrCorrupt)
+	}
+	switch lines[0] {
+	case chunkManifestMagic:
+	case chunkManifestMagicV3:
+		info.cdc = true
+	default:
+		return info, fmt.Errorf("%w: bad chunk manifest header", ErrCorrupt)
+	}
+	rawLen, err := strconv.Atoi(lines[1])
+	if err != nil || rawLen < 0 {
+		return info, fmt.Errorf("%w: bad chunk manifest length %q", ErrCorrupt, lines[1])
+	}
+	info.rawLen = rawLen
+	rest := lines[2:]
+	if info.cdc {
+		if len(rest) == 0 {
+			return info, fmt.Errorf("%w: CHUNKS3 manifest missing chunker line", ErrCorrupt)
+		}
+		f := strings.Fields(rest[0])
+		if len(f) != 4 {
+			return info, fmt.Errorf("%w: bad chunker line %q", ErrCorrupt, rest[0])
+		}
+		info.chunker = f[0]
+		sizes := [3]int{}
+		for i, s := range f[1:] {
+			v, err := strconv.Atoi(s)
+			if err != nil || v <= 0 {
+				return info, fmt.Errorf("%w: bad chunker line %q", ErrCorrupt, rest[0])
+			}
+			sizes[i] = v
+		}
+		if sizes[0] > sizes[1] || sizes[1] > sizes[2] {
+			return info, fmt.Errorf("%w: bad chunker bounds %q", ErrCorrupt, rest[0])
+		}
+		info.params = cdcParams{minSize: sizes[0], normSize: sizes[1], maxSize: sizes[2]}
+		rest = rest[1:]
+	}
+	for _, line := range rest {
+		if line == "" {
+			continue
+		}
+		if len(line) != 64 {
+			return info, fmt.Errorf("%w: malformed chunk address %q", ErrCorrupt, line)
+		}
+		info.addrs = append(info.addrs, line)
+	}
+	if int64(rawLen) > int64(len(info.addrs))*MaxChunkBytes {
+		return info, fmt.Errorf("%w: chunk manifest claims %d bytes in %d chunks", ErrCorrupt, rawLen, len(info.addrs))
+	}
+	return info, nil
+}
+
+// TestDecodeChunkManifestMatchesReference: parsing in place changed what a
+// parse allocates and nothing else. Sound manifests of both versions, every
+// truncation of them and a few thousand single-byte edits (a newline moved,
+// a digit turned into a letter, an address a byte short) get the same
+// manifest or the same error from both parsers, and a sound one costs the
+// copy of its text, its address slice and — CHUNKS3 — the chunker's fields.
+func TestDecodeChunkManifestMatchesReference(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 40; i++ {
+		addrs = append(addrs, storage.Hash([]byte{byte(i % 7)})) // repeats, as a delta body has
+	}
+	seeds := [][]byte{
+		appendChunkManifest(nil, 12345, cdcParams{}, addrs),
+		appendChunkManifest(nil, 999, cdcParamsFor(8<<10), addrs),
+		appendChunkManifest(nil, 0, cdcParams{}, nil),
+		appendChunkManifest(nil, 0, cdcParamsFor(8<<10), nil),
+		[]byte(chunkManifestMagic), []byte(chunkManifestMagicV3 + "\n7"), []byte(chunkManifestMagic + "\n0\n\n\n"), nil,
+	}
+	same := func(data []byte) {
+		t.Helper()
+		got, gotErr := decodeChunkManifest(data)
+		want, wantErr := referenceDecodeChunkManifest(data)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("decodeChunkManifest(%q): err %v, the reference's %v", data, gotErr, wantErr)
+		}
+		if gotErr == nil && (got.rawLen != want.rawLen || got.cdc != want.cdc || got.chunker != want.chunker || got.params != want.params || !slices.Equal(got.addrs, want.addrs)) {
+			t.Fatalf("decodeChunkManifest(%q) = %+v, the reference's %+v", data, got, want)
+		}
+	}
+	r := rng.New(24)
+	for _, seed := range seeds {
+		for cut := 0; cut <= len(seed); cut++ {
+			same(seed[:cut])
+		}
+		for i := 0; i < 2000 && len(seed) > 0; i++ {
+			edited := bytes.Clone(seed)
+			const edits = "\n\n 0a9x-"
+			edited[r.Intn(len(edited))] = edits[r.Intn(len(edits))]
+			same(edited)
+		}
+	}
+	for i, wantAllocs := range []float64{2, 3} {
+		if got := testing.AllocsPerRun(20, func() { decodeChunkManifest(seeds[i]) }); got > wantAllocs {
+			t.Errorf("manifest %d: %v allocs per parse, want at most %v", i, got, wantAllocs)
+		}
+	}
 }
 
 func TestSplitChunks(t *testing.T) {

@@ -51,7 +51,7 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 		return "", 0, err
 	}
 	// Paranoia: verify the fresh anchor before deleting anything.
-	gotH, body, err := newSnapshotView(b, RestoreOptions{}).readBody(newKey)
+	gotH, body, err := newSnapshotView(b, RestoreOptions{}).readBody(newKey, nil)
 	if err != nil {
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
 	}

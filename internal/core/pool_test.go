@@ -146,7 +146,7 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 			if len(frame) > len(tc.piece)+chunkFrameHeader {
 				t.Errorf("frame %d bytes exceeds piece %d + header", len(frame), len(tc.piece))
 			}
-			got, scratch, err := decodeChunkFrame(frame)
+			got, scratch, err := decodeChunkFrame(frame, len(tc.piece))
 			if err != nil {
 				t.Fatal(err)
 			}

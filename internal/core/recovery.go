@@ -39,15 +39,15 @@ type LoadReport struct {
 // the caller waited, less loop overhead.
 type LoadCost struct {
 	Index  time.Duration // listing snapshots and parsing their headers
-	Fetch  time.Duration // getting snapshot objects and chunks: read, content check, unframe, waits on helpers and warmers
+	Fetch  time.Duration // getting snapshot objects and chunks: read, file hash, unframe, waits on helpers and warmers; chunk address checks on a conviction walk
 	Apply  time.Duration // copying anchor pieces and XORing delta pieces into the payload
-	Verify time.Duration // SHA-256 of the payload at the anchor and target; after every link on a conviction walk
+	Verify time.Duration // SHA-256 of the payload at the target; at the anchor and after every link too on a conviction walk
 	Decode time.Duration // DecodePayload and the Meta compatibility check
 
 	ChunksFetched     int   // chunk reads issued, one per distinct address per snapshot
 	ZeroPiecesSkipped int   // all-zero delta pieces that cost no XOR
-	BytesHashed       int64 // bytes fed to SHA-256: snapshot files, chunk frames, payloads
-	ConvictionWalks   int   // chains walked a second time, hashing every link, to name a wrong one
+	BytesHashed       int64 // bytes fed to SHA-256: snapshot files and the target's payload; on a conviction walk chunk frames, the anchor and every link too
+	ConvictionWalks   int   // chains walked a second time, every check on, to name the chunk or link that is wrong
 }
 
 // indexEntry caches one snapshot object's header for chain resolution.
@@ -71,12 +71,13 @@ const recoveryCacheBytes = 64 << 20
 // prefetcher asking for one object at the same moment share one fetch of
 // it. Its RestoreOptions size the chunk engine (restore.go). cost
 // accumulates what the view's owner spent, convicted the links a conviction
-// walk found wrong; only the goroutine resolving through the view writes them.
-// manifests, on a view that has one (recovery's: it walks a chain again to
-// convict a link, and candidate after candidate over the same links), keeps
-// every chunked snapshot object checked and parsed, so each is fetched,
-// hashed, inflated and parsed once — by the chain warmer when there is one,
-// which is why mu guards it.
+// walk found wrong, and unchecked is set for the length of a clean walk,
+// whose chunk reads skip the address check every other reader makes; only
+// the goroutine resolving through the view writes them. manifests, on a view
+// that has one (recovery's: it walks a chain again to convict a link, and
+// candidate after candidate over the same links), keeps every chunked
+// snapshot object checked and parsed, so each is fetched, hashed, inflated
+// and parsed once — by the chain warmer when there is one, hence mu.
 //
 // Payloads the view resolves are pooled (pool.go, DESIGN.md §8): whoever is
 // handed a *refBuf is its one holder and releases it when done, on every
@@ -87,6 +88,7 @@ type snapshotView struct {
 	opts      RestoreOptions
 	cost      LoadCost
 	convicted map[string]error
+	unchecked bool
 	mu        sync.Mutex
 	manifests map[string]*snapshotObject
 }
@@ -137,14 +139,19 @@ func (v *snapshotView) object(key string) (*snapshotObject, error) {
 
 // readObject is object for the resolving goroutine: the time goes to Fetch
 // and the object's bytes, the first time the resolver meets it, to
-// BytesHashed.
-func (v *snapshotView) readObject(key string) (*snapshotObject, error) {
+// BytesHashed. probed, if any, is the header an unverified range read gave
+// the index — chains were resolved by it, payloads are hashed against it —
+// and the object read whole, file hash passed, must carry the same one.
+func (v *snapshotView) readObject(key string, probed *Header) (*snapshotObject, error) {
 	start := time.Now()
 	o, err := v.object(key)
 	v.cost.Fetch += time.Since(start)
 	if err == nil && !o.charged {
 		o.charged = true
 		v.cost.BytesHashed += int64(o.fileLen)
+	}
+	if err == nil && probed != nil && o.h != *probed {
+		return nil, fmt.Errorf("%w: header changed between probe and read", ErrCorrupt)
 	}
 	return o, err
 }
@@ -154,7 +161,7 @@ func (v *snapshotView) readObject(key string) (*snapshotObject, error) {
 // bitwise-identical bodies.
 func (v *snapshotView) assemble(info chunkManifestInfo) (*refBuf, error) {
 	body := getBody(info.rawLen)
-	err := walkPieces(v.cs, info, v.opts, &v.cost, func(_ int, piece []byte) error {
+	err := walkPieces(v.cs, info, v.opts, v.unchecked, &v.cost, func(_ int, piece []byte) error {
 		if len(piece) > info.rawLen-len(body.b) {
 			return fmt.Errorf("%w: assembled more than the %d manifest bytes", ErrCorrupt, info.rawLen)
 		}
@@ -171,11 +178,11 @@ func (v *snapshotView) assemble(info chunkManifestInfo) (*refBuf, error) {
 	return body, nil
 }
 
-// readBody fully verifies the snapshot object at key and returns its
-// resolved body in a pooled buffer the caller holds: the payload or delta
+// readBody fully verifies the snapshot object at key (readObject) and returns
+// its resolved body in a pooled buffer the caller holds: the payload or delta
 // bytes, with chunked bodies assembled from the chunk store.
-func (v *snapshotView) readBody(key string) (Header, *refBuf, error) {
-	o, err := v.readObject(key)
+func (v *snapshotView) readBody(key string, probed *Header) (Header, *refBuf, error) {
+	o, err := v.readObject(key, probed)
 	if err != nil {
 		return Header{}, nil, err
 	}
@@ -194,21 +201,21 @@ func (v *snapshotView) readBody(key string) (Header, *refBuf, error) {
 	return o.h, body, nil
 }
 
-// applyLink applies the delta snapshot at key to payload in place (its
+// applyLink applies the delta snapshot at ent to payload in place (its
 // buffer traded for a larger pooled one only if the payload outgrew it). The
 // delta body is never materialised: each distinct chunk is
 // fetched and unframed once and only its non-zero pieces are XORed in, so
 // the link costs O(dirty bytes) on top of reading its manifest. After an
 // error the payload's bytes are garbage.
-func (v *snapshotView) applyLink(key string, payload *refBuf) error {
-	o, err := v.readObject(key)
+func (v *snapshotView) applyLink(ent indexEntry, payload *refBuf) error {
+	o, err := v.readObject(ent.key, &ent.h)
 	if err != nil {
 		return err
 	}
 	a := deltaApplier{payload: payload}
 	if o.h.Kind.Chunked() {
 		a.rawLen = o.info.rawLen
-		err = walkPieces(v.cs, o.info, v.opts, &v.cost, a.visit)
+		err = walkPieces(v.cs, o.info, v.opts, v.unchecked, &v.cost, a.visit)
 	} else {
 		start := time.Now()
 		var delta []byte
@@ -241,7 +248,7 @@ func (v *snapshotView) payloadIs(payload []byte, want [32]byte) bool {
 // applyVerified applies the delta snapshot at ent to payload in place
 // (applyLink) and checks the result against ent's PayloadHash.
 func (v *snapshotView) applyVerified(ent indexEntry, payload *refBuf) error {
-	if err := v.applyLink(ent.key, payload); err != nil {
+	if err := v.applyLink(ent, payload); err != nil {
 		return err
 	}
 	if !v.payloadIs(payload.b, ent.h.PayloadHash) {
@@ -290,18 +297,17 @@ func (v *snapshotView) buildIndex() (bySeq []indexEntry, byPayloadHash baseIndex
 	return bySeq, byPayloadHash, skipped, nil
 }
 
-// verifyEveryLink makes every walk hash every link, as a conviction walk
+// verifyEveryLink makes every walk run every check, as a conviction walk
 // does. Only the equivalence fuzzer of chain_restore_test.go sets it.
 var verifyEveryLink bool
 
-// resolvePayload reconstructs the canonical payload of the snapshot at ent,
-// hashing it at the two ends of the chain (walk): a wrong link in between
-// can only yield a payload that misses the target's hash, or garbage that a
-// later link's header check refuses (DESIGN.md §4). A walk that fails above
-// a link it applied unhashed says the chain is unusable, not where, so the
-// chain is walked again hashing every link and that walk's error, naming
-// the first wrong link, is reported. The link is remembered: candidates
-// built on it get the same error before any I/O.
+// resolvePayload reconstructs the canonical payload of the snapshot at ent
+// with one payload-sized hash, the target's (walk): a wrong chunk, anchor or
+// link below it can only yield a payload that misses that hash, or garbage
+// that a later step refuses on a length (DESIGN.md §4). A failed walk says
+// the chain is unusable, not where, so it is walked once more with every
+// check on, and that walk's verdict, naming the first wrong chunk or link, is
+// reported and remembered: candidates built on it get it before any I/O.
 func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload *refBuf, chainLen int, err error) {
 	// Walk back collecting the chain: ent, base(ent), base(base(ent)), …
 	chain := []indexEntry{ent}
@@ -316,7 +322,7 @@ func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload *re
 		}
 	}
 	payload, at, err := v.walk(chain, verifyEveryLink)
-	if err != nil && at < len(chain)-2 && !verifyEveryLink {
+	if err != nil && !verifyEveryLink {
 		v.cost.ConvictionWalks++
 		if payload, at, err = v.walk(chain, true); err != nil {
 			v.convicted[chain[at].key] = err
@@ -326,26 +332,29 @@ func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload *re
 }
 
 // walk assembles the anchor of chain (target first, anchor last) into a
-// pooled buffer, checks it against the anchor's header and
-// applies every link to it in place, so a link costs O(dirty bytes); the
-// last link — every link, if everyLink — is checked against its header
-// (applyVerified). A failure is at chain[at]; below it, only hashed links
-// are known to be sound, and the buffer is back in the pool. The next link
-// is warmed while this one applies; waiting for a warmer is Fetch time.
-func (v *snapshotView) walk(chain []indexEntry, everyLink bool) (payload *refBuf, at int, err error) {
+// pooled buffer, applies every link to it in place, so a link costs O(dirty
+// bytes), and checks the result against the target's header: the one check
+// of content a clean walk makes. With everything, chunks are also hashed
+// against their addresses and the payload against its header at the anchor
+// and after every link (applyVerified). A failure is at chain[at], and the
+// buffer is back in the pool. The next link is warmed while this one applies;
+// waiting for a warmer is Fetch time.
+func (v *snapshotView) walk(chain []indexEntry, everything bool) (payload *refBuf, at int, err error) {
+	v.unchecked = !everything
 	var pf prefetcher
 	defer func() { // no warmer outlives the walk, error or not
 		start := time.Now()
 		pf.Wait()
 		v.cost.Fetch += time.Since(start)
+		v.unchecked = false
 	}()
 	at = len(chain) - 1
 	warmed := pf.start(v, chain, at-1)
-	_, payload, err = v.readBody(chain[at].key)
+	_, payload, err = v.readBody(chain[at].key, &chain[at].h)
 	if err != nil {
 		return nil, at, err
 	}
-	if !v.payloadIs(payload.b, chain[at].h.PayloadHash) {
+	if (everything || at == 0) && !v.payloadIs(payload.b, chain[at].h.PayloadHash) {
 		payload.release()
 		return nil, at, fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}
@@ -355,10 +364,10 @@ func (v *snapshotView) walk(chain []indexEntry, everyLink bool) (payload *refBuf
 		start := time.Now()
 		ready() // this link's warm has run since the previous iteration
 		v.cost.Fetch += time.Since(start)
-		if everyLink || at == 0 {
+		if everything || at == 0 {
 			err = v.applyVerified(chain[at], payload)
 		} else {
-			err = v.applyLink(chain[at].key, payload)
+			err = v.applyLink(chain[at], payload)
 		}
 		if err != nil {
 			payload.release()
@@ -444,7 +453,7 @@ func ReadSnapshotBody(filePath string) (Header, []byte, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	h, body, err := newSnapshotView(b, RestoreOptions{}).readBody(filepath.Base(filePath))
+	h, body, err := newSnapshotView(b, RestoreOptions{}).readBody(filepath.Base(filePath), nil)
 	if err != nil {
 		return h, nil, err
 	}
@@ -546,7 +555,7 @@ func (w *chainVerifier) settle(ent indexEntry, payload *refBuf, err error) bool 
 
 // anchor verifies the full snapshot at ent and the chains hanging off it.
 func (w *chainVerifier) anchor(ent indexEntry) {
-	_, payload, err := w.v.readBody(ent.key)
+	_, payload, err := w.v.readBody(ent.key, &ent.h)
 	if err == nil && !w.v.payloadIs(payload.b, ent.h.PayloadHash) {
 		err = fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}

@@ -26,6 +26,10 @@ import (
 //   - Each address once: a manifest that names an address many times (a
 //     delta body repeats the all-zero chunk heavily) fetches and unframes
 //     it once; repeats share the piece, which is held until its last use.
+//   - Pieces are bounded, not believed: a clean recovery reads frames without
+//     hashing them against their addresses (recovery.go), so a frame's length
+//     that disagrees with its bytes, or exceeds the manifest's whole body, is
+//     ErrCorrupt, and visitors place pieces by checked lengths alone.
 //   - Bounded window: at most Workers+Prefetch distinct chunks past the
 //     commit frontier are claimed (being fetched, or fetched and waiting
 //     for their turn), so restoring an arbitrarily large snapshot holds a
@@ -85,18 +89,22 @@ func (o RestoreOptions) window() int {
 	return o.workers() + pf
 }
 
-// fetchChunk is the unit of restore work: one content-verified chunk read
-// plus its unframing (raw pass-through, or exact-size decompression into the
-// pooled scratch returned beside the piece — decodeChunkFrame). Both
-// failure modes wrap ErrCorrupt so recovery falls back to an older
-// snapshot instead of treating the directory as unreadable. frameLen is
-// what the store hashed to check the address.
-func fetchChunk(cs *storage.ChunkStore, addr string) (piece []byte, scratch *[]byte, frameLen int, err error) {
-	frame, err := cs.Get(addr)
+// fetchChunk is the unit of restore work: one chunk read, content-verified
+// against its address unless unchecked, plus its unframing (raw pass-through,
+// or exact-size decompression into the pooled scratch returned beside the
+// piece — decodeChunkFrame, no piece longer than limit). Both failure modes
+// wrap ErrCorrupt so recovery falls back to an older snapshot instead of
+// treating the directory as unreadable. frameLen is what a check hashed.
+func fetchChunk(cs *storage.ChunkStore, addr string, limit int, unchecked bool) (piece []byte, scratch *[]byte, frameLen int, err error) {
+	read := cs.Get
+	if unchecked {
+		read = cs.GetUnchecked
+	}
+	frame, err := read(addr)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: chunk %.12s…: %v", ErrCorrupt, addr, err)
 	}
-	piece, scratch, err = decodeChunkFrame(frame)
+	piece, scratch, err = decodeChunkFrame(frame, limit)
 	return piece, scratch, len(frame), err
 }
 
@@ -146,8 +154,8 @@ type pieceSlot struct {
 // in first-occurrence order, so a visitor can remember a fact per address.
 // Time the caller spends planning the walk, fetching or waiting for pieces
 // and waiting for its helpers to drain is charged to cost.Fetch, time inside
-// visit to cost.Apply.
-func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptions, cost *LoadCost, visit func(d int, piece []byte) error) error {
+// visit to cost.Apply. unchecked skips the chunks' address checks.
+func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptions, unchecked bool, cost *LoadCost, visit func(d int, piece []byte) error) error {
 	t := time.Now()
 	distinct, ids := distinctAddrs(info.addrs)
 	n := len(distinct)
@@ -171,7 +179,7 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 	)
 	fetch := func(d int) {
 		s := &slots[d]
-		s.piece, s.scratch, s.frameLen, s.err = fetchChunk(cs, distinct[d])
+		s.piece, s.scratch, s.frameLen, s.err = fetchChunk(cs, distinct[d], info.rawLen, unchecked)
 	}
 
 	helpers := min(opt.workers()-1, n/helperMinChunks)
@@ -268,7 +276,9 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 				break
 			}
 			cost.ChunksFetched++
-			cost.BytesHashed += int64(s.frameLen)
+			if !unchecked {
+				cost.BytesHashed += int64(s.frameLen)
+			}
 		}
 		if firstErr = visit(d, s.piece); firstErr != nil {
 			break
@@ -331,16 +341,18 @@ func (p *prefetcher) start(v *snapshotView, chain []indexEntry, i int) func() {
 }
 
 // warm pulls key's snapshot object — and, for chunked kinds, its distinct
-// chunks — through the view's read cache, batching the chunk fetches so a
-// Tiered backend overlaps them per level, and leaves the object's parsed
-// manifest with the view for the foreground to pick up (object). Errors are
-// deliberately dropped: prefetch is a cache warmer, and the foreground read
-// reports any failure with full context.
+// chunks, in one batch a Tiered backend overlaps per level — through the
+// view's read cache and leaves the parsed manifest with the view for the
+// foreground to pick up (object). It hashes no chunk and drops results and
+// errors: the foreground read reports any failure with full context.
 func (v *snapshotView) warm(key string) {
 	o, err := v.object(key)
 	if err != nil || !o.h.Kind.Chunked() {
 		return
 	}
-	distinct, _ := distinctAddrs(o.info.addrs)
-	v.cs.GetBatch(distinct)
+	keys, _ := distinctAddrs(o.info.addrs)
+	for i, addr := range keys {
+		keys[i] = ChunkKey(addr)
+	}
+	storage.GetBatch(v.b, keys)
 }

@@ -306,7 +306,7 @@ func TestFailedWalkLeaksNoScratch(t *testing.T) {
 			})
 			givesBackItsBuffers(t, "a walk whose visitor gave up", func() {
 				visits := 0
-				err := walkPieces(cs, info, ro, new(LoadCost), func(int, []byte) error {
+				err := walkPieces(cs, info, ro, false, new(LoadCost), func(int, []byte) error {
 					if visits++; visits > at {
 						return errors.New("enough")
 					}

@@ -129,7 +129,7 @@ func TestWalkPiecesCallerIsAWorker(t *testing.T) {
 		}
 		before, visits, started := runtime.NumGoroutine(), 0, false
 		var cost LoadCost
-		err = walkPieces(cs, info, tc.opt, &cost, func(int, []byte) error {
+		err = walkPieces(cs, info, tc.opt, false, &cost, func(int, []byte) error {
 			visits++
 			started = started || runtime.NumGoroutine() > before
 			return nil

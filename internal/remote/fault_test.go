@@ -338,3 +338,97 @@ func TestKilledClientLeavesReapableOrphans(t *testing.T) {
 		t.Fatalf("chunks survived reap: %v %v", keys, err)
 	}
 }
+
+// TestCorruptAnchorChunkBehindClientFallsBack: recovery over the wire reads
+// chunks without hashing them against their addresses — the target's payload
+// hash judges what they build — so damage at rest on the server must still be
+// named, not merely survived. One chunk of the second chain's anchor is
+// overwritten in the server's store; a fresh client's recovery walks that
+// chain twice (the clean walk that dies on the target's hash, the walk with
+// every check on that names the chunk), blames the chunk for every snapshot
+// on that anchor, and restores the newest snapshot of the chain before it,
+// bitwise.
+func TestCorruptAnchorChunkBehindClientFallsBack(t *testing.T) {
+	mem := storage.NewMem()
+	svc, err := core.NewService(core.ServiceOptions{Backend: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(server.New(api.NewLocalOptions(svc, api.NewLeases(time.Minute), api.LocalOptions{}), server.Options{}))
+	defer ts.Close()
+	saver, err := remote.Dial(ts.URL, remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer saver.Close()
+
+	const every, n = 3, 6
+	m, err := core.NewManager(core.Options{Backend: saver, Strategy: core.StrategyDelta, AnchorEvery: every, ChunkBytes: core.MinChunkBytes, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]*core.TrainingState, n)
+	for i := range states {
+		states[i] = fullState(4096, "anchor")
+		states[i].Step = uint64(i)
+		for j := range states[i].Params {
+			states[i].Params[j] += float64(i) // every chunk of every anchor is its own
+		}
+		if _, err := m.Save(states[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second anchor's manifest, read as the restorer will read it.
+	keys, err := saver.List("ckpt-")
+	if err != nil || len(keys) != n {
+		t.Fatalf("listed %v, %v", keys, err)
+	}
+	data, err := saver.Get(keys[every])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, manifest, err := core.DecodeSnapshotFile(data)
+	if err != nil || h.Kind != core.KindFullChunked {
+		t.Fatalf("%s: %+v, %v; want a chunked anchor", keys[every], h, err)
+	}
+	var victim string
+	for _, line := range strings.Split(string(manifest), "\n") {
+		if len(line) == 64 {
+			victim = line
+		}
+	}
+	frame, err := mem.Get(core.ChunkKey(victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[len(frame)/2] ^= 0x20
+	if err := mem.Put(core.ChunkKey(victim), frame); err != nil {
+		t.Fatal(err)
+	}
+
+	restorer, err := remote.Dial(ts.URL, remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restorer.Close()
+	got, report, err := core.LoadLatestBackendOptions(restorer, nil, core.RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Seq != every-1 || !got.Equal(states[every-1]) {
+		t.Fatalf("restored seq %d, want seq %d bitwise", report.Seq, every-1)
+	}
+	if len(report.Skipped) != n-every || report.ConvictionWalks != 1 {
+		t.Fatalf("skipped %v after %d conviction walks, want %d snapshots and one walk", report.Skipped, report.ConvictionWalks, n-every)
+	}
+	for _, s := range report.Skipped {
+		if !strings.Contains(s, "chunk "+victim+" corrupt in backend") {
+			t.Errorf("Skipped says %q, want chunk %s named", s, victim)
+		}
+	}
+}

@@ -254,21 +254,31 @@ func (cs *ChunkStore) unmarkVerified(addr string) {
 // Get retrieves the chunk at addr, verifying its content against the
 // address (detects backend corruption).
 func (cs *ChunkStore) Get(addr string) ([]byte, error) {
-	key, err := cs.key(addr)
+	data, err := cs.GetUnchecked(addr)
 	if err != nil {
 		return nil, err
-	}
-	data, err := cs.b.Get(key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, addr)
-		}
-		return nil, fmt.Errorf("storage: read chunk: %w", err)
 	}
 	if Hash(data) != addr {
 		return nil, fmt.Errorf("storage: chunk %s corrupt in backend", addr)
 	}
 	cs.markVerified(addr)
+	return data, nil
+}
+
+// GetUnchecked retrieves whatever bytes sit at addr, unhashed, for a reader
+// that checks what it builds from them against a hash of its own. It vouches
+// for nothing: the verified set is not fed, a later Ingest still compares.
+func (cs *ChunkStore) GetUnchecked(addr string) ([]byte, error) {
+	key, err := cs.key(addr)
+	if err != nil {
+		return nil, err
+	}
+	data, err := cs.b.Get(key)
+	if errors.Is(err, ErrNotFound) {
+		return nil, fmt.Errorf("%w: %s", ErrChunkNotFound, addr)
+	} else if err != nil {
+		return nil, fmt.Errorf("storage: read chunk: %w", err)
+	}
 	return data, nil
 }
 
@@ -297,45 +307,6 @@ func (cs *ChunkStore) List() ([]string, error) {
 		addrs = append(addrs, parts[1])
 	}
 	return addrs, nil
-}
-
-// GetBatch fetches several chunks at once, each content-verified against
-// its address. It rides the backend's BatchReader fast path when one
-// exists, so a tiered store overlaps its per-level fetches. Results are
-// positional: out[i] (or errs[i]) corresponds to addrs[i].
-func (cs *ChunkStore) GetBatch(addrs []string) (out [][]byte, errs []error) {
-	out = make([][]byte, len(addrs))
-	errs = make([]error, len(addrs))
-	keys := make([]string, len(addrs))
-	for i, addr := range addrs {
-		k, err := cs.key(addr)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		keys[i] = k
-	}
-	datas, gerrs := GetBatch(cs.b, keys)
-	for i := range addrs {
-		if errs[i] != nil {
-			continue
-		}
-		if gerrs[i] != nil {
-			if errors.Is(gerrs[i], ErrNotFound) {
-				errs[i] = fmt.Errorf("%w: %s", ErrChunkNotFound, addrs[i])
-			} else {
-				errs[i] = fmt.Errorf("storage: read chunk: %w", gerrs[i])
-			}
-			continue
-		}
-		if Hash(datas[i]) != addrs[i] {
-			errs[i] = fmt.Errorf("storage: chunk %s corrupt in backend", addrs[i])
-			continue
-		}
-		cs.markVerified(addrs[i])
-		out[i] = datas[i]
-	}
-	return out, errs
 }
 
 // GC deletes every chunk whose address is not in keep. It returns the

@@ -52,34 +52,67 @@ func TestChunkStoreIngestRepairsCorruptDedupHit(t *testing.T) {
 	}
 }
 
-func TestChunkStoreGetBatch(t *testing.T) {
-	cs := NewChunkStore(NewMem())
-	var addrs []string
-	var want [][]byte
-	for i := 0; i < 5; i++ {
-		data := []byte(fmt.Sprintf("chunk-%d", i))
-		addr, err := cs.Put(data)
-		if err != nil {
+// TestChunkStoreGetUncheckedVouchesForNothing: an unchecked read hands out
+// whatever sits at the address — it is the reader's hash that decides — with
+// Get's errors for a missing or malformed one, and leaves the verified set
+// alone: after one, a dedup hit still compares bytes and repairs a resident
+// copy that is wrong, where a checked Get of good bytes lets the next hit
+// through on a Stat.
+func TestChunkStoreGetUncheckedVouchesForNothing(t *testing.T) {
+	mem := NewMem()
+	data := []byte("the canonical chunk content for this address")
+	addr := Hash(data)
+	key := addr[:2] + "/" + addr
+	bad := append([]byte(nil), data...)
+	bad[0] ^= 0xFF
+
+	cs := NewChunkStore(mem)
+	if _, err := cs.GetUnchecked(addr); !errors.Is(err, ErrChunkNotFound) {
+		t.Errorf("missing chunk: %v, want ErrChunkNotFound", err)
+	}
+	if _, err := cs.GetUnchecked("not-an-address"); err == nil {
+		t.Error("malformed address accepted")
+	}
+	if err := mem.Put(key, bad); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cs.GetUnchecked(addr); err != nil || !bytes.Equal(got, bad) {
+		t.Fatalf("GetUnchecked = %q, %v; want the resident bytes, unjudged", got, err)
+	}
+	if _, err := cs.Get(addr); err == nil {
+		t.Error("checked Get accepted bytes that miss their address")
+	}
+	if written, err := cs.Ingest(addr, data, ClassDefault); err != nil || written != len(data) {
+		t.Errorf("Ingest after an unchecked read of a wrong copy: written=%d err=%v, want a %d-byte repair", written, err, len(data))
+	}
+
+	// The same with good bytes read first: an unchecked read leaves the
+	// next hit to compare (one Get), a checked one has vouched (none).
+	for _, tc := range []struct {
+		read func(*ChunkStore, string) ([]byte, error)
+		gets int
+	}{{(*ChunkStore).GetUnchecked, 1}, {(*ChunkStore).Get, 0}} {
+		counted := &getCounter{Backend: mem}
+		cs := NewChunkStore(counted)
+		if _, err := tc.read(cs, addr); err != nil {
 			t.Fatal(err)
 		}
-		addrs = append(addrs, addr)
-		want = append(want, data)
-	}
-	// Mix in a missing address and a malformed one.
-	missing := Hash([]byte("never stored"))
-	batch := append(append([]string(nil), addrs...), missing, "not-an-address")
-	out, errs := cs.GetBatch(batch)
-	for i := range addrs {
-		if errs[i] != nil || !bytes.Equal(out[i], want[i]) {
-			t.Errorf("batch[%d]: %q, %v", i, out[i], errs[i])
+		counted.gets = 0
+		if written, err := cs.Ingest(addr, data, ClassDefault); err != nil || written != 0 || counted.gets != tc.gets {
+			t.Errorf("dedup hit: written=%d err=%v after %d reads of the resident copy, want 0, nil, %d", written, err, counted.gets, tc.gets)
 		}
 	}
-	if !errors.Is(errs[5], ErrChunkNotFound) {
-		t.Errorf("missing chunk error: %v", errs[5])
-	}
-	if errs[6] == nil {
-		t.Errorf("malformed address accepted in batch")
-	}
+}
+
+// getCounter counts the full reads that reach the backend beneath it.
+type getCounter struct {
+	Backend
+	gets int
+}
+
+func (c *getCounter) Get(key string) ([]byte, error) {
+	c.gets++
+	return c.Backend.Get(key)
 }
 
 // TestShardedChunkStoreRouting checks the shard router: the shard index
