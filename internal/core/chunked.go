@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // Chunked snapshots split the body (payload or delta bytes) into fixed-size
-// chunks, frame each chunk independently (compressed, or raw when the
-// adaptive probe finds the bytes incompressible), and store the framed
-// chunks content-addressed in the backend's chunk store under
+// chunks, frame each chunk independently (compressed, or raw when a sample's
+// byte histogram says an order-0 code would save under a tenth), and store
+// the framed chunks content-addressed in the backend's chunk store under
 // ChunkPrefix/. The snapshot file itself shrinks to a manifest naming the
 // chunk addresses in order; it is committed with the same atomic Put as a
 // monolithic snapshot, and only after every chunk it references is durable.
@@ -87,11 +88,12 @@ const (
 //	body    [..]byte  raw bytes (flag 0) or flate stream (flag 1)
 //
 // The flag is what makes per-chunk compression adaptive: appendChunkFrame
-// probes a sample of the chunk and stores incompressible chunks raw,
-// skipping flate entirely on data that would not shrink (dense float
-// mantissas compress to ≳97% of their size while burning the stall
-// budget). The recorded rawLen lets the restore path size each chunk's
-// output exactly instead of growing through io.ReadAll.
+// reads the byte histogram of a sample of the chunk and stores chunks an
+// order-0 code would barely shrink raw, skipping flate entirely (an optimal
+// byte code saves 5–7 % of dense float64 mantissas, and deflating them ends
+// in stored blocks after stalling the save). The recorded rawLen lets the
+// restore path size each chunk's output exactly instead of growing through
+// io.ReadAll.
 const (
 	chunkFrameRaw    = 0x00
 	chunkFrameFlate  = 0x01
@@ -103,47 +105,72 @@ const (
 // (with a raw fallback if flate failed to shrink them).
 const chunkProbeBytes = 4 << 10
 
-// chunkProbeMinSaving is the fraction a probe sample must shrink by for
-// the chunk to be worth compressing.
-const chunkProbeMinSaving = 1.0 / 32
+// A probed chunk is compressed when an optimal order-0 code over its
+// sample would save at least 1/chunkProbeMinSaving of the sample's bits.
+const chunkProbeMinSaving = 10
 
 // appendChunkFrame appends the frame of piece to dst. The encoding is
 // deterministic (pooled flate writers reset to a pristine state, and the
-// probe decision depends only on the bytes), so identical pieces frame to
-// identical bytes and content-addressed dedup is preserved.
+// probe decision is an integer function of the bytes), so identical pieces
+// frame to identical bytes and content-addressed dedup is preserved.
 func appendChunkFrame(dst, piece []byte) ([]byte, error) {
 	head := len(dst)
-	dst = append(dst, chunkFrameFlate)
+	dst = append(dst, chunkFrameRaw)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(piece)))
-	if len(piece) > 2*chunkProbeBytes {
-		sp := getScratch()
-		sample, err := compressAppend((*sp)[:0], piece[:chunkProbeBytes])
-		*sp = sample
-		compressible := err == nil &&
-			float64(len(sample)) <= float64(chunkProbeBytes)*(1-chunkProbeMinSaving)
-		putScratch(sp)
-		if err != nil {
+	bodyStart := len(dst)
+	if len(piece) <= 2*chunkProbeBytes || worthCompressing(piece[:chunkProbeBytes]) {
+		var err error
+		if dst, err = compressAppend(dst, piece); err != nil {
 			return nil, err
 		}
-		if !compressible {
-			dst[head] = chunkFrameRaw
-			return append(dst, piece...), nil
+		if len(dst)-bodyStart < len(piece) {
+			dst[head] = chunkFrameFlate
+			return dst, nil
 		}
-	}
-	bodyStart := len(dst)
-	dst, err := compressAppend(dst, piece)
-	if err != nil {
-		return nil, err
-	}
-	if len(dst)-bodyStart >= len(piece) {
-		// The probe passed (or was skipped) but the whole chunk still
-		// failed to shrink: store raw so a frame never exceeds the chunk
-		// by more than its 5-byte header.
+		// flate did not shrink the chunk: store it raw, so a frame never
+		// exceeds the chunk by more than its 5-byte header.
 		dst = dst[:bodyStart]
-		dst[head] = chunkFrameRaw
-		dst = append(dst, piece...)
 	}
-	return dst, nil
+	return append(dst, piece...), nil
+}
+
+// worthCompressing is the probe: whether an optimal order-0 prefix code over
+// sample would save at least 1/chunkProbeMinSaving of its bits. It reads no
+// more than the byte histogram — a trial deflate of the same sample costs
+// ten times as much, most of it the per-block Huffman-tree build.
+func worthCompressing(sample []byte) bool {
+	return huffmanBits(sample)*chunkProbeMinSaving <= 8*len(sample)*(chunkProbeMinSaving-1)
+}
+
+// huffmanBits is the length in bits of sample under an optimal prefix code
+// for its byte histogram, code table not counted: the sum of the internal
+// node weights of a Huffman tree, built by the two-queue merge over the
+// sorted symbol counts (merged weights come out in order, so the second
+// queue needs no heap). One distinct symbol costs 0 bits.
+func huffmanBits(sample []byte) int {
+	var hist, node [256]int
+	for _, b := range sample {
+		hist[b]++
+	}
+	slices.Sort(hist[:])
+	first, _ := slices.BinarySearch(hist[:], 1)
+	leaf := hist[first:] // the nonzero counts, ascending
+	bits, li, ni := 0, 0, 0
+	for nn := 0; nn < len(leaf)-1; nn++ {
+		w := 0
+		for range 2 {
+			if li < len(leaf) && (ni == nn || leaf[li] <= node[ni]) {
+				w += leaf[li]
+				li++
+			} else {
+				w += node[ni]
+				ni++
+			}
+		}
+		node[nn] = w
+		bits += w
+	}
+	return bits
 }
 
 // decodeChunkFrame reverses appendChunkFrame. A raw chunk's piece aliases

@@ -89,19 +89,31 @@ func (h *replicaHealth) up() bool {
 	return !h.down
 }
 
-// markSuccess resets the failure streak; a recovering replica comes back
-// up with needsRepair still set — it answered one request, but everything
-// it missed while dark is only healed by anti-entropy repair.
-func (h *replicaHealth) markSuccess() {
+// admit returns the generation an operation starts under, for markSuccess.
+func (h *replicaHealth) admit() int64 {
 	h.mu.Lock()
-	h.consecutive = 0
-	h.lastErr = ""
-	h.down = false
+	defer h.mu.Unlock()
+	return h.failures
+}
+
+// markSuccess resets the failure streak — unless a failure was recorded
+// after the operation was admitted at gen: a straggler that set out before
+// an outage proves nothing about the replica now. A recovering replica
+// comes back up with needsRepair still set — it answered one request, but
+// everything it missed while dark is only healed by anti-entropy repair.
+func (h *replicaHealth) markSuccess(gen int64) {
+	h.mu.Lock()
+	if h.failures == gen {
+		h.consecutive = 0
+		h.lastErr = ""
+		h.down = false
+	}
 	h.mu.Unlock()
 }
 
-// markFailure records one failed operation; crossing the threshold takes
-// the replica's domain out of the write fan-out and flags it for repair.
+// markFailure records one failed operation, which starts a new health
+// generation; crossing the threshold takes the replica's domain out of the
+// write fan-out and flags it for repair.
 func (h *replicaHealth) markFailure(err error) {
 	h.mu.Lock()
 	h.failures++

@@ -94,12 +94,12 @@ type replica struct {
 	stripes [verStripes]verStripe
 }
 
-// observe records the outcome of one operation on this replica in its
-// health. ErrNotFound is an answer — the replica is reachable — not a
-// failure.
-func (rep *replica) observe(err error) {
+// observe records the outcome of one operation on this replica, admitted
+// at health generation gen, in its health. ErrNotFound is an answer — the
+// replica is reachable — not a failure.
+func (rep *replica) observe(gen int64, err error) {
 	if err == nil || errors.Is(err, ErrNotFound) {
-		rep.health.markSuccess()
+		rep.health.markSuccess(gen)
 	} else {
 		rep.health.markFailure(err)
 	}
@@ -353,8 +353,9 @@ func (r *Replicated) quorumWrite(key string, ver uint64, raw []byte, class Write
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
+			gen := rep.health.admit()
 			err := rep.putOrdered(key, ver, raw, class, !chunk)
-			if rep.observe(err); err != nil {
+			if rep.observe(gen, err); err != nil {
 				rep.health.markDirty()
 			}
 			ch <- err
@@ -436,8 +437,9 @@ func (st *repState) payload() []byte {
 // fetchFull reads rep's whole stored object at key.
 func fetchFull(rep *replica, key string) repState {
 	st := repState{rep: rep}
+	gen := rep.health.admit()
 	data, err := rep.b.Get(key)
-	rep.observe(err)
+	rep.observe(gen, err)
 	switch {
 	case errors.Is(err, ErrNotFound):
 	case err != nil:
@@ -456,6 +458,7 @@ func fetchFull(rep *replica, key string) repState {
 // then the envelope header.
 func fetchProbe(rep *replica, key string) repState {
 	st := repState{rep: rep}
+	gen := rep.health.admit()
 	info, err := rep.b.Stat(key)
 	var hdr []byte
 	if err == nil {
@@ -463,7 +466,7 @@ func fetchProbe(rep *replica, key string) repState {
 		// read; definitively absent.
 		hdr, err = GetRange(rep.b, key, 0, repHeaderSize)
 	}
-	rep.observe(err)
+	rep.observe(gen, err)
 	switch {
 	case errors.Is(err, ErrNotFound):
 	case err != nil:
@@ -676,8 +679,9 @@ func (r *Replicated) writeBack(key string, winner repState, answered []repState)
 		if holders >= r.w {
 			break
 		}
+		gen := rep.health.admit()
 		err := rep.putOrdered(key, winner.ver, winner.raw, ClassDefault, !chunk)
-		if rep.observe(err); err != nil {
+		if rep.observe(gen, err); err != nil {
 			rep.health.markDirty()
 			lastErr = err
 			continue
@@ -864,8 +868,9 @@ func (r *Replicated) List(prefix string) ([]string, error) {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
+			gen := rep.health.admit()
 			keys, err := rep.b.List(prefix)
-			rep.observe(err)
+			rep.observe(gen, err)
 			ch <- listResult{keys, err}
 		}()
 	}
@@ -938,8 +943,9 @@ func (r *Replicated) Repair() (RepairStats, error) {
 	union := make(map[string]bool)
 	listErrs := 0
 	for _, rep := range r.replicas {
+		gen := rep.health.admit()
 		keys, err := rep.b.List("")
-		if rep.observe(err); err != nil {
+		if rep.observe(gen, err); err != nil {
 			listErrs++
 			continue
 		}
@@ -988,8 +994,9 @@ func (r *Replicated) Repair() (RepairStats, error) {
 			if winner.tomb && !st.found {
 				continue
 			}
+			gen := st.rep.health.admit()
 			err := st.rep.putOrdered(key, winner.ver, winner.raw, ClassDefault, !chunk)
-			if st.rep.observe(err); err != nil {
+			if st.rep.observe(gen, err); err != nil {
 				atomic.AddInt64(&errCount, 1)
 				continue
 			}

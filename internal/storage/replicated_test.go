@@ -388,6 +388,87 @@ func TestReplicatedHealthLifecycle(t *testing.T) {
 	}
 }
 
+// gatedBackend holds each Put that passed the fault check until release is
+// closed, announcing it on held first: a write admitted while the replica
+// was alive that lands after the replica died.
+type gatedBackend struct {
+	*faultBackend
+	held, release chan struct{}
+}
+
+func (g *gatedBackend) Put(key string, data []byte) error {
+	if err := g.check(true); err != nil {
+		return err
+	}
+	g.held <- struct{}{}
+	<-g.release
+	return g.base.Put(key, data)
+}
+
+// TestStragglerSuccessDoesNotReviveDeadReplica: a top-up write set out
+// before an outage and landing after the failures that marked its replica
+// down says nothing about the replica now — it stays down, its streak
+// intact, until a probe succeeds.
+func TestStragglerSuccessDoesNotReviveDeadReplica(t *testing.T) {
+	members := make([]storage.Replica, 3)
+	for i := range members {
+		members[i] = storage.Replica{Backend: storage.NewMem()}
+	}
+	fault := newFault(storage.NewMem())
+	// held has room for every Put this test makes: only the first two are
+	// received, the rest must not block.
+	gate := &gatedBackend{faultBackend: fault, held: make(chan struct{}, 8), release: make(chan struct{})}
+	members[1].Backend = gate
+	rb, err := storage.NewReplicated(storage.ReplicatedOptions{FailureThreshold: 2, ProbeInterval: time.Millisecond}, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	status := func() storage.ReplicaStatus { return rb.Health()[1] }
+	if err := rb.Put("m", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.held
+	close(gate.release)
+	rb.Close() // settled on every replica
+	gate.release = make(chan struct{})
+
+	// A chunk write has no pre-write version probe: the fan-out is all that
+	// reaches replica 1, and only the two Gets below fail on it.
+	chunk := []byte("chunk")
+	addr := storage.Hash(chunk)
+	if err := rb.Put("chunks/"+addr[:2]+"/"+addr, chunk); err != nil { // replicas 0 and 2 make the quorum
+		t.Fatal(err)
+	}
+	<-gate.held // replica 1's copy is in flight
+	fault.setDead(true)
+	for i := 0; i < 2; i++ {
+		if _, err := rb.Get("m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); status().Up; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("two failing Gets did not mark replica 1 down: %+v", status())
+		}
+	}
+	close(gate.release)
+	rb.Close() // the straggler lands, successfully
+	if st := status(); st.Up || st.Consecutive != 2 || !st.NeedsRepair {
+		t.Fatalf("a straggler admitted before the outage changed the dead replica's health: %+v", st)
+	}
+
+	fault.setDead(false)
+	time.Sleep(2 * time.Millisecond) // past ProbeInterval
+	if err := rb.Put("k2", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	rb.Close()
+	if st := status(); !st.Up || st.Consecutive != 0 || !st.NeedsRepair {
+		t.Fatalf("a successful probe did not bring replica 1 back up, pending repair: %+v", st)
+	}
+}
+
 func TestReplicatedCaps(t *testing.T) {
 	rb, _, _ := newFaultSet(t)
 	c := storage.Caps(rb)
