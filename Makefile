@@ -73,8 +73,8 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -compare -tolerance $(BENCH_TOLERANCE) "$$base" "$(BENCH_OUT)"
 
 # Quick save-path benchmark: the T6 experiment table plus the
-# BenchmarkTable6SavePath metrics (stall speedup, bytes written,
-# allocs/op for the pooled pipeline).
+# BenchmarkTable6SavePath metrics (stalls, bytes written, allocs/op for
+# the pooled pipeline).
 bench-save:
 	$(GO) run ./cmd/experiments -run T6 -quick
 	$(GO) test -bench 'Table6SavePath' -benchmem -run '^$$' .
@@ -119,9 +119,12 @@ experiments:
 # restored state) paid for its unchecked read, the probe-vs-read header
 # check and the exact hashed-B/op gate out of ChunkStore.GetBatch, which it
 # deleted: -2 / 0. The order-0 compressibility probe (+27) and the replica
-# health generation (+19) raised both by +46. CHANGES.md has the accounts.
-LOC_CEILING = 9887
-LOC_CEILING_ALL = 24015
+# health generation (+19) raised both by +46. PR 26 paid PRs 22-25 back in
+# part: -200 / -205 of exported code only tests called (archive.go, Tiered's
+# Promote/Demote, OpenChunkStore, Shards, ResetStats, Options.FullIngest).
+# CHANGES.md has the accounts.
+LOC_CEILING = 9687
+LOC_CEILING_ALL = 23810
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

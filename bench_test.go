@@ -150,11 +150,8 @@ func BenchmarkTable5Restore(b *testing.B) {
 // BenchmarkTable6SavePath regenerates Table 6: the synchronous save-path
 // cost across engine generations at <1% dirty bytes per save. Metrics:
 // steady-state stall per save for each config, the incremental engine's
-// stall speedup over the full-ingest chunked pipeline (acceptance bar
-// ≥5×), its bytes-written reduction over the monolithic full path
-// (acceptance bar ≥10×; the full-ingest pipeline's content dedup already
-// suppresses duplicate chunk writes, so against it the incremental win is
-// work, not bytes), and bytes written per steady-state save. Any config
+// bytes-written reduction over the monolithic full path (acceptance bar
+// ≥10×), and bytes written per steady-state save. Any config
 // losing bitwise recovery fails the benchmark; the zero-alloc property of
 // the pooled encode stage is locked in by TestPooledEncodeZeroAllocs.
 func BenchmarkTable6SavePath(b *testing.B) {
@@ -181,11 +178,7 @@ func BenchmarkTable6SavePath(b *testing.B) {
 		b.ReportMetric(float64(r.MeanStall.Microseconds()), name+"-stall-µs")
 	}
 	incr := byName["chunked-incremental"]
-	full := byName["chunked-full-ingest"]
 	mono := byName["mono-full"]
-	if incr.MeanStall > 0 {
-		b.ReportMetric(float64(full.MeanStall)/float64(incr.MeanStall), "stall-speedup-x")
-	}
 	if incr.SteadyBytes > 0 {
 		b.ReportMetric(float64(mono.SteadyBytes)/float64(incr.SteadyBytes), "byteswritten-x")
 		b.ReportMetric(float64(incr.SteadyBytes)/float64(incr.Saves-1), "bytes-written/op")

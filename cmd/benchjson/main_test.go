@@ -64,7 +64,7 @@ func TestParseBenchLineStripsProcsSuffix(t *testing.T) {
 }
 
 func TestParseBenchLinePromotedColumns(t *testing.T) {
-	res, ok := parseBenchLine("BenchmarkTable6SavePath-8 \t 5 \t 231209450 ns/op\t 6205 bytes-written/op\t 5.2 stall-speedup-x\t 98505348 B/op\t 24964 allocs/op")
+	res, ok := parseBenchLine("BenchmarkTable6SavePath-8 \t 5 \t 231209450 ns/op\t 6205 bytes-written/op\t 5.2 byteswritten-x\t 98505348 B/op\t 24964 allocs/op")
 	if !ok {
 		t.Fatal("line not parsed")
 	}
@@ -81,7 +81,7 @@ func TestParseBenchLinePromotedColumns(t *testing.T) {
 		t.Errorf("WrittenPerOp = %v", res.WrittenPerOp)
 	}
 	// Promotion must not remove the pairs from the generic metric map.
-	if res.Metrics["bytes-written/op"] != 6205 || res.Metrics["stall-speedup-x"] != 5.2 {
+	if res.Metrics["bytes-written/op"] != 6205 || res.Metrics["byteswritten-x"] != 5.2 {
 		t.Errorf("metrics map lost pairs: %v", res.Metrics)
 	}
 }

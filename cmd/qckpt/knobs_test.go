@@ -17,7 +17,7 @@ import (
 // workloads give it different values; otherwise it is a constant. A PR
 // that removes a field lowers the ceiling to its own count; one that must
 // add a field raises it in its own diff, where a reviewer sees it.
-const knobCeiling = 36
+const knobCeiling = 35
 
 // leafFields counts t's fields recursively: a struct-typed field counts
 // as its own leaves, anything else (scalars, interfaces, funcs, maps,

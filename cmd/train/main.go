@@ -61,7 +61,6 @@ func main() {
 		workers   = flag.Int("workers", 1, "checkpoint write workers (chunked pipeline)")
 		chunkKB   = flag.Int("chunk", 0, "chunk checkpoints into KB-sized deduplicated pieces (0 = monolithic)")
 		chunker   = flag.String("chunker", "fixed", "chunk boundary policy with -chunk: fixed (offset-based) or cdc (content-defined, shift-resilient; -chunk sets the target average)")
-		fullIng   = flag.Bool("full-ingest", false, "disable the incremental dirty-chunk save path (hash/compress every chunk every save)")
 		tiers     = flag.String("tiers", "", "tiered checkpoint placement preset: device levels hot-to-cold joined by '+' (e.g. nvme+object, nvme+nfs+object); empty disables tiering")
 		keepHot   = flag.Int("keep-hot", 2, "anchor chains kept on the hot tier before demotion (with -tiers)")
 		restoreW  = flag.Int("restore-workers", 1, "parallel chunk-restore workers for -resume (1 = serial, ≤0 = one per CPU)")
@@ -120,7 +119,7 @@ func main() {
 			steps: *steps, shots: *shots, lr: *lr, opt: *optName, seed: *seed,
 			pairs: *pairs, batch: *batch, grouped: *grouped, realQPU: *realQPU,
 			ckptDir: *ckptDir, resume: *resume, interval: *interval, units: *units,
-			async: *async, workers: *workers, chunkKB: *chunkKB, fullIngest: *fullIng,
+			async: *async, workers: *workers, chunkKB: *chunkKB,
 			chunker:  chunkPolicy,
 			restoreW: *restoreW, remote: *remoteURL,
 			quotaMiB: *quotaMiB, rateMiB: *rateMiB,
@@ -158,7 +157,7 @@ func main() {
 		opt := core.Options{
 			Dir: *ckptDir, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 4,
 			Async: *async, Workers: *workers, ChunkBytes: *chunkKB << 10,
-			FullIngest: *fullIng, Chunker: chunkPolicy,
+			Chunker: chunkPolicy,
 		}
 		if remoteClient != nil {
 			opt.Backend = remoteClient
@@ -428,7 +427,7 @@ type fleetFlags struct {
 	ckptDir                                     string
 	resume                                      bool
 	interval, units, workers, chunkKB, restoreW int
-	async, fullIngest                           bool
+	async                                       bool
 	chunker                                     core.Chunker
 	remote                                      string
 	quotaMiB, rateMiB                           int
@@ -486,7 +485,7 @@ func runJobs(f fleetFlags) error {
 			jobOpt := core.Options{
 				Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 4,
 				Async: f.async, Workers: f.workers, ChunkBytes: f.chunkKB << 10,
-				FullIngest: f.fullIngest, Chunker: f.chunker,
+				Chunker: f.chunker,
 			}
 			var mgr *core.Manager
 			var view storage.Backend

@@ -148,11 +148,12 @@ func TestCDCIncrementalMatchesFullIngest(t *testing.T) {
 		mem := storage.NewMem()
 		m, err := NewManager(Options{
 			Backend: mem, Strategy: StrategyFull,
-			ChunkBytes: 8 << 10, Chunker: ChunkerCDC, Workers: 2, FullIngest: fullIngest,
+			ChunkBytes: 8 << 10, Chunker: ChunkerCDC, Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.fullIngest = fullIngest
 		for i, blob := range blobs {
 			if _, err := m.Save(blobState(uint64(i), blob)); err != nil {
 				t.Fatal(err)
@@ -216,11 +217,12 @@ func TestCDCAnchorLineageMatchesFullIngest(t *testing.T) {
 		mem := storage.NewMem()
 		m, err := NewManager(Options{
 			Backend: mem, Strategy: StrategyDelta, AnchorEvery: 3,
-			ChunkBytes: 8 << 10, Chunker: ChunkerCDC, Workers: 2, FullIngest: fullIngest,
+			ChunkBytes: 8 << 10, Chunker: ChunkerCDC, Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.fullIngest = fullIngest
 		var anchorClean []int
 		for i, s := range states {
 			before := m.Stats().CleanChunks

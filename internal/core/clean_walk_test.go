@@ -21,11 +21,11 @@ import (
 // walk reads chunks unchecked. One chunk of a store's only snapshot is given
 // a frame that misses its address — other content, or the chunk's own piece
 // framed the other way, which unframes to the right bytes — and
-// VerifyBackend, VerifyFile and ArchiveBackend refuse it both times, naming
-// the chunk. Recovery, and CompactBackend, which compacts what recovery
-// returns, refuse the first and restore through the second: the payload is
-// the one its header promises, bitwise, and the compacted store no longer
-// names the chunk.
+// VerifyBackend and VerifyFile refuse it both times, naming the chunk.
+// Recovery, and CompactBackend, which compacts what recovery returns,
+// refuse the first and restore through the second: the payload is the one
+// its header promises, bitwise, and the compacted store no longer names
+// the chunk.
 func TestCheckedReadersRefuseAFrameThatMissesItsAddress(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -61,13 +61,6 @@ func TestCheckedReadersRefuseAFrameThatMissesItsAddress(t *testing.T) {
 			}
 			if _, err := VerifyFile(filepath.Join(dir, name)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), named) {
 				t.Errorf("VerifyFile: %v, want the chunk named", err)
-			}
-			archive, err := storage.OpenChunkStore(filepath.Join(t.TempDir(), "archive"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n, err := ArchiveBackend(b, archive, filepath.Join(t.TempDir(), "manifest")); n != 0 || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), named) {
-				t.Errorf("ArchiveBackend archived %d: %v, want the chunk named", n, err)
 			}
 
 			got, report, err := LoadLatestBackendOptions(b, nil, RestoreOptions{Workers: 2})

@@ -361,11 +361,12 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 		mem := storage.NewMem()
 		mgr, err := NewManager(Options{
 			Backend: mem, Strategy: StrategyDelta, AnchorEvery: 3,
-			ChunkBytes: MinChunkBytes, Workers: 2, FullIngest: fullIngest,
+			ChunkBytes: MinChunkBytes, Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mgr.fullIngest = fullIngest
 		for _, s := range states {
 			before := mgr.Stats().CleanChunks
 			res, err := mgr.Save(s)

@@ -258,49 +258,3 @@ func TestCompactBackendTiered(t *testing.T) {
 		t.Errorf("compacted state diverges")
 	}
 }
-
-// TestArchiveBackendTiered: archiving a tiered history materializes every
-// snapshot — including demoted chunked ones — into self-contained files.
-func TestArchiveBackendTiered(t *testing.T) {
-	m, err := NewManager(Options{
-		Backend:     memTiered(t, "hot", "cold"),
-		Lifecycle:   LifecyclePolicy{KeepHotChains: 1},
-		Strategy:    StrategyDelta,
-		AnchorEvery: 2,
-		ChunkBytes:  MinChunkBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := seqStates(4)
-	saveAll(t, m, states)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tb := tieredOf(t, m)
-
-	cs := storage.NewChunkStore(storage.NewMem())
-	manifest := t.TempDir() + "/archive.manifest"
-	archived, err := ArchiveBackend(tb, cs, manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if archived != 4 {
-		t.Errorf("archived %d snapshots, want 4", archived)
-	}
-	dest := t.TempDir()
-	restored, err := Unarchive(manifest, cs, dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != 4 {
-		t.Errorf("restored %d snapshots, want 4", restored)
-	}
-	got, _, err := loadDir(t, dest, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(states[len(states)-1]) {
-		t.Errorf("unarchived state diverges")
-	}
-}

@@ -93,14 +93,6 @@ type Options struct {
 	// the classic write-to-hot rule. Requires a Backend that is a
 	// *storage.Tiered.
 	Placement storage.PlacementPolicy
-	// FullIngest disables the incremental dirty-chunk save path: every
-	// chunk is framed, hashed and offered to the chunk store on every
-	// save, instead of chunks unchanged since the last committed body of
-	// the same kind being recognized by a word-wise compare and reusing
-	// their prior addresses outright. Kept as the comparison contender for
-	// the T6 benchmark and as an escape hatch; ignored for monolithic
-	// snapshots.
-	FullIngest bool
 }
 
 func (o Options) withDefaults() Options {
@@ -243,6 +235,11 @@ type Manager struct {
 	bases      [2]chunkBase
 	pinScratch []string
 	reuseSpare []string
+	// fullIngest, set by tests before the first save, disables the
+	// incremental path: every chunk is framed, hashed and offered to the
+	// chunk store on every save. It is the oracle the incremental engine
+	// must match byte for byte (TestIncrementalMatchesFullIngest).
+	fullIngest bool
 	// refs is the namespace's catalog, oldest first: listed at open,
 	// appended to by commit, trimmed by gc, which reads it instead of the
 	// store — a manager is its namespace's only writer. A failed delete
@@ -542,7 +539,7 @@ var chunkKeySeed = maphash.MakeSeed()
 // follow — so the argument does not depend on that invariant alone.
 func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	body := job.body.b
-	incremental := !m.opt.FullIngest
+	incremental := !m.fullIngest
 	cdc := m.opt.Chunker == ChunkerCDC
 	// The body's kind picks its lineage and its write class. The class rides
 	// every chunk of this snapshot down to the placement policy: anchor
@@ -555,7 +552,7 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	}
 	// prev is the base this save compares against: nil with no committed
 	// body of this kind yet (first save, restart, dropped by gc) or under
-	// FullIngest.
+	// fullIngest.
 	var prev *chunkBase
 	if incremental && lin.body != nil {
 		prev = lin
@@ -827,7 +824,7 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 //
 // Dirty chunks that merely moved still dedup at the store (their framed
 // bytes hash to resident addresses), so shifts cost re-hashing but not
-// re-writing. With no usable base (first save of a kind, FullIngest) the
+// re-writing. With no usable base (first save of a kind, fullIngest) the
 // whole body is chunked and marked dirty.
 func (m *Manager) cdcPlan(body []byte, p cdcParams, prev *chunkBase, cuts []int) ([][]byte, []string, []int) {
 	reuse := m.reuseSpare[:0]

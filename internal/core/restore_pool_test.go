@@ -165,12 +165,6 @@ func TestVerifyAndMaintenanceGiveBackTheirBuffers(t *testing.T) {
 	if want, _ := EncodePayload(states[0]); string(body) != string(want) {
 		t.Error("ReadSnapshotBody's result changed when the pooled buffers were overwritten: it is not the caller's own")
 	}
-	givesBackItsBuffers(t, "ArchiveBackend", func() {
-		cs := storage.NewChunkStore(storage.NewMem())
-		if n, err := ArchiveBackend(b, cs, filepath.Join(t.TempDir(), "manifest")); err != nil || n != 6 {
-			t.Errorf("archived %d snapshots: %v", n, err)
-		}
-	})
 
 	substituteWrongDelta(t, b, 3) // breaks 3 and 4; the fork off seq 1 stays sound
 	givesBackItsBuffers(t, "VerifyBackend over a broken branch", func() {

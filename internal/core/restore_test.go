@@ -257,7 +257,10 @@ func TestLoadLatestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if err := tiered.Demote(k, 1); err != nil {
+		if _, err := tiered.CopyTo(k, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tiered.DeleteOutside(k, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,9 +16,9 @@
 //
 // Every operation on a store has one entry point, and it takes a
 // storage.Backend: LoadLatestBackendOptions, VerifyBackend,
-// ListSnapshotsBackend, CompactBackend, ArchiveBackend. DirBackend opens
-// an existing checkpoint directory as that backend, so reports name
-// backend keys, never file paths (DESIGN.md §2, "Entry points").
+// ListSnapshotsBackend, CompactBackend. DirBackend opens an existing
+// checkpoint directory as that backend, so reports name backend keys,
+// never file paths (DESIGN.md §2, "Entry points").
 //
 // Layering: core depends only on internal/storage. Domain objects
 // (optimizer, RNG set, gradient accumulator) arrive as the opaque binary

@@ -102,8 +102,12 @@ func runT5Config(name string, demoted bool, steps int) ([]T5Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		cold := len(levels) - 1
 		for _, k := range keys {
-			if err := tiered.Demote(k, len(levels)-1); err != nil {
+			if _, err := tiered.CopyTo(k, cold); err != nil {
+				return nil, err
+			}
+			if _, err := tiered.DeleteOutside(k, cold); err != nil {
 				return nil, err
 			}
 		}

@@ -15,7 +15,7 @@ import (
 // retained body, so it is excluded). SteadyBytes are the bytes that
 // actually reached the backend over the steady-state saves.
 type T6Row struct {
-	Config      string // mono-full | chunked-full-ingest | chunked-incremental | chunked-incr-delta
+	Config      string // mono-full | chunked-incremental | chunked-incr-delta
 	Strategy    string
 	Saves       int
 	MeanStall   time.Duration // mean synchronous Save wall time, saves 2..N
@@ -35,22 +35,18 @@ const (
 )
 
 // t6Configs enumerates the contenders: the monolithic full-snapshot path
-// (every save rewrites the whole compressed state), the PR 3 chunked
-// pipeline (content-addressed dedup suppresses duplicate writes but every
-// chunk is still hashed, compressed and Stat-checked every save), and the
-// incremental engine with full and delta strategies (unchanged chunks are
+// (every save rewrites the whole compressed state) and the incremental
+// chunked engine with full and delta strategies (unchanged chunks are
 // recognized by a word-wise compare against the retained previous body
-// and skip all of that work).
+// and are neither hashed, compressed nor written again).
 var t6Configs = []struct {
 	name     string
 	strategy core.Strategy
 	chunked  bool
-	full     bool // FullIngest
 }{
-	{"mono-full", core.StrategyFull, false, false},
-	{"chunked-full-ingest", core.StrategyFull, true, true},
-	{"chunked-incremental", core.StrategyFull, true, false},
-	{"chunked-incr-delta", core.StrategyDelta, true, false},
+	{"mono-full", core.StrategyFull, false},
+	{"chunked-incremental", core.StrategyFull, true},
+	{"chunked-incr-delta", core.StrategyDelta, true},
 }
 
 // RunT6SavePath persists steps snapshots of a 32768-parameter state with
@@ -64,11 +60,7 @@ func RunT6SavePath(steps int) ([]T6Row, error) {
 	}
 	var rows []T6Row
 	for _, cfg := range t6Configs {
-		opt := core.Options{
-			Backend:    storage.NewMem(),
-			Strategy:   cfg.strategy,
-			FullIngest: cfg.full,
-		}
+		opt := core.Options{Backend: storage.NewMem(), Strategy: cfg.strategy}
 		if cfg.strategy == core.StrategyDelta {
 			opt.AnchorEvery = 8
 		}

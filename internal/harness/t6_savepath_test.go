@@ -18,29 +18,21 @@ func TestRunT6SavePath(t *testing.T) {
 		byName[r.Config] = r
 	}
 	incr := byName["chunked-incremental"]
-	full := byName["chunked-full-ingest"]
 	mono := byName["mono-full"]
 	// At <1% dirty bytes nearly every chunk must be recognized clean.
 	if incr.CleanPct < 90 {
 		t.Errorf("incremental clean rate %.1f%%, want ≥90%%", incr.CleanPct)
 	}
-	if full.CleanPct != 0 {
-		t.Errorf("full-ingest contender reports clean chunks (%.1f%%)", full.CleanPct)
-	}
-	// Steady-state bytes: the incremental engine must never exceed the
-	// dedup pipeline, and the monolithic path rewrites the whole state
+	// Steady-state bytes: the monolithic path rewrites the whole state
 	// every save — at least 5× the incremental bill even in this small
 	// configuration (the benchmark asserts the full ≥10× at scale).
-	if incr.SteadyBytes > full.SteadyBytes {
-		t.Errorf("incremental wrote %d steady bytes, full-ingest %d", incr.SteadyBytes, full.SteadyBytes)
-	}
 	if mono.SteadyBytes < 5*incr.SteadyBytes {
 		t.Errorf("monolithic wrote %d steady bytes, incremental %d — expected ≥5× gap",
 			mono.SteadyBytes, incr.SteadyBytes)
 	}
 	// Timing is asserted loosely here (CI machines are noisy); the T6
-	// benchmark reports the real speedup.
-	if incr.MeanStall <= 0 || full.MeanStall <= 0 {
-		t.Errorf("non-positive stall times: incr %v full %v", incr.MeanStall, full.MeanStall)
+	// benchmark reports the real stalls.
+	if incr.MeanStall <= 0 || mono.MeanStall <= 0 {
+		t.Errorf("non-positive stall times: incr %v mono %v", incr.MeanStall, mono.MeanStall)
 	}
 }

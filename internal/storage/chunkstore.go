@@ -76,19 +76,6 @@ func NewChunkStore(b Backend) *ChunkStore {
 	return NewShardedChunkStore(b, DefaultChunkShards)
 }
 
-// OpenChunkStore creates (if needed) and opens a filesystem chunk store
-// rooted at dir, preserving the historical <dir>/<first2>/<hash> layout.
-func OpenChunkStore(dir string) (*ChunkStore, error) {
-	b, err := NewLocal(dir)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create chunk root: %w", err)
-	}
-	return NewChunkStore(b), nil
-}
-
-// Shards returns the lock-stripe count.
-func (cs *ChunkStore) Shards() int { return len(cs.shards) }
-
 // hexNibble decodes one lowercase-hex digit; ok=false otherwise.
 func hexNibble(c byte) (byte, bool) {
 	switch {

@@ -129,20 +129,20 @@ func TestShardedChunkStoreRouting(t *testing.T) {
 		if want > maxChunkShards {
 			want = maxChunkShards
 		}
-		if cs.Shards() != want {
-			t.Fatalf("shards=%d: got %d stripes, want %d", shards, cs.Shards(), want)
+		if len(cs.shards) != want {
+			t.Fatalf("shards=%d: got %d stripes, want %d", shards, len(cs.shards), want)
 		}
 		seen := make(map[int]bool)
 		for b := 0; b < 256; b++ {
 			addr := fmt.Sprintf("%02x", b)
 			idx := cs.ShardOf(addr)
-			if idx < 0 || idx >= cs.Shards() {
+			if idx < 0 || idx >= len(cs.shards) {
 				t.Fatalf("shards=%d: prefix %s routed out of range (%d)", shards, addr, idx)
 			}
 			seen[idx] = true
 		}
-		if len(seen) != cs.Shards() {
-			t.Errorf("shards=%d: only %d/%d stripes reachable", shards, len(seen), cs.Shards())
+		if len(seen) != len(cs.shards) {
+			t.Errorf("shards=%d: only %d/%d stripes reachable", shards, len(seen), len(cs.shards))
 		}
 	}
 	// Malformed addresses must route somewhere valid rather than panic;

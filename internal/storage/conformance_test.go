@@ -171,10 +171,6 @@ func TestTierAccountsModeledCost(t *testing.T) {
 	if got := tier.Stats(); got.Modeled != st.Modeled {
 		t.Errorf("failed op charged cost")
 	}
-	tier.ResetStats()
-	if got := tier.Stats(); got.Modeled != 0 || got.Ops != 0 {
-		t.Errorf("ResetStats left %+v", got)
-	}
 }
 
 func TestWithPrefixIsolation(t *testing.T) {

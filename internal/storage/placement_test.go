@@ -150,9 +150,9 @@ func TestChunkStoreClassPlacement(t *testing.T) {
 }
 
 // faultBackend injects failures into a level backend to exercise the
-// torn-move protections of Tiered.Promote/Demote: failPut makes every
-// copy attempt fail, corruptGet returns flipped bytes so the move's
-// read-back verification fails after the copy landed.
+// torn-move protections of Tiered.CopyTo: failPut makes every copy
+// attempt fail, corruptGet returns flipped bytes so the copy's read-back
+// verification fails after the copy landed.
 type faultBackend struct {
 	Backend
 	failPut    bool
@@ -185,23 +185,43 @@ func faultedTiered(t *testing.T, hot, cold Backend) *Tiered {
 	return tb
 }
 
+// assertOnlyOn fails unless key's one copy is readable on level want:
+// Residency names it and Occupancy books one object there and none
+// elsewhere.
+func assertOnlyOn(t *testing.T, tb *Tiered, key string, want int) {
+	t.Helper()
+	if lv, err := tb.Residency(key); err != nil || lv != want {
+		t.Fatalf("residency of %s = %d, %v, want %d", key, lv, err, want)
+	}
+	if got, err := tb.Get(key); err != nil || string(got) != "v" {
+		t.Fatalf("%s unreadable: %q, %v", key, got, err)
+	}
+	occ, err := tb.Occupancy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lv := range occ {
+		n := 0
+		if i == want {
+			n = 1
+		}
+		if lv.Objects != n {
+			t.Errorf("level %s holds %d objects, want %d", lv.Name, lv.Objects, n)
+		}
+	}
+}
+
+// A demotion is CopyTo a colder level, then DeleteOutside. When the copy
+// fails, the move stops before its delete half and the source stays.
 func TestDemoteCopyFailureRetainsSource(t *testing.T) {
 	tb := faultedTiered(t, NewMem(), &faultBackend{Backend: NewMem(), failPut: true})
 	if err := tb.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Demote("k", 1); !errors.Is(err, errInjectedPut) {
-		t.Fatalf("Demote error = %v", err)
+	if n, err := tb.CopyTo("k", 1); !errors.Is(err, errInjectedPut) || n != 0 {
+		t.Fatalf("CopyTo = %d, %v", n, err)
 	}
-	if lv, err := tb.Residency("k"); err != nil || lv != 0 {
-		t.Fatalf("source residency after failed demote = %d, %v", lv, err)
-	}
-	if got, err := tb.Get("k"); err != nil || string(got) != "v" {
-		t.Fatalf("source unreadable after failed demote: %q, %v", got, err)
-	}
-	if st := tb.Stats(); st.Demotions != 0 {
-		t.Errorf("failed demote counted: %+v", st)
-	}
+	assertOnlyOn(t, tb, "k", 0)
 }
 
 func TestDemoteVerifyFailureRetainsSource(t *testing.T) {
@@ -209,45 +229,34 @@ func TestDemoteVerifyFailureRetainsSource(t *testing.T) {
 	if err := tb.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	err := tb.Demote("k", 1)
-	if err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("Demote error = %v (want verify failure)", err)
+	n, err := tb.CopyTo("k", 1)
+	if err == nil || !strings.Contains(err.Error(), "corrupt") || n != 0 {
+		t.Fatalf("CopyTo = %d, %v (want verify failure)", n, err)
 	}
-	// The copy-verify-delete ordering must leave the hot copy untouched:
-	// the delete half never ran.
+	// The read-back refused the copy, so the caller never reaches
+	// DeleteOutside: the hot copy is the one a read returns.
 	if lv, err := tb.Residency("k"); err != nil || lv != 0 {
 		t.Fatalf("source residency after failed verify = %d, %v", lv, err)
 	}
 	if got, err := tb.Get("k"); err != nil || string(got) != "v" {
 		t.Fatalf("source unreadable after failed verify: %q, %v", got, err)
 	}
-	if st := tb.Stats(); st.Demotions != 0 || st.MovedBytes != 0 {
-		t.Errorf("failed demote counted: %+v", st)
-	}
 }
 
+// A promotion is CopyTo a warmer level; a failed copy leaves the cold
+// source alone.
 func TestPromoteCopyFailureRetainsSource(t *testing.T) {
 	hot := &faultBackend{Backend: NewMem()}
 	tb := faultedTiered(t, hot, NewMem())
 	if err := tb.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Demote("k", 1); err != nil {
-		t.Fatal(err)
-	}
+	moveTo(t, tb, "k", 1)
 	hot.failPut = true
-	if err := tb.Promote("k", 0); !errors.Is(err, errInjectedPut) {
-		t.Fatalf("Promote error = %v", err)
+	if n, err := tb.CopyTo("k", 0); !errors.Is(err, errInjectedPut) || n != 0 {
+		t.Fatalf("CopyTo = %d, %v", n, err)
 	}
-	if lv, err := tb.Residency("k"); err != nil || lv != 1 {
-		t.Fatalf("source residency after failed promote = %d, %v", lv, err)
-	}
-	if got, err := tb.Get("k"); err != nil || string(got) != "v" {
-		t.Fatalf("source unreadable after failed promote: %q, %v", got, err)
-	}
-	if st := tb.Stats(); st.Promotions != 0 {
-		t.Errorf("failed promote counted: %+v", st)
-	}
+	assertOnlyOn(t, tb, "k", 1)
 }
 
 // TestPutClassSupersedesResidentCopy proves an overwrite routed to a

@@ -56,11 +56,18 @@ func TestHashStable(t *testing.T) {
 	}
 }
 
-func TestChunkStorePutGet(t *testing.T) {
-	cs, err := OpenChunkStore(t.TempDir())
+// localChunkStore is a chunk store in the <dir>/<first2>/<hash> layout.
+func localChunkStore(t *testing.T, dir string) *ChunkStore {
+	t.Helper()
+	b, err := NewLocal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewChunkStore(b)
+}
+
+func TestChunkStorePutGet(t *testing.T) {
+	cs := localChunkStore(t, t.TempDir())
 	data := []byte("chunk data")
 	addr, err := cs.Put(data)
 	if err != nil {
@@ -82,7 +89,7 @@ func TestChunkStorePutGet(t *testing.T) {
 }
 
 func TestChunkStoreDedup(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	a1, _ := cs.Put([]byte("same"))
 	a2, _ := cs.Put([]byte("same"))
 	if a1 != a2 {
@@ -95,7 +102,7 @@ func TestChunkStoreDedup(t *testing.T) {
 }
 
 func TestChunkStoreGetMissing(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	missing := Hash([]byte("never stored"))
 	if _, err := cs.Get(missing); !errors.Is(err, ErrChunkNotFound) {
 		t.Errorf("want ErrChunkNotFound, got %v", err)
@@ -103,7 +110,7 @@ func TestChunkStoreGetMissing(t *testing.T) {
 }
 
 func TestChunkStoreRejectsMalformedAddr(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	for _, addr := range []string{"", "short", "../../../etc/passwd", string(make([]byte, 64))} {
 		if _, err := cs.Get(addr); err == nil {
 			t.Errorf("malformed address %q accepted", addr)
@@ -116,7 +123,7 @@ func TestChunkStoreRejectsMalformedAddr(t *testing.T) {
 
 func TestChunkStoreDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	cs, _ := OpenChunkStore(dir)
+	cs := localChunkStore(t, dir)
 	addr, _ := cs.Put([]byte("precious state"))
 	// Flip a byte on disk.
 	p := filepath.Join(dir, addr[:2], addr)
@@ -131,7 +138,7 @@ func TestChunkStoreDetectsCorruption(t *testing.T) {
 }
 
 func TestChunkStoreListSorted(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	for _, s := range []string{"a", "b", "c", "d"} {
 		if _, err := cs.Put([]byte(s)); err != nil {
 			t.Fatal(err)
@@ -152,7 +159,7 @@ func TestChunkStoreListSorted(t *testing.T) {
 }
 
 func TestChunkStoreGC(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	keepAddr, _ := cs.Put([]byte("keep me"))
 	dropAddr, _ := cs.Put([]byte("drop me"))
 	removed, reclaimed, err := cs.GC(map[string]bool{keepAddr: true})
@@ -168,7 +175,7 @@ func TestChunkStoreGC(t *testing.T) {
 }
 
 func TestChunkStoreTotalBytes(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	cs.Put([]byte("12345"))
 	cs.Put([]byte("678"))
 	total, err := cs.TotalBytes()
@@ -181,7 +188,7 @@ func TestChunkStoreTotalBytes(t *testing.T) {
 }
 
 func TestChunkRoundTripProperty(t *testing.T) {
-	cs, _ := OpenChunkStore(t.TempDir())
+	cs := localChunkStore(t, t.TempDir())
 	f := func(data []byte) bool {
 		addr, err := cs.Put(data)
 		if err != nil {
@@ -238,16 +245,6 @@ func TestDeviceValidation(t *testing.T) {
 		}()
 		DeviceNVMe.WriteCost(-1)
 	}()
-}
-
-func TestOpenChunkStoreCreatesDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "nested", "store")
-	if _, err := OpenChunkStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Errorf("store dir not created: %v", err)
-	}
 }
 
 // TestValidateKeyZeroAllocs keeps the key check free on the save path: it

@@ -51,13 +51,6 @@ func (t *Tier) Stats() TierStats {
 	return t.stats
 }
 
-// ResetStats zeroes the accumulated modeled costs.
-func (t *Tier) ResetStats() {
-	t.mu.Lock()
-	t.stats = TierStats{}
-	t.mu.Unlock()
-}
-
 func (t *Tier) charge(cost time.Duration, written, read int64) {
 	t.mu.Lock()
 	t.stats.Ops++

@@ -22,9 +22,9 @@ type Level struct {
 // land on the level the placement policy maps their class to — the hot
 // (first) level by default and for every unclassified write; reads fall
 // through the hierarchy until a level answers, so an object stays
-// readable wherever it lives. Explicit
-// Promote/Demote moves (copy, verify, delete) let a lifecycle policy
-// migrate cold history down without ever making it unreadable. List and
+// readable wherever it lives. A move is CopyTo (copy, read back, verify)
+// followed by DeleteOutside, so a lifecycle policy migrates cold history
+// down without ever making it unreadable. List and
 // Delete span every level, so retention GC and chunk collection operate on
 // the union of all residencies.
 type Tiered struct {
@@ -44,17 +44,12 @@ type Tiered struct {
 	classes map[string]WriteClass
 }
 
-// TieredStats aggregates read-through and migration activity.
+// TieredStats aggregates read-through activity.
 type TieredStats struct {
 	// Hits counts reads (Get/GetRange/Stat) answered per level.
 	Hits []int64
 	// Misses counts reads no level could answer.
 	Misses int64
-	// Promotions and Demotions count completed object moves.
-	Promotions int64
-	Demotions  int64
-	// MovedBytes counts payload bytes copied by moves.
-	MovedBytes int64
 }
 
 // NewTiered builds a composite backend over levels, ordered hot to cold.
@@ -452,57 +447,6 @@ func (t *Tiered) DeleteOutside(key string, keep int) (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-// move relocates key to exactly level target with copy-verify-delete
-// ordering: the object is never unreadable mid-move, and a crash leaves at
-// worst an extra copy.
-func (t *Tiered) move(key string, target int) error {
-	from, err := t.Residency(key)
-	if err != nil {
-		return err
-	}
-	if from == target {
-		return nil
-	}
-	n, err := t.CopyTo(key, target)
-	if err != nil {
-		return err
-	}
-	if _, err := t.DeleteOutside(key, target); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	if target > from {
-		t.stats.Demotions++
-	} else {
-		t.stats.Promotions++
-	}
-	t.stats.MovedBytes += n
-	t.mu.Unlock()
-	return nil
-}
-
-// Demote moves key down to level target (colder or equal to its current
-// residency).
-func (t *Tiered) Demote(key string, target int) error {
-	if from, err := t.Residency(key); err != nil {
-		return err
-	} else if target < from {
-		return fmt.Errorf("storage: demote %s would move it warmer (level %d -> %d)", key, from, target)
-	}
-	return t.move(key, target)
-}
-
-// Promote moves key up to level target (warmer or equal to its current
-// residency).
-func (t *Tiered) Promote(key string, target int) error {
-	if from, err := t.Residency(key); err != nil {
-		return err
-	} else if target > from {
-		return fmt.Errorf("storage: promote %s would move it colder (level %d -> %d)", key, from, target)
-	}
-	return t.move(key, target)
 }
 
 // ClassOccupancy is one write class's resident footprint on a level.

@@ -15,6 +15,18 @@ func twoLevel(t *testing.T) *Tiered {
 	return tb
 }
 
+// moveTo relocates key to exactly level target the way core.Migrate does:
+// CopyTo (copy, read back, verify), then DeleteOutside.
+func moveTo(t *testing.T, tb *Tiered, key string, target int) {
+	t.Helper()
+	if _, err := tb.CopyTo(key, target); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.DeleteOutside(key, target); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTieredValidation(t *testing.T) {
 	if _, err := NewTiered(); err == nil {
 		t.Errorf("empty level list accepted")
@@ -42,58 +54,67 @@ func TestTieredPlacementAndReadThrough(t *testing.T) {
 	if _, err := tb.Level(1).Backend.Get("k"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cold level holds a fresh write")
 	}
-	// Demote: object moves, stays readable, hit is charged to the cold level.
-	if err := tb.Demote("k", 1); err != nil {
-		t.Fatal(err)
-	}
+	// A move down: the object stays readable, the hit is charged to the
+	// cold level, and the bytes are booked there.
+	moveTo(t, tb, "k", 1)
 	if lv, _ := tb.Residency("k"); lv != 1 {
-		t.Errorf("Residency after Demote = %d", lv)
+		t.Errorf("Residency after move down = %d", lv)
 	}
 	if _, err := tb.Level(0).Backend.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("hot copy survived demotion")
+		t.Errorf("hot copy survived the move")
 	}
 	got, err := tb.Get("k")
 	if err != nil || string(got) != "v" {
-		t.Fatalf("read-through after demotion: %q, %v", got, err)
+		t.Fatalf("read-through after move: %q, %v", got, err)
 	}
 	if got, err := GetRange(tb, "k", 0, 1); err != nil || string(got) != "v" {
-		t.Errorf("range read-through after demotion: %q, %v", got, err)
+		t.Errorf("range read-through after move: %q, %v", got, err)
 	}
-	st := tb.Stats()
-	if st.Hits[1] == 0 || st.Demotions != 1 || st.MovedBytes != 1 {
+	if st := tb.Stats(); st.Hits[1] == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Promote back.
-	if err := tb.Promote("k", 0); err != nil {
-		t.Fatal(err)
+	if occ, err := tb.Occupancy(); err != nil || occ[0].Objects != 0 || occ[1].Bytes != 1 {
+		t.Errorf("occupancy after move = %+v, %v", occ, err)
 	}
+	// And back up.
+	moveTo(t, tb, "k", 0)
 	if lv, _ := tb.Residency("k"); lv != 0 {
-		t.Errorf("Residency after Promote = %d", lv)
-	}
-	if tb.Stats().Promotions != 1 {
-		t.Errorf("promotion not counted: %+v", tb.Stats())
+		t.Errorf("Residency after move up = %d", lv)
 	}
 }
 
+// TestTieredMoveDirectionChecks pins CopyTo's argument checks: a level out
+// of range and an absent key are refused, and a key already resident on
+// the target copies nothing.
 func TestTieredMoveDirectionChecks(t *testing.T) {
 	tb := twoLevel(t)
 	if err := tb.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Promote("k", 1); err == nil {
-		t.Errorf("Promote to a colder level accepted")
-	}
-	if err := tb.Demote("k", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Demote("k", 0); err == nil {
-		t.Errorf("Demote to a warmer level accepted")
-	}
-	if err := tb.Demote("absent", 1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Demote(absent) = %v, want ErrNotFound", err)
-	}
 	if _, err := tb.CopyTo("k", 5); err == nil {
 		t.Errorf("CopyTo out-of-range level accepted")
+	}
+	if _, err := tb.CopyTo("k", -1); err == nil {
+		t.Errorf("CopyTo negative level accepted")
+	}
+	if _, err := tb.CopyTo("absent", 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("CopyTo(absent) = %v, want ErrNotFound", err)
+	}
+	if n, err := tb.CopyTo("k", 0); err != nil || n != 0 {
+		t.Errorf("CopyTo onto the resident level = %d, %v, want a no-op", n, err)
+	}
+	if n, err := tb.CopyTo("k", 1); err != nil || n != 1 {
+		t.Errorf("CopyTo down = %d, %v", n, err)
+	}
+	// The copy half alone leaves both copies; the warmest still answers.
+	if lv, _ := tb.Residency("k"); lv != 0 {
+		t.Errorf("Residency after CopyTo alone = %d", lv)
+	}
+	if removed, err := tb.DeleteOutside("k", 1); err != nil || removed != 1 {
+		t.Errorf("DeleteOutside = %d, %v", removed, err)
+	}
+	if removed, err := tb.DeleteOutside("absent", 1); err != nil || removed != 0 {
+		t.Errorf("DeleteOutside(absent) = %d, %v, want nothing removed", removed, err)
 	}
 }
 
@@ -104,9 +125,7 @@ func TestTieredListDeleteSpanLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tb.Demote("b", 1); err != nil {
-		t.Fatal(err)
-	}
+	moveTo(t, tb, "b", 1)
 	keys, err := tb.List("")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +133,7 @@ func TestTieredListDeleteSpanLevels(t *testing.T) {
 	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
 		t.Errorf("union list = %v", keys)
 	}
-	// Stat sees the demoted copy.
+	// Stat sees the moved copy.
 	if info, err := tb.Stat("b"); err != nil || info.Size != 1 {
 		t.Errorf("Stat(b) = %+v, %v", info, err)
 	}
@@ -140,7 +159,7 @@ func TestTieredOccupancy(t *testing.T) {
 	tb := twoLevel(t)
 	tb.Put("a", make([]byte, 10))
 	tb.Put("b", make([]byte, 20))
-	tb.Demote("b", 1)
+	moveTo(t, tb, "b", 1)
 	occ, err := tb.Occupancy()
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +184,7 @@ func TestTieredDirLayout(t *testing.T) {
 	if err := tb.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Demote("k", 1); err != nil {
-		t.Fatal(err)
-	}
+	moveTo(t, tb, "k", 1)
 	// The cold level is invisible to a plain hot-root backend (dot-dir).
 	hot, err := NewLocal(dir)
 	if err != nil {
@@ -176,7 +193,7 @@ func TestTieredDirLayout(t *testing.T) {
 	if keys, _ := hot.List(""); len(keys) != 0 {
 		t.Errorf("hot root leaks cold objects: %v", keys)
 	}
-	// A fresh open sees the demoted object (the layout persists).
+	// A fresh open sees the moved object (the layout persists).
 	tb2, err := NewTieredDir(dir, []string{"nvme", "object"})
 	if err != nil {
 		t.Fatal(err)
