@@ -122,9 +122,11 @@ experiments:
 # health generation (+19) raised both by +46. PR 26 paid PRs 22-25 back in
 # part: -200 / -205 of exported code only tests called (archive.go, Tiered's
 # Promote/Demote, OpenChunkStore, Shards, ResetStats, Options.FullIngest).
-# CHANGES.md has the accounts.
-LOC_CEILING = 9687
-LOC_CEILING_ALL = 23810
+# One chunk planner for the fixed and the content-defined rule (splitChunks,
+# the offset compare and the three-case CDC plan gone) and ChunkStore.GC's
+# deletion lowered both by -123. CHANGES.md has the accounts.
+LOC_CEILING = 9564
+LOC_CEILING_ALL = 23687
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

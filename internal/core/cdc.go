@@ -72,7 +72,7 @@ func init() {
 }
 
 // cdcParams bounds one chunker instance. Invariant: 0 < minSize ≤
-// normSize ≤ maxSize, enforced by cdcParamsFor.
+// normSize ≤ maxSize, enforced by cdcParamsFor and fixedParams.
 type cdcParams struct {
 	minSize  int    // no cutpoint before this many bytes (final chunk excepted)
 	normSize int    // target (average) chunk size
@@ -111,6 +111,17 @@ func cdcParamsFor(avg int) cdcParams {
 		maskL:    topMask(b - cdcNormLevel),
 	}
 }
+
+// fixedParams is the fixed-size boundary rule as a chunker: with min = avg
+// = max = size, nextCut returns min(size, remaining) without hashing a byte.
+// size must be positive.
+func fixedParams(size int) cdcParams {
+	return cdcParams{minSize: size, normSize: size, maxSize: size}
+}
+
+// fixed reports whether p cuts at fixed offsets (the zero params included):
+// such a body is committed under a CHUNKS2 manifest.
+func (p cdcParams) fixed() bool { return p.minSize == p.maxSize }
 
 // String renders the parameter triple the way CHUNKS3 manifests record it.
 func (p cdcParams) String() string {
@@ -157,33 +168,13 @@ func (p cdcParams) nextCut(data []byte) int {
 // shorter. A zero-length body yields no cutpoints. The rolling hash
 // restarts at every cutpoint, so a chunk's boundaries depend only on its
 // own bytes and its start offset — the property the incremental save path
-// leans on when it re-chunks just the dirty window (manager.go cdcChunks).
+// leans on when it re-chunks just the dirty chunks (manager.go plan).
 func appendCutpoints(dst []int, body []byte, p cdcParams) []int {
 	for pos := 0; pos < len(body); {
 		pos += p.nextCut(body[pos:])
 		dst = append(dst, pos)
 	}
 	return dst
-}
-
-// commonPrefixWords returns the length of the longest common prefix of a
-// and b, comparing uint64 words with a byte tail — the same word-wise
-// dirty detection the fixed-size incremental path uses, repositioned to
-// find the dirty window's left edge.
-func commonPrefixWords(a, b []byte) int {
-	n := min(len(a), len(b))
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		if binary.LittleEndian.Uint64(a[i:]) != binary.LittleEndian.Uint64(b[i:]) {
-			break
-		}
-	}
-	for ; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return i
 }
 
 // commonSuffixWords returns the length of the longest common suffix,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,16 +401,94 @@ func TestChunkingOptionValidation(t *testing.T) {
 	}
 }
 
+// fuzzEdit derives one edit of body from sel: a flipped byte, an insert or
+// delete of 1–128 bytes, an append of as many, or a truncation.
+func fuzzEdit(body []byte, sel uint16) []byte {
+	at, n := int(sel>>3)%(len(body)+1), 1+int(sel>>9)
+	out, fill := bytes.Clone(body), bytes.Repeat([]byte{byte(sel)}, n)
+	switch sel % 5 {
+	case 0:
+		if at < len(out) {
+			out[at] ^= 0xFF
+		}
+	case 1:
+		out = slices.Insert(out, at, fill...)
+	case 2:
+		out = slices.Delete(out, at, min(at+n, len(out)))
+	case 3:
+		out = append(out, fill...)
+	default:
+		out = out[:at]
+	}
+	return out
+}
+
+// offsetCompareReuse is the fixed-size planner plan replaced, kept as the
+// reference: chunk i of body reuses the base's address i when the size-byte
+// slices at offset i·size of both bodies are equal, lengths included.
+func offsetCompareReuse(body, base []byte, size int, addrs []string) []string {
+	reuse := make([]string, (len(body)+size-1)/size)
+	for i := range reuse {
+		start := i * size
+		if start >= len(base) {
+			break
+		}
+		if bytes.Equal(body[start:min(start+size, len(body))], base[start:min(start+size, len(base))]) {
+			reuse[i] = addrs[i]
+		}
+	}
+	return reuse
+}
+
+// checkPlan plans edited against base, committed as its lineage's body
+// under rule p with every chunk's bytes as its address, and holds the plan
+// to a full re-chunk: the same cuts, every reused address naming the bytes
+// it stands for, and under a fixed rule at least the offset compare's
+// reuse (exactly it when the lengths are equal).
+func checkPlan(t *testing.T, p cdcParams, base, edited []byte) {
+	baseCuts := appendCutpoints(nil, base, p)
+	prev := &chunkBase{body: &refBuf{b: base}, cuts: baseCuts}
+	for _, piece := range cdcPieces(base, baseCuts) {
+		prev.addrs = append(prev.addrs, string(piece))
+	}
+	reuse, cuts := (&Manager{}).plan(edited, p, prev, nil)
+	if want := appendCutpoints(nil, edited, p); !slices.Equal(cuts, want) || len(reuse) != len(cuts) {
+		t.Fatalf("rule %v: plan cuts %v (%d reuse entries), a full re-chunk cuts %v", p, cuts, len(reuse), want)
+	}
+	for i, piece := range cdcPieces(edited, cuts) {
+		if reuse[i] != "" && reuse[i] != string(piece) {
+			t.Fatalf("rule %v: chunk %d reuses an address of other bytes", p, i)
+		}
+	}
+	if !p.fixed() {
+		return
+	}
+	for i, old := range offsetCompareReuse(edited, base, p.maxSize, prev.addrs) {
+		if old != "" && reuse[i] == "" || len(edited) == len(base) && (old == "") != (reuse[i] == "") {
+			t.Fatalf("chunk %d: plan reuses %t, the offset compare %t", i, reuse[i] != "", old != "")
+		}
+	}
+}
+
 // FuzzCDC fuzzes the chunker's core invariants: determinism, coverage,
 // size bounds, and prefix stability (cuts are decided left-to-right by
-// content, so extending the input never moves an interior cutpoint).
+// content, so extending the input never moves an interior cutpoint). It
+// also edits the input per split and plans the edit against the input
+// under the fixed and the content-defined rule at one size (checkPlan).
 func FuzzCDC(f *testing.F) {
 	f.Add([]byte("hello content defined chunking"), uint16(7))
 	f.Add(bytes.Repeat([]byte{0}, 1024), uint16(400))
 	f.Add(cdcTestBlob(4096, 5), uint16(1000))
 	f.Add([]byte{}, uint16(0))
+	// Full-size final chunks (64 bytes fixed, 256 content-defined) followed
+	// by an append (split%5 == 3) of 1 and of 64 bytes.
+	f.Add(cdcTestBlob(128, 7), uint16(3))
+	f.Add(bytes.Repeat([]byte{0}, 512), uint16(63<<9+2))
 	p := cdcParamsFor(64) // min 16 / norm 64 / max 256: tiny inputs hit every branch
 	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		edited := fuzzEdit(data, split)
+		checkPlan(t, fixedParams(64), data, edited)
+		checkPlan(t, p, data, edited)
 		cuts := appendCutpoints(nil, data, p)
 		if len(data) == 0 {
 			if len(cuts) != 0 {
@@ -444,20 +523,6 @@ func FuzzCDC(f *testing.F) {
 			}
 		}
 	})
-}
-
-// BenchmarkSplitChunks guards the fixed-boundary splitter's single exact
-// allocation (the append-grow pattern it replaced reallocated the slice
-// several times per save).
-func BenchmarkSplitChunks(b *testing.B) {
-	body := make([]byte, 8<<20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := splitChunks(body, 256<<10); len(got) != 32 {
-			b.Fatalf("split into %d chunks", len(got))
-		}
-	}
 }
 
 // BenchmarkCDCCutpoints measures raw chunking throughput: one shift-add

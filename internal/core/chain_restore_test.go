@@ -67,17 +67,11 @@ func putDeltaSnapshot(t testing.TB, b storage.Backend, delta []byte, layout, pie
 	if layout != layoutMonolithic {
 		h.Kind = KindDeltaChunked
 		cs := storage.NewChunkStore(storage.WithPrefix(b, ChunkPrefix))
-		var pieces [][]byte
-		p := cdcParamsFor(4 * pieceLen)
+		p := fixedParams(pieceLen)
 		if layout == layoutCDC {
-			prev := 0
-			for _, cut := range appendCutpoints(nil, delta, p) {
-				pieces = append(pieces, delta[prev:cut])
-				prev = cut
-			}
-		} else {
-			pieces = splitChunks(delta, pieceLen)
+			p = cdcParamsFor(4 * pieceLen)
 		}
+		pieces := cdcPieces(delta, appendCutpoints(nil, delta, p))
 		var addrs []string
 		for _, piece := range pieces {
 			frame, err := appendChunkFrame(nil, piece)
@@ -93,13 +87,9 @@ func putDeltaSnapshot(t testing.TB, b storage.Backend, delta []byte, layout, pie
 		if dropTail && len(addrs) > 0 {
 			addrs = addrs[:len(addrs)-1]
 		}
-		switch layout {
-		case layoutFixed:
-			body = appendChunkManifest(nil, len(delta), cdcParams{}, addrs)
-		case layoutCDC:
-			body = appendChunkManifest(nil, len(delta), p, addrs)
-		case layoutLegacy:
-			body = legacyManifest(appendChunkManifest(nil, len(delta), cdcParams{}, addrs))
+		body = appendChunkManifest(nil, len(delta), p, addrs)
+		if layout == layoutLegacy {
+			body = legacyManifest(body)
 		}
 	}
 	data, err := EncodeSnapshotFile(h, body)

@@ -11,8 +11,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Chunked snapshots split the body (payload or delta bytes) into fixed-size
-// chunks, frame each chunk independently (compressed, or raw when a sample's
+// Chunked snapshots split the body (payload or delta bytes) into chunks —
+// at fixed ChunkBytes offsets, or at content-defined cutpoints (cdc.go) —
+// frame each chunk independently (compressed, or raw when a sample's
 // byte histogram says an order-0 code would save under a tenth), and store
 // the framed chunks content-addressed in the backend's chunk store under
 // ChunkPrefix/. The snapshot file itself shrinks to a manifest naming the
@@ -201,12 +202,12 @@ func decodeChunkFrame(frame []byte, limit int) (piece []byte, scratch *[]byte, e
 }
 
 // appendChunkManifest appends a manifest body to dst (the save path runs
-// it on pooled scratch). The zero cdcParams — fixed-size boundaries —
-// writes CHUNKS2; anything else writes CHUNKS3, the same body plus the
-// chunker parameter line that makes content-defined boundaries
+// it on pooled scratch). A fixed-size rule (fixedParams, or the zero
+// cdcParams) writes CHUNKS2; anything else writes CHUNKS3, the same body
+// plus the chunker parameter line that makes content-defined boundaries
 // reproducible anywhere.
 func appendChunkManifest(dst []byte, rawLen int, p cdcParams, addrs []string) []byte {
-	cdc, magic := p != (cdcParams{}), chunkManifestMagic
+	cdc, magic := !p.fixed(), chunkManifestMagic
 	if cdc {
 		magic = chunkManifestMagicV3
 	}
@@ -303,28 +304,6 @@ func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 		return info, fmt.Errorf("%w: chunk manifest claims %d bytes in %d chunks", ErrCorrupt, rawLen, len(info.addrs))
 	}
 	return info, nil
-}
-
-// splitChunks cuts body into size-byte chunks (the last may be shorter). A
-// zero-length body yields no chunks. The slice is sized exactly and filled
-// by index — the append-grow pattern this replaced re-checked capacity on
-// every chunk of every save (BenchmarkSplitChunks guards the single
-// allocation).
-func splitChunks(body []byte, size int) [][]byte {
-	if size <= 0 {
-		size = DefaultChunkBytes
-	}
-	n := (len(body) + size - 1) / size
-	if n == 0 {
-		return nil
-	}
-	chunks := make([][]byte, n)
-	for i := range chunks {
-		off := i * size
-		end := min(off+size, len(body))
-		chunks[i] = body[off:end]
-	}
-	return chunks
 }
 
 // ChunkManifestSummary describes a chunked snapshot's manifest for

@@ -571,24 +571,6 @@ func TestDecodeChunkManifestMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSplitChunks(t *testing.T) {
-	body := bytes.Repeat([]byte{1}, 10)
-	chunks := splitChunks(body, 4)
-	if len(chunks) != 3 || len(chunks[0]) != 4 || len(chunks[2]) != 2 {
-		t.Errorf("splitChunks lengths: %d", len(chunks))
-	}
-	if got := splitChunks(nil, 4); len(got) != 0 {
-		t.Errorf("empty body produced %d chunks", len(got))
-	}
-	var back []byte
-	for _, c := range chunks {
-		back = append(back, c...)
-	}
-	if !bytes.Equal(back, body) {
-		t.Errorf("chunks do not reassemble")
-	}
-}
-
 func TestManagerRejectsNegativeChunkBytes(t *testing.T) {
 	if _, err := NewManager(Options{Dir: t.TempDir(), ChunkBytes: -1}); err == nil {
 		t.Errorf("negative chunk size accepted")

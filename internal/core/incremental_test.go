@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -410,6 +411,74 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 		t.Errorf("incremental wrote more (%d) than full ingest (%d)",
 			statsIncr.BytesWritten, statsFull.BytesWritten)
 	}
+
+	// Resizes, through the same run: a parameter vector that grows or
+	// shrinks every save shifts every later section, by a whole number of
+	// chunks or not. Every object must still be byte-identical, and the
+	// counters may differ only in which reused chunks count as clean
+	// instead of as dedup hits. Against an offset-indexed compare (offset:
+	// what it reuses on anchors 3 and 6), the planner reuses the same
+	// chunks unless the shift is whole, when it also reuses those past it.
+	for _, row := range []struct {
+		name   string
+		floats int // parameters added per save; negative removes
+		offset int
+	}{{"grow-partial", 100, 14}, {"grow-whole", MinChunkBytes / 8, 17}, {"shrink-partial", -300, 8}, {"shrink-whole", -MinChunkBytes / 8, 5}} {
+		states, anchorClean = resizedStates(8, row.floats), 0
+		memFull, gotFull, statsFull = run(true)
+		memIncr, gotIncr, statsIncr = run(false)
+		if !gotFull.Equal(states[7]) || !gotIncr.Equal(states[7]) {
+			t.Fatalf("%s: restore not bitwise-identical to the saved state", row.name)
+		}
+		if a, b := objectBytes(t, memFull), objectBytes(t, memIncr); !maps.Equal(a, b) {
+			t.Errorf("%s: stores diverge: full-ingest %d objects, incremental %d", row.name, len(a), len(b))
+		}
+		if f, i := statsFull, statsIncr; f.Chunks != i.Chunks || f.BytesWritten != i.BytesWritten ||
+			f.ChunkBytes != i.ChunkBytes || f.DedupHits != i.DedupHits+i.CleanChunks {
+			t.Errorf("%s: full-ingest %+v, incremental %+v", row.name, f, i)
+		}
+		if whole := row.floats%(MinChunkBytes/8) == 0; whole && anchorClean <= row.offset || !whole && anchorClean != row.offset {
+			t.Errorf("%s: anchors 3 and 6 reused %d chunks, an offset-indexed compare %d", row.name, anchorClean, row.offset)
+		}
+	}
+}
+
+// resizedStates is bigSeqStates with a 4096-entry parameter vector that
+// changes length by floats every save, a random optimizer blob (zero runs
+// would match at any shift) and a loss history that never grows: every
+// section after the parameters shifts by 8·floats bytes per save.
+func resizedStates(n, floats int) []*TrainingState {
+	out := bigSeqStates(n)
+	blob := make([]byte, 32<<10)
+	rand.New(rand.NewSource(27)).Read(blob)
+	for i, s := range out {
+		s.Optimizer = blob
+		s.Params = make([]float64, 4096+i*floats)
+		for j := range s.Params {
+			s.Params[j] = float64(j) * 0.137
+		}
+		s.Params[i] += 1e-9
+		s.LossHistory = nil
+	}
+	return out
+}
+
+// objectBytes maps every key in b to the object's bytes.
+func objectBytes(t *testing.T, b storage.Backend) map[string]string {
+	t.Helper()
+	keys, err := b.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := make(map[string]string, len(keys))
+	for _, k := range keys {
+		data, err := b.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[k] = string(data)
+	}
+	return objs
 }
 
 // TestIncrementalAdaptiveRawChunks feeds the pipeline a state whose bulk

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -208,6 +209,7 @@ type Manager struct {
 	backend storage.Backend
 	tiered  *storage.Tiered     // non-nil iff the backend is tiered
 	chunks  *storage.ChunkStore // non-nil iff ChunkBytes > 0
+	rule    cdcParams           // the chunk boundary rule, fixed or content-defined
 
 	// shared is the chunk machinery — store, pin table, GC gate, reference
 	// index. A standalone manager owns a private instance; managers opened
@@ -230,8 +232,8 @@ type Manager struct {
 	// are strictly serialized, so none of it is guarded by mu. bases holds
 	// one dirty-compare base per body kind (see chunkBase): an anchor is
 	// compared against the last committed anchor, a delta against the last
-	// committed delta. pinScratch and reuseSpare (the CDC clean/dirty
-	// plan) are per-save scratch kept for their capacity.
+	// committed delta. pinScratch and reuseSpare (the planner's clean/dirty
+	// list) are per-save scratch kept for their capacity.
 	bases      [2]chunkBase
 	pinScratch []string
 	reuseSpare []string
@@ -274,11 +276,10 @@ type Manager struct {
 
 // chunkBase is the dirty-compare base of one body kind (a lineage): the
 // last committed chunked body of that kind, the snapshot it was committed
-// as, and its per-chunk frame addresses. A new body's chunk whose bytes
-// match the same boundary slice of body reuses the address with no
-// hashing, compression or store traffic (DESIGN.md §9). Content-defined
-// chunking also retains the cut offsets (boundaries are not derivable from
-// an index there). The spare slices double-buffer addrs and cuts so
+// as, and its chunks' end offsets and frame addresses. A new body's chunk
+// that plan proves identical to one of body's reuses its address with no
+// hashing, compression or store traffic (DESIGN.md §9). The spare slices
+// double-buffer addrs and cuts so
 // steady-state saves reuse their capacity.
 type chunkBase struct {
 	body       *refBuf
@@ -382,6 +383,10 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 	}
 	if opt.ChunkBytes > 0 {
 		m.chunks = m.shared.store
+		m.rule = fixedParams(opt.ChunkBytes)
+		if opt.Chunker == ChunkerCDC {
+			m.rule = cdcParamsFor(opt.ChunkBytes)
+		}
 	}
 	// Continue the sequence after any snapshots already in the backend,
 	// so a restarted incarnation never overwrites its predecessor's files
@@ -514,13 +519,13 @@ func (m *Manager) putSnapshot(name string, h Header, body []byte) (int, error) {
 // bytes, threaded through ChunkStore.Ingest.
 var chunkKeySeed = maphash.MakeSeed()
 
-// persistChunked runs the incremental chunked save: the body is split on
-// the same fixed boundaries as every save before it, chunks whose bytes
-// match the retained base of the body's own kind — the last committed
-// anchor for an anchor, the last committed delta for a delta — are
-// recognized with a word-wise compare and reuse their prior addresses
-// outright, and only dirty chunks are framed (adaptive raw/flate), hashed
-// once, and offered to the chunk store concurrently on the worker pool.
+// persistChunked runs the incremental chunked save: plan cuts the body
+// under the manager's boundary rule against the retained base of the
+// body's own kind — the last committed anchor for an anchor, the last
+// committed delta for a delta — so chunks it proves unchanged reuse their
+// prior addresses outright, and only dirty chunks are framed (adaptive
+// raw/flate), hashed once, and offered to the chunk store concurrently on
+// the worker pool.
 // The manifest commits only after every referenced chunk is durable, so a
 // crash can orphan chunks but never dangle a manifest. At steady state
 // with few dirty bytes, the work is O(dirty bytes) plus one memcmp pass —
@@ -540,7 +545,6 @@ var chunkKeySeed = maphash.MakeSeed()
 func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	body := job.body.b
 	incremental := !m.fullIngest
-	cdc := m.opt.Chunker == ChunkerCDC
 	// The body's kind picks its lineage and its write class. The class rides
 	// every chunk of this snapshot down to the placement policy: anchor
 	// chunks are the base every restore replays from, delta chunks are tail
@@ -557,32 +561,11 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	if incremental && lin.body != nil {
 		prev = lin
 	}
-	var (
-		pieces [][]byte
-		reuse  []string // CDC clean/dirty plan: reuse[i] != "" names a reused address
-		cuts   []int    // CDC chunk end offsets, retained as the next save's base
-		params cdcParams
-	)
-	if cdc {
-		params = cdcParamsFor(m.opt.ChunkBytes)
-		pieces, reuse, cuts = m.cdcPlan(body, params, prev, lin.cutsSpare[:0])
-		defer func() { m.reuseSpare = reuse[:0] }()
-	} else {
-		pieces = splitChunks(body, m.opt.ChunkBytes)
-	}
-	// prevChunk returns the base body's chunk i without materializing a
-	// [][]byte per save: the compare below runs inside the stall window, so
-	// it indexes the retained body by offset (ok=false when the base has no
-	// complete counterpart chunk there). CDC saves plan their reuse up
-	// front in cdcPlan — boundaries are not index-derivable there.
-	prevChunk := func(i int) ([]byte, bool) {
-		start := i * m.opt.ChunkBytes
-		if prev == nil || start >= len(prev.body.b) || i >= len(prev.addrs) {
-			return nil, false
-		}
-		end := min(start+m.opt.ChunkBytes, len(prev.body.b))
-		return prev.body.b[start:end], true
-	}
+	// reuse[i] != "" names the address plan proved chunk i shares with prev;
+	// cuts are the chunk end offsets, retained as the next save's base.
+	reuse, cuts := m.plan(body, m.rule, prev, lin.cutsSpare[:0])
+	defer func() { m.reuseSpare = reuse[:0] }()
+	pieces := cdcPieces(body, cuts)
 
 	type result struct {
 		addr    string // set once the chunk is pinned against concurrent GC
@@ -614,19 +597,9 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	cleanPins := m.pinScratch[:0]
 	var wg sync.WaitGroup
 	for i, piece := range pieces {
-		// Clean-chunk detection: the CDC plan proved reuse[i] byte-identical
-		// during boundary resynchronization; the fixed path proves it here
-		// with an offset-indexed compare (bytes.Equal covers length, so a
-		// shorter tail chunk never matches a longer predecessor). Either
-		// way the reused address is pinned like any other chunk until our
+		// A clean chunk's address is pinned like any other chunk until our
 		// commit.
-		var reused string
-		if cdc {
-			reused = reuse[i]
-		} else if old, ok := prevChunk(i); ok && bytes.Equal(piece, old) {
-			reused = prev.addrs[i]
-		}
-		if reused != "" {
+		if reused := reuse[i]; reused != "" {
 			addrs[i] = reused
 			m.shared.pins.pin(reused)
 			cleanPins = append(cleanPins, reused)
@@ -737,7 +710,7 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	// the chunk workers above.
 	h.PayloadHash = job.hash.get()
 	msp := getScratch()
-	manifest := appendChunkManifest((*msp)[:0], len(body), params, addrs) // zero params unless cdc
+	manifest := appendChunkManifest((*msp)[:0], len(body), m.rule, addrs)
 	fileBytes, err = m.putSnapshot(job.name, h, manifest)
 	*msp = manifest
 	putScratch(msp)
@@ -791,132 +764,77 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	return total + fileBytes, fileBytes, nil
 }
 
-// cdcPlan computes the chunk layout of body under the content-defined
-// chunker: the piece slices, a parallel reuse list naming the address prev
-// (the body's lineage base, nil for none) holds for every chunk proven
-// byte-identical ("" = dirty, to be framed and ingested), and the cut
-// offsets, appended to cuts, which the lineage retains on commit.
+// plan cuts body under rule p and returns the chunk end offsets, appended
+// to cuts (the lineage retains them on commit), and a parallel reuse list
+// naming the address prev — the body's lineage base, nil for none — holds
+// for every chunk proven byte-identical ("" = dirty, to be framed and
+// ingested). The cuts are exactly appendCutpoints(body, p), so reused and
+// freshly ingested histories are byte-identical: nextCut restarts at every
+// cutpoint, so a chunk's end depends only on its start and its own bytes
+// (a fixed rule reads none). Two adoption rules keep a steady-state save
+// O(dirty chunks) of cutting and hashing:
 //
-// The incremental path keeps steady-state saves O(dirty bytes) of hashing
-// and compression without re-running the gear hash over the whole body,
-// and — the invariant TestCDCIncrementalMatchesFullIngest enforces — must
-// reproduce exactly the cut sequence a full re-chunk would compute, so
-// reused and freshly ingested histories are byte-identical. Two cases:
+//   - In place: the scan sits on an old chunk's start and that chunk's
+//     bytes are unchanged at the same offsets (one bytes.Equal). The old
+//     cut read exactly those bytes, so it is the next cut here too — unless
+//     it was the old body's end-of-data cut, which a longer or shorter body
+//     cuts differently: the old final chunk is adopted only when the bodies
+//     end at the same offset, or when it is a full maxSize chunk (cut there
+//     whatever follows). Otherwise one cut is taken fresh and the scan
+//     re-aligns, so islands of unchanged bytes after a dirty chunk adopt
+//     again, not just the prefix.
+//   - Shifted: when the lengths differ by δ, a fresh cut δ away from an old
+//     cut inside the common suffix means the rest of the body is the rest
+//     of the old body shifted, and every remaining old chunk is adopted at
+//     cut + δ. The suffix is measured only when δ ≠ 0.
 //
-//   - Equal lengths (δ = 0, the steady-state drift of a training loop):
-//     walk the previous cut list in lockstep with chunking. Whenever the
-//     scan position sits on an old chunk's start and that chunk's bytes
-//     are unchanged in place (one word-wise compare — the same cost the
-//     fixed engine pays), the old cut is provably the next cut: the
-//     rolling hash restarts at every cutpoint and the decision for the
-//     old cut read exactly those bytes. Adopt it — address, no hashing.
-//     Otherwise take one content-defined cut and re-align. Interior
-//     islands of unchanged bytes between dirty spans resynchronize this
-//     way, not just the prefix.
-//   - Shifted lengths (δ ≠ 0, insert/append/truncate): previous chunks
-//     wholly inside the common prefix are reproduced verbatim (same
-//     restart argument; the final previous chunk is excluded since its
-//     end may be a forced end-of-data cut a longer body would chunk
-//     past). Re-chunking runs from there; once a fresh cut lands δ bytes
-//     away from an old cutpoint inside the common suffix, the remaining
-//     bytes are the old bytes shifted, and every remaining old chunk is
-//     adopted outright: same address, cut + δ.
-//
-// Dirty chunks that merely moved still dedup at the store (their framed
-// bytes hash to resident addresses), so shifts cost re-hashing but not
-// re-writing. With no usable base (first save of a kind, fullIngest) the
-// whole body is chunked and marked dirty.
-func (m *Manager) cdcPlan(body []byte, p cdcParams, prev *chunkBase, cuts []int) ([][]byte, []string, []int) {
+// Under the fixed rule every cut lands on an old chunk's start, so in-place
+// adoption is an offset-indexed compare, and shifted adoption fires only on
+// a shift by a whole number of chunks. Chunks that merely moved otherwise
+// still dedup at the store: a shift costs re-hashing, not re-writing.
+func (m *Manager) plan(body []byte, p cdcParams, prev *chunkBase, cuts []int) ([]string, []int) {
 	reuse := m.reuseSpare[:0]
 	var (
-		prevB     []byte
-		prevCuts  []int
-		prevAddrs []string
+		old      []byte
+		oldCuts  []int
+		oldAddrs []string
 	)
-	if prev != nil && len(prev.cuts) > 0 && len(prev.cuts) == len(prev.addrs) {
-		prevB, prevCuts, prevAddrs = prev.body.b, prev.cuts, prev.addrs
+	if prev != nil {
+		old, oldCuts, oldAddrs = prev.body.b, prev.cuts, prev.addrs
 	}
-	switch {
-	case prevB == nil:
-		cuts = appendCutpoints(cuts, body, p)
-		for range cuts {
-			reuse = append(reuse, "")
-		}
-
-	case len(body) == len(prevB):
-		// Aligned walk: j indexes the old chunk that would start at pos.
-		pos, j := 0, 0
-		for pos < len(body) {
-			start := 0
-			if j > 0 {
-				start = prevCuts[j-1]
-			}
-			if j < len(prevCuts) && start == pos && bytes.Equal(body[pos:prevCuts[j]], prevB[pos:prevCuts[j]]) {
-				// The old cut at prevCuts[j] was decided by exactly these
-				// bytes (the hash restarted at pos), so it is the next cut
-				// here too — including a forced end-of-data cut, since the
-				// bodies end at the same offset.
-				pos = prevCuts[j]
-				cuts = append(cuts, pos)
-				reuse = append(reuse, prevAddrs[j])
-				j++
+	delta := len(body) - len(old)
+	resync := len(body) // fresh cuts from here on read the common suffix
+	if delta != 0 {
+		resync -= commonSuffixWords(body, old)
+	}
+	last := len(oldCuts) - 1
+	for pos, j := 0, 0; pos < len(body); { // j: the old chunk that would start at pos
+		if j <= last && (j == 0 && pos == 0 || j > 0 && oldCuts[j-1] == pos) {
+			end := oldCuts[j]
+			if end <= len(body) && (j < last || delta == 0 || end-pos == p.maxSize) && bytes.Equal(body[pos:end], old[pos:end]) {
+				cuts = append(cuts, end)
+				reuse = append(reuse, oldAddrs[j])
+				pos, j = end, j+1
 				continue
 			}
-			pos += p.nextCut(body[pos:])
-			cuts = append(cuts, pos)
-			reuse = append(reuse, "")
-			// Re-align: the old chunk starting at pos, if any, is the one
-			// after the old cut equal to pos.
-			j = sort.SearchInts(prevCuts, pos)
-			if j < len(prevCuts) && prevCuts[j] == pos {
-				j++
+		}
+		pos += p.nextCut(body[pos:])
+		cuts = append(cuts, pos)
+		reuse = append(reuse, "")
+		if pos >= resync && pos < len(body) {
+			if k, ok := slices.BinarySearch(oldCuts, pos-delta); ok {
+				for _, c := range oldCuts[k+1:] {
+					cuts = append(cuts, c+delta)
+				}
+				reuse = append(reuse, oldAddrs[k+1:]...)
+				break
 			}
 		}
-
-	default:
-		pre := commonPrefixWords(body, prevB)
-		suf := commonSuffixWords(body, prevB)
-		if n := min(len(body), len(prevB)); pre+suf > n {
-			// Prefix and suffix may overlap (pure append/truncate); cap the
-			// suffix so the two regions partition the shorter body.
-			suf = n - pre
-		}
-		delta := len(body) - len(prevB)
-
-		// Front reuse.
-		j := 0
-		for j < len(prevCuts)-1 && prevCuts[j] <= pre {
-			cuts = append(cuts, prevCuts[j])
-			reuse = append(reuse, prevAddrs[j])
+		for j <= last && oldCuts[j] <= pos {
 			j++
 		}
-		pos := 0
-		if j > 0 {
-			pos = prevCuts[j-1]
-		}
-
-		// Re-chunk the dirty window, watching for resynchronization: a new
-		// cut at pos maps to old offset pos−δ; when that offset is an old
-		// cutpoint and pos is inside the common suffix (so body[pos:] ==
-		// prevB[pos−δ:]), adopt every remaining old chunk shifted by δ.
-		resyncFloor := len(body) - suf
-		for pos < len(body) {
-			pos += p.nextCut(body[pos:])
-			cuts = append(cuts, pos)
-			reuse = append(reuse, "")
-			if pos >= resyncFloor && pos < len(body) {
-				old := pos - delta
-				if k := sort.SearchInts(prevCuts, old); k < len(prevCuts) && prevCuts[k] == old {
-					for t := k + 1; t < len(prevCuts); t++ {
-						cuts = append(cuts, prevCuts[t]+delta)
-						reuse = append(reuse, prevAddrs[t])
-					}
-					break
-				}
-			}
-		}
 	}
-	return cdcPieces(body, cuts), reuse, cuts
+	return reuse, cuts
 }
 
 // cdcPieces materializes the piece slices for a cut list (chunk end

@@ -321,7 +321,7 @@ func (sc *sharedChunks) retire(b storage.Backend, ns string, refs []snapshotRef)
 		return gone, 0, err
 	}
 	cands := sc.takePending()
-	swept, _, serr := sc.store.Sweep(cands, nil, sc.live, sc.creditSwept)
+	swept, _, serr := sc.store.Sweep(cands, sc.live, sc.creditSwept)
 	if serr != nil {
 		sc.unclaimed(cands...) // best-effort: the next pass retries
 	}
@@ -360,5 +360,5 @@ func (sc *sharedChunks) collectOrphans() (removed int, reclaimed int64, err erro
 	if err := sc.buildIndex(); err != nil {
 		return 0, 0, err
 	}
-	return sc.store.Sweep(append(addrs, sc.takePending()...), nil, sc.live, sc.creditSwept)
+	return sc.store.Sweep(append(addrs, sc.takePending()...), sc.live, sc.creditSwept)
 }

@@ -17,7 +17,7 @@ import (
 // the manifest, exactly as the save pipeline would lay it out.
 func buildChunkedBody(t *testing.T, cs *storage.ChunkStore, body []byte, chunkBytes int) []byte {
 	t.Helper()
-	pieces := splitChunks(body, chunkBytes)
+	pieces := cdcPieces(body, appendCutpoints(nil, body, fixedParams(chunkBytes)))
 	addrs := make([]string, len(pieces))
 	for i, piece := range pieces {
 		frame, err := appendChunkFrame(nil, piece)

@@ -296,28 +296,17 @@ func (cs *ChunkStore) List() ([]string, error) {
 	return addrs, nil
 }
 
-// GC deletes every chunk whose address is not in keep. It returns the
-// number of chunks removed and bytes reclaimed.
-func (cs *ChunkStore) GC(keep map[string]bool) (removed int, reclaimed int64, err error) {
-	addrs, err := cs.List()
-	if err != nil {
-		return 0, 0, err
-	}
-	return cs.Sweep(addrs, keep, nil, nil)
-}
-
-// Sweep deletes the chunks in addrs whose address is not in keep and not
-// excused by skip, a nil-able predicate re-evaluated immediately before
-// each delete. The checkpoint engine calls it with the candidates of a
-// retention pass, or with an inventory it listed before scanning
-// manifests, and its reference-and-pin check as skip; GC is the
-// list-then-sweep convenience. An address with no chunk behind it is an
-// ordinary input and counts for nothing: removed, reclaimed and onRemoved
-// (nil-able; the engine credits the tenant charged for the chunk) cover
-// only what this sweep deleted.
-func (cs *ChunkStore) Sweep(addrs []string, keep map[string]bool, skip func(addr string) bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
+// Sweep deletes the chunks in addrs not excused by skip, a nil-able
+// predicate re-evaluated immediately before each delete. The checkpoint
+// engine calls it with the candidates of a retention pass, or with an
+// inventory it listed before scanning manifests, and its reference-and-pin
+// check as skip. An address with no chunk behind it is an ordinary input
+// and counts for nothing: removed, reclaimed and onRemoved (nil-able; the
+// engine credits the tenant charged for the chunk) cover only what this
+// sweep deleted.
+func (cs *ChunkStore) Sweep(addrs []string, skip func(addr string) bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
 	for _, addr := range addrs {
-		if keep[addr] || (skip != nil && skip(addr)) {
+		if skip != nil && skip(addr) {
 			continue
 		}
 		key, kerr := cs.key(addr)

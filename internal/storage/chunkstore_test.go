@@ -200,8 +200,8 @@ func TestShardedChunkStoreConcurrentIngest(t *testing.T) {
 }
 
 // TestChunkStoreSweepHonorsInventory checks Sweep only touches the listed
-// inventory: a chunk ingested after the listing survives even though it
-// is not in keep — the ordering contract the engine's pinned GC relies
+// inventory: a chunk ingested after the listing survives even though
+// nothing excuses it — the ordering contract the engine's pinned GC relies
 // on for chunks racing the inventory scan.
 func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 	cs := NewChunkStore(NewMem())
@@ -219,7 +219,7 @@ func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 	}
 	// A live skip predicate excuses a listed orphan (the engine passes its
 	// pin table here)…
-	removed, _, err := cs.Sweep(inventory, map[string]bool{}, func(addr string) bool { return addr == old }, nil)
+	removed, _, err := cs.Sweep(inventory, func(addr string) bool { return addr == old }, nil)
 	if err != nil || removed != 0 {
 		t.Fatalf("skipped sweep: removed=%d err=%v, want 0", removed, err)
 	}
@@ -227,7 +227,7 @@ func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 		t.Fatalf("skip predicate ignored")
 	}
 	// …and without it the listed orphan goes while later ingests survive.
-	removed, _, err = cs.Sweep(inventory, map[string]bool{}, nil, nil)
+	removed, _, err = cs.Sweep(inventory, nil, nil)
 	if err != nil || removed != 1 {
 		t.Fatalf("sweep: removed=%d err=%v, want 1", removed, err)
 	}
@@ -255,11 +255,11 @@ func TestSweepCountsOnlyWhatItDeleted(t *testing.T) {
 	if _, err := cs.Ingest(gone, []byte("swept by an earlier pass"), ClassDefault); err != nil {
 		t.Fatal(err)
 	}
-	if removed, _, err := cs.Sweep([]string{gone}, nil, nil, nil); err != nil || removed != 1 {
+	if removed, _, err := cs.Sweep([]string{gone}, nil, nil); err != nil || removed != 1 {
 		t.Fatalf("first sweep: removed=%d err=%v", removed, err)
 	}
 	var credited []string
-	removed, reclaimed, err := cs.Sweep([]string{gone, never, there, "not an address"}, nil, nil, func(addr string, size int64) {
+	removed, reclaimed, err := cs.Sweep([]string{gone, never, there, "not an address"}, nil, func(addr string, size int64) {
 		credited = append(credited, addr)
 		if size != int64(len(data)) {
 			t.Errorf("onRemoved(%.8s…) size %d, want %d", addr, size, len(data))

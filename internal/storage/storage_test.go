@@ -162,7 +162,11 @@ func TestChunkStoreGC(t *testing.T) {
 	cs := localChunkStore(t, t.TempDir())
 	keepAddr, _ := cs.Put([]byte("keep me"))
 	dropAddr, _ := cs.Put([]byte("drop me"))
-	removed, reclaimed, err := cs.GC(map[string]bool{keepAddr: true})
+	addrs, err := cs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed, reclaimed, err := cs.Sweep(addrs, func(addr string) bool { return addr == keepAddr }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

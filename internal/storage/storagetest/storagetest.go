@@ -361,10 +361,10 @@ func testChunkStore(t *testing.T, b storage.Backend) {
 	if err != nil || len(addrs) != 1 {
 		t.Errorf("List = %v, %v", addrs, err)
 	}
-	if removed, _, err := cs.GC(map[string]bool{}); err != nil || removed != 1 {
-		t.Errorf("GC removed %d, err %v", removed, err)
+	if removed, _, err := cs.Sweep(addrs, nil, nil); err != nil || removed != 1 {
+		t.Errorf("Sweep removed %d, err %v", removed, err)
 	}
 	if cs.Has(addr) {
-		t.Errorf("chunk survived GC")
+		t.Errorf("chunk survived the sweep")
 	}
 }
