@@ -125,8 +125,9 @@ experiments:
 # One chunk planner for the fixed and the content-defined rule (splitChunks,
 # the offset compare and the three-case CDC plan gone) and ChunkStore.GC's
 # deletion lowered both by -123. CHANGES.md has the accounts.
-LOC_CEILING = 9564
-LOC_CEILING_ALL = 23687
+# The leaf-root payload identity raised both by +77 / +78; no deletion pays it yet, so ROADMAP item 2 carries it.
+LOC_CEILING = 9641
+LOC_CEILING_ALL = 23765
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

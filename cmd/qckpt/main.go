@@ -350,6 +350,7 @@ func cmdShow(path string) error {
 	}
 	fmt.Printf("kind:    %s\nseq:     %d\nstep:    %d\n", h.Kind, h.Seq, h.Step)
 	fmt.Printf("payload: %x\n", h.PayloadHash[:16])
+	fmt.Printf("identity: %s\n", h.Identity())
 	if h.Kind.Chunked() {
 		if _, manifest, err := core.ReadSnapshotFile(path); err == nil {
 			if sum, err := core.SummarizeChunkManifest(manifest); err == nil {

@@ -474,7 +474,9 @@ func checkPlan(t *testing.T, p cdcParams, base, edited []byte) {
 // size bounds, and prefix stability (cuts are decided left-to-right by
 // content, so extending the input never moves an interior cutpoint). It
 // also edits the input per split and plans the edit against the input
-// under the fixed and the content-defined rule at one size (checkPlan).
+// under the fixed and the content-defined rule at one size (checkPlan),
+// and holds the payload-identity leaves the edit reuses from the input to
+// leaves hashed from scratch, under 64-byte leaves (checkLeaves).
 func FuzzCDC(f *testing.F) {
 	f.Add([]byte("hello content defined chunking"), uint16(7))
 	f.Add(bytes.Repeat([]byte{0}, 1024), uint16(400))
@@ -484,11 +486,15 @@ func FuzzCDC(f *testing.F) {
 	// by an append (split%5 == 3) of 1 and of 64 bytes.
 	f.Add(cdcTestBlob(128, 7), uint16(3))
 	f.Add(bytes.Repeat([]byte{0}, 512), uint16(63<<9+2))
+	// A truncation (split%5 == 4) to 100 bytes, inside the second 64-byte
+	// leaf: its first 36 bytes are unchanged, its span is not.
+	f.Add(cdcTestBlob(128, 7), uint16(100<<3+4))
 	p := cdcParamsFor(64) // min 16 / norm 64 / max 256: tiny inputs hit every branch
 	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
 		edited := fuzzEdit(data, split)
 		checkPlan(t, fixedParams(64), data, edited)
 		checkPlan(t, p, data, edited)
+		checkLeaves(t, data, edited, 64)
 		cuts := appendCutpoints(nil, data, p)
 		if len(data) == 0 {
 			if len(cuts) != 0 {

@@ -56,7 +56,7 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
 	}
 	defer body.release()
-	if PayloadHash(body.b) != gotH.PayloadHash {
+	if ok, _ := gotH.identifies(body.b); !ok {
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", ErrCorrupt)
 	}
 	if _, err := DecodePayload(body.b); err != nil {

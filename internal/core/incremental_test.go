@@ -576,3 +576,51 @@ func BenchmarkSaveAnchor(b *testing.B) {
 	b.ReportMetric(100*float64(clean)/float64(chunks), "clean-%")
 	b.ReportMetric(float64(chunks-clean)/float64(b.N), "hashed-chunks/op")
 }
+
+// BenchmarkSaveSubstep times the delta saves of a sub-step stream on
+// BenchmarkSaveAnchor's state — 2 MiB of parameters, 8 KiB chunks — with no
+// anchor after the first save. Every op negates the same 64 parameters and
+// bumps Step, so every save changes the same payload-identity leaves
+// (snapshot.go) of the 2 097 335-byte payload: leaf 0 (Step and the
+// counters' CRC), leaf 12 (the parameters at byte 800 070) and the 183-byte
+// tail leaf 32 (the parameters' CRC). hashed-B/op is Stats.BytesHashed per
+// save, those leaves and the root's input: 2·65 536 + 183 + 8 + 32·33 =
+// 132 319 bytes, where a whole-payload hash reads all 2 097 335.
+func BenchmarkSaveSubstep(b *testing.B) {
+	const params, window, at = 256 << 10, 64, 100_000
+	r := rand.New(rand.NewSource(14))
+	s := NewTrainingState()
+	s.Params = make([]float64, params)
+	for i := range s.Params {
+		s.Params[i] = r.NormFloat64()
+	}
+	s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+	m, err := NewManager(Options{
+		Backend: storage.NewMem(), Strategy: StrategyDelta, AnchorEvery: 1 << 30,
+		ChunkBytes: 8 << 10, Workers: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Save(s); err != nil { // the anchor
+		b.Fatal(err)
+	}
+	b.SetBytes(8 * params)
+	b.ReportAllocs()
+	before := m.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := at; j < at+window; j++ {
+			s.Params[j] = -s.Params[j]
+		}
+		s.Step++
+		if res, err := m.Save(s); err != nil {
+			b.Fatal(err)
+		} else if res.Kind != KindDelta {
+			b.Fatalf("save %d is a %v", res.Seq, res.Kind)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.Stats().BytesHashed-before.BytesHashed)/float64(b.N), "hashed-B/op")
+}

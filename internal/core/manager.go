@@ -176,6 +176,7 @@ type Stats struct {
 	FullCount    int
 	DeltaCount   int
 	BytesWritten int64 // bytes that actually reached the backend (dedup hits excluded)
+	BytesHashed  int64 // bytes fed to SHA-256 for payload identities: changed leaves and each root's input
 	WriteTime    time.Duration
 	EncodeTime   time.Duration
 	// Chunked-pipeline counters (zero for monolithic snapshots).
@@ -195,10 +196,11 @@ type Stats struct {
 // trainer goroutine; the pipeline runs internally.
 //
 // Write path topology: Save encodes synchronously into pooled buffers
-// (the payload hash runs on a background goroutine from that moment),
-// then either persists inline (sync mode) or enqueues the snapshot to a
-// sequencer goroutine (async mode) that commits snapshots strictly in
-// sequence order — a delta is never durable before its base. In chunked
+// (the payload hash runs on a background goroutine from that moment and
+// re-hashes only the leaves that changed), then either persists inline
+// (sync mode) or enqueues the snapshot to a sequencer goroutine (async
+// mode) that commits snapshots strictly in sequence order — a delta is
+// never durable before its base. In chunked
 // mode the persisting goroutine compares the body word-wise against the
 // retained last body of its kind, reuses the addresses of unchanged
 // chunks, fans only the dirty chunks out to a pool of Options.Workers
@@ -222,7 +224,7 @@ type Manager struct {
 	mu          sync.Mutex
 	seq         uint64
 	lastPayload *refBuf      // base for the next delta (pooled, refcounted)
-	lastHash    *payloadHash // lastPayload's hash; spares deltas a second full-payload SHA-256
+	lastHash    *payloadHash // lastPayload's identity, and the leaves the next payload's reuses
 	sinceAnchor int
 	stats       Stats
 	asyncErr    error
@@ -304,35 +306,46 @@ type writeJob struct {
 	hash *payloadHash
 }
 
-// payloadHash carries a payload's SHA-256 computed on a background
-// goroutine. The hash is the single largest synchronous cost of a save
-// (60% of the incremental stall under profile), and nothing needs it
-// until the snapshot file header is encoded — after the chunk compare and
-// dispatch — so it overlaps with all of that. get is safe for concurrent
-// use (the persist path and the next delta save's base-hash lookup can
-// race).
+// payloadHash carries a payload's identity (snapshot.go), computed on a
+// background goroutine that overlaps everything up to the snapshot header
+// encode. get is safe for concurrent use.
 type payloadHash struct {
-	once sync.Once
-	ch   chan [32]byte
-	val  [32]byte
+	done   chan struct{}
+	root   [32]byte
+	tree   []byte // the root's input, which the next save's hash takes over
+	hashed int    // bytes fed to SHA-256
 }
 
-// startPayloadHash hashes p.b on its own goroutine, holding a reference
-// so buffer recycling cannot race the read.
-func startPayloadHash(p *refBuf) *payloadHash {
+// startPayloadHash computes p.b's identity on its own goroutine, re-hashing
+// only the leaves that differ from prev's, whose hash prevHash (both nil for
+// none) it waits for and takes over. It holds both buffers, and lets them go
+// before it publishes: whoever has joined the hash knows they are released.
+func startPayloadHash(p, prev *refBuf, prevHash *payloadHash) *payloadHash {
 	p.retain()
-	a := &payloadHash{ch: make(chan [32]byte, 1)}
+	a := &payloadHash{done: make(chan struct{})}
+	var old []byte
+	if prevHash != nil {
+		prev.retain()
+		old = prev.b
+	}
 	go func() {
-		a.ch <- PayloadHash(p.b)
+		var tree []byte
+		if prevHash != nil {
+			prevHash.get()
+			tree, prevHash.tree = prevHash.tree, nil
+		}
+		a.tree, a.root, a.hashed = hashLeaves(tree, p.b, old, leafBytes)
 		p.release()
+		prev.release()
+		close(a.done)
 	}()
 	return a
 }
 
 // get blocks until the hash is ready.
 func (a *payloadHash) get() [32]byte {
-	a.once.Do(func() { a.val = <-a.ch })
-	return a.val
+	<-a.done
+	return a.root
 }
 
 // NewManager opens the backend (creating the checkpoint directory for the
@@ -453,8 +466,10 @@ func (m *Manager) commit(job writeJob) (n int, dur time.Duration, err error) {
 	dur = time.Since(start)
 	m.markActivity()
 	job.body.release()
+	job.hash.get() // joined already unless persist failed first; Close relies on this join
 	m.mu.Lock()
 	m.stats.BytesWritten += int64(n)
+	m.stats.BytesHashed += int64(job.hash.hashed)
 	m.stats.WriteTime += dur
 	m.mu.Unlock()
 	if err == nil {
@@ -912,12 +927,12 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 		return SaveResult{}, err
 	}
 	payload.b = encoded
-	// The payload hash overlaps everything up to the snapshot header
-	// encode: delta encode, the dirty-chunk compare, chunk framing.
-	hash := startPayloadHash(payload)
 	encDur := time.Since(encStart)
 
 	m.mu.Lock()
+	// The payload hash overlaps everything up to the snapshot header
+	// encode: delta encode, the dirty-chunk compare, chunk framing.
+	hash := startPayloadHash(payload, m.lastPayload, m.lastHash)
 	kind := KindFull
 	var baseHash [32]byte
 	var body *refBuf
@@ -1041,7 +1056,7 @@ func (m *Manager) Close() error {
 	m.asyncErr = nil
 	lp := m.lastPayload
 	m.lastPayload = nil
-	m.lastHash = nil
+	m.lastHash = nil // joined by its commit, like every save's: no hash holds a buffer now
 	m.mu.Unlock()
 	lp.release()
 	for i := range m.bases {

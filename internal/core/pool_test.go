@@ -458,7 +458,9 @@ func BenchmarkChunkFrame(b *testing.B) {
 // TestPooledEncodeZeroAllocs locks in the headline property of the pooled
 // codec: the synchronous encode stage — payload serialization, delta
 // encode, chunk framing, snapshot-file assembly — allocates nothing at
-// steady state when running over pooled capacity.
+// steady state when running over pooled capacity; nor does the save's
+// payload identity, one dirty leaf re-hashed into the previous payload's
+// root input and then the root.
 func TestPooledEncodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -476,6 +478,10 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	// framed raw.
 	pieces := [][]byte{base[:min(len(base), 8<<10)], float64Piece(64<<10, rand.New(rand.NewSource(1)).NormFloat64)}
 	frameBuf := make([]byte, 0, 64<<10+chunkFrameHeader+64)
+	prev := float64Piece(3*leafBytes+100, rand.New(rand.NewSource(2)).NormFloat64)
+	cur := bytes.Clone(prev)
+	cur[leafBytes+7] ^= 1
+	tree, _, _ := hashLeaves(nil, prev, nil, leafBytes)
 	run := func() {
 		var err error
 		payloadBuf, err = AppendPayload(payloadBuf[:0], st)
@@ -492,6 +498,8 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tree, _, _ = hashLeaves(tree, cur, prev, leafBytes)
+		prev, cur = cur, prev
 	}
 	run() // warm the flate pools and size every buffer
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {

@@ -46,7 +46,7 @@ type LoadCost struct {
 
 	ChunksFetched     int   // chunk reads issued, one per distinct address per snapshot
 	ZeroPiecesSkipped int   // all-zero delta pieces that cost no XOR
-	BytesHashed       int64 // bytes fed to SHA-256: snapshot files and the target's payload; on a conviction walk chunk frames, the anchor and every link too
+	BytesHashed       int64 // bytes fed to SHA-256: snapshot files and the target's payload (its leaves and the root's 8 + 32·leaves input); on a conviction walk chunk frames, the anchor and every link too
 	ConvictionWalks   int   // chains walked a second time, every check on, to name the chunk or link that is wrong
 }
 
@@ -236,12 +236,12 @@ func (v *snapshotView) applyLink(ent indexEntry, payload *refBuf) error {
 	return a.finish()
 }
 
-// payloadIs reports whether payload hashes to want.
-func (v *snapshotView) payloadIs(payload []byte, want [32]byte) bool {
+// payloadIs reports whether payload is the one h names (Header.identifies).
+func (v *snapshotView) payloadIs(payload []byte, h Header) bool {
 	start := time.Now()
-	ok := PayloadHash(payload) == want
+	ok, hashed := h.identifies(payload)
 	v.cost.Verify += time.Since(start)
-	v.cost.BytesHashed += int64(len(payload))
+	v.cost.BytesHashed += int64(hashed)
 	return ok
 }
 
@@ -251,7 +251,7 @@ func (v *snapshotView) applyVerified(ent indexEntry, payload *refBuf) error {
 	if err := v.applyLink(ent, payload); err != nil {
 		return err
 	}
-	if !v.payloadIs(payload.b, ent.h.PayloadHash) {
+	if !v.payloadIs(payload.b, ent.h) {
 		return fmt.Errorf("%w: reconstructed payload hash mismatch at seq %d", ErrCorrupt, ent.h.Seq)
 	}
 	return nil
@@ -354,7 +354,7 @@ func (v *snapshotView) walk(chain []indexEntry, everything bool) (payload *refBu
 	if err != nil {
 		return nil, at, err
 	}
-	if (everything || at == 0) && !v.payloadIs(payload.b, chain[at].h.PayloadHash) {
+	if (everything || at == 0) && !v.payloadIs(payload.b, chain[at].h) {
 		payload.release()
 		return nil, at, fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}
@@ -471,7 +471,7 @@ func VerifyFile(filePath string) (Header, error) {
 		return h, err
 	}
 	if h.Kind.Base() == KindFull {
-		if PayloadHash(body) != h.PayloadHash {
+		if ok, _ := h.identifies(body); !ok {
 			return h, fmt.Errorf("%w: payload hash mismatch", ErrCorrupt)
 		}
 		if _, err := DecodePayload(body); err != nil {
@@ -556,7 +556,7 @@ func (w *chainVerifier) settle(ent indexEntry, payload *refBuf, err error) bool 
 // anchor verifies the full snapshot at ent and the chains hanging off it.
 func (w *chainVerifier) anchor(ent indexEntry) {
 	_, payload, err := w.v.readBody(ent.key, &ent.h)
-	if err == nil && !w.v.payloadIs(payload.b, ent.h.PayloadHash) {
+	if err == nil && !w.v.payloadIs(payload.b, ent.h) {
 		err = fmt.Errorf("%w: anchor payload hash mismatch", ErrCorrupt)
 	}
 	if w.settle(ent, payload, err) {

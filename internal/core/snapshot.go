@@ -8,16 +8,17 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // Snapshot file format:
 //
-//	magic        [6]byte  "QCKPT1"
+//	magic        [6]byte  "QCKPT2" ("QCKPT1": the whole-payload rule, read only)
 //	kind         uint8    (1 = full, 2 = delta)
 //	seq          uint64   monotone sequence number within a run
 //	step         uint64   optimizer step at capture time (informational)
-//	baseHash     [32]byte SHA-256 of the base payload (zero for full)
-//	payloadHash  [32]byte SHA-256 of the resulting canonical payload
+//	baseHash     [32]byte identity of the base payload (zero for full)
+//	payloadHash  [32]byte identity of the resulting canonical payload
 //	bodyLen      uint64   compressed body length
 //	body         flate(payload)       for full
 //	             flate(delta bytes)   for delta
@@ -26,8 +27,18 @@ import (
 // Every read verifies fileHash first (detects torn or corrupted files),
 // then — after decompression and, for deltas, chain application — verifies
 // payloadHash (detects wrong-base application and logic errors).
+//
+// In a QCKPT2 file a payload's identity is a root over fixed leafBytes
+// leaves (the last may be short), which a save re-hashes only where changed:
+//
+//	leafᵢ = SHA-256(payload[i·leafBytes : min((i+1)·leafBytes, len)])
+//	root  = SHA-256(uint64le(len) ‖ leaf₀ ‖ … ‖ leafₙ₋₁)
+//
+// In a QCKPT1 file it is SHA-256(payload). No chain mixes the two rules.
 
-var magic = [6]byte{'Q', 'C', 'K', 'P', 'T', '1'}
+var magic, magicWhole = [6]byte{'Q', 'C', 'K', 'P', 'T', '2'}, [6]byte{'Q', 'C', 'K', 'P', 'T', '1'}
+
+const leafBytes = 64 << 10 // the payload identity's leaf size (DESIGN.md §4)
 
 // SnapshotKind distinguishes full snapshots from delta links, and
 // monolithic bodies from chunked ones. For the monolithic kinds the file
@@ -101,6 +112,27 @@ type Header struct {
 	BaseHash    [32]byte
 	PayloadHash [32]byte
 	BodyLen     uint64
+	// wholeSum marks a QCKPT1 file, whose hashes are SHA-256 of the whole
+	// payload; the zero value is the leaf rule every new file is written by.
+	wholeSum bool
+}
+
+// Identity names the rule h's hashes were computed by, for display.
+func (h Header) Identity() string {
+	if h.wholeSum {
+		return "QCKPT1, SHA-256 of the whole payload"
+	}
+	return fmt.Sprintf("QCKPT2, root over %d KiB leaves", leafBytes>>10)
+}
+
+// identifies reports whether payload is the one h names, by the rule of h's
+// file, and how many bytes that fed SHA-256.
+func (h Header) identifies(payload []byte) (bool, int) {
+	if h.wholeSum {
+		return sha256.Sum256(payload) == h.PayloadHash, len(payload)
+	}
+	_, root, n := hashLeaves(nil, payload, nil, leafBytes)
+	return root == h.PayloadHash, n
 }
 
 const headerSize = 6 + 1 + 8 + 8 + 32 + 32 + 8
@@ -187,7 +219,8 @@ func parseHeaderBytes(buf []byte) (Header, error) {
 	if len(buf) < headerSize {
 		return h, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(buf))
 	}
-	if !bytes.Equal(buf[:6], magic[:]) {
+	h.wholeSum = bytes.Equal(buf[:6], magicWhole[:])
+	if !h.wholeSum && !bytes.Equal(buf[:6], magic[:]) {
 		return h, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	h.Kind = SnapshotKind(buf[6])
@@ -211,5 +244,34 @@ func ReadSnapshotFile(path string) (Header, []byte, error) {
 	return DecodeSnapshotFile(data)
 }
 
-// PayloadHash returns the SHA-256 of a canonical payload.
-func PayloadHash(payload []byte) [32]byte { return sha256.Sum256(payload) }
+// PayloadHash returns the identity of a canonical payload: the root over
+// its leaves.
+func PayloadHash(payload []byte) [32]byte {
+	_, root, _ := hashLeaves(nil, payload, nil, leafBytes)
+	return root
+}
+
+// hashLeaves returns the identity root of payload under leaves of leaf
+// bytes, its input — uint64le(len) ‖ leaf₀ ‖ … — rebuilt in tree, and the
+// bytes fed to SHA-256. A tree that holds prev's root input lends payload
+// leaf i wherever that leaf spans the same bytes in both payloads, so only
+// the leaves that changed are hashed; any other tree is only capacity.
+func hashLeaves(tree, payload, prev []byte, leaf int) ([]byte, [32]byte, int) {
+	if len(tree) != 8+32*((len(prev)+leaf-1)/leaf) {
+		prev = nil
+	}
+	size := 8 + 32*((len(payload)+leaf-1)/leaf)
+	tree = slices.Grow(tree, max(0, size-len(tree)))[:size]
+	binary.LittleEndian.PutUint64(tree, uint64(len(payload)))
+	hashed := size
+	for off := 0; off < len(payload); off += leaf {
+		end := min(off+leaf, len(payload))
+		if min(off+leaf, len(prev)) == end && bytes.Equal(payload[off:end], prev[off:end]) {
+			continue // prev's leaf, already in place
+		}
+		sum := sha256.Sum256(payload[off:end])
+		copy(tree[8+32*(off/leaf):], sum[:])
+		hashed += end - off
+	}
+	return tree, sha256.Sum256(tree), hashed
+}
