@@ -127,8 +127,9 @@ experiments:
 # deletion lowered both by -123. CHANGES.md has the accounts.
 # The leaf-root payload identity raised both by +77 / +78; no deletion pays it yet, so ROADMAP item 2 carries it.
 # Replicated's one push and one listing fan-out, its dropped range read, the dead archive class and qckpt's one store opener paid it back: -90 / -152.
+# cmd/train's one job runner (single job and fleet), qckpt's one restore verb and T9's unreachable read interceptors: 0 / -138.
 LOC_CEILING = 9551
-LOC_CEILING_ALL = 23613
+LOC_CEILING_ALL = 23475
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

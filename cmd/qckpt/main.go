@@ -8,9 +8,9 @@
 //	qckpt [flags] ls <dir>         list snapshots (newest first)
 //	qckpt [flags] verify <dir>     verify every snapshot including delta chains
 //	qckpt show <file>              print one snapshot's header and state summary
-//	qckpt [flags] latest <dir>     print the state the recovery path would restore
-//	qckpt [flags] restore <dir>    restore through the parallel streaming engine
-//	                               (-workers, -prefetch) and report the wall time
+//	qckpt [flags] restore <dir>    print the state the recovery path restores,
+//	                               through the parallel streaming engine
+//	                               (-workers, -prefetch), and the wall time
 //	qckpt [flags] gc <dir>         collect orphaned chunks (bytes reclaimed);
 //	                               keeps chunks referenced by ANY job of a
 //	                               multi-tenant store
@@ -32,7 +32,7 @@
 //
 // Flags:
 //
-//	-job <id>                      scope ls/verify/latest/restore to one job of
+//	-job <id>                      scope ls/verify/restore to one job of
 //	                               a multi-tenant store (manifests under
 //	                               jobs/<id>/, chunk reads hit the shared store)
 //	-levels nvme,object            open <dir> as a tiered layout (hot level at
@@ -43,7 +43,8 @@
 //	                               directory onto that device
 //	-keep N                        migrate: anchor chains kept hot (default 1)
 //	-workers N                     restore: parallel chunk fetch+decompress
-//	                               workers (0 = one per CPU, 1 = serial)
+//	                               workers (0 = one per CPU, 1 = serial; the
+//	                               state is bitwise-identical under every count)
 //	-prefetch N                    restore: chunks fetched ahead of the ordered
 //	                               reassembly frontier (0 = 2×workers)
 //	-replicas N                    open <dir> as an N-way replicated store with
@@ -141,8 +142,6 @@ func main() {
 		err = cmdVerify(arg)
 	case "show":
 		err = cmdShow(arg)
-	case "latest":
-		err = cmdLatest(arg)
 	case "restore":
 		err = cmdRestore(arg)
 	case "gc":
@@ -174,7 +173,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qckpt [-job id] [-levels devs] [-replicas n] [-quorum w] [-workers n] {ls|verify|latest|restore|gc|compact|jobs|tiers|migrate} <dir> | qckpt -replicas n [-quorum w] [-repair] replicas <dir> | qckpt [-addr a] [-replicas n] [-quorum w] [-inflight n] [-lease d] [-cache mib] [-quota mib] [-rate mibs] [-qos spec] [-place spec] serve <dir> | qckpt show <file> | qckpt diff <a> <b>")
+	fmt.Fprintln(os.Stderr, "usage: qckpt [-job id] [-levels devs] [-replicas n] [-quorum w] [-workers n] {ls|verify|restore|gc|compact|jobs|tiers|migrate} <dir> | qckpt -replicas n [-quorum w] [-repair] replicas <dir> | qckpt [-addr a] [-replicas n] [-quorum w] [-inflight n] [-lease d] [-cache mib] [-quota mib] [-rate mibs] [-qos spec] [-place spec] serve <dir> | qckpt show <file> | qckpt diff <a> <b>")
 	os.Exit(2)
 }
 
@@ -333,7 +332,7 @@ func cmdShow(path string) error {
 	}
 	if h.Kind.Base() == core.KindDelta {
 		fmt.Printf("base:    %x\n", h.BaseHash[:16])
-		fmt.Println("(delta snapshot: run `qckpt latest <dir>` to resolve its chain)")
+		fmt.Println("(delta snapshot: run `qckpt restore <dir>` to resolve its chain)")
 		return nil
 	}
 	_, body, err := core.ReadSnapshotBody(path)
@@ -362,26 +361,11 @@ func printLoadReport(r core.LoadReport) {
 		r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed, r.ConvictionWalks)
 }
 
-func cmdLatest(dir string) error {
-	b, report, err := openDir(dir)
-	if err != nil {
-		return err
-	}
-	st, loadReport, err := core.LoadLatestBackendOptions(b, nil, core.RestoreOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("restored: %s (seq %d, chain length %d)\n", loadReport.Path, loadReport.Seq, loadReport.ChainLen)
-	printLoadReport(loadReport)
-	printState(st)
-	report()
-	return nil
-}
-
-// cmdRestore is cmdLatest through the parallel streaming restore engine:
-// it restores the newest recoverable state with a worker pool sized by
-// -workers (chunk fetch+decompress fan-out plus delta-chain prefetch) and
-// reports the restore wall time next to the usual state summary.
+// cmdRestore restores the newest recoverable state the way the recovery
+// path does — falling back past corrupt snapshots and broken chains — with
+// a worker pool sized by -workers (chunk fetch+decompress fan-out plus
+// delta-chain prefetch), and prints it beside its load report and the
+// restore wall time.
 func cmdRestore(dir string) error {
 	b, report, err := openDir(dir)
 	if err != nil {

@@ -37,7 +37,7 @@ func populate(t *testing.T, dir string, strategy core.Strategy) []string {
 	return paths
 }
 
-func TestCmdLsVerifyLatest(t *testing.T) {
+func TestCmdLsVerifyRestore(t *testing.T) {
 	dir := t.TempDir()
 	populate(t, dir, core.StrategyDelta)
 	if err := cmdLs(dir); err != nil {
@@ -46,8 +46,8 @@ func TestCmdLsVerifyLatest(t *testing.T) {
 	if err := cmdVerify(dir); err != nil {
 		t.Errorf("verify: %v", err)
 	}
-	if err := cmdLatest(dir); err != nil {
-		t.Errorf("latest: %v", err)
+	if err := cmdRestore(dir); err != nil {
+		t.Errorf("restore: %v", err)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestCmdTiersMigrateGc(t *testing.T) {
 		t.Errorf("migrate: %v", err)
 	}
 	// After migration only the newest chain stays hot; tiered ls/verify/
-	// latest still see everything.
+	// restore still see everything.
 	hot, err := storage.NewLocal(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +142,8 @@ func TestCmdTiersMigrateGc(t *testing.T) {
 	if err := cmdVerify(dir); err != nil {
 		t.Errorf("verify tiered: %v", err)
 	}
-	if err := cmdLatest(dir); err != nil {
-		t.Errorf("latest tiered: %v", err)
+	if err := cmdRestore(dir); err != nil {
+		t.Errorf("restore tiered: %v", err)
 	}
 	if err := cmdGc(dir); err != nil {
 		t.Errorf("gc tiered: %v", err)
@@ -204,8 +204,8 @@ func TestCmdErrorsOnMissing(t *testing.T) {
 	if err := cmdShow(filepath.Join(t.TempDir(), "nope.qckpt")); err == nil {
 		t.Errorf("show of missing file succeeded")
 	}
-	if err := cmdLatest(t.TempDir()); err == nil {
-		t.Errorf("latest on empty dir succeeded")
+	if err := cmdRestore(t.TempDir()); err == nil {
+		t.Errorf("restore on empty dir succeeded")
 	}
 	if err := cmdCompact(t.TempDir()); err == nil {
 		t.Errorf("compact on empty dir succeeded")

@@ -56,13 +56,8 @@ type countingStore struct {
 	chunkReads atomic.Int64
 }
 
-func (cs *countingStore) count(key string, n int) {
-	if strings.HasPrefix(key, core.ChunkPrefix+"/") {
-		cs.chunkBytes.Add(int64(n))
-		cs.chunkReads.Add(1)
-	}
-}
-
+// Caps declares what the base (a Mem) offers: no ranged or batched read,
+// so every read reaches Get below.
 func (cs *countingStore) Caps() storage.CapSet { return storage.ForwardCaps(cs, cs.Backend) }
 
 func (cs *countingStore) reset() {
@@ -72,28 +67,11 @@ func (cs *countingStore) reset() {
 
 func (cs *countingStore) Get(key string) ([]byte, error) {
 	data, err := cs.Backend.Get(key)
-	if err == nil {
-		cs.count(key, len(data))
+	if err == nil && strings.HasPrefix(key, core.ChunkPrefix+"/") {
+		cs.chunkBytes.Add(int64(len(data)))
+		cs.chunkReads.Add(1)
 	}
 	return data, err
-}
-
-func (cs *countingStore) GetRange(key string, off, n int64) ([]byte, error) {
-	data, err := storage.GetRange(cs.Backend, key, off, n)
-	if err == nil {
-		cs.count(key, len(data))
-	}
-	return data, err
-}
-
-func (cs *countingStore) GetBatch(keys []string) ([][]byte, []error) {
-	out, errs := storage.GetBatch(cs.Backend, keys)
-	for i := range out {
-		if errs[i] == nil {
-			cs.count(keys[i], len(out[i]))
-		}
-	}
-	return out, errs
 }
 
 // t9States is the saver's stream: the Table 7 replica state drifting a
