@@ -128,8 +128,9 @@ experiments:
 # The leaf-root payload identity raised both by +77 / +78; no deletion pays it yet, so ROADMAP item 2 carries it.
 # Replicated's one push and one listing fan-out, its dropped range read, the dead archive class and qckpt's one store opener paid it back: -90 / -152.
 # cmd/train's one job runner (single job and fleet), qckpt's one restore verb and T9's unreachable read interceptors: 0 / -138.
-LOC_CEILING = 9551
-LOC_CEILING_ALL = 23475
+# One diff per save (the dirty-granule map behind the delta XOR, the chunk plan and the leaf hash) raised both by +97 / +97; no deletion pays it yet, so ROADMAP item 2 carries it.
+LOC_CEILING = 9648
+LOC_CEILING_ALL = 23572
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -451,7 +451,7 @@ func checkPlan(t *testing.T, p cdcParams, base, edited []byte) {
 	for _, piece := range cdcPieces(base, baseCuts) {
 		prev.addrs = append(prev.addrs, string(piece))
 	}
-	reuse, cuts := (&Manager{}).plan(edited, p, prev, nil)
+	reuse, cuts := (&Manager{}).plan(edited, p, prev, nil, dirtyMap{})
 	if want := appendCutpoints(nil, edited, p); !slices.Equal(cuts, want) || len(reuse) != len(cuts) {
 		t.Fatalf("rule %v: plan cuts %v (%d reuse entries), a full re-chunk cuts %v", p, cuts, len(reuse), want)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -38,19 +39,79 @@ func EncodeDelta(base, cur []byte) []byte {
 }
 
 // AppendDelta appends the delta of cur against base to dst and returns the
-// extended slice. With 16+len(cur) spare capacity it allocates nothing,
-// which is how the save path uses it (pooled delta-body buffers).
+// extended slice. With 16+len(cur) spare capacity it allocates nothing.
 func AppendDelta(dst, base, cur []byte) []byte {
+	return appendDelta(dst, base, cur, dirtyMap{})
+}
+
+// appendDelta is AppendDelta guided by dirty, cur's map against base, on the
+// save path: the common prefix is zero-filled and only the granules the map
+// marks are XORed — the same bytes, without reading the clean ones. With no
+// map the whole prefix is XORed.
+func appendDelta(dst, base, cur []byte, dirty dirtyMap) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(cur)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(base)))
-	// One pass: XOR straight into the destination over the common prefix,
-	// then copy cur's tail — not a copy of cur followed by an XOR over it.
 	n := min(len(cur), len(base))
 	off := len(dst)
 	dst = slices.Grow(dst, len(cur))[:off+len(cur)]
-	subtle.XORBytes(dst[off:], cur[:n], base[:n])
-	copy(dst[off+n:], cur[n:])
+	out := dst[off:]
+	if dirty.gran == 0 {
+		subtle.XORBytes(out, cur[:n], base[:n])
+	} else {
+		clear(out[:n])
+		for lo := 0; lo < n; lo += dirty.gran {
+			if hi := min(lo+dirty.gran, n); !dirty.clean(lo, hi) {
+				subtle.XORBytes(out[lo:hi], cur[lo:hi], base[lo:hi])
+			}
+		}
+	}
+	copy(out[n:], cur[n:])
 	return dst
+}
+
+// granuleBytes is the save path's diff granule: a power of two dividing
+// leafBytes, so a leaf is clean exactly when its bytes are.
+const granuleBytes = 4 << 10
+
+// dirtyMap records which granules of a payload differ from base, the
+// payload it was diffed against: granule j, bytes [j·gran, min((j+1)·gran,
+// len)), is marked when its bytes changed or it reaches past base's end. A
+// save diffs once and hands the map down: a delta body's unmarked granules
+// are zero, the chunk plan adopts a delta chunk neither body's map marks,
+// and the leaf hash keeps an unmarked leaf's hash. The zero value is no
+// map, and every consumer then reads the bytes.
+type dirtyMap struct {
+	gran int // granule bytes; 0: no map
+	base int // len(base)
+	bits []uint64
+}
+
+// diff maps cur against base at gran-byte granules into d's words.
+func (d *dirtyMap) diff(cur, base []byte, gran int) {
+	n := (len(cur) + gran - 1) / gran
+	d.gran, d.base = gran, len(base)
+	d.bits = slices.Grow(d.bits[:0], (n+63)/64)[:(n+63)/64]
+	clear(d.bits)
+	for j := 0; j < n; j++ {
+		lo, hi := j*gran, min((j+1)*gran, len(cur))
+		if hi > len(base) || !bytes.Equal(cur[lo:hi], base[lo:hi]) {
+			d.bits[j/64] |= 1 << (j % 64)
+		}
+	}
+}
+
+// clean reports whether d is a map that marks no granule under bytes
+// [lo, hi); granules past the map count as marked.
+func (d dirtyMap) clean(lo, hi int) bool {
+	if d.gran == 0 {
+		return false
+	}
+	for j := lo / d.gran; j*d.gran < hi; j++ {
+		if j/64 >= len(d.bits) || d.bits[j/64]&(1<<(j%64)) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ApplyDelta reconstructs cur from base and a delta produced by

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,4 +111,101 @@ func TestDeltaOfSimilarStatesMostlyZero(t *testing.T) {
 	if frac < 0.7 {
 		t.Errorf("delta of adjacent states only %.0f%% zero", frac*100)
 	}
+}
+
+// fuzzPayloadEdit returns a copy of p with a span of up to 96 bytes flipped
+// and, when e's top bit is set, its length changed by up to 64 bytes either
+// way, all chosen by e.
+func fuzzPayloadEdit(p []byte, e uint64) []byte {
+	out := bytes.Clone(p)
+	if len(out) > 0 {
+		off := int(e % uint64(len(out)))
+		for i := off; i < min(off+int(e>>16%97), len(out)); i++ {
+			out[i] ^= byte(e>>32) | 1
+		}
+	}
+	if e>>63 == 0 {
+		return out
+	}
+	d := int(e>>40%129) - 64
+	if d < 0 {
+		return out[:max(0, len(out)+d)]
+	}
+	return append(out, bytes.Repeat([]byte{byte(e >> 48)}, d)...)
+}
+
+// lentLeaves reports, per leaf of cur, whether its hash is the one prev's
+// root input lent: the input's leaf slots are overwritten with a marker
+// first, so every leaf hashLeaves re-hashes loses it.
+func lentLeaves(prev, cur []byte, dirty dirtyMap, leaf int) []bool {
+	tree, _, _ := hashLeaves(nil, prev, dirtyMap{}, leaf)
+	for i := 8; i < len(tree); i++ {
+		tree[i] = 0xA5
+	}
+	tree, _, _ = hashLeaves(tree, cur, dirty, leaf)
+	lent := make([]bool, (len(cur)+leaf-1)/leaf)
+	for i := range lent {
+		lent[i] = !slices.ContainsFunc(tree[8+32*i:8+32*(i+1)], func(b byte) bool { return b != 0xA5 })
+	}
+	return lent
+}
+
+// reusedChunks lists the chunks a reuse list adopts.
+func reusedChunks(reuse []string) []int {
+	var at []int
+	for i, a := range reuse {
+		if a != "" {
+			at = append(at, i)
+		}
+	}
+	return at
+}
+
+// FuzzDirtyMapMatchesCompare holds what a save's dirty map drives to the
+// byte compares it replaces. Payloads p0 → p1 → p2 differ by random dirty
+// spans, growth and shrink; maps are taken at 16-byte granules under
+// 64-byte leaves. The map-driven delta bodies must be AppendDelta's bytes,
+// the leaves p1's root input lends p2's hash exactly those a byte compare
+// lends, and plan of delta(p1, p2) against delta(p0, p1) under the fixed
+// and the content-defined rule must cut and reuse with the maps exactly as
+// it does comparing bytes.
+func FuzzDirtyMapMatchesCompare(f *testing.F) {
+	blob := cdcTestBlob(1024, 33)
+	f.Add(blob, uint64(100|40<<16), uint64(900|8<<16))            // equal lengths, spans far apart
+	f.Add(blob, uint64(500|96<<16), uint64(510|3<<16))            // equal lengths, overlapping spans
+	f.Add(blob, uint64(0), uint64(1<<63|100<<40))                 // p2 grows by 36 bytes
+	f.Add(blob, uint64(0), uint64(1<<63|10<<40))                  // p2 shrinks by 54 bytes, inside a leaf
+	f.Add(blob, uint64(1<<63|10<<40|7), uint64(300|60<<16))       // p1 shrinks by 54 bytes
+	f.Add(make([]byte, 640), uint64(64|16<<16), uint64(65|1<<16)) // zero runs: every delta chunk alike
+	f.Add([]byte{}, uint64(1<<63|128<<40), uint64(0))             // grow from empty
+	const gran, leaf = 16, 64
+	f.Fuzz(func(t *testing.T, p0 []byte, e1, e2 uint64) {
+		p1 := fuzzPayloadEdit(p0, e1)
+		p2 := fuzzPayloadEdit(p1, e2)
+		m1, m2 := diffMap(p1, p0, gran), diffMap(p2, p1, gran)
+		d1, d2 := EncodeDelta(p0, p1), EncodeDelta(p1, p2)
+		if !bytes.Equal(appendDelta(nil, p0, p1, m1), d1) || !bytes.Equal(appendDelta(nil, p1, p2, m2), d2) {
+			t.Fatal("a map-driven delta body differs from AppendDelta's")
+		}
+		want := make([]bool, (len(p2)+leaf-1)/leaf)
+		for i := range want {
+			off, end := i*leaf, min((i+1)*leaf, len(p2))
+			want[i] = min(off+leaf, len(p1)) == end && bytes.Equal(p2[off:end], p1[off:end])
+		}
+		if got := lentLeaves(p1, p2, m2, leaf); !slices.Equal(got, want) {
+			t.Fatalf("leaves lent by the map %v, by a byte compare %v", got, want)
+		}
+		for _, p := range []cdcParams{fixedParams(64), cdcParamsFor(64)} {
+			prev := &chunkBase{body: &refBuf{b: d1, dirty: m1}, cuts: appendCutpoints(nil, d1, p)}
+			for _, piece := range cdcPieces(d1, prev.cuts) {
+				prev.addrs = append(prev.addrs, string(piece))
+			}
+			reuse, cuts := (&Manager{}).plan(d2, p, prev, nil, m2)
+			wantReuse, wantCuts := (&Manager{}).plan(d2, p, prev, nil, dirtyMap{})
+			if !slices.Equal(cuts, wantCuts) || !slices.Equal(reuse, wantReuse) {
+				t.Fatalf("rule %v: with the maps plan cuts %v and reuses chunks %v, comparing bytes %v and %v",
+					p, cuts, reusedChunks(reuse), wantCuts, reusedChunks(wantReuse))
+			}
+		}
+	})
 }

@@ -10,15 +10,22 @@ import (
 	"repro/internal/storage"
 )
 
+// diffMap is edited's dirty map against base at gran-byte granules.
+func diffMap(edited, base []byte, gran int) dirtyMap {
+	var d dirtyMap
+	d.diff(edited, base, gran)
+	return d
+}
+
 // checkLeaves holds the leaves edited borrows from base — base's root input
-// handed on, as a save hands it to the next — to a computation from
-// scratch: the same root input byte for byte, the same root, and no more
-// bytes hashed.
+// handed on with edited's map against base at a quarter-leaf granule, as a
+// save hands them to the next — to a computation from scratch: the same
+// root input byte for byte, the same root, and no more bytes hashed.
 func checkLeaves(t *testing.T, base, edited []byte, leaf int) int {
 	t.Helper()
-	baseTree, _, _ := hashLeaves(nil, base, nil, leaf)
-	tree, root, hashed := hashLeaves(baseTree, edited, base, leaf)
-	want, wantRoot, all := hashLeaves(nil, edited, nil, leaf)
+	baseTree, _, _ := hashLeaves(nil, base, dirtyMap{}, leaf)
+	tree, root, hashed := hashLeaves(baseTree, edited, diffMap(edited, base, leaf/4), leaf)
+	want, wantRoot, all := hashLeaves(nil, edited, dirtyMap{}, leaf)
 	if !bytes.Equal(tree, want) || root != wantRoot {
 		t.Fatalf("%d → %d bytes under %d-byte leaves: the leaves reused from the base are not the edited body's", len(base), len(edited), leaf)
 	}
@@ -65,9 +72,9 @@ func TestLeavesReusedMatchFresh(t *testing.T) {
 		}
 	}
 	// A root input of another shape than the base's lends nothing.
-	stranger, _, _ := hashLeaves(nil, body[:leaf], nil, leaf)
-	_, want, _ := hashLeaves(nil, body, nil, leaf)
-	if _, root, hashed := hashLeaves(stranger, body, body[:3*leaf], leaf); root != want || hashed != 8+32*4+4*leaf {
+	stranger, _, _ := hashLeaves(nil, body[:leaf], dirtyMap{}, leaf)
+	_, want, _ := hashLeaves(nil, body, dirtyMap{}, leaf)
+	if _, root, hashed := hashLeaves(stranger, body, diffMap(body, body[:3*leaf], leaf/4), leaf); root != want || hashed != 8+32*4+4*leaf {
 		t.Errorf("a root input of another shape lent leaves: %d bytes hashed", hashed)
 	}
 }

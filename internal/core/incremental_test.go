@@ -443,6 +443,69 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 	}
 }
 
+// TestAsyncGrowingMatchesFullIngest is TestIncrementalMatchesFullIngest's
+// asynchronous sibling, over sub-step states whose payload grows every third
+// save: between growths the deltas keep their length and plan by their
+// dirty maps, across one they compare bytes. A second window jumps 600
+// parameters a save, so consecutive deltas dirty different granules. Under
+// both chunkers the store must be the full-ingest oracle's byte for byte,
+// and the clean and dedup counts those the byte-compare planner the maps
+// replaced reached.
+func TestAsyncGrowingMatchesFullIngest(t *testing.T) {
+	states := subStepStates(24)
+	var loss []float64
+	for i, s := range states {
+		if i%3 == 2 {
+			loss = append(loss, 1/float64(i+1))
+		}
+		s.LossHistory = loss[:len(loss):len(loss)]
+		for k := 0; k < 8; k++ {
+			s.Params[(i*600+k)%len(s.Params)] += 1e-3
+		}
+	}
+	for _, row := range []struct {
+		chunker      Chunker
+		clean, dedup int // the byte-compare planner's counts
+	}{{ChunkerFixed, 1668, 101}, {ChunkerCDC, 539, 73}} {
+		run := func(fullIngest bool) (map[string]string, Stats) {
+			mem := storage.NewMem()
+			mgr, err := NewManager(Options{
+				Backend: mem, Strategy: StrategyDelta, AnchorEvery: 4, Async: true,
+				ChunkBytes: MinChunkBytes, Chunker: row.chunker, Workers: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr.fullIngest = fullIngest
+			for _, s := range states {
+				if _, err := mgr.Save(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(states[len(states)-1]) {
+				t.Fatalf("chunker %d: restore not bitwise-identical to the saved state", row.chunker)
+			}
+			return objectBytes(t, mem), mgr.Stats()
+		}
+		full, _ := run(true)
+		incr, stats := run(false)
+		if !maps.Equal(full, incr) {
+			t.Errorf("chunker %d: stores diverge: full-ingest %d objects, incremental %d", row.chunker, len(full), len(incr))
+		}
+		if stats.CleanChunks != row.clean || stats.DedupHits != row.dedup {
+			t.Errorf("chunker %d: %d clean chunks and %d dedup hits, the byte-compare planner %d and %d",
+				row.chunker, stats.CleanChunks, stats.DedupHits, row.clean, row.dedup)
+		}
+	}
+}
+
 // resizedStates is bigSeqStates with a 4096-entry parameter vector that
 // changes length by floats every save, a random optimizer blob (zero runs
 // would match at any shift) and a loss history that never grows: every

@@ -195,17 +195,20 @@ type Stats struct {
 // pipeline, retention and recovery. A Manager is driven by a single
 // trainer goroutine; the pipeline runs internally.
 //
-// Write path topology: Save encodes synchronously into pooled buffers
-// (the payload hash runs on a background goroutine from that moment and
-// re-hashes only the leaves that changed), then either persists inline
-// (sync mode) or enqueues the snapshot to a sequencer goroutine (async
-// mode) that commits snapshots strictly in sequence order — a delta is
-// never durable before its base. In chunked
-// mode the persisting goroutine compares the body word-wise against the
-// retained last body of its kind, reuses the addresses of unchanged
-// chunks, fans only the dirty chunks out to a pool of Options.Workers
-// writers, and commits the manifest only after all referenced chunks are
-// stored (DESIGN.md §9).
+// Write path topology: Save encodes synchronously into pooled buffers and
+// diffs the payload against the last one once, per 4 KiB granule. The map
+// that pass leaves is handed down instead of the bytes: the payload hash,
+// on a background goroutine from that moment, re-hashes only the leaves it
+// marks, and a delta body XORs only the granules it marks. Save then either
+// persists inline (sync mode) or enqueues the snapshot to a sequencer
+// goroutine (async mode) that commits snapshots strictly in sequence order
+// — a delta is never durable before its base. In chunked mode the
+// persisting goroutine plans the body against the retained last body of
+// its kind and reuses the addresses of unchanged chunks (a delta chunk
+// that neither body's map marks without a compare, any other after a
+// word-wise one), fans only the dirty chunks out to a pool of
+// Options.Workers writers, and commits the manifest only after all
+// referenced chunks are stored (DESIGN.md §9).
 type Manager struct {
 	opt     Options
 	backend storage.Backend
@@ -277,8 +280,9 @@ type Manager struct {
 }
 
 // chunkBase is the dirty-compare base of one body kind (a lineage): the
-// last committed chunked body of that kind, the snapshot it was committed
-// as, and its chunks' end offsets and frame addresses. A new body's chunk
+// last committed chunked body of that kind (a delta body keeps its dirty
+// map beside its bytes, in the refBuf), the snapshot it was committed as,
+// and its chunks' end offsets and frame addresses. A new body's chunk
 // that plan proves identical to one of body's reuses its address with no
 // hashing, compression or store traffic (DESIGN.md §9). The spare slices
 // double-buffer addrs and cuts so
@@ -317,26 +321,21 @@ type payloadHash struct {
 }
 
 // startPayloadHash computes p.b's identity on its own goroutine, re-hashing
-// only the leaves that differ from prev's, whose hash prevHash (both nil for
-// none) it waits for and takes over. It holds both buffers, and lets them go
-// before it publishes: whoever has joined the hash knows they are released.
-func startPayloadHash(p, prev *refBuf, prevHash *payloadHash) *payloadHash {
+// only the leaves p.dirty marks against the previous payload, whose hash
+// prevHash (nil for none) it waits for and takes over. It holds p, and lets
+// it go before it publishes: whoever has joined the hash knows it is
+// released.
+func startPayloadHash(p *refBuf, prevHash *payloadHash) *payloadHash {
 	p.retain()
 	a := &payloadHash{done: make(chan struct{})}
-	var old []byte
-	if prevHash != nil {
-		prev.retain()
-		old = prev.b
-	}
 	go func() {
 		var tree []byte
 		if prevHash != nil {
 			prevHash.get()
 			tree, prevHash.tree = prevHash.tree, nil
 		}
-		a.tree, a.root, a.hashed = hashLeaves(tree, p.b, old, leafBytes)
+		a.tree, a.root, a.hashed = hashLeaves(tree, p.b, p.dirty, leafBytes)
 		p.release()
-		prev.release()
 		close(a.done)
 	}()
 	return a
@@ -564,10 +563,11 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	// every chunk of this snapshot down to the placement policy: anchor
 	// chunks are the base every restore replays from, delta chunks are tail
 	// segments only an exact-step restore reads — the policy may send the
-	// latter straight to warm.
-	lin, chunkClass := &m.bases[0], storage.ClassAnchorChunk
+	// latter straight to warm. Only a delta hands plan its dirty map: an
+	// anchor's base is not the payload its map was diffed against.
+	lin, chunkClass, dirty := &m.bases[0], storage.ClassAnchorChunk, dirtyMap{}
 	if job.h.Kind.Base() != KindFull {
-		lin, chunkClass = &m.bases[1], storage.ClassDeltaChunk
+		lin, chunkClass, dirty = &m.bases[1], storage.ClassDeltaChunk, job.body.dirty
 	}
 	// prev is the base this save compares against: nil with no committed
 	// body of this kind yet (first save, restart, dropped by gc) or under
@@ -578,7 +578,7 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 	}
 	// reuse[i] != "" names the address plan proved chunk i shares with prev;
 	// cuts are the chunk end offsets, retained as the next save's base.
-	reuse, cuts := m.plan(body, m.rule, prev, lin.cutsSpare[:0])
+	reuse, cuts := m.plan(body, m.rule, prev, lin.cutsSpare[:0], dirty)
 	defer func() { m.reuseSpare = reuse[:0] }()
 	pieces := cdcPieces(body, cuts)
 
@@ -807,15 +807,29 @@ func (m *Manager) persistChunked(job writeJob) (n, fileBytes int, err error) {
 // adoption is an offset-indexed compare, and shifted adoption fires only on
 // a shift by a whole number of chunks. Chunks that merely moved otherwise
 // still dedup at the store: a shift costs re-hashing, not re-writing.
-func (m *Manager) plan(body []byte, p cdcParams, prev *chunkBase, cuts []int) ([]string, []int) {
+//
+// dirty is body's map when body is a delta (the zero map otherwise). When
+// both delta bodies carry a map and declare the same lengths, a chunk whose
+// payload granules neither map marks is zero in both and is adopted in
+// place without the bytes.Equal.
+func (m *Manager) plan(body []byte, p cdcParams, prev *chunkBase, cuts []int, dirty dirtyMap) ([]string, []int) {
 	reuse := m.reuseSpare[:0]
 	var (
 		old      []byte
 		oldCuts  []int
 		oldAddrs []string
+		was      dirtyMap
 	)
 	if prev != nil {
 		old, oldCuts, oldAddrs = prev.body.b, prev.cuts, prev.addrs
+		if dirty.gran > 0 && bytes.Equal(body[:deltaHeaderLen], old[:deltaHeaderLen]) {
+			was = prev.body.dirty
+		}
+	}
+	// zero reports whether the maps prove body[pos:end] zero in both bodies.
+	zero := func(pos, end int) bool {
+		lo, hi := max(pos, deltaHeaderLen)-deltaHeaderLen, end-deltaHeaderLen
+		return was.clean(lo, hi) && dirty.clean(lo, hi)
 	}
 	delta := len(body) - len(old)
 	resync := len(body) // fresh cuts from here on read the common suffix
@@ -826,7 +840,7 @@ func (m *Manager) plan(body []byte, p cdcParams, prev *chunkBase, cuts []int) ([
 	for pos, j := 0, 0; pos < len(body); { // j: the old chunk that would start at pos
 		if j <= last && (j == 0 && pos == 0 || j > 0 && oldCuts[j-1] == pos) {
 			end := oldCuts[j]
-			if end <= len(body) && (j < last || delta == 0 || end-pos == p.maxSize) && bytes.Equal(body[pos:end], old[pos:end]) {
+			if end <= len(body) && (j < last || delta == 0 || end-pos == p.maxSize) && (zero(pos, end) || bytes.Equal(body[pos:end], old[pos:end])) {
 				cuts = append(cuts, end)
 				reuse = append(reuse, oldAddrs[j])
 				pos, j = end, j+1
@@ -930,9 +944,15 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	encDur := time.Since(encStart)
 
 	m.mu.Lock()
+	// The save's one diff pass over the payload: the granules that changed
+	// since the last one. The leaf hash, the delta body and the delta's
+	// chunk plan read the map instead of comparing bytes again.
+	if m.lastPayload != nil {
+		payload.dirty.diff(payload.b, m.lastPayload.b, granuleBytes)
+	}
 	// The payload hash overlaps everything up to the snapshot header
 	// encode: delta encode, the dirty-chunk compare, chunk framing.
-	hash := startPayloadHash(payload, m.lastPayload, m.lastHash)
+	hash := startPayloadHash(payload, m.lastHash)
 	kind := KindFull
 	var baseHash [32]byte
 	var body *refBuf
@@ -940,7 +960,11 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 		kind = KindDelta
 		baseHash = m.lastHash.get()
 		body = getBody(16 + len(payload.b))
-		body.b = AppendDelta(body.b, m.lastPayload.b, payload.b)
+		body.b = appendDelta(body.b, m.lastPayload.b, payload.b, payload.dirty)
+		// The body carries its own copy of the map for the chunk plan: as
+		// its lineage's base it outlives the payload.
+		d := payload.dirty
+		body.dirty = dirtyMap{gran: d.gran, base: d.base, bits: append(body.dirty.bits, d.bits...)}
 		m.sinceAnchor++
 	} else {
 		// Full snapshots share the payload buffer between the write job and

@@ -38,8 +38,11 @@ import (
 
 // refBuf is a pool-managed, reference-counted byte buffer.
 type refBuf struct {
-	b    []byte
-	refs atomic.Int32
+	b []byte
+	// dirty maps a saved payload against the one before it; a delta body
+	// carries its payload's map. Written once, before the buffer is shared.
+	dirty dirtyMap
+	refs  atomic.Int32
 }
 
 var bodyPool = sync.Pool{New: func() any { return new(refBuf) }}
@@ -64,6 +67,7 @@ func getBody(hint int) *refBuf {
 	} else {
 		rb.b = rb.b[:0]
 	}
+	rb.dirty = dirtyMap{bits: rb.dirty.bits[:0]}
 	rb.refs.Store(1)
 	return rb
 }

@@ -456,17 +456,19 @@ func BenchmarkChunkFrame(b *testing.B) {
 }
 
 // TestPooledEncodeZeroAllocs locks in the headline property of the pooled
-// codec: the synchronous encode stage — payload serialization, delta
-// encode, chunk framing, snapshot-file assembly — allocates nothing at
-// steady state when running over pooled capacity; nor does the save's
-// payload identity, one dirty leaf re-hashed into the previous payload's
-// root input and then the root.
+// codec: the synchronous encode stage — payload serialization, the diff
+// pass against the previous payload, delta encode (map-driven and plain),
+// chunk framing, snapshot-file assembly — allocates nothing at steady
+// state when running over pooled capacity; nor does the save's payload
+// identity, one dirty leaf re-hashed into the previous payload's root
+// input by its map and then the root.
 func TestPooledEncodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
 	}
-	st := seqStates(1)[0]
-	base, err := EncodePayload(st)
+	states := seqStates(2)
+	st := states[1]
+	base, err := EncodePayload(states[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,13 +483,16 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	prev := float64Piece(3*leafBytes+100, rand.New(rand.NewSource(2)).NormFloat64)
 	cur := bytes.Clone(prev)
 	cur[leafBytes+7] ^= 1
-	tree, _, _ := hashLeaves(nil, prev, nil, leafBytes)
+	tree, _, _ := hashLeaves(nil, prev, dirtyMap{}, leafBytes)
+	var dirty, leaves dirtyMap
 	run := func() {
 		var err error
 		payloadBuf, err = AppendPayload(payloadBuf[:0], st)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dirty.diff(payloadBuf, base, granuleBytes)
+		deltaBuf = appendDelta(deltaBuf[:0], base, payloadBuf, dirty)
 		deltaBuf = AppendDelta(deltaBuf[:0], base, payloadBuf)
 		for _, piece := range pieces {
 			if frameBuf, err = appendChunkFrame(frameBuf[:0], piece); err != nil {
@@ -498,7 +503,8 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, _, _ = hashLeaves(tree, cur, prev, leafBytes)
+		leaves.diff(cur, prev, granuleBytes)
+		tree, _, _ = hashLeaves(tree, cur, leaves, leafBytes)
 		prev, cur = cur, prev
 	}
 	run() // warm the flate pools and size every buffer

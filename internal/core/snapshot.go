@@ -131,7 +131,7 @@ func (h Header) identifies(payload []byte) (bool, int) {
 	if h.wholeSum {
 		return sha256.Sum256(payload) == h.PayloadHash, len(payload)
 	}
-	_, root, n := hashLeaves(nil, payload, nil, leafBytes)
+	_, root, n := hashLeaves(nil, payload, dirtyMap{}, leafBytes)
 	return root == h.PayloadHash, n
 }
 
@@ -247,18 +247,21 @@ func ReadSnapshotFile(path string) (Header, []byte, error) {
 // PayloadHash returns the identity of a canonical payload: the root over
 // its leaves.
 func PayloadHash(payload []byte) [32]byte {
-	_, root, _ := hashLeaves(nil, payload, nil, leafBytes)
+	_, root, _ := hashLeaves(nil, payload, dirtyMap{}, leafBytes)
 	return root
 }
 
 // hashLeaves returns the identity root of payload under leaves of leaf
 // bytes, its input — uint64le(len) ‖ leaf₀ ‖ … — rebuilt in tree, and the
-// bytes fed to SHA-256. A tree that holds prev's root input lends payload
-// leaf i wherever that leaf spans the same bytes in both payloads, so only
-// the leaves that changed are hashed; any other tree is only capacity.
-func hashLeaves(tree, payload, prev []byte, leaf int) ([]byte, [32]byte, int) {
-	if len(tree) != 8+32*((len(prev)+leaf-1)/leaf) {
-		prev = nil
+// bytes fed to SHA-256. A tree that holds the root input of the payload
+// dirty maps payload against lends payload leaf i wherever that leaf spans
+// the same bytes in both payloads and the map marks no granule under it, so
+// only the leaves that changed are hashed and none is compared; without a
+// map, or with any other tree, the tree is only capacity.
+func hashLeaves(tree, payload []byte, dirty dirtyMap, leaf int) ([]byte, [32]byte, int) {
+	prev := -1 // the lending payload's length, or -1 when tree lends nothing
+	if dirty.gran > 0 && len(tree) == 8+32*((dirty.base+leaf-1)/leaf) && binary.LittleEndian.Uint64(tree) == uint64(dirty.base) {
+		prev = dirty.base
 	}
 	size := 8 + 32*((len(payload)+leaf-1)/leaf)
 	tree = slices.Grow(tree, max(0, size-len(tree)))[:size]
@@ -266,7 +269,7 @@ func hashLeaves(tree, payload, prev []byte, leaf int) ([]byte, [32]byte, int) {
 	hashed := size
 	for off := 0; off < len(payload); off += leaf {
 		end := min(off+leaf, len(payload))
-		if min(off+leaf, len(prev)) == end && bytes.Equal(payload[off:end], prev[off:end]) {
+		if min(off+leaf, prev) == end && dirty.clean(off, end) {
 			continue // prev's leaf, already in place
 		}
 		sum := sha256.Sum256(payload[off:end])

@@ -167,12 +167,16 @@ func (l *Local) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if dir := filepath.Dir(p); dir != l.root {
+	err = AtomicWriteFile(p, data, 0o644)
+	// A key's directory is made when a write first finds it missing, not
+	// checked for on every write.
+	if dir := filepath.Dir(p); dir != l.root && errors.Is(err, fs.ErrNotExist) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("storage: create key dir: %w", err)
 		}
+		err = AtomicWriteFile(p, data, 0o644)
 	}
-	return AtomicWriteFile(p, data, 0o644)
+	return err
 }
 
 // Get implements Backend.

@@ -30,33 +30,34 @@ import (
 // AtomicWriteFile writes data to path crash-consistently: it writes to a
 // unique temporary file in the same directory, syncs it, renames it over
 // path, and syncs the directory. A reader never observes a partial file.
+// The temporary file is removed only on failure: after the rename there is
+// nothing to remove, and trying would cost every write an unlink that fails
+// and os.Remove's rmdir fallback.
 func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
 		return fmt.Errorf("storage: create temp: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer func() {
-		// Best-effort cleanup on any failure path; harmless after rename.
-		os.Remove(tmpName)
-	}()
+	fail := func(what string, err error) error {
+		tmp.Close() // after a successful Close, only an ErrClosed: no syscall
+		os.Remove(tmp.Name())
+		return fmt.Errorf("storage: %s: %w", what, err)
+	}
 	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: write temp: %w", err)
+		return fail("write temp", err)
+	}
+	if err := tmp.Chmod(perm); err != nil {
+		return fail("chmod temp", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("storage: sync temp: %w", err)
+		return fail("sync temp", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: close temp: %w", err)
+		return fail("close temp", err)
 	}
-	if err := os.Chmod(tmpName, perm); err != nil {
-		return fmt.Errorf("storage: chmod temp: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("storage: rename: %w", err)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fail("rename", err)
 	}
 	return syncDir(dir)
 }

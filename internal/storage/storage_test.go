@@ -45,6 +45,42 @@ func TestAtomicWriteFileBadDir(t *testing.T) {
 	}
 }
 
+// TestLocalPutLeavesNoTemp: a Put that succeeds — the first into a key
+// directory that does not exist yet included — leaves its object at mode
+// 0644 and no temporary file; one whose rename fails (the target is a
+// non-empty directory) leaves no temporary file either.
+func TestLocalPutLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	l, err := NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"top", "a/b/obj", "a/b/obj"} {
+		if err := l.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, filepath.FromSlash(key)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != 0o644 {
+			t.Fatalf("%s: mode %v, want 0644", key, fi.Mode().Perm())
+		}
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "a", "full", "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put("a/full", []byte("v")); err == nil {
+		t.Fatal("a Put over a non-empty directory succeeded")
+	}
+	filepath.WalkDir(dir, func(p string, _ os.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(filepath.Base(p), ".tmp-") {
+			t.Errorf("temporary file left behind: %s", p)
+		}
+		return err
+	})
+}
+
 func TestHashStable(t *testing.T) {
 	a := Hash([]byte("abc"))
 	b := Hash([]byte("abc"))
