@@ -21,6 +21,7 @@ import (
 	"repro/internal/observable"
 	"repro/internal/quantum"
 	"repro/internal/rng"
+	"repro/internal/storage"
 )
 
 // BenchmarkTable1StateInventory regenerates Table 1: per-component
@@ -576,11 +577,20 @@ func BenchmarkFig6Divergence(b *testing.B) {
 	}
 }
 
+// tempStore opens a fresh temporary checkpoint directory as a local store.
+func tempStore(b *testing.B) storage.Backend {
+	b.Helper()
+	store, err := core.DirBackend(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return store
+}
+
 // BenchmarkCheckpointSave measures the raw foreground cost of one full
 // checkpoint save (encode + compress + atomic write) for a mid-size state.
 func BenchmarkCheckpointSave(b *testing.B) {
-	dir := b.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull})
+	mgr, err := core.NewManager(core.Options{Backend: tempStore(b), Strategy: core.StrategyFull})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -597,8 +607,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 
 // BenchmarkCheckpointSaveDelta measures one delta save.
 func BenchmarkCheckpointSaveDelta(b *testing.B) {
-	dir := b.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 1 << 30})
+	mgr, err := core.NewManager(core.Options{Backend: tempStore(b), Strategy: core.StrategyDelta, AnchorEvery: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -620,9 +629,8 @@ func BenchmarkCheckpointSaveDelta(b *testing.B) {
 // BenchmarkCheckpointSaveChunked measures one chunked delta save with a
 // 4-worker pipeline (content-addressed dedup against the chunk store).
 func BenchmarkCheckpointSaveChunked(b *testing.B) {
-	dir := b.TempDir()
 	mgr, err := core.NewManager(core.Options{
-		Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 1 << 30,
+		Backend: tempStore(b), Strategy: core.StrategyDelta, AnchorEvery: 1 << 30,
 		Workers: 4, ChunkBytes: 8 << 10,
 	})
 	if err != nil {
@@ -651,8 +659,8 @@ func BenchmarkCheckpointSaveChunked(b *testing.B) {
 // BenchmarkRecovery measures LoadLatestBackendOptions over a directory
 // with a delta chain.
 func BenchmarkRecovery(b *testing.B) {
-	dir := b.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+	store := tempStore(b)
+	mgr, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -665,10 +673,6 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 	}
 	mgr.Close()
-	store, err := core.DirBackend(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.LoadLatestBackendOptions(store, nil, core.RestoreOptions{}); err != nil {

@@ -1,13 +1,13 @@
-// Command qckpt inspects checkpoint directories and files produced by the
-// checkpoint engine (internal/core), including chunked snapshots whose
-// bodies live in the directory's content-addressed chunk store and tiered
-// directories whose cold history was demoted down the level hierarchy.
+// Command qckpt inspects checkpoint directories produced by the checkpoint
+// engine (internal/core), including chunked snapshots whose bodies live in
+// the store's content-addressed chunk store and tiered directories whose
+// cold history was demoted down the level hierarchy.
 //
 // Usage:
 //
 //	qckpt [flags] ls <dir>         list snapshots (newest first)
 //	qckpt [flags] verify <dir>     verify every snapshot including delta chains
-//	qckpt show <file>              print one snapshot's header and state summary
+//	qckpt [flags] show <dir> <key> fully verify one snapshot; print its header, manifest, state
 //	qckpt [flags] restore <dir>    print the state the recovery path restores,
 //	                               through the parallel streaming engine
 //	                               (-workers, -prefetch), and the wall time
@@ -28,11 +28,11 @@
 //	qckpt -levels ... migrate <dir> demote anchor chains that left the hot set
 //	qckpt -replicas N replicas <dir> replica health table of an R-way replicated
 //	                               store (add -repair for an anti-entropy pass)
-//	qckpt diff <fileA> <fileB>     compare two full snapshots' states
+//	qckpt [flags] diff <dir> <a> <b> compare two full snapshots' states
 //
 // Flags:
 //
-//	-job <id>                      scope ls/verify/restore to one job of
+//	-job <id>                      scope ls/verify/restore/show/diff to one job of
 //	                               a multi-tenant store (manifests under
 //	                               jobs/<id>/, chunk reads hit the shared store)
 //	-levels nvme,object            open <dir> as a tiered layout (hot level at
@@ -141,7 +141,10 @@ func main() {
 	case "verify":
 		err = cmdVerify(arg)
 	case "show":
-		err = cmdShow(arg)
+		if flag.NArg() < 3 {
+			usage()
+		}
+		err = cmdShow(arg, flag.Arg(2))
 	case "restore":
 		err = cmdRestore(arg)
 	case "gc":
@@ -159,10 +162,10 @@ func main() {
 	case "replicas":
 		err = cmdReplicas(arg)
 	case "diff":
-		if flag.NArg() < 3 {
+		if flag.NArg() < 4 {
 			usage()
 		}
-		err = cmdDiff(arg, flag.Arg(2))
+		err = cmdDiff(arg, flag.Arg(2), flag.Arg(3))
 	default:
 		usage()
 	}
@@ -173,7 +176,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qckpt [-job id] [-levels devs] [-replicas n] [-quorum w] [-workers n] {ls|verify|restore|gc|compact|jobs|tiers|migrate} <dir> | qckpt -replicas n [-quorum w] [-repair] replicas <dir> | qckpt [-addr a] [-replicas n] [-quorum w] [-inflight n] [-lease d] [-cache mib] [-quota mib] [-rate mibs] [-qos spec] [-place spec] serve <dir> | qckpt show <file> | qckpt diff <a> <b>")
+	fmt.Fprintln(os.Stderr, "usage: qckpt [-job id] [-levels devs] [-replicas n] [-quorum w] [-workers n] {ls|verify|restore|gc|compact|jobs|tiers|migrate} <dir> | qckpt -replicas n [-quorum w] [-repair] replicas <dir> | qckpt [-addr a] [-replicas n] [-quorum w] [-inflight n] [-lease d] [-cache mib] [-quota mib] [-rate mibs] [-qos spec] [-place spec] serve <dir> | qckpt [-job id] [-levels devs] [-replicas n] {show <dir> <key>|diff <dir> <keyA> <keyB>}")
 	os.Exit(2)
 }
 
@@ -306,44 +309,37 @@ func cmdVerify(dir string) error {
 	return nil
 }
 
-func cmdShow(path string) error {
-	h, err := core.VerifyFile(path)
+// cmdShow fully verifies one snapshot of the store (core.InspectSnapshot) and
+// prints its header, its manifest summary and, for a full kind, its state.
+func cmdShow(dir, key string) error {
+	b, report, err := openDir(dir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("kind:    %s\nseq:     %d\nstep:    %d\n", h.Kind, h.Seq, h.Step)
-	fmt.Printf("payload: %x\n", h.PayloadHash[:16])
-	fmt.Printf("identity: %s\n", h.Identity())
-	if h.Kind.Chunked() {
-		if _, manifest, err := core.ReadSnapshotFile(path); err == nil {
-			if sum, err := core.SummarizeChunkManifest(manifest); err == nil {
-				version := "v2 adaptive-framed"
-				if sum.Chunker != "" {
-					version = "v3 content-defined"
-				}
-				fmt.Printf("chunks:  %d (%d distinct, %s, %d body bytes)\n",
-					sum.Chunks, sum.Distinct, version, sum.RawLen)
-				if sum.Chunker != "" {
-					fmt.Printf("chunker: %s (min %d, avg %d, max %d bytes)\n",
-						sum.Chunker, sum.MinSize, sum.AvgSize, sum.MaxSize)
-				}
-			}
+	s, err := core.InspectSnapshot(b, key)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("kind:    %s\nseq:     %d\nstep:    %d\n", s.Kind, s.Seq, s.Step)
+	fmt.Printf("payload: %x\n", s.PayloadHash[:16])
+	fmt.Printf("identity: %s\n", s.Identity())
+	if s.Kind.Chunked() {
+		version := "v2 adaptive-framed"
+		if s.Chunker != "" {
+			version = "v3 content-defined"
+		}
+		fmt.Printf("chunks:  %d (%d distinct, %s, %d body bytes)\n", s.Chunks, s.Distinct, version, s.RawLen)
+		if s.Chunker != "" {
+			fmt.Printf("chunker: %s (min %d, avg %d, max %d bytes)\n", s.Chunker, s.MinSize, s.AvgSize, s.MaxSize)
 		}
 	}
-	if h.Kind.Base() == core.KindDelta {
-		fmt.Printf("base:    %x\n", h.BaseHash[:16])
+	if s.State != nil {
+		printState(s.State)
+	} else {
+		fmt.Printf("base:    %x\n", s.BaseHash[:16])
 		fmt.Println("(delta snapshot: run `qckpt restore <dir>` to resolve its chain)")
-		return nil
 	}
-	_, body, err := core.ReadSnapshotBody(path)
-	if err != nil {
-		return err
-	}
-	st, err := core.DecodePayload(body)
-	if err != nil {
-		return err
-	}
-	printState(st)
+	report()
 	return nil
 }
 
@@ -429,7 +425,7 @@ func cmdJobs(dir string) error {
 	}
 	fmt.Printf("%-16s %-10s %-10s %-10s\n", "JOB", "SNAPSHOTS", "NEWEST-SEQ", "NEWEST-STEP")
 	for _, id := range ids {
-		view, err := svc.JobView(id)
+		view, err := core.JobBackend(b, id)
 		if err != nil {
 			return err
 		}
@@ -583,25 +579,29 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// loadStateFromFile resolves a snapshot file to its TrainingState. Delta
-// snapshots are resolved through their directory's chain.
-func loadStateFromFile(path string) (*core.TrainingState, error) {
-	h, body, err := core.ReadSnapshotBody(path)
+// fullState returns the state of the full snapshot at key, fully verified.
+func fullState(store storage.Backend, key string) (*core.TrainingState, error) {
+	s, err := core.InspectSnapshot(store, key)
 	if err != nil {
 		return nil, err
 	}
-	if h.Kind.Base() == core.KindFull {
-		return core.DecodePayload(body)
+	if s.State == nil {
+		return nil, fmt.Errorf("%s is a delta snapshot; diff full snapshots or run compact first", key)
 	}
-	return nil, fmt.Errorf("%s is a delta snapshot; diff full snapshots or run compact first", path)
+	return s.State, nil
 }
 
-func cmdDiff(pathA, pathB string) error {
-	a, err := loadStateFromFile(pathA)
+// cmdDiff compares the states of two full snapshots of one store.
+func cmdDiff(dir, keyA, keyB string) error {
+	store, report, err := openDir(dir)
 	if err != nil {
 		return err
 	}
-	b, err := loadStateFromFile(pathB)
+	a, err := fullState(store, keyA)
+	if err != nil {
+		return err
+	}
+	b, err := fullState(store, keyB)
 	if err != nil {
 		return err
 	}
@@ -633,6 +633,7 @@ func cmdDiff(pathA, pathB string) error {
 	} else {
 		fmt.Println("metadata:       identical")
 	}
+	report()
 	return nil
 }
 

@@ -10,15 +10,25 @@ import (
 	"repro/internal/storage"
 )
 
-// populate writes a few snapshots and returns the paths.
+// localStore opens dir as the local store a manager writes through.
+func localStore(t *testing.T, dir string) storage.Backend {
+	t.Helper()
+	b, err := storage.NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// populate writes a few snapshots and returns their keys.
 func populate(t *testing.T, dir string, strategy core.Strategy) []string {
 	t.Helper()
-	m, err := core.NewManager(core.Options{Dir: dir, Strategy: strategy, AnchorEvery: 4})
+	m, err := core.NewManager(core.Options{Backend: localStore(t, dir), Strategy: strategy, AnchorEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	var paths []string
+	var keys []string
 	st := core.NewTrainingState()
 	st.Params = []float64{1, 2, 3}
 	st.Meta = core.Meta{FormatVersion: core.FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
@@ -32,9 +42,9 @@ func populate(t *testing.T, dir string, strategy core.Strategy) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, res.Path)
+		keys = append(keys, res.Path)
 	}
-	return paths
+	return keys
 }
 
 func TestCmdLsVerifyRestore(t *testing.T) {
@@ -53,20 +63,20 @@ func TestCmdLsVerifyRestore(t *testing.T) {
 
 func TestCmdShowFullAndDelta(t *testing.T) {
 	dir := t.TempDir()
-	paths := populate(t, dir, core.StrategyDelta)
-	// paths[0] is the full anchor, paths[1] a delta.
-	if err := cmdShow(paths[0]); err != nil {
+	keys := populate(t, dir, core.StrategyDelta)
+	// keys[0] is the full anchor, keys[1] a delta.
+	if err := cmdShow(dir, keys[0]); err != nil {
 		t.Errorf("show full: %v", err)
 	}
-	if err := cmdShow(paths[1]); err != nil {
+	if err := cmdShow(dir, keys[1]); err != nil {
 		t.Errorf("show delta: %v", err)
 	}
 }
 
 func TestCmdCompactAndDiff(t *testing.T) {
 	dir := t.TempDir()
-	paths := populate(t, dir, core.StrategyFull)
-	if err := cmdDiff(paths[0], paths[3]); err != nil {
+	keys := populate(t, dir, core.StrategyFull)
+	if err := cmdDiff(dir, keys[0], keys[3]); err != nil {
 		t.Errorf("diff: %v", err)
 	}
 	if err := cmdCompact(dir); err != nil {
@@ -80,8 +90,8 @@ func TestCmdCompactAndDiff(t *testing.T) {
 
 func TestCmdDiffRejectsDelta(t *testing.T) {
 	dir := t.TempDir()
-	paths := populate(t, dir, core.StrategyDelta)
-	if err := cmdDiff(paths[1], paths[2]); err == nil {
+	keys := populate(t, dir, core.StrategyDelta)
+	if err := cmdDiff(dir, keys[1], keys[2]); err == nil {
 		t.Errorf("diff of delta snapshots accepted")
 	}
 }
@@ -158,7 +168,7 @@ func TestCmdTiersMigrateGc(t *testing.T) {
 
 func TestCmdGcReclaimsOrphans(t *testing.T) {
 	dir := t.TempDir()
-	m, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull, ChunkBytes: core.MinChunkBytes})
+	m, err := core.NewManager(core.Options{Backend: localStore(t, dir), Strategy: core.StrategyFull, ChunkBytes: core.MinChunkBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +189,7 @@ func TestCmdGcReclaimsOrphans(t *testing.T) {
 	}
 	m.Close()
 	// Orphan the newest snapshot's chunks by deleting its manifest.
-	if err := os.Remove(last); err != nil {
+	if err := os.Remove(filepath.Join(dir, last)); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := storage.NewLocal(dir)
@@ -201,8 +211,11 @@ func TestCmdErrorsOnMissing(t *testing.T) {
 	if err := cmdLs(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Errorf("ls of missing dir succeeded")
 	}
-	if err := cmdShow(filepath.Join(t.TempDir(), "nope.qckpt")); err == nil {
-		t.Errorf("show of missing file succeeded")
+	if err := cmdShow(filepath.Join(t.TempDir(), "nope"), "ckpt-000000000000-full.qckpt"); err == nil {
+		t.Errorf("show in a missing dir succeeded")
+	}
+	if err := cmdShow(t.TempDir(), "ckpt-000000000000-full.qckpt"); err == nil {
+		t.Errorf("show of a missing key succeeded")
 	}
 	if err := cmdRestore(t.TempDir()); err == nil {
 		t.Errorf("restore on empty dir succeeded")
@@ -215,7 +228,7 @@ func TestCmdErrorsOnMissing(t *testing.T) {
 func TestCmdRestoreParallel(t *testing.T) {
 	dir := t.TempDir()
 	m, err := core.NewManager(core.Options{
-		Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 4,
+		Backend: localStore(t, dir), Strategy: core.StrategyDelta, AnchorEvery: 4,
 		ChunkBytes: core.MinChunkBytes, Workers: 2,
 	})
 	if err != nil {
@@ -285,7 +298,7 @@ func TestParsePlacementAndQoS(t *testing.T) {
 func TestCmdShowCDCManifest(t *testing.T) {
 	dir := t.TempDir()
 	m, err := core.NewManager(core.Options{
-		Dir: dir, Strategy: core.StrategyFull,
+		Backend: localStore(t, dir), Strategy: core.StrategyFull,
 		ChunkBytes: core.MinChunkBytes, Chunker: core.ChunkerCDC,
 	})
 	if err != nil {
@@ -303,10 +316,71 @@ func TestCmdShowCDCManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdShow(res.Path); err != nil {
+	if err := cmdShow(dir, res.Path); err != nil {
 		t.Errorf("show cdc snapshot: %v", err)
 	}
 	if err := cmdVerify(dir); err != nil {
 		t.Errorf("verify cdc store: %v", err)
+	}
+}
+
+// TestCmdShowAndDiffMultiJobChunked: on a chunked multi-tenant store each
+// job's manifests live under jobs/<id>/ and every chunk at the store root,
+// so show and diff must read a snapshot through the store — scoped by -job
+// or named by its full key — never as a file whose own directory is taken
+// for the store.
+func TestCmdShowAndDiffMultiJobChunked(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := core.NewService(core.ServiceOptions{Backend: localStore(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string // one job's keys: both jobs save the same sequence
+	for j, id := range []string{"job00", "job01"} {
+		m, err := svc.OpenJob(id, core.Options{Strategy: core.StrategyDelta, AnchorEvery: 4, ChunkBytes: core.MinChunkBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := core.NewTrainingState()
+		st.Params = make([]float64, 4096)
+		st.Meta = core.Meta{FormatVersion: core.FormatVersion, CircuitFP: "c", ProblemFP: "p", OptimizerName: "adam"}
+		st.BestLoss = math.Inf(1)
+		keys = keys[:0]
+		for i := 0; i < 2; i++ {
+			st = st.Clone()
+			st.Step = uint64(i)
+			st.Params[i*512] += float64(j + 1)
+			res, err := m.Save(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, res.Path)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, core.ChunkPrefix)); err != nil {
+		t.Fatalf("no shared chunk store at the root: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, core.JobPrefix, "job00", core.ChunkPrefix)); err == nil {
+		t.Fatal("job00 holds chunks of its own: the store is not the shared layout under test")
+	}
+
+	jobID = "job00"
+	for _, key := range keys {
+		if err := cmdShow(dir, key); err != nil {
+			t.Errorf("show -job job00 %s: %v", key, err)
+		}
+	}
+	jobID = ""
+	if err := cmdShow(dir, keys[0]); err == nil {
+		t.Error("show of a job's key without -job found a snapshot at the store root")
+	}
+	if err := cmdDiff(dir, "jobs/job00/"+keys[0], "jobs/job01/"+keys[0]); err != nil {
+		t.Errorf("diff across jobs: %v", err)
 	}
 }

@@ -174,8 +174,12 @@ func run(args []string, out io.Writer) error {
 			return m, func() error { defer c.Close(); return m.Close() }, nil
 		}
 	case fleet:
+		store, err := storage.NewLocal(*ckptDir)
+		if err != nil {
+			return err
+		}
 		if svc, err = core.NewService(core.ServiceOptions{
-			Dir: *ckptDir,
+			Backend: store,
 			QoS: core.QoSConfig{Default: core.TenantQoS{
 				QuotaBytes:      int64(*quotaMiB) << 20,
 				RateBytesPerSec: int64(*rateMiB) << 20,
@@ -205,7 +209,9 @@ func run(args []string, out io.Writer) error {
 			}
 			opt.Lifecycle = core.LifecyclePolicy{KeepHotChains: *keepHot}
 		default:
-			opt.Dir = *ckptDir
+			if opt.Backend, err = storage.NewLocal(*ckptDir); err != nil {
+				return err
+			}
 		}
 		open = func(string) (*core.Manager, func() error, error) {
 			m, err := core.NewManager(opt)

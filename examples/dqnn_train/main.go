@@ -185,7 +185,11 @@ func runUninterrupted(net *dqnn.Network, pairs []dqnn.Pair) ([]float64, float64)
 }
 
 func runWithCrash(net *dqnn.Network, pairs []dqnn.Pair, dir string) ([]float64, []float64) {
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -197,17 +201,13 @@ func runWithCrash(net *dqnn.Network, pairs []dqnn.Pair, dir string) ([]float64, 
 	fmt.Printf("trained to step %d (loss %.6f), crashing…\n", ts.step, ts.loss[len(ts.loss)-1])
 
 	// New process: fresh state objects, restore from disk.
-	mgr2, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+	mgr2, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer mgr2.Close()
 	ts2 := newTrainerState(net)
 	live := ts2.meta()
-	store, err := core.DirBackend(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
 	st, report, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
 	if err != nil {
 		log.Fatal(err)

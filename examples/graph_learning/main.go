@@ -94,7 +94,11 @@ func trainGraph(net *dqnn.Network, g *dqnn.GraphData, hidden func(*quantum.State
 		return 0, err
 	}
 	defer os.RemoveAll(dir)
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 2})
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		return 0, err
+	}
+	mgr, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 2})
 	if err != nil {
 		return 0, err
 	}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/observable"
 	"repro/internal/qpu"
 	"repro/internal/rng"
+	"repro/internal/storage"
 	"repro/internal/train"
 )
 
@@ -94,13 +95,16 @@ func runStrategy(base train.Config, strat string, idealTime time.Duration) resul
 	cfg := base
 	cfg.Failures = sched
 
-	var dir string
+	var store storage.Backend
 	if strat != "none" {
-		dir, err = os.MkdirTemp("", "preempt-ckpt-*")
+		dir, err := os.MkdirTemp("", "preempt-ckpt-*")
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
+		if store, err = core.DirBackend(dir); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	var res result
@@ -110,10 +114,10 @@ func runStrategy(base train.Config, strat string, idealTime time.Duration) resul
 		var mgr *core.Manager
 		switch strat {
 		case "per-step":
-			mgr, err = core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull, Retain: 3})
+			mgr, err = core.NewManager(core.Options{Backend: store, Strategy: core.StrategyFull, Retain: 3})
 			runCfg.Policy = core.Policy{EverySteps: 1}
 		case "sub-step":
-			mgr, err = core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 3})
+			mgr, err = core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 3})
 			runCfg.Policy = core.Policy{EveryUnits: 5}
 		}
 		if err != nil {
@@ -127,10 +131,6 @@ func runStrategy(base train.Config, strat string, idealTime time.Duration) resul
 		}
 		if strat != "none" && attempt > 0 {
 			live := runCfg.Meta()
-			store, err := core.DirBackend(dir)
-			if err != nil {
-				log.Fatal(err)
-			}
 			if st, _, lerr := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{}); lerr == nil {
 				if err := tr.Restore(st); err != nil {
 					log.Fatal(err)

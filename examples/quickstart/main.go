@@ -38,6 +38,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(ckptDir)
+	store, err := core.DirBackend(ckptDir)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := train.Config{
 		Circuit:       ansatz,
@@ -51,7 +55,7 @@ func main() {
 
 	// Phase 1: train 15 steps with a checkpoint after every optimizer step.
 	mgr, err := core.NewManager(core.Options{
-		Dir: ckptDir, Strategy: core.StrategyDelta, AnchorEvery: 8, Retain: 2,
+		Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8, Retain: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -76,16 +80,12 @@ func main() {
 	// process restores the newest checkpoint and keeps training.
 	fmt.Println("phase 2: simulated crash; resuming from disk…")
 	mgr2, err := core.NewManager(core.Options{
-		Dir: ckptDir, Strategy: core.StrategyDelta, AnchorEvery: 8, Retain: 2,
+		Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8, Retain: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg.Manager = mgr2
-	store, err := core.DirBackend(ckptDir)
-	if err != nil {
-		log.Fatal(err)
-	}
 	resumed, report, err := train.ResumeLatestBackendOptions(cfg, store, core.RestoreOptions{})
 	if err != nil {
 		log.Fatal(err)

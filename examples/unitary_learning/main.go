@@ -112,7 +112,11 @@ func crashResumeDemo(qubits, total, steps int) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		return err
+	}
+	mgr, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		return err
 	}
@@ -139,15 +143,11 @@ func crashResumeDemo(qubits, total, steps int) error {
 	mgr.Close()
 	fmt.Printf("  pre-crash:  step %d, epoch %d, loss %.4f\n", tr.Step(), tr.Epoch(), tr.ExactLoss())
 
-	mgr2, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+	mgr2, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		return err
 	}
 	cfg.Manager = mgr2
-	store, err := core.DirBackend(dir)
-	if err != nil {
-		return err
-	}
 	resumed, report, err := train.ResumeLatestBackendOptions(cfg, store, core.RestoreOptions{})
 	if err != nil {
 		return err

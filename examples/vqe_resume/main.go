@@ -47,6 +47,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := train.Config{
 		Circuit:       ansatz,
@@ -73,7 +77,7 @@ func main() {
 	var tr *train.Trainer
 	for attempt := 1; ; attempt++ {
 		mgr, err := core.NewManager(core.Options{
-			Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 3,
+			Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 16, Retain: 3,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -88,10 +92,6 @@ func main() {
 		}
 		if attempt > 1 {
 			live := runCfg.Meta()
-			store, lerr := core.DirBackend(dir)
-			if lerr != nil {
-				log.Fatal(lerr)
-			}
 			st, report, lerr := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
 			if lerr != nil {
 				log.Fatal(lerr)

@@ -187,7 +187,7 @@ func TestManifestDeleteIsARetentionPass(t *testing.T) {
 		return len(addrs)
 	}
 	all := chunks()
-	view, _ := svc.JobView("r")
+	view, _ := core.JobBackend(svc.Backend(), "r")
 	if got, _, err := core.LoadLatestBackendOptions(view, nil, core.RestoreOptions{}); err != nil || !got.Equal(st) {
 		t.Fatalf("remote tenant's newest snapshot does not restore: %v", err)
 	}

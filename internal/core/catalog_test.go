@@ -454,18 +454,9 @@ func TestScannersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, _ := src.Get(snapshotName(5, KindDelta))
-		h, manifest, err := DecodeSnapshotFile(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h, manifest := getSnapshot(t, src, snapshotName(5, KindDelta))
 		h.Seq, h.BaseHash, h.PayloadHash = 6, anchor.PayloadHash, PayloadHash([]byte("never reconstructed"))
-		if data, err = EncodeSnapshotFile(h, legacyManifest(manifest)); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.Put(legacy, data); err != nil {
-			t.Fatal(err)
-		}
+		putSnapshot(t, src, legacy, h, legacyManifest(manifest))
 	}
 	if err := src.Put(torn, []byte("QCKPT1 torn")); err != nil {
 		t.Fatal(err)

@@ -311,20 +311,12 @@ func TestCDCMixedManifestHistory(t *testing.T) {
 	}
 	var v2, v3 int
 	for _, k := range keys {
-		data, err := mem.Get(k)
+		sum, err := InspectSnapshot(mem, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, body, err := DecodeSnapshotFile(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !h.Kind.Chunked() {
+		if !sum.Kind.Chunked() {
 			t.Fatalf("snapshot %s is not chunked", k)
-		}
-		sum, err := SummarizeChunkManifest(body)
-		if err != nil {
-			t.Fatal(err)
 		}
 		if sum.Chunker == "" {
 			v2++

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +248,26 @@ func putSnapshot(t *testing.T, b storage.Backend, key string, h Header, body []b
 	}
 }
 
+// getSnapshot reads the snapshot object at key, checks its file hash and
+// returns its header and inflated body: the manifest text of a chunked kind,
+// the payload or delta bytes of a monolithic one.
+func getSnapshot(t *testing.T, b storage.Backend, key string) (Header, []byte) {
+	t.Helper()
+	data, err := b.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, comp, err := checkSnapshotFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := inflate(nil, comp, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, body
+}
+
 // substituteDelta replaces the delta snapshot seq in b with one that passes
 // every content check — whole-file hash, chunk addresses, delta header — and
 // still carries the original header's PayloadHash, but whose body mutate has
@@ -255,11 +276,12 @@ func substituteDelta(t *testing.T, b storage.Backend, seq uint64, mutate func(de
 	t.Helper()
 	key := snapshotName(seq, KindDelta)
 	v := newSnapshotView(b, RestoreOptions{})
-	h, body, err := v.readBody(key, nil)
+	o, body, err := v.readBody(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := body.detach()
+	h, delta := o.h, slices.Clone(body.b)
+	body.release()
 	if h.Kind.Base() != KindDelta || len(delta) <= deltaHeaderLen {
 		t.Fatalf("seq %d is not a usable delta (%v, %d bytes)", seq, h.Kind, len(delta))
 	}
@@ -603,20 +625,9 @@ func damageChunk(t *testing.T, b storage.Backend, snapKey string, damage int, ar
 // bytes or chunk manifests — under their own headers.
 func swapLinkBodies(t *testing.T, b storage.Backend, i, j uint64) {
 	t.Helper()
-	read := func(key string) (Header, []byte) {
-		data, err := b.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, body, err := DecodeSnapshotFile(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, body
-	}
 	ki, kj := snapshotName(i, KindDelta), snapshotName(j, KindDelta)
-	hi, bi := read(ki)
-	hj, bj := read(kj)
+	hi, bi := getSnapshot(t, b, ki)
+	hj, bj := getSnapshot(t, b, kj)
 	putSnapshot(t, b, ki, hi, bj)
 	putSnapshot(t, b, kj, hj, bi)
 }
@@ -973,14 +984,7 @@ func TestSharedChunkOfTwoWarmsIsReadOnce(t *testing.T) {
 	namedBy := make(map[string]int) // chunk key → delta links naming it
 	anchorChunks := make(map[string]bool)
 	for _, key := range keys {
-		data, err := mem.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, manifest, err := DecodeSnapshotFile(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h, manifest := getSnapshot(t, mem, key)
 		info, err := decodeChunkManifest(manifest)
 		if err != nil {
 			t.Fatal(err)
@@ -1035,14 +1039,7 @@ func TestHostileManifestLengthIsSkipped(t *testing.T) {
 	states := bigSeqStates(3)
 	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 1}), states)
 	newest := snapshotName(2, KindFull)
-	data, err := mem.Get(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, manifest, err := DecodeSnapshotFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, manifest := getSnapshot(t, mem, newest)
 	info, err := decodeChunkManifest(manifest)
 	if err != nil {
 		t.Fatal(err)

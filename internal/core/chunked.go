@@ -306,35 +306,6 @@ func decodeChunkManifest(data []byte) (chunkManifestInfo, error) {
 	return info, nil
 }
 
-// ChunkManifestSummary describes a chunked snapshot's manifest for
-// inspection tools (qckpt show).
-type ChunkManifestSummary struct {
-	RawLen   int // body bytes before chunking
-	Chunks   int // manifest entries, in order
-	Distinct int // distinct chunk addresses (repeats are stored once)
-	// Content-defined chunking (CHUNKS3 manifests). Chunker is the gear
-	// table / algorithm revision ("" for fixed-size boundaries); the sizes
-	// are the recorded min/average/max bounds.
-	Chunker                   string
-	MinSize, AvgSize, MaxSize int
-}
-
-// SummarizeChunkManifest parses the manifest body of a chunked snapshot —
-// the body ReadSnapshotFile returns for the chunked kinds.
-func SummarizeChunkManifest(manifest []byte) (ChunkManifestSummary, error) {
-	info, err := decodeChunkManifest(manifest)
-	if err != nil {
-		return ChunkManifestSummary{}, err
-	}
-	distinct, _ := distinctAddrs(info.addrs)
-	sum := ChunkManifestSummary{RawLen: info.rawLen, Chunks: len(info.addrs), Distinct: len(distinct)}
-	if info.cdc {
-		sum.Chunker = info.chunker
-		sum.MinSize, sum.AvgSize, sum.MaxSize = info.params.minSize, info.params.normSize, info.params.maxSize
-	}
-	return sum, nil
-}
-
 // manifestReferences reads what each snapshot manifest present in b
 // references into refs, keyed ns+key; manifests that reference nothing
 // (monolithic, torn, corrupt) get no entry.

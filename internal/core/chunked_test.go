@@ -49,7 +49,7 @@ func bigSeqStates(n int) []*TrainingState {
 
 func TestManagerChunkedSaveRecoverLocal(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(chunkedOpts(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 4}))
+	m, err := NewManager(chunkedOpts(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,7 @@ func TestManagerChunkedCrashFallback(t *testing.T) {
 		// Delete a chunk referenced only by the newest snapshot: its
 		// delta body is unique, older snapshots must stay restorable.
 		newest := newestSnapshotPath(t, dir)
-		_, manifest, err := ReadSnapshotFile(newest)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, manifest := getSnapshot(t, dirStore(t, dir), filepath.Base(newest))
 		minfo, err := decodeChunkManifest(manifest)
 		if err != nil {
 			t.Fatal(err)
@@ -192,10 +189,7 @@ func TestManagerChunkedCrashFallback(t *testing.T) {
 		dir := t.TempDir()
 		states := writeChunkedRun(t, dir, 6)
 		newest := newestSnapshotPath(t, dir)
-		_, manifest, err := ReadSnapshotFile(newest)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, manifest := getSnapshot(t, dirStore(t, dir), filepath.Base(newest))
 		minfo, err := decodeChunkManifest(manifest)
 		if err != nil {
 			t.Fatal(err)
@@ -227,7 +221,7 @@ func TestManagerChunkedCrashFallback(t *testing.T) {
 // and returns them.
 func writeChunkedRun(t *testing.T, dir string, n int) []*TrainingState {
 	t.Helper()
-	m, err := NewManager(chunkedOpts(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 3}))
+	m, err := NewManager(chunkedOpts(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +263,7 @@ func newestSnapshotPath(t *testing.T, dir string) string {
 func TestManagerChunkedRetentionCollectsChunks(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManager(chunkedOpts(Options{
-		Dir: dir, Strategy: StrategyDelta, AnchorEvery: 2, Retain: 2,
+		Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 2, Retain: 2,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +315,7 @@ func TestManagerChunkedRetentionCollectsChunks(t *testing.T) {
 func TestManagerChunkedRestartContinues(t *testing.T) {
 	dir := t.TempDir()
 	states := writeChunkedRun(t, dir, 4)
-	m, err := NewManager(chunkedOpts(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 3}))
+	m, err := NewManager(chunkedOpts(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +566,7 @@ func TestDecodeChunkManifestMatchesReference(t *testing.T) {
 }
 
 func TestManagerRejectsNegativeChunkBytes(t *testing.T) {
-	if _, err := NewManager(Options{Dir: t.TempDir(), ChunkBytes: -1}); err == nil {
+	if _, err := NewManager(Options{Backend: dirStore(t, t.TempDir()), ChunkBytes: -1}); err == nil {
 		t.Errorf("negative chunk size accepted")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +20,7 @@ import (
 // walk reads chunks unchecked. One chunk of a store's only snapshot is given
 // a frame that misses its address — other content, or the chunk's own piece
 // framed the other way, which unframes to the right bytes — and
-// VerifyBackend and VerifyFile refuse it both times, naming the chunk.
+// VerifyBackend and InspectSnapshot refuse it both times, naming the chunk.
 // Recovery, and CompactBackend, which compacts what recovery returns,
 // refuse the first and restore through the second: the payload is the one
 // its header promises, bitwise, and the compacted store no longer names
@@ -38,7 +37,7 @@ func TestCheckedReadersRefuseAFrameThatMissesItsAddress(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			state := sparseStates(5, 4<<10, 1, 0)[0]
-			m, err := NewManager(chunkedOpts(Options{Dir: dir, Strategy: StrategyFull}))
+			m, err := NewManager(chunkedOpts(Options{Backend: dirStore(t, dir), Strategy: StrategyFull}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,8 +58,8 @@ func TestCheckedReadersRefuseAFrameThatMissesItsAddress(t *testing.T) {
 			if ok, problems, err := VerifyBackend(b); err != nil || ok != 0 || len(problems) != 1 || !strings.Contains(problems[0], named) {
 				t.Errorf("VerifyBackend: ok=%d problems=%v err=%v, want the chunk named", ok, problems, err)
 			}
-			if _, err := VerifyFile(filepath.Join(dir, name)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), named) {
-				t.Errorf("VerifyFile: %v, want the chunk named", err)
+			if _, err := InspectSnapshot(b, name); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), named) {
+				t.Errorf("InspectSnapshot: %v, want the chunk named", err)
 			}
 
 			got, report, err := LoadLatestBackendOptions(b, nil, RestoreOptions{Workers: 2})
@@ -80,7 +79,7 @@ func TestCheckedReadersRefuseAFrameThatMissesItsAddress(t *testing.T) {
 			if cerr != nil {
 				t.Fatalf("CompactBackend: %v", cerr)
 			}
-			if h, err := VerifyFile(filepath.Join(dir, key)); err != nil || h.Kind != KindFull {
+			if h, err := InspectSnapshot(b, key); err != nil || h.Kind != KindFull {
 				t.Errorf("compacted snapshot: %+v, %v", h, err)
 			}
 			if ok, problems, err := VerifyBackend(b); err != nil || ok != 1 || len(problems) != 0 {

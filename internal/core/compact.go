@@ -51,15 +51,7 @@ func CompactBackend(b storage.Backend, deleteOld bool) (newKey string, removed i
 		return "", 0, err
 	}
 	// Paranoia: verify the fresh anchor before deleting anything.
-	gotH, body, err := newSnapshotView(b, RestoreOptions{}).readBody(newKey, nil)
-	if err != nil {
-		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
-	}
-	defer body.release()
-	if ok, _ := gotH.identifies(body.b); !ok {
-		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", ErrCorrupt)
-	}
-	if _, err := DecodePayload(body.b); err != nil {
+	if _, err := InspectSnapshot(b, newKey); err != nil {
 		return "", 0, fmt.Errorf("core: compacted snapshot failed verification: %w", err)
 	}
 	if deleteOld {

@@ -3,13 +3,12 @@ package core
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
 func TestCompactKeepOld(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 10})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 10})
 	states := seqStates(6)
 	for _, s := range states {
 		if _, err := m.Save(s); err != nil {
@@ -25,7 +24,7 @@ func TestCompactKeepOld(t *testing.T) {
 	if removed != 0 {
 		t.Errorf("keep mode removed %d files", removed)
 	}
-	h, err := VerifyFile(filepath.Join(dir, key))
+	h, err := InspectSnapshot(dirStore(t, dir), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestCompactKeepOld(t *testing.T) {
 
 func TestCompactDeleteOld(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 4})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 4})
 	states := seqStates(9)
 	for _, s := range states {
 		if _, err := m.Save(s); err != nil {
@@ -86,7 +85,7 @@ func TestCompactThenContinue(t *testing.T) {
 	// A manager restarted after compaction continues the sequence past the
 	// compacted anchor.
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	states := seqStates(3)
 	for _, s := range states {
 		m.Save(s)
@@ -95,7 +94,7 @@ func TestCompactThenContinue(t *testing.T) {
 	if _, _, err := CompactBackend(dirStore(t, dir), true); err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m2, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	res, err := m2.Save(states[2])
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,11 @@ func ExampleManager() {
 	}
 	defer os.RemoveAll(dir)
 
-	m, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull})
+	store, err := core.DirBackend(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := core.NewManager(core.Options{Backend: store, Strategy: core.StrategyFull})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,8 +39,7 @@ func ExampleManager() {
 	}
 
 	// A new process recovers from the directory alone.
-	store, err := core.DirBackend(dir)
-	if err != nil {
+	if store, err = core.DirBackend(dir); err != nil {
 		log.Fatal(err)
 	}
 	got, report, err := core.LoadLatestBackendOptions(store, nil, core.RestoreOptions{})

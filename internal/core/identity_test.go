@@ -132,9 +132,9 @@ func TestQCKPT1StoresStillRestore(t *testing.T) {
 				files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.qckpt"))
 				n := 0
 				for _, f := range files {
-					h, err := VerifyFile(f)
+					h, err := InspectSnapshot(b, filepath.Base(f))
 					if err != nil {
-						t.Errorf("VerifyFile %s: %v", filepath.Base(f), err)
+						t.Errorf("InspectSnapshot %s: %v", filepath.Base(f), err)
 					}
 					if strings.HasPrefix(h.Identity(), rule) {
 						n++
@@ -146,7 +146,7 @@ func TestQCKPT1StoresStillRestore(t *testing.T) {
 			}
 			identities(5, "QCKPT1")
 
-			opt.Dir, opt.Strategy, opt.AnchorEvery = dir, StrategyDelta, 8
+			opt.Backend, opt.Strategy, opt.AnchorEvery = b, StrategyDelta, 8
 			m, err := NewManager(opt)
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +177,7 @@ func TestQCKPT1StoresStillRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := VerifyFile(filepath.Join(dir, key))
+			h, err := InspectSnapshot(b, key)
 			if err != nil || !strings.HasPrefix(h.Identity(), "QCKPT2") {
 				t.Errorf("compacted anchor %s: %s, %v", key, h.Identity(), err)
 			}

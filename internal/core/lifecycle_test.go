@@ -200,7 +200,7 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 }
 
 func TestLifecycleOptionValidation(t *testing.T) {
-	if _, err := NewManager(Options{Dir: t.TempDir(), Lifecycle: LifecyclePolicy{KeepHotChains: 1}}); err == nil {
+	if _, err := NewManager(Options{Backend: dirStore(t, t.TempDir()), Lifecycle: LifecyclePolicy{KeepHotChains: 1}}); err == nil {
 		t.Errorf("Lifecycle without a tiered backend accepted")
 	}
 }

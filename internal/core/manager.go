@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -40,14 +39,11 @@ func (s Strategy) String() string {
 
 // Options configures a Manager.
 type Options struct {
-	// Dir is the checkpoint directory (created if missing). It is required
-	// when Backend is nil, and otherwise only used to report file paths.
-	Dir string
-	// Backend overrides where snapshots are persisted. Nil selects the
-	// crash-consistent local filesystem backend rooted at Dir. Any
-	// storage.Backend works: storage.NewMem for tests and benchmarks,
-	// storage.NewTier to project writes onto a modeled storage tier, or a
-	// custom remote implementation.
+	// Backend is where snapshots are persisted (required). Any
+	// storage.Backend works: storage.NewLocal (or DirBackend, which will not
+	// create the directory) for a checkpoint directory, storage.NewMem for
+	// tests and benchmarks, storage.NewTier to project writes onto a modeled
+	// storage tier, or a remote store.
 	Backend storage.Backend
 	// Strategy selects full or delta-chained snapshots.
 	Strategy Strategy
@@ -163,7 +159,7 @@ type SaveResult struct {
 	Kind         SnapshotKind
 	Seq          uint64
 	Step         uint64
-	Path         string
+	Path         string        // the snapshot's backend key
 	FileBytes    int           // bytes written to storage (0 until async completes; excludes dedup hits)
 	PayloadBytes int           // canonical payload size before delta/compression
 	Encode       time.Duration // state capture + payload encode (always synchronous)
@@ -357,18 +353,10 @@ func NewManager(opt Options) (*Manager, error) {
 	if err := validateChunking(opt); err != nil {
 		return nil, err
 	}
-	backend := opt.Backend
-	if backend == nil {
-		if opt.Dir == "" {
-			return nil, errors.New("core: checkpoint directory required")
-		}
-		var err error
-		backend, err = storage.NewLocal(opt.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("core: create checkpoint dir: %w", err)
-		}
+	if opt.Backend == nil {
+		return nil, errors.New("core: Options.Backend required")
 	}
-	return newManager(opt, backend, nil)
+	return newManager(opt, opt.Backend, nil)
 }
 
 // newManager wires a Manager over an already-resolved backend. shared,
@@ -897,15 +885,6 @@ func (m *Manager) CollectOrphans() (removed int, reclaimed int64, err error) {
 	return m.shared.collectOrphans()
 }
 
-// resultPath reports where a snapshot landed: a file path for directory
-// backends, the backend key otherwise.
-func (m *Manager) resultPath(name string) string {
-	if m.opt.Dir != "" {
-		return filepath.Join(m.opt.Dir, name)
-	}
-	return name
-}
-
 // Save captures the state and persists it according to the strategy. In
 // async mode the returned SaveResult has FileBytes and Write set to zero;
 // aggregate numbers appear in Stats after Barrier.
@@ -999,7 +978,7 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	}
 	name := snapshotName(seq, kind)
 	res := SaveResult{
-		Kind: kind, Seq: seq, Step: state.Step, Path: m.resultPath(name),
+		Kind: kind, Seq: seq, Step: state.Step, Path: name,
 		PayloadBytes: len(payload.b), Encode: encDur,
 	}
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +45,7 @@ func seqStates(n int) []*TrainingState {
 
 func TestManagerSaveLoadFull(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m, err := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestManagerSaveLoadFull(t *testing.T) {
 
 func TestManagerDeltaChainRestores(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 4})
+	m, err := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestManagerDeltaChainRestores(t *testing.T) {
 
 func TestManagerDeltaSmallerThanFull(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 100})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 100})
 	defer m.Close()
 
 	// Large state so compression framing doesn't dominate.
@@ -143,7 +142,7 @@ func TestManagerDeltaSmallerThanFull(t *testing.T) {
 
 func TestManagerRecoversFromCorruptNewest(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	states := seqStates(3)
 	var lastPath string
 	for _, s := range states {
@@ -151,7 +150,7 @@ func TestManagerRecoversFromCorruptNewest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastPath = res.Path
+		lastPath = filepath.Join(dir, res.Path)
 	}
 	m.Close()
 
@@ -176,7 +175,7 @@ func TestManagerRecoversFromCorruptNewest(t *testing.T) {
 
 func TestManagerRecoversFromBrokenChain(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 100})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 100})
 	states := seqStates(6)
 	var paths []string
 	for _, s := range states {
@@ -184,7 +183,7 @@ func TestManagerRecoversFromBrokenChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, res.Path)
+		paths = append(paths, filepath.Join(dir, res.Path))
 	}
 	m.Close()
 
@@ -210,7 +209,7 @@ func TestManagerEmptyDir(t *testing.T) {
 
 func TestManagerMetaValidationOnLoad(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	s := sampleState()
 	if _, err := m.Save(s); err != nil {
 		t.Fatal(err)
@@ -231,7 +230,7 @@ func TestManagerMetaValidationOnLoad(t *testing.T) {
 
 func TestManagerRetention(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 3, Retain: 2})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 3, Retain: 2})
 	states := seqStates(12)
 	for _, s := range states {
 		if _, err := m.Save(s); err != nil {
@@ -262,7 +261,7 @@ func TestManagerRetention(t *testing.T) {
 
 func TestManagerAsync(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 4, Async: true})
+	m, err := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +303,7 @@ func TestManagerAsyncStateMutationSafe(t *testing.T) {
 	// the written snapshot must reflect the state at Save time. Manager
 	// encodes synchronously, so this must hold.
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Async: true})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Async: true})
 	s := sampleState()
 	if _, err := m.Save(s); err != nil {
 		t.Fatal(err)
@@ -325,7 +324,7 @@ func TestManagerAsyncStateMutationSafe(t *testing.T) {
 
 func TestManagerStatsAccumulate(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 2})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 2})
 	defer m.Close()
 	for _, s := range seqStates(4) {
 		if _, err := m.Save(s); err != nil {
@@ -345,31 +344,32 @@ func TestManagerOptionsValidation(t *testing.T) {
 	if _, err := NewManager(Options{}); err == nil {
 		t.Errorf("empty dir accepted")
 	}
-	if _, err := NewManager(Options{Dir: t.TempDir(), Retain: -1}); err == nil {
+	if _, err := NewManager(Options{Backend: dirStore(t, t.TempDir()), Retain: -1}); err == nil {
 		t.Errorf("negative retention accepted")
 	}
 }
 
-func TestVerifyFileAndDir(t *testing.T) {
+func TestInspectSnapshotAndVerifyBackend(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 3})
+	b := dirStore(t, dir)
+	m, _ := NewManager(Options{Backend: b, Strategy: StrategyDelta, AnchorEvery: 3})
 	states := seqStates(5)
-	var paths []string
+	var keys []string
 	for _, s := range states {
 		res, err := m.Save(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, res.Path)
+		keys = append(keys, res.Path)
 	}
 	m.Close()
 
-	for _, p := range paths {
-		if _, err := VerifyFile(p); err != nil {
-			t.Errorf("verify %s: %v", filepath.Base(p), err)
+	for _, key := range keys {
+		if _, err := InspectSnapshot(b, key); err != nil {
+			t.Errorf("inspect %s: %v", key, err)
 		}
 	}
-	ok, problems, err := VerifyBackend(dirStore(t, dir))
+	ok, problems, err := VerifyBackend(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +377,15 @@ func TestVerifyFileAndDir(t *testing.T) {
 		t.Errorf("VerifyBackend: ok=%d problems=%v", ok, problems)
 	}
 
-	// Corrupt one file: VerifyBackend reports it, VerifyFile fails.
-	raw, _ := os.ReadFile(paths[2])
+	// Corrupt one file: VerifyBackend reports it, InspectSnapshot fails.
+	p := filepath.Join(dir, keys[2])
+	raw, _ := os.ReadFile(p)
 	raw[len(raw)-5] ^= 1
-	os.WriteFile(paths[2], raw, 0o644)
-	if _, err := VerifyFile(paths[2]); err == nil {
+	os.WriteFile(p, raw, 0o644)
+	if _, err := InspectSnapshot(b, keys[2]); err == nil {
 		t.Errorf("corrupt file verified")
 	}
-	_, problems, _ = VerifyBackend(dirStore(t, dir))
+	_, problems, _ = VerifyBackend(b)
 	if len(problems) == 0 {
 		t.Errorf("VerifyBackend missed corruption")
 	}
@@ -392,7 +393,7 @@ func TestVerifyFileAndDir(t *testing.T) {
 
 func TestListSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	for _, s := range seqStates(3) {
 		m.Save(s)
 	}
@@ -414,7 +415,7 @@ func TestForeignFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644)
 	os.WriteFile(filepath.Join(dir, "ckpt-bogus.qckpt"), []byte("junk"), 0o644)
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyFull})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyFull})
 	s := sampleState()
 	m.Save(s)
 	m.Close()
@@ -502,7 +503,7 @@ func TestPolicyStepTriggerIgnoresUnits(t *testing.T) {
 
 func TestManagerSeqMonotoneAcrossKinds(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 2})
+	m, _ := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 2})
 	defer m.Close()
 	var lastSeq uint64
 	for i, s := range seqStates(6) {
@@ -514,8 +515,8 @@ func TestManagerSeqMonotoneAcrossKinds(t *testing.T) {
 			t.Errorf("seq jumped: %d -> %d", lastSeq, res.Seq)
 		}
 		lastSeq = res.Seq
-		if !strings.Contains(res.Path, dir) {
-			t.Errorf("snapshot outside dir: %s", res.Path)
+		if _, err := m.Backend().Stat(res.Path); err != nil {
+			t.Errorf("snapshot %s not in the store: %v", res.Path, err)
 		}
 	}
 }

@@ -85,16 +85,6 @@ func (rb *refBuf) reserve(n int) {
 	grown.release()
 }
 
-// detach hands the bytes to a caller outside the pools' discipline (the
-// exported readers return caller-owned memory) and recycles the emptied
-// refBuf. Single-holder only.
-func (rb *refBuf) detach() []byte {
-	b := rb.b
-	rb.b = nil
-	rb.release()
-	return b
-}
-
 // retain adds a reference for a new holder.
 func (rb *refBuf) retain() { rb.refs.Add(1) }
 
@@ -195,17 +185,10 @@ var decompressorPool = sync.Pool{New: func() any {
 	return d
 }}
 
-// DecompressBody inflates a flate-compressed snapshot or chunk body into a
-// fresh buffer the caller owns. A non-negative sizeHint (the chunk frame's
-// recorded raw length) sizes the output exactly and rejects any size
-// mismatch as corruption; sizeHint < 0 grows the output as needed (snapshot
-// bodies, whose raw size the file format does not record).
-func DecompressBody(comp []byte, sizeHint int) ([]byte, error) {
-	return inflate(nil, comp, sizeHint)
-}
-
-// inflate is DecompressBody into dst's capacity, using a pooled reader:
-// dst's contents are overwritten and the result aliases dst when it fits.
+// inflate decompresses a snapshot or chunk body into dst's capacity with a
+// pooled reader; the result aliases dst when it fits. A sizeHint ≥ 0 (a chunk
+// frame's raw length) must match exactly, or the body is corrupt; < 0 grows
+// the output as needed (a snapshot body records no raw size).
 func inflate(dst, comp []byte, sizeHint int) ([]byte, error) {
 	d := decompressorPool.Get().(*decompressor)
 	d.src.Reset(comp)

@@ -22,8 +22,8 @@ func qosState(step uint64, n int, seed int64) *TrainingState {
 
 func TestServiceQuotaRejectsSave(t *testing.T) {
 	svc, err := NewService(ServiceOptions{
-		Dir: t.TempDir(),
-		QoS: QoSConfig{Default: TenantQoS{QuotaBytes: 8 << 10}},
+		Backend: dirStore(t, t.TempDir()),
+		QoS:     QoSConfig{Default: TenantQoS{QuotaBytes: 8 << 10}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +63,8 @@ func TestServiceQuotaRejectsSave(t *testing.T) {
 // rejected.
 func TestServiceQuotaCreditedByGC(t *testing.T) {
 	svc, err := NewService(ServiceOptions{
-		Dir: t.TempDir(),
-		QoS: QoSConfig{Default: TenantQoS{QuotaBytes: 24 << 10}},
+		Backend: dirStore(t, t.TempDir()),
+		QoS:     QoSConfig{Default: TenantQoS{QuotaBytes: 24 << 10}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestServiceQuotaCreditedByGC(t *testing.T) {
 
 func TestServiceRatePacingThrottles(t *testing.T) {
 	svc, err := NewService(ServiceOptions{
-		Dir: t.TempDir(),
+		Backend: dirStore(t, t.TempDir()),
 		QoS: QoSConfig{Tenants: map[string]TenantQoS{
 			"noisy": {RateBytesPerSec: 1 << 20, BurstBytes: 4 << 10},
 		}},
@@ -183,8 +183,8 @@ func TestQuotaCreditClampsAtZero(t *testing.T) {
 // cancel exactly for both manifests and chunks.
 func TestChunkSweepCreditsQuota(t *testing.T) {
 	svc, err := NewService(ServiceOptions{
-		Dir: t.TempDir(),
-		QoS: QoSConfig{Default: TenantQoS{QuotaBytes: 1 << 30}},
+		Backend: dirStore(t, t.TempDir()),
+		QoS:     QoSConfig{Default: TenantQoS{QuotaBytes: 1 << 30}},
 	})
 	if err != nil {
 		t.Fatal(err)

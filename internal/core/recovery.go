@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -179,16 +178,16 @@ func (v *snapshotView) assemble(info chunkManifestInfo) (*refBuf, error) {
 }
 
 // readBody fully verifies the snapshot object at key (readObject) and returns
-// its resolved body in a pooled buffer the caller holds: the payload or delta
-// bytes, with chunked bodies assembled from the chunk store.
-func (v *snapshotView) readBody(key string, probed *Header) (Header, *refBuf, error) {
+// it beside its resolved body in a pooled buffer the caller holds: the
+// payload or delta bytes, with chunked bodies assembled from the chunk store.
+func (v *snapshotView) readBody(key string, probed *Header) (*snapshotObject, *refBuf, error) {
 	o, err := v.readObject(key, probed)
 	if err != nil {
-		return Header{}, nil, err
+		return nil, nil, err
 	}
 	if o.h.Kind.Chunked() {
 		body, err := v.assemble(o.info)
-		return o.h, body, err
+		return o, body, err
 	}
 	start := time.Now()
 	body := getBody(0) // whatever the pool has: inflate sizes it
@@ -196,9 +195,9 @@ func (v *snapshotView) readBody(key string, probed *Header) (Header, *refBuf, er
 	v.cost.Fetch += time.Since(start)
 	if err != nil {
 		body.release()
-		return o.h, nil, err
+		return o, nil, err
 	}
-	return o.h, body, nil
+	return o, body, nil
 }
 
 // applyLink applies the delta snapshot at ent to payload in place (its
@@ -444,41 +443,46 @@ func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*T
 	return state, chainLen, nil
 }
 
-// ReadSnapshotBody loads one snapshot file and resolves its body — the
-// canonical payload for full snapshots, the delta bytes for deltas —
-// assembling chunked bodies from the chunk store next to it (<dir>/chunks).
-// The body is the caller's own.
-func ReadSnapshotBody(filePath string) (Header, []byte, error) {
-	b, err := DirBackend(filepath.Dir(filePath))
-	if err != nil {
-		return Header{}, nil, err
-	}
-	h, body, err := newSnapshotView(b, RestoreOptions{}).readBody(filepath.Base(filePath), nil)
-	if err != nil {
-		return h, nil, err
-	}
-	return h, body.detach(), nil
+// Snapshot is one snapshot object as InspectSnapshot found it. The chunk
+// fields describe a chunked kind's manifest — entries in order, distinct
+// addresses and, for content-defined boundaries (CHUNKS3), the chunker
+// revision and its min/average/max bounds — and State is a full kind's
+// decoded state (nil for a delta, which needs its chain).
+type Snapshot struct {
+	Header
+	RawLen                    int // the resolved body's bytes: a full kind's payload, a delta's delta
+	Chunks, Distinct          int
+	Chunker                   string
+	MinSize, AvgSize, MaxSize int
+	State                     *TrainingState
 }
 
-// VerifyFile fully verifies a single snapshot file: whole-file hash,
-// decompression, and — for full snapshots — payload hash and decodability.
-// Chunked snapshots are resolved through the chunk store next to the file
-// (<dir>/chunks). Delta bodies are verified up to their own bytes; chain
-// application requires the base (use VerifyBackend for that).
-func VerifyFile(filePath string) (Header, error) {
-	h, body, err := ReadSnapshotBody(filePath)
+// InspectSnapshot fully verifies the snapshot object at key in b — the
+// whole-file hash, every chunk of a chunked body and, for the full kinds,
+// the payload identity and the decode — and describes it. A delta is
+// verified up to its own bytes: applying it needs its base (VerifyBackend).
+func InspectSnapshot(b storage.Backend, key string) (Snapshot, error) {
+	o, body, err := newSnapshotView(b, RestoreOptions{}).readBody(key, nil)
 	if err != nil {
-		return h, err
+		return Snapshot{}, err
 	}
-	if h.Kind.Base() == KindFull {
-		if ok, _ := h.identifies(body); !ok {
-			return h, fmt.Errorf("%w: payload hash mismatch", ErrCorrupt)
-		}
-		if _, err := DecodePayload(body); err != nil {
-			return h, err
+	defer body.release() // DecodePayload copies every section out
+	s := Snapshot{Header: o.h, RawLen: len(body.b)}
+	if o.h.Kind.Chunked() {
+		distinct, _ := distinctAddrs(o.info.addrs)
+		s.Chunks, s.Distinct = len(o.info.addrs), len(distinct)
+		if o.info.cdc {
+			s.Chunker = o.info.chunker
+			s.MinSize, s.AvgSize, s.MaxSize = o.info.params.minSize, o.info.params.normSize, o.info.params.maxSize
 		}
 	}
-	return h, nil
+	if o.h.Kind.Base() == KindFull {
+		if ok, _ := o.h.identifies(body.b); !ok {
+			return s, fmt.Errorf("%w: payload hash mismatch", ErrCorrupt)
+		}
+		s.State, err = DecodePayload(body.b)
+	}
+	return s, err
 }
 
 // VerifyBackend verifies every snapshot in b including delta-chain and

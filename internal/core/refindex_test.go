@@ -289,8 +289,8 @@ func refIndexScripts(t *testing.T, awkward storage.Backend, states []*TrainingSt
 			mustSave(t, b, sb[i])
 			checkRefIndex(t, svc.shared, nil, true)
 		}
-		va, _ := svc.JobView("a")
-		vb, _ := svc.JobView("b")
+		va, _ := JobBackend(svc.Backend(), "a")
+		vb, _ := JobBackend(svc.Backend(), "b")
 		mustRestoreLatest(t, va, sa[2])
 		mustRestoreLatest(t, vb, sb[2])
 
@@ -309,7 +309,7 @@ func refIndexScripts(t *testing.T, awkward storage.Backend, states []*TrainingSt
 		checkRefIndex(t, svc.shared, nil, true)
 		mustSave(t, a, sa[3]) // retires a's seq 2
 		checkRefIndex(t, svc.shared, nil, true)
-		vr, _ := svc.JobView("r")
+		vr, _ := JobBackend(svc.Backend(), "r")
 		mustRestoreLatest(t, vr, sa[2])
 		before := len(chunkAddrs(t, mem))
 		swept, err := svc.DeleteObject(remoteKey)
@@ -503,7 +503,7 @@ func TestServiceConcurrentRetention(t *testing.T) {
 	<-collected
 	checkRefIndex(t, svc.shared, nil, true)
 	for j := 0; j < jobs; j++ {
-		view, _ := svc.JobView(fmt.Sprintf("job%d", j))
+		view, _ := JobBackend(svc.Backend(), fmt.Sprintf("job%d", j))
 		mustRestoreLatest(t, view, last[j])
 		if ok, problems, err := VerifyBackend(view); err != nil || len(problems) != 0 {
 			t.Errorf("job %d: %d sound, problems %v, err %v", j, ok, problems, err)

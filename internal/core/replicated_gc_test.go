@@ -76,7 +76,7 @@ func TestServiceGCOverReplicatedQuorumManifest(t *testing.T) {
 	}
 
 	// The job still restores bitwise through its view.
-	view, err := svc.JobView("rep-job")
+	view, err := JobBackend(svc.Backend(), "rep-job")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestManagerRestartContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
 
-	m1, err := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 8})
+	m1, err := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestManagerRestartContinuesSequence(t *testing.T) {
 	m1.Close()
 
 	// Second incarnation (post-crash).
-	m2, err := NewManager(Options{Dir: dir, Strategy: StrategyDelta, AnchorEvery: 8})
+	m2, err := NewManager(Options{Backend: dirStore(t, dir), Strategy: StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

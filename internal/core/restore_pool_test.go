@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -155,15 +154,15 @@ func TestVerifyAndMaintenanceGiveBackTheirBuffers(t *testing.T) {
 			t.Errorf("sound fork: ok=%d problems=%v err=%v", ok, problems, err)
 		}
 	})
-	var body []byte
-	givesBackItsBuffers(t, "ReadSnapshotBody", func() {
-		if _, body, err = ReadSnapshotBody(filepath.Join(dir, snapshotName(0, KindFull))); err != nil {
+	var snap Snapshot
+	givesBackItsBuffers(t, "InspectSnapshot", func() {
+		if snap, err = InspectSnapshot(b, snapshotName(0, KindFull)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	scribblePools()
-	if want, _ := EncodePayload(states[0]); string(body) != string(want) {
-		t.Error("ReadSnapshotBody's result changed when the pooled buffers were overwritten: it is not the caller's own")
+	if !snap.State.Equal(states[0]) {
+		t.Error("InspectSnapshot's state changed when the pooled buffers were overwritten: it is not the caller's own")
 	}
 
 	substituteWrongDelta(t, b, 3) // breaks 3 and 4; the fork off seq 1 stays sound

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,8 @@ func assembleWith(cs *storage.ChunkStore, manifest []byte, opt RestoreOptions) (
 	if err != nil {
 		return nil, err
 	}
-	return body.detach(), nil
+	defer body.release()
+	return slices.Clone(body.b), nil
 }
 
 // restoreTestBody builds a body that exercises the engine: unique content

@@ -37,11 +37,9 @@ type Service struct {
 
 // ServiceOptions configures a Service.
 type ServiceOptions struct {
-	// Dir roots the service at a local filesystem directory (created if
-	// missing). Required when Backend is nil.
-	Dir string
-	// Backend overrides where the service persists; any storage.Backend
-	// works, including a storage.Tiered hierarchy.
+	// Backend is where the service persists (required); any
+	// storage.Backend works, storage.NewLocal for a directory and a
+	// storage.Tiered hierarchy included.
 	Backend storage.Backend
 	// Placement maps write classes to tier levels of the service backend
 	// (which must then be a *storage.Tiered). Zero value: every write
@@ -60,14 +58,7 @@ const JobPrefix = "jobs"
 func NewService(opt ServiceOptions) (*Service, error) {
 	backend := opt.Backend
 	if backend == nil {
-		if opt.Dir == "" {
-			return nil, errors.New("core: service directory required")
-		}
-		var err error
-		backend, err = storage.NewLocal(opt.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("core: create service dir: %w", err)
-		}
+		return nil, errors.New("core: ServiceOptions.Backend required")
 	}
 	if opt.Placement != (storage.PlacementPolicy{}) {
 		tb, ok := backend.(*storage.Tiered)
@@ -109,7 +100,7 @@ func jobKeyPrefix(id string) string { return JobPrefix + "/" + id }
 // async pipeline, retention — except that chunked saves dedup against
 // every tenant's chunks and GC honors every tenant's references.
 //
-// opt.Backend, opt.Dir and opt.Lifecycle must be unset: where
+// opt.Backend and opt.Lifecycle must be unset: where
 // the data lives (and how it migrates) is decided by the service, not per
 // job. A job can be open at most once per Service at a time — two live
 // managers on one namespace would race the snapshot sequence — but may be
@@ -119,8 +110,8 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Backend != nil || opt.Dir != "" {
-		return nil, errors.New("core: job Options must not set Backend or Dir (the service owns placement)")
+	if opt.Backend != nil {
+		return nil, errors.New("core: job Options must not set Backend (the service owns placement)")
 	}
 	if opt.Lifecycle.enabled() {
 		return nil, errors.New("core: per-job Lifecycle is not supported; tier the service backend instead")
@@ -176,19 +167,12 @@ func jobIDs(b storage.Backend) ([]string, error) {
 	return ids, nil
 }
 
-// JobView returns one job's slice of the store as a self-contained
+// JobBackend returns one job's slice of a store as a self-contained
 // checkpoint backend, the one its Manager writes through: snapshot keys
 // resolve under jobs/<id>/, chunk-namespace keys pass through to the store
 // root where every tenant's chunks live. Every core read path treats it
 // like a private store, so a job can be inspected or restored without
-// opening a Manager.
-func (s *Service) JobView(jobID string) (storage.Backend, error) {
-	return JobBackend(s.backend, jobID)
-}
-
-// JobBackend is JobView for callers holding only the store's backend —
-// inspection tools scoping a command to one tenant of a multi-tenant
-// directory without constructing a Service.
+// opening a Manager or a Service.
 func JobBackend(base storage.Backend, jobID string) (storage.Backend, error) {
 	if err := validateJobID(jobID); err != nil {
 		return nil, err

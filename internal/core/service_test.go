@@ -73,7 +73,7 @@ func TestServiceCrossJobDedup(t *testing.T) {
 	}
 	// Both jobs restore bitwise through their views.
 	for j, id := range []string{"job-a", "job-b"} {
-		view, err := svc.JobView(id)
+		view, err := JobBackend(svc.Backend(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestServiceJobNamespaceIsolation(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"alpha", "beta"} {
-		view, err := svc.JobView(id)
+		view, err := JobBackend(svc.Backend(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestServiceGCKeepsCrossJobReferences(t *testing.T) {
 	if removed != 0 {
 		t.Fatalf("GC removed %d chunk(s) still referenced by the surviving job", removed)
 	}
-	view, err := svc.JobView("survivor")
+	view, err := JobBackend(svc.Backend(), "survivor")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestServiceCrossJobGCSaveRace(t *testing.T) {
 	if err := frozen.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	view, err := svc.JobView("frozen")
+	view, err := JobBackend(svc.Backend(), "frozen")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 	if _, _, err := raceSvc.CollectOrphans(); err != nil {
 		t.Fatalf("collection aborted on a concurrently deleted manifest: %v", err)
 	}
-	view, err := svc.JobView("racer")
+	view, err := JobBackend(svc.Backend(), "racer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestServiceConcurrentJobsStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < jobs; j++ {
-		view, err := svc.JobView(fmt.Sprintf("job%02d", j))
+		view, err := JobBackend(svc.Backend(), fmt.Sprintf("job%02d", j))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +521,7 @@ func TestStandaloneManagerGCSparesTenantChunks(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	view, err := svc.JobView("tenant")
+	view, err := JobBackend(svc.Backend(), "tenant")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestServiceOpenJobValidation(t *testing.T) {
 	if _, err := svc.OpenJob("j", Options{Backend: storage.NewMem()}); err == nil {
 		t.Error("per-job Backend accepted")
 	}
-	if _, err := svc.OpenJob("j", Options{Dir: t.TempDir()}); err == nil {
+	if _, err := svc.OpenJob("j", Options{Backend: dirStore(t, t.TempDir())}); err == nil {
 		t.Error("per-job Dir accepted")
 	}
 	if _, err := svc.OpenJob("j", Options{Lifecycle: LifecyclePolicy{KeepHotChains: 1}}); err == nil {
@@ -726,7 +726,7 @@ func TestCollectOrphanChunksThroughJobViewSparesOtherTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	view, err := svc.JobView("job-a")
+	view, err := JobBackend(svc.Backend(), "job-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +734,7 @@ func TestCollectOrphanChunksThroughJobViewSparesOtherTenants(t *testing.T) {
 		t.Fatalf("collection through job-a's view removed %d chunks (err %v), want 0", removed, err)
 	}
 	for id, want := range last {
-		view, err := svc.JobView(id)
+		view, err := JobBackend(svc.Backend(), id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 )
 
@@ -177,17 +176,6 @@ func appendSnapshotFile(buf []byte, h Header, body []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeSnapshotFile verifies the whole-file hash and returns the header
-// and decompressed body.
-func DecodeSnapshotFile(data []byte) (Header, []byte, error) {
-	h, comp, err := checkSnapshotFile(data)
-	if err != nil {
-		return h, nil, err
-	}
-	raw, err := DecompressBody(comp, -1) // a snapshot body records no raw size
-	return h, raw, err
-}
-
 // checkSnapshotFile verifies a snapshot file image up to its body — the
 // whole-file hash, the header, the body length — and returns the header and
 // the still-compressed body, which aliases data.
@@ -233,15 +221,6 @@ func parseHeaderBytes(buf []byte) (Header, error) {
 	copy(h.PayloadHash[:], buf[55:87])
 	h.BodyLen = binary.LittleEndian.Uint64(buf[87:])
 	return h, nil
-}
-
-// ReadSnapshotFile loads and fully verifies a snapshot file.
-func ReadSnapshotFile(path string) (Header, []byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return DecodeSnapshotFile(data)
 }
 
 // PayloadHash returns the identity of a canonical payload: the root over

@@ -19,7 +19,7 @@ func TestManagerRandomizedCrashRecovery(t *testing.T) {
 	for _, strategy := range []Strategy{StrategyFull, StrategyDelta} {
 		r := rng.New(77 + uint64(strategy))
 		dir := t.TempDir()
-		opts := Options{Dir: dir, Strategy: strategy, AnchorEvery: 4, Retain: 3}
+		opts := Options{Backend: dirStore(t, dir), Strategy: strategy, AnchorEvery: 4, Retain: 3}
 
 		m, err := NewManager(opts)
 		if err != nil {
@@ -52,7 +52,7 @@ func TestManagerRandomizedCrashRecovery(t *testing.T) {
 				if res.Kind == KindFull {
 					chainBroken = false // a fresh anchor is self-contained
 				}
-				newestPath = res.Path
+				newestPath = filepath.Join(dir, res.Path)
 			case 6, 7: // crash + recover
 				m.Close()
 				if haveSaves {

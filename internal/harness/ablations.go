@@ -35,8 +35,12 @@ func RunA1AnchorSweep(steps int, anchors []int) ([]A1Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		store, err := core.DirBackend(dir)
+		if err != nil {
+			return nil, err
+		}
 		mgr, err := core.NewManager(core.Options{
-			Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: anchor,
+			Backend: store, Strategy: core.StrategyDelta, AnchorEvery: anchor,
 		})
 		if err != nil {
 			return nil, err
@@ -62,10 +66,6 @@ func RunA1AnchorSweep(steps int, anchors []int) ([]A1Row, error) {
 		var recTotal time.Duration
 		var chain int
 		live := cfg.Meta()
-		store, err := core.DirBackend(dir)
-		if err != nil {
-			return nil, err
-		}
 		for i := 0; i < loads; i++ {
 			start := time.Now()
 			_, report, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})

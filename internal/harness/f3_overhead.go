@@ -46,8 +46,12 @@ func RunF3Overhead(steps int, intervals []int) ([]F3Row, error) {
 			if err != nil {
 				return nil, err
 			}
+			store, err := core.DirBackend(dir)
+			if err != nil {
+				return nil, err
+			}
 			mgr, err := core.NewManager(core.Options{
-				Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 16, Async: async,
+				Backend: store, Strategy: core.StrategyDelta, AnchorEvery: 16, Async: async,
 			})
 			if err != nil {
 				return nil, err

@@ -108,13 +108,16 @@ func runF4One(baseCfg train.Config, strat f4Strategy, mtbf time.Duration, stepsT
 	cfg := baseCfg
 	cfg.Failures = sched
 
-	var dir string
+	opts := strat.options
 	if strat.checkpoint {
-		dir, err = os.MkdirTemp("", "qckpt-f4-*")
+		dir, err := os.MkdirTemp("", "qckpt-f4-*")
 		if err != nil {
 			return F4Row{}, err
 		}
 		defer os.RemoveAll(dir)
+		if opts.Backend, err = core.DirBackend(dir); err != nil {
+			return F4Row{}, err
+		}
 	}
 
 	row := F4Row{MTBF: mtbf, Strategy: strat.name, Steps: stepsTarget, IdealTime: idealTime}
@@ -125,8 +128,6 @@ func runF4One(baseCfg train.Config, strat f4Strategy, mtbf time.Duration, stepsT
 		var mgr *core.Manager
 		runCfg := cfg
 		if strat.checkpoint {
-			opts := strat.options
-			opts.Dir = dir
 			mgr, err = core.NewManager(opts)
 			if err != nil {
 				return row, err
@@ -140,11 +141,7 @@ func runF4One(baseCfg train.Config, strat f4Strategy, mtbf time.Duration, stepsT
 		}
 		if strat.checkpoint && attempt > 0 {
 			live := runCfg.Meta()
-			store, err := core.DirBackend(dir)
-			if err != nil {
-				return row, err
-			}
-			if st, _, lerr := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{}); lerr == nil {
+			if st, _, lerr := core.LoadLatestBackendOptions(opts.Backend, &live, core.RestoreOptions{}); lerr == nil {
 				if rerr := tr.Restore(st); rerr != nil {
 					return row, rerr
 				}

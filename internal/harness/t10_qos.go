@@ -231,7 +231,7 @@ func t10Run(mode string, quiet, steps int) (T10Row, error) {
 
 	row.Bitwise = true
 	check := func(jobID string, want *core.TrainingState) error {
-		view, err := svc.JobView(jobID)
+		view, err := core.JobBackend(svc.Backend(), jobID)
 		if err != nil {
 			return err
 		}

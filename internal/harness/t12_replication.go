@@ -363,7 +363,7 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 
 	// Phase D — restore availability: each replica dies in turn; every
 	// restore must still succeed, bitwise.
-	view, err := svc.JobView("t12")
+	view, err := core.JobBackend(svc.Backend(), "t12")
 	if err != nil {
 		return T12Row{}, err
 	}

@@ -68,7 +68,9 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 			return nil, err
 		}
 		opts := spec.options
-		opts.Dir = dir
+		if opts.Backend, err = core.DirBackend(dir); err != nil {
+			return nil, err
+		}
 		mgr, err := core.NewManager(opts)
 		if err != nil {
 			return nil, err
@@ -94,12 +96,8 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 
 		// Recovery measurement.
 		live := liveMetaFor(cfg)
-		store, err := core.DirBackend(dir)
-		if err != nil {
-			return nil, err
-		}
 		recStart := time.Now()
-		st, _, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
+		st, _, err := core.LoadLatestBackendOptions(opts.Backend, &live, core.RestoreOptions{})
 		recDur := time.Since(recStart)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s recovery: %w", spec.name, err)

@@ -206,7 +206,7 @@ func RunT7MultiJob(jobCounts []int, steps int) ([]T7Row, error) {
 				return svc.OpenJob(fmt.Sprintf("job%02d", j), t7JobOptions())
 			},
 			func(j int) (storage.Backend, error) {
-				return svc.JobView(fmt.Sprintf("job%02d", j))
+				return core.JobBackend(svc.Backend(), fmt.Sprintf("job%02d", j))
 			},
 		)
 		if err != nil {

@@ -43,17 +43,15 @@ type Options struct {
 	// Transport overrides the pooled default (fault-injection tests plug a
 	// flaky RoundTripper in here).
 	Transport http.RoundTripper
-	// Retries is the attempt budget for idempotent requests after the
-	// first (0 selects DefaultRetries; negative disables retry).
-	Retries int
 	// RetryBase is the first backoff delay, doubled per attempt with full
 	// jitter (0 selects DefaultRetryBase).
 	RetryBase time.Duration
 }
 
 const (
-	// DefaultRetries is the idempotent-request retry budget.
-	DefaultRetries = 4
+	// maxRetries is the idempotent-request retry budget: attempts after
+	// the first.
+	maxRetries = 4
 	// DefaultRetryBase is the initial backoff step.
 	DefaultRetryBase = 50 * time.Millisecond
 	// requestTimeout bounds a single HTTP request.
@@ -121,9 +119,6 @@ func Dial(baseURL string, opt Options) (*Client, error) {
 	}
 	if opt.Tenant == "" {
 		opt.Tenant = api.DefaultTenant
-	}
-	if opt.Retries == 0 {
-		opt.Retries = DefaultRetries
 	}
 	if opt.RetryBase <= 0 {
 		opt.RetryBase = DefaultRetryBase
@@ -310,7 +305,7 @@ func (c *Client) doIdem(method, pth string, query url.Values, body []byte, class
 		if err == nil {
 			lastRetry = hdr
 		}
-		if attempt >= c.opt.Retries {
+		if attempt >= maxRetries {
 			if err == nil {
 				return status, hdr, data, nil
 			}
@@ -364,7 +359,7 @@ func (c *Client) PutClass(key string, data []byte, class storage.WriteClass) err
 		return err
 	}
 	var lastErr error
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
@@ -388,7 +383,7 @@ func (c *Client) PutClass(key string, data []byte, class storage.WriteClass) err
 		if got, gerr := c.Get(key); gerr == nil && bytes.Equal(got, data) {
 			return nil
 		}
-		if attempt < c.opt.Retries {
+		if attempt < maxRetries {
 			c.backoff(attempt, nil)
 		}
 	}

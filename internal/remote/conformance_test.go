@@ -65,7 +65,7 @@ func TestDialRejectsNonServer(t *testing.T) {
 	}
 	ts := httptest.NewServer(nil) // 404s everything
 	defer ts.Close()
-	if _, err := remote.Dial(ts.URL, remote.Options{Retries: -1}); err == nil {
+	if _, err := remote.Dial(ts.URL, remote.Options{}); err == nil {
 		t.Error("non-qckpt server accepted")
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -276,7 +278,7 @@ func TestCommitRetriedWhenNotApplied(t *testing.T) {
 // must succeed.
 func TestTruncatedUploadRejected(t *testing.T) {
 	url, _ := newStack(t)
-	client, err := remote.Dial(url, remote.Options{Retries: -1})
+	client, err := remote.Dial(url, remote.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,38 +371,43 @@ func TestCorruptAnchorChunkBehindClientFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := make([]*core.TrainingState, n)
+	var victim string // a chunk of the second chain's anchor: one the first chain never wrote
 	for i := range states {
 		states[i] = fullState(4096, "anchor")
 		states[i].Step = uint64(i)
 		for j := range states[i].Params {
 			states[i].Params[j] += float64(i) // every chunk of every anchor is its own
 		}
+		written, err := mem.List(core.ChunkPrefix + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := m.Save(states[i]); err != nil {
 			t.Fatal(err)
+		}
+		if i == every {
+			now, err := mem.List(core.ChunkPrefix + "/")
+			if err != nil || len(now) == len(written) {
+				t.Fatalf("the anchor wrote no chunk: %d -> %d, %v", len(written), len(now), err)
+			}
+			for _, key := range now {
+				if !slices.Contains(written, key) {
+					victim = path.Base(key)
+				}
+			}
 		}
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The second anchor's manifest, read as the restorer will read it.
+	// The second anchor, read as the restorer will read it.
 	keys, err := saver.List("ckpt-")
 	if err != nil || len(keys) != n {
 		t.Fatalf("listed %v, %v", keys, err)
 	}
-	data, err := saver.Get(keys[every])
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, manifest, err := core.DecodeSnapshotFile(data)
-	if err != nil || h.Kind != core.KindFullChunked {
-		t.Fatalf("%s: %+v, %v; want a chunked anchor", keys[every], h, err)
-	}
-	var victim string
-	for _, line := range strings.Split(string(manifest), "\n") {
-		if len(line) == 64 {
-			victim = line
-		}
+	if s, err := core.InspectSnapshot(saver, keys[every]); err != nil || s.Kind != core.KindFullChunked {
+		t.Fatalf("%s: %+v, %v; want a chunked anchor", keys[every], s.Header, err)
 	}
 	frame, err := mem.Get(core.ChunkKey(victim))
 	if err != nil {

@@ -457,7 +457,7 @@ func (t *Trainer) Restore(st *core.TrainingState) error {
 // ResumeLatestBackendOptions builds a trainer from cfg and restores the
 // newest compatible checkpoint in b into it — a directory
 // (core.DirBackend), or e.g. one job's view of a multi-tenant checkpoint
-// Service (core.Service.JobView), where each job resumes its own manifest
+// store (core.JobBackend), where each job resumes its own manifest
 // namespace while chunk reads hit the shared store. It returns
 // core.ErrNoCheckpoint when nothing usable exists (caller starts fresh).
 // opts sizes the restore engine (see core.RestoreOptions); the restored

@@ -285,7 +285,7 @@ func TestSubStepResume(t *testing.T) {
 func TestCheckpointPolicyWritesFiles(t *testing.T) {
 	cfg := vqeConfig(t)
 	dir := t.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 4})
+	mgr, err := core.NewManager(core.Options{Backend: dirStore(t, dir), Strategy: core.StrategyDelta, AnchorEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestCheckpointPolicyWritesFiles(t *testing.T) {
 func TestResumeLatestEndToEnd(t *testing.T) {
 	cfg := vqeConfig(t)
 	dir := t.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull})
+	mgr, err := core.NewManager(core.Options{Backend: dirStore(t, dir), Strategy: core.StrategyFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestResumeLatestEndToEnd(t *testing.T) {
 
 	// "Crash": throw the trainer away; resume from disk. The resumed
 	// trainer gets a fresh manager (append to the same dir).
-	mgr2, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull})
+	mgr2, err := core.NewManager(core.Options{Backend: dirStore(t, dir), Strategy: core.StrategyFull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestClassificationTaskTrains(t *testing.T) {
 func TestSubStepCheckpointPolicy(t *testing.T) {
 	cfg := vqeConfig(t)
 	dir := t.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+	mgr, err := core.NewManager(core.Options{Backend: dirStore(t, dir), Strategy: core.StrategyDelta, AnchorEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestHintWindowCheckpointsBeforePreemption(t *testing.T) {
 		}
 		cfg.Failures = sched
 		dir := t.TempDir()
-		mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyDelta, AnchorEvery: 8})
+		mgr, err := core.NewManager(core.Options{Backend: dirStore(t, dir), Strategy: core.StrategyDelta, AnchorEvery: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -678,7 +678,7 @@ func TestWallClockPolicyUsesVirtualTime(t *testing.T) {
 	cfg := vqeConfig(t)
 	cfg.QPU.ShotTime = time.Millisecond
 	dir := t.TempDir()
-	mgr, err := core.NewManager(core.Options{Dir: dir, Strategy: core.StrategyFull})
+	mgr, err := core.NewManager(core.Options{Backend: dirStore(t, dir), Strategy: core.StrategyFull})
 	if err != nil {
 		t.Fatal(err)
 	}
