@@ -7,7 +7,7 @@ GO ?= go
 # pass BENCH_OUT=BENCH_PRn.json; only the newest one is ever read.
 BENCH_OUT ?= bench-latest.json
 # Allowed allocs/op growth (percent) before bench-gate fails; ns/op beyond
-# it is reported as advisory, and hashed-B/op may not grow at all.
+# it is reported as advisory, and hashed-B/op and crc-B/op may not grow at all.
 BENCH_TOLERANCE ?= 20
 # The package set every bench target runs: the harness tables plus the
 # storage and core microbenchmarks. bench and bench-json MUST agree on
@@ -58,9 +58,9 @@ bench-json:
 # Perf-regression gate: compare $(BENCH_OUT) against the newest committed
 # baseline (the highest-numbered BENCH_PR*.json that is not the output
 # itself) and fail when any benchmark's allocs/op regressed more than
-# $(BENCH_TOLERANCE)%, when its hashed-B/op (a restore's SHA-256 traffic:
-# LoadReport.BytesHashed, a count of the code and the fixture) grew by a
-# byte, or when a baseline benchmark disappeared. allocs/op
+# $(BENCH_TOLERANCE)%, when its hashed-B/op (SHA-256 traffic) or crc-B/op
+# (a save's CRC-32C traffic) — counts of the code and the fixture — grew by
+# a byte, or when a baseline benchmark disappeared. allocs/op
 # is hardware-independent. ns/op is not — the baseline's host is not this
 # one, and the same tree has failed and passed on ns/op within a day — so
 # its movement is printed as ADVISORY lines that never fail the target;
@@ -130,8 +130,9 @@ experiments:
 # cmd/train's one job runner (single job and fleet), qckpt's one restore verb and T9's unreachable read interceptors: 0 / -138.
 # One diff per save (the dirty-granule map behind the delta XOR, the chunk plan and the leaf hash) raised both by +97 / +97; no deletion pays it yet, so ROADMAP item 2 carries it.
 # A store and a key as core's only name for a snapshot (one InspectSnapshot for the file-path readers; Options.Dir, ServiceOptions.Dir, resultPath and Service.JobView gone) paid back the one-diff-per-save raise: -108 / -107.
-LOC_CEILING = 9540
-LOC_CEILING_ALL = 23465
+# Section CRCs from the one diff (shift4K, the seal, stored granule CRCs) raised both by +59 / +60, net of EncodeDelta and DecodePayload's sectionReader; ROADMAP item 2 carries it.
+LOC_CEILING = 9599
+LOC_CEILING_ALL = 23525
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

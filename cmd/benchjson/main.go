@@ -7,12 +7,12 @@
 //
 // It is also the CI perf-regression gate: -compare checks a fresh
 // document against the committed baseline and exits non-zero when any
-// benchmark's allocs/op regressed beyond the tolerance, its hashed-B/op (a
-// restore's SHA-256 traffic, a count) grew at all, or a baseline benchmark
-// silently disappeared (it would otherwise hide its own regression
-// forever). ns/op movement beyond the tolerance is printed as ADVISORY
-// lines and never fails the gate: the baseline's wall-clock was taken on
-// another host, and wall-clock claims belong to the paired runs of bench/
+// benchmark's allocs/op regressed beyond the tolerance, its hashed-B/op or
+// crc-B/op (SHA-256 and CRC-32C traffic, counts) grew at all, or a baseline
+// benchmark silently disappeared (it would otherwise hide its own regression
+// forever). ns/op movement beyond the tolerance is printed as ADVISORY lines
+// and never fails the gate: the baseline's wall-clock was taken on another
+// host, and wall-clock claims belong to the paired runs of bench/
 // (BENCHMARK.json). A PR that deliberately retires a benchmark passes
 // -allow-missing: absences are still listed, just not counted as violations.
 //
@@ -162,8 +162,8 @@ func mergeResults(rows []BenchResult) []BenchResult {
 // allocs/op — hardware-independent — can fail the gate; ns/op depends on
 // the host the baseline was generated on (the same tree has failed and
 // passed on it within a day), so its movement is reported as advisory.
-// hashed-B/op (LoadReport.BytesHashed: a function of the code and the
-// fixture alone) is exact: any growth fails, whatever -tolerance says.
+// hashed-B/op and crc-B/op (SHA-256 and CRC-32C bytes: counts of the code
+// and the fixture alone) are exact: any growth fails, whatever -tolerance says.
 // Bytes-written metrics change whenever the workload grows: informational.
 var gateMetrics = []struct {
 	name     string
@@ -174,6 +174,7 @@ var gateMetrics = []struct {
 	{"ns/op", func(r BenchResult) float64 { return r.NsPerOp }, true, false},
 	{"allocs/op", func(r BenchResult) float64 { return r.AllocsPerOp }, false, false},
 	{"hashed-B/op", func(r BenchResult) float64 { return r.Metrics["hashed-B/op"] }, false, true},
+	{"crc-B/op", func(r BenchResult) float64 { return r.Metrics["crc-B/op"] }, false, true},
 }
 
 // compareDocs gates newDoc against oldDoc: every baseline benchmark must

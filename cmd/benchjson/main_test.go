@@ -205,6 +205,28 @@ func TestCompareGatesHashedBytesExactly(t *testing.T) {
 	}
 }
 
+// TestCompareGatesCRCBytesExactly: crc-B/op, a save's CRC-32C traffic, is
+// a count like hashed-B/op: one byte more fails inside any tolerance, fewer
+// pass.
+func TestCompareGatesCRCBytesExactly(t *testing.T) {
+	crc := func(bytes float64) BenchResult {
+		r := bench("BenchmarkSaveSubstep-2", 1000, 21)
+		r.Metrics["crc-B/op"] = bytes
+		return r
+	}
+	old := gateDoc(crc(8339))
+	if report, _, failures := compareDocs(old, gateDoc(crc(8339)), 20, false); failures != 0 {
+		t.Fatalf("an unchanged count failed the gate: %v", report)
+	}
+	if report, _, failures := compareDocs(old, gateDoc(crc(4096)), 20, false); failures != 0 {
+		t.Fatalf("a smaller count failed the gate: %v", report)
+	}
+	report, _, failures := compareDocs(old, gateDoc(crc(8340)), 60, false)
+	if joined := strings.Join(report, "\n"); failures != 1 || !strings.Contains(joined, "REGRESSED BenchmarkSaveSubstep-2 crc-B/op") {
+		t.Fatalf("one CRC byte more: %d violation(s), want 1 (%v)", failures, report)
+	}
+}
+
 func TestCompareMissingBenchmarkFails(t *testing.T) {
 	old := gateDoc(bench("BenchmarkSave-8", 1000, 50), bench("BenchmarkGone-8", 10, 1))
 	cur := gateDoc(bench("BenchmarkSave-8", 1000, 50))

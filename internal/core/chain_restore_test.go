@@ -141,7 +141,7 @@ func FuzzDeltaApplyInPlace(f *testing.F) {
 				cur[r.Intn(len(cur))] ^= byte(1 + r.Intn(255))
 			}
 		}
-		delta := EncodeDelta(base, cur)
+		delta := AppendDelta(nil, base, cur)
 		switch mangle {
 		case mangleBaseLen:
 			binary.LittleEndian.PutUint64(delta[8:], uint64(baseLen)+1+uint64(r.Intn(9)))
@@ -427,7 +427,7 @@ func TestVerifyBackendBranchingChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := Header{Kind: KindDelta, Seq: 3, Step: 3, BaseHash: PayloadHash(base), PayloadHash: PayloadHash(fork)}
-	data, err := EncodeSnapshotFile(h, EncodeDelta(base, fork))
+	data, err := EncodeSnapshotFile(h, AppendDelta(nil, base, fork))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestDeltasNamingEachOtherAreOrphans(t *testing.T) {
 		{Kind: KindDelta, Seq: 2, BaseHash: a, PayloadHash: b},
 		{Kind: KindDelta, Seq: 3, BaseHash: c, PayloadHash: c},
 	} {
-		putSnapshot(t, mem, snapshotName(h.Seq, h.Kind), h, EncodeDelta(nil, []byte("x")))
+		putSnapshot(t, mem, snapshotName(h.Seq, h.Kind), h, AppendDelta(nil, nil, []byte("x")))
 	}
 	_, report, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
 	ok, problems, verr := VerifyBackend(mem)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // The canonical payload encoding is a deterministic sequence of tagged,
@@ -19,6 +21,10 @@ import (
 //	length  uint32 (payload bytes)
 //	payload [length]byte
 //	crc32c  uint32 (over tag, length, payload)
+//
+// The CRCs are written last (sealSections), folded over 4 KiB granules: a
+// save checksums only the granules its diff marks and the partial ones at
+// section edges.
 
 // Section tags, in canonical order. Every tag appears exactly once.
 const (
@@ -37,10 +43,11 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // beginSection writes the tag and a length placeholder and returns the
-// section's start offset; endSection backfills the length and appends the
-// CRC. Writing section payloads directly into the destination (instead of
-// building them in per-section scratch and copying) is what keeps
-// AppendPayload allocation-free on a buffer with enough capacity.
+// section's start offset; endSection backfills the length and leaves the
+// CRC to sealSections. Writing section payloads directly into the
+// destination (instead of building them in per-section scratch and copying)
+// is what keeps AppendPayload allocation-free on a buffer with enough
+// capacity.
 func beginSection(buf []byte, tag byte) ([]byte, int) {
 	start := len(buf)
 	buf = append(buf, tag, 0, 0, 0, 0)
@@ -49,8 +56,73 @@ func beginSection(buf []byte, tag byte) ([]byte, int) {
 
 func endSection(buf []byte, start int) []byte {
 	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-5))
-	crc := crc32.Checksum(buf[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(buf, crc)
+	return append(buf, 0, 0, 0, 0)
+}
+
+// shift4K is the linear map with CRC(A ‖ G) = shift4K(CRC(A)) ⊕ CRC(G) for
+// any bytes A and 4 KiB granule G (CRC-32C): the CRC register's advance over
+// a granule of zeros, crc32's inversions undone. Linear, it is the XOR of
+// four byte-indexed tables, and a section's CRC folds over granule CRCs.
+var shift4K = func() (t [4][256]uint32) {
+	zeros := make([]byte, granuleBytes)
+	for k := range t {
+		for b := 1; b < 256; b++ {
+			if b&(b-1) == 0 { // a basis bit: crc32.Update's inversions undone
+				t[k][b] = ^crc32.Update(^(uint32(b) << (8 * k)), castagnoli, zeros)
+			} else {
+				t[k][b] = t[k][b&(b-1)] ^ t[k][b&-b]
+			}
+		}
+	}
+	return t
+}()
+
+// sumOK marks a stored granule CRC in refBuf.sums; a zero slot is a granule
+// that does not lie wholly inside one section's CRC span.
+const sumOK = 1 << 32
+
+// sealSections writes the CRC trailers appendSections left unset in p and
+// returns the bytes it fed to CRC-32C. A section's CRC runs over the partial
+// granules at its span's edges and folds over the whole granules inside,
+// whose CRCs it stores in sums (nil: none; else one zeroed slot per granule).
+// A granule that d, p's map against last, leaves clean keeps last's stored
+// CRC. The diff saw the trailers unset, so each granule a trailer lands in
+// is compared with last again once it is written: d stays a byte compare of
+// the sealed payloads. With the zero map every byte is read.
+func sealSections(p []byte, sums []uint64, d *dirtyMap, last *refBuf) int {
+	fed := 0
+	for off := 0; off < len(p); off += 4 {
+		_, _, end, err := section(p, off)
+		if err != nil {
+			panic(err) // p is appendSections' output
+		}
+		crc := uint32(0)
+		for hi := off; off < end; off = hi {
+			j := off / granuleBytes
+			if hi = min((j+1)*granuleBytes, end); off%granuleBytes != 0 || hi-off < granuleBytes {
+				crc = crc32.Update(crc, castagnoli, p[off:hi])
+				fed += hi - off
+				continue
+			}
+			c := uint64(0)
+			if d.clean(off, hi) && j < len(last.sums) {
+				c = last.sums[j]
+			}
+			if c == 0 {
+				c = sumOK | uint64(crc32.Checksum(p[off:hi], castagnoli))
+				fed += granuleBytes
+			}
+			if sums != nil {
+				sums[j] = c
+			}
+			crc = shift4K[0][crc&0xff] ^ shift4K[1][crc>>8&0xff] ^ shift4K[2][crc>>16&0xff] ^ shift4K[3][crc>>24] ^ uint32(c)
+		}
+		binary.LittleEndian.PutUint32(p[end:], crc)
+		for j := end / max(d.gran, 1); d.gran > 0 && j*d.gran < end+4; j++ {
+			d.compare(p, last.b, j)
+		}
+	}
+	return fed
 }
 
 func appendF64s(buf []byte, vs []float64) []byte {
@@ -85,7 +157,14 @@ func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	p := appendSections(buf, s)
+	sealSections(p[len(buf):], nil, &dirtyMap{}, nil)
+	return p, nil
+}
 
+// appendSections appends the sections of s, a validated state, to buf with
+// their CRC trailers unset.
+func appendSections(buf []byte, s *TrainingState) []byte {
 	// Counters section also carries step/epoch.
 	buf, start := beginSection(buf, secCounters)
 	buf = binary.LittleEndian.AppendUint64(buf, s.Step)
@@ -141,41 +220,36 @@ func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
 
 	buf, start = beginSection(buf, secLossHist)
 	buf = appendF64s(buf, s.LossHistory)
-	buf = endSection(buf, start)
-
-	return buf, nil
+	return endSection(buf, start)
 }
 
-// sectionReader walks the payload verifying per-section CRCs.
-type sectionReader struct {
-	data []byte
-	off  int
+// seal ends a save's encode: it maps rb's unsealed payload against last, the
+// payload saved before it (nil for none), and seals it on the map, storing
+// its granule CRCs for the next save. It returns the bytes fed to CRC-32C.
+func (rb *refBuf) seal(last *refBuf) int {
+	if last != nil {
+		rb.dirty.diff(rb.b, last.b, granuleBytes)
+	}
+	n := (len(rb.b) + granuleBytes - 1) / granuleBytes
+	rb.sums = slices.Grow(rb.sums[:0], n)[:n]
+	clear(rb.sums)
+	return sealSections(rb.b, rb.sums, &rb.dirty, last)
 }
 
-func (r *sectionReader) next() (tag byte, payload []byte, err error) {
-	if r.off >= len(r.data) {
-		return 0, nil, errEOF
+// section parses the section header at data[off:] and returns the tag, the
+// section's payload and the offset of its CRC trailer, the end of the span
+// the CRC covers. It checks lengths, not the CRC.
+func section(data []byte, off int) (tag byte, payload []byte, end int, err error) {
+	if len(data)-off < 9 {
+		return 0, nil, 0, fmt.Errorf("core: truncated section header at offset %d", off)
 	}
-	if len(r.data)-r.off < 9 {
-		return 0, nil, fmt.Errorf("core: truncated section header at offset %d", r.off)
+	tag = data[off]
+	end = off + 5 + int(binary.LittleEndian.Uint32(data[off+1:]))
+	if end+4 > len(data) {
+		return 0, nil, 0, fmt.Errorf("core: truncated section %#x at offset %d", tag, off)
 	}
-	start := r.off
-	tag = r.data[r.off]
-	length := int(binary.LittleEndian.Uint32(r.data[r.off+1:]))
-	bodyEnd := r.off + 5 + length
-	if bodyEnd+4 > len(r.data) {
-		return 0, nil, fmt.Errorf("core: truncated section %#x at offset %d", tag, r.off)
-	}
-	payload = r.data[r.off+5 : bodyEnd]
-	wantCRC := binary.LittleEndian.Uint32(r.data[bodyEnd:])
-	if crc := crc32.Checksum(r.data[start:bodyEnd], castagnoli); crc != wantCRC {
-		return 0, nil, fmt.Errorf("core: section %#x CRC mismatch (corruption)", tag)
-	}
-	r.off = bodyEnd + 4
-	return tag, payload, nil
+	return tag, data[off+5 : end], end, nil
 }
-
-var errEOF = fmt.Errorf("core: end of payload")
 
 func readF64s(payload []byte) ([]float64, error) {
 	if len(payload)%8 != 0 {
@@ -204,20 +278,19 @@ func readString(payload []byte) (string, []byte, error) {
 // validates the result.
 func DecodePayload(data []byte) (*TrainingState, error) {
 	s := NewTrainingState()
-	seen := make(map[byte]bool, numSections)
-	r := &sectionReader{data: data}
-	for {
-		tag, payload, err := r.next()
-		if err == errEOF {
-			break
+	var seen uint32 // bit t: tag t was read; an unknown tag fails where it is first read
+	for off := 0; off < len(data); {
+		tag, payload, end, err := section(data, off)
+		if err == nil && crc32.Checksum(data[off:end], castagnoli) != binary.LittleEndian.Uint32(data[end:]) {
+			err = fmt.Errorf("core: section %#x CRC mismatch (corruption)", tag)
+		} else if err == nil && seen&(1<<tag) != 0 {
+			err = fmt.Errorf("core: duplicate section %#x", tag)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if seen[tag] {
-			return nil, fmt.Errorf("core: duplicate section %#x", tag)
-		}
-		seen[tag] = true
+		seen |= 1 << tag
+		off = end + 4
 		switch tag {
 		case secCounters:
 			if len(payload) != 8*7 {
@@ -231,11 +304,7 @@ func DecodePayload(data []byte) (*TrainingState, error) {
 			s.Counters.Jobs = binary.LittleEndian.Uint64(payload[40:])
 			s.Counters.Preemptions = binary.LittleEndian.Uint64(payload[48:])
 		case secParams:
-			vs, err := readF64s(payload)
-			if err != nil {
-				return nil, err
-			}
-			s.Params = vs
+			s.Params, err = readF64s(payload)
 		case secOptimizer:
 			s.Optimizer = append([]byte{}, payload...)
 		case secRNG:
@@ -253,39 +322,23 @@ func DecodePayload(data []byte) (*TrainingState, error) {
 			}
 			s.DataPerm = perm
 		case secLossHist:
-			vs, err := readF64s(payload)
-			if err != nil {
-				return nil, err
-			}
-			s.LossHistory = vs
+			s.LossHistory, err = readF64s(payload)
 		case secBest:
 			if len(payload) < 8 || (len(payload)-8)%8 != 0 {
 				return nil, fmt.Errorf("core: best section length %d", len(payload))
 			}
 			s.BestLoss = math.Float64frombits(binary.LittleEndian.Uint64(payload))
-			vs, err := readF64s(payload[8:])
-			if err != nil {
-				return nil, err
-			}
-			s.BestParams = vs
+			s.BestParams, err = readF64s(payload[8:])
 		case secMeta:
 			if len(payload) < 4 {
 				return nil, fmt.Errorf("core: meta section too short")
 			}
 			s.Meta.FormatVersion = binary.LittleEndian.Uint32(payload)
 			rest := payload[4:]
-			var err error
-			if s.Meta.CircuitFP, rest, err = readString(rest); err != nil {
-				return nil, err
-			}
-			if s.Meta.ProblemFP, rest, err = readString(rest); err != nil {
-				return nil, err
-			}
-			if s.Meta.OptimizerName, rest, err = readString(rest); err != nil {
-				return nil, err
-			}
-			if s.Meta.Extra, rest, err = readString(rest); err != nil {
-				return nil, err
+			for _, f := range [...]*string{&s.Meta.CircuitFP, &s.Meta.ProblemFP, &s.Meta.OptimizerName, &s.Meta.Extra} {
+				if *f, rest, err = readString(rest); err != nil {
+					return nil, err
+				}
 			}
 			if len(rest) != 8 {
 				return nil, fmt.Errorf("core: meta trailer length %d", len(rest))
@@ -294,9 +347,12 @@ func DecodePayload(data []byte) (*TrainingState, error) {
 		default:
 			return nil, fmt.Errorf("core: unknown section %#x", tag)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if len(seen) != numSections {
-		return nil, fmt.Errorf("core: payload has %d sections, want %d", len(seen), numSections)
+	if n := bits.OnesCount32(seen); n != numSections {
+		return nil, fmt.Errorf("core: payload has %d sections, want %d", n, numSections)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: decoded state invalid: %w", err)

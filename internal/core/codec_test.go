@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -192,6 +193,82 @@ func TestEncodeRejectsInvalidState(t *testing.T) {
 	if _, err := EncodePayload(s4); err == nil {
 		t.Errorf("mismatched best-params accepted")
 	}
+}
+
+// TestValidateRejectsExactlyNonFinite: Validate's exponent-mask test
+// accepts and rejects exactly the parameters math.IsNaN || math.IsInf does.
+func TestValidateRejectsExactlyNonFinite(t *testing.T) {
+	for _, v := range []float64{
+		math.NaN(),
+		math.Float64frombits(0x7ff8_0000_dead_beef), // a quiet NaN with a payload
+		math.Float64frombits(0xfff0_0000_0000_0001), // a signalling NaN, sign set
+		math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x800f_ffff_ffff_ffff), // subnormals
+		math.Copysign(0, -1), 0, 1,
+	} {
+		s := sampleState()
+		s.Params[1] = v
+		finite := !math.IsNaN(v) && !math.IsInf(v, 0)
+		if err := s.Validate(); (err == nil) != finite {
+			t.Errorf("%v (%#016x): Validate says %v, finite %v", v, math.Float64bits(v), err, finite)
+		}
+	}
+}
+
+// TestSealRecomputesGranulesThatWereEdges: a granule whose bytes a save
+// keeps can change roles. Here granule 1 of the last payload held the
+// parameters' trailer and the optimizer's header, and the same bytes now lie
+// wholly inside the optimizer section: the last payload cached no CRC for
+// it, so the seal must compute one.
+func TestSealRecomputesGranulesThatWereEdges(t *testing.T) {
+	s0 := NewTrainingState()
+	s0.Params = make([]float64, 1000) // the parameters' trailer at byte 8070
+	s0.Optimizer = make([]byte, 1000)
+	last := &refBuf{b: appendSections(nil, s0)}
+	last.seal(nil)
+	s1 := NewTrainingState()
+	s1.Params = make([]float64, 100)             // the optimizer's bytes start at 879
+	s1.Optimizer = bytes.Clone(last.b[879:8300]) // so payload bytes 879…8300 are the last payload's
+	cur := &refBuf{b: appendSections(nil, s1)}
+	cur.seal(last)
+	if last.sums[1] != 0 || !cur.dirty.clean(granuleBytes, 2*granuleBytes) {
+		t.Fatal("granule 1 is not a clean granule that was an edge")
+	}
+	if want, _ := EncodePayload(s1); !bytes.Equal(cur.b, want) {
+		t.Error("the sealed payload is not EncodePayload's")
+	}
+}
+
+// FuzzDecodePayload feeds DecodePayload arbitrary bytes — the sections a
+// restore reads from a store it does not control. It must never panic, and
+// a payload it accepts must re-encode through AppendPayload to one that
+// decodes to an Equal state.
+func FuzzDecodePayload(f *testing.F) {
+	for _, s := range []*TrainingState{sampleState(), NewTrainingState()} {
+		p, err := EncodePayload(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodePayload(data)
+		if err != nil {
+			return
+		}
+		p, err := AppendPayload(nil, s)
+		if err != nil {
+			t.Fatalf("an accepted payload does not re-encode: %v", err)
+		}
+		back, err := DecodePayload(p)
+		if err != nil {
+			t.Fatalf("a re-encoded payload does not decode: %v", err)
+		}
+		if !back.Equal(s) {
+			t.Fatal("a re-encoded payload decodes to another state")
+		}
+	})
 }
 
 func TestCloneIndependence(t *testing.T) {

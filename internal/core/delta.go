@@ -33,11 +33,6 @@ func xorWith(dst, src []byte) {
 	subtle.XORBytes(dst[:n], dst[:n], src[:n])
 }
 
-// EncodeDelta computes the delta of cur against base.
-func EncodeDelta(base, cur []byte) []byte {
-	return AppendDelta(make([]byte, 0, 16+len(cur)), base, cur)
-}
-
 // AppendDelta appends the delta of cur against base to dst and returns the
 // extended slice. With 16+len(cur) spare capacity it allocates nothing.
 func AppendDelta(dst, base, cur []byte) []byte {
@@ -93,10 +88,18 @@ func (d *dirtyMap) diff(cur, base []byte, gran int) {
 	d.bits = slices.Grow(d.bits[:0], (n+63)/64)[:(n+63)/64]
 	clear(d.bits)
 	for j := 0; j < n; j++ {
-		lo, hi := j*gran, min((j+1)*gran, len(cur))
-		if hi > len(base) || !bytes.Equal(cur[lo:hi], base[lo:hi]) {
-			d.bits[j/64] |= 1 << (j % 64)
-		}
+		d.compare(cur, base, j)
+	}
+}
+
+// compare marks granule j of cur when its bytes differ from base's or reach
+// past base's end, and clears it otherwise.
+func (d *dirtyMap) compare(cur, base []byte, j int) {
+	lo, hi := j*d.gran, min((j+1)*d.gran, len(cur))
+	if hi > len(base) || !bytes.Equal(cur[lo:hi], base[lo:hi]) {
+		d.bits[j/64] |= 1 << (j % 64)
+	} else {
+		d.bits[j/64] &^= 1 << (j % 64)
 	}
 }
 
@@ -115,7 +118,7 @@ func (d dirtyMap) clean(lo, hi int) bool {
 }
 
 // ApplyDelta reconstructs cur from base and a delta produced by
-// EncodeDelta. It rejects deltas whose recorded base length does not match
+// AppendDelta. It rejects deltas whose recorded base length does not match
 // the supplied base (wrong chain link). base is not modified: the result is
 // a copy the delta was applied to in place.
 func ApplyDelta(base, delta []byte) ([]byte, error) {

@@ -12,7 +12,7 @@ import (
 func TestDeltaRoundTripSameLength(t *testing.T) {
 	base := []byte{1, 2, 3, 4, 5}
 	cur := []byte{1, 2, 9, 4, 5}
-	d := EncodeDelta(base, cur)
+	d := AppendDelta(nil, base, cur)
 	got, err := ApplyDelta(base, d)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestDeltaRoundTripGrowShrink(t *testing.T) {
 	grown := []byte{1, 2, 3, 4, 5, 6}
 	shrunk := []byte{9}
 	for _, cur := range [][]byte{grown, shrunk, {}, base} {
-		d := EncodeDelta(base, cur)
+		d := AppendDelta(nil, base, cur)
 		got, err := ApplyDelta(base, d)
 		if err != nil {
 			t.Fatalf("cur=%v: %v", cur, err)
@@ -40,7 +40,7 @@ func TestDeltaRoundTripGrowShrink(t *testing.T) {
 
 func TestDeltaIdentityIsZeros(t *testing.T) {
 	base := []byte{7, 7, 7, 7}
-	d := EncodeDelta(base, base)
+	d := AppendDelta(nil, base, base)
 	body := d[16:]
 	for i, b := range body {
 		if b != 0 {
@@ -52,7 +52,7 @@ func TestDeltaIdentityIsZeros(t *testing.T) {
 func TestDeltaRejectsWrongBase(t *testing.T) {
 	base := []byte{1, 2, 3, 4}
 	cur := []byte{1, 2, 3, 5}
-	d := EncodeDelta(base, cur)
+	d := AppendDelta(nil, base, cur)
 	if _, err := ApplyDelta([]byte{1, 2, 3}, d); err == nil {
 		t.Errorf("wrong-length base accepted")
 	}
@@ -75,7 +75,7 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 		for i := range cur {
 			cur[i] = byte(rb.Uint64())
 		}
-		d := EncodeDelta(base, cur)
+		d := AppendDelta(nil, base, cur)
 		got, err := ApplyDelta(base, d)
 		return err == nil && bytes.Equal(got, cur)
 	}
@@ -100,7 +100,7 @@ func TestDeltaOfSimilarStatesMostlyZero(t *testing.T) {
 
 	pa, _ := EncodePayload(a)
 	pb, _ := EncodePayload(b)
-	d := EncodeDelta(pa, pb)
+	d := AppendDelta(nil, pa, pb)
 	zeros := 0
 	for _, v := range d[16:] {
 		if v == 0 {
@@ -168,7 +168,10 @@ func reusedChunks(reuse []string) []int {
 // the leaves p1's root input lends p2's hash exactly those a byte compare
 // lends, and plan of delta(p1, p2) against delta(p0, p1) under the fixed
 // and the content-defined rule must cut and reuse with the maps exactly as
-// it does comparing bytes.
+// it does comparing bytes. The same edits then drive three states through a
+// save's encode: every payload sealed from its map must be EncodePayload's
+// byte for byte, and the map must stay a byte compare of the sealed payloads,
+// trailer granules included.
 func FuzzDirtyMapMatchesCompare(f *testing.F) {
 	blob := cdcTestBlob(1024, 33)
 	f.Add(blob, uint64(100|40<<16), uint64(900|8<<16))            // equal lengths, spans far apart
@@ -178,12 +181,14 @@ func FuzzDirtyMapMatchesCompare(f *testing.F) {
 	f.Add(blob, uint64(1<<63|10<<40|7), uint64(300|60<<16))       // p1 shrinks by 54 bytes
 	f.Add(make([]byte, 640), uint64(64|16<<16), uint64(65|1<<16)) // zero runs: every delta chunk alike
 	f.Add([]byte{}, uint64(1<<63|128<<40), uint64(0))             // grow from empty
+	// Sections shift over zeros that still compare equal.
+	f.Add(make([]byte, 9000), uint64(1<<63|72<<40|5<<56), uint64(1<<63|8<<40|3<<60))
 	const gran, leaf = 16, 64
 	f.Fuzz(func(t *testing.T, p0 []byte, e1, e2 uint64) {
 		p1 := fuzzPayloadEdit(p0, e1)
 		p2 := fuzzPayloadEdit(p1, e2)
 		m1, m2 := diffMap(p1, p0, gran), diffMap(p2, p1, gran)
-		d1, d2 := EncodeDelta(p0, p1), EncodeDelta(p1, p2)
+		d1, d2 := AppendDelta(nil, p0, p1), AppendDelta(nil, p1, p2)
 		if !bytes.Equal(appendDelta(nil, p0, p1, m1), d1) || !bytes.Equal(appendDelta(nil, p1, p2, m2), d2) {
 			t.Fatal("a map-driven delta body differs from AppendDelta's")
 		}
@@ -207,5 +212,35 @@ func FuzzDirtyMapMatchesCompare(f *testing.F) {
 					p, cuts, reusedChunks(reuse), wantCuts, reusedChunks(wantReuse))
 			}
 		}
+		var last *refBuf
+		for i, s := range []*TrainingState{sealFuzzState(p0, 0), sealFuzzState(p1, e1), sealFuzzState(p2, e2)} {
+			cur := &refBuf{b: appendSections(nil, s)}
+			cur.seal(last)
+			if want, _ := EncodePayload(s); !bytes.Equal(cur.b, want) {
+				t.Fatalf("payload %d: sealed from the map, it is not EncodePayload's", i)
+			}
+			if last != nil && !slices.Equal(cur.dirty.bits, diffMap(cur.b, last.b, granuleBytes).bits) {
+				t.Fatalf("payload %d: the sealed payload's map is not a byte compare's", i)
+			}
+			last = cur
+		}
 	})
+}
+
+// sealFuzzState is a state of a few 4 KiB granules for a blob and an edit:
+// the blob is its optimizer section, so blob edits move every later section,
+// e's top byte changes the parameter count, which moves every section after
+// the parameters, e picks one parameter to move, and e's top nibble sizes the
+// loss history at the tail.
+func sealFuzzState(blob []byte, e uint64) *TrainingState {
+	s := NewTrainingState()
+	s.Step = e
+	s.Params = make([]float64, 1500+int(e>>56%64))
+	for i := range s.Params {
+		s.Params[i] = float64(i)
+	}
+	s.Params[e%uint64(len(s.Params))] += float64(e >> 32)
+	s.Optimizer = blob
+	s.LossHistory = make([]float64, e>>60)
+	return s
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"maps"
 	"math/rand"
@@ -450,7 +451,8 @@ func TestIncrementalMatchesFullIngest(t *testing.T) {
 // parameters a save, so consecutive deltas dirty different granules. Under
 // both chunkers the store must be the full-ingest oracle's byte for byte,
 // and the clean and dedup counts those the byte-compare planner the maps
-// replaced reached.
+// replaced reached. Saved sync or async, every payload a save seals from its
+// map is EncodePayload's byte for byte.
 func TestAsyncGrowingMatchesFullIngest(t *testing.T) {
 	states := subStepStates(24)
 	var loss []float64
@@ -467,41 +469,46 @@ func TestAsyncGrowingMatchesFullIngest(t *testing.T) {
 		chunker      Chunker
 		clean, dedup int // the byte-compare planner's counts
 	}{{ChunkerFixed, 1668, 101}, {ChunkerCDC, 539, 73}} {
-		run := func(fullIngest bool) (map[string]string, Stats) {
-			mem := storage.NewMem()
-			mgr, err := NewManager(Options{
-				Backend: mem, Strategy: StrategyDelta, AnchorEvery: 4, Async: true,
-				ChunkBytes: MinChunkBytes, Chunker: row.chunker, Workers: 2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mgr.fullIngest = fullIngest
-			for _, s := range states {
-				if _, err := mgr.Save(s); err != nil {
+		for _, async := range []bool{false, true} {
+			run := func(fullIngest bool) (map[string]string, Stats) {
+				mem := storage.NewMem()
+				mgr, err := NewManager(Options{
+					Backend: mem, Strategy: StrategyDelta, AnchorEvery: 4, Async: async,
+					ChunkBytes: MinChunkBytes, Chunker: row.chunker, Workers: 2,
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
+				mgr.fullIngest = fullIngest
+				for i, s := range states {
+					if _, err := mgr.Save(s); err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := EncodePayload(s); !bytes.Equal(mgr.lastPayload.b, want) {
+						t.Fatalf("chunker %d, async %v: save %d sealed a payload that is not EncodePayload's", row.chunker, async, i)
+					}
+				}
+				if err := mgr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(states[len(states)-1]) {
+					t.Fatalf("chunker %d: restore not bitwise-identical to the saved state", row.chunker)
+				}
+				return objectBytes(t, mem), mgr.Stats()
 			}
-			if err := mgr.Close(); err != nil {
-				t.Fatal(err)
+			full, _ := run(true)
+			incr, stats := run(false)
+			if !maps.Equal(full, incr) {
+				t.Errorf("chunker %d, async %v: stores diverge: full-ingest %d objects, incremental %d", row.chunker, async, len(full), len(incr))
 			}
-			got, _, err := LoadLatestBackendOptions(mem, nil, RestoreOptions{})
-			if err != nil {
-				t.Fatal(err)
+			if stats.CleanChunks != row.clean || stats.DedupHits != row.dedup {
+				t.Errorf("chunker %d, async %v: %d clean chunks and %d dedup hits, the byte-compare planner %d and %d",
+					row.chunker, async, stats.CleanChunks, stats.DedupHits, row.clean, row.dedup)
 			}
-			if !got.Equal(states[len(states)-1]) {
-				t.Fatalf("chunker %d: restore not bitwise-identical to the saved state", row.chunker)
-			}
-			return objectBytes(t, mem), mgr.Stats()
-		}
-		full, _ := run(true)
-		incr, stats := run(false)
-		if !maps.Equal(full, incr) {
-			t.Errorf("chunker %d: stores diverge: full-ingest %d objects, incremental %d", row.chunker, len(full), len(incr))
-		}
-		if stats.CleanChunks != row.clean || stats.DedupHits != row.dedup {
-			t.Errorf("chunker %d: %d clean chunks and %d dedup hits, the byte-compare planner %d and %d",
-				row.chunker, stats.CleanChunks, stats.DedupHits, row.clean, row.dedup)
 		}
 	}
 }
@@ -585,7 +592,11 @@ func TestIncrementalAdaptiveRawChunks(t *testing.T) {
 // The 15 delta saves between two anchors run with the timer stopped.
 // clean-% is the share of an anchor's chunks reused from the anchor before
 // it; hashed-chunks/op the rest, which go through maphash and — once per
-// distinct chunk — flate, SHA-256 and the store's exists-check.
+// distinct chunk — flate, SHA-256 and the store's exists-check. crc-B/op is
+// what the seal fed CRC-32C on the costliest timed anchor, 12 435 bytes: the
+// section edges and the two granules under the step's window. One anchor in
+// 64 has its window on the parameters' head, a partial granule read anyway,
+// and feeds 4 096 fewer; a mean would move with b.N, and the gate is exact.
 func BenchmarkSaveAnchor(b *testing.B) {
 	const params, every, window = 256 << 10, 16, 768
 	r := rand.New(rand.NewSource(14))
@@ -619,6 +630,7 @@ func BenchmarkSaveAnchor(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var chunks, clean int
+	var crc int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for k := 1; k < every; k++ {
@@ -634,10 +646,12 @@ func BenchmarkSaveAnchor(b *testing.B) {
 		after := m.Stats()
 		chunks += after.Chunks - before.Chunks
 		clean += after.CleanChunks - before.CleanChunks
+		crc = max(crc, after.crcBytes-before.crcBytes)
 		b.StartTimer()
 	}
 	b.ReportMetric(100*float64(clean)/float64(chunks), "clean-%")
 	b.ReportMetric(float64(chunks-clean)/float64(b.N), "hashed-chunks/op")
+	b.ReportMetric(float64(crc), "crc-B/op")
 }
 
 // BenchmarkSaveSubstep times the delta saves of a sub-step stream on
@@ -685,5 +699,7 @@ func BenchmarkSaveSubstep(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(m.Stats().BytesHashed-before.BytesHashed)/float64(b.N), "hashed-B/op")
+	after := m.Stats()
+	b.ReportMetric(float64(after.BytesHashed-before.BytesHashed)/float64(b.N), "hashed-B/op")
+	b.ReportMetric(float64(after.crcBytes-before.crcBytes)/float64(b.N), "crc-B/op")
 }

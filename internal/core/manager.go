@@ -162,7 +162,7 @@ type SaveResult struct {
 	Path         string        // the snapshot's backend key
 	FileBytes    int           // bytes written to storage (0 until async completes; excludes dedup hits)
 	PayloadBytes int           // canonical payload size before delta/compression
-	Encode       time.Duration // state capture + payload encode (always synchronous)
+	Encode       time.Duration // state capture + payload encode, its diff and section CRCs (always synchronous)
 	Write        time.Duration // compression + I/O (0 for async saves)
 }
 
@@ -173,6 +173,7 @@ type Stats struct {
 	DeltaCount   int
 	BytesWritten int64 // bytes that actually reached the backend (dedup hits excluded)
 	BytesHashed  int64 // bytes fed to SHA-256 for payload identities: changed leaves and each root's input
+	crcBytes     int64 // bytes fed to CRC-32C by the section seal: changed granules and partial ones
 	WriteTime    time.Duration
 	EncodeTime   time.Duration
 	// Chunked-pipeline counters (zero for monolithic snapshots).
@@ -913,22 +914,18 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	// reuses the capacity of a payload retired two saves ago instead of
 	// allocating afresh (see pool.go for the ownership rules).
 	encStart := time.Now()
-	payload := getBody(payloadSizeHint(state))
-	encoded, err := AppendPayload(payload.b, state)
-	if err != nil {
-		payload.release()
+	if err := state.Validate(); err != nil {
 		return SaveResult{}, err
 	}
-	payload.b = encoded
-	encDur := time.Since(encStart)
+	payload := getBody(payloadSizeHint(state))
+	payload.b = appendSections(payload.b, state)
 
 	m.mu.Lock()
-	// The save's one diff pass over the payload: the granules that changed
-	// since the last one. The leaf hash, the delta body and the delta's
-	// chunk plan read the map instead of comparing bytes again.
-	if m.lastPayload != nil {
-		payload.dirty.diff(payload.b, m.lastPayload.b, granuleBytes)
-	}
+	// The save's one diff pass — the granules that changed since the last
+	// payload — and the section CRCs sealed on it. The leaf hash, the delta
+	// body and the delta's chunk plan read the map too, not the bytes.
+	m.stats.crcBytes += int64(payload.seal(m.lastPayload))
+	encDur := time.Since(encStart)
 	// The payload hash overlaps everything up to the snapshot header
 	// encode: delta encode, the dirty-chunk compare, chunk framing.
 	hash := startPayloadHash(payload, m.lastHash)
@@ -988,6 +985,7 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 		return res, nil
 	}
 
+	var err error
 	res.FileBytes, res.Write, err = m.commit(writeJob{name: name, h: h, body: body, hash: hash})
 	return res, err
 }

@@ -42,6 +42,7 @@ type refBuf struct {
 	// dirty maps a saved payload against the one before it; a delta body
 	// carries its payload's map. Written once, before the buffer is shared.
 	dirty dirtyMap
+	sums  []uint64 // a saved payload's granule CRCs, rewritten by every seal; the next save's seal keeps them where its map allows
 	refs  atomic.Int32
 }
 

@@ -98,7 +98,7 @@ func TestDeltaWordwiseParity(t *testing.T) {
 			cur := make([]byte, cl)
 			rng.Read(base)
 			rng.Read(cur)
-			delta := EncodeDelta(base, cur)
+			delta := AppendDelta(nil, base, cur)
 			// Reference body: byte-wise XOR over the common prefix, raw tail.
 			n := min(bl, cl)
 			ref := append([]byte(nil), cur...)
@@ -457,7 +457,8 @@ func BenchmarkChunkFrame(b *testing.B) {
 
 // TestPooledEncodeZeroAllocs locks in the headline property of the pooled
 // codec: the synchronous encode stage — payload serialization, the diff
-// pass against the previous payload, delta encode (map-driven and plain),
+// pass against the previous payload, the section CRCs sealed from it over
+// the previous payload's granule CRCs, delta encode (map-driven and plain),
 // chunk framing, snapshot-file assembly — allocates nothing at steady
 // state when running over pooled capacity; nor does the save's payload
 // identity, one dirty leaf re-hashed into the previous payload's root
@@ -485,12 +486,23 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	cur[leafBytes+7] ^= 1
 	tree, _, _ := hashLeaves(nil, prev, dirtyMap{}, leafBytes)
 	var dirty, leaves dirtyMap
+	// A save's seal: 16 KiB of parameters, one of them moved, sealed
+	// against the last payload's granule CRCs.
+	big := [2]*TrainingState{sampleState(), sampleState()}
+	for _, s := range big {
+		s.Params, s.BestParams = make([]float64, 2048), nil
+	}
+	big[1].Params[700] = 1
+	last, saved := &refBuf{b: appendSections(nil, big[0])}, new(refBuf)
+	last.seal(nil)
 	run := func() {
 		var err error
 		payloadBuf, err = AppendPayload(payloadBuf[:0], st)
 		if err != nil {
 			t.Fatal(err)
 		}
+		saved.b = appendSections(saved.b[:0], big[1])
+		saved.seal(last)
 		dirty.diff(payloadBuf, base, granuleBytes)
 		deltaBuf = appendDelta(deltaBuf[:0], base, payloadBuf, dirty)
 		deltaBuf = AppendDelta(deltaBuf[:0], base, payloadBuf)

@@ -147,7 +147,7 @@ func TestVerifyAndMaintenanceGiveBackTheirBuffers(t *testing.T) {
 	base, _ := EncodePayload(states[1])
 	fork, _ := EncodePayload(states[5])
 	putSnapshot(t, b, snapshotName(5, KindDelta),
-		Header{Kind: KindDelta, Seq: 5, Step: 5, BaseHash: PayloadHash(base), PayloadHash: PayloadHash(fork)}, EncodeDelta(base, fork))
+		Header{Kind: KindDelta, Seq: 5, Step: 5, BaseHash: PayloadHash(base), PayloadHash: PayloadHash(fork)}, AppendDelta(nil, base, fork))
 
 	givesBackItsBuffers(t, "VerifyBackend over a sound fork", func() {
 		if ok, problems, err := VerifyBackend(b); err != nil || ok != 6 || len(problems) != 0 {

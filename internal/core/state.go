@@ -127,8 +127,9 @@ func (s *TrainingState) Validate() error {
 	if s.Meta.FormatVersion != FormatVersion {
 		return fmt.Errorf("core: state format version %d, want %d", s.Meta.FormatVersion, FormatVersion)
 	}
+	const exp = 0x7ff0_0000_0000_0000 // all ones: NaN or ±Inf
 	for i, v := range s.Params {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if math.Float64bits(v)&exp == exp {
 			return fmt.Errorf("core: non-finite parameter %d: %v", i, v)
 		}
 	}

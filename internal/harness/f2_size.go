@@ -60,7 +60,7 @@ func RunF2Size(shapes [][2]int) ([]F2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		deltaBody := core.EncodeDelta(p0, p1)
+		deltaBody := core.AppendDelta(nil, p0, p1)
 		deltaFile, err := core.EncodeSnapshotFile(core.Header{
 			Kind: core.KindDelta, BaseHash: core.PayloadHash(p0), PayloadHash: core.PayloadHash(p1),
 		}, deltaBody)

@@ -79,7 +79,7 @@ func RunF5Compression(steps, sampleEvery int) ([]F5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		subBody := core.EncodeDelta(payload, subPayload)
+		subBody := core.AppendDelta(nil, payload, subPayload)
 		subFile, err := core.EncodeSnapshotFile(core.Header{
 			Kind:     core.KindDelta,
 			BaseHash: core.PayloadHash(payload), PayloadHash: core.PayloadHash(subPayload),
@@ -91,7 +91,7 @@ func RunF5Compression(steps, sampleEvery int) ([]F5Row, error) {
 		row.SubRatio = float64(len(full)) / float64(len(subFile))
 
 		if prevPayload != nil {
-			deltaBody := core.EncodeDelta(prevPayload, payload)
+			deltaBody := core.AppendDelta(nil, prevPayload, payload)
 			deltaFile, err := core.EncodeSnapshotFile(core.Header{
 				Kind:     core.KindDelta,
 				BaseHash: core.PayloadHash(prevPayload), PayloadHash: core.PayloadHash(payload),
