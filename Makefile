@@ -131,8 +131,9 @@ experiments:
 # One diff per save (the dirty-granule map behind the delta XOR, the chunk plan and the leaf hash) raised both by +97 / +97; no deletion pays it yet, so ROADMAP item 2 carries it.
 # A store and a key as core's only name for a snapshot (one InspectSnapshot for the file-path readers; Options.Dir, ServiceOptions.Dir, resultPath and Service.JobView gone) paid back the one-diff-per-save raise: -108 / -107.
 # Section CRCs from the one diff (shift4K, the seal, stored granule CRCs) raised both by +59 / +60, net of EncodeDelta and DecodePayload's sectionReader; ROADMAP item 2 carries it.
-LOC_CEILING = 9599
-LOC_CEILING_ALL = 23525
+# One save ledger (SaveCost, save.go split out of manager.go stage by stage; Options.Placement, Stats.EncodeTime/WriteTime, chargeQoS, withDefaults and the harness's save stopwatches gone) paid it back: -65 / -82.
+LOC_CEILING = 9534
+LOC_CEILING_ALL = 23443
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -597,6 +598,8 @@ func TestIncrementalAdaptiveRawChunks(t *testing.T) {
 // section edges and the two granules under the step's window. One anchor in
 // 64 has its window on the parameters' head, a partial granule read anyway,
 // and feeds 4 096 fewer; a mean would move with b.N, and the gate is exact.
+// The <stage>-ns/op columns split the timed anchors' time by the save
+// ledger's stages (SaveCost); like ns/op they are advisory.
 func BenchmarkSaveAnchor(b *testing.B) {
 	const params, every, window = 256 << 10, 16, 768
 	r := rand.New(rand.NewSource(14))
@@ -631,6 +634,7 @@ func BenchmarkSaveAnchor(b *testing.B) {
 	b.ResetTimer()
 	var chunks, clean int
 	var crc int64
+	var spent [len(stageNames)]time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for k := 1; k < every; k++ {
@@ -647,11 +651,13 @@ func BenchmarkSaveAnchor(b *testing.B) {
 		chunks += after.Chunks - before.Chunks
 		clean += after.CleanChunks - before.CleanChunks
 		crc = max(crc, after.crcBytes-before.crcBytes)
+		addStages(&spent, before.Cost, after.Cost)
 		b.StartTimer()
 	}
 	b.ReportMetric(100*float64(clean)/float64(chunks), "clean-%")
 	b.ReportMetric(float64(chunks-clean)/float64(b.N), "hashed-chunks/op")
 	b.ReportMetric(float64(crc), "crc-B/op")
+	reportStages(b, spent)
 }
 
 // BenchmarkSaveSubstep times the delta saves of a sub-step stream on
@@ -662,7 +668,8 @@ func BenchmarkSaveAnchor(b *testing.B) {
 // counters' CRC), leaf 12 (the parameters at byte 800 070) and the 183-byte
 // tail leaf 32 (the parameters' CRC). hashed-B/op is Stats.BytesHashed per
 // save, those leaves and the root's input: 2·65 536 + 183 + 8 + 32·33 =
-// 132 319 bytes, where a whole-payload hash reads all 2 097 335.
+// 132 319 bytes, where a whole-payload hash reads all 2 097 335. The
+// <stage>-ns/op columns are the save ledger's stages (SaveCost), advisory.
 func BenchmarkSaveSubstep(b *testing.B) {
 	const params, window, at = 256 << 10, 64, 100_000
 	r := rand.New(rand.NewSource(14))
@@ -702,4 +709,7 @@ func BenchmarkSaveSubstep(b *testing.B) {
 	after := m.Stats()
 	b.ReportMetric(float64(after.BytesHashed-before.BytesHashed)/float64(b.N), "hashed-B/op")
 	b.ReportMetric(float64(after.crcBytes-before.crcBytes)/float64(b.N), "crc-B/op")
+	var spent [len(stageNames)]time.Duration
+	addStages(&spent, before.Cost, after.Cost)
+	reportStages(b, spent)
 }

@@ -335,7 +335,7 @@ func TestManagerStatsAccumulate(t *testing.T) {
 	if st.Snapshots != 4 || st.FullCount != 2 || st.DeltaCount != 2 {
 		t.Errorf("stats: %+v", st)
 	}
-	if st.BytesWritten <= 0 || st.EncodeTime <= 0 {
+	if st.BytesWritten <= 0 || st.Cost.Encode <= 0 {
 		t.Errorf("timings/bytes not tracked: %+v", st)
 	}
 }

@@ -345,6 +345,25 @@ func (sc *sharedChunks) takePending() []string {
 	return cands
 }
 
+// CollectOrphans removes unreferenced chunks from the manager's chunk
+// store while honoring the pins of saves still in flight, so it is safe
+// to call concurrently with async chunked saves — unlike the
+// package-level CollectOrphanChunks, which must only run against a
+// quiescent backend. It walks the whole inventory, which retention never
+// does: this is where chunks a previous process left are reclaimed. For a
+// manager opened through a Service the store, pins and index are the
+// service-wide ones, so every chunk any job references is kept.
+//
+// When the backend has an authoritative collector of its own — a remote
+// store shared by clients this process cannot see — the collection is
+// delegated there: a local sweep would honor only this process's pins.
+func (m *Manager) CollectOrphans() (removed int, reclaimed int64, err error) {
+	if removed, reclaimed, ok, err := storage.TryCollectOrphans(m.backend); ok {
+		return removed, reclaimed, err
+	}
+	return m.shared.collectOrphans()
+}
+
 // collectOrphans is the inventory-wide collection behind the explicit entry
 // points: it removes every unreferenced chunk, whoever left it, honoring the
 // pins of saves in flight on any manager sharing the store. The inventory is

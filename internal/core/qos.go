@@ -156,14 +156,16 @@ func (t *tenantQoS) admit(n int64) (wait time.Duration, ok bool) {
 	return time.Duration((needed - t.tokens) / rate * float64(time.Second)), false
 }
 
-// pace pays the tenant's rate debt for n bytes by sleeping — the local
-// Manager's backpressure path. The sleep lands in the writing tenant's
-// own save path (the sequencer goroutine for async managers), never in
-// anyone else's.
-func (t *tenantQoS) pace(n int64) {
-	if t == nil {
+// bill charges n persisted bytes to the tenant's quota and pays its rate
+// debt for them by sleeping — the local Manager's backpressure path. The
+// sleep lands in the writing tenant's own save path (the sequencer
+// goroutine for async managers), never in anyone else's. Free when no QoS
+// is wired or the save was fully absorbed by dedup.
+func (t *tenantQoS) bill(n int64) {
+	if t == nil || n <= 0 {
 		return
 	}
+	t.chargeQuota(n)
 	for {
 		wait, ok := t.admit(n)
 		if ok {
@@ -192,17 +194,6 @@ func (t *tenantQoS) admitOrRetry(n int64) (retryAfter time.Duration, reason stri
 		return wait, "rate", false
 	}
 	return 0, "", true
-}
-
-// chargeQoS bills n persisted bytes to the manager's tenant: quota
-// charge plus rate pacing. Free (and nil-cheap) when no QoS is wired or
-// the save was fully absorbed by dedup.
-func (m *Manager) chargeQoS(n int) {
-	if m.qos == nil || n <= 0 {
-		return
-	}
-	m.qos.chargeQuota(int64(n))
-	m.qos.pace(int64(n))
 }
 
 // TenantUsage is one tenant's QoS counters, surfaced through the service

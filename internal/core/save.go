@@ -1,0 +1,615 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/maphash"
+	"slices"
+	"sync"
+	"time"
+
+	"repro/internal/storage"
+)
+
+// The save path, one function per stage of the ledger (SaveCost): Save runs
+// Encode, Seal, Delta and, in async mode, Queue on the trainer's goroutine;
+// commit runs the persist — Plan, Chunks, HashWait, Commit — and Retain,
+// inline for a synchronous save and on the sequencer for an asynchronous
+// one. DESIGN.md §9 has the ledger's table.
+
+// SaveResult reports what one Save produced.
+type SaveResult struct {
+	Kind         SnapshotKind
+	Seq          uint64
+	Step         uint64
+	Path         string        // the snapshot's backend key
+	FileBytes    int           // bytes written to storage (0 until async completes; excludes dedup hits)
+	PayloadBytes int           // canonical payload size before delta/compression
+	Encode       time.Duration // SaveCost's Encode + Seal: until the payload bytes are final (always synchronous)
+	Write        time.Duration // SaveCost.Persist: the persist without retention (0 for async saves)
+}
+
+// SaveCost attributes a save's time to its stages, in the order they run.
+// Like LoadCost, every stage is timed on the goroutine that ran it — Encode
+// through Queue on the trainer's, the rest on the persisting goroutine's
+// (the trainer's too in a synchronous save) — and back to back, so the
+// stages one goroutine ran add up to its wall time. Stats.Cost sums them
+// over every save.
+type SaveCost struct {
+	Encode   time.Duration // the quota check, Validate and the section encode
+	Seal     time.Duration // the one diff against the last payload, and the section CRCs sealed on it
+	Delta    time.Duration // the delta body and its copy of the map; the hash start and the save's numbering
+	Queue    time.Duration // handing an async save to the sequencer, waiting while its queue is full
+	Plan     time.Duration // cutting a chunked body against its lineage's base
+	Chunks   time.Duration // framing, hashing and ingesting the dirty chunks, or waiting for the workers doing it
+	HashWait time.Duration // joining the background payload hash
+	Commit   time.Duration // the snapshot or manifest put, the reference index and unpin, base adoption
+	Retain   time.Duration // the QoS bill (quota and rate pacing), retention gc and the migrate kick
+}
+
+// Stall is what the trainer waited for: every stage of a synchronous save,
+// Encode through Queue of an asynchronous one.
+func (c SaveCost) Stall(async bool) time.Duration {
+	if async {
+		return c.Encode + c.Seal + c.Delta + c.Queue
+	}
+	return c.Encode + c.Seal + c.Delta + c.Queue + c.Persist() + c.Retain
+}
+
+// Persist is the persist without retention: SaveResult.Write.
+func (c SaveCost) Persist() time.Duration { return c.Plan + c.Chunks + c.HashWait + c.Commit }
+
+func (c *SaveCost) add(d SaveCost) {
+	c.Encode += d.Encode
+	c.Seal += d.Seal
+	c.Delta += d.Delta
+	c.Queue += d.Queue
+	c.Plan += d.Plan
+	c.Chunks += d.Chunks
+	c.HashWait += d.HashWait
+	c.Commit += d.Commit
+	c.Retain += d.Retain
+}
+
+// ledger times one goroutine's stages of a save back to back: lap charges
+// the time since the last stamp to a stage and stamps again.
+type ledger struct {
+	SaveCost
+	t time.Time
+}
+
+func (l *ledger) lap(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(l.t)
+	l.t = now
+}
+
+type writeJob struct {
+	name string
+	h    Header  // PayloadHash is zero; the persist fills it from hash
+	body *refBuf // holds one reference, released by commit
+	hash *payloadHash
+}
+
+// payloadHash carries a payload's identity (snapshot.go), computed on a
+// background goroutine that overlaps everything up to the snapshot header
+// encode. get is safe for concurrent use.
+type payloadHash struct {
+	done   chan struct{}
+	root   [32]byte
+	tree   []byte // the root's input, which the next save's hash takes over
+	hashed int    // bytes fed to SHA-256
+}
+
+// startPayloadHash computes p.b's identity on its own goroutine, re-hashing
+// only the leaves p.dirty marks against the previous payload, whose hash
+// prevHash (nil for none) it waits for and takes over. It holds p, and lets
+// it go before it publishes: whoever has joined the hash knows it is
+// released.
+func startPayloadHash(p *refBuf, prevHash *payloadHash) *payloadHash {
+	p.retain()
+	a := &payloadHash{done: make(chan struct{})}
+	go func() {
+		var tree []byte
+		if prevHash != nil {
+			prevHash.get()
+			tree, prevHash.tree = prevHash.tree, nil
+		}
+		a.tree, a.root, a.hashed = hashLeaves(tree, p.b, p.dirty, leafBytes)
+		p.release()
+		close(a.done)
+	}()
+	return a
+}
+
+// get blocks until the hash is ready.
+func (a *payloadHash) get() [32]byte {
+	<-a.done
+	return a.root
+}
+
+// Save captures the state and persists it according to the strategy. In
+// async mode the returned SaveResult has FileBytes and Write set to zero;
+// aggregate numbers appear in Stats after Barrier.
+func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
+	if err := m.admit(); err != nil {
+		return SaveResult{}, err
+	}
+	l := ledger{t: time.Now()}
+	m.markActivity(l.t)
+	payload, err := m.encode(state)
+	if err != nil {
+		return SaveResult{}, err
+	}
+	l.lap(&l.Encode)
+	m.mu.Lock()
+	// The save's one diff: the leaf hash, the delta body and the delta's
+	// chunk plan read its map, not the bytes. The section CRCs seal on it.
+	m.stats.crcBytes += int64(payload.seal(m.lastPayload))
+	l.lap(&l.Seal)
+	job := m.delta(payload, state.Step)
+	m.mu.Unlock()
+	l.lap(&l.Delta)
+	res := SaveResult{
+		Kind: job.h.Kind, Seq: job.h.Seq, Step: job.h.Step, Path: job.name,
+		PayloadBytes: len(payload.b), Encode: l.Encode + l.Seal,
+	}
+	if m.opt.Async {
+		m.pending.Add(1)
+		m.jobs <- job
+		l.lap(&l.Queue)
+		m.mu.Lock()
+		m.stats.Cost.add(l.SaveCost)
+		m.mu.Unlock()
+		return res, nil
+	}
+	res.FileBytes, err = m.commit(job, &l)
+	res.Write = l.Persist()
+	return res, err
+}
+
+// admit refuses a save to a closed manager, and the first save after an
+// async one failed.
+func (m *Manager) admit() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return errors.New("core: manager closed")
+	}
+	if err := m.asyncErr; err != nil {
+		m.asyncErr = nil
+		return fmt.Errorf("core: async checkpoint failed earlier: %w", err)
+	}
+	return nil
+}
+
+// encode is the Encode stage. Quota is a soft ceiling checked at save
+// admission: bytes already charged to the tenant (GC credits them back)
+// must leave room for something — the save's true footprint is only known
+// after dedup. The payload goes into a pooled buffer, its CRC trailers
+// unset: at steady state it reuses the capacity of a payload retired two
+// saves ago (pool.go has the ownership rules).
+func (m *Manager) encode(state *TrainingState) (*refBuf, error) {
+	if err := m.qos.checkQuota(); err != nil {
+		return nil, err
+	}
+	if err := state.Validate(); err != nil {
+		return nil, err
+	}
+	payload := getBody(payloadSizeHint(state))
+	payload.b = appendSections(payload.b, state)
+	return payload, nil
+}
+
+// delta is the Delta stage, run under m.mu on a sealed payload: it starts
+// the payload's hash, which overlaps everything up to the snapshot header
+// encode, builds a delta body from the payload's map when the strategy
+// calls for one, numbers the snapshot and keeps the payload as the next
+// save's base.
+func (m *Manager) delta(payload *refBuf, step uint64) writeJob {
+	hash := startPayloadHash(payload, m.lastHash)
+	h, body := Header{Kind: KindFull, Seq: m.seq, Step: step}, payload
+	if m.opt.Strategy == StrategyDelta && m.lastPayload != nil && m.sinceAnchor < m.opt.AnchorEvery-1 {
+		h.Kind, h.BaseHash = KindDelta, m.lastHash.get()
+		body = getBody(16 + len(payload.b))
+		body.b = appendDelta(body.b, m.lastPayload.b, payload.b, payload.dirty)
+		// The body carries its own copy of the map for the chunk plan: as
+		// its lineage's base it outlives the payload.
+		d := payload.dirty
+		body.dirty = dirtyMap{gran: d.gran, base: d.base, bits: append(body.dirty.bits, d.bits...)}
+		m.sinceAnchor++
+		m.stats.DeltaCount++
+	} else {
+		// A full snapshot shares the payload buffer between the write job
+		// and the next delta's base; the extra reference keeps it alive
+		// until both let go.
+		payload.retain()
+		m.sinceAnchor = 0
+		m.stats.FullCount++
+	}
+	m.seq++
+	m.stats.Snapshots++
+	m.lastPayload.release()
+	m.lastPayload, m.lastHash = payload, hash
+	return writeJob{name: snapshotName(h.Seq, h.Kind), h: h, body: body, hash: hash}
+}
+
+// runSequencer drains the async queue, persisting snapshots strictly in
+// submission (= sequence) order so crash consistency of delta chains is
+// independent of chunk-write concurrency.
+func (m *Manager) runSequencer() {
+	defer m.sequencer.Done()
+	for job := range m.jobs {
+		l := ledger{t: time.Now()}
+		if _, err := m.commit(job, &l); err != nil {
+			m.mu.Lock()
+			if m.asyncErr == nil {
+				m.asyncErr = err
+			}
+			m.mu.Unlock()
+		}
+		m.pending.Done()
+	}
+}
+
+// commit is the tail of every save, run inline by a synchronous Save and by
+// the sequencer for an asynchronous one: persist the snapshot and release
+// its body, then — once it is durable — pay the tenant's QoS debt, apply
+// retention and wake the migrator, and account the save in Stats, its
+// ledger l included. It returns the bytes newly written.
+func (m *Manager) commit(job writeJob, l *ledger) (n int, err error) {
+	m.markActivity(l.t)
+	var w chunkWrite // a chunked persist's counts; zero for a monolithic or failed one
+	var fileBytes int
+	if m.chunks != nil {
+		w, fileBytes, err = m.persistChunked(job, l)
+	} else {
+		job.h.PayloadHash = job.hash.get()
+		l.lap(&l.HashWait)
+		fileBytes, err = m.putSnapshot(job.name, job.h, job.body.b)
+	}
+	n = w.total + fileBytes
+	job.body.release()
+	job.hash.get() // joined already unless persist failed first; Close relies on this join
+	l.lap(&l.Commit)
+	m.markActivity(l.t)
+	if err == nil {
+		m.refs = append(m.refs, snapshotRef{key: job.name, seq: job.h.Seq, kind: job.h.Kind.Base(), size: int64(fileBytes)})
+		m.qos.bill(int64(n))
+		m.gc()
+		m.kickMigrate()
+	}
+	l.lap(&l.Retain)
+	m.mu.Lock()
+	m.stats.BytesWritten += int64(n)
+	m.stats.BytesHashed += int64(job.hash.hashed)
+	m.stats.Chunks += len(w.addrs)
+	m.stats.DedupHits += w.dedup
+	m.stats.CleanChunks += w.clean
+	m.stats.RawChunks += w.raws
+	m.stats.ChunkBytes += int64(w.total)
+	m.stats.Cost.add(l.SaveCost)
+	m.mu.Unlock()
+	return n, err
+}
+
+// putSnapshot encodes one snapshot object in pooled scratch and commits it,
+// returning its size.
+func (m *Manager) putSnapshot(name string, h Header, body []byte) (int, error) {
+	sp := getScratch()
+	defer putScratch(sp)
+	data, err := appendSnapshotFile((*sp)[:0], h, body)
+	if err != nil {
+		return 0, err
+	}
+	*sp = data
+	if err := storage.PutClass(m.backend, name, data, storage.ClassManifest); err != nil {
+		return 0, err
+	}
+	return len(data), nil
+}
+
+// chunkBase is the dirty-compare base of one body kind (a lineage): the
+// last committed chunked body of that kind (a delta body's refBuf keeps its
+// dirty map), the snapshot it was committed as, and its chunks' end offsets
+// and frame addresses, which plan reuses for every chunk it proves
+// unchanged. The spare slices double-buffer addrs and cuts.
+type chunkBase struct {
+	body       *refBuf
+	seq        uint64
+	addrs      []string
+	cuts       []int
+	addrsSpare []string
+	cutsSpare  []int
+}
+
+// drop forgets the base (its manifest is gone, or the manager is closing);
+// the lineage's next save finds nothing to compare against.
+func (b *chunkBase) drop() {
+	b.body.release()
+	b.body, b.addrs, b.cuts = nil, nil, nil
+}
+
+// persistChunked is the chunked persist: Plan, Chunks, HashWait and the
+// manifest's Commit. Only the chunks plan cannot prove unchanged against
+// the lineage's base are framed, hashed and offered to the chunk store, and
+// the manifest commits only after every chunk it names is durable, so a
+// crash can orphan chunks but never dangle a manifest. It returns what the
+// chunks cost and the manifest's size. DESIGN.md §9 *Dirty-chunk protocol*
+// says why reusing a base's addresses is sound.
+func (m *Manager) persistChunked(job writeJob, l *ledger) (chunkWrite, int, error) {
+	// The body's kind picks its lineage and its chunks' write class (a
+	// placement policy may send delta tails to warm). Only a delta hands plan
+	// its dirty map: an anchor's base is not the payload it was diffed against.
+	lin, class, dirty := &m.bases[0], storage.ClassAnchorChunk, dirtyMap{}
+	if job.h.Kind.Base() != KindFull {
+		lin, class, dirty = &m.bases[1], storage.ClassDeltaChunk, job.body.dirty
+	}
+	var prev *chunkBase // nil with no committed body of this kind yet, or under fullIngest
+	if !m.fullIngest && lin.body != nil {
+		prev = lin
+	}
+	reuse, cuts := m.plan(job.body.b, m.rule, prev, lin.cutsSpare[:0], dirty)
+	l.lap(&l.Plan)
+	w, err := m.writeChunks(job.body.b, cuts, reuse, lin.addrsSpare, class)
+	m.reuseSpare = reuse[:0]
+	l.lap(&l.Chunks)
+	job.h.Kind, job.h.PayloadHash = job.h.Kind.chunkedVariant(), job.hash.get()
+	l.lap(&l.HashWait)
+	var fileBytes int
+	if err == nil {
+		msp := getScratch()
+		manifest := appendChunkManifest((*msp)[:0], len(job.body.b), m.rule, w.addrs)
+		fileBytes, err = m.putSnapshot(job.name, job.h, manifest)
+		*msp = manifest
+		putScratch(msp)
+	}
+	if err != nil {
+		// No manifest names the chunks, and the lineage keeps its base: that
+		// manifest is still committed.
+		m.release(&w, false)
+		lin.addrsSpare, lin.cutsSpare = w.addrs[:0], cuts[:0]
+		return chunkWrite{}, 0, err
+	}
+	// Under the gcGate read side a release lands before a sweep, which then
+	// counts the manifest, or after it, the pins live at every delete check.
+	m.shared.gcGate.RLock()
+	m.shared.setRefs(m.ns+job.name, w.addrs)
+	m.release(&w, true)
+	m.shared.gcGate.RUnlock()
+	// Adopt this body as its lineage's base, double-buffering the address
+	// and cut slices so steady-state saves allocate neither.
+	if m.fullIngest {
+		lin.addrsSpare, lin.cutsSpare = w.addrs[:0], cuts[:0]
+	} else {
+		job.body.retain()
+		lin.body.release()
+		*lin = chunkBase{
+			body: job.body, seq: job.h.Seq, addrs: w.addrs, cuts: cuts,
+			addrsSpare: lin.addrs[:0], cutsSpare: lin.cuts[:0],
+		}
+	}
+	return w, fileBytes, nil
+}
+
+// chunkWrite is what the Chunks stage leaves the commit: the body's chunk
+// addresses in order, its counts, and the pins the commit or an abort
+// releases — one per clean chunk, one per distinct dirty piece.
+type chunkWrite struct {
+	addrs     []string
+	groups    map[uint64][]*chunkGroup
+	cleanPins []string
+	clean     int // chunks plan reused
+	dedup     int // intra-save duplicates collapsed before dispatch, plus store-level hits
+	raws      int // distinct chunks framed raw
+	total     int // chunk bytes newly written
+}
+
+// chunkGroup is one distinct dirty piece. Delta bodies are mostly zero
+// runs, so one save usually repeats a chunk many times; framing each
+// distinct piece once keeps concurrent workers from racing Ingest's
+// exists-check on their own duplicates (harmless for the stored data, but
+// it would double-write and skew the dedup stats).
+type chunkGroup struct {
+	piece []byte
+	res   *chunkResult
+}
+
+type chunkResult struct {
+	addr    string // set once the chunk is pinned against concurrent GC
+	written int
+	raw     bool
+	err     error
+}
+
+// chunkKeySeed keys the intra-save duplicate collapse. It only needs a
+// cheap process-local discriminator (collisions fall back to a byte
+// compare), so it uses maphash instead of a second SHA-256 pass over every
+// chunk: the one content hash per chunk is of the framed bytes.
+var chunkKeySeed = maphash.MakeSeed()
+
+// writeChunks is the Chunks stage. It pins each address plan reused, and
+// frames, hashes and ingests each distinct dirty piece on the worker pool;
+// the pin comes before the store sees the chunk, because
+// Manager.CollectOrphans re-checks live pins right before each delete, so
+// the pin shields the chunk — written or dedup-hit, even an orphan of a
+// deleted manifest — until the manifest commits.
+func (m *Manager) writeChunks(body []byte, cuts []int, reuse, addrs []string, class storage.WriteClass) (chunkWrite, error) {
+	pieces := cdcPieces(body, cuts)
+	addrs = slices.Grow(addrs[:0], len(pieces))[:len(pieces)]
+	w := chunkWrite{addrs: addrs, groups: make(map[uint64][]*chunkGroup, len(pieces)), cleanPins: m.pinScratch[:0]}
+	results := make([]*chunkResult, len(pieces))
+	var wg sync.WaitGroup
+	for i, piece := range pieces {
+		if reused := reuse[i]; reused != "" {
+			addrs[i] = reused
+			m.shared.pins.pin(reused)
+			w.cleanPins = append(w.cleanPins, reused)
+			w.clean++
+			continue
+		}
+		key := maphash.Bytes(chunkKeySeed, piece)
+		if k := slices.IndexFunc(w.groups[key], func(g *chunkGroup) bool { return bytes.Equal(g.piece, piece) }); k >= 0 {
+			results[i] = w.groups[key][k].res
+			continue
+		}
+		r := &chunkResult{}
+		w.groups[key] = append(w.groups[key], &chunkGroup{piece: piece, res: r})
+		results[i] = r
+		m.dispatch(&wg, func() {
+			sp := getScratch()
+			frame, err := appendChunkFrame((*sp)[:0], piece)
+			if err == nil {
+				r.addr = storage.Hash(frame)
+				m.shared.pins.pin(r.addr)
+				r.raw = frame[0] == chunkFrameRaw
+				r.written, err = m.chunks.Ingest(r.addr, frame, class)
+				*sp = frame
+			}
+			putScratch(sp)
+			r.err = err
+		})
+	}
+	wg.Wait()
+	w.dedup = len(pieces) - w.clean // every dirty piece but the distinct ones that wrote
+	for _, gs := range w.groups {
+		for _, g := range gs {
+			if g.res.err != nil {
+				return w, fmt.Errorf("core: write chunk: %w", g.res.err)
+			}
+			if w.total += g.res.written; g.res.written > 0 {
+				w.dedup--
+			}
+			if g.res.raw {
+				w.raws++
+			}
+		}
+	}
+	for i, r := range results {
+		if r != nil {
+			addrs[i] = r.addr
+		}
+	}
+	return w, nil
+}
+
+// dispatch runs fn on the worker pool when one exists, inline otherwise.
+// wg is incremented before submission and released when fn completes.
+func (m *Manager) dispatch(wg *sync.WaitGroup, fn func()) {
+	if m.tasks == nil {
+		fn()
+		return
+	}
+	wg.Add(1)
+	m.tasks <- func() {
+		defer wg.Done()
+		fn()
+	}
+}
+
+// release lets go of a save's pins. On commit it runs inside the gcGate
+// read section, behind the manifest's entry in the reference index, and
+// first records who paid for each chunk written, so a sweep never finds a
+// charged chunk without its entry (creditSwept). On abort no manifest will
+// ever name the chunks, and unless a remote store collects for itself the
+// next retention pass gets the dirty ones as unclaimed — unpinned first: a
+// sweep that finds one pinned forgets it.
+func (m *Manager) release(w *chunkWrite, committed bool) {
+	for _, a := range w.cleanPins {
+		m.shared.pins.unpin(a)
+	}
+	for _, gs := range w.groups {
+		for _, g := range gs {
+			if a := g.res.addr; a != "" {
+				if committed {
+					m.shared.recordChunkCharge(a, m.qos, int64(g.res.written))
+				}
+				m.shared.pins.unpin(a)
+				if !committed && !m.shared.remote {
+					m.shared.unclaimed(a)
+				}
+			}
+		}
+	}
+	m.pinScratch = w.cleanPins[:0]
+}
+
+// plan is the Plan stage. It cuts body under rule p and returns the chunk
+// end offsets, appended to cuts (the lineage retains them on commit), and a
+// parallel reuse list naming the address prev — the body's lineage base,
+// nil for none — holds for every chunk proven byte-identical ("" = dirty).
+// The cuts are exactly appendCutpoints(body, p): nextCut restarts at every
+// cutpoint, so a chunk's end depends only on its start and its own bytes.
+// A chunk is adopted in place (unchanged at the same offsets; the old final
+// chunk only when the bodies end together or it is a full maxSize chunk) or
+// shifted (past a length change δ, every old chunk after a fresh cut that
+// lands δ from an old one): DESIGN.md §9 *Dirty-chunk protocol*. dirty is
+// body's map when body is a delta; two delta bodies of the same lengths are
+// zero wherever neither map marks a granule, so such a chunk is adopted in
+// place without the bytes.Equal.
+func (m *Manager) plan(body []byte, p cdcParams, prev *chunkBase, cuts []int, dirty dirtyMap) ([]string, []int) {
+	reuse := m.reuseSpare[:0]
+	var (
+		old      []byte
+		oldCuts  []int
+		oldAddrs []string
+		was      dirtyMap
+	)
+	if prev != nil {
+		old, oldCuts, oldAddrs = prev.body.b, prev.cuts, prev.addrs
+		if dirty.gran > 0 && bytes.Equal(body[:deltaHeaderLen], old[:deltaHeaderLen]) {
+			was = prev.body.dirty
+		}
+	}
+	// zero reports whether the maps prove body[pos:end] zero in both bodies.
+	zero := func(pos, end int) bool {
+		lo, hi := max(pos, deltaHeaderLen)-deltaHeaderLen, end-deltaHeaderLen
+		return was.clean(lo, hi) && dirty.clean(lo, hi)
+	}
+	delta := len(body) - len(old)
+	resync := len(body) // fresh cuts from here on read the common suffix
+	if delta != 0 {
+		resync -= commonSuffixWords(body, old)
+	}
+	last := len(oldCuts) - 1
+	for pos, j := 0, 0; pos < len(body); { // j: the old chunk that would start at pos
+		if j <= last && (j == 0 && pos == 0 || j > 0 && oldCuts[j-1] == pos) {
+			end := oldCuts[j]
+			if end <= len(body) && (j < last || delta == 0 || end-pos == p.maxSize) && (zero(pos, end) || bytes.Equal(body[pos:end], old[pos:end])) {
+				cuts = append(cuts, end)
+				reuse = append(reuse, oldAddrs[j])
+				pos, j = end, j+1
+				continue
+			}
+		}
+		pos += p.nextCut(body[pos:])
+		cuts = append(cuts, pos)
+		reuse = append(reuse, "")
+		if pos >= resync && pos < len(body) {
+			if k, ok := slices.BinarySearch(oldCuts, pos-delta); ok {
+				for _, c := range oldCuts[k+1:] {
+					cuts = append(cuts, c+delta)
+				}
+				reuse = append(reuse, oldAddrs[k+1:]...)
+				break
+			}
+		}
+		for j <= last && oldCuts[j] <= pos {
+			j++
+		}
+	}
+	return reuse, cuts
+}
+
+// cdcPieces materializes the piece slices for a cut list (chunk end
+// offsets); each piece aliases body.
+func cdcPieces(body []byte, cuts []int) [][]byte {
+	pieces := make([][]byte, len(cuts))
+	start := 0
+	for i, c := range cuts {
+		pieces[i] = body[start:c]
+		start = c
+	}
+	return pieces
+}

@@ -55,10 +55,11 @@ func (m *Manager) kickMigrate() {
 	}
 }
 
-// markActivity stamps the manager's foreground-activity clock; the
-// scheduler reads it to yield to save traffic.
-func (m *Manager) markActivity() {
-	m.activityNs.Store(time.Now().UnixNano())
+// markActivity stamps the manager's foreground-activity clock with t, a
+// stamp the save's ledger took; the scheduler reads it to yield to save
+// traffic.
+func (m *Manager) markActivity(t time.Time) {
+	m.activityNs.Store(t.UnixNano())
 }
 
 // idleFor reports how long the manager has been free of foreground

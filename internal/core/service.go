@@ -116,12 +116,6 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if opt.Lifecycle.enabled() {
 		return nil, errors.New("core: per-job Lifecycle is not supported; tier the service backend instead")
 	}
-	if opt.Retain < 0 {
-		return nil, fmt.Errorf("core: negative retention %d", opt.Retain)
-	}
-	if err := validateChunking(opt); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -130,7 +124,7 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if prev, ok := s.open[jobID]; ok && !prev.isClosed() {
 		return nil, fmt.Errorf("core: job %q already open", jobID)
 	}
-	m, err := newManager(opt.withDefaults(), view, s.shared)
+	m, err := newManager(opt, view, s.shared)
 	if err != nil {
 		return nil, err
 	}

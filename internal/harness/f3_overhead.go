@@ -77,11 +77,10 @@ func RunF3Overhead(steps int, intervals []int) ([]F3Row, error) {
 			os.RemoveAll(dir)
 
 			stepVirtual := tr.Backend().Clock() / time.Duration(steps)
-			fg := stats.EncodeTime
-			if !async {
-				fg += stats.WriteTime
-			}
-			fgPerStep := fg / time.Duration(steps)
+			fgPerStep := stats.Cost.Stall(async) / time.Duration(steps)
+			// What a save costs the trainer before its persist, which an
+			// async save hands off and a sync one pays on the device.
+			capture := stats.Cost.Stall(true) / time.Duration(steps)
 			meanB := int64(0)
 			if stats.Snapshots > 0 {
 				meanB = stats.BytesWritten / int64(stats.Snapshots)
@@ -93,10 +92,10 @@ func RunF3Overhead(steps int, intervals []int) ([]F3Row, error) {
 				if async {
 					// Async hides the device time entirely as long as it
 					// fits inside a step; report the residual encode cost.
-					return float64(stats.EncodeTime/time.Duration(steps)) / float64(stepVirtual)
+					return float64(capture) / float64(stepVirtual)
 				}
 				cost := time.Duration(perStepWrites * float64(d.WriteCost(int(meanB))))
-				return float64(cost+stats.EncodeTime/time.Duration(steps)) / float64(stepVirtual)
+				return float64(cost+capture) / float64(stepVirtual)
 			}
 			rows = append(rows, F3Row{
 				IntervalSteps:  interval,

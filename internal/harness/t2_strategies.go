@@ -17,8 +17,7 @@ type StrategyRow struct {
 	Snapshots      int
 	TotalBytes     int64
 	MeanSnapshotB  int64
-	EncodeTime     time.Duration // state capture + canonical encode (foreground)
-	WriteTime      time.Duration // compression + I/O (foreground for sync, background for async)
+	Cost           core.SaveCost // the save ledger over the run (core.Stats.Cost)
 	RecoveryTime   time.Duration // LoadLatestBackendOptions wall time after the run
 	RecoveredStep  uint64
 	BitwiseResume  bool          // restored state continues identically to uninterrupted
@@ -124,10 +123,6 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 			}
 		}
 
-		fg := stats.EncodeTime
-		if !opts.Async {
-			fg += stats.WriteTime
-		}
 		mean := int64(0)
 		if stats.Snapshots > 0 {
 			mean = stats.BytesWritten / int64(stats.Snapshots)
@@ -137,12 +132,11 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 			Snapshots:      stats.Snapshots,
 			TotalBytes:     stats.BytesWritten,
 			MeanSnapshotB:  mean,
-			EncodeTime:     stats.EncodeTime,
-			WriteTime:      stats.WriteTime,
+			Cost:           stats.Cost,
 			RecoveryTime:   recDur,
 			RecoveredStep:  st.Step,
 			BitwiseResume:  bitwise,
-			ForegroundTime: fg,
+			ForegroundTime: stats.Cost.Stall(opts.Async),
 		})
 		os.RemoveAll(dir)
 	}
@@ -161,7 +155,7 @@ func T2Table(rows []StrategyRow) *Table {
 	}
 	for _, r := range rows {
 		t.Add(r.Name, r.Snapshots, humanBytes(r.TotalBytes), humanBytes(r.MeanSnapshotB),
-			r.ForegroundTime, r.WriteTime, r.RecoveryTime, r.RecoveredStep, r.BitwiseResume)
+			r.ForegroundTime, r.Cost.Persist(), r.RecoveryTime, r.RecoveredStep, r.BitwiseResume)
 	}
 	return t
 }

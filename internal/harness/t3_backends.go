@@ -19,7 +19,7 @@ type T3Row struct {
 	Workers    int
 	ChunkKB    int // 0 = monolithic snapshot files
 	Snapshots  int
-	MeanSave   time.Duration // mean foreground Save latency
+	MeanSave   time.Duration // mean save stall, from the save ledger (core.Stats.Cost)
 	BytesTotal int64         // bytes that reached the backend (dedup-adjusted)
 	DedupPct   float64       // percent of chunks skipped (store dedup + clean-chunk reuse)
 	Modeled    time.Duration // device-model time (latency-modeled tiers only)
@@ -119,17 +119,14 @@ func runT3Spec(spec t3Spec, steps int) (T3Row, error) {
 		return T3Row{}, err
 	}
 	st := t3State(2048)
-	var saveTime time.Duration
 	for i := 0; i < steps; i++ {
 		st = st.Clone()
 		st.Step = uint64(i)
 		st.Params[i%len(st.Params)] += 1e-9
 		st.LossHistory = append(st.LossHistory, 1.0/float64(i+1))
-		start := time.Now()
 		if _, err := mgr.Save(st); err != nil {
 			return T3Row{}, err
 		}
-		saveTime += time.Since(start)
 	}
 	if err := mgr.Close(); err != nil {
 		return T3Row{}, err
@@ -149,7 +146,7 @@ func runT3Spec(spec t3Spec, steps int) (T3Row, error) {
 		Workers:    spec.workers,
 		ChunkKB:    spec.chunkKB,
 		Snapshots:  stats.Snapshots,
-		MeanSave:   saveTime / time.Duration(steps),
+		MeanSave:   stats.Cost.Stall(false) / time.Duration(steps),
 		BytesTotal: stats.BytesWritten,
 		Recovery:   recovery,
 	}

@@ -19,7 +19,7 @@ type T4Row struct {
 	Config    string
 	Levels    string
 	Snapshots int
-	MeanSave  time.Duration // mean foreground Save wall latency
+	MeanSave  time.Duration // mean save stall, from the save ledger (core.Stats.Cost)
 	HotBytes  int64         // bytes resident on the hot level at end of run
 	ColdBytes int64         // bytes resident below the hot level
 	Migrated  int           // objects demoted by the lifecycle engine
@@ -93,17 +93,14 @@ func runT4Spec(spec t4Spec, steps int) (T4Row, error) {
 	}
 
 	st := t3State(2048)
-	var saveTime time.Duration
 	for i := 0; i < steps; i++ {
 		st = st.Clone()
 		st.Step = uint64(i)
 		st.Params[i%len(st.Params)] += 1e-9
 		st.LossHistory = append(st.LossHistory, 1.0/float64(i+1))
-		start := time.Now()
 		if _, err := mgr.Save(st); err != nil {
 			return T4Row{}, err
 		}
-		saveTime += time.Since(start)
 	}
 	if err := mgr.Close(); err != nil {
 		return T4Row{}, err
@@ -121,7 +118,7 @@ func runT4Spec(spec t4Spec, steps int) (T4Row, error) {
 		Config:    spec.name,
 		Levels:    strings.Join(names, "+"),
 		Snapshots: stats.Snapshots,
-		MeanSave:  saveTime / time.Duration(steps),
+		MeanSave:  stats.Cost.Stall(false) / time.Duration(steps),
 		Migrated:  stats.Migrated,
 		SaveBill:  tiers[0].Stats().ModeledWrite,
 		TotalBill: sumModeled(),

@@ -18,7 +18,7 @@ type T6Row struct {
 	Config      string // mono-full | chunked-incremental | chunked-incr-delta
 	Strategy    string
 	Saves       int
-	MeanStall   time.Duration // mean synchronous Save wall time, saves 2..N
+	MeanStall   time.Duration // mean synchronous save stall from the save ledger (core.Stats.Cost), saves 2..N
 	SteadyBytes int64         // bytes written by saves 2..N
 	Chunks      int
 	CleanPct    float64 // steady-state chunks reused by the dirty-chunk compare
@@ -73,20 +73,16 @@ func RunT6SavePath(steps int) ([]T6Row, error) {
 			return nil, fmt.Errorf("harness: T6 %s: %w", cfg.name, err)
 		}
 		st := t3State(t6Params)
-		var stall time.Duration
 		var first core.Stats // everything is dirty on the priming save
 		for i := 0; i < steps; i++ {
 			st = st.Clone()
 			st.Step = uint64(i)
 			st.Params[i%len(st.Params)] += 1e-9 // <1% of the payload moves
-			start := time.Now()
 			if _, err := mgr.Save(st); err != nil {
 				return nil, fmt.Errorf("harness: T6 %s save %d: %w", cfg.name, i, err)
 			}
 			if i == 0 {
 				first = mgr.Stats()
-			} else {
-				stall += time.Since(start)
 			}
 		}
 		stats := mgr.Stats()
@@ -101,7 +97,7 @@ func RunT6SavePath(steps int) ([]T6Row, error) {
 			Config:      cfg.name,
 			Strategy:    cfg.strategy.String(),
 			Saves:       steps,
-			MeanStall:   stall / time.Duration(steps-1),
+			MeanStall:   (stats.Cost.Stall(false) - first.Cost.Stall(false)) / time.Duration(steps-1),
 			SteadyBytes: stats.BytesWritten - first.BytesWritten,
 			Chunks:      stats.Chunks,
 			Bitwise:     got.Equal(st),
