@@ -7,15 +7,10 @@ GO ?= go
 # pass BENCH_OUT=BENCH_PRn.json; only the newest one is ever read.
 BENCH_OUT ?= bench-latest.json
 # Allowed allocs/op growth (percent) before bench-gate fails; ns/op beyond
-# it is reported as advisory, and hashed-B/op and crc-B/op may not grow at all.
+# it is reported as advisory, and the count columns may not grow at all.
 BENCH_TOLERANCE ?= 20
-# The package set every bench target runs: the harness tables plus the
-# storage and core microbenchmarks. bench and bench-json MUST agree on
-# this list, or the committed JSON and the interactive numbers drift
-# apart.
-BENCH_PKGS = . ./internal/storage ./internal/core
 
-.PHONY: build test test-race test-net bench bench-json bench-gate bench-save bench-e2e fmt vet check experiments loc loc-gate
+.PHONY: build test test-race test-net bench bench-json bench-gate bench-e2e fmt vet check experiments loc loc-gate
 
 build:
 	$(GO) build ./...
@@ -39,8 +34,10 @@ test-race:
 test-net:
 	QCKPT_NET_TEST=1 $(GO) test ./cmd/qckpt -run TestNetServeTrainRestore -v -count=1 -timeout 5m
 
+# The go-test benchmark suite: micro and count benchmarks, each beside the
+# code it measures.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS)
+	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # Machine-readable benchmark metrics for tracking the perf trajectory
 # across PRs (see cmd/benchjson). Two steps, not a pipe, so a failing
@@ -50,7 +47,7 @@ bench:
 # below) measure the code, not scheduler noise.
 BENCH_COUNT ?= 3
 bench-json:
-	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run '^$$' $(BENCH_PKGS) > bench.out
+	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -run '^$$' ./... > bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 	@echo wrote $(BENCH_OUT)
@@ -58,26 +55,18 @@ bench-json:
 # Perf-regression gate: compare $(BENCH_OUT) against the newest committed
 # baseline (the highest-numbered BENCH_PR*.json that is not the output
 # itself) and fail when any benchmark's allocs/op regressed more than
-# $(BENCH_TOLERANCE)%, when its hashed-B/op (SHA-256 traffic) or crc-B/op
-# (a save's CRC-32C traffic) — counts of the code and the fixture — grew by
-# a byte, or when a baseline benchmark disappeared. allocs/op
-# is hardware-independent. ns/op is not — the baseline's host is not this
-# one, and the same tree has failed and passed on ns/op within a day — so
-# its movement is printed as ADVISORY lines that never fail the target;
-# wall-clock regressions are judged by bench-e2e's paired runs against
-# BENCHMARK.json's bounds.
+# $(BENCH_TOLERANCE)%, when one of its count columns (hashed-B/op, crc-B/op,
+# bytes-written/op, the retention pass's *-ops/op; cmd/benchjson's
+# gateRules) grew at all, or when a baseline benchmark disappeared.
+# allocs/op is hardware-independent. ns/op is not — the baseline's host is
+# not this one — so its movement is printed as ADVISORY lines that never
+# fail the target; wall-clock regressions are judged by bench-e2e's paired
+# runs against BENCHMARK.json's bounds.
 bench-gate:
 	@base=$$(ls BENCH_PR*.json 2>/dev/null | grep -vx '$(BENCH_OUT)' | sort -V | tail -n 1); \
 	if [ -z "$$base" ]; then echo "bench-gate: no committed baseline, nothing to compare"; exit 0; fi; \
 	echo "bench-gate: $(BENCH_OUT) vs $$base (tolerance $(BENCH_TOLERANCE)%)"; \
 	$(GO) run ./cmd/benchjson -compare -tolerance $(BENCH_TOLERANCE) "$$base" "$(BENCH_OUT)"
-
-# Quick save-path benchmark: the T6 experiment table plus the
-# BenchmarkTable6SavePath metrics (stalls, bytes written, allocs/op for
-# the pooled pipeline).
-bench-save:
-	$(GO) run ./cmd/experiments -run T6 -quick
-	$(GO) test -bench 'Table6SavePath' -benchmem -run '^$$' .
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): all
 # four workloads at the default 24 s each, or `make bench-e2e
@@ -132,8 +121,9 @@ experiments:
 # A store and a key as core's only name for a snapshot (one InspectSnapshot for the file-path readers; Options.Dir, ServiceOptions.Dir, resultPath and Service.JobView gone) paid back the one-diff-per-save raise: -108 / -107.
 # Section CRCs from the one diff (shift4K, the seal, stored granule CRCs) raised both by +59 / +60, net of EncodeDelta and DecodePayload's sectionReader; ROADMAP item 2 carries it.
 # One save ledger (SaveCost, save.go split out of manager.go stage by stage; Options.Placement, Stats.EncodeTime/WriteTime, chargeQoS, withDefaults and the harness's save stopwatches gone) paid it back: -65 / -82.
+# One benchmark gate (cmd/benchjson's promoted columns gone, gateMetrics become a unit → rule table): 0 / -3.
 LOC_CEILING = 9534
-LOC_CEILING_ALL = 23443
+LOC_CEILING_ALL = 23440
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

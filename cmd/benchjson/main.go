@@ -1,20 +1,21 @@
 // Command benchjson converts the text output of `go test -bench` on stdin
 // into a JSON document, so the benchmark trajectory of the checkpoint
-// pipeline (including the custom metrics the harness benchmarks report:
-// dedup rates, modeled I/O bills, tier occupancy) is machine-readable.
-// The `make bench-json` target pipes the full benchmark suite through it
-// into the committed BENCH_*.json series.
+// pipeline (including the custom count columns the micro benchmarks report:
+// bytes hashed and CRC'd, bytes written, backend operations) is
+// machine-readable. The `make bench-json` target pipes the go-test
+// benchmark suite through it into the committed BENCH_*.json series.
 //
 // It is also the CI perf-regression gate: -compare checks a fresh
 // document against the committed baseline and exits non-zero when any
-// benchmark's allocs/op regressed beyond the tolerance, its hashed-B/op or
-// crc-B/op (SHA-256 and CRC-32C traffic, counts) grew at all, or a baseline
-// benchmark silently disappeared (it would otherwise hide its own regression
-// forever). ns/op movement beyond the tolerance is printed as ADVISORY lines
-// and never fails the gate: the baseline's wall-clock was taken on another
-// host, and wall-clock claims belong to the paired runs of bench/
-// (BENCHMARK.json). A PR that deliberately retires a benchmark passes
-// -allow-missing: absences are still listed, just not counted as violations.
+// benchmark's allocs/op regressed beyond the tolerance, one of its count
+// columns (gateRules' exact set) grew at all or went unreported, or a
+// baseline benchmark silently disappeared (it would otherwise hide its own
+// regression forever). ns/op movement beyond the tolerance is printed as
+// ADVISORY lines and never fails the gate: the baseline's wall-clock was
+// taken on another host, and wall-clock claims belong to the paired runs
+// of bench/ (BENCHMARK.json). A PR that deliberately retires a benchmark
+// passes -allow-missing: absences are still listed, just not counted as
+// violations.
 //
 // Repeated runs of one benchmark (go test -count=N) are collapsed to a
 // single row keeping the minimum of the cost columns — the noise-robust
@@ -22,7 +23,7 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem -count=3 -run '^$' . | benchjson [-o out.json]
+//	go test -bench=. -benchmem -count=3 -run '^$' ./... | benchjson [-o out.json]
 //	benchjson -compare old.json new.json [-tolerance 20] [-allow-missing]
 package main
 
@@ -37,19 +38,12 @@ import (
 )
 
 // BenchResult is one benchmark line: its name, iteration count, and every
-// value/unit metric pair (ns/op, B/op, allocs/op, custom metrics). The
-// cost-per-op columns that the perf trajectory tracks across PRs —
-// wall time, allocations, heap bytes, and the pipeline's bytes-written
-// metric — are promoted to top-level fields so downstream tooling does
-// not need to know the Go unit strings; every pair also stays in Metrics.
+// value/unit metric pair (ns/op, B/op, allocs/op, custom metrics), keyed by
+// the Go unit string.
 type BenchResult struct {
-	Name         string             `json:"name"`
-	Iterations   int64              `json:"iterations"`
-	NsPerOp      float64            `json:"ns_per_op,omitempty"`
-	AllocsPerOp  float64            `json:"allocs_per_op,omitempty"`
-	BytesPerOp   float64            `json:"bytes_per_op,omitempty"`
-	WrittenPerOp float64            `json:"bytes_written_per_op,omitempty"`
-	Metrics      map[string]float64 `json:"metrics"`
+	Name       string             `json:"name"`
+	Iterations int64              `json:"iterations"`
+	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // Output is the whole document.
@@ -92,16 +86,6 @@ func parseBenchLine(line string) (BenchResult, bool) {
 			return BenchResult{}, false
 		}
 		res.Metrics[fields[i+1]] = val
-		switch fields[i+1] {
-		case "ns/op":
-			res.NsPerOp = val
-		case "allocs/op":
-			res.AllocsPerOp = val
-		case "B/op":
-			res.BytesPerOp = val
-		case "bytes-written/op":
-			res.WrittenPerOp = val
-		}
 	}
 	return res, true
 }
@@ -129,66 +113,67 @@ func mergeResults(rows []BenchResult) []BenchResult {
 			continue
 		}
 		best := &out[i]
-		if r.NsPerOp > 0 && (best.NsPerOp == 0 || r.NsPerOp < best.NsPerOp) {
+		from := r
+		if ns := r.Metrics["ns/op"]; ns > 0 && (best.Metrics["ns/op"] == 0 || ns < best.Metrics["ns/op"]) {
 			// This run is the new fastest: adopt its non-cost metrics
 			// wholesale, then re-minimize the cost units below.
-			merged := r
-			for u, v := range best.Metrics {
-				if costUnits[u] {
-					if cur, ok := merged.Metrics[u]; !ok || v < cur {
-						merged.Metrics[u] = v
-					}
-				}
-			}
-			*best = merged
-		} else {
-			for u, v := range r.Metrics {
-				if costUnits[u] {
-					if cur, ok := best.Metrics[u]; !ok || v < cur {
-						best.Metrics[u] = v
-					}
+			from, *best = *best, r
+		}
+		for u, v := range from.Metrics {
+			if costUnits[u] {
+				if cur, ok := best.Metrics[u]; !ok || v < cur {
+					best.Metrics[u] = v
 				}
 			}
 		}
-		best.NsPerOp = best.Metrics["ns/op"]
-		best.AllocsPerOp = best.Metrics["allocs/op"]
-		best.BytesPerOp = best.Metrics["B/op"]
-		best.WrittenPerOp = best.Metrics["bytes-written/op"]
 	}
 	return out
 }
 
-// gateMetrics are the per-benchmark columns the comparison tracks.
-// allocs/op — hardware-independent — can fail the gate; ns/op depends on
-// the host the baseline was generated on (the same tree has failed and
-// passed on it within a day), so its movement is reported as advisory.
-// hashed-B/op and crc-B/op (SHA-256 and CRC-32C bytes: counts of the code
-// and the fixture alone) are exact: any growth fails, whatever -tolerance says.
-// Bytes-written metrics change whenever the workload grows: informational.
-var gateMetrics = []struct {
-	name     string
-	get      func(BenchResult) float64
-	advisory bool
-	exact    bool
+// gateRule is how -compare treats a column's growth over the baseline:
+// advisory growth beyond the tolerance is reported and never fails (ns/op
+// depends on the host the baseline was generated on; the same tree has
+// failed and passed on it within a day); tolerance growth beyond it fails
+// (allocs/op: hardware-independent, but it moves a little with the
+// runtime); exact growth fails whatever -tolerance says, from a zero
+// baseline too, and so does dropping the column — these are counts of the
+// code and the fixture alone, the same on every run and every host.
+type gateRule int
+
+const (
+	advisory gateRule = iota
+	tolerance
+	exact
+)
+
+// gateRules are the columns -compare gates, in report order. Every other
+// unit (MB/s, clean-%, the <stage>-ns/op split, hashed-chunks/op — a mean
+// over b.N anchors) rides along in Metrics ungated.
+var gateRules = []struct {
+	unit string
+	rule gateRule
 }{
-	{"ns/op", func(r BenchResult) float64 { return r.NsPerOp }, true, false},
-	{"allocs/op", func(r BenchResult) float64 { return r.AllocsPerOp }, false, false},
-	{"hashed-B/op", func(r BenchResult) float64 { return r.Metrics["hashed-B/op"] }, false, true},
-	{"crc-B/op", func(r BenchResult) float64 { return r.Metrics["crc-B/op"] }, false, true},
+	{"ns/op", advisory},
+	{"allocs/op", tolerance},
+	{"hashed-B/op", exact},      // SHA-256 traffic
+	{"crc-B/op", exact},         // a save's CRC-32C traffic
+	{"bytes-written/op", exact}, // a chunk frame's size
+	{"list-ops/op", exact},      // a retention pass's backend operations
+	{"get-ops/op", exact},
+	{"stat-ops/op", exact},
+	{"delete-ops/op", exact},
 }
 
 // compareDocs gates newDoc against oldDoc: every baseline benchmark must
-// still exist, and its gated metrics must not exceed the baseline by more
-// than tolerancePct percent — at all, for an exact metric (advisory metrics
-// that do are reported, not counted). A zero baseline value is skipped
-// (nothing meaningful to ratio against) — which is also what keeps the gate
-// tolerant of new metric columns: units outside gateMetrics (the network
-// benchmark's wire-bytes/op, wire-reduction-x, …) ride along in Metrics and
-// are never compared. It returns the human-readable report, the
-// names of baseline benchmarks absent from the new results, and the
-// number of violations. With allowMissing set, absent baselines are
-// still reported and listed but not counted as violations — the escape
-// hatch for PRs that deliberately retire a benchmark.
+// still exist, and each column gateRules names must not exceed its baseline
+// by more than tolerancePct percent — at all, for an exact column (advisory
+// columns that do are reported, not counted). A column the baseline does
+// not report is not compared, and neither is a zero baseline under the
+// tolerance (nothing meaningful to ratio against). It returns the
+// human-readable report, the names of baseline benchmarks absent from the
+// new results, and the number of violations. With allowMissing set, absent
+// baselines are still reported and listed but not counted as violations —
+// the escape hatch for PRs that deliberately retire a benchmark.
 func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool) (report, missing []string, failures int) {
 	newByName := make(map[string]BenchResult, len(newDoc.Benchmarks))
 	for _, r := range newDoc.Benchmarks {
@@ -208,22 +193,34 @@ func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool)
 			continue
 		}
 		added--
-		for _, m := range gateMetrics {
-			was, now, tolerance := m.get(old), m.get(cur), tolerancePct
-			if m.exact {
-				tolerance = 0
+		for _, g := range gateRules {
+			was, ok := old.Metrics[g.unit]
+			if !ok {
+				continue
 			}
-			if was <= 0 || now <= was*(1+tolerance/100) {
+			now, reported := cur.Metrics[g.unit]
+			tol := tolerancePct
+			switch {
+			case g.rule == exact && !reported:
+				failures++
+				report = append(report, fmt.Sprintf("REGRESSED %s %s: %.10g in baseline, not reported now", old.Name, g.unit, was))
+				continue
+			case g.rule == exact:
+				tol = 0
+			case was <= 0:
+				continue
+			}
+			if now <= was*(1+tol/100) {
 				continue
 			}
 			verdict := "REGRESSED"
-			if m.advisory {
+			if g.rule == advisory {
 				verdict = "ADVISORY "
 			} else {
 				failures++
 			}
-			report = append(report, fmt.Sprintf("%s %s %s: %.4g -> %.4g (%+.1f%%, tolerance %.0f%%)",
-				verdict, old.Name, m.name, was, now, 100*(now-was)/was, tolerance))
+			report = append(report, fmt.Sprintf("%s %s %s: %.10g -> %.10g (%+.1f%%, tolerance %.0f%%)",
+				verdict, old.Name, g.unit, was, now, 100*(now-was)/was, tol))
 		}
 	}
 	report = append(report, fmt.Sprintf("compared %d benchmark(s), %d new, %d violation(s) at %.0f%% tolerance",

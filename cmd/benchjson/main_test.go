@@ -55,7 +55,7 @@ func TestParseBenchLineStripsProcsSuffix(t *testing.T) {
 	// one: a baseline parsed at 8 CPUs against results parsed at 1.
 	a, _ := parseBenchLine("BenchmarkX-8 \t 10 \t 100 ns/op \t 5 allocs/op")
 	b, _ := parseBenchLine("BenchmarkX \t 10 \t 90 ns/op \t 5 allocs/op")
-	if rows := mergeResults([]BenchResult{a, b}); len(rows) != 1 || rows[0].NsPerOp != 90 {
+	if rows := mergeResults([]BenchResult{a, b}); len(rows) != 1 || rows[0].Metrics["ns/op"] != 90 {
 		t.Errorf("merged rows = %+v, want one row at 90 ns/op", rows)
 	}
 	if _, missing, failures := compareDocs(gateDoc(a), gateDoc(b), 20, false); len(missing) != 0 || failures != 0 {
@@ -63,26 +63,33 @@ func TestParseBenchLineStripsProcsSuffix(t *testing.T) {
 	}
 }
 
+// TestParseBenchLinePromotedColumns: every column, the cost ones included,
+// lives in Metrics under its Go unit, and a row's JSON is its name, its
+// iteration count and that map — nothing else.
 func TestParseBenchLinePromotedColumns(t *testing.T) {
-	res, ok := parseBenchLine("BenchmarkTable6SavePath-8 \t 5 \t 231209450 ns/op\t 6205 bytes-written/op\t 5.2 byteswritten-x\t 98505348 B/op\t 24964 allocs/op")
+	res, ok := parseBenchLine("BenchmarkChunkFrame/f64-2 \t 101024 \t 11003 ns/op\t 5956.40 MB/s\t 65541 bytes-written/op\t 128 B/op\t 3 allocs/op")
 	if !ok {
 		t.Fatal("line not parsed")
 	}
-	if res.NsPerOp != 231209450 {
-		t.Errorf("NsPerOp = %v", res.NsPerOp)
+	want := map[string]float64{"ns/op": 11003, "MB/s": 5956.4, "bytes-written/op": 65541, "B/op": 128, "allocs/op": 3}
+	if len(res.Metrics) != len(want) {
+		t.Errorf("metrics = %v, want %v", res.Metrics, want)
 	}
-	if res.AllocsPerOp != 24964 {
-		t.Errorf("AllocsPerOp = %v", res.AllocsPerOp)
+	for unit, val := range want {
+		if res.Metrics[unit] != val {
+			t.Errorf("metric %s = %v, want %v", unit, res.Metrics[unit], val)
+		}
 	}
-	if res.BytesPerOp != 98505348 {
-		t.Errorf("BytesPerOp = %v", res.BytesPerOp)
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.WrittenPerOp != 6205 {
-		t.Errorf("WrittenPerOp = %v", res.WrittenPerOp)
+	var row map[string]json.RawMessage
+	if err := json.Unmarshal(data, &row); err != nil {
+		t.Fatal(err)
 	}
-	// Promotion must not remove the pairs from the generic metric map.
-	if res.Metrics["bytes-written/op"] != 6205 || res.Metrics["byteswritten-x"] != 5.2 {
-		t.Errorf("metrics map lost pairs: %v", res.Metrics)
+	if len(row) != 3 || row["name"] == nil || row["iterations"] == nil || row["metrics"] == nil {
+		t.Errorf("row JSON = %s, want name, iterations and metrics only", data)
 	}
 }
 
@@ -109,18 +116,15 @@ func TestMergeResultsKeepsMinimumCosts(t *testing.T) {
 	}
 	r := merged[0]
 	// Cost columns: minimum across the three runs, independently.
-	if r.NsPerOp != 1500 || r.AllocsPerOp != 30 || r.BytesPerOp != 480 {
-		t.Errorf("cost minima = ns %v, allocs %v, B %v", r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if r.Metrics["ns/op"] != 1500 || r.Metrics["B/op"] != 480 {
-		t.Errorf("metrics map diverged from promoted columns: %v", r.Metrics)
+	if r.Metrics["ns/op"] != 1500 || r.Metrics["allocs/op"] != 30 || r.Metrics["B/op"] != 480 {
+		t.Errorf("cost minima = %v", r.Metrics)
 	}
 	// Non-cost metrics follow the fastest run, not the min.
 	if r.Metrics["dedup-%"] != 92.0 {
 		t.Errorf("dedup-%% = %v, want the fastest run's 92.0", r.Metrics["dedup-%"])
 	}
 	// A single-run benchmark passes through untouched.
-	if merged[1].NsPerOp != 700 {
+	if merged[1].Metrics["ns/op"] != 700 {
 		t.Errorf("single-run row changed: %v", merged[1])
 	}
 }
@@ -131,8 +135,7 @@ func gateDoc(results ...BenchResult) Output {
 }
 
 func bench(name string, ns, allocs float64) BenchResult {
-	return BenchResult{Name: name, Iterations: 100, NsPerOp: ns, AllocsPerOp: allocs,
-		Metrics: map[string]float64{"ns/op": ns, "allocs/op": allocs}}
+	return BenchResult{Name: name, Iterations: 100, Metrics: map[string]float64{"ns/op": ns, "allocs/op": allocs}}
 }
 
 func TestCompareWithinTolerancePasses(t *testing.T) {
@@ -293,143 +296,87 @@ func TestRunCompareAllowMissing(t *testing.T) {
 	}
 }
 
-func TestCompareToleratesNetworkColumns(t *testing.T) {
-	// The T8 network benchmark adds metric columns no baseline has
-	// (wire-bytes/op, wire-reduction-x, has-hit-%, net-stall-µs). They
-	// must flow into the document untouched and never trip the gate.
-	line := "BenchmarkTable8Network-8 \t 2 \t 512000000 ns/op\t 14210 net-stall-µs\t 722022 wire-bytes/op\t 17.4 wire-reduction-x\t 12.5 has-hit-%\t 2048 B/op\t 31 allocs/op"
-	cur, ok := parseBenchLine(line)
-	if !ok {
-		t.Fatal("network benchmark line not parsed")
-	}
-	for _, unit := range []string{"net-stall-µs", "wire-bytes/op", "wire-reduction-x", "has-hit-%"} {
-		if _, ok := cur.Metrics[unit]; !ok {
-			t.Errorf("metric %s lost in parsing: %v", unit, cur.Metrics)
+// TestCompareGatesCountColumnsExactly: bytes-written/op and a retention
+// pass's backend operations are counts like hashed-B/op — one more over the
+// baseline fails inside any tolerance, a zero baseline included; one fewer
+// passes; a row that stops reporting the column fails.
+func TestCompareGatesCountColumnsExactly(t *testing.T) {
+	for _, tc := range []struct {
+		name, unit string
+		base       float64
+	}{
+		{"BenchmarkChunkFrame/f64", "bytes-written/op", 65541},
+		{"BenchmarkRetentionPass/jobs=8", "delete-ops/op", 3},
+		{"BenchmarkRetentionPass/jobs=8", "get-ops/op", 0},
+		{"BenchmarkRetentionPass/jobs=8", "list-ops/op", 0},
+		{"BenchmarkRetentionPass/jobs=8", "stat-ops/op", 2},
+	} {
+		row := func(v float64) BenchResult {
+			r := bench(tc.name, 1000, 47)
+			r.Metrics[tc.unit] = v
+			return r
 		}
-	}
-	// Baseline predates T8 entirely: the new benchmark and its columns
-	// are additions, not violations.
-	old := gateDoc(bench("BenchmarkSave-8", 1000, 50))
-	report, missing, failures := compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1000, 50), cur), 20, false)
-	if failures != 0 || len(missing) != 0 {
-		t.Fatalf("new network columns tripped the gate: %v", report)
-	}
-	// Baseline that HAS the columns but with different values: still not
-	// gated — only allocs/op is gated (ns/op advisory).
-	older := cur
-	older.Metrics = map[string]float64{"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp, "wire-bytes/op": 1}
-	_, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false)
-	if failures != 0 {
-		t.Error("wire-bytes/op growth tripped the gate")
+		old := gateDoc(row(tc.base))
+		report, _, failures := compareDocs(old, gateDoc(row(tc.base+1)), 60, false)
+		if joined := strings.Join(report, "\n"); failures != 1 || !strings.Contains(joined, "REGRESSED "+tc.name+" "+tc.unit) {
+			t.Errorf("%s one more: %d violation(s), want 1 (%v)", tc.unit, failures, report)
+		}
+		if report, _, failures := compareDocs(old, gateDoc(row(tc.base-1)), 20, false); failures != 0 {
+			t.Errorf("%s one fewer failed the gate: %v", tc.unit, report)
+		}
+		if report, _, failures := compareDocs(old, gateDoc(bench(tc.name, 1000, 47)), 20, false); failures != 1 {
+			t.Errorf("%s dropped from the row: %d violation(s), want 1 (%v)", tc.unit, failures, report)
+		}
 	}
 }
 
-func TestCompareToleratesQoSColumns(t *testing.T) {
-	// The T10 QoS benchmark adds metric columns no baseline has
-	// (quiet-p99-noqos-µs, quiet-p99-qos-µs, throttled,
-	// warm-delta-bytes). Like T8's network columns, they must parse into
-	// the document and never trip the gate, whether the baseline predates
-	// the benchmark or carries different values.
-	line := "BenchmarkTable10QoS-8 \t 1 \t 1571000000 ns/op\t 30337 quiet-p99-noqos-µs\t 25707 quiet-p99-qos-µs\t 6 throttled\t 36875 warm-delta-bytes\t 4096 B/op\t 64 allocs/op"
-	cur, ok := parseBenchLine(line)
-	if !ok {
-		t.Fatal("QoS benchmark line not parsed")
-	}
-	for _, unit := range []string{"quiet-p99-noqos-µs", "quiet-p99-qos-µs", "throttled", "warm-delta-bytes"} {
-		if _, ok := cur.Metrics[unit]; !ok {
-			t.Errorf("metric %s lost in parsing: %v", unit, cur.Metrics)
-		}
-	}
-	// Baseline predates T10: the new benchmark and its columns are
-	// additions, not violations.
-	old := gateDoc(bench("BenchmarkSave-8", 1000, 50))
-	report, missing, failures := compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1000, 50), cur), 20, false)
-	if failures != 0 || len(missing) != 0 {
-		t.Fatalf("new QoS columns tripped the gate: %v", report)
-	}
-	// Baseline that HAS the columns with very different values (p99s and
-	// throttle counts swing with machine load): only allocs/op is
-	// gated (ns/op advisory).
-	older := cur
-	older.Metrics = map[string]float64{
-		"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp,
-		"quiet-p99-qos-µs": 1, "throttled": 1000,
-	}
-	if _, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
-		t.Error("QoS column drift tripped the gate")
-	}
-}
-
-func TestCompareToleratesCDCColumns(t *testing.T) {
-	// The T11 chunker benchmark adds metric columns no baseline has
-	// (fixed-bytes/save, cdc-bytes/save, cdc-dedup-ratio,
-	// cdc-wire-bytes/save). They must parse into the document and never
-	// trip the gate, whether the baseline predates the benchmark or
-	// carries different values.
-	line := "BenchmarkTable11CDC-8 \t 1 \t 445729851 ns/op\t 263994 fixed-bytes/save\t 12695 cdc-bytes/save\t 20.68 cdc-dedup-ratio\t 15456 cdc-wire-bytes/save\t 4096 B/op\t 64 allocs/op"
-	cur, ok := parseBenchLine(line)
-	if !ok {
-		t.Fatal("CDC benchmark line not parsed")
-	}
-	for _, unit := range []string{"fixed-bytes/save", "cdc-bytes/save", "cdc-dedup-ratio", "cdc-wire-bytes/save"} {
-		if _, ok := cur.Metrics[unit]; !ok {
-			t.Errorf("metric %s lost in parsing: %v", unit, cur.Metrics)
-		}
-	}
-	// Baseline predates T11: the new benchmark and its columns are
-	// additions, not violations.
-	old := gateDoc(bench("BenchmarkSave-8", 1000, 50))
-	report, missing, failures := compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1000, 50), cur), 20, false)
-	if failures != 0 || len(missing) != 0 {
-		t.Fatalf("new CDC columns tripped the gate: %v", report)
-	}
-	// Baseline that HAS the columns with very different values (byte
-	// counts swing with the edit stream): only allocs/op is
-	// gated (ns/op advisory).
-	older := cur
-	older.Metrics = map[string]float64{
-		"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp,
-		"cdc-bytes/save": 1, "cdc-dedup-ratio": 1000,
-	}
-	if _, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
-		t.Error("CDC column drift tripped the gate")
-	}
-}
-
-func TestCompareToleratesReplicationColumns(t *testing.T) {
-	// The T12 replication benchmark adds metric columns no baseline has
-	// (observed-k, degraded-avail-%, write-amp-x). They must parse into
-	// the document and never trip the gate, whether the baseline predates
-	// the benchmark or carries different values — the benchmark itself
-	// b.Fatals when they leave their acceptance windows, so the gate has
-	// no business second-guessing them as costs.
-	line := "BenchmarkTable12Replication-8 \t 1 \t 2204000000 ns/op\t 1 observed-k\t 100 degraded-avail-%\t 3.03 write-amp-x\t 4096 B/op\t 64 allocs/op"
-	cur, ok := parseBenchLine(line)
-	if !ok {
-		t.Fatal("replication benchmark line not parsed")
-	}
-	for _, unit := range []string{"observed-k", "degraded-avail-%", "write-amp-x"} {
-		if _, ok := cur.Metrics[unit]; !ok {
-			t.Errorf("metric %s lost in parsing: %v", unit, cur.Metrics)
-		}
-	}
-	// Baseline predates T12: the new benchmark and its columns are
-	// additions, not violations.
-	old := gateDoc(bench("BenchmarkSave-8", 1000, 50))
-	report, missing, failures := compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1000, 50), cur), 20, false)
-	if failures != 0 || len(missing) != 0 {
-		t.Fatalf("new replication columns tripped the gate: %v", report)
-	}
-	// Baseline that HAS the columns with very different values (write
-	// amplification moves with R, observed k with read-repair timing):
-	// only allocs/op is gated (ns/op advisory).
-	older := cur
-	older.Metrics = map[string]float64{
-		"ns/op": cur.NsPerOp, "allocs/op": cur.AllocsPerOp,
-		"observed-k": 0.001, "write-amp-x": 0.001, "degraded-avail-%": 0.001,
-	}
-	if _, _, failures = compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
-		t.Error("replication column drift tripped the gate")
+// TestCompareUngatedColumnsRideAlong: the retired table benchmarks' columns
+// — wire bytes and reductions, p99 stalls and throttle counts, per-chunker
+// bytes and ratios, the audit's k and availability — are units outside
+// gateRules. Each parses into the document and never trips the gate,
+// whether the baseline predates its benchmark or carries a very different
+// value.
+func TestCompareUngatedColumnsRideAlong(t *testing.T) {
+	for _, tc := range []struct {
+		name, line string
+		drifted    map[string]float64 // a baseline's values for some of the line's columns
+	}{
+		{"network", "BenchmarkTable8Network-8 \t 2 \t 512000000 ns/op\t 14210 net-stall-µs\t 722022 wire-bytes/op\t 17.4 wire-reduction-x\t 12.5 has-hit-%\t 2048 B/op\t 31 allocs/op",
+			map[string]float64{"wire-bytes/op": 1}},
+		{"qos", "BenchmarkTable10QoS-8 \t 1 \t 1571000000 ns/op\t 30337 quiet-p99-noqos-µs\t 25707 quiet-p99-qos-µs\t 6 throttled\t 36875 warm-delta-bytes\t 4096 B/op\t 64 allocs/op",
+			map[string]float64{"quiet-p99-qos-µs": 1, "throttled": 1000}},
+		{"cdc", "BenchmarkTable11CDC-8 \t 1 \t 445729851 ns/op\t 263994 fixed-bytes/save\t 12695 cdc-bytes/save\t 20.68 cdc-dedup-ratio\t 15456 cdc-wire-bytes/save\t 4096 B/op\t 64 allocs/op",
+			map[string]float64{"cdc-bytes/save": 1, "cdc-dedup-ratio": 1000}},
+		{"replication", "BenchmarkTable12Replication-8 \t 1 \t 2204000000 ns/op\t 1 observed-k\t 100 degraded-avail-%\t 3.03 write-amp-x\t 4096 B/op\t 64 allocs/op",
+			map[string]float64{"observed-k": 0.001, "write-amp-x": 0.001, "degraded-avail-%": 0.001}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur, ok := parseBenchLine(tc.line)
+			if !ok {
+				t.Fatal("line not parsed")
+			}
+			fields := strings.Fields(tc.line)
+			for i := 3; i < len(fields); i += 2 {
+				if _, ok := cur.Metrics[fields[i]]; !ok {
+					t.Errorf("metric %s lost in parsing: %v", fields[i], cur.Metrics)
+				}
+			}
+			// The baseline predates the benchmark: an addition, not a violation.
+			old := gateDoc(bench("BenchmarkSave-8", 1000, 50))
+			report, missing, failures := compareDocs(old, gateDoc(bench("BenchmarkSave-8", 1000, 50), cur), 20, false)
+			if failures != 0 || len(missing) != 0 {
+				t.Fatalf("new columns tripped the gate: %v", report)
+			}
+			// The baseline has the columns at very different values: only
+			// allocs/op is gated (ns/op advisory).
+			older := bench(cur.Name, cur.Metrics["ns/op"], cur.Metrics["allocs/op"])
+			for unit, v := range tc.drifted {
+				older.Metrics[unit] = v
+			}
+			if report, _, failures := compareDocs(gateDoc(older), gateDoc(cur), 20, false); failures != 0 {
+				t.Errorf("column drift tripped the gate: %v", report)
+			}
+		})
 	}
 }
 

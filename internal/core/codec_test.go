@@ -364,3 +364,14 @@ func TestEmptyStateRoundTrip(t *testing.T) {
 		t.Errorf("BestLoss = %v, want +Inf", got.BestLoss)
 	}
 }
+
+// BenchmarkEncodePayload measures the canonical serialization alone.
+func BenchmarkEncodePayload(b *testing.B) {
+	st := benchState(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodePayload(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

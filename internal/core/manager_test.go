@@ -520,3 +520,112 @@ func TestManagerSeqMonotoneAcrossKinds(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCheckpointSave measures the raw foreground cost of one full
+// checkpoint save (encode + compress + atomic write) for a mid-size state.
+func BenchmarkCheckpointSave(b *testing.B) {
+	mgr, err := NewManager(Options{Backend: dirStore(b, b.TempDir()), Strategy: StrategyFull})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	st := benchState(2048)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Step = uint64(i)
+		if _, err := mgr.Save(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointSaveDelta measures one delta save.
+func BenchmarkCheckpointSaveDelta(b *testing.B) {
+	mgr, err := NewManager(Options{Backend: dirStore(b, b.TempDir()), Strategy: StrategyDelta, AnchorEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	st := benchState(2048)
+	if _, err := mgr.Save(st); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Step = uint64(i)
+		st.Params[i%len(st.Params)] += 1e-9
+		if _, err := mgr.Save(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointSaveChunked measures one chunked delta save with a
+// 4-worker pipeline (content-addressed dedup against the chunk store).
+func BenchmarkCheckpointSaveChunked(b *testing.B) {
+	mgr, err := NewManager(Options{
+		Backend: dirStore(b, b.TempDir()), Strategy: StrategyDelta, AnchorEvery: 1 << 30,
+		Workers: 4, ChunkBytes: 8 << 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	st := benchState(2048)
+	if _, err := mgr.Save(st); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Step = uint64(i)
+		st.Params[i%len(st.Params)] += 1e-9
+		if _, err := mgr.Save(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	stats := mgr.Stats()
+	if stats.Chunks > 0 {
+		b.ReportMetric(100*float64(stats.DedupHits)/float64(stats.Chunks), "dedup-%")
+	}
+}
+
+// BenchmarkRecovery measures LoadLatestBackendOptions over a directory
+// with a delta chain.
+func BenchmarkRecovery(b *testing.B) {
+	store := dirStore(b, b.TempDir())
+	mgr, err := NewManager(Options{Backend: store, Strategy: StrategyDelta, AnchorEvery: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := benchState(2048)
+	for i := 0; i < 20; i++ {
+		st.Step = uint64(i)
+		st.Params[i%len(st.Params)] += 1e-9
+		if _, err := mgr.Save(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mgr.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := LoadLatestBackendOptions(store, nil, RestoreOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchState builds a TrainingState with p parameters and Adam-sized
+// optimizer state.
+func benchState(p int) *TrainingState {
+	st := NewTrainingState()
+	st.Params = make([]float64, p)
+	for i := range st.Params {
+		st.Params[i] = float64(i) * 0.137
+	}
+	st.Optimizer = make([]byte, 16*p+64)
+	st.RNG = make([]byte, 200)
+	st.LossHistory = make([]float64, 100)
+	st.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "bench", ProblemFP: "bench", OptimizerName: "adam"}
+	return st
+}

@@ -296,3 +296,20 @@ func TestGradientAccumulatorSizeValidation(t *testing.T) {
 		t.Errorf("wrong accumulator size accepted")
 	}
 }
+
+// BenchmarkDQNNFeedForward measures one dissipative feed-forward through a
+// 1-2-1 network (density-matrix path).
+func BenchmarkDQNNFeedForward(b *testing.B) {
+	net, err := New([]int{1, 2, 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	theta := net.InitParams(rng.New(3))
+	in := quantum.RandomState(1, rng.New(4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.FeedForwardPure(in, theta, -1, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

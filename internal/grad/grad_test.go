@@ -359,3 +359,26 @@ func TestAccumulatorClone(t *testing.T) {
 		t.Errorf("clone lost data")
 	}
 }
+
+// BenchmarkParameterShiftStep measures one full exact-gradient optimizer
+// step of the n=4 L=2 VQE workload (the unit of Figure 3's denominators).
+func BenchmarkParameterShiftStep(b *testing.B) {
+	c := circuit.HardwareEfficient(4, 2)
+	h := observable.TFIM(4, 1.0, 0.7)
+	theta := c.InitParams(rng.New(2))
+	eval := EvaluatorFunc(func(th []float64, sh circuit.Shift) (float64, error) {
+		s := quantum.New(4)
+		c.Run(s, th, sh)
+		return h.Expectation(s), nil
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := NewAccumulator(len(Plan(c)))
+		if err := ParameterShift(c, theta, eval, acc, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := acc.Gradient(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package harness implements the paper's evaluation: one function per table
 // or figure (T1, T2, F1–F6 in DESIGN.md §5), each returning structured rows
-// that cmd/experiments renders as text tables and bench_test.go reports as
-// benchmark metrics. Everything is deterministic given the seeds embedded
-// in the experiment configurations.
+// that cmd/experiments renders as text tables and a shape test beside it
+// asserts. Everything is deterministic given the seeds embedded in the
+// experiment configurations.
 package harness
 
 import (

@@ -23,15 +23,15 @@ func TestRunT6SavePath(t *testing.T) {
 	if incr.CleanPct < 90 {
 		t.Errorf("incremental clean rate %.1f%%, want ≥90%%", incr.CleanPct)
 	}
-	// Steady-state bytes: the monolithic path rewrites the whole state
-	// every save — at least 5× the incremental bill even in this small
-	// configuration (the benchmark asserts the full ≥10× at scale).
-	if mono.SteadyBytes < 5*incr.SteadyBytes {
-		t.Errorf("monolithic wrote %d steady bytes, incremental %d — expected ≥5× gap",
+	// Steady-state bytes, Table 6's acceptance bar: the monolithic path
+	// rewrites the whole state every save, at least 10× the incremental
+	// bill. The bytes are deterministic; 6 saves read about 20×.
+	if mono.SteadyBytes < 10*incr.SteadyBytes {
+		t.Errorf("monolithic wrote %d steady bytes, incremental %d — expected ≥10× gap",
 			mono.SteadyBytes, incr.SteadyBytes)
 	}
-	// Timing is asserted loosely here (CI machines are noisy); the T6
-	// benchmark reports the real stalls.
+	// Timing is asserted loosely here (CI machines are noisy); `go run
+	// ./cmd/experiments -run T6` prints the real stalls.
 	if incr.MeanStall <= 0 || mono.MeanStall <= 0 {
 		t.Errorf("non-positive stall times: incr %v mono %v", incr.MeanStall, mono.MeanStall)
 	}

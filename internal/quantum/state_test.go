@@ -492,3 +492,38 @@ func TestCanonicalGeneratorsCommute(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkApply1Gate16q measures single-qubit gate application on a
+// 16-qubit statevector (the simulator's hot loop).
+func BenchmarkApply1Gate16q(b *testing.B) {
+	s := New(16)
+	m := RY(0.3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Apply1(&m, i%16)
+	}
+}
+
+// BenchmarkApply2Gate16q measures two-qubit gate application.
+func BenchmarkApply2Gate16q(b *testing.B) {
+	s := New(16)
+	m := RZZ(0.3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Apply2(&m, i%15, (i%15)+1)
+	}
+}
+
+// BenchmarkSample1kShots12q measures measurement sampling.
+func BenchmarkSample1kShots12q(b *testing.B) {
+	s := New(12)
+	h := GateH
+	for q := 0; q < 12; q++ {
+		s.Apply1(&h, q)
+	}
+	r := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SampleShots(r, 1000)
+	}
+}
