@@ -56,8 +56,9 @@ bench-json:
 # baseline (the highest-numbered BENCH_PR*.json that is not the output
 # itself) and fail when any benchmark's allocs/op regressed more than
 # $(BENCH_TOLERANCE)%, when one of its count columns (hashed-B/op, crc-B/op,
-# bytes-written/op, the retention pass's *-ops/op; cmd/benchjson's
-# gateRules) grew at all, or when a baseline benchmark disappeared.
+# validated-B/op, bytes-written/op, the retention pass's *-ops/op;
+# cmd/benchjson's gateRules) grew at all, or when a baseline benchmark
+# disappeared.
 # allocs/op is hardware-independent. ns/op is not — the baseline's host is
 # not this one — so its movement is printed as ADVISORY lines that never
 # fail the target; wall-clock regressions are judged by bench-e2e's paired
@@ -122,8 +123,9 @@ experiments:
 # Section CRCs from the one diff (shift4K, the seal, stored granule CRCs) raised both by +59 / +60, net of EncodeDelta and DecodePayload's sectionReader; ROADMAP item 2 carries it.
 # One save ledger (SaveCost, save.go split out of manager.go stage by stage; Options.Placement, Stats.EncodeTime/WriteTime, chargeQoS, withDefaults and the harness's save stopwatches gone) paid it back: -65 / -82.
 # One benchmark gate (cmd/benchjson's promoted columns gone, gateMetrics become a unit → rule table): 0 / -3.
-LOC_CEILING = 9534
-LOC_CEILING_ALL = 23440
+# A sub-step save's trainer thread at O(dirty) (the parameter check from the diff, zero-on-release delta bodies, one-copy float sections, writeChunks' scratch on the manager) raised both by +172 / +173, net of dispatch and the product cdcPieces; no deletion pays it yet, so ROADMAP item 2 carries it.
+LOC_CEILING = 9706
+LOC_CEILING_ALL = 23613
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

@@ -1,7 +1,7 @@
 // Command benchjson converts the text output of `go test -bench` on stdin
 // into a JSON document, so the benchmark trajectory of the checkpoint
 // pipeline (including the custom count columns the micro benchmarks report:
-// bytes hashed and CRC'd, bytes written, backend operations) is
+// bytes hashed, CRC'd and validated, bytes written, backend operations) is
 // machine-readable. The `make bench-json` target pipes the go-test
 // benchmark suite through it into the committed BENCH_*.json series.
 //
@@ -157,6 +157,7 @@ var gateRules = []struct {
 	{"allocs/op", tolerance},
 	{"hashed-B/op", exact},      // SHA-256 traffic
 	{"crc-B/op", exact},         // a save's CRC-32C traffic
+	{"validated-B/op", exact},   // the parameter bytes a save's finiteness check read
 	{"bytes-written/op", exact}, // a chunk frame's size
 	{"list-ops/op", exact},      // a retention pass's backend operations
 	{"get-ops/op", exact},

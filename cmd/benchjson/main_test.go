@@ -296,8 +296,9 @@ func TestRunCompareAllowMissing(t *testing.T) {
 	}
 }
 
-// TestCompareGatesCountColumnsExactly: bytes-written/op and a retention
-// pass's backend operations are counts like hashed-B/op — one more over the
+// TestCompareGatesCountColumnsExactly: bytes-written/op, a save's
+// validated parameter bytes and a retention pass's backend operations are
+// counts like hashed-B/op — one more over the
 // baseline fails inside any tolerance, a zero baseline included; one fewer
 // passes; a row that stops reporting the column fails.
 func TestCompareGatesCountColumnsExactly(t *testing.T) {
@@ -306,6 +307,7 @@ func TestCompareGatesCountColumnsExactly(t *testing.T) {
 		base       float64
 	}{
 		{"BenchmarkChunkFrame/f64", "bytes-written/op", 65541},
+		{"BenchmarkSaveSubstep", "validated-B/op", 8192},
 		{"BenchmarkRetentionPass/jobs=8", "delete-ops/op", 3},
 		{"BenchmarkRetentionPass/jobs=8", "get-ops/op", 0},
 		{"BenchmarkRetentionPass/jobs=8", "list-ops/op", 0},

@@ -536,3 +536,15 @@ func BenchmarkCDCCutpoints(b *testing.B) {
 		cuts = appendCutpoints(cuts[:0], body, p)
 	}
 }
+
+// cdcPieces materializes the piece slices for a cut list (chunk end
+// offsets); each piece aliases body.
+func cdcPieces(body []byte, cuts []int) [][]byte {
+	pieces := make([][]byte, len(cuts))
+	start := 0
+	for i, c := range cuts {
+		pieces[i] = body[start:c]
+		start = c
+	}
+	return pieces
+}

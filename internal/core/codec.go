@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // The canonical payload encoding is a deterministic sequence of tagged,
@@ -125,7 +126,36 @@ func sealSections(p []byte, sums []uint64, d *dirtyMap, last *refBuf) int {
 	return fed
 }
 
+// littleEndian reports whether the host lays a float64 out as its wire
+// encoding, so a float section is one copy of memory (f64Bytes).
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes is the memory of vs as bytes, the section encoding of vs on a
+// little-endian host; nil elsewhere, where the float loops run instead.
+func f64Bytes(vs []float64) []byte {
+	if !littleEndian || len(vs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
+}
+
+// pieceBytes bounds one copy of a bulk section. On amd64 runtime.memmove
+// writes a copy of 1 MiB or more with non-temporal stores, which would
+// leave the payload in DRAM just before the save's diff reads it again.
+const pieceBytes = 64 << 10
+
+// appendPieces appends src to buf one pieceBytes copy at a time.
+func appendPieces(buf, src []byte) []byte {
+	for len(src) > pieceBytes {
+		buf, src = append(buf, src[:pieceBytes]...), src[pieceBytes:]
+	}
+	return append(buf, src...)
+}
+
 func appendF64s(buf []byte, vs []float64) []byte {
+	if raw := f64Bytes(vs); raw != nil {
+		return appendPieces(buf, raw)
+	}
 	for _, v := range vs {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
@@ -162,8 +192,8 @@ func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
 	return p, nil
 }
 
-// appendSections appends the sections of s, a validated state, to buf with
-// their CRC trailers unset.
+// appendSections appends the sections of s, a state of a shape Validate
+// accepts, to buf with their CRC trailers unset.
 func appendSections(buf []byte, s *TrainingState) []byte {
 	// Counters section also carries step/epoch.
 	buf, start := beginSection(buf, secCounters)
@@ -181,7 +211,7 @@ func appendSections(buf []byte, s *TrainingState) []byte {
 	buf = endSection(buf, start)
 
 	buf, start = beginSection(buf, secOptimizer)
-	buf = append(buf, s.Optimizer...)
+	buf = appendPieces(buf, s.Optimizer)
 	buf = endSection(buf, start)
 
 	buf, start = beginSection(buf, secRNG)
@@ -215,7 +245,7 @@ func appendSections(buf []byte, s *TrainingState) []byte {
 	// Placing them at the tail keeps the fixed-size sections (params,
 	// optimizer moments, RNG) aligned, which is most of the payload.
 	buf, start = beginSection(buf, secGradAccum)
-	buf = append(buf, s.GradAccum...)
+	buf = appendPieces(buf, s.GradAccum)
 	buf = endSection(buf, start)
 
 	buf, start = beginSection(buf, secLossHist)
@@ -234,6 +264,42 @@ func (rb *refBuf) seal(last *refBuf) int {
 	rb.sums = slices.Grow(rb.sums[:0], n)[:n]
 	clear(rb.sums)
 	return sealSections(rb.b, rb.sums, &rb.dirty, last)
+}
+
+// checkParams is a save's parameter check, Validate's finiteness half, on
+// rb's sealed payload: it reads from the stored bytes the parameters under
+// the granules rb's map marks against last, the payload saved before it, a
+// parameter across a granule edge whole. Every payload a save accepted was
+// checked, so a parameter under a clean granule is finite when last held its
+// parameters at the same span; with no last, or after a resize, every
+// parameter is read. It returns the parameter bytes under the granules read.
+func (rb *refBuf) checkParams(last *refBuf) (int, error) {
+	span, d := paramSpan(rb.b), rb.dirty
+	if last == nil || paramSpan(last.b) != span {
+		d = dirtyMap{} // no map: every granule is read
+	}
+	read := 0
+	for g, end := span[0], 0; g < span[1]; g = end {
+		end = min((g/granuleBytes+1)*granuleBytes, span[1])
+		if d.clean(g, end) {
+			continue
+		}
+		read += end - g
+		for off := g - (g-span[0])%8; off < end; off += 8 {
+			if v := binary.LittleEndian.Uint64(rb.b[off:]); v&expBits == expBits {
+				return read, nonFinite((off-span[0])/8, math.Float64frombits(v))
+			}
+		}
+	}
+	return read, nil
+}
+
+// paramSpan is where a payload of appendSections' holds its parameters: the
+// body of its second section.
+func paramSpan(p []byte) [2]int {
+	_, _, end, _ := section(p, 0)
+	_, _, hi, _ := section(p, end+4)
+	return [2]int{end + 9, hi}
 }
 
 // section parses the section header at data[off:] and returns the tag, the
@@ -256,6 +322,10 @@ func readF64s(payload []byte) ([]float64, error) {
 		return nil, fmt.Errorf("core: float section length %d not a multiple of 8", len(payload))
 	}
 	out := make([]float64, len(payload)/8)
+	if raw := f64Bytes(out); raw != nil {
+		appendPieces(raw[:0], payload)
+		return out, nil
+	}
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}

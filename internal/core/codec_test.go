@@ -216,6 +216,48 @@ func TestValidateRejectsExactlyNonFinite(t *testing.T) {
 	}
 }
 
+// TestF64SectionsMatchLoop holds the one-copy float sections to the loop
+// they fall back to off little-endian hosts, byte for byte both ways: -0,
+// NaN payloads, subnormals, ±Inf, and lengths either side of a copy piece,
+// appended at an odd offset.
+func TestF64SectionsMatchLoop(t *testing.T) {
+	if !littleEndian {
+		t.Skip("the loop is the only path on a big-endian host")
+	}
+	specials := []float64{
+		math.Copysign(0, -1), 0, 1, -math.MaxFloat64,
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001), // NaN payloads
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x800f_ffff_ffff_ffff), // subnormals
+		math.Inf(1), math.Inf(-1),
+	}
+	per := pieceBytes / 8
+	for _, n := range []int{0, 1, 9, per - 1, per, per + 1, 3*per + 5} {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = specials[i%len(specials)] * float64(1+i/len(specials))
+		}
+		head := []byte{0xa5, 0x5a, 0xc3}
+		fast := appendF64s(bytes.Clone(head), vs)
+		fastBack, err := readF64s(fast[len(head):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		littleEndian = false
+		slow := appendF64s(bytes.Clone(head), vs)
+		slowBack, _ := readF64s(fast[len(head):])
+		littleEndian = true
+		if !bytes.Equal(fast, slow) {
+			t.Errorf("%d floats: the one-copy encode differs from the loop's", n)
+		}
+		if !floatsEqual(fastBack, vs) || !floatsEqual(slowBack, vs) {
+			t.Errorf("%d floats: a decode is not bitwise the floats encoded", n)
+		}
+	}
+	if _, err := readF64s(make([]byte, 12)); err == nil {
+		t.Error("a 12-byte float section decoded")
+	}
+}
+
 // TestSealRecomputesGranulesThatWereEdges: a granule whose bytes a save
 // keeps can change roles. Here granule 1 of the last payload held the
 // parameters' trailer and the optimizer's header, and the same bytes now lie

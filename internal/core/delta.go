@@ -40,9 +40,10 @@ func AppendDelta(dst, base, cur []byte) []byte {
 }
 
 // appendDelta is AppendDelta guided by dirty, cur's map against base, on the
-// save path: the common prefix is zero-filled and only the granules the map
-// marks are XORed — the same bytes, without reading the clean ones. With no
-// map the whole prefix is XORed.
+// save path: only the granules the map marks are XORed, into dst's spare
+// capacity, which must be all zero (a body from the manager's free list,
+// zeroBodies) — the same bytes, without reading or writing the clean ones.
+// With no map the whole prefix is XORed.
 func appendDelta(dst, base, cur []byte, dirty dirtyMap) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(cur)))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(base)))
@@ -53,7 +54,6 @@ func appendDelta(dst, base, cur []byte, dirty dirtyMap) []byte {
 	if dirty.gran == 0 {
 		subtle.XORBytes(out, cur[:n], base[:n])
 	} else {
-		clear(out[:n])
 		for lo := 0; lo < n; lo += dirty.gran {
 			if hi := min(lo+dirty.gran, n); !dirty.clean(lo, hi) {
 				subtle.XORBytes(out[lo:hi], cur[lo:hi], base[lo:hi])

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/storage"
 )
 
 // TestRecoveryNeverReturnsWrongState is the fault-injection sweep: corrupt
@@ -153,4 +155,50 @@ func TestEveryByteFlipDetectedSmall(t *testing.T) {
 		// the content must be byte-identical, which a flip precludes.
 		t.Fatalf("byte flip at %d passed whole-file verification", pos)
 	}
+}
+
+// TestAbortedPersistReturnsZeroDeltaBody aborts two chunked delta saves
+// mid-persist, one at a chunk write and one at its manifest put. Each
+// aborted body must still go back to its manager's free list, all zero over
+// its capacity — TestMain's poolHook checks that promise on every return —
+// and the saves after it must restore bitwise. Close hands back every
+// buffer the manager took.
+func TestAbortedPersistReturnsZeroDeltaBody(t *testing.T) {
+	fb := &faultBackend{Backend: storage.NewMem()}
+	out := pooledOut.Load()
+	m, err := NewManager(Options{Backend: fb, Strategy: StrategyDelta, AnchorEvery: 3, ChunkBytes: MinChunkBytes, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := bigSeqStates(8)
+	for i, s := range states {
+		switch i {
+		case 2:
+			fb.mu.Lock()
+			fb.failChunks = true
+			fb.mu.Unlock()
+		case 4:
+			fb.arm(snapshotName(4, KindDelta), 0)
+		default:
+			mustSave(t, m, s)
+			continue
+		}
+		zeros := zeroReturns.Load()
+		if _, err := m.Save(s); !errors.Is(err, errInjected) {
+			t.Fatalf("save %d: %v, want the injected failure", i, err)
+		}
+		fb.mu.Lock()
+		fb.failPut, fb.failChunks = "", false
+		fb.mu.Unlock()
+		if zeroReturns.Load() == zeros {
+			t.Fatalf("save %d: the aborted delta body did not go back to the free list", i)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if now := pooledOut.Load(); now != out {
+		t.Errorf("%d pooled buffers still out after Close", now-out)
+	}
+	mustRestoreLatest(t, fb, states[len(states)-1])
 }

@@ -668,8 +668,11 @@ func BenchmarkSaveAnchor(b *testing.B) {
 // counters' CRC), leaf 12 (the parameters at byte 800 070) and the 183-byte
 // tail leaf 32 (the parameters' CRC). hashed-B/op is Stats.BytesHashed per
 // save, those leaves and the root's input: 2·65 536 + 183 + 8 + 32·33 =
-// 132 319 bytes, where a whole-payload hash reads all 2 097 335. The
-// <stage>-ns/op columns are the save ledger's stages (SaveCost), advisory.
+// 132 319 bytes, where a whole-payload hash reads all 2 097 335.
+// validated-B/op is the parameter bytes the seal's finiteness check read,
+// those under the three granules the save changed: 4 026 + 4 096 + 70 =
+// 8 192 bytes, where Validate read all 2 097 152. The <stage>-ns/op columns
+// are the save ledger's stages (SaveCost), advisory.
 func BenchmarkSaveSubstep(b *testing.B) {
 	const params, window, at = 256 << 10, 64, 100_000
 	r := rand.New(rand.NewSource(14))
@@ -709,6 +712,7 @@ func BenchmarkSaveSubstep(b *testing.B) {
 	after := m.Stats()
 	b.ReportMetric(float64(after.BytesHashed-before.BytesHashed)/float64(b.N), "hashed-B/op")
 	b.ReportMetric(float64(after.crcBytes-before.crcBytes)/float64(b.N), "crc-B/op")
+	b.ReportMetric(float64(after.validatedBytes-before.validatedBytes)/float64(b.N), "validated-B/op")
 	var spent [len(stageNames)]time.Duration
 	addStages(&spent, before.Cost, after.Cost)
 	reportStages(b, spent)

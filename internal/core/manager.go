@@ -139,13 +139,14 @@ func (opt Options) validate() error {
 
 // Stats aggregates manager activity for the benchmarks.
 type Stats struct {
-	Snapshots    int
-	FullCount    int
-	DeltaCount   int
-	BytesWritten int64    // bytes that actually reached the backend (dedup hits excluded)
-	BytesHashed  int64    // bytes fed to SHA-256 for payload identities: changed leaves and each root's input
-	crcBytes     int64    // bytes fed to CRC-32C by the section seal: changed granules and partial ones
-	Cost         SaveCost // every save's stages, summed
+	Snapshots      int
+	FullCount      int
+	DeltaCount     int
+	BytesWritten   int64    // bytes that actually reached the backend (dedup hits excluded)
+	BytesHashed    int64    // bytes fed to SHA-256 for payload identities: changed leaves and each root's input
+	crcBytes       int64    // bytes fed to CRC-32C by the section seal: changed granules and partial ones
+	validatedBytes int64    // parameter bytes the seal's check read: those under changed granules
+	Cost           SaveCost // every save's stages, summed
 	// Chunked-pipeline counters (zero for monolithic snapshots).
 	Chunks      int // chunks referenced by written snapshots
 	DedupHits   int // chunks skipped because identical content was present
@@ -185,6 +186,7 @@ type Manager struct {
 	seq         uint64
 	lastPayload *refBuf      // base for the next delta (pooled, refcounted)
 	lastHash    *payloadHash // lastPayload's identity, and the leaves the next payload's reuses
+	zeros       zeroBodies   // the delta bodies no save holds, zeroed for the next delta
 	sinceAnchor int
 	stats       Stats
 	asyncErr    error
@@ -194,11 +196,18 @@ type Manager struct {
 	// are strictly serialized, so none of it is guarded by mu. bases holds
 	// one dirty-compare base per body kind (see chunkBase): an anchor is
 	// compared against the last committed anchor, a delta against the last
-	// committed delta. pinScratch and reuseSpare (the planner's clean/dirty
-	// list) are per-save scratch kept for their capacity.
+	// committed delta. pinScratch, reuseSpare (the planner's clean/dirty
+	// list), pieceSpare, pieceOf and pieceKeys (writeChunks' distinct dirty
+	// pieces, each chunk's piece and the maphash index over them) are
+	// per-save scratch kept for their capacity; framing counts the pieces
+	// on the worker pool.
 	bases      [2]chunkBase
 	pinScratch []string
 	reuseSpare []string
+	pieceSpare []chunkPiece
+	pieceOf    []int
+	pieceKeys  map[uint64]int
+	framing    sync.WaitGroup
 	// fullIngest, set by tests before the first save, disables the
 	// incremental path: every chunk is framed, hashed and offered to the
 	// chunk store on every save. It is the oracle the incremental engine
@@ -225,7 +234,7 @@ type Manager struct {
 
 	jobs      chan writeJob // async sequencer queue
 	sequencer sync.WaitGroup
-	tasks     chan func() // chunk-write worker pool (nil unless chunked with Workers > 1)
+	tasks     chan *chunkPiece // chunk-write worker pool (nil unless chunked with Workers > 1)
 	workers   sync.WaitGroup
 	pending   sync.WaitGroup // one count per queued async write
 	closed    bool
@@ -257,7 +266,7 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 		opt.AnchorEvery = 16
 	}
 	opt.Workers = max(opt.Workers, 1)
-	m := &Manager{opt: opt, backend: backend}
+	m := &Manager{opt: opt, backend: backend, pieceKeys: map[uint64]int{}}
 	m.tiered, _ = backend.(*storage.Tiered)
 	if opt.Lifecycle.enabled() && m.tiered == nil {
 		return nil, errors.New("core: Lifecycle requires a tiered backend (set Backend to a *storage.Tiered)")
@@ -287,13 +296,14 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 		return nil, err
 	}
 	if opt.Workers > 1 && opt.ChunkBytes > 0 {
-		m.tasks = make(chan func())
+		m.tasks = make(chan *chunkPiece)
 		for i := 0; i < opt.Workers; i++ {
 			m.workers.Add(1)
 			go func() {
 				defer m.workers.Done()
-				for fn := range m.tasks {
-					fn()
+				for p := range m.tasks {
+					m.frame(p)
+					m.framing.Done()
 				}
 			}()
 		}
@@ -378,6 +388,7 @@ func (m *Manager) Close() error {
 	for i := range m.bases {
 		m.bases[i].drop()
 	}
+	m.zeros.drain()
 	return err
 }
 

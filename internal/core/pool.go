@@ -42,17 +42,20 @@ type refBuf struct {
 	// dirty maps a saved payload against the one before it; a delta body
 	// carries its payload's map. Written once, before the buffer is shared.
 	dirty dirtyMap
-	sums  []uint64 // a saved payload's granule CRCs, rewritten by every seal; the next save's seal keeps them where its map allows
+	sums  []uint64    // a saved payload's granule CRCs, rewritten by every seal; the next save's seal keeps them where its map allows
+	zeros *zeroBodies // a save's delta body: the free list its last release zeroes it onto
 	refs  atomic.Int32
 }
 
 var bodyPool = sync.Pool{New: func() any { return new(refBuf) }}
 
 // poolHook, when a test sets it, sees every buffer cross a pool's edge: +1
-// and nothing as one leaves, -1 and its whole capacity as one goes back.
-// The tests count with it what is still out and overwrite what goes back,
-// so a use after release reads 0xDB instead of passing by luck.
-var poolHook func(delta int, returned []byte)
+// and nothing as one leaves, -1 and its whole capacity as one goes back,
+// zero when it promises to be all zero (a delta body for its free list).
+// The tests count with it what is still out, check the promise, and
+// overwrite every other buffer that goes back, so a use after release reads
+// 0xDB instead of passing by luck.
+var poolHook func(delta int, returned []byte, zero bool)
 
 // getBody returns an empty buffer with at least hint capacity and one
 // reference. A fresh buffer gets a sixteenth of headroom: a payload grows
@@ -60,7 +63,7 @@ var poolHook func(delta int, returned []byte)
 // recycled buffer eight bytes short of the next one.
 func getBody(hint int) *refBuf {
 	if poolHook != nil {
-		poolHook(+1, nil)
+		poolHook(+1, nil, false)
 	}
 	rb := bodyPool.Get().(*refBuf)
 	if cap(rb.b) < hint {
@@ -69,8 +72,72 @@ func getBody(hint int) *refBuf {
 		rb.b = rb.b[:0]
 	}
 	rb.dirty = dirtyMap{bits: rb.dirty.bits[:0]}
+	rb.zeros = nil
 	rb.refs.Store(1)
 	return rb
+}
+
+// zeroBodies is a manager's free list of delta bodies, all zero over their
+// capacity. A body's unmarked granules are zero by construction, so its
+// last release clears only what the save wrote — the header, the marked
+// granules and the raw tail — and the next body starts zeroed without a
+// state-sized fill. Releases come from the persisting goroutine, takes
+// from the trainer's.
+type zeroBodies struct {
+	mu   sync.Mutex
+	free []*refBuf
+}
+
+// get returns a zeroed, empty body with room for n bytes and one reference.
+func (z *zeroBodies) get(n int) *refBuf {
+	z.mu.Lock()
+	var rb *refBuf
+	if k := len(z.free) - 1; k >= 0 {
+		rb, z.free = z.free[k], z.free[:k]
+	}
+	z.mu.Unlock()
+	if rb == nil || cap(rb.b) < n { // none, or one the payload outgrew: a body cleared once
+		rb = getBody(n)
+		clear(rb.b[:cap(rb.b)])
+		rb.zeros = z
+		return rb
+	}
+	if poolHook != nil {
+		poolHook(+1, nil, false)
+	}
+	rb.b, rb.dirty = rb.b[:0], dirtyMap{bits: rb.dirty.bits[:0]}
+	rb.refs.Store(1)
+	return rb
+}
+
+// put zeroes what a save wrote into the delta body rb and parks it.
+func (z *zeroBodies) put(rb *refBuf) {
+	clear(rb.b[:deltaHeaderLen])
+	body, d := rb.b[deltaHeaderLen:], rb.dirty
+	n := min(len(body), d.base)
+	for lo := 0; lo < n; lo += granuleBytes {
+		if hi := min(lo+granuleBytes, n); !d.clean(lo, hi) {
+			clear(body[lo:hi])
+		}
+	}
+	clear(body[n:])
+	if poolHook != nil {
+		poolHook(-1, rb.b[:cap(rb.b)], true)
+	}
+	z.mu.Lock()
+	z.free = append(z.free, rb)
+	z.mu.Unlock()
+}
+
+// drain hands the free list to the body pool, where restores find it.
+func (z *zeroBodies) drain() {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	for _, rb := range z.free {
+		rb.zeros = nil
+		bodyPool.Put(rb)
+	}
+	z.free = nil
 }
 
 // reserve gives the buffer room for n bytes, contents kept: the buffer
@@ -96,8 +163,12 @@ func (rb *refBuf) release() {
 		return
 	}
 	if n := rb.refs.Add(-1); n == 0 {
+		if rb.zeros != nil {
+			rb.zeros.put(rb)
+			return
+		}
 		if poolHook != nil {
-			poolHook(-1, rb.b[:cap(rb.b)])
+			poolHook(-1, rb.b[:cap(rb.b)], false)
 		}
 		bodyPool.Put(rb)
 	} else if n < 0 {
@@ -113,14 +184,14 @@ var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getScratch() *[]byte {
 	if poolHook != nil {
-		poolHook(+1, nil)
+		poolHook(+1, nil, false)
 	}
 	return scratchPool.Get().(*[]byte)
 }
 
 func putScratch(p *[]byte) {
 	if poolHook != nil {
-		poolHook(-1, (*p)[:cap(*p)])
+		poolHook(-1, (*p)[:cap(*p)], false)
 	}
 	*p = (*p)[:0]
 	scratchPool.Put(p)

@@ -19,20 +19,31 @@ import (
 )
 
 // pooledOut is how many pooled buffers — bodies and scratch — are out of
-// their pools right now (poolHook).
-var pooledOut atomic.Int64
+// their pools right now, and zeroReturns how many delta bodies went back to
+// a manager's free list so far (poolHook).
+var pooledOut, zeroReturns atomic.Int64
 
 // TestMain runs every test of the package with poolHook set: each buffer
 // that goes back to a pool is overwritten with 0xDB first, so a restored
 // state, a retained base or a piece that still aliases it fails its bitwise
 // comparison instead of passing until the buffer happens to be reused, and
-// pooledOut lets a test assert that a call gave back all it took. Benchmarks
-// run without it: the fill is not part of what they measure.
+// pooledOut lets a test assert that a call gave back all it took. A delta
+// body going back to its free list is not overwritten but checked: it must
+// be zero over its whole capacity, which the next delta body relies on.
+// Benchmarks run without the hook: the fill is not part of what they
+// measure.
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if flag.Lookup("test.bench").Value.String() == "" {
-		poolHook = func(delta int, returned []byte) {
+		poolHook = func(delta int, returned []byte, zero bool) {
 			pooledOut.Add(int64(delta))
+			if zero {
+				zeroReturns.Add(1)
+				if !allZero(returned) {
+					panic(fmt.Sprintf("a delta body of %d bytes went back to its free list not all zero", len(returned)))
+				}
+				return
+			}
 			for i := range returned {
 				returned[i] = 0xDB
 			}
@@ -458,11 +469,12 @@ func BenchmarkChunkFrame(b *testing.B) {
 // TestPooledEncodeZeroAllocs locks in the headline property of the pooled
 // codec: the synchronous encode stage — payload serialization, the diff
 // pass against the previous payload, the section CRCs sealed from it over
-// the previous payload's granule CRCs, delta encode (map-driven and plain),
-// chunk framing, snapshot-file assembly — allocates nothing at steady
-// state when running over pooled capacity; nor does the save's payload
-// identity, one dirty leaf re-hashed into the previous payload's root
-// input by its map and then the root.
+// the previous payload's granule CRCs and the parameter check on its map,
+// delta encode (map-driven into a body from a free list it goes back to
+// zeroed, and plain), chunk framing, snapshot-file assembly — allocates
+// nothing at steady state when running over pooled capacity; nor does the
+// save's payload identity, one dirty leaf re-hashed into the previous
+// payload's root input by its map and then the root.
 func TestPooledEncodeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
@@ -486,6 +498,7 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	cur[leafBytes+7] ^= 1
 	tree, _, _ := hashLeaves(nil, prev, dirtyMap{}, leafBytes)
 	var dirty, leaves dirtyMap
+	var zeros zeroBodies
 	// A save's seal: 16 KiB of parameters, one of them moved, sealed
 	// against the last payload's granule CRCs.
 	big := [2]*TrainingState{sampleState(), sampleState()}
@@ -503,8 +516,14 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 		}
 		saved.b = appendSections(saved.b[:0], big[1])
 		saved.seal(last)
+		if _, err := saved.checkParams(last); err != nil {
+			t.Fatal(err)
+		}
 		dirty.diff(payloadBuf, base, granuleBytes)
-		deltaBuf = appendDelta(deltaBuf[:0], base, payloadBuf, dirty)
+		body := zeros.get(deltaHeaderLen + len(payloadBuf))
+		body.b = appendDelta(body.b, base, payloadBuf, dirty)
+		body.dirty = dirtyMap{gran: dirty.gran, base: dirty.base, bits: append(body.dirty.bits, dirty.bits...)}
+		body.release() // zeroed back onto the free list
 		deltaBuf = AppendDelta(deltaBuf[:0], base, payloadBuf)
 		for _, piece := range pieces {
 			if frameBuf, err = appendChunkFrame(frameBuf[:0], piece); err != nil {

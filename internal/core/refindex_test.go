@@ -103,13 +103,14 @@ type faultBackend struct {
 	storage.Backend
 	mu         sync.Mutex
 	failPut    string // a Put of this key fails
+	failChunks bool   // every Put of a chunk fails
 	failDelete int    // the n-th Delete from now fails (1-based; 0 = none)
 	deletes    int
 }
 
 func (f *faultBackend) Put(key string, data []byte) error {
 	f.mu.Lock()
-	fail := key == f.failPut
+	fail := key == f.failPut || f.failChunks && strings.HasPrefix(key, ChunkPrefix)
 	f.mu.Unlock()
 	if fail {
 		return errInjected

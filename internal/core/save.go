@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/storage"
@@ -37,8 +36,8 @@ type SaveResult struct {
 // stages one goroutine ran add up to its wall time. Stats.Cost sums them
 // over every save.
 type SaveCost struct {
-	Encode   time.Duration // the quota check, Validate and the section encode
-	Seal     time.Duration // the one diff against the last payload, and the section CRCs sealed on it
+	Encode   time.Duration // the quota check, Validate's shape checks and the section encode
+	Seal     time.Duration // the one diff against the last payload, the section CRCs sealed on it and the parameters checked under its marked granules
 	Delta    time.Duration // the delta body and its copy of the map; the hash start and the save's numbering
 	Queue    time.Duration // handing an async save to the sequencer, waiting while its queue is full
 	Plan     time.Duration // cutting a chunked body against its lineage's base
@@ -144,9 +143,11 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	}
 	l.lap(&l.Encode)
 	m.mu.Lock()
-	// The save's one diff: the leaf hash, the delta body and the delta's
-	// chunk plan read its map, not the bytes. The section CRCs seal on it.
-	m.stats.crcBytes += int64(payload.seal(m.lastPayload))
+	if err := m.seal(payload); err != nil {
+		m.mu.Unlock()
+		payload.release()
+		return SaveResult{}, err
+	}
 	l.lap(&l.Seal)
 	job := m.delta(payload, state.Step)
 	m.mu.Unlock()
@@ -187,19 +188,36 @@ func (m *Manager) admit() error {
 // encode is the Encode stage. Quota is a soft ceiling checked at save
 // admission: bytes already charged to the tenant (GC credits them back)
 // must leave room for something — the save's true footprint is only known
-// after dedup. The payload goes into a pooled buffer, its CRC trailers
-// unset: at steady state it reuses the capacity of a payload retired two
-// saves ago (pool.go has the ownership rules).
+// after dedup. Validate's O(1) half runs here and its parameter scan in
+// seal, on the diff. The payload goes into a pooled buffer, its CRC
+// trailers unset: at steady state it reuses the capacity of a payload
+// retired two saves ago (pool.go has the ownership rules).
 func (m *Manager) encode(state *TrainingState) (*refBuf, error) {
 	if err := m.qos.checkQuota(); err != nil {
 		return nil, err
 	}
-	if err := state.Validate(); err != nil {
+	if err := state.checkShape(); err != nil {
 		return nil, err
 	}
 	payload := getBody(payloadSizeHint(state))
 	payload.b = appendSections(payload.b, state)
 	return payload, nil
+}
+
+// seal is the Seal stage, run under m.mu: the save's one diff against the
+// last payload — the leaf hash, the delta body and the delta's chunk plan
+// read its map, not the bytes — the section CRCs sealed on it, and the
+// parameter check it narrows. A payload that fails the check leaves the
+// manager and its Stats as they were.
+func (m *Manager) seal(payload *refBuf) error {
+	crc := payload.seal(m.lastPayload)
+	read, err := payload.checkParams(m.lastPayload)
+	if err != nil {
+		return err
+	}
+	m.stats.crcBytes += int64(crc)
+	m.stats.validatedBytes += int64(read)
+	return nil
 }
 
 // delta is the Delta stage, run under m.mu on a sealed payload: it starts
@@ -212,7 +230,7 @@ func (m *Manager) delta(payload *refBuf, step uint64) writeJob {
 	h, body := Header{Kind: KindFull, Seq: m.seq, Step: step}, payload
 	if m.opt.Strategy == StrategyDelta && m.lastPayload != nil && m.sinceAnchor < m.opt.AnchorEvery-1 {
 		h.Kind, h.BaseHash = KindDelta, m.lastHash.get()
-		body = getBody(16 + len(payload.b))
+		body = m.zeros.get(deltaHeaderLen + len(payload.b))
 		body.b = appendDelta(body.b, m.lastPayload.b, payload.b, payload.dirty)
 		// The body carries its own copy of the map for the chunk plan: as
 		// its lineage's base it outlives the payload.
@@ -398,7 +416,7 @@ func (m *Manager) persistChunked(job writeJob, l *ledger) (chunkWrite, int, erro
 // releases — one per clean chunk, one per distinct dirty piece.
 type chunkWrite struct {
 	addrs     []string
-	groups    map[uint64][]*chunkGroup
+	pieces    []chunkPiece // the distinct dirty pieces
 	cleanPins []string
 	clean     int // chunks plan reused
 	dedup     int // intra-save duplicates collapsed before dispatch, plus store-level hits
@@ -406,17 +424,15 @@ type chunkWrite struct {
 	total     int // chunk bytes newly written
 }
 
-// chunkGroup is one distinct dirty piece. Delta bodies are mostly zero
-// runs, so one save usually repeats a chunk many times; framing each
-// distinct piece once keeps concurrent workers from racing Ingest's
-// exists-check on their own duplicates (harmless for the stored data, but
-// it would double-write and skew the dedup stats).
-type chunkGroup struct {
-	piece []byte
-	res   *chunkResult
-}
-
-type chunkResult struct {
+// chunkPiece is one distinct dirty piece and what its chunk came to. Delta
+// bodies are mostly zero runs, so one save usually repeats a chunk many
+// times; framing each distinct piece once keeps concurrent workers from
+// racing Ingest's exists-check on their own duplicates (harmless for the
+// stored data, but it would double-write and skew the dedup stats). The
+// manager keeps its pieces from save to save (Manager.pieceSpare).
+type chunkPiece struct {
+	piece   []byte
+	class   storage.WriteClass
 	addr    string // set once the chunk is pinned against concurrent GC
 	written int
 	raw     bool
@@ -434,78 +450,78 @@ var chunkKeySeed = maphash.MakeSeed()
 // the pin comes before the store sees the chunk, because
 // Manager.CollectOrphans re-checks live pins right before each delete, so
 // the pin shields the chunk — written or dedup-hit, even an orphan of a
-// deleted manifest — until the manifest commits.
+// deleted manifest — until the manifest commits. Its scratch is the
+// manager's, so a steady-state save allocates nothing per chunk.
 func (m *Manager) writeChunks(body []byte, cuts []int, reuse, addrs []string, class storage.WriteClass) (chunkWrite, error) {
-	pieces := cdcPieces(body, cuts)
-	addrs = slices.Grow(addrs[:0], len(pieces))[:len(pieces)]
-	w := chunkWrite{addrs: addrs, groups: make(map[uint64][]*chunkGroup, len(pieces)), cleanPins: m.pinScratch[:0]}
-	results := make([]*chunkResult, len(pieces))
-	var wg sync.WaitGroup
-	for i, piece := range pieces {
+	addrs = slices.Grow(addrs[:0], len(cuts))[:len(cuts)]
+	// Room for every chunk to be distinct: a worker's piece never moves.
+	w := chunkWrite{addrs: addrs, pieces: slices.Grow(m.pieceSpare[:0], len(cuts)), cleanPins: m.pinScratch[:0]}
+	clear(m.pieceKeys)
+	of := m.pieceOf[:0] // per chunk, 1 + its distinct piece; 0: reused
+	for i, start := 0, 0; i < len(cuts); start, i = cuts[i], i+1 {
 		if reused := reuse[i]; reused != "" {
 			addrs[i] = reused
 			m.shared.pins.pin(reused)
 			w.cleanPins = append(w.cleanPins, reused)
 			w.clean++
+			of = append(of, 0)
 			continue
 		}
+		piece := body[start:cuts[i]]
 		key := maphash.Bytes(chunkKeySeed, piece)
-		if k := slices.IndexFunc(w.groups[key], func(g *chunkGroup) bool { return bytes.Equal(g.piece, piece) }); k >= 0 {
-			results[i] = w.groups[key][k].res
-			continue
-		}
-		r := &chunkResult{}
-		w.groups[key] = append(w.groups[key], &chunkGroup{piece: piece, res: r})
-		results[i] = r
-		m.dispatch(&wg, func() {
-			sp := getScratch()
-			frame, err := appendChunkFrame((*sp)[:0], piece)
-			if err == nil {
-				r.addr = storage.Hash(frame)
-				m.shared.pins.pin(r.addr)
-				r.raw = frame[0] == chunkFrameRaw
-				r.written, err = m.chunks.Ingest(r.addr, frame, class)
-				*sp = frame
+		k, seen := m.pieceKeys[key]
+		if !seen || !bytes.Equal(w.pieces[k].piece, piece) { // a collision frames the piece apart
+			if k = len(w.pieces); !seen {
+				m.pieceKeys[key] = k
 			}
-			putScratch(sp)
-			r.err = err
-		})
-	}
-	wg.Wait()
-	w.dedup = len(pieces) - w.clean // every dirty piece but the distinct ones that wrote
-	for _, gs := range w.groups {
-		for _, g := range gs {
-			if g.res.err != nil {
-				return w, fmt.Errorf("core: write chunk: %w", g.res.err)
-			}
-			if w.total += g.res.written; g.res.written > 0 {
-				w.dedup--
-			}
-			if g.res.raw {
-				w.raws++
+			w.pieces = append(w.pieces, chunkPiece{piece: piece, class: class})
+			p := &w.pieces[k]
+			if m.tasks == nil {
+				m.frame(p)
+			} else {
+				m.framing.Add(1)
+				m.tasks <- p
 			}
 		}
+		of = append(of, k+1)
 	}
-	for i, r := range results {
-		if r != nil {
-			addrs[i] = r.addr
+	m.framing.Wait()
+	m.pieceOf = of[:0]
+	w.dedup = len(cuts) - w.clean // every dirty piece but the distinct ones that wrote
+	for _, p := range w.pieces {
+		if p.err != nil {
+			return w, fmt.Errorf("core: write chunk: %w", p.err)
+		}
+		if w.total += p.written; p.written > 0 {
+			w.dedup--
+		}
+		if p.raw {
+			w.raws++
+		}
+	}
+	for i, k := range of {
+		if k > 0 {
+			addrs[i] = w.pieces[k-1].addr
 		}
 	}
 	return w, nil
 }
 
-// dispatch runs fn on the worker pool when one exists, inline otherwise.
-// wg is incremented before submission and released when fn completes.
-func (m *Manager) dispatch(wg *sync.WaitGroup, fn func()) {
-	if m.tasks == nil {
-		fn()
-		return
+// frame is one distinct dirty piece's share of the Chunks stage, run on a
+// worker when there is a pool: frame the piece in scratch, hash it, pin
+// the address and ingest the chunk.
+func (m *Manager) frame(p *chunkPiece) {
+	sp := getScratch()
+	frame, err := appendChunkFrame((*sp)[:0], p.piece)
+	if err == nil {
+		p.addr = storage.Hash(frame)
+		m.shared.pins.pin(p.addr)
+		p.raw = frame[0] == chunkFrameRaw
+		p.written, err = m.chunks.Ingest(p.addr, frame, p.class)
+		*sp = frame
 	}
-	wg.Add(1)
-	m.tasks <- func() {
-		defer wg.Done()
-		fn()
-	}
+	putScratch(sp)
+	p.err = err
 }
 
 // release lets go of a save's pins. On commit it runs inside the gcGate
@@ -519,20 +535,19 @@ func (m *Manager) release(w *chunkWrite, committed bool) {
 	for _, a := range w.cleanPins {
 		m.shared.pins.unpin(a)
 	}
-	for _, gs := range w.groups {
-		for _, g := range gs {
-			if a := g.res.addr; a != "" {
-				if committed {
-					m.shared.recordChunkCharge(a, m.qos, int64(g.res.written))
-				}
-				m.shared.pins.unpin(a)
-				if !committed && !m.shared.remote {
-					m.shared.unclaimed(a)
-				}
+	for _, p := range w.pieces {
+		if a := p.addr; a != "" {
+			if committed {
+				m.shared.recordChunkCharge(a, m.qos, int64(p.written))
+			}
+			m.shared.pins.unpin(a)
+			if !committed && !m.shared.remote {
+				m.shared.unclaimed(a)
 			}
 		}
 	}
-	m.pinScratch = w.cleanPins[:0]
+	clear(w.pieces) // the spare holds no piece of a body that may be recycled
+	m.pinScratch, m.pieceSpare = w.cleanPins[:0], w.pieces[:0]
 }
 
 // plan is the Plan stage. It cuts body under rule p and returns the chunk
@@ -600,16 +615,4 @@ func (m *Manager) plan(body []byte, p cdcParams, prev *chunkBase, cuts []int, di
 		}
 	}
 	return reuse, cuts
-}
-
-// cdcPieces materializes the piece slices for a cut list (chunk end
-// offsets); each piece aliases body.
-func cdcPieces(body []byte, cuts []int) [][]byte {
-	pieces := make([][]byte, len(cuts))
-	start := 0
-	for i, c := range cuts {
-		pieces[i] = body[start:c]
-		start = c
-	}
-	return pieces
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -120,4 +124,138 @@ func TestSaveCostSumsToWall(t *testing.T) {
 			t.Logf("wall %v, stages %v", wall, stageTimes(c))
 		})
 	}
+}
+
+// rejectOpsState applies one three-byte op (flags, a, b) of
+// FuzzSaveRejectsLikeValidate to a copy of s. The value the op writes is
+// flags&3: a finite a − 128.5, a NaN carrying a, ±Inf by a's low bit, or the
+// all-ones NaN. Flag 4 resizes the parameters to 512 + 16·b, a new parameter
+// i holding the value when i%1024 == 800 and i otherwise; without it
+// parameter a·len/256 takes the value. Flag 8 fills the optimizer blob and
+// flag 16 the RNG blob with NaN-shaped bytes, flag 32 keeps a best-params
+// copy made before the resize, and flag 64 puts the data cursor past the
+// permutation. Flag 128 makes the optimizer blob the image of the all-ones
+// NaN resize at the offsets it would take, so that a later such resize
+// leaves whole granules of the payload unchanged — parameters where
+// optimizer bytes were, NaNs among them.
+func rejectOpsState(s *TrainingState, flags, a, b byte) *TrainingState {
+	s = s.Clone()
+	s.Step++
+	v := [...]float64{float64(a) - 128.5, math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(a)),
+		math.Inf(1 - 2*int(a&1)), math.Float64frombits(^uint64(0))}[flags&3]
+	grown := func(i int, v float64) float64 {
+		if i%1024 == 800 {
+			return v
+		}
+		return float64(i)
+	}
+	if flags&32 != 0 {
+		s.BestParams = slices.Clone(s.Params)
+	}
+	if n := 512 + 16*int(b); flags&4 != 0 {
+		for i := len(s.Params); i < n; i++ {
+			s.Params = append(s.Params, grown(i, v))
+		}
+		s.Params = s.Params[:n]
+	} else if len(s.Params) > 0 {
+		s.Params[int(a)*len(s.Params)/256] = v
+	}
+	if flags&8 != 0 {
+		s.Optimizer = bytes.Repeat([]byte{0xff}, len(s.Optimizer))
+	}
+	if flags&16 != 0 {
+		for i := 0; i+8 <= len(s.RNG); i += 8 {
+			binary.LittleEndian.PutUint64(s.RNG[i:], 0x7ff8_0000_0000_0001)
+		}
+	}
+	if flags&64 != 0 {
+		s.DataPos = uint32(len(s.DataPerm) + 1)
+	}
+	if flags&128 != 0 { // the section trailer and header take 9 bytes
+		img := []byte{}
+		for i := len(s.Params); len(img) < 9+len(s.Optimizer); i++ {
+			img = binary.LittleEndian.AppendUint64(img, math.Float64bits(grown(i, math.Float64frombits(^uint64(0)))))
+		}
+		s.Optimizer = img[9 : 9+len(s.Optimizer)]
+	}
+	return s
+}
+
+// FuzzSaveRejectsLikeValidate holds a save's parameter check — Validate's
+// shape checks before the encode, finiteness read after the diff from the
+// granules it marks — to the full Validate. Each op of the input builds a
+// state from the last one accepted (rejectOpsState): NaN and ±Inf anywhere
+// in the parameters, NaN-shaped blobs, resizes, shape faults. Save must fail
+// exactly when Validate does, with its error. A rejected save must leave no
+// trace: a manager that only ever sees the accepted states stores the same
+// objects byte for byte and counts the same Stats, under monolithic and
+// chunked snapshots alike.
+func FuzzSaveRejectsLikeValidate(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 0, 200, 0})
+	f.Add([]byte{1, 5, 0, 0, 5, 0, 2, 255, 0, 0, 255, 0})                // NaN, then ±Inf at the last parameter
+	f.Add([]byte{8, 0, 0, 4 | 3, 0, 96, 4, 0, 96})                       // all-ones NaNs grown over an all-ones optimizer
+	f.Add([]byte{128, 0, 0, 4 | 3, 0, 96, 4, 0, 96})                     // a NaN only in a granule the resize left unchanged
+	f.Add([]byte{16, 0, 0, 32 | 4, 0, 10, 64, 3, 0, 3, 128, 0})          // NaN-shaped RNG, shape faults, an all-ones NaN
+	f.Add([]byte{4, 0, 200, 4 | 1, 7, 3, 4, 0, 3, 8 | 2, 0, 0, 0, 0, 0}) // shrink, NaN in a resize, shrink back
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 3*10)]
+		start := NewTrainingState()
+		start.Params = make([]float64, 1024)
+		for i := range start.Params {
+			start.Params[i] = float64(i) / 3
+		}
+		start.Optimizer = bytes.Repeat([]byte{1, 2, 3, 5, 7, 11, 13, 17}, 2<<10)
+		start.RNG = make([]byte, 64)
+		start.DataPerm = []uint32{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
+		for _, opt := range []Options{
+			{Strategy: StrategyDelta, AnchorEvery: 4},
+			{Strategy: StrategyDelta, AnchorEvery: 4, ChunkBytes: MinChunkBytes},
+		} {
+			saw, clean := opt, opt
+			saw.Backend, clean.Backend = storage.NewMem(), storage.NewMem()
+			ms := [2]*Manager{}
+			for i, o := range []Options{saw, clean} {
+				var err error
+				if ms[i], err = NewManager(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := start
+			for k := 0; k+3 <= len(ops); k += 3 {
+				s := rejectOpsState(last, ops[k], ops[k+1], ops[k+2])
+				want := s.Validate()
+				_, err := ms[0].Save(s)
+				if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+					t.Fatalf("op %d: Save says %v, Validate %v", k/3, err, want)
+				}
+				if err == nil {
+					if _, err := ms[1].Save(s); err != nil {
+						t.Fatal(err)
+					}
+					last = s
+				}
+			}
+			stats := [2]Stats{}
+			for i, m := range ms {
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				stats[i] = m.Stats()
+				stats[i].Cost = SaveCost{}
+			}
+			if stats[0] != stats[1] {
+				t.Fatalf("chunked %v: the manager that saw the rejected states counts %+v, the one that did not %+v", opt.ChunkBytes > 0, stats[0], stats[1])
+			}
+			keys, _ := saw.Backend.List("")
+			if other, _ := clean.Backend.List(""); !slices.Equal(keys, other) {
+				t.Fatalf("the manager that saw the rejected states stored %v, the one that did not %v", keys, other)
+			}
+			for _, key := range keys {
+				a, _ := saw.Backend.Get(key)
+				if b, _ := clean.Backend.Get(key); !bytes.Equal(a, b) {
+					t.Fatalf("%s differs after a rejected save", key)
+				}
+			}
+		}
+	})
 }

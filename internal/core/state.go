@@ -122,16 +122,26 @@ func NewTrainingState() *TrainingState {
 	}
 }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency: checkShape, and every parameter
+// finite.
 func (s *TrainingState) Validate() error {
+	if err := s.checkShape(); err != nil {
+		return err
+	}
+	for i, v := range s.Params {
+		if math.Float64bits(v)&expBits == expBits {
+			return nonFinite(i, v)
+		}
+	}
+	return nil
+}
+
+// checkShape is Validate's O(1) half: the format version, the best-params
+// length and the data cursor. A save checks the parameters after its diff
+// (refBuf.checkParams).
+func (s *TrainingState) checkShape() error {
 	if s.Meta.FormatVersion != FormatVersion {
 		return fmt.Errorf("core: state format version %d, want %d", s.Meta.FormatVersion, FormatVersion)
-	}
-	const exp = 0x7ff0_0000_0000_0000 // all ones: NaN or ±Inf
-	for i, v := range s.Params {
-		if math.Float64bits(v)&exp == exp {
-			return fmt.Errorf("core: non-finite parameter %d: %v", i, v)
-		}
 	}
 	if len(s.BestParams) != 0 && len(s.BestParams) != len(s.Params) {
 		return fmt.Errorf("core: best-params length %d vs params %d", len(s.BestParams), len(s.Params))
@@ -140,6 +150,13 @@ func (s *TrainingState) Validate() error {
 		return fmt.Errorf("core: data cursor %d beyond permutation length %d", s.DataPos, len(s.DataPerm))
 	}
 	return nil
+}
+
+// expBits is a float64's exponent; all ones is NaN or ±Inf.
+const expBits = 0x7ff0_0000_0000_0000
+
+func nonFinite(i int, v float64) error {
+	return fmt.Errorf("core: non-finite parameter %d: %v", i, v)
 }
 
 // Clone deep-copies the state. The async writer snapshots via Clone so the
