@@ -147,8 +147,7 @@ const (
 )
 
 // gateRules are the columns -compare gates, in report order. Every other
-// unit (MB/s, clean-%, the <stage>-ns/op split, hashed-chunks/op — a mean
-// over b.N anchors) rides along in Metrics ungated.
+// unit (MB/s, clean-%, <stage>-ns/op) rides along in Metrics ungated.
 var gateRules = []struct {
 	unit string
 	rule gateRule
@@ -158,6 +157,8 @@ var gateRules = []struct {
 	{"hashed-B/op", exact},      // SHA-256 traffic
 	{"crc-B/op", exact},         // a save's CRC-32C traffic
 	{"validated-B/op", exact},   // the parameter bytes a save's finiteness check read
+	{"copied-B/op", exact},      // the bytes a save wrote into its payload buffer
+	{"hashed-chunks/op", exact}, // the chunks an anchor framed and hashed, on the costliest timed anchor
 	{"bytes-written/op", exact}, // a chunk frame's size
 	{"list-ops/op", exact},      // a retention pass's backend operations
 	{"get-ops/op", exact},

@@ -297,8 +297,9 @@ func TestRunCompareAllowMissing(t *testing.T) {
 }
 
 // TestCompareGatesCountColumnsExactly: bytes-written/op, a save's
-// validated parameter bytes and a retention pass's backend operations are
-// counts like hashed-B/op — one more over the
+// validated parameter bytes and the bytes it copied, an anchor's hashed
+// chunks and a retention pass's backend operations are counts like
+// hashed-B/op — one more over the
 // baseline fails inside any tolerance, a zero baseline included; one fewer
 // passes; a row that stops reporting the column fails.
 func TestCompareGatesCountColumnsExactly(t *testing.T) {
@@ -308,6 +309,9 @@ func TestCompareGatesCountColumnsExactly(t *testing.T) {
 	}{
 		{"BenchmarkChunkFrame/f64", "bytes-written/op", 65541},
 		{"BenchmarkSaveSubstep", "validated-B/op", 8192},
+		{"BenchmarkSaveSubstep", "copied-B/op", 8375},
+		{"BenchmarkSaveAnchor", "copied-B/op", 20663},
+		{"BenchmarkSaveAnchor", "hashed-chunks/op", 15},
 		{"BenchmarkRetentionPass/jobs=8", "delete-ops/op", 3},
 		{"BenchmarkRetentionPass/jobs=8", "get-ops/op", 0},
 		{"BenchmarkRetentionPass/jobs=8", "list-ops/op", 0},

@@ -548,3 +548,19 @@ func cdcPieces(body []byte, cuts []int) [][]byte {
 	}
 	return pieces
 }
+
+// appendCutpoints appends the chunk end offsets of body to dst and returns
+// the extended slice: strictly increasing, final entry len(body), every
+// chunk within [minSize, maxSize] except the final one, which may be
+// shorter. A zero-length body yields no cutpoints. The rolling hash
+// restarts at every cutpoint, so a chunk's boundaries depend only on its
+// own bytes and its start offset — the property the incremental save path
+// leans on when it re-chunks just the dirty chunks (Manager.plan); the
+// tests cut whole bodies with it as the planner's oracle.
+func appendCutpoints(dst []int, body []byte, p cdcParams) []int {
+	for pos := 0; pos < len(body); {
+		pos += p.nextCut(body[pos:])
+		dst = append(dst, pos)
+	}
+	return dst
+}

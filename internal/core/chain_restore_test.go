@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,7 +35,7 @@ func referenceApplyDelta(base, delta []byte) ([]byte, error) {
 	}
 	out := make([]byte, curLen)
 	copy(out, body)
-	xorWith(out, base)
+	subtle.XORBytes(out, out, base) // over their common length
 	return out, nil
 }
 

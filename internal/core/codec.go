@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"unsafe"
 )
 
@@ -43,23 +45,6 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// beginSection writes the tag and a length placeholder and returns the
-// section's start offset; endSection backfills the length and leaves the
-// CRC to sealSections. Writing section payloads directly into the
-// destination (instead of building them in per-section scratch and copying)
-// is what keeps AppendPayload allocation-free on a buffer with enough
-// capacity.
-func beginSection(buf []byte, tag byte) ([]byte, int) {
-	start := len(buf)
-	buf = append(buf, tag, 0, 0, 0, 0)
-	return buf, start
-}
-
-func endSection(buf []byte, start int) []byte {
-	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-5))
-	return append(buf, 0, 0, 0, 0)
-}
-
 // shift4K is the linear map with CRC(A ‖ G) = shift4K(CRC(A)) ⊕ CRC(G) for
 // any bytes A and 4 KiB granule G (CRC-32C): the CRC register's advance over
 // a granule of zeros, crc32's inversions undone. Linear, it is the XOR of
@@ -82,7 +67,7 @@ var shift4K = func() (t [4][256]uint32) {
 // that does not lie wholly inside one section's CRC span.
 const sumOK = 1 << 32
 
-// sealSections writes the CRC trailers appendSections left unset in p and
+// sealSections writes the CRC trailers a layout leaves unset in p and
 // returns the bytes it fed to CRC-32C. A section's CRC runs over the partial
 // granules at its span's edges and folds over the whole granules inside,
 // whose CRCs it stores in sums (nil: none; else one zeroed slot per granule).
@@ -95,7 +80,7 @@ func sealSections(p []byte, sums []uint64, d *dirtyMap, last *refBuf) int {
 	for off := 0; off < len(p); off += 4 {
 		_, _, end, err := section(p, off)
 		if err != nil {
-			panic(err) // p is appendSections' output
+			panic(err) // p is a layout's bytes
 		}
 		crc := uint32(0)
 		for hi := off; off < end; off = hi {
@@ -120,7 +105,11 @@ func sealSections(p []byte, sums []uint64, d *dirtyMap, last *refBuf) int {
 		}
 		binary.LittleEndian.PutUint32(p[end:], crc)
 		for j := end / max(d.gran, 1); d.gran > 0 && j*d.gran < end+4; j++ {
-			d.compare(p, last.b, j)
+			lo, hi := j*d.gran, min((j+1)*d.gran, len(p))
+			d.bits[j/64] &^= 1 << (j % 64)
+			if hi > len(last.b) || !bytes.Equal(p[lo:hi], last.b[lo:hi]) {
+				d.bits[j/64] |= 1 << (j % 64)
+			}
 		}
 	}
 	return fed
@@ -141,7 +130,7 @@ func f64Bytes(vs []float64) []byte {
 
 // pieceBytes bounds one copy of a bulk section. On amd64 runtime.memmove
 // writes a copy of 1 MiB or more with non-temporal stores, which would
-// leave the payload in DRAM just before the save's diff reads it again.
+// leave the bytes in DRAM just before they are read again.
 const pieceBytes = 64 << 10
 
 // appendPieces appends src to buf one pieceBytes copy at a time.
@@ -152,130 +141,187 @@ func appendPieces(buf, src []byte) []byte {
 	return append(buf, src...)
 }
 
-func appendF64s(buf []byte, vs []float64) []byte {
+// payloadSpans is a payload laid out in wire order as spans, its CRC
+// trailers zero: a bulk section's span is the state's own memory (f64Bytes
+// of floats), and headers, small sections and trailers are encoded into
+// small. A save diffs and writes from the spans (fill), copying only what
+// its buffer needs; a manager keeps one as scratch.
+type payloadSpans struct {
+	spans  [][]byte
+	at     []int // per span: its start in small, -1 for the state's memory
+	small  []byte
+	mark   int    // the start in small of the bytes no span holds yet
+	n      int    // the bytes the spans hold: the payload's length once laid out
+	sec    [2]int // the open section's payload offset and its start in small
+	params [2]int // the parameters' payload offsets
+}
+
+var spansPool = sync.Pool{New: func() any { return new(payloadSpans) }}
+
+// off is the payload offset of the next byte laid out.
+func (p *payloadSpans) off() int { return p.n + len(p.small) - p.mark }
+
+// mem makes the bytes encoded since the last span a span of small, and b,
+// the state's memory, the next one.
+func (p *payloadSpans) mem(b []byte) {
+	if k := len(p.small) - p.mark; k > 0 {
+		p.spans, p.at, p.n, p.mark = append(p.spans, p.small[p.mark:]), append(p.at, p.mark), p.n+k, len(p.small)
+	}
+	if len(b) > 0 {
+		p.spans, p.at, p.n = append(p.spans, b), append(p.at, -1), p.n+len(b)
+	}
+}
+
+func (p *payloadSpans) u64s(vs ...uint64) {
+	for _, v := range vs {
+		p.small = binary.LittleEndian.AppendUint64(p.small, v)
+	}
+}
+
+// f64s lays out floats: their memory on a little-endian host, the loop's
+// encoding in small elsewhere.
+func (p *payloadSpans) f64s(vs []float64) {
 	if raw := f64Bytes(vs); raw != nil {
-		return appendPieces(buf, raw)
+		p.mem(raw)
+		return
 	}
 	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		p.u64s(math.Float64bits(v))
 	}
-	return buf
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// payloadSizeHint is the capacity that lets AppendPayload run without
-// growing its destination.
-func payloadSizeHint(s *TrainingState) int {
-	return s.Breakdown().Total + numSections*9 + 64
-}
-
-// EncodePayload serializes the state into the canonical payload form
-// (uncompressed; compression and framing happen at the snapshot layer).
-func EncodePayload(s *TrainingState) ([]byte, error) {
-	return AppendPayload(make([]byte, 0, payloadSizeHint(s)), s)
-}
-
-// AppendPayload appends the canonical payload encoding of s to buf and
-// returns the extended slice. It allocates nothing when buf has
-// payloadSizeHint spare capacity — the save path's pooled buffers do —
-// and produces bytes identical to EncodePayload's.
-func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// begin ends the open section, if any — its length backfilled, its trailer
+// unset — and opens the next with a length placeholder, unless tag is 0.
+func (p *payloadSpans) begin(tag byte) {
+	if p.off() > 0 {
+		binary.LittleEndian.PutUint32(p.small[p.sec[1]+1:], uint32(p.off()-p.sec[0]-5))
+		p.small = append(p.small, 0, 0, 0, 0)
 	}
-	p := appendSections(buf, s)
-	sealSections(p[len(buf):], nil, &dirtyMap{}, nil)
-	return p, nil
+	if tag != 0 {
+		p.sec = [2]int{p.off(), len(p.small)}
+		p.small = append(p.small, tag, 0, 0, 0, 0)
+	}
 }
 
-// appendSections appends the sections of s, a state of a shape Validate
-// accepts, to buf with their CRC trailers unset.
-func appendSections(buf []byte, s *TrainingState) []byte {
-	// Counters section also carries step/epoch.
-	buf, start := beginSection(buf, secCounters)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Step)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Counters.QPUClockNS))
-	buf = binary.LittleEndian.AppendUint64(buf, s.Counters.TotalShots)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Counters.WastedShots)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Counters.Jobs)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Counters.Preemptions)
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secParams)
-	buf = appendF64s(buf, s.Params)
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secOptimizer)
-	buf = appendPieces(buf, s.Optimizer)
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secRNG)
-	buf = append(buf, s.RNG...)
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secCursor)
-	buf = binary.LittleEndian.AppendUint32(buf, s.DataPos)
+// layout lays out the sections of s, a state of a shape Validate accepts.
+func (p *payloadSpans) layout(s *TrainingState) {
+	*p = payloadSpans{spans: p.spans[:0], at: p.at[:0], small: p.small[:0]}
+	p.begin(secCounters) // with step and epoch
+	p.u64s(s.Step, s.Epoch, uint64(s.Counters.QPUClockNS), s.Counters.TotalShots, s.Counters.WastedShots, s.Counters.Jobs, s.Counters.Preemptions)
+	p.begin(secParams)
+	p.params = [2]int{p.off(), p.off() + 8*len(s.Params)}
+	p.f64s(s.Params)
+	p.begin(secOptimizer)
+	p.mem(s.Optimizer)
+	p.begin(secRNG)
+	p.mem(s.RNG)
+	p.begin(secCursor)
+	p.small = binary.LittleEndian.AppendUint32(p.small, s.DataPos)
 	for _, v := range s.DataPerm {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
+		p.small = binary.LittleEndian.AppendUint32(p.small, v)
 	}
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secBest)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.BestLoss))
-	buf = appendF64s(buf, s.BestParams)
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secMeta)
-	buf = binary.LittleEndian.AppendUint32(buf, s.Meta.FormatVersion)
-	buf = appendString(buf, s.Meta.CircuitFP)
-	buf = appendString(buf, s.Meta.ProblemFP)
-	buf = appendString(buf, s.Meta.OptimizerName)
-	buf = appendString(buf, s.Meta.Extra)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Meta.CreatedUnixNano))
-	buf = endSection(buf, start)
-
+	p.begin(secBest)
+	p.u64s(math.Float64bits(s.BestLoss))
+	p.f64s(s.BestParams)
+	p.begin(secMeta)
+	p.small = binary.LittleEndian.AppendUint32(p.small, s.Meta.FormatVersion)
+	for _, f := range [...]string{s.Meta.CircuitFP, s.Meta.ProblemFP, s.Meta.OptimizerName, s.Meta.Extra} {
+		p.small = binary.LittleEndian.AppendUint32(p.small, uint32(len(f)))
+		p.small = append(p.small, f...)
+	}
+	p.u64s(uint64(s.Meta.CreatedUnixNano))
 	// Variable-size sections go last in the canonical order: when the loss
 	// history or the gradient accumulator grows between snapshots, only the
 	// bytes after the growth point lose XOR alignment with the delta base.
 	// Placing them at the tail keeps the fixed-size sections (params,
 	// optimizer moments, RNG) aligned, which is most of the payload.
-	buf, start = beginSection(buf, secGradAccum)
-	buf = appendPieces(buf, s.GradAccum)
-	buf = endSection(buf, start)
-
-	buf, start = beginSection(buf, secLossHist)
-	buf = appendF64s(buf, s.LossHistory)
-	return endSection(buf, start)
+	p.begin(secGradAccum)
+	p.mem(s.GradAccum)
+	p.begin(secLossHist)
+	p.f64s(s.LossHistory)
+	p.begin(0)
+	p.mem(nil)
+	for i, lo := range p.at { // small may have moved as it grew
+		if lo >= 0 {
+			p.spans[i] = p.small[lo : lo+len(p.spans[i])]
+		}
+	}
 }
 
-// seal ends a save's encode: it maps rb's unsealed payload against last, the
-// payload saved before it (nil for none), and seals it on the map, storing
-// its granule CRCs for the next save. It returns the bytes fed to CRC-32C.
-func (rb *refBuf) seal(last *refBuf) int {
+// fill is a save's byte work on rb, a buffer of the payload's length: it
+// writes the spans into rb, maps them a granule's pieces at a time against
+// last, the payload saved before (nil: no map), as a byte compare would,
+// and seals rb on the map. With patch rb holds the payload saved before
+// last at this length, and a piece is written only where it differs from
+// last or last's map marks its granule: nowhere else can rb differ. It
+// returns the bytes written and the bytes fed to CRC-32C.
+func (p *payloadSpans) fill(rb, last *refBuf, patch bool) (copied, crc int) {
+	d, n := &rb.dirty, (len(rb.b)+granuleBytes-1)/granuleBytes
+	*d = dirtyMap{bits: slices.Grow(d.bits[:0], (n+63)/64)[:(n+63)/64]}
+	clear(d.bits)
 	if last != nil {
-		rb.dirty.diff(rb.b, last.b, granuleBytes)
+		d.gran, d.base = granuleBytes, len(last.b)
 	}
-	n := (len(rb.b) + granuleBytes - 1) / granuleBytes
+	off := 0
+	for _, s := range p.spans {
+		if !patch { // the whole span, in pieces, into the buffer's room
+			copied += len(appendPieces(rb.b[off:off], s))
+		}
+		for len(s) > 0 {
+			j, k := off/granuleBytes, min(len(s), granuleBytes-off%granuleBytes)
+			same := d.gran > 0 && d.bits[j/64]&(1<<(j%64)) == 0 && off+k <= len(last.b) && bytes.Equal(s[:k], last.b[off:off+k])
+			if !same {
+				d.bits[j/64] |= 1 << (j % 64)
+			}
+			if patch && (!same || !last.dirty.clean(off, off+k)) {
+				copied += copy(rb.b[off:], s[:k])
+			}
+			off, s = off+k, s[k:]
+		}
+	}
 	rb.sums = slices.Grow(rb.sums[:0], n)[:n]
 	clear(rb.sums)
-	return sealSections(rb.b, rb.sums, &rb.dirty, last)
+	return copied, sealSections(rb.b, rb.sums, d, last)
+}
+
+// EncodePayload serializes the state into the canonical payload form
+// (uncompressed; compression and framing happen at the snapshot layer).
+func EncodePayload(s *TrainingState) ([]byte, error) {
+	return AppendPayload(nil, s)
+}
+
+// AppendPayload appends the canonical payload encoding of s to buf and
+// returns the extended slice. It allocates nothing when buf has room for
+// the payload, and produces bytes identical to EncodePayload's.
+func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	p := spansPool.Get().(*payloadSpans)
+	p.layout(s)
+	at := len(buf)
+	if cap(buf)-at < p.n { // make, unlike slices.Grow, skips zeroing fresh memory
+		buf = append(make([]byte, 0, at+p.n), buf...)
+	}
+	for _, span := range p.spans {
+		buf = appendPieces(buf, span)
+	}
+	clear(p.spans) // the pool holds no state's memory
+	spansPool.Put(p)
+	sealSections(buf[at:], nil, &dirtyMap{}, nil)
+	return buf, nil
 }
 
 // checkParams is a save's parameter check, Validate's finiteness half, on
-// rb's sealed payload: it reads from the stored bytes the parameters under
-// the granules rb's map marks against last, the payload saved before it, a
-// parameter across a granule edge whole. Every payload a save accepted was
-// checked, so a parameter under a clean granule is finite when last held its
-// parameters at the same span; with no last, or after a resize, every
-// parameter is read. It returns the parameter bytes under the granules read.
-func (rb *refBuf) checkParams(last *refBuf) (int, error) {
-	span, d := paramSpan(rb.b), rb.dirty
-	if last == nil || paramSpan(last.b) != span {
+// p, a sealed payload holding its parameters at span: it reads from the
+// stored bytes the parameters under the granules d, p's map against the
+// payload saved before it, marks, a parameter across a granule edge whole.
+// Every payload a save accepted was checked, so a parameter under a clean
+// granule is finite when that payload held its parameters at the same span,
+// lastSpan; with no map, or another span, every parameter is read. It
+// returns the parameter bytes under the granules read.
+func checkParams(p []byte, span, lastSpan [2]int, d dirtyMap) (int, error) {
+	if span != lastSpan {
 		d = dirtyMap{} // no map: every granule is read
 	}
 	read := 0
@@ -286,20 +332,12 @@ func (rb *refBuf) checkParams(last *refBuf) (int, error) {
 		}
 		read += end - g
 		for off := g - (g-span[0])%8; off < end; off += 8 {
-			if v := binary.LittleEndian.Uint64(rb.b[off:]); v&expBits == expBits {
+			if v := binary.LittleEndian.Uint64(p[off:]); v&expBits == expBits {
 				return read, nonFinite((off-span[0])/8, math.Float64frombits(v))
 			}
 		}
 	}
 	return read, nil
-}
-
-// paramSpan is where a payload of appendSections' holds its parameters: the
-// body of its second section.
-func paramSpan(p []byte) [2]int {
-	_, _, end, _ := section(p, 0)
-	_, _, hi, _ := section(p, end+4)
-	return [2]int{end + 9, hi}
 }
 
 // section parses the section header at data[off:] and returns the tag, the

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -237,13 +238,19 @@ func TestF64SectionsMatchLoop(t *testing.T) {
 			vs[i] = specials[i%len(specials)] * float64(1+i/len(specials))
 		}
 		head := []byte{0xa5, 0x5a, 0xc3}
-		fast := appendF64s(bytes.Clone(head), vs)
+		section := func() []byte { // head, then vs laid out as a float section
+			p := payloadSpans{small: bytes.Clone(head)}
+			p.f64s(vs)
+			p.mem(nil)
+			return slices.Concat(p.spans...)
+		}
+		fast := section()
 		fastBack, err := readF64s(fast[len(head):])
 		if err != nil {
 			t.Fatal(err)
 		}
 		littleEndian = false
-		slow := appendF64s(bytes.Clone(head), vs)
+		slow := section()
 		slowBack, _ := readF64s(fast[len(head):])
 		littleEndian = true
 		if !bytes.Equal(fast, slow) {
@@ -258,6 +265,16 @@ func TestF64SectionsMatchLoop(t *testing.T) {
 	}
 }
 
+// sealState is s's payload as a save seals it after last, the payload saved
+// before it (nil for none), written whole into a buffer of its own.
+func sealState(s *TrainingState, last *refBuf) *refBuf {
+	var p payloadSpans
+	p.layout(s)
+	rb := &refBuf{b: make([]byte, p.n)}
+	p.fill(rb, last, false)
+	return rb
+}
+
 // TestSealRecomputesGranulesThatWereEdges: a granule whose bytes a save
 // keeps can change roles. Here granule 1 of the last payload held the
 // parameters' trailer and the optimizer's header, and the same bytes now lie
@@ -267,13 +284,11 @@ func TestSealRecomputesGranulesThatWereEdges(t *testing.T) {
 	s0 := NewTrainingState()
 	s0.Params = make([]float64, 1000) // the parameters' trailer at byte 8070
 	s0.Optimizer = make([]byte, 1000)
-	last := &refBuf{b: appendSections(nil, s0)}
-	last.seal(nil)
+	last := sealState(s0, nil)
 	s1 := NewTrainingState()
 	s1.Params = make([]float64, 100)             // the optimizer's bytes start at 879
 	s1.Optimizer = bytes.Clone(last.b[879:8300]) // so payload bytes 879…8300 are the last payload's
-	cur := &refBuf{b: appendSections(nil, s1)}
-	cur.seal(last)
+	cur := sealState(s1, last)
 	if last.sums[1] != 0 || !cur.dirty.clean(granuleBytes, 2*granuleBytes) {
 		t.Fatal("granule 1 is not a clean granule that was an edge")
 	}

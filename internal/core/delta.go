@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -26,12 +25,6 @@ import (
 //	curLen  uint64
 //	baseLen uint64 (validated at apply time)
 //	body    [curLen]byte — XOR over min(curLen, baseLen), raw beyond
-
-// xorWith XORs src into dst in place over their common length.
-func xorWith(dst, src []byte) {
-	n := min(len(dst), len(src))
-	subtle.XORBytes(dst[:n], dst[:n], src[:n])
-}
 
 // AppendDelta appends the delta of cur against base to dst and returns the
 // extended slice. With 16+len(cur) spare capacity it allocates nothing.
@@ -79,28 +72,6 @@ type dirtyMap struct {
 	gran int // granule bytes; 0: no map
 	base int // len(base)
 	bits []uint64
-}
-
-// diff maps cur against base at gran-byte granules into d's words.
-func (d *dirtyMap) diff(cur, base []byte, gran int) {
-	n := (len(cur) + gran - 1) / gran
-	d.gran, d.base = gran, len(base)
-	d.bits = slices.Grow(d.bits[:0], (n+63)/64)[:(n+63)/64]
-	clear(d.bits)
-	for j := 0; j < n; j++ {
-		d.compare(cur, base, j)
-	}
-}
-
-// compare marks granule j of cur when its bytes differ from base's or reach
-// past base's end, and clears it otherwise.
-func (d *dirtyMap) compare(cur, base []byte, j int) {
-	lo, hi := j*d.gran, min((j+1)*d.gran, len(cur))
-	if hi > len(base) || !bytes.Equal(cur[lo:hi], base[lo:hi]) {
-		d.bits[j/64] |= 1 << (j % 64)
-	} else {
-		d.bits[j/64] &^= 1 << (j % 64)
-	}
 }
 
 // clean reports whether d is a map that marks no granule under bytes
@@ -182,7 +153,8 @@ func (a *deltaApplier) visit(d int, piece []byte) error {
 	if a.zero[d] {
 		a.skipped++
 	} else {
-		xorWith(a.payload.b[a.off-deltaHeaderLen:], piece)
+		dst := a.payload.b[a.off-deltaHeaderLen:]
+		subtle.XORBytes(dst, dst, piece) // over their common length
 	}
 	a.off += len(piece)
 	return nil

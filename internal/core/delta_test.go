@@ -214,8 +214,7 @@ func FuzzDirtyMapMatchesCompare(f *testing.F) {
 		}
 		var last *refBuf
 		for i, s := range []*TrainingState{sealFuzzState(p0, 0), sealFuzzState(p1, e1), sealFuzzState(p2, e2)} {
-			cur := &refBuf{b: appendSections(nil, s)}
-			cur.seal(last)
+			cur := sealState(s, last)
 			if want, _ := EncodePayload(s); !bytes.Equal(cur.b, want) {
 				t.Fatalf("payload %d: sealed from the map, it is not EncodePayload's", i)
 			}

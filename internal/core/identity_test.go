@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,20 @@ func diffMap(edited, base []byte, gran int) dirtyMap {
 	var d dirtyMap
 	d.diff(edited, base, gran)
 	return d
+}
+
+// diff maps cur against base at gran-byte granules into d's words, a byte
+// compare per granule: the oracle of the map a save's fill builds.
+func (d *dirtyMap) diff(cur, base []byte, gran int) {
+	n := (len(cur) + gran - 1) / gran
+	d.gran, d.base = gran, len(base)
+	d.bits = slices.Grow(d.bits[:0], (n+63)/64)[:(n+63)/64]
+	clear(d.bits)
+	for j := 0; j < n; j++ {
+		if lo, hi := j*gran, min((j+1)*gran, len(cur)); hi > len(base) || !bytes.Equal(cur[lo:hi], base[lo:hi]) {
+			d.bits[j/64] |= 1 << (j % 64)
+		}
+	}
 }
 
 // checkLeaves holds the leaves edited borrows from base — base's root input

@@ -598,7 +598,9 @@ func TestIncrementalAdaptiveRawChunks(t *testing.T) {
 // section edges and the two granules under the step's window. One anchor in
 // 64 has its window on the parameters' head, a partial granule read anyway,
 // and feeds 4 096 fewer; a mean would move with b.N, and the gate is exact.
-// The <stage>-ns/op columns split the timed anchors' time by the save
+// hashed-chunks/op and copied-B/op, the bytes the seal wrote into the
+// payload buffer from two saves back, are maxima over the timed anchors
+// too. The <stage>-ns/op columns split the timed anchors' time by the save
 // ledger's stages (SaveCost); like ns/op they are advisory.
 func BenchmarkSaveAnchor(b *testing.B) {
 	const params, every, window = 256 << 10, 16, 768
@@ -632,8 +634,8 @@ func BenchmarkSaveAnchor(b *testing.B) {
 	b.SetBytes(8 * params)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var chunks, clean int
-	var crc int64
+	var chunks, clean, hashed int
+	var crc, copied int64
 	var spent [len(stageNames)]time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -650,13 +652,16 @@ func BenchmarkSaveAnchor(b *testing.B) {
 		after := m.Stats()
 		chunks += after.Chunks - before.Chunks
 		clean += after.CleanChunks - before.CleanChunks
+		hashed = max(hashed, after.Chunks-before.Chunks-after.CleanChunks+before.CleanChunks)
 		crc = max(crc, after.crcBytes-before.crcBytes)
+		copied = max(copied, after.copiedBytes-before.copiedBytes)
 		addStages(&spent, before.Cost, after.Cost)
 		b.StartTimer()
 	}
 	b.ReportMetric(100*float64(clean)/float64(chunks), "clean-%")
-	b.ReportMetric(float64(chunks-clean)/float64(b.N), "hashed-chunks/op")
+	b.ReportMetric(float64(hashed), "hashed-chunks/op")
 	b.ReportMetric(float64(crc), "crc-B/op")
+	b.ReportMetric(float64(copied), "copied-B/op")
 	reportStages(b, spent)
 }
 
@@ -671,8 +676,14 @@ func BenchmarkSaveAnchor(b *testing.B) {
 // 132 319 bytes, where a whole-payload hash reads all 2 097 335.
 // validated-B/op is the parameter bytes the seal's finiteness check read,
 // those under the three granules the save changed: 4 026 + 4 096 + 70 =
-// 8 192 bytes, where Validate read all 2 097 152. The <stage>-ns/op columns
-// are the save ledger's stages (SaveCost), advisory.
+// 8 192 bytes, where Validate read all 2 097 152. copied-B/op is what the
+// seal wrote into the payload buffer from two saves back: the granules the
+// last save's map or this one's marks, the same three, 4 096 + 4 096 + 183
+// = 8 375 bytes, where a whole encode wrote 2 097 335. The two saves before
+// the timer starts write a fresh buffer whole: the first has none two saves
+// back, and the second's is the anchor, pinned as its lineage's chunk base.
+// The <stage>-ns/op columns are the save ledger's stages (SaveCost),
+// advisory.
 func BenchmarkSaveSubstep(b *testing.B) {
 	const params, window, at = 256 << 10, 64, 100_000
 	r := rand.New(rand.NewSource(14))
@@ -690,29 +701,33 @@ func BenchmarkSaveSubstep(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer m.Close()
-	if _, err := m.Save(s); err != nil { // the anchor
-		b.Fatal(err)
-	}
-	b.SetBytes(8 * params)
-	b.ReportAllocs()
-	before := m.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	save := func() {
 		for j := at; j < at+window; j++ {
 			s.Params[j] = -s.Params[j]
 		}
 		s.Step++
 		if res, err := m.Save(s); err != nil {
 			b.Fatal(err)
-		} else if res.Kind != KindDelta {
+		} else if res.Kind != KindDelta && res.Seq > 0 {
 			b.Fatalf("save %d is a %v", res.Seq, res.Kind)
 		}
+	}
+	for range 3 { // the anchor and two deltas
+		save()
+	}
+	b.SetBytes(8 * params)
+	b.ReportAllocs()
+	before := m.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		save()
 	}
 	b.StopTimer()
 	after := m.Stats()
 	b.ReportMetric(float64(after.BytesHashed-before.BytesHashed)/float64(b.N), "hashed-B/op")
 	b.ReportMetric(float64(after.crcBytes-before.crcBytes)/float64(b.N), "crc-B/op")
 	b.ReportMetric(float64(after.validatedBytes-before.validatedBytes)/float64(b.N), "validated-B/op")
+	b.ReportMetric(float64(after.copiedBytes-before.copiedBytes)/float64(b.N), "copied-B/op")
 	var spent [len(stageNames)]time.Duration
 	addStages(&spent, before.Cost, after.Cost)
 	reportStages(b, spent)

@@ -146,6 +146,7 @@ type Stats struct {
 	BytesHashed    int64    // bytes fed to SHA-256 for payload identities: changed leaves and each root's input
 	crcBytes       int64    // bytes fed to CRC-32C by the section seal: changed granules and partial ones
 	validatedBytes int64    // parameter bytes the seal's check read: those under changed granules
+	copiedBytes    int64    // bytes the seal wrote into payload buffers: the granules two maps mark, or every byte
 	Cost           SaveCost // every save's stages, summed
 	// Chunked-pipeline counters (zero for monolithic snapshots).
 	Chunks      int // chunks referenced by written snapshots
@@ -182,9 +183,13 @@ type Manager struct {
 	shared *sharedChunks
 	ns     string
 
+	spans payloadSpans // the trainer's: the state being saved, laid out
+
 	mu          sync.Mutex
 	seq         uint64
 	lastPayload *refBuf      // base for the next delta (pooled, refcounted)
+	lagging     *refBuf      // the payload saved before lastPayload, which the next save may patch into its own
+	lastParams  [2]int       // where lastPayload holds its parameters
 	lastHash    *payloadHash // lastPayload's identity, and the leaves the next payload's reuses
 	zeros       zeroBodies   // the delta bodies no save holds, zeroed for the next delta
 	sinceAnchor int
@@ -383,7 +388,8 @@ func (m *Manager) Close() error {
 	err := m.asyncErr
 	m.asyncErr = nil
 	m.lastPayload.release()
-	m.lastPayload, m.lastHash = nil, nil // the hash was joined by its commit, like every save's: it holds no buffer now
+	m.lagging.release()
+	m.lastPayload, m.lagging, m.lastHash = nil, nil, nil // the hash was joined by its commit, like every save's: it holds no buffer now
 	m.mu.Unlock()
 	for i := range m.bases {
 		m.bases[i].drop()

@@ -467,9 +467,10 @@ func BenchmarkChunkFrame(b *testing.B) {
 }
 
 // TestPooledEncodeZeroAllocs locks in the headline property of the pooled
-// codec: the synchronous encode stage — payload serialization, the diff
-// pass against the previous payload, the section CRCs sealed from it over
-// the previous payload's granule CRCs and the parameter check on its map,
+// codec: the synchronous encode stage — payload serialization, a save's
+// layout, its diff against the previous payload and its patch of the
+// payload from two saves back, the section CRCs sealed from the map over
+// the previous payload's granule CRCs and the parameter check on it,
 // delta encode (map-driven into a body from a free list it goes back to
 // zeroed, and plain), chunk framing, snapshot-file assembly — allocates
 // nothing at steady state when running over pooled capacity; nor does the
@@ -485,7 +486,7 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloadBuf := make([]byte, 0, payloadSizeHint(st)+64)
+	payloadBuf := make([]byte, 0, len(base)+64)
 	deltaBuf := make([]byte, 0, 16+len(base)+64)
 	fileBuf := make([]byte, 0, headerSize+len(base)+96)
 	h := Header{Kind: KindFull, PayloadHash: PayloadHash(base)}
@@ -499,26 +500,29 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	tree, _, _ := hashLeaves(nil, prev, dirtyMap{}, leafBytes)
 	var dirty, leaves dirtyMap
 	var zeros zeroBodies
-	// A save's seal: 16 KiB of parameters, one of them moved, sealed
-	// against the last payload's granule CRCs.
+	// A save's seal: 16 KiB of parameters, one of them moving back and
+	// forth, patched into the payload from two saves back and sealed against
+	// the last payload's granule CRCs.
 	big := [2]*TrainingState{sampleState(), sampleState()}
 	for _, s := range big {
 		s.Params, s.BestParams = make([]float64, 2048), nil
 	}
 	big[1].Params[700] = 1
-	last, saved := &refBuf{b: appendSections(nil, big[0])}, new(refBuf)
-	last.seal(nil)
+	var sp payloadSpans
+	lag := sealState(big[0], nil)
+	last := sealState(big[1], lag)
 	run := func() {
 		var err error
 		payloadBuf, err = AppendPayload(payloadBuf[:0], st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		saved.b = appendSections(saved.b[:0], big[1])
-		saved.seal(last)
-		if _, err := saved.checkParams(last); err != nil {
+		sp.layout(big[0])
+		sp.fill(lag, last, true)
+		if _, err := checkParams(lag.b, sp.params, sp.params, lag.dirty); err != nil {
 			t.Fatal(err)
 		}
+		lag, last, big[0], big[1] = last, lag, big[1], big[0]
 		dirty.diff(payloadBuf, base, granuleBytes)
 		body := zeros.get(deltaHeaderLen + len(payloadBuf))
 		body.b = appendDelta(body.b, base, payloadBuf, dirty)
@@ -541,6 +545,9 @@ func TestPooledEncodeZeroAllocs(t *testing.T) {
 	run() // warm the flate pools and size every buffer
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("pooled encode stage: %v allocs/op, want 0", allocs)
+	}
+	if want, _ := EncodePayload(big[1]); !bytes.Equal(last.b, want) {
+		t.Error("the patched payload is not EncodePayload's")
 	}
 }
 

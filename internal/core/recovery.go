@@ -31,17 +31,16 @@ type LoadReport struct {
 	LoadCost          // summed over every candidate tried, skipped ones included
 }
 
-// LoadCost attributes a recovery's time to stages. Every duration is
-// measured on the goroutine that ran the recovery — chunks a helper fetched
-// or the chain prefetcher warmed show up only as a shorter Fetch, and what
-// it waited for either of them is Fetch — so the stages add up to the time
-// the caller waited, less loop overhead.
+// LoadCost attributes a recovery's time to stages, lapped back to back on
+// the goroutine that ran it, so they add up to the time the caller waited:
+// chunks a helper fetched or the chain prefetcher warmed show up only as a
+// shorter Fetch, and waiting for either is Fetch.
 type LoadCost struct {
 	Index  time.Duration // listing snapshots and parsing their headers
 	Fetch  time.Duration // getting snapshot objects and chunks: read, file hash, unframe, waits on helpers and warmers; chunk address checks on a conviction walk
 	Apply  time.Duration // copying anchor pieces and XORing delta pieces into the payload
 	Verify time.Duration // SHA-256 of the payload at the target; at the anchor and after every link too on a conviction walk
-	Decode time.Duration // DecodePayload and the Meta compatibility check
+	Decode time.Duration // DecodePayload, the Meta compatibility check and the payload's release
 
 	ChunksFetched     int   // chunk reads issued, one per distinct address per snapshot
 	ZeroPiecesSkipped int   // all-zero delta pieces that cost no XOR
@@ -82,6 +81,7 @@ const recoveryCacheBytes = 64 << 20
 // handed a *refBuf is its one holder and releases it when done, on every
 // path; callees it passes the buffer to never do.
 type snapshotView struct {
+	stopwatch // the resolving goroutine's, which charges cost
 	b         storage.Backend
 	cs        *storage.ChunkStore
 	opts      RestoreOptions
@@ -105,7 +105,7 @@ type snapshotObject struct {
 
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 	cb := storage.NewCoalescerShards(b, recoveryCacheBytes, 1)
-	return &snapshotView{b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
+	return &snapshotView{stopwatch: stopwatch{time.Now()}, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
 }
 
 // object fetches and checks the snapshot object at key, or recalls it from
@@ -142,9 +142,8 @@ func (v *snapshotView) object(key string) (*snapshotObject, error) {
 // the index — chains were resolved by it, payloads are hashed against it —
 // and the object read whole, file hash passed, must carry the same one.
 func (v *snapshotView) readObject(key string, probed *Header) (*snapshotObject, error) {
-	start := time.Now()
 	o, err := v.object(key)
-	v.cost.Fetch += time.Since(start)
+	v.lap(&v.cost.Fetch)
 	if err == nil && !o.charged {
 		o.charged = true
 		v.cost.BytesHashed += int64(o.fileLen)
@@ -160,7 +159,7 @@ func (v *snapshotView) readObject(key string, probed *Header) (*snapshotObject, 
 // bitwise-identical bodies.
 func (v *snapshotView) assemble(info chunkManifestInfo) (*refBuf, error) {
 	body := getBody(info.rawLen)
-	err := walkPieces(v.cs, info, v.opts, v.unchecked, &v.cost, func(_ int, piece []byte) error {
+	err := v.walkPieces(info, func(_ int, piece []byte) error {
 		if len(piece) > info.rawLen-len(body.b) {
 			return fmt.Errorf("%w: assembled more than the %d manifest bytes", ErrCorrupt, info.rawLen)
 		}
@@ -189,10 +188,9 @@ func (v *snapshotView) readBody(key string, probed *Header) (*snapshotObject, *r
 		body, err := v.assemble(o.info)
 		return o, body, err
 	}
-	start := time.Now()
 	body := getBody(0) // whatever the pool has: inflate sizes it
 	body.b, err = inflate(body.b, o.comp, -1)
-	v.cost.Fetch += time.Since(start)
+	v.lap(&v.cost.Fetch)
 	if err != nil {
 		body.release()
 		return o, nil, err
@@ -214,17 +212,15 @@ func (v *snapshotView) applyLink(ent indexEntry, payload *refBuf) error {
 	a := deltaApplier{payload: payload}
 	if o.h.Kind.Chunked() {
 		a.rawLen = o.info.rawLen
-		err = walkPieces(v.cs, o.info, v.opts, v.unchecked, &v.cost, a.visit)
+		err = v.walkPieces(o.info, a.visit)
 	} else {
-		start := time.Now()
 		var delta []byte
 		var sp *[]byte
 		if delta, sp, err = inflateScratch(o.comp, -1); err == nil {
-			inflated := time.Now()
-			v.cost.Fetch += inflated.Sub(start)
+			v.lap(&v.cost.Fetch)
 			a.rawLen = len(delta)
 			err = a.visit(0, delta)
-			v.cost.Apply += time.Since(inflated)
+			v.lap(&v.cost.Apply)
 			putScratch(sp)
 		}
 	}
@@ -237,9 +233,8 @@ func (v *snapshotView) applyLink(ent indexEntry, payload *refBuf) error {
 
 // payloadIs reports whether payload is the one h names (Header.identifies).
 func (v *snapshotView) payloadIs(payload []byte, h Header) bool {
-	start := time.Now()
 	ok, hashed := h.identifies(payload)
-	v.cost.Verify += time.Since(start)
+	v.lap(&v.cost.Verify)
 	v.cost.BytesHashed += int64(hashed)
 	return ok
 }
@@ -342,9 +337,8 @@ func (v *snapshotView) walk(chain []indexEntry, everything bool) (payload *refBu
 	v.unchecked = !everything
 	var pf prefetcher
 	defer func() { // no warmer outlives the walk, error or not
-		start := time.Now()
 		pf.Wait()
-		v.cost.Fetch += time.Since(start)
+		v.lap(&v.cost.Fetch)
 		v.unchecked = false
 	}()
 	at = len(chain) - 1
@@ -360,9 +354,8 @@ func (v *snapshotView) walk(chain []indexEntry, everything bool) (payload *refBu
 	for at--; at >= 0; at-- {
 		ready := warmed
 		warmed = pf.start(v, chain, at-1)
-		start := time.Now()
 		ready() // this link's warm has run since the previous iteration
-		v.cost.Fetch += time.Since(start)
+		v.lap(&v.cost.Fetch)
 		if everything || at == 0 {
 			err = v.applyVerified(chain[at], payload)
 		} else {
@@ -397,12 +390,11 @@ func DirBackend(dir string) (storage.Backend, error) {
 func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
 	v := newSnapshotView(b, opts)
 	v.manifests = make(map[string]*snapshotObject)
-	start := time.Now()
 	bySeq, byHash, skipped, err := v.buildIndex()
 	if err != nil {
 		return nil, LoadReport{}, err
 	}
-	v.cost.Index = time.Since(start)
+	v.lap(&v.cost.Index)
 	report := LoadReport{Skipped: skipped}
 	for _, ent := range bySeq {
 		state, chainLen, err := v.restore(ent, byHash, live)
@@ -428,9 +420,8 @@ func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*T
 	if err != nil {
 		return nil, 0, err
 	}
+	defer v.lap(&v.cost.Decode)
 	defer payload.release() // DecodePayload copies every section out
-	start := time.Now()
-	defer func() { v.cost.Decode += time.Since(start) }()
 	state, err := DecodePayload(payload.b)
 	if err != nil {
 		return nil, 0, err

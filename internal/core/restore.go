@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/storage"
 )
@@ -75,10 +74,6 @@ func DefaultRestoreOptions() RestoreOptions {
 
 // workers is the number of fetching goroutines: at least the caller.
 func (o RestoreOptions) workers() int { return max(o.Workers, 1) }
-
-// parallel reports whether chain resolution should warm the next link in
-// the background.
-func (o RestoreOptions) parallel() bool { return o.Workers > 1 }
 
 // window is the bound on chunks claimed past the commit frontier.
 func (o RestoreOptions) window() int {
@@ -153,10 +148,10 @@ type pieceSlot struct {
 // the index of the entry's address among the manifest's distinct addresses
 // in first-occurrence order, so a visitor can remember a fact per address.
 // Time the caller spends planning the walk, fetching or waiting for pieces
-// and waiting for its helpers to drain is charged to cost.Fetch, time inside
-// visit to cost.Apply. unchecked skips the chunks' address checks.
-func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptions, unchecked bool, cost *LoadCost, visit func(d int, piece []byte) error) error {
-	t := time.Now()
+// and waiting for its helpers to drain is charged to v.cost.Fetch, time
+// inside visit to v.cost.Apply. v.unchecked skips the chunks' address checks.
+func (v *snapshotView) walkPieces(info chunkManifestInfo, visit func(d int, piece []byte) error) error {
+	cs, opt, unchecked, cost := v.cs, v.opts, v.unchecked, &v.cost
 	distinct, ids := distinctAddrs(info.addrs)
 	n := len(distinct)
 	if n == 0 {
@@ -242,14 +237,11 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 	// the reported failure is deterministic however the fetches interleave
 	// — cancel the helpers.
 	var firstErr error
-	planned := time.Now()
-	cost.Fetch += planned.Sub(t)
-	t = planned
+	v.lap(&cost.Fetch)
 	for _, d := range ids {
 		s := &slots[d]
 		if !s.reached { // first use of this address
-			waitFrom := time.Now()
-			cost.Apply += waitFrom.Sub(t)
+			v.lap(&cost.Apply)
 			for !s.have {
 				if s.done != nil {
 					select {
@@ -269,8 +261,7 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 			}
 			s.reached = true
 			<-sem
-			t = time.Now()
-			cost.Fetch += t.Sub(waitFrom)
+			v.lap(&cost.Fetch)
 			if s.err != nil {
 				firstErr = s.err
 				break
@@ -287,14 +278,13 @@ func walkPieces(cs *storage.ChunkStore, info chunkManifestInfo, opt RestoreOptio
 			s.release()
 		}
 	}
-	drainFrom := time.Now()
-	cost.Apply += drainFrom.Sub(t)
+	v.lap(&cost.Apply)
 	close(cancel)
 	wg.Wait()
 	for d := range slots { // a walk that stopped short of some pieces' last use
 		slots[d].release()
 	}
-	cost.Fetch += time.Since(drainFrom)
+	v.lap(&cost.Fetch)
 	return firstErr
 }
 
@@ -327,7 +317,7 @@ type prefetcher struct{ sync.WaitGroup }
 // at least); the cache's single-flight makes the second asker of a shared
 // address join the first one's fetch, so the warms need no ordering.
 func (p *prefetcher) start(v *snapshotView, chain []indexEntry, i int) func() {
-	if !v.opts.parallel() || i < 0 {
+	if v.opts.Workers <= 1 || i < 0 { // a serial restore warms nothing
 		return func() {}
 	}
 	done := make(chan struct{})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -299,7 +300,7 @@ func TestFailedWalkLeaksNoScratch(t *testing.T) {
 			})
 			givesBackItsBuffers(t, "a walk whose visitor gave up", func() {
 				visits := 0
-				err := walkPieces(cs, info, ro, false, new(LoadCost), func(int, []byte) error {
+				err := (&snapshotView{cs: cs, opts: ro}).walkPieces(info, func(int, []byte) error {
 					if visits++; visits > at {
 						return errors.New("enough")
 					}
@@ -313,5 +314,61 @@ func TestFailedWalkLeaksNoScratch(t *testing.T) {
 		if err := mem.Put(key, good); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLoadCostSumsToWall holds the restore ledger to the clock: the stages
+// of a LoadCost, lapped back to back on the restoring goroutine, add up to
+// LoadLatestBackendOptions' own wall time with under 5 % unattributed —
+// serial and parallel, monolithic and chunked, an anchor alone and a
+// 16-link chain.
+func TestLoadCostSumsToWall(t *testing.T) {
+	const params, restores = 64 << 10, 10
+	for _, tc := range []struct {
+		name  string
+		opt   Options
+		saves int
+		ro    RestoreOptions
+	}{
+		{"monolithic-anchor", Options{}, 1, RestoreOptions{}},
+		{"monolithic-chain", Options{}, 17, RestoreOptions{}},
+		{"chunked-anchor-serial", Options{ChunkBytes: 8 << 10}, 1, RestoreOptions{}},
+		{"chunked-chain-serial", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{}},
+		{"chunked-anchor-parallel", Options{ChunkBytes: 8 << 10}, 1, RestoreOptions{Workers: 4, Prefetch: 4}},
+		{"chunked-chain-parallel", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{Workers: 4, Prefetch: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(9))
+			states := make([]*TrainingState, tc.saves)
+			s := NewTrainingState()
+			s.Params = make([]float64, params)
+			for i := range s.Params {
+				s.Params[i] = r.NormFloat64()
+			}
+			for i := range states {
+				for j := 0; j < 256; j++ {
+					s.Params[(i*256+j)%params] += 1e-3
+				}
+				s.Step++
+				states[i] = s.Clone()
+			}
+			tc.opt.AnchorEvery = 32
+			mem := saveChain(t, tc.opt, states)
+			var wall, sum time.Duration
+			for i := 0; i < restores; i++ {
+				start := time.Now()
+				got, report, err := LoadLatestBackendOptions(mem, nil, tc.ro)
+				wall += time.Since(start)
+				if err != nil || !got.Equal(states[len(states)-1]) || report.ChainLen != tc.saves {
+					t.Fatalf("restore: %v, chain %d", err, report.ChainLen)
+				}
+				c := report.LoadCost
+				sum += c.Index + c.Fetch + c.Apply + c.Verify + c.Decode
+			}
+			if rest := wall - sum; rest < 0 || rest > wall/20 {
+				t.Errorf("the stages sum to %v of a %v wall: %v unattributed", sum, wall, rest)
+			}
+			t.Logf("wall %v, stages %v", wall/restores, sum/restores)
+		})
 	}
 }

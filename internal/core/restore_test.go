@@ -130,8 +130,8 @@ func TestWalkPiecesCallerIsAWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, visits, started := runtime.NumGoroutine(), 0, false
-		var cost LoadCost
-		err = walkPieces(cs, info, tc.opt, false, &cost, func(int, []byte) error {
+		v := &snapshotView{cs: cs, opts: tc.opt}
+		err = v.walkPieces(info, func(int, []byte) error {
 			visits++
 			started = started || runtime.NumGoroutine() > before
 			return nil
@@ -140,8 +140,8 @@ func TestWalkPiecesCallerIsAWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		distinct, _ := distinctAddrs(info.addrs)
-		if visits != len(info.addrs) || cost.ChunksFetched != len(distinct) {
-			t.Errorf("%+v: %d visits of %d entries, %d fetches of %d distinct chunks", tc.opt, visits, len(info.addrs), cost.ChunksFetched, len(distinct))
+		if visits != len(info.addrs) || v.cost.ChunksFetched != len(distinct) {
+			t.Errorf("%+v: %d visits of %d entries, %d fetches of %d distinct chunks", tc.opt, visits, len(info.addrs), v.cost.ChunksFetched, len(distinct))
 		}
 		if tc.alone && started {
 			t.Errorf("%+v over %d distinct chunks started a goroutine", tc.opt, len(distinct))

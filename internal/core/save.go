@@ -36,8 +36,8 @@ type SaveResult struct {
 // stages one goroutine ran add up to its wall time. Stats.Cost sums them
 // over every save.
 type SaveCost struct {
-	Encode   time.Duration // the quota check, Validate's shape checks and the section encode
-	Seal     time.Duration // the one diff against the last payload, the section CRCs sealed on it and the parameters checked under its marked granules
+	Encode   time.Duration // the quota check, Validate's shape checks and the section layout: headers and small sections into scratch, spans over the state's memory
+	Seal     time.Duration // the one diff of the spans against the last payload, their write into the payload buffer (what this map or the last one marks, when it holds the payload from two saves back), the section CRCs sealed on the map and the parameters checked under its marked granules
 	Delta    time.Duration // the delta body and its copy of the map; the hash start and the save's numbering
 	Queue    time.Duration // handing an async save to the sequencer, waiting while its queue is full
 	Plan     time.Duration // cutting a chunked body against its lineage's base
@@ -71,17 +71,20 @@ func (c *SaveCost) add(d SaveCost) {
 	c.Retain += d.Retain
 }
 
-// ledger times one goroutine's stages of a save back to back: lap charges
-// the time since the last stamp to a stage and stamps again.
-type ledger struct {
-	SaveCost
-	t time.Time
+// stopwatch laps one goroutine's stages back to back, a save's (ledger) or a
+// restore's (snapshotView), so that they add up to its wall time.
+type stopwatch struct{ t time.Time }
+
+func (w *stopwatch) lap(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(w.t)
+	w.t = now
 }
 
-func (l *ledger) lap(stage *time.Duration) {
-	now := time.Now()
-	*stage += now.Sub(l.t)
-	l.t = now
+// ledger is one goroutine's share of a save's stages.
+type ledger struct {
+	SaveCost
+	stopwatch
 }
 
 type writeJob struct {
@@ -135,17 +138,16 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	if err := m.admit(); err != nil {
 		return SaveResult{}, err
 	}
-	l := ledger{t: time.Now()}
+	l := ledger{stopwatch: stopwatch{time.Now()}}
 	m.markActivity(l.t)
-	payload, err := m.encode(state)
-	if err != nil {
+	if err := m.encode(state); err != nil {
 		return SaveResult{}, err
 	}
 	l.lap(&l.Encode)
 	m.mu.Lock()
-	if err := m.seal(payload); err != nil {
+	payload, err := m.seal()
+	if err != nil {
 		m.mu.Unlock()
-		payload.release()
 		return SaveResult{}, err
 	}
 	l.lap(&l.Seal)
@@ -189,42 +191,53 @@ func (m *Manager) admit() error {
 // admission: bytes already charged to the tenant (GC credits them back)
 // must leave room for something — the save's true footprint is only known
 // after dedup. Validate's O(1) half runs here and its parameter scan in
-// seal, on the diff. The payload goes into a pooled buffer, its CRC
-// trailers unset: at steady state it reuses the capacity of a payload
-// retired two saves ago (pool.go has the ownership rules).
-func (m *Manager) encode(state *TrainingState) (*refBuf, error) {
+// seal, on the diff. The state is laid out as spans (m.spans), not copied.
+func (m *Manager) encode(state *TrainingState) error {
 	if err := m.qos.checkQuota(); err != nil {
-		return nil, err
-	}
-	if err := state.checkShape(); err != nil {
-		return nil, err
-	}
-	payload := getBody(payloadSizeHint(state))
-	payload.b = appendSections(payload.b, state)
-	return payload, nil
-}
-
-// seal is the Seal stage, run under m.mu: the save's one diff against the
-// last payload — the leaf hash, the delta body and the delta's chunk plan
-// read its map, not the bytes — the section CRCs sealed on it, and the
-// parameter check it narrows. A payload that fails the check leaves the
-// manager and its Stats as they were.
-func (m *Manager) seal(payload *refBuf) error {
-	crc := payload.seal(m.lastPayload)
-	read, err := payload.checkParams(m.lastPayload)
-	if err != nil {
 		return err
 	}
+	if err := state.checkShape(); err != nil {
+		return err
+	}
+	m.spans.layout(state)
+	return nil
+}
+
+// seal is the Seal stage, run under m.mu: the save's one diff of the spans
+// against the last payload — the leaf hash, the delta body and the delta's
+// chunk plan read its map, not the bytes — and their write into a buffer,
+// sealed on the map, with the parameter check it narrows. The buffer is the
+// lagging one, patched, while the manager holds it alone and it, the last
+// payload and this one share a length; else a pooled one, written whole. A
+// rejected payload goes back to the pool; the manager and its Stats stay.
+func (m *Manager) seal() (*refBuf, error) {
+	sp, last, payload := &m.spans, m.lastPayload, m.lagging
+	m.lagging = nil // a lagging buffer implies a last payload
+	patch := payload != nil && payload.refs.Load() == 1 && len(payload.b) == sp.n && len(last.b) == sp.n
+	if !patch {
+		payload.release()
+		payload = getBody(sp.n)
+		payload.b = payload.b[:sp.n]
+	}
+	copied, crc := sp.fill(payload, last, patch)
+	clear(sp.spans) // the manager holds no state's memory between saves
+	read, err := checkParams(payload.b, sp.params, m.lastParams, payload.dirty)
+	if err != nil {
+		payload.release()
+		return nil, err
+	}
+	m.lastParams = sp.params
+	m.stats.copiedBytes += int64(copied)
 	m.stats.crcBytes += int64(crc)
 	m.stats.validatedBytes += int64(read)
-	return nil
+	return payload, nil
 }
 
 // delta is the Delta stage, run under m.mu on a sealed payload: it starts
 // the payload's hash, which overlaps everything up to the snapshot header
 // encode, builds a delta body from the payload's map when the strategy
 // calls for one, numbers the snapshot and keeps the payload as the next
-// save's base.
+// save's base, and the last one as the lagging buffer.
 func (m *Manager) delta(payload *refBuf, step uint64) writeJob {
 	hash := startPayloadHash(payload, m.lastHash)
 	h, body := Header{Kind: KindFull, Seq: m.seq, Step: step}, payload
@@ -248,8 +261,7 @@ func (m *Manager) delta(payload *refBuf, step uint64) writeJob {
 	}
 	m.seq++
 	m.stats.Snapshots++
-	m.lastPayload.release()
-	m.lastPayload, m.lastHash = payload, hash
+	m.lagging, m.lastPayload, m.lastHash = m.lastPayload, payload, hash
 	return writeJob{name: snapshotName(h.Seq, h.Kind), h: h, body: body, hash: hash}
 }
 
@@ -259,7 +271,7 @@ func (m *Manager) delta(payload *refBuf, step uint64) writeJob {
 func (m *Manager) runSequencer() {
 	defer m.sequencer.Done()
 	for job := range m.jobs {
-		l := ledger{t: time.Now()}
+		l := ledger{stopwatch: stopwatch{time.Now()}}
 		if _, err := m.commit(job, &l); err != nil {
 			m.mu.Lock()
 			if m.asyncErr == nil {

@@ -189,7 +189,9 @@ func rejectOpsState(s *TrainingState, flags, a, b byte) *TrainingState {
 // exactly when Validate does, with its error. A rejected save must leave no
 // trace: a manager that only ever sees the accepted states stores the same
 // objects byte for byte and counts the same Stats, under monolithic and
-// chunked snapshots alike.
+// chunked snapshots alike — all but the bytes copied into payload buffers:
+// a rejected payload goes back to the pool, and the save after it writes a
+// fresh buffer whole where the other manager patches its lagging one.
 func FuzzSaveRejectsLikeValidate(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 200, 0})
 	f.Add([]byte{1, 5, 0, 0, 5, 0, 2, 255, 0, 0, 255, 0})                // NaN, then ±Inf at the last parameter
@@ -241,7 +243,7 @@ func FuzzSaveRejectsLikeValidate(f *testing.F) {
 					t.Fatal(err)
 				}
 				stats[i] = m.Stats()
-				stats[i].Cost = SaveCost{}
+				stats[i].Cost, stats[i].copiedBytes = SaveCost{}, 0
 			}
 			if stats[0] != stats[1] {
 				t.Fatalf("chunked %v: the manager that saw the rejected states counts %+v, the one that did not %+v", opt.ChunkBytes > 0, stats[0], stats[1])
@@ -258,4 +260,149 @@ func FuzzSaveRejectsLikeValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSaveMatchesEncode holds a save's one writer — the spans of the live
+// state diffed against the last payload, then patched into the payload from
+// two saves back or written whole into a fresh buffer — to EncodePayload.
+// One state is edited in place between saves: parameters moved and resized,
+// the loss history grown, the optimizer blob rewritten, NaNs the save must
+// reject. Sync and async managers over monolithic and 8 KiB-chunked stores
+// anchor every third save, so anchors' chunk bases and async jobs hold
+// buffers a later save would patch, and resizes change the lengths. After
+// every accepted save the manager's last payload must be EncodePayload's
+// bytes and its map a byte compare with the payload accepted before it; a
+// rejected one must fail as Validate does; the newest state must restore.
+func FuzzSaveMatchesEncode(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 0, 7, 8, 0, 9, 10})           // in-place moves only
+	f.Add([]byte{0, 1, 2, 1, 40, 0, 0, 5, 6, 2, 9, 9, 0, 1, 1, 1, 3, 3})  // resizes around a rejected NaN
+	f.Add([]byte{3, 0, 1, 0, 2, 3, 3, 0, 2, 4, 7, 7, 0, 0, 0, 4, 200, 9}) // loss history growth, optimizer rewrites
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 3*16)]
+		for _, opt := range []Options{
+			{Strategy: StrategyDelta, AnchorEvery: 3},
+			{Strategy: StrategyDelta, AnchorEvery: 3, Async: true},
+			{Strategy: StrategyDelta, AnchorEvery: 3, ChunkBytes: 8 << 10, Workers: 2},
+			{Strategy: StrategyDelta, AnchorEvery: 3, ChunkBytes: 8 << 10, Async: true},
+			{Strategy: StrategyFull, Async: true},
+		} {
+			opt.Backend = storage.NewMem()
+			m, err := NewManager(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewTrainingState()
+			s.Params = make([]float64, 3000)
+			for i := range s.Params {
+				s.Params[i] = float64(i)
+			}
+			s.Optimizer = bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1000)
+			var prev []byte // the payload accepted last
+			var saved *TrainingState
+			for k := 0; k+3 <= len(ops); k += 3 {
+				op, a, b := ops[k]%5, int(ops[k+1]), int(ops[k+2])
+				s.Step++
+				undo := func() {}
+				switch op {
+				case 0: // a few parameters moved in place
+					for j := 0; j <= b%8; j++ {
+						s.Params[(a*len(s.Params)/256+j*97)%len(s.Params)] += float64(b + 1)
+					}
+				case 1: // a resize, its new parameters over whatever the capacity held
+					n := 256 + 32*(a^b)
+					for len(s.Params) < n {
+						s.Params = append(s.Params, float64(len(s.Params)))
+					}
+					s.Params = s.Params[:n]
+				case 2: // a NaN the save must reject
+					i, v := a*len(s.Params)/256, s.Params[a*len(s.Params)/256]
+					s.Params[i] = math.NaN()
+					undo = func() { s.Params[i] = v }
+				case 3:
+					s.LossHistory = append(s.LossHistory, float64(a))
+				case 4:
+					for j := 0; j < b; j++ {
+						s.Optimizer[(a*37+j*53)%len(s.Optimizer)] ^= byte(j + 1)
+					}
+				}
+				want := s.Validate()
+				if _, err := m.Save(s); (err == nil) != (want == nil) {
+					t.Fatalf("op %d: Save says %v, Validate %v", k/3, err, want)
+				} else if err != nil {
+					undo()
+					continue
+				}
+				enc, _ := EncodePayload(s)
+				m.mu.Lock()
+				p := m.lastPayload
+				m.mu.Unlock()
+				if !bytes.Equal(p.b, enc) {
+					t.Fatalf("%+v op %d: the sealed payload is not EncodePayload's", opt, k/3)
+				}
+				if prev != nil && !slices.Equal(p.dirty.bits, diffMap(enc, prev, granuleBytes).bits) {
+					t.Fatalf("%+v op %d: the map is not a byte compare of the sealed payloads", opt, k/3)
+				}
+				prev, saved = enc, s.Clone()
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if saved != nil {
+				mustRestoreLatest(t, opt.Backend, saved)
+			}
+		}
+	})
+}
+
+// TestPinnedLaggingBufferIsWrittenWhole: a save patches the payload from
+// two saves back only while the manager holds it alone. Two holders pin it
+// here — the first anchor as its lineage's chunk base, and an async job a
+// gated backend keeps mid-commit — and the save that finds it pinned writes
+// every byte of a fresh buffer, where the same stream on a monolithic store
+// patches. Once the holder lets go the next save patches again, every
+// newest state restores, and Close gives back every pooled buffer.
+func TestPinnedLaggingBufferIsWrittenWhole(t *testing.T) {
+	out := pooledOut.Load()
+	gated := &gatedBackend{Backend: storage.NewMem(), arrived: make(chan string, 8), release: make(chan struct{})}
+	for _, tc := range []struct {
+		name  string
+		opt   Options
+		whole []bool // per save: written whole
+	}{
+		{"monolithic", Options{Backend: storage.NewMem(), Strategy: StrategyDelta}, []bool{true, true, false, false}},
+		{"anchor chunk base", Options{Backend: storage.NewMem(), Strategy: StrategyDelta, ChunkBytes: MinChunkBytes}, []bool{true, true, true, false}},
+		{"async job", Options{Backend: gated, Strategy: StrategyFull, Async: true}, []bool{true, true, true, false}},
+	} {
+		m, err := NewManager(tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewTrainingState()
+		s.Params = make([]float64, 4096)
+		for i, whole := range tc.whole {
+			if i == 3 && tc.opt.Async { // the job of save 0 commits
+				close(gated.release)
+				if err := m.Barrier(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Step++
+			s.Params[i*1000] = float64(i + 1)
+			before := m.Stats().copiedBytes
+			res, err := m.Save(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if copied := m.Stats().copiedBytes - before; (copied == int64(res.PayloadBytes)) != whole {
+				t.Errorf("%s: save %d copied %d of its %d payload bytes, want whole %v", tc.name, i, copied, res.PayloadBytes, whole)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mustRestoreLatest(t, tc.opt.Backend, s)
+	}
+	if now := pooledOut.Load(); now != out {
+		t.Errorf("%d pooled buffers still out after Close", now-out)
+	}
 }
