@@ -164,6 +164,8 @@ var gateRules = []struct {
 	{"get-ops/op", exact},
 	{"stat-ops/op", exact},
 	{"delete-ops/op", exact},
+	{"probed/op", exact}, {"chunks-fetched/op", exact}, // a restore's header probes and chunk reads
+	{"requests/op", exact}, {"wire-B/op", exact}, // a remote restore's HTTP requests and the bytes they moved
 }
 
 // compareDocs gates newDoc against oldDoc: every baseline benchmark must

@@ -316,6 +316,10 @@ func TestCompareGatesCountColumnsExactly(t *testing.T) {
 		{"BenchmarkRetentionPass/jobs=8", "get-ops/op", 0},
 		{"BenchmarkRetentionPass/jobs=8", "list-ops/op", 0},
 		{"BenchmarkRetentionPass/jobs=8", "stat-ops/op", 2},
+		{"BenchmarkRestoreChain", "probed/op", 16},
+		{"BenchmarkRestoreChain", "chunks-fetched/op", 329},
+		{"BenchmarkRestoreChainRemote", "requests/op", 305},
+		{"BenchmarkRestoreChainRemote", "wire-B/op", 2202690},
 	} {
 		row := func(v float64) BenchResult {
 			r := bench(tc.name, 1000, 47)

@@ -345,7 +345,7 @@ func cmdShow(dir, key string) error {
 
 // printLoadReport prints what a recovery skipped and where its time went
 // (core.LoadCost: stage times as the caller waited for them, and the
-// chunk, zero-piece, SHA-256 and conviction-walk counts behind them).
+// probe, chunk, zero-piece, SHA-256 and conviction-walk counts behind them).
 func printLoadReport(r core.LoadReport) {
 	for _, s := range r.Skipped {
 		fmt.Printf("skipped:  %s\n", s)
@@ -353,8 +353,8 @@ func printLoadReport(r core.LoadReport) {
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	fmt.Printf("stages:   index %v, fetch %v, apply %v, verify %v, decode %v\n",
 		us(r.Index), us(r.Fetch), us(r.Apply), us(r.Verify), us(r.Decode))
-	fmt.Printf("work:     %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed (files + the target's payload; chunks, anchor and links too on a conviction walk), %d conviction walk(s)\n",
-		r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed, r.ConvictionWalks)
+	fmt.Printf("work:     %d header(s) probed, %d chunk(s) fetched, %d zero piece(s) skipped, %d bytes hashed (files + the target's payload; chunks, anchor and links too on a conviction walk), %d conviction walk(s)\n",
+		r.HeadersProbed, r.ChunksFetched, r.ZeroPiecesSkipped, r.BytesHashed, r.ConvictionWalks)
 }
 
 // cmdRestore restores the newest recoverable state the way the recovery

@@ -515,10 +515,12 @@ func TestScannersAgree(t *testing.T) {
 	})
 
 	t.Run("recovery index", func(t *testing.T) {
-		bySeq, _, skipped, err := newSnapshotView(src, RestoreOptions{}).buildIndex()
+		v := newSnapshotView(src, RestoreOptions{})
+		bySeq, err := v.probeAll()
 		if err != nil {
 			t.Fatal(err)
 		}
+		skipped := v.skipped
 		var indexed []string
 		for i := len(bySeq) - 1; i >= 0; i-- { // the index is newest first
 			ent := bySeq[i]
@@ -535,15 +537,18 @@ func TestScannersAgree(t *testing.T) {
 		if !reflect.DeepEqual(all, wantKeys) {
 			t.Errorf("index ∪ skipped = %v, want the refs %v", all, wantKeys)
 		}
-		// Newest first: seq 6 is a CHUNKS1 manifest, seq 5 has no base, seq 3
-		// is the newest restorable.
+		// Newest first: seq 6 is a CHUNKS1 manifest, seq 5 has no base (the
+		// search for it passes the torn stub), seq 3 is the newest restorable.
 		got, report, err := LoadLatestBackendOptions(src, nil, RestoreOptions{})
 		if err != nil || !got.Equal(states[3]) || report.Seq != 3 || len(report.Skipped) != 3 {
-			t.Fatalf("restored seq %d (err %v), skipped %v; want seq 3 past the torn stub, the CHUNKS1 manifest and the baseless delta", report.Seq, err, report.Skipped)
+			t.Fatalf("restored seq %d (err %v), skipped %v; want seq 3 past the CHUNKS1 manifest, the torn stub and the baseless delta", report.Seq, err, report.Skipped)
 		}
 		const rejection = "bad chunk manifest header"
-		if why := report.Skipped[1]; !strings.HasPrefix(why, legacy) || !strings.Contains(why, rejection) {
+		if why := report.Skipped[0]; !strings.HasPrefix(why, legacy) || !strings.Contains(why, rejection) {
 			t.Errorf("skipped %q, want %s rejected for its manifest magic", why, legacy)
+		}
+		if report.Skipped[1] != torn || !strings.HasPrefix(report.Skipped[2], snapshotName(5, KindDelta)) {
+			t.Errorf("skipped %v, want the torn stub met while seq 5's base was sought, then seq 5", report.Skipped)
 		}
 		ok, problems, err := VerifyBackend(src)
 		named := false

@@ -861,12 +861,17 @@ func TestResolveDoesNotMutateTheCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := newSnapshotView(mem, RestoreOptions{Workers: 2})
-	bySeq, byHash, _, err := v.buildIndex()
+	bySeq, byHash, _, err := eagerIndex(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := byHash.chain(bySeq[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		got, chainLen, err := v.resolvePayload(bySeq[0], byHash)
+		got, err := v.resolvePayload(chain)
+		chainLen := len(chain)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -1113,29 +1118,36 @@ func TestLoadReportAttributesTheRestore(t *testing.T) {
 
 // BenchmarkRestoreChain is the sub-step restore in isolation: a 2 MiB state
 // in 8 KiB chunks on a Mem backend, one anchor and 15 delta links that each
-// dirtied 0.3 % of it. hashed-B/op is the restore's SHA-256 traffic — the
-// chain's snapshot files and the payload at the target: one state-sized
-// hash however long the chain.
+// dirtied 0.3 % of it, above an older chain of the same shape. hashed-B/op is
+// the restore's SHA-256 traffic — the chain's snapshot files and the payload
+// at the target: one state-sized hash however long the chain. probed/op is
+// the headers the recovery index read (the restored chain's 16, not the
+// store's 32) and chunks-fetched/op the chunk reads the walk issued.
 func BenchmarkRestoreChain(b *testing.B) {
 	const params, links, window = 256 << 10, 16, 768 // 2 MiB of float64; 768 params ≈ 0.3 %
-	states := sparseStates(13, params, links, window)
+	states := sparseStates(13, params, 2*links, window)
 	mem := saveChain(b, Options{AnchorEvery: links, ChunkBytes: 8 << 10, Workers: 2}, states)
 	opts := RestoreOptions{Workers: 2, Prefetch: 4}
 	b.SetBytes(8 * params)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var hashed int64
+	var probed, fetched int
 	for i := 0; i < b.N; i++ {
 		got, report, err := LoadLatestBackendOptions(mem, nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if report.ChainLen != links || got.Step != links-1 {
+		if report.ChainLen != links || got.Step != 2*links-1 {
 			b.Fatalf("restored step %d over a chain of %d", got.Step, report.ChainLen)
 		}
 		hashed += report.BytesHashed
+		probed += report.HeadersProbed
+		fetched += report.ChunksFetched
 	}
 	b.ReportMetric(float64(hashed)/float64(b.N), "hashed-B/op")
+	b.ReportMetric(float64(probed)/float64(b.N), "probed/op")
+	b.ReportMetric(float64(fetched)/float64(b.N), "chunks-fetched/op")
 }
 
 // BenchmarkRestoreFull is the full-step restore in isolation: one full

@@ -111,17 +111,25 @@ func TestFailedCleanWalkIsWalkedOnceMoreAndRemembered(t *testing.T) {
 
 		v := newSnapshotView(mem, RestoreOptions{Workers: 2})
 		v.manifests = make(map[string]*snapshotObject)
-		bySeq, byHash, _, err := v.buildIndex()
+		bySeq, byHash, _, err := eagerIndex(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, first := v.resolvePayload(bySeq[0], byHash)
+		resolve := func(ent indexEntry) error {
+			chain, err := byHash.chain(ent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = v.resolvePayload(chain)
+			return err
+		}
+		first := resolve(bySeq[0])
 		if !errors.Is(first, ErrCorrupt) || !strings.Contains(first.Error(), named) || v.cost.ConvictionWalks != 1 {
 			t.Fatalf("damage %d: newest snapshot: %v after %d conviction walks, want %q from the one walk", damage, first, v.cost.ConvictionWalks, named)
 		}
 		spent := v.cost
 		for _, ent := range bySeq[1:every] { // the rest of the chain on that anchor, and the anchor
-			if _, _, err := v.resolvePayload(ent, byHash); err != first {
+			if err := resolve(ent); err != first {
 				t.Errorf("damage %d: seq %d: %v, want the remembered verdict", damage, ent.h.Seq, err)
 			}
 		}
@@ -147,7 +155,7 @@ func TestFailedCleanWalkIsWalkedOnceMoreAndRemembered(t *testing.T) {
 }
 
 // probeLiar answers the header probe of one snapshot — the range read
-// buildIndex makes, which no hash covers — with another PayloadHash than the
+// the recovery index makes, which no hash covers — with another PayloadHash than the
 // object holds; a whole Get returns the object as stored.
 type probeLiar struct {
 	storage.Backend

@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -69,7 +70,7 @@ const granuleBytes = 4 << 10
 // and the leaf hash keeps an unmarked leaf's hash. The zero value is no
 // map, and every consumer then reads the bytes.
 type dirtyMap struct {
-	gran int // granule bytes; 0: no map
+	gran int // granule bytes, a power of two; 0: no map
 	base int // len(base)
 	bits []uint64
 }
@@ -80,8 +81,9 @@ func (d dirtyMap) clean(lo, hi int) bool {
 	if d.gran == 0 {
 		return false
 	}
-	for j := lo / d.gran; j*d.gran < hi; j++ {
-		if j/64 >= len(d.bits) || d.bits[j/64]&(1<<(j%64)) != 0 {
+	s := bits.TrailingZeros(uint(d.gran))
+	for j, end := uint(lo)>>s, uint(hi+d.gran-1)>>s; j < end; j = (j | 63) + 1 { // j's word, under a mask of the granules [j, end) in it
+		if j/64 >= uint(len(d.bits)) || d.bits[j/64]>>(j%64)&(1<<min(end-j, 64-j%64)-1) != 0 {
 			return false
 		}
 	}

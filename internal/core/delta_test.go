@@ -243,3 +243,49 @@ func sealFuzzState(blob []byte, e uint64) *TrainingState {
 	s.LossHistory = make([]float64, e>>60)
 	return s
 }
+
+// cleanBitLoop is dirtyMap.clean one granule at a time: the oracle of the
+// word-at-a-time test.
+func cleanBitLoop(d dirtyMap, lo, hi int) bool {
+	if d.gran == 0 {
+		return false
+	}
+	for j := lo / d.gran; j*d.gran < hi; j++ {
+		if j/64 >= len(d.bits) || d.bits[j/64]&(1<<(j%64)) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCleanMatchesBitLoop holds clean to the bit loop over random maps —
+// sparse, dense and empty words, granules of one byte to 4 KiB — and
+// ranges that start, end and run past the map at and between granule and
+// word boundaries.
+func TestCleanMatchesBitLoop(t *testing.T) {
+	r := rng.New(42)
+	for i := 0; i < 20000; i++ {
+		d := dirtyMap{gran: 1 << (r.Uint64() % 13), bits: make([]uint64, r.Uint64()%5)}
+		for w := range d.bits {
+			switch r.Uint64() % 3 {
+			case 0: // clean
+			case 1:
+				d.bits[w] = 1 << (r.Uint64() % 64)
+			default:
+				d.bits[w] = r.Uint64()
+			}
+		}
+		span := (64*len(d.bits) + 2) * d.gran
+		lo := int(r.Uint64() % uint64(span))
+		hi := lo + int(r.Uint64()%uint64(span-lo+1))
+		if i%4 == 0 { // on granule boundaries
+			lo, hi = lo/d.gran*d.gran, hi/d.gran*d.gran
+		}
+		if got, want := d.clean(lo, hi), cleanBitLoop(d, lo, hi); got != want {
+			t.Fatalf("gran %d, %d words %x: clean(%d, %d) = %v, the bit loop says %v", d.gran, len(d.bits), d.bits, lo, hi, got, want)
+		}
+	}
+	if (dirtyMap{}).clean(0, 1) {
+		t.Error("no map reads as clean")
+	}
+}

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,7 +24,7 @@ type LoadReport struct {
 	Seq      uint64
 	Step     uint64
 	ChainLen int      // snapshots read to reconstruct (1 for a full)
-	Skipped  []string // corrupt or unresolvable candidates, newest first
+	Skipped  []string // in the order recovery met them: failed candidates ("<name>: <error>") and keys of headers a candidate or a chain needed that would not parse
 	LoadCost          // summed over every candidate tried, skipped ones included
 }
 
@@ -36,19 +33,20 @@ type LoadReport struct {
 // chunks a helper fetched or the chain prefetcher warmed show up only as a
 // shorter Fetch, and waiting for either is Fetch.
 type LoadCost struct {
-	Index  time.Duration // listing snapshots and parsing their headers
+	Index  time.Duration // listing snapshots and probing their headers
 	Fetch  time.Duration // getting snapshot objects and chunks: read, file hash, unframe, waits on helpers and warmers; chunk address checks on a conviction walk
 	Apply  time.Duration // copying anchor pieces and XORing delta pieces into the payload
 	Verify time.Duration // SHA-256 of the payload at the target; at the anchor and after every link too on a conviction walk
 	Decode time.Duration // DecodePayload, the Meta compatibility check and the payload's release
 
+	HeadersProbed     int   // snapshot headers range-read, each once: the candidates tried and the refs their chains passed
 	ChunksFetched     int   // chunk reads issued, one per distinct address per snapshot
 	ZeroPiecesSkipped int   // all-zero delta pieces that cost no XOR
 	BytesHashed       int64 // bytes fed to SHA-256: snapshot files and the target's payload (its leaves and the root's 8 + 32·leaves input); on a conviction walk chunk frames, the anchor and every link too
 	ConvictionWalks   int   // chains walked a second time, every check on, to name the chunk or link that is wrong
 }
 
-// indexEntry caches one snapshot object's header for chain resolution.
+// indexEntry is one snapshot object beside its probed header.
 type indexEntry struct {
 	snapshotRef
 	h Header
@@ -88,6 +86,9 @@ type snapshotView struct {
 	cost      LoadCost
 	convicted map[string]error
 	unchecked bool
+	refs      []snapshotRef // the recovery index (listIndex): the store's snapshots, oldest first,
+	headers   []*Header     // … refs[i]'s once probed (entry), a zero Header if it did not parse,
+	skipped   []string      // … and what recovery passed over, in the order it met it
 	mu        sync.Mutex
 	manifests map[string]*snapshotObject
 }
@@ -251,68 +252,71 @@ func (v *snapshotView) applyVerified(ent indexEntry, payload *refBuf) error {
 	return nil
 }
 
-// baseIndex is the index sorted by payload hash, a payload's holders oldest first.
-type baseIndex []indexEntry
-
-// baseOf returns the snapshot the delta at ent was recorded against: the
-// newest one older than ent that holds its base payload. A state saved twice
-// gives several snapshots one payload hash; looking only below ent makes
-// sequence numbers fall along a chain, so every chain ends and none loops.
-func (ix baseIndex) baseOf(ent indexEntry) (indexEntry, error) {
-	i := sort.Search(len(ix), func(i int) bool {
-		return cmp.Or(bytes.Compare(ix[i].h.PayloadHash[:], ent.h.BaseHash[:]), cmp.Compare(ix[i].seq, ent.seq)) >= 0
-	}) // where ent would stand among the holders of its base: right after the one wanted
-	if i == 0 || ix[i-1].h.PayloadHash != ent.h.BaseHash {
-		return indexEntry{}, fmt.Errorf("%w: delta base %x… missing", ErrCorrupt, string(ent.h.BaseHash[:6])) // a copy: ent stays on the stack
+// listIndex lists the store's snapshots into the view's index, probing none.
+func (v *snapshotView) listIndex() (err error) {
+	if v.refs, err = listSnapshots(v.b); err != nil {
+		return fmt.Errorf("core: list checkpoints: %w", err)
 	}
-	return ix[i-1], nil
+	v.headers = make([]*Header, len(v.refs))
+	v.lap(&v.cost.Index)
+	return nil
 }
 
-// buildIndex parses the header of every snapshot object in the backend.
-// Objects whose header cannot be parsed are reported in skipped but do not
-// abort the scan.
-func (v *snapshotView) buildIndex() (bySeq []indexEntry, byPayloadHash baseIndex, skipped []string, err error) {
-	refs, err := listSnapshots(v.b)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: list checkpoints: %w", err)
-	}
-	bySeq = make([]indexEntry, 0, len(refs))
-	for _, ref := range refs {
-		h, err := probeHeader(v.b, ref.key)
-		if err != nil {
-			skipped = append(skipped, ref.key)
-			continue
+// entry returns refs[i] beside its header, probed on first use and then
+// remembered (DESIGN.md §8); ok is false for a header that would not parse.
+func (v *snapshotView) entry(i int) (ent indexEntry, ok bool) {
+	if v.headers[i] == nil {
+		h, err := probeHeader(v.b, v.refs[i].key)
+		if v.cost.HeadersProbed++; err != nil {
+			h, v.skipped = Header{}, append(v.skipped, v.refs[i].key)
 		}
-		bySeq = append(bySeq, indexEntry{ref, h})
+		v.headers[i] = &h
+		v.lap(&v.cost.Index)
 	}
-	byPayloadHash = slices.Clone(bySeq) // refs come oldest first, and the sort is stable
-	slices.SortStableFunc(byPayloadHash, func(a, b indexEntry) int { return bytes.Compare(a.h.PayloadHash[:], b.h.PayloadHash[:]) })
-	sort.Slice(bySeq, func(i, j int) bool { return bySeq[i].h.Seq > bySeq[j].h.Seq })
-	return bySeq, byPayloadHash, skipped, nil
+	return indexEntry{v.refs[i], *v.headers[i]}, v.headers[i].Kind != 0 // a parsed Kind is valid, never 0
+}
+
+// probeAll lists and probes every snapshot: the parsed ones, newest first.
+func (v *snapshotView) probeAll() ([]indexEntry, error) {
+	err := v.listIndex()
+	ents := make([]indexEntry, 0, len(v.refs))
+	for i := len(v.refs) - 1; i >= 0; i-- {
+		if ent, ok := v.entry(i); ok {
+			ents = append(ents, ent)
+		}
+	}
+	return ents, err
+}
+
+// baseOf returns the snapshot the delta at ent was recorded against: the
+// newest one older than ent that holds its base payload, probing the refs
+// below ent newest first. A state saved twice gives several snapshots one
+// payload hash; looking only below ent makes sequence numbers fall along a
+// chain, so every chain ends and none loops.
+func (v *snapshotView) baseOf(ent indexEntry) (indexEntry, error) {
+	for i := sort.Search(len(v.refs), func(i int) bool { return v.refs[i].seq >= ent.seq }) - 1; i >= 0; i-- {
+		if base, ok := v.entry(i); ok && base.h.PayloadHash == ent.h.BaseHash {
+			return base, nil
+		}
+	}
+	return indexEntry{}, fmt.Errorf("%w: delta base %x… missing", ErrCorrupt, string(ent.h.BaseHash[:6])) // a copy: ent stays on the stack
 }
 
 // verifyEveryLink makes every walk run every check, as a conviction walk
 // does. Only the equivalence fuzzer of chain_restore_test.go sets it.
 var verifyEveryLink bool
 
-// resolvePayload reconstructs the canonical payload of the snapshot at ent
-// with one payload-sized hash, the target's (walk): a wrong chunk, anchor or
-// link below it can only yield a payload that misses that hash, or garbage
-// that a later step refuses on a length (DESIGN.md §4). A failed walk says
-// the chain is unusable, not where, so it is walked once more with every
-// check on, and that walk's verdict, naming the first wrong chunk or link, is
-// reported and remembered: candidates built on it get it before any I/O.
-func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload *refBuf, chainLen int, err error) {
-	// Walk back collecting the chain: ent, base(ent), base(base(ent)), …
-	chain := []indexEntry{ent}
-	for cur := ent; cur.h.Kind.Base() == KindDelta; chain = append(chain, cur) {
-		if cur, err = ix.baseOf(cur); err != nil {
-			return nil, 0, err
-		}
-	}
+// resolvePayload reconstructs the canonical payload of chain[0] with one
+// payload-sized hash, the target's (walk): a wrong chunk, anchor or link
+// below it can only yield a payload that misses that hash, or garbage that a
+// later step refuses on a length (DESIGN.md §4). A failed walk says the chain
+// is unusable, not where, so it is walked once more with every check on, and
+// that walk's verdict, naming the first wrong chunk or link, is reported and
+// remembered: candidates built on it get it before any I/O.
+func (v *snapshotView) resolvePayload(chain []indexEntry) (*refBuf, error) {
 	for _, link := range chain {
 		if err := v.convicted[link.key]; err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	payload, at, err := v.walk(chain, verifyEveryLink)
@@ -322,7 +326,7 @@ func (v *snapshotView) resolvePayload(ent indexEntry, ix baseIndex) (payload *re
 			v.convicted[chain[at].key] = err
 		}
 	}
-	return payload, len(chain), err
+	return payload, err
 }
 
 // walk assembles the anchor of chain (target first, anchor last) into a
@@ -390,33 +394,35 @@ func DirBackend(dir string) (storage.Backend, error) {
 func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
 	v := newSnapshotView(b, opts)
 	v.manifests = make(map[string]*snapshotObject)
-	bySeq, byHash, skipped, err := v.buildIndex()
-	if err != nil {
+	if err := v.listIndex(); err != nil {
 		return nil, LoadReport{}, err
 	}
-	v.lap(&v.cost.Index)
-	report := LoadReport{Skipped: skipped}
-	for _, ent := range bySeq {
-		state, chainLen, err := v.restore(ent, byHash, live)
-		if err != nil {
-			report.Skipped = append(report.Skipped, fmt.Sprintf("%s: %v", path.Base(ent.key), err))
+	for i := len(v.refs) - 1; i >= 0; i-- { // newest first
+		ent, ok := v.entry(i)
+		if !ok {
 			continue
 		}
-		report.Path = ent.key
-		report.Seq = ent.h.Seq
-		report.Step = ent.h.Step
-		report.ChainLen = chainLen
-		report.LoadCost = v.cost
-		return state, report, nil
+		state, chainLen, err := v.restore(ent, live)
+		if err != nil {
+			v.skipped = append(v.skipped, fmt.Sprintf("%s: %v", path.Base(ent.key), err))
+			continue
+		}
+		return state, LoadReport{Path: ent.key, Seq: ent.h.Seq, Step: ent.h.Step, ChainLen: chainLen, Skipped: v.skipped, LoadCost: v.cost}, nil
 	}
-	report.LoadCost = v.cost
-	return nil, report, ErrNoCheckpoint
+	return nil, LoadReport{Skipped: v.skipped, LoadCost: v.cost}, ErrNoCheckpoint
 }
 
 // restore resolves and decodes the snapshot at ent, refusing a state whose
 // Meta is incompatible with *live (when live is non-nil).
-func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*TrainingState, int, error) {
-	payload, chainLen, err := v.resolvePayload(ent, byHash)
+func (v *snapshotView) restore(ent indexEntry, live *Meta) (*TrainingState, int, error) {
+	var err error
+	chain := []indexEntry{ent} // ent, base(ent), base(base(ent)), … to the anchor
+	for cur := ent; cur.h.Kind.Base() == KindDelta; chain = append(chain, cur) {
+		if cur, err = v.baseOf(cur); err != nil {
+			return nil, 0, err
+		}
+	}
+	payload, err := v.resolvePayload(chain)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -431,7 +437,7 @@ func (v *snapshotView) restore(ent indexEntry, byHash baseIndex, live *Meta) (*T
 			return nil, 0, err
 		}
 	}
-	return state, chainLen, nil
+	return state, len(chain), nil
 }
 
 // Snapshot is one snapshot object as InspectSnapshot found it. The chunk
@@ -484,29 +490,21 @@ func InspectSnapshot(b storage.Backend, key string) (Snapshot, error) {
 // link is named and it and every snapshot built on it are reported.
 func VerifyBackend(b storage.Backend) (ok int, problems []string, err error) {
 	v := newSnapshotView(b, RestoreOptions{})
-	bySeq, byHash, skipped, err := v.buildIndex()
+	bySeq, err := v.probeAll()
 	if err != nil {
 		return 0, nil, err
 	}
 	w := chainVerifier{v: v, children: make(map[string][]indexEntry), verdict: make(map[string]error, len(bySeq))}
-	var anchors, orphans []indexEntry
-	for _, ent := range bySeq {
+	for _, ent := range bySeq { // newest first, so every delta recorded against ent is placed by now
 		if ent.h.Kind.Base() != KindDelta {
-			anchors = append(anchors, ent)
-		} else if base, err := byHash.baseOf(ent); err == nil {
+			w.anchor(ent)
+		} else if base, err := v.baseOf(ent); err == nil {
 			w.children[base.key] = append(w.children[base.key], ent)
 		} else {
-			w.verdict[ent.key] = err
-			orphans = append(orphans, ent)
+			w.fail(ent, err)
 		}
 	}
-	for _, ent := range anchors {
-		w.anchor(ent)
-	}
-	for _, ent := range orphans { // now that the forest stands: everything built on them too
-		w.fail(ent, w.verdict[ent.key])
-	}
-	problems = append(problems, skipped...)
+	problems = append(problems, v.skipped...)
 	for _, ent := range bySeq { // baseOf descends, so every snapshot hangs off an anchor or an orphan
 		if verr := w.verdict[ent.key]; verr != nil {
 			problems = append(problems, fmt.Sprintf("%s: %v", path.Base(ent.key), verr))
@@ -594,14 +592,11 @@ func (w *chainVerifier) link(ent indexEntry, payload *refBuf) bool {
 
 // ListSnapshotsBackend returns headers of all parseable snapshots in b,
 // newest first.
-func ListSnapshotsBackend(b storage.Backend) ([]Header, []string, error) {
-	bySeq, _, skipped, err := newSnapshotView(b, RestoreOptions{}).buildIndex()
-	if err != nil {
-		return nil, nil, err
+func ListSnapshotsBackend(b storage.Backend) (hs []Header, skipped []string, err error) {
+	v := newSnapshotView(b, RestoreOptions{})
+	ents, err := v.probeAll() // none when the listing failed
+	for _, e := range ents {
+		hs = append(hs, e.h)
 	}
-	hs := make([]Header, len(bySeq))
-	for i, e := range bySeq {
-		hs[i] = e.h
-	}
-	return hs, skipped, nil
+	return hs, v.skipped, err
 }

@@ -303,8 +303,9 @@ func (cs *ChunkStore) List() ([]string, error) {
 // check as skip. An address with no chunk behind it is an ordinary input
 // and counts for nothing: removed, reclaimed and onRemoved (nil-able; the
 // engine credits the tenant charged for the chunk) cover only what this
-// sweep deleted.
-func (cs *ChunkStore) Sweep(addrs []string, skip func(addr string) bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
+// sweep deleted. Only a sized sweep Stats a chunk before deleting it, which
+// is what reclaimed and onRemoved's size count; an unsized one reads 0.
+func (cs *ChunkStore) Sweep(addrs []string, skip func(addr string) bool, sized bool, onRemoved func(addr string, size int64)) (removed int, reclaimed int64, err error) {
 	for _, addr := range addrs {
 		if skip != nil && skip(addr) {
 			continue
@@ -313,10 +314,11 @@ func (cs *ChunkStore) Sweep(addrs []string, skip func(addr string) bool, onRemov
 		if kerr != nil {
 			continue
 		}
-		info, derr := cs.b.Stat(key)
-		if !errors.Is(derr, ErrNotFound) {
-			derr = cs.b.Delete(key)
+		var info ObjectInfo
+		if sized {
+			info, _ = cs.b.Stat(key)
 		}
+		derr := cs.b.Delete(key)
 		cs.unmarkVerified(addr)
 		if errors.Is(derr, ErrNotFound) {
 			continue // gone before this sweep got to it

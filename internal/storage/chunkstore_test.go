@@ -219,7 +219,7 @@ func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 	}
 	// A live skip predicate excuses a listed orphan (the engine passes its
 	// pin table here)…
-	removed, _, err := cs.Sweep(inventory, func(addr string) bool { return addr == old }, nil)
+	removed, _, err := cs.Sweep(inventory, func(addr string) bool { return addr == old }, true, nil)
 	if err != nil || removed != 0 {
 		t.Fatalf("skipped sweep: removed=%d err=%v, want 0", removed, err)
 	}
@@ -227,7 +227,7 @@ func TestChunkStoreSweepHonorsInventory(t *testing.T) {
 		t.Fatalf("skip predicate ignored")
 	}
 	// …and without it the listed orphan goes while later ingests survive.
-	removed, _, err = cs.Sweep(inventory, nil, nil)
+	removed, _, err = cs.Sweep(inventory, nil, true, nil)
 	if err != nil || removed != 1 {
 		t.Fatalf("sweep: removed=%d err=%v, want 1", removed, err)
 	}
@@ -255,11 +255,11 @@ func TestSweepCountsOnlyWhatItDeleted(t *testing.T) {
 	if _, err := cs.Ingest(gone, []byte("swept by an earlier pass"), ClassDefault); err != nil {
 		t.Fatal(err)
 	}
-	if removed, _, err := cs.Sweep([]string{gone}, nil, nil); err != nil || removed != 1 {
+	if removed, _, err := cs.Sweep([]string{gone}, nil, true, nil); err != nil || removed != 1 {
 		t.Fatalf("first sweep: removed=%d err=%v", removed, err)
 	}
 	var credited []string
-	removed, reclaimed, err := cs.Sweep([]string{gone, never, there, "not an address"}, nil, func(addr string, size int64) {
+	removed, reclaimed, err := cs.Sweep([]string{gone, never, there, "not an address"}, nil, true, func(addr string, size int64) {
 		credited = append(credited, addr)
 		if size != int64(len(data)) {
 			t.Errorf("onRemoved(%.8s…) size %d, want %d", addr, size, len(data))
@@ -274,6 +274,51 @@ func TestSweepCountsOnlyWhatItDeleted(t *testing.T) {
 	// Re-ingesting a swept address must write: the verified mark went with it.
 	if n, err := cs.Ingest(there, data, ClassDefault); err != nil || n != len(data) {
 		t.Errorf("re-ingest after the sweep wrote %d bytes (err %v), want %d", n, err, len(data))
+	}
+}
+
+// statCounter counts the Stats that reach its backend.
+type statCounter struct {
+	Backend
+	stats int
+}
+
+func (c *statCounter) Stat(key string) (ObjectInfo, error) {
+	c.stats++
+	return c.Backend.Stat(key)
+}
+
+// TestUnsizedSweepMakesNoStat: an unsized sweep (a retention pass's)
+// deletes and counts what a sized one would — not an absent address, not
+// one skip excuses — with no Stat at all, and hands onRemoved size 0.
+func TestUnsizedSweepMakesNoStat(t *testing.T) {
+	ctr := &statCounter{Backend: NewMem()}
+	cs := NewChunkStore(ctr)
+	var addrs []string
+	for _, data := range []string{"dropped", "kept", "dropped too"} {
+		addr, err := cs.Put([]byte(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, addr)
+	}
+	kept, never := addrs[1], Hash([]byte("never written"))
+	ctr.stats = 0
+	var credited []string
+	removed, reclaimed, err := cs.Sweep(append(addrs, never, "not an address"), func(addr string) bool { return addr == kept }, false, func(addr string, size int64) {
+		credited = append(credited, addr)
+		if size != 0 {
+			t.Errorf("onRemoved(%.8s…) size %d, want 0", addr, size)
+		}
+	})
+	if err != nil || removed != 2 || reclaimed != 0 || ctr.stats != 0 {
+		t.Errorf("unsized sweep: removed=%d reclaimed=%d err=%v after %d Stats, want 2, 0 and none", removed, reclaimed, err, ctr.stats)
+	}
+	if len(credited) != 2 || credited[0] != addrs[0] || credited[1] != addrs[2] {
+		t.Errorf("onRemoved saw %v, want the two chunks the sweep deleted", credited)
+	}
+	if left, err := cs.List(); err != nil || len(left) != 1 || left[0] != kept {
+		t.Errorf("chunks left %v (err %v), want only the excused one", left, err)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestChunkStoreGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed, reclaimed, err := cs.Sweep(addrs, func(addr string) bool { return addr == keepAddr }, nil)
+	removed, reclaimed, err := cs.Sweep(addrs, func(addr string) bool { return addr == keepAddr }, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,7 +361,7 @@ func testChunkStore(t *testing.T, b storage.Backend) {
 	if err != nil || len(addrs) != 1 {
 		t.Errorf("List = %v, %v", addrs, err)
 	}
-	if removed, _, err := cs.Sweep(addrs, nil, nil); err != nil || removed != 1 {
+	if removed, _, err := cs.Sweep(addrs, nil, true, nil); err != nil || removed != 1 {
 		t.Errorf("Sweep removed %d, err %v", removed, err)
 	}
 	if cs.Has(addr) {
