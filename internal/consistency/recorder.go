@@ -3,11 +3,10 @@
 // k-atomicity-verification problem: a replicated register is k-atomic
 // when every read returns one of the k most recent completed writes
 // under some serialization that respects real-time order. The harness
-// wraps a replicated backend in a Recorder (a storage.Forward wrapper: it
-// intercepts Put, Get and Delete and passes the rest on, every declared
-// capability handle its own), runs concurrent writers and
-// readers against one manifest key while replicas crash and recover, and
-// then asks the verifier for the smallest k the recorded history admits
+// wraps a replicated backend in a Recorder (a storage.Observe hook that
+// logs Put, Get and Delete; every declared capability handle is the
+// recorder's own), runs concurrent writers and readers against one
+// manifest key while replicas crash and recover, and then asks the verifier for the smallest k the recorded history admits
 // — an online consistency audit instead of a hopeful claim.
 package consistency
 
@@ -67,12 +66,12 @@ type Op struct {
 type History []Op
 
 // Recorder wraps a Backend and logs Put/Get/Delete invocations on the
-// audited keys (all keys when none are given). Everything else — List,
-// Stat, ranged and batch reads, ingests — passes through storage.Forward
+// audited keys (all keys when none are given), from its storage.Hook.
+// Everything else — List, Stat, ranged reads, ingests — passes through
 // unrecorded; the audit targets the mutable manifest plane, which reads
 // whole objects.
 type Recorder struct {
-	storage.Forward
+	*storage.Observed
 	clock atomic.Int64
 	keys  map[string]bool
 
@@ -82,7 +81,8 @@ type Recorder struct {
 
 // NewRecorder wraps base, auditing only the given keys (all when empty).
 func NewRecorder(base storage.Backend, keys ...string) *Recorder {
-	r := &Recorder{Forward: storage.Forward{Backend: base}}
+	r := &Recorder{}
+	r.Observed = storage.Observe(base, r.observe)
 	if len(keys) > 0 {
 		r.keys = make(map[string]bool, len(keys))
 		for _, k := range keys {
@@ -99,70 +99,40 @@ func (r *Recorder) History() History {
 	return append(History(nil), r.ops...)
 }
 
-func (r *Recorder) audited(key string) bool {
-	return r.keys == nil || r.keys[key]
-}
-
-func (r *Recorder) record(op Op) {
-	r.mu.Lock()
-	r.ops = append(r.ops, op)
-	r.mu.Unlock()
-}
-
-// Name implements Backend.
-func (r *Recorder) Name() string { return "recorded+" + r.Backend.Name() }
-
 // Caps implements CapsReporter: every handle is the recorder, so a
 // tagged manifest commit lands in the history like a plain one.
 func (r *Recorder) Caps() storage.CapSet { return storage.ForwardCaps(r, r.Backend) }
 
-// Put implements Backend.
-func (r *Recorder) Put(key string, data []byte) error {
-	return r.PutClass(key, data, storage.ClassDefault)
-}
+// recorded maps the storage operations the audit logs to their kinds.
+var recorded = map[storage.OpKind]OpKind{storage.OpPut: OpPut, storage.OpGet: OpGet, storage.OpDelete: OpDelete}
 
-// PutClass implements ClassWriter.
-func (r *Recorder) PutClass(key string, data []byte, class storage.WriteClass) error {
-	if !r.audited(key) {
-		return storage.PutClass(r.Backend, key, data, class)
+// observe is the Recorder's Hook. The before-call of an audited op draws
+// its invocation stamp, which comes back in the after-call as the op's
+// Start: a response is paired with its own invocation, however many ops on
+// the key overlap.
+func (r *Recorder) observe(op storage.Op) (int64, error) {
+	kind, ok := recorded[op.Kind]
+	if !ok || r.keys != nil && !r.keys[op.Key] {
+		return 0, nil
 	}
-	op := Op{Kind: OpPut, Key: key, Value: storage.Hash(data), Start: r.clock.Add(1)}
-	err := storage.PutClass(r.Backend, key, data, class)
-	op.End = r.clock.Add(1)
-	op.Err = err != nil
-	r.record(op)
-	return err
-}
-
-// Get implements Backend.
-func (r *Recorder) Get(key string) ([]byte, error) {
-	if !r.audited(key) {
-		return r.Backend.Get(key)
+	if !op.After {
+		return r.clock.Add(1), nil
 	}
-	op := Op{Kind: OpGet, Key: key, Start: r.clock.Add(1)}
-	data, err := r.Backend.Get(key)
-	op.End = r.clock.Add(1)
+	rec := Op{Kind: kind, Key: op.Key, Start: op.Stamp, End: r.clock.Add(1)}
 	switch {
-	case err == nil:
-		op.Value = storage.Hash(data)
-	case errors.Is(err, storage.ErrNotFound):
-		op.NotFound = true
+	case kind == OpPut:
+		rec.Value, rec.Err = storage.Hash(op.Data), op.Err != nil
+	case kind == OpDelete:
+		rec.Err = op.Err != nil && !errors.Is(op.Err, storage.ErrNotFound)
+	case op.Err == nil:
+		rec.Value = storage.Hash(op.Data)
+	case errors.Is(op.Err, storage.ErrNotFound):
+		rec.NotFound = true
 	default:
-		op.Err = true
+		rec.Err = true
 	}
-	r.record(op)
-	return data, err
-}
-
-// Delete implements Backend.
-func (r *Recorder) Delete(key string) error {
-	if !r.audited(key) {
-		return r.Backend.Delete(key)
-	}
-	op := Op{Kind: OpDelete, Key: key, Start: r.clock.Add(1)}
-	err := r.Backend.Delete(key)
-	op.End = r.clock.Add(1)
-	op.Err = err != nil && !errors.Is(err, storage.ErrNotFound)
-	r.record(op)
-	return err
+	r.mu.Lock()
+	r.ops = append(r.ops, rec)
+	r.mu.Unlock()
+	return 0, nil
 }

@@ -76,34 +76,28 @@ func FuzzParseSnapshotName(f *testing.F) {
 	})
 }
 
-// hookedBackend injects the faults the scanners must agree on how to treat
+// faults are the ones the scanners must agree on how to treat
 // (errInjected is incremental_test.go's).
-type hookedBackend struct {
-	storage.Backend
+type faults struct {
 	listErrs int                    // fail this many Lists, then pass through
 	getErr   func(key string) error // a non-nil result fails the Get of key
 	listed   func(prefix string)    // runs after every successful List, before it returns
 }
 
-func (h *hookedBackend) List(prefix string) ([]string, error) {
-	if h.listErrs > 0 {
-		h.listErrs--
-		return nil, errInjected
-	}
-	keys, err := h.Backend.List(prefix)
-	if err == nil && h.listed != nil {
-		h.listed(prefix)
-	}
-	return keys, err
-}
-
-func (h *hookedBackend) Get(key string) ([]byte, error) {
-	if h.getErr != nil {
-		if err := h.getErr(key); err != nil {
-			return nil, err
+// hooked observes b with f's faults.
+func hooked(b storage.Backend, f faults) storage.Backend {
+	return storage.Observe(b, func(op storage.Op) (int64, error) {
+		switch {
+		case op.Kind == storage.OpList && !op.After && f.listErrs > 0:
+			f.listErrs--
+			return 0, errInjected
+		case op.Kind == storage.OpList && op.After && op.Err == nil && f.listed != nil:
+			f.listed(op.Key)
+		case op.Kind == storage.OpGet && !op.After && f.getErr != nil:
+			return 0, f.getErr(op.Key)
 		}
-	}
-	return h.Backend.Get(key)
+		return 0, nil
+	})
 }
 
 // keepSet flattens a reference scan into the addresses it names.
@@ -204,7 +198,7 @@ func TestListSnapshotsOrderAndNextSeq(t *testing.T) {
 	if got := mustNextSeq(t, refs); got != 1000000000001 {
 		t.Errorf("nextSeq = %d, want 1000000000001", got)
 	}
-	if _, err := listSnapshots(&hookedBackend{Backend: mem, listErrs: 1}); !errors.Is(err, errInjected) {
+	if _, err := listSnapshots(hooked(mem, faults{listErrs: 1})); !errors.Is(err, errInjected) {
 		t.Errorf("listSnapshots swallowed the backend's error: %v", err)
 	}
 	// The last sequence number has no successor: wrapping to 0 would restart
@@ -289,7 +283,7 @@ func TestManifestAddrs(t *testing.T) {
 	// A monolithic snapshot is recognised on the header probe: its body is
 	// never fetched. (Mem has no ranged read, so the probe is the one Get.)
 	gets := 0
-	counting := &hookedBackend{Backend: mem, getErr: func(string) error { gets++; return nil }}
+	counting := hooked(mem, faults{getErr: func(string) error { gets++; return nil }})
 	if got, err := manifestAddrs(counting, mono); err != nil || got != nil || gets != 1 {
 		t.Errorf("monolithic: manifestAddrs = %v, %v after %d reads; want nothing after the probe alone", got, err, gets)
 	}
@@ -316,7 +310,7 @@ func TestManifestAddrs(t *testing.T) {
 	if _, err := manifestAddrs(mem, snapshotName(99, KindFull)); !errors.Is(err, storage.ErrNotFound) {
 		t.Errorf("missing key: err %v, want ErrNotFound", err)
 	}
-	failing := &hookedBackend{Backend: mem, getErr: func(string) error { return errInjected }}
+	failing := hooked(mem, faults{getErr: func(string) error { return errInjected }})
 	if _, err := manifestAddrs(failing, chunked["CHUNKS2"]); !errors.Is(err, errInjected) {
 		t.Errorf("failed read: err %v, want the backend's", err)
 	}
@@ -331,7 +325,7 @@ func TestNewManagerFailsOnListError(t *testing.T) {
 	if err := mem.Put(snapshotName(12, KindFull), []byte("a predecessor's snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	flaky := &hookedBackend{Backend: mem, listErrs: 1}
+	flaky := hooked(mem, faults{listErrs: 1})
 	if m, err := NewManager(Options{Backend: flaky}); err == nil {
 		res, _ := m.Save(sampleState())
 		m.Close()
@@ -348,7 +342,7 @@ func TestNewManagerFailsOnListError(t *testing.T) {
 		t.Fatalf("first save after a clean open: seq %d, err %v; want seq 13", res.Seq, err)
 	}
 
-	svc, err := NewService(ServiceOptions{Backend: &hookedBackend{Backend: storage.NewMem(), listErrs: 1}})
+	svc, err := NewService(ServiceOptions{Backend: hooked(storage.NewMem(), faults{listErrs: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,18 +491,18 @@ func TestScannersAgree(t *testing.T) {
 			}
 		}
 		store := copyBackend(t, src)
-		got, err := chunkReferences(&hookedBackend{Backend: store, listed: func(string) { store.Delete(vanishing) }})
+		got, err := chunkReferences(hooked(store, faults{listed: func(string) { store.Delete(vanishing) }}))
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("keep-set has %d addresses (err %v), want the %d the surviving refs name", len(got), err, len(want))
 		}
 		// Any other failed read aborts the scan: nothing may be swept on a
 		// keep-set that could be missing live references.
-		unreadable := &hookedBackend{Backend: src, getErr: func(key string) error {
+		unreadable := hooked(src, faults{getErr: func(key string) error {
 			if key == chains[1][0].key {
 				return errInjected
 			}
 			return nil
-		}}
+		}})
 		if _, err := chunkReferences(unreadable); !errors.Is(err, errInjected) {
 			t.Errorf("keep-set scan over an unreadable manifest: err %v, want it to abort", err)
 		}
@@ -654,12 +648,12 @@ func TestScannersAgree(t *testing.T) {
 		// A kept chain whose manifest cannot be read would silently drop out
 		// of the reference set and its chunks would be demoted under it.
 		levels := memTiers("hot", "cold")
-		levels[0].Backend = &hookedBackend{Backend: copyBackend(t, src), getErr: func(key string) error {
+		levels[0].Backend = hooked(copyBackend(t, src), faults{getErr: func(key string) error {
 			if key == chains[1][0].key {
 				return errInjected
 			}
 			return nil
-		}}
+		}})
 		tb, err := storage.NewTiered(levels...)
 		if err != nil {
 			t.Fatal(err)

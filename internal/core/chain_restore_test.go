@@ -923,12 +923,12 @@ func sparseStates(seed uint64, params, n, window int) []*TrainingState {
 	return out
 }
 
-// sharedReadGate counts every Get that reaches the store beneath a restore
-// and parks the first read of one chunk, held, until the read of another
-// delta link's chunk arrives behind it. Only the embedded interface and
-// GetRange are visible, so every full read of an object is one Get.
+// sharedReadGate is a Hook that counts every Get that reaches the store
+// beneath a restore and parks the first read of one chunk, held, until
+// the read of another delta link's chunk arrives behind it. It observes
+// a Tier over the Mem, which serves ranged reads natively, so a header
+// probe is an OpGetRange and every full read of an object is one Get.
 type sharedReadGate struct {
-	storage.Backend
 	held        string          // key of the chunk every delta link names
 	deltaChunks map[string]bool // keys of the chunks delta links name
 
@@ -939,17 +939,16 @@ type sharedReadGate struct {
 	timedOut bool
 }
 
-func (g *sharedReadGate) GetRange(key string, off, n int64) ([]byte, error) {
-	return storage.GetRange(g.Backend, key, off, n)
-}
-
-func (g *sharedReadGate) Get(key string) ([]byte, error) {
+func (g *sharedReadGate) hold(op storage.Op) (int64, error) {
+	if op.After || op.Kind != storage.OpGet {
+		return 0, nil
+	}
 	g.mu.Lock()
-	g.gets[key]++
-	park := key == g.held && !g.parked
+	g.gets[op.Key]++
+	park := op.Key == g.held && !g.parked
 	if park {
 		g.parked = true
-	} else if g.parked && g.deltaChunks[key] && g.second != nil {
+	} else if g.parked && g.deltaChunks[op.Key] && g.second != nil {
 		close(g.second)
 		g.second = nil
 	}
@@ -964,7 +963,7 @@ func (g *sharedReadGate) Get(key string) ([]byte, error) {
 			g.mu.Unlock()
 		}
 	}
-	return g.Backend.Get(key)
+	return 0, nil
 }
 
 // TestSharedChunkOfTwoWarmsIsReadOnce is the property that lets the chain
@@ -982,7 +981,7 @@ func TestSharedChunkOfTwoWarmsIsReadOnce(t *testing.T) {
 
 	// The chunks each link names, from the manifests as stored: held is
 	// the one every delta names and the anchor does not.
-	gate := &sharedReadGate{Backend: mem, deltaChunks: make(map[string]bool), gets: make(map[string]int), second: make(chan struct{})}
+	gate := &sharedReadGate{deltaChunks: make(map[string]bool), gets: make(map[string]int), second: make(chan struct{})}
 	keys, err := mem.List(snapshotKeyPrefix)
 	if err != nil {
 		t.Fatal(err)
@@ -1014,7 +1013,7 @@ func TestSharedChunkOfTwoWarmsIsReadOnce(t *testing.T) {
 		t.Fatalf("%d snapshots stored, chunk named by every delta and not by the anchor: %q", len(keys), gate.held)
 	}
 
-	got, report, err := LoadLatestBackendOptions(gate, nil, RestoreOptions{Workers: 2})
+	got, report, err := LoadLatestBackendOptions(storage.Observe(storage.NewTier(mem, storage.DeviceNVMe), gate.hold), nil, RestoreOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

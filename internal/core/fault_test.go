@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/storage"
 )
 
 // TestRecoveryNeverReturnsWrongState is the fault-injection sweep: corrupt
@@ -164,7 +163,7 @@ func TestEveryByteFlipDetectedSmall(t *testing.T) {
 // and the saves after it must restore bitwise. Close hands back every
 // buffer the manager took.
 func TestAbortedPersistReturnsZeroDeltaBody(t *testing.T) {
-	fb := &faultBackend{Backend: storage.NewMem()}
+	fb := newFaultBackend()
 	out := pooledOut.Load()
 	m, err := NewManager(Options{Backend: fb, Strategy: StrategyDelta, AnchorEvery: 3, ChunkBytes: MinChunkBytes, Workers: 2})
 	if err != nil {

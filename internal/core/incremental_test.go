@@ -42,11 +42,11 @@ func subStepStates(n int) []*TrainingState {
 }
 
 // chunkOpBackend counts the Stat and Put calls that reach the chunk
-// namespace, and fails the manifest Put of one chosen snapshot key.
-// Embedding the interface hides Mem's optional capabilities, so every
-// chunk probe and write comes through these two methods.
+// namespace, and fails the manifest Put of one chosen snapshot key. Over a
+// Mem it declares no optional capability, so every chunk probe and write
+// comes through Stat and Put.
 type chunkOpBackend struct {
-	storage.Backend
+	*storage.Observed
 	mu       sync.Mutex
 	chunkOps int
 	failKey  string // set only between saves
@@ -54,31 +54,31 @@ type chunkOpBackend struct {
 
 var errInjected = errors.New("injected manifest put failure")
 
-func (b *chunkOpBackend) count(key string) {
-	if strings.HasPrefix(key, ChunkPrefix) {
-		b.mu.Lock()
-		b.chunkOps++
-		b.mu.Unlock()
+func newChunkOpBackend(base storage.Backend) *chunkOpBackend {
+	b := &chunkOpBackend{}
+	b.Observed = storage.Observe(base, b.count)
+	return b
+}
+
+func (b *chunkOpBackend) count(op storage.Op) (int64, error) {
+	if op.After || op.Kind != storage.OpStat && op.Kind != storage.OpPut {
+		return 0, nil
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if strings.HasPrefix(op.Key, ChunkPrefix) {
+		b.chunkOps++
+	}
+	if op.Kind == storage.OpPut && op.Key == b.failKey {
+		return 0, errInjected
+	}
+	return 0, nil
 }
 
 func (b *chunkOpBackend) ops() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.chunkOps
-}
-
-func (b *chunkOpBackend) Stat(key string) (storage.ObjectInfo, error) {
-	b.count(key)
-	return b.Backend.Stat(key)
-}
-
-func (b *chunkOpBackend) Put(key string, data []byte) error {
-	b.count(key)
-	if key == b.failKey {
-		return errInjected
-	}
-	return b.Backend.Put(key, data)
 }
 
 // chunkAddrs lists every chunk address in b's chunk store.
@@ -119,7 +119,7 @@ func saveDelta(t *testing.T, m *Manager, b *chunkOpBackend, s *TrainingState) (S
 func TestAnchorReusesPreviousAnchorChunks(t *testing.T) {
 	states := subStepStates(9)
 	for _, async := range []bool{false, true} {
-		b := &chunkOpBackend{Backend: storage.NewMem()}
+		b := newChunkOpBackend(storage.NewMem())
 		m, err := NewManager(Options{
 			Backend: b, Strategy: StrategyDelta, AnchorEvery: 4,
 			ChunkBytes: MinChunkBytes, Workers: 2, Async: async,
@@ -177,7 +177,7 @@ func TestAnchorReusesPreviousAnchorChunks(t *testing.T) {
 // re-ingest what changed.
 func TestFailedAnchorCommitLeavesBaseUnadopted(t *testing.T) {
 	states := subStepStates(5)
-	b := &chunkOpBackend{Backend: storage.NewMem()}
+	b := newChunkOpBackend(storage.NewMem())
 	m, err := NewManager(Options{
 		Backend: b, Strategy: StrategyDelta, AnchorEvery: 2,
 		ChunkBytes: MinChunkBytes, Workers: 2,
@@ -225,7 +225,7 @@ func TestFailedAnchorCommitLeavesBaseUnadopted(t *testing.T) {
 // anchor (all dedup hits, no clean chunks) and the store stays whole.
 func TestRestartFirstAnchorReusesNothing(t *testing.T) {
 	states := subStepStates(4)
-	b := &chunkOpBackend{Backend: storage.NewMem()}
+	b := newChunkOpBackend(storage.NewMem())
 	opts := Options{Backend: b, Strategy: StrategyDelta, AnchorEvery: 2, ChunkBytes: MinChunkBytes, Workers: 2}
 	m1, err := NewManager(opts)
 	if err != nil {
@@ -271,7 +271,7 @@ func TestRestartFirstAnchorReusesNothing(t *testing.T) {
 // addresses of the reaped one.
 func TestAnchorReuseSurvivesRetention(t *testing.T) {
 	states := subStepStates(10)
-	b := &chunkOpBackend{Backend: storage.NewMem()}
+	b := newChunkOpBackend(storage.NewMem())
 	m, err := NewManager(Options{
 		Backend: b, Strategy: StrategyDelta, AnchorEvery: 3, Retain: 1,
 		ChunkBytes: MinChunkBytes, Workers: 2,

@@ -38,11 +38,6 @@ type MigrationReport struct {
 	Bytes     int64  // object bytes copied down
 }
 
-// lifecycleFaultHook, when set by tests, runs between the copy and delete
-// phases of a migration pass; returning an error aborts the pass with the
-// copies in place — the crash window the fault-injection suite exercises.
-var lifecycleFaultHook func() error
-
 // Migrate applies pol to the tiered backend t: anchor chains outside the
 // hot set are demoted to the coldest level, manifests plus the chunks no
 // kept chain references. The newest chain — the one still being written —
@@ -139,11 +134,6 @@ func Migrate(t *storage.Tiered, pol LifecyclePolicy) (MigrationReport, error) {
 			return rep, fmt.Errorf("core: migrate copy %s: %w", key, err)
 		}
 		rep.Bytes += n
-	}
-	if lifecycleFaultHook != nil {
-		if err := lifecycleFaultHook(); err != nil {
-			return rep, err
-		}
 	}
 	// Phase 2: drop the warm copies.
 	for _, key := range all {

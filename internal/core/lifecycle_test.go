@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -121,7 +122,18 @@ func TestLifecycleDemotesColdChains(t *testing.T) {
 // deleted, from the cold copies alone once the warm side is gone, and
 // after the rerun pass that settles the move.
 func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
-	tb, err := storage.NewTiered(memTiers("hot", "cold")...)
+	// The crash: the hot level fails its first Delete once armed, so the
+	// pass aborts with every copy in place and no warm copy dropped.
+	injected := errors.New("injected crash")
+	var crash atomic.Bool
+	levels := memTiers("hot", "cold")
+	levels[0].Backend = storage.Observe(levels[0].Backend, func(op storage.Op) (int64, error) {
+		if !op.After && op.Kind == storage.OpDelete && crash.CompareAndSwap(true, false) {
+			return 0, injected
+		}
+		return 0, nil
+	})
+	tb, err := storage.NewTiered(levels...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +152,7 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	injected := errors.New("injected crash")
-	lifecycleFaultHook = func() error { return injected }
-	defer func() { lifecycleFaultHook = nil }()
-
+	crash.Store(true)
 	pol := LifecyclePolicy{KeepHotChains: 1}
 	if _, err := Migrate(tb, pol); !errors.Is(err, injected) {
 		t.Fatalf("Migrate = %v, want injected crash", err)
@@ -184,7 +193,6 @@ func TestLifecycleCrashBetweenCopyAndDelete(t *testing.T) {
 	assertRecoverable("mid delete phase")
 
 	// The rerun pass (no fault) settles the move and nothing is lost.
-	lifecycleFaultHook = nil
 	rep, err := Migrate(tb, pol)
 	if err != nil {
 		t.Fatal(err)

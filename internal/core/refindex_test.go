@@ -97,10 +97,10 @@ func orphansOf(t testing.TB, b storage.Backend) map[string]bool {
 }
 
 // faultBackend fails chosen writes and counts the deletes that reach it.
-// Embedding the interface hides the base's optional capabilities, so every
-// operation arrives through the required methods.
+// Over a Mem it declares no optional capability, so every operation
+// arrives through the required methods.
 type faultBackend struct {
-	storage.Backend
+	*storage.Observed
 	mu         sync.Mutex
 	failPut    string // a Put of this key fails
 	failChunks bool   // every Put of a chunk fails
@@ -108,25 +108,29 @@ type faultBackend struct {
 	deletes    int
 }
 
-func (f *faultBackend) Put(key string, data []byte) error {
-	f.mu.Lock()
-	fail := key == f.failPut || f.failChunks && strings.HasPrefix(key, ChunkPrefix)
-	f.mu.Unlock()
-	if fail {
-		return errInjected
-	}
-	return f.Backend.Put(key, data)
+func newFaultBackend() *faultBackend {
+	f := &faultBackend{}
+	f.Observed = storage.Observe(storage.NewMem(), f.fault)
+	return f
 }
 
-func (f *faultBackend) Delete(key string) error {
-	f.mu.Lock()
-	f.deletes++
-	fail := f.failDelete > 0 && f.deletes == f.failDelete
-	f.mu.Unlock()
-	if fail {
-		return errInjected
+func (f *faultBackend) fault(op storage.Op) (int64, error) {
+	if op.After {
+		return 0, nil
 	}
-	return f.Backend.Delete(key)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch op.Kind {
+	case storage.OpPut:
+		if op.Key == f.failPut || f.failChunks && strings.HasPrefix(op.Key, ChunkPrefix) {
+			return 0, errInjected
+		}
+	case storage.OpDelete:
+		if f.deletes++; f.failDelete > 0 && f.deletes == f.failDelete {
+			return 0, errInjected
+		}
+	}
+	return 0, nil
 }
 
 func (f *faultBackend) arm(put string, del int) {
@@ -199,7 +203,7 @@ func refIndexScripts(t *testing.T, awkward storage.Backend, states []*TrainingSt
 	for _, chunker := range []Chunker{ChunkerFixed, ChunkerCDC} {
 		opts := Options{ChunkBytes: MinChunkBytes, Chunker: chunker, Workers: 2}
 		t.Run("failed anchor commit/"+chunker.String(), func(t *testing.T) {
-			fb := &faultBackend{Backend: storage.NewMem()}
+			fb := newFaultBackend()
 			o := opts
 			o.Backend, o.Strategy, o.AnchorEvery, o.Retain = fb, StrategyDelta, 2, 1
 			m, err := NewManager(o)
@@ -392,7 +396,7 @@ func TestRetentionFaultsLeaveWhatOneCollectionReclaims(t *testing.T) {
 	// run saves states[:n] on a fresh store, failing the k-th delete of the
 	// pass the fourth save (chain 1's anchor) triggers.
 	run := func(k, n int) (*faultBackend, *Manager) {
-		fb := &faultBackend{Backend: storage.NewMem()}
+		fb := newFaultBackend()
 		o := opts
 		o.Backend = fb
 		m, err := NewManager(o)
@@ -534,7 +538,7 @@ func FuzzRefIndexMatchesScan(f *testing.F) {
 		if len(script) < 2 || len(script) > 40 {
 			return
 		}
-		fb := &faultBackend{Backend: storage.NewMem()}
+		fb := newFaultBackend()
 		opt := Options{
 			Backend: fb, Strategy: StrategyDelta, AnchorEvery: 3, ChunkBytes: MinChunkBytes,
 			Retain: 1 + int(script[0]>>1&1), Chunker: Chunker(script[0] & 1),
@@ -627,19 +631,25 @@ func orphansOfPredecessors(t testing.TB, sc *sharedChunks) map[string]bool {
 	return debris
 }
 
-// opCounter counts the backend operations of a retention pass. It declares
-// no capability, so every read arrives as a Get.
-type opCounter struct {
-	storage.Forward
-	list, get, stat, del atomic.Int64
-}
+// opCounter is a Hook that counts the backend operations of a retention
+// pass. Over a Mem it declares no capability, so every read arrives as a
+// Get.
+type opCounter struct{ list, get, stat, del atomic.Int64 }
 
-func (c *opCounter) List(p string) ([]string, error) { c.list.Add(1); return c.Backend.List(p) }
-func (c *opCounter) Get(k string) ([]byte, error)    { c.get.Add(1); return c.Backend.Get(k) }
-func (c *opCounter) Delete(k string) error           { c.del.Add(1); return c.Backend.Delete(k) }
-func (c *opCounter) Stat(k string) (storage.ObjectInfo, error) {
-	c.stat.Add(1)
-	return c.Backend.Stat(k)
+func (c *opCounter) count(op storage.Op) (int64, error) {
+	if !op.After {
+		switch op.Kind {
+		case storage.OpList:
+			c.list.Add(1)
+		case storage.OpGet:
+			c.get.Add(1)
+		case storage.OpStat:
+			c.stat.Add(1)
+		case storage.OpDelete:
+			c.del.Add(1)
+		}
+	}
+	return 0, nil
 }
 
 // BenchmarkRetentionPass retires one chain per iteration — a save with
@@ -656,12 +666,13 @@ func BenchmarkRetentionPass(b *testing.B) {
 	for _, shape := range []string{"chains", "jobs"} {
 		for _, k := range []int{2, 8, 32} {
 			b.Run(fmt.Sprintf("%s=%d", shape, k), func(b *testing.B) {
-				ctr := &opCounter{Forward: storage.Forward{Backend: storage.NewMem()}}
+				ctr := &opCounter{}
+				store := storage.Observe(storage.NewMem(), ctr.count)
 				opt := Options{Strategy: StrategyFull, ChunkBytes: MinChunkBytes}
 				var m *Manager
 				retain := k
 				if shape == "chains" {
-					opt.Backend = ctr
+					opt.Backend = store
 					var err error
 					if m, err = NewManager(opt); err != nil {
 						b.Fatal(err)
@@ -670,7 +681,7 @@ func BenchmarkRetentionPass(b *testing.B) {
 						mustSave(b, m, retentionState(i))
 					}
 				} else {
-					svc, err := NewService(ServiceOptions{Backend: ctr})
+					svc, err := NewService(ServiceOptions{Backend: store})
 					if err != nil {
 						b.Fatal(err)
 					}

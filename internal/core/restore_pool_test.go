@@ -189,19 +189,19 @@ func TestVerifyAndMaintenanceGiveBackTheirBuffers(t *testing.T) {
 	}
 }
 
-// slowKeys delays every Get of the keys it names. Forward declares no
-// optional capability, so every full read of an object is a Get.
+// slowKeys is a Hook that delays every Get of the keys it names. Over a
+// Mem it declares no optional capability, so every full read of an object
+// is a Get.
 type slowKeys struct {
-	storage.Forward
 	delay time.Duration
 	slow  map[string]bool
 }
 
-func (s *slowKeys) Get(key string) ([]byte, error) {
-	if s.slow[key] {
+func (s *slowKeys) hold(op storage.Op) (int64, error) {
+	if !op.After && op.Kind == storage.OpGet && s.slow[op.Key] {
 		time.Sleep(s.delay)
 	}
-	return s.Backend.Get(key)
+	return 0, nil
 }
 
 // TestLoadCostChargesWaitsOnTheWarmersToFetch: the stages of a LoadCost add
@@ -218,12 +218,12 @@ func TestLoadCostChargesWaitsOnTheWarmersToFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := &slowKeys{Forward: storage.Forward{Backend: mem}, delay: delay, slow: make(map[string]bool)}
+	slow := &slowKeys{delay: delay, slow: make(map[string]bool)}
 	for seq := uint64(1); seq < links; seq++ { // every link a warmer reads first
 		slow.slow[snapshotName(seq, KindDelta)] = true
 	}
 	start := time.Now()
-	got, report, err := LoadLatestBackendOptions(slow, nil, ro)
+	got, report, err := LoadLatestBackendOptions(storage.Observe(mem, slow.hold), nil, ro)
 	wall := time.Since(start)
 	if err != nil || !got.Equal(states[links-1]) {
 		t.Fatalf("restore through the slow store: %v", err)

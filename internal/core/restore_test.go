@@ -290,17 +290,29 @@ func TestLoadLatestParallelMatchesSerial(t *testing.T) {
 // window where a chunked save's chunks are durable but its manifest is
 // not — the window the GC/in-flight-save race lives in.
 type gatedBackend struct {
-	storage.Backend
+	*storage.Observed
 	arrived chan string   // receives the key of each blocked manifest Put
 	release chan struct{} // closed to let blocked Puts proceed
 }
 
-func (g *gatedBackend) Put(key string, data []byte) error {
-	if strings.HasPrefix(key, snapshotKeyPrefix) {
-		g.arrived <- key
-		<-g.release
-	}
-	return g.Backend.Put(key, data)
+// gatePuts observes base, parking each Put whose key match accepts.
+func gatePuts(base storage.Backend, match func(key string) bool) *gatedBackend {
+	// arrived has room for every Put a test parks without reading it: a
+	// second one must block on release, not on the announcement.
+	g := &gatedBackend{arrived: make(chan string, 8), release: make(chan struct{})}
+	g.Observed = storage.Observe(base, func(op storage.Op) (int64, error) {
+		if !op.After && op.Kind == storage.OpPut && match(op.Key) {
+			g.arrived <- op.Key
+			<-g.release
+		}
+		return 0, nil
+	})
+	return g
+}
+
+// gateManifests parks every snapshot-manifest Put of base.
+func gateManifests(base storage.Backend) *gatedBackend {
+	return gatePuts(base, func(key string) bool { return strings.HasPrefix(key, snapshotKeyPrefix) })
 }
 
 // TestGCDoesNotCollectInFlightChunks interleaves orphan-chunk GC with a
@@ -311,7 +323,7 @@ func (g *gatedBackend) Put(key string, data []byte) error {
 // them alone and the save must restore bitwise afterwards.
 func TestGCDoesNotCollectInFlightChunks(t *testing.T) {
 	mem := storage.NewMem()
-	gated := &gatedBackend{Backend: mem, arrived: make(chan string, 1), release: make(chan struct{})}
+	gated := gateManifests(mem)
 	m, err := NewManager(Options{
 		Backend: gated, Strategy: StrategyFull,
 		ChunkBytes: MinChunkBytes, Workers: 2, Async: true,

@@ -363,7 +363,7 @@ func FuzzSaveMatchesEncode(f *testing.F) {
 // newest state restores, and Close gives back every pooled buffer.
 func TestPinnedLaggingBufferIsWrittenWhole(t *testing.T) {
 	out := pooledOut.Load()
-	gated := &gatedBackend{Backend: storage.NewMem(), arrived: make(chan string, 8), release: make(chan struct{})}
+	gated := gateManifests(storage.NewMem())
 	for _, tc := range []struct {
 		name  string
 		opt   Options

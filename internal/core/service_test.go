@@ -220,23 +220,14 @@ func TestServiceGCKeepsCrossJobReferences(t *testing.T) {
 	}
 }
 
-// jobGatedBackend parks manifest Puts of one job's namespace until
-// released — the cross-job version of the GC/in-flight-save window: job
+// jobGate parks manifest Puts of one job's namespace until released
+// (gatePuts) — the cross-job version of the GC/in-flight-save window: job
 // A's chunks are durable and shared, its manifest is not yet committed,
 // and another tenant triggers a collection.
-type jobGatedBackend struct {
-	storage.Backend
-	gatePrefix string
-	arrived    chan string
-	release    chan struct{}
-}
-
-func (g *jobGatedBackend) Put(key string, data []byte) error {
-	if strings.HasPrefix(key, g.gatePrefix) && strings.Contains(key, snapshotKeyPrefix) {
-		g.arrived <- key
-		<-g.release
-	}
-	return g.Backend.Put(key, data)
+func jobGate(base storage.Backend, job string) *gatedBackend {
+	return gatePuts(base, func(key string) bool {
+		return strings.HasPrefix(key, JobPrefix+"/"+job+"/") && strings.Contains(key, snapshotKeyPrefix)
+	})
 }
 
 // TestServiceCrossJobGCSaveRace is the fault-injection test for the
@@ -247,12 +238,7 @@ func (g *jobGatedBackend) Put(key string, data []byte) error {
 // longer reference — and A must restore bitwise after release.
 func TestServiceCrossJobGCSaveRace(t *testing.T) {
 	mem := storage.NewMem()
-	gated := &jobGatedBackend{
-		Backend:    mem,
-		gatePrefix: JobPrefix + "/frozen/",
-		arrived:    make(chan string, 1),
-		release:    make(chan struct{}),
-	}
+	gated := jobGate(mem, "frozen")
 	svc, err := NewService(ServiceOptions{Backend: gated})
 	if err != nil {
 		t.Fatal(err)
@@ -362,11 +348,11 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 	// the scan's own List of the job's manifests fires it, not the earlier
 	// root scan or job-discovery List("jobs/"), so the scan really does read
 	// a key it just listed.
-	raceSvc, err := NewService(ServiceOptions{Backend: &hookedBackend{Backend: mem, listed: func(prefix string) {
+	raceSvc, err := NewService(ServiceOptions{Backend: hooked(mem, faults{listed: func(prefix string) {
 		if prefix == JobPrefix+"/racer/"+snapshotKeyPrefix {
 			mem.Delete(keys[0])
 		}
-	}}})
+	}})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,12 +567,7 @@ func TestServiceOpenJobValidation(t *testing.T) {
 // into it. Only a fully drained Close frees the namespace.
 func TestOpenJobRefusedWhileCloseDrains(t *testing.T) {
 	mem := storage.NewMem()
-	gated := &jobGatedBackend{
-		Backend:    mem,
-		gatePrefix: JobPrefix + "/slow/",
-		arrived:    make(chan string, 1),
-		release:    make(chan struct{}),
-	}
+	gated := jobGate(mem, "slow")
 	svc, err := NewService(ServiceOptions{Backend: gated})
 	if err != nil {
 		t.Fatal(err)

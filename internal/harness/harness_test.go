@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 // These tests run scaled-down versions of each experiment and assert the
@@ -77,9 +80,10 @@ func TestT2StrategyShapes(t *testing.T) {
 			byName["delta-sync"].TotalBytes, byName["full-sync"].TotalBytes)
 	}
 	// Async removes write time from the foreground.
-	if byName["delta-async"].ForegroundTime >= byName["delta-sync"].ForegroundTime {
-		t.Errorf("async foreground (%v) not below sync (%v)",
-			byName["delta-async"].ForegroundTime, byName["delta-sync"].ForegroundTime)
+	for _, spec := range t2Specs {
+		if spec.name == "delta-sync" || spec.name == "delta-async" {
+			checkForegroundWaitsOnWrites(t, spec)
+		}
 	}
 	// Sub-step checkpointing recovered a mid-step snapshot (step < 12 is
 	// allowed; what matters is it restores and continues — asserted above).
@@ -88,6 +92,71 @@ func TestT2StrategyShapes(t *testing.T) {
 	}
 	if s := T2Table(rows).String(); !strings.Contains(s, "bitwise") {
 		t.Errorf("table malformed")
+	}
+}
+
+// checkForegroundWaitsOnWrites asserts, without a clock, where spec's
+// manager persists. Over a store that holds every write until released, an
+// async manager's saves all return before anything is persisted, and a
+// sync one's first save is still inside its held write. (Comparing the two
+// rows' measured foreground times instead compares two runs' wall clocks,
+// which a loaded host reorders.)
+func checkForegroundWaitsOnWrites(t *testing.T, spec strategySpec) {
+	t.Helper()
+	arrived, release := make(chan struct{}, 1), make(chan struct{})
+	opts := spec.options
+	opts.Backend = storage.Observe(storage.NewMem(), func(op storage.Op) (int64, error) {
+		if !op.After && (op.Kind == storage.OpPut || op.Kind == storage.OpIngest) {
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		return 0, nil
+	})
+	mgr, err := core.NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 3 && err == nil; i++ { // within the async queue's depth
+			s := t3State(64)
+			s.Step, s.Params[i] = uint64(i), -1
+			_, err = mgr.Save(s)
+		}
+		saved <- err
+	}()
+	select {
+	case <-arrived: // a write reached the store and is held there
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: no write reached the store", spec.name)
+	}
+	if opts.Async {
+		select {
+		case err := <-saved:
+			if err != nil {
+				t.Errorf("%s: %v", spec.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s: the trainer's saves waited on a held write", spec.name)
+		}
+		close(release)
+	} else {
+		select {
+		case <-saved:
+			t.Errorf("%s: a save returned while its write was held", spec.name)
+		default:
+		}
+		close(release)
+		if err := <-saved; err != nil {
+			t.Errorf("%s: %v", spec.name, err)
+		}
+	}
+	if err := mgr.Close(); err != nil {
+		t.Errorf("%s: close: %v", spec.name, err)
 	}
 }
 

@@ -46,43 +46,28 @@ const (
 	t12SlowDelay    = 200 * time.Microsecond
 )
 
-// t12Counter counts the write traffic into the store it wraps: over one
-// replica the physical bytes, over the replicated store itself the
-// logical bytes the workload hands it before fan-out.
-type t12Counter struct {
-	storage.Forward
-	bytes atomic.Int64
+// t12Counter is a storage.Hook that counts the write traffic into the
+// store it observes: over one replica the physical bytes, over the
+// replicated store itself the logical bytes the workload hands it before
+// fan-out. An ingest counts the bytes the store actually accepted — a
+// dedup hit writes nothing anywhere, so it must not count as logical
+// traffic.
+type t12Counter struct{ bytes atomic.Int64 }
+
+func (c *t12Counter) observe(op storage.Op) (int64, error) {
+	if op.After && (op.Kind == storage.OpPut || op.Kind == storage.OpIngest) {
+		c.bytes.Add(op.N)
+	}
+	return 0, nil
 }
 
-func (c *t12Counter) Caps() storage.CapSet { return storage.ForwardCaps(c, c.Backend) }
-
-func (c *t12Counter) Put(key string, data []byte) error {
-	return c.PutClass(key, data, storage.ClassDefault)
-}
-
-func (c *t12Counter) PutClass(key string, data []byte, class storage.WriteClass) error {
-	c.bytes.Add(int64(len(data)))
-	return storage.PutClass(c.Backend, key, data, class)
-}
-
-func (c *t12Counter) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	return c.IngestKeyedClass(key, addr, data, storage.ClassDefault)
-}
-
-// IngestKeyedClass counts the bytes the store actually accepted — a dedup
-// hit writes nothing anywhere, so it must not count as logical traffic.
-func (c *t12Counter) IngestKeyedClass(key, addr string, data []byte, class storage.WriteClass) (int, bool, error) {
-	written, ok, err := storage.TryIngestKeyedClass(c.Backend, key, addr, data, class)
-	c.bytes.Add(int64(written))
-	return written, ok, err
-}
-
-// t12Replica injects the fault plan between the replicated store and
-// one replica: dead fails every operation, a delay models a slow disk.
-// It declares no optional capability (storage.Forward's default), so all
-// traffic reaches it through the five methods it gates.
+// t12Replica is the hook between the replicated store and one replica:
+// it injects the fault plan (dead fails every operation, a delay models
+// a slow disk) and counts the physical bytes of the writes it lets
+// through. Over a Mem it declares no optional capability, so all traffic
+// reaches it through the five required methods.
 type t12Replica struct {
-	storage.Forward
+	t12Counter
 
 	mu    sync.Mutex
 	dead  bool
@@ -101,49 +86,20 @@ func (r *t12Replica) setDelay(d time.Duration) {
 	r.mu.Unlock()
 }
 
-func (r *t12Replica) gate() error {
+func (r *t12Replica) observe(op storage.Op) (int64, error) {
+	if op.After {
+		return r.t12Counter.observe(op)
+	}
 	r.mu.Lock()
 	dead, delay := r.dead, r.delay
 	r.mu.Unlock()
 	if dead {
-		return fmt.Errorf("t12: replica dead")
+		return 0, fmt.Errorf("t12: replica dead")
 	}
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	return nil
-}
-
-func (r *t12Replica) Name() string { return "t12+" + r.Backend.Name() }
-func (r *t12Replica) Put(key string, data []byte) error {
-	if err := r.gate(); err != nil {
-		return err
-	}
-	return r.Backend.Put(key, data)
-}
-func (r *t12Replica) Get(key string) ([]byte, error) {
-	if err := r.gate(); err != nil {
-		return nil, err
-	}
-	return r.Backend.Get(key)
-}
-func (r *t12Replica) List(prefix string) ([]string, error) {
-	if err := r.gate(); err != nil {
-		return nil, err
-	}
-	return r.Backend.List(prefix)
-}
-func (r *t12Replica) Delete(key string) error {
-	if err := r.gate(); err != nil {
-		return err
-	}
-	return r.Backend.Delete(key)
-}
-func (r *t12Replica) Stat(key string) (storage.ObjectInfo, error) {
-	if err := r.gate(); err != nil {
-		return storage.ObjectInfo{}, err
-	}
-	return r.Backend.Stat(key)
+	return 0, nil
 }
 
 // t12Scenario is one fault plan. fault fires once a third of the audit
@@ -204,14 +160,12 @@ func t12Payload(writer, seq int) []byte {
 
 func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 	var mems [3]*storage.Mem
-	var phys [3]*t12Counter
 	var reps [3]*t12Replica
 	members := make([]storage.Replica, 3)
 	for i := range mems {
 		mems[i] = storage.NewMem()
-		phys[i] = &t12Counter{Forward: storage.Forward{Backend: mems[i]}}
-		reps[i] = &t12Replica{Forward: storage.Forward{Backend: phys[i]}}
-		members[i] = storage.Replica{Backend: reps[i], Domain: fmt.Sprintf("zone-%d", i)}
+		reps[i] = &t12Replica{}
+		members[i] = storage.Replica{Backend: storage.Observe(mems[i], reps[i].observe), Domain: fmt.Sprintf("zone-%d", i)}
 	}
 	rb, err := storage.NewReplicated(storage.ReplicatedOptions{
 		FailureThreshold: 2,
@@ -221,7 +175,8 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 		return T12Row{}, err
 	}
 	defer rb.Close()
-	logical := &t12Counter{Forward: storage.Forward{Backend: rb}}
+	var counted t12Counter
+	logical := storage.Observe(rb, counted.observe)
 
 	row := T12Row{Scenario: sc.name, Writers: writers, Readers: readers}
 
@@ -303,10 +258,10 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 	// land on the checkpoint phase's side of the line.
 	rb.Close()
 	physAudit := int64(0)
-	for i := range phys {
-		physAudit += phys[i].bytes.Load()
+	for i := range reps {
+		physAudit += reps[i].bytes.Load()
 	}
-	logicalAudit := logical.bytes.Load()
+	logicalAudit := counted.bytes.Load()
 
 	// Phase B — checkpoint workload through a Service on the replicated
 	// store: steps saves of an evolving state.
@@ -402,10 +357,10 @@ func t12RunOne(sc t12Scenario, writers, readers, steps int) (T12Row, error) {
 	}
 
 	var physBytes int64
-	for i := range phys {
-		physBytes += phys[i].bytes.Load()
+	for i := range reps {
+		physBytes += reps[i].bytes.Load()
 	}
-	if lb := logical.bytes.Load() - logicalAudit; lb > 0 {
+	if lb := counted.bytes.Load() - logicalAudit; lb > 0 {
 		row.WriteAmp = float64(physBytes-physAudit) / float64(lb)
 	}
 	return row, nil

@@ -31,6 +31,14 @@ type strategySpec struct {
 	policy  core.Policy
 }
 
+// t2Specs are Table 2's contenders.
+var t2Specs = []strategySpec{
+	{name: "full-sync", options: core.Options{Strategy: core.StrategyFull}, policy: core.Policy{EverySteps: 1}},
+	{name: "delta-sync", options: core.Options{Strategy: core.StrategyDelta, AnchorEvery: 16}, policy: core.Policy{EverySteps: 1}},
+	{name: "delta-async", options: core.Options{Strategy: core.StrategyDelta, AnchorEvery: 16, Async: true}, policy: core.Policy{EverySteps: 1}},
+	{name: "delta-substep", options: core.Options{Strategy: core.StrategyDelta, AnchorEvery: 32}, policy: core.Policy{EveryUnits: 8}},
+}
+
 // RunT2Strategies trains the same VQE workload under each checkpoint
 // strategy (full-sync, delta-sync, delta-async) plus a no-checkpoint
 // control, and measures bytes, foreground time, recovery latency and
@@ -38,12 +46,6 @@ type strategySpec struct {
 func RunT2Strategies(steps int) ([]StrategyRow, error) {
 	if steps < 4 {
 		return nil, fmt.Errorf("harness: T2 needs ≥4 steps")
-	}
-	specs := []strategySpec{
-		{name: "full-sync", options: core.Options{Strategy: core.StrategyFull}, policy: core.Policy{EverySteps: 1}},
-		{name: "delta-sync", options: core.Options{Strategy: core.StrategyDelta, AnchorEvery: 16}, policy: core.Policy{EverySteps: 1}},
-		{name: "delta-async", options: core.Options{Strategy: core.StrategyDelta, AnchorEvery: 16, Async: true}, policy: core.Policy{EverySteps: 1}},
-		{name: "delta-substep", options: core.Options{Strategy: core.StrategyDelta, AnchorEvery: 32}, policy: core.Policy{EveryUnits: 8}},
 	}
 	var rows []StrategyRow
 
@@ -61,7 +63,7 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 		return nil, err
 	}
 
-	for _, spec := range specs {
+	for _, spec := range t2Specs {
 		dir, err := os.MkdirTemp("", "qckpt-t2-*")
 		if err != nil {
 			return nil, err
@@ -81,7 +83,6 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Run to steps-? : capture the foreground time around the run.
 		if _, err := tr.Run(steps); err != nil {
 			return nil, err
 		}

@@ -46,32 +46,17 @@ const t9AnchorEvery = 4
 // shape.
 const t9CacheBytes int64 = 64 << 20
 
-// countingStore wraps the service's backing store and counts the chunk
-// payload bytes leaving it — the "cold tier" meter under the origin
-// cache. Manifest and header traffic is deliberately excluded: the
+// coldMeter is a storage.Hook over the service's backing store that counts
+// the chunk payload bytes leaving it — the "cold tier" meter under the
+// origin cache. Manifest and header traffic is deliberately excluded: the
 // amplification target is about chunk bytes, the dominant volume.
-type countingStore struct {
-	storage.Forward
-	chunkBytes atomic.Int64
-	chunkReads atomic.Int64
-}
+type coldMeter struct{ chunkBytes atomic.Int64 }
 
-// Caps declares what the base (a Mem) offers: no ranged or batched read,
-// so every read reaches Get below.
-func (cs *countingStore) Caps() storage.CapSet { return storage.ForwardCaps(cs, cs.Backend) }
-
-func (cs *countingStore) reset() {
-	cs.chunkBytes.Store(0)
-	cs.chunkReads.Store(0)
-}
-
-func (cs *countingStore) Get(key string) ([]byte, error) {
-	data, err := cs.Backend.Get(key)
-	if err == nil && strings.HasPrefix(key, core.ChunkPrefix+"/") {
-		cs.chunkBytes.Add(int64(len(data)))
-		cs.chunkReads.Add(1)
+func (m *coldMeter) observe(op storage.Op) (int64, error) {
+	if op.After && op.Kind == storage.OpGet && op.Err == nil && strings.HasPrefix(op.Key, core.ChunkPrefix+"/") {
+		m.chunkBytes.Add(op.N)
 	}
-	return data, err
+	return 0, nil
 }
 
 // t9States is the saver's stream: the Table 7 replica state drifting a
@@ -96,8 +81,8 @@ type t9Result struct {
 // cacheBytes of origin cache (0 = none), then gang-restores it with
 // restorers concurrent remote clients and meters the cold store.
 func t9RunOne(restorers, steps int, cacheBytes int64) (t9Result, error) {
-	cold := &countingStore{Forward: storage.Forward{Backend: storage.NewMem()}}
-	svc, err := core.NewService(core.ServiceOptions{Backend: cold})
+	var cold coldMeter
+	svc, err := core.NewService(core.ServiceOptions{Backend: storage.Observe(storage.NewMem(), cold.observe)})
 	if err != nil {
 		return t9Result{}, err
 	}
@@ -158,7 +143,7 @@ func t9RunOne(restorers, steps int, cacheBytes int64) (t9Result, error) {
 	if err != nil {
 		return t9Result{}, err
 	}
-	cold.reset() // only the gang's reads count
+	cold.chunkBytes.Store(0) // only the gang's reads count
 	statsBefore := local.Stats()
 
 	// Phase 2: the gang. Each restorer dials its own client (bounded

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,27 +93,27 @@ func TestChunkStoreGetUncheckedVouchesForNothing(t *testing.T) {
 		read func(*ChunkStore, string) ([]byte, error)
 		gets int
 	}{{(*ChunkStore).GetUnchecked, 1}, {(*ChunkStore).Get, 0}} {
-		counted := &getCounter{Backend: mem}
-		cs := NewChunkStore(counted)
+		var gets atomic.Int64
+		cs := NewChunkStore(Observe(mem, countOps(OpGet, &gets)))
 		if _, err := tc.read(cs, addr); err != nil {
 			t.Fatal(err)
 		}
-		counted.gets = 0
-		if written, err := cs.Ingest(addr, data, ClassDefault); err != nil || written != 0 || counted.gets != tc.gets {
-			t.Errorf("dedup hit: written=%d err=%v after %d reads of the resident copy, want 0, nil, %d", written, err, counted.gets, tc.gets)
+		gets.Store(0)
+		if written, err := cs.Ingest(addr, data, ClassDefault); err != nil || written != 0 || gets.Load() != int64(tc.gets) {
+			t.Errorf("dedup hit: written=%d err=%v after %d reads of the resident copy, want 0, nil, %d", written, err, gets.Load(), tc.gets)
 		}
 	}
 }
 
-// getCounter counts the full reads that reach the backend beneath it.
-type getCounter struct {
-	Backend
-	gets int
-}
-
-func (c *getCounter) Get(key string) ([]byte, error) {
-	c.gets++
-	return c.Backend.Get(key)
+// countOps is a Hook that counts the operations of one kind that reach
+// the backend beneath it.
+func countOps(kind OpKind, n *atomic.Int64) Hook {
+	return func(op Op) (int64, error) {
+		if !op.After && op.Kind == kind {
+			n.Add(1)
+		}
+		return 0, nil
+	}
 }
 
 // TestShardedChunkStoreRouting checks the shard router: the shard index
@@ -277,23 +278,12 @@ func TestSweepCountsOnlyWhatItDeleted(t *testing.T) {
 	}
 }
 
-// statCounter counts the Stats that reach its backend.
-type statCounter struct {
-	Backend
-	stats int
-}
-
-func (c *statCounter) Stat(key string) (ObjectInfo, error) {
-	c.stats++
-	return c.Backend.Stat(key)
-}
-
 // TestUnsizedSweepMakesNoStat: an unsized sweep (a retention pass's)
 // deletes and counts what a sized one would — not an absent address, not
 // one skip excuses — with no Stat at all, and hands onRemoved size 0.
 func TestUnsizedSweepMakesNoStat(t *testing.T) {
-	ctr := &statCounter{Backend: NewMem()}
-	cs := NewChunkStore(ctr)
+	var stats atomic.Int64
+	cs := NewChunkStore(Observe(NewMem(), countOps(OpStat, &stats)))
 	var addrs []string
 	for _, data := range []string{"dropped", "kept", "dropped too"} {
 		addr, err := cs.Put([]byte(data))
@@ -303,7 +293,7 @@ func TestUnsizedSweepMakesNoStat(t *testing.T) {
 		addrs = append(addrs, addr)
 	}
 	kept, never := addrs[1], Hash([]byte("never written"))
-	ctr.stats = 0
+	stats.Store(0)
 	var credited []string
 	removed, reclaimed, err := cs.Sweep(append(addrs, never, "not an address"), func(addr string) bool { return addr == kept }, false, func(addr string, size int64) {
 		credited = append(credited, addr)
@@ -311,8 +301,8 @@ func TestUnsizedSweepMakesNoStat(t *testing.T) {
 			t.Errorf("onRemoved(%.8s…) size %d, want 0", addr, size)
 		}
 	})
-	if err != nil || removed != 2 || reclaimed != 0 || ctr.stats != 0 {
-		t.Errorf("unsized sweep: removed=%d reclaimed=%d err=%v after %d Stats, want 2, 0 and none", removed, reclaimed, err, ctr.stats)
+	if err != nil || removed != 2 || reclaimed != 0 || stats.Load() != 0 {
+		t.Errorf("unsized sweep: removed=%d reclaimed=%d err=%v after %d Stats, want 2, 0 and none", removed, reclaimed, err, stats.Load())
 	}
 	if len(credited) != 2 || credited[0] != addrs[0] || credited[1] != addrs[2] {
 		t.Errorf("onRemoved saw %v, want the two chunks the sweep deleted", credited)

@@ -10,11 +10,12 @@ import (
 	"time"
 )
 
-// gatedBackend wraps a Backend so a test can hold every Get/GetBatch at
-// the gate, count base fetches, and inject failures — the deterministic
-// stand-in for a slow cold tier under a gang of restorers.
+// gatedBackend observes a Backend so a test can hold every Get at the
+// gate, count base fetches, and inject failures — the deterministic
+// stand-in for a slow cold tier under a gang of restorers. Over a Mem it
+// declares no batch read, so a GetBatch reaches it as one Get per key.
 type gatedBackend struct {
-	Backend
+	*Observed
 	gate    chan struct{} // each Get consumes one token before proceeding
 	gets    atomic.Int64
 	failGet atomic.Bool // when set, Get fails after passing the gate
@@ -23,7 +24,9 @@ type gatedBackend struct {
 var errInjected = errors.New("injected cold-tier failure")
 
 func newGated(base Backend) *gatedBackend {
-	return &gatedBackend{Backend: base, gate: make(chan struct{})}
+	g := &gatedBackend{gate: make(chan struct{})}
+	g.Observed = Observe(base, g.hold)
+	return g
 }
 
 // open lets n fetches through the gate.
@@ -33,13 +36,16 @@ func (g *gatedBackend) open(n int) {
 	}
 }
 
-func (g *gatedBackend) Get(key string) ([]byte, error) {
+func (g *gatedBackend) hold(op Op) (int64, error) {
+	if op.After || op.Kind != OpGet {
+		return 0, nil
+	}
 	g.gets.Add(1)
 	<-g.gate
 	if g.failGet.Load() {
-		return nil, errInjected
+		return 0, errInjected
 	}
-	return g.Backend.Get(key)
+	return 0, nil
 }
 
 func TestCoalescerSingleFlight(t *testing.T) {
@@ -505,22 +511,22 @@ func TestCacheGetBatch(t *testing.T) {
 	}
 }
 
-// slowReadBase serves Get by snapshotting the inner value FIRST and then
-// blocking until released — the exact shape of the staleness race: a
+// slowRead is a Hook that lets a Get read the inner value FIRST and then
+// blocks it until released — the exact shape of the staleness race: a
 // batch miss reads the old bytes from the base, a Put of the same address
 // lands, and only then does the fill reach the cache. The generation
 // fence must discard that fill.
-type slowReadBase struct {
-	Backend
+type slowRead struct {
 	snapped chan struct{} // signaled once the old bytes are in hand
 	release chan struct{}
 }
 
-func (s *slowReadBase) Get(key string) ([]byte, error) {
-	data, err := s.Backend.Get(key)
-	s.snapped <- struct{}{}
-	<-s.release
-	return data, err
+func (s *slowRead) hold(op Op) (int64, error) {
+	if op.After && op.Kind == OpGet {
+		s.snapped <- struct{}{}
+		<-s.release
+	}
+	return 0, nil
 }
 
 // TestCacheGetBatchRacingPutFencesStaleFill pins the batch-path variant
@@ -530,12 +536,8 @@ func (s *slowReadBase) Get(key string) ([]byte, error) {
 func TestCacheGetBatchRacingPutFencesStaleFill(t *testing.T) {
 	inner := NewMem()
 	inner.Put("k", []byte("old"))
-	base := &slowReadBase{
-		Backend: inner,
-		snapped: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	c := newReadCache(base)
+	base := &slowRead{snapped: make(chan struct{}), release: make(chan struct{})}
+	c := newReadCache(Observe(inner, base.hold))
 
 	var batch [][]byte
 	var errs []error

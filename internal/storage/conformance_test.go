@@ -3,6 +3,7 @@ package storage_test
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,6 +88,26 @@ func backendImpls() map[string]storagetest.Maker {
 				t.Fatal(err)
 			}
 			return storage.NewCoalescer(tb, 1<<20)
+		},
+		// observe-*: the one op hook, over a base with no optional
+		// capability and over one whose batch, ingest and classed fast
+		// paths the hook must see.
+		"observe-mem": func(t *testing.T) storage.Backend {
+			var n atomic.Int64
+			return storage.Observe(storage.NewMem(), countingHook(&n))
+		},
+		"observe-replicated": func(t *testing.T) storage.Backend {
+			var n atomic.Int64
+			rb, err := storage.NewReplicated(storage.ReplicatedOptions{},
+				storage.Replica{Backend: storage.NewMem(), Domain: "zone-a"},
+				storage.Replica{Backend: storage.NewMem(), Domain: "zone-b"},
+				storage.Replica{Backend: storage.NewMem(), Domain: "zone-c"},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { rb.Close() })
+			return storage.Observe(rb, countingHook(&n))
 		},
 		"replicated-mem": func(t *testing.T) storage.Backend {
 			rb, err := storage.NewReplicated(storage.ReplicatedOptions{},

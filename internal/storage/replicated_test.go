@@ -11,18 +11,22 @@ import (
 	"repro/internal/storage"
 )
 
-// faultBackend wraps a Backend with switchable failure injection: dead
+// faultBackend observes a Backend with switchable failure injection: dead
 // replicas error on everything, write-rejecting replicas keep serving
 // stale reads — the "lagging replica" every quorum test needs.
 type faultBackend struct {
-	base storage.Backend
+	*storage.Observed
 
 	mu         sync.Mutex
 	dead       bool
 	rejectPuts bool
 }
 
-func newFault(base storage.Backend) *faultBackend { return &faultBackend{base: base} }
+func newFault(base storage.Backend) *faultBackend {
+	f := &faultBackend{}
+	f.Observed = storage.Observe(base, f.check)
+	return f
+}
 
 func (f *faultBackend) setDead(v bool) {
 	f.mu.Lock()
@@ -36,49 +40,19 @@ func (f *faultBackend) setRejectPuts(v bool) {
 	f.mu.Unlock()
 }
 
-func (f *faultBackend) check(write bool) error {
+func (f *faultBackend) check(op storage.Op) (int64, error) {
+	if op.After {
+		return 0, nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dead {
-		return errors.New("fault: replica dead")
+		return 0, errors.New("fault: replica dead")
 	}
-	if write && f.rejectPuts {
-		return errors.New("fault: replica rejecting writes")
+	if f.rejectPuts && (op.Kind == storage.OpPut || op.Kind == storage.OpDelete) {
+		return 0, errors.New("fault: replica rejecting writes")
 	}
-	return nil
-}
-
-func (f *faultBackend) Name() string                       { return "fault+" + f.base.Name() }
-func (f *faultBackend) Capabilities() storage.Capabilities { return f.base.Capabilities() }
-func (f *faultBackend) Put(key string, data []byte) error {
-	if err := f.check(true); err != nil {
-		return err
-	}
-	return f.base.Put(key, data)
-}
-func (f *faultBackend) Get(key string) ([]byte, error) {
-	if err := f.check(false); err != nil {
-		return nil, err
-	}
-	return f.base.Get(key)
-}
-func (f *faultBackend) List(prefix string) ([]string, error) {
-	if err := f.check(false); err != nil {
-		return nil, err
-	}
-	return f.base.List(prefix)
-}
-func (f *faultBackend) Delete(key string) error {
-	if err := f.check(true); err != nil {
-		return err
-	}
-	return f.base.Delete(key)
-}
-func (f *faultBackend) Stat(key string) (storage.ObjectInfo, error) {
-	if err := f.check(false); err != nil {
-		return storage.ObjectInfo{}, err
-	}
-	return f.base.Stat(key)
+	return 0, nil
 }
 
 // newFaultSet builds a 3-way replicated store over fault-injectable mem
@@ -388,21 +362,18 @@ func TestReplicatedHealthLifecycle(t *testing.T) {
 	}
 }
 
-// gatedBackend holds each Put that passed the fault check until release is
-// closed, announcing it on held first: a write admitted while the replica
-// was alive that lands after the replica died.
-type gatedBackend struct {
-	*faultBackend
-	held, release chan struct{}
-}
+// putGate is a Hook beneath a faultBackend: it holds each Put that passed
+// the fault check until release is closed, announcing it on held first —
+// a write admitted while the replica was alive that lands after the
+// replica died.
+type putGate struct{ held, release chan struct{} }
 
-func (g *gatedBackend) Put(key string, data []byte) error {
-	if err := g.check(true); err != nil {
-		return err
+func (g *putGate) hold(op storage.Op) (int64, error) {
+	if !op.After && op.Kind == storage.OpPut {
+		g.held <- struct{}{}
+		<-g.release
 	}
-	g.held <- struct{}{}
-	<-g.release
-	return g.base.Put(key, data)
+	return 0, nil
 }
 
 // TestStragglerSuccessDoesNotReviveDeadReplica: a top-up write set out
@@ -414,11 +385,11 @@ func TestStragglerSuccessDoesNotReviveDeadReplica(t *testing.T) {
 	for i := range members {
 		members[i] = storage.Replica{Backend: storage.NewMem()}
 	}
-	fault := newFault(storage.NewMem())
 	// held has room for every Put this test makes: only the first two are
 	// received, the rest must not block.
-	gate := &gatedBackend{faultBackend: fault, held: make(chan struct{}, 8), release: make(chan struct{})}
-	members[1].Backend = gate
+	gate := &putGate{held: make(chan struct{}, 8), release: make(chan struct{})}
+	fault := newFault(storage.Observe(storage.NewMem(), gate.hold))
+	members[1].Backend = fault
 	rb, err := storage.NewReplicated(storage.ReplicatedOptions{FailureThreshold: 2, ProbeInterval: time.Millisecond}, members...)
 	if err != nil {
 		t.Fatal(err)
@@ -469,18 +440,15 @@ func TestStragglerSuccessDoesNotReviveDeadReplica(t *testing.T) {
 	}
 }
 
-// slowGetBackend holds every Get while gate is set: a replica that answers
-// a quorum read only after the quorum has.
-type slowGetBackend struct {
-	*faultBackend
-	gate chan struct{}
-}
+// getGate is a Hook that holds every Get while gate is set: a replica
+// that answers a quorum read only after the quorum has.
+type getGate struct{ gate chan struct{} }
 
-func (g *slowGetBackend) Get(key string) ([]byte, error) {
-	if g.gate != nil {
+func (g *getGate) hold(op storage.Op) (int64, error) {
+	if !op.After && op.Kind == storage.OpGet && g.gate != nil {
 		<-g.gate
 	}
-	return g.faultBackend.Get(key)
+	return 0, nil
 }
 
 // TestReplicatedFailedTopUpFeedsHealth: the background top-up a quorum
@@ -492,8 +460,8 @@ func TestReplicatedFailedTopUpFeedsHealth(t *testing.T) {
 		members[i] = storage.Replica{Backend: storage.NewMem()}
 	}
 	fault := newFault(storage.NewMem())
-	slow := &slowGetBackend{faultBackend: fault}
-	members[2].Backend = slow
+	slow := &getGate{}
+	members[2].Backend = storage.Observe(fault, slow.hold)
 	rb, err := storage.NewReplicated(storage.ReplicatedOptions{FailureThreshold: 100}, members...)
 	if err != nil {
 		t.Fatal(err)

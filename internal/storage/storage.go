@@ -1,18 +1,17 @@
 // Package storage provides the durable-storage substrate under the
 // checkpoint engine. It is organized around the pluggable Backend
-// interface (Put/Get/List/Delete/Stat over flat keys) with three base
-// implementations — Local (crash-consistent atomic files), Mem (in-memory,
-// for tests and benchmarks), and Tier (any backend wrapped in a Device
-// latency/bandwidth cost model for tiers the test machine does not have:
-// local NVMe, network FS, object store) — and the composites that fan out
+// interface (Put/Get/List/Delete/Stat over flat keys) with two base
+// implementations — Local (crash-consistent atomic files) and Mem
+// (in-memory, for tests and benchmarks) — and the composites that fan out
 // over several: Tiered, an ordered hot→cold level stack with read-through
 // fallback and explicit promote/demote object moves, and Replicated, a
-// quorum set. Anything else between the engine and a leaf is one of two
-// kinds of wrapper with one implementation each: re-keying (WithPrefix,
-// WithSharedPrefix — view.go) or pass-through (embed Forward, intercept
-// what you must, declare it with ForwardCaps — forward.go), the latter
-// including Coalescer, the one read cache — a bounded LRU whose misses are
-// single-flight, under recovery and under a server alike. A
+// quorum set. Anything else between the engine and a leaf is one of three
+// wrappers: the re-keying view (WithPrefix, WithSharedPrefix — view.go),
+// Coalescer, the one read cache (a bounded LRU whose misses are
+// single-flight, under recovery and under a server alike), and Observe,
+// the one way to watch or fault a store: one Hook called before and after
+// every keyed operation (forward.go). Tier, a Device latency/bandwidth
+// cost model for tiers the test machine does not have, is such a hook. A
 // content-addressed ChunkStore deduplicates identical content on any
 // backend, built on the low-level crash-consistent file primitives the
 // local backend uses.

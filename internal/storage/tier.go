@@ -10,10 +10,11 @@ import (
 // bandwidth cost on a virtual clock. This is how the benchmarks project
 // checkpoint traffic onto storage tiers the test machine does not have
 // (datacenter NFS, S3-class object stores) without sleeping — the same
-// virtual-clock substitution the QPU simulator uses for queue delays.
+// virtual-clock substitution the QPU simulator uses for queue delays. The
+// bill is one Hook (charge) on an Observed base.
 type Tier struct {
-	base Backend
-	dev  Device
+	*Observed
+	dev Device
 
 	mu    sync.Mutex
 	stats TierStats
@@ -27,18 +28,17 @@ type TierStats struct {
 	BytesWritten int64
 	BytesRead    int64
 	// Modeled is the total virtual time the device model charged;
-	// ModeledWrite and ModeledRead split out the portions charged for
-	// Puts and for Get/GetRange (metadata latency is in neither), so
-	// experiments can separate the save-path bill from migration and
-	// recovery traffic.
+	// ModeledWrite splits out the portion charged for Puts, so experiments
+	// can separate the save-path bill from migration and recovery traffic.
 	Modeled      time.Duration
 	ModeledWrite time.Duration
-	ModeledRead  time.Duration
 }
 
 // NewTier wraps base with the dev cost model.
 func NewTier(base Backend, dev Device) *Tier {
-	return &Tier{base: base, dev: dev}
+	t := &Tier{dev: dev}
+	t.Observed = Observe(base, t.charge)
+	return t
 }
 
 // Device returns the modeled device.
@@ -51,27 +51,40 @@ func (t *Tier) Stats() TierStats {
 	return t.stats
 }
 
-func (t *Tier) charge(cost time.Duration, written, read int64) {
-	t.mu.Lock()
-	t.stats.Ops++
-	t.stats.Modeled += cost
-	t.stats.BytesWritten += written
-	t.stats.BytesRead += read
-	if written > 0 {
-		t.stats.ModeledWrite += cost
-	} else if read > 0 {
-		t.stats.ModeledRead += cost
+// charge is the Tier's Hook: a successful write pays the device's write
+// cost for its bytes, a read (whole or ranged) the read cost for the bytes
+// it returned, anything else the fixed latency. A failed op charges nothing.
+func (t *Tier) charge(op Op) (int64, error) {
+	if !op.After || op.Err != nil {
+		return 0, nil
 	}
-	t.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.stats.Ops++
+	switch op.Kind {
+	case OpPut:
+		cost := t.dev.WriteCost(int(op.N))
+		t.stats.Modeled += cost
+		t.stats.BytesWritten += op.N
+		if op.N > 0 {
+			t.stats.ModeledWrite += cost
+		}
+	case OpGet, OpGetRange:
+		t.stats.Modeled += t.dev.ReadCost(int(op.N))
+		t.stats.BytesRead += op.N
+	default:
+		t.stats.Modeled += t.dev.Latency
+	}
+	return 0, nil
 }
 
 // Name implements Backend.
-func (t *Tier) Name() string { return "tier:" + t.dev.Name + "+" + t.base.Name() }
+func (t *Tier) Name() string { return "tier:" + t.dev.Name + "+" + t.Backend.Name() }
 
 // Capabilities implements Backend: the base backend's guarantees, flagged
 // as latency-modeled.
 func (t *Tier) Capabilities() Capabilities {
-	c := t.base.Capabilities()
+	c := t.Backend.Capabilities()
 	c.Modeled = true
 	return c
 }
@@ -83,70 +96,5 @@ func (t *Tier) Capabilities() Capabilities {
 // Everything else is whatever the base offers, which for a plain Tier
 // over Local/Mem is nothing.
 func (t *Tier) Caps() CapSet {
-	return CapSet{Range: t, ClassWrite: t, Replication: Caps(t.base).Replication}
-}
-
-// Put implements Backend.
-func (t *Tier) Put(key string, data []byte) error {
-	return t.PutClass(key, data, ClassDefault)
-}
-
-// PutClass forwards a classed write to the base (falling back to plain
-// Put when the base has no placement to apply), charging the modeled
-// write cost on success.
-func (t *Tier) PutClass(key string, data []byte, class WriteClass) error {
-	if err := PutClass(t.base, key, data, class); err != nil {
-		return err
-	}
-	t.charge(t.dev.WriteCost(len(data)), int64(len(data)), 0)
-	return nil
-}
-
-// Get implements Backend, charging the modeled read cost on success.
-func (t *Tier) Get(key string) ([]byte, error) {
-	data, err := t.base.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	t.charge(t.dev.ReadCost(len(data)), 0, int64(len(data)))
-	return data, nil
-}
-
-// GetRange implements RangeReader, charging for the bytes actually read.
-func (t *Tier) GetRange(key string, off, n int64) ([]byte, error) {
-	data, err := GetRange(t.base, key, off, n)
-	if err != nil {
-		return nil, err
-	}
-	t.charge(t.dev.ReadCost(len(data)), 0, int64(len(data)))
-	return data, nil
-}
-
-// List implements Backend; metadata operations are charged fixed latency.
-func (t *Tier) List(prefix string) ([]string, error) {
-	keys, err := t.base.List(prefix)
-	if err != nil {
-		return nil, err
-	}
-	t.charge(t.dev.Latency, 0, 0)
-	return keys, nil
-}
-
-// Delete implements Backend.
-func (t *Tier) Delete(key string) error {
-	if err := t.base.Delete(key); err != nil {
-		return err
-	}
-	t.charge(t.dev.Latency, 0, 0)
-	return nil
-}
-
-// Stat implements Backend.
-func (t *Tier) Stat(key string) (ObjectInfo, error) {
-	info, err := t.base.Stat(key)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	t.charge(t.dev.Latency, 0, 0)
-	return info, nil
+	return CapSet{Range: t, ClassWrite: t, Replication: Caps(t.Backend).Replication}
 }
