@@ -18,7 +18,7 @@ import (
 )
 
 // cmdServe runs the networked checkpoint service over a local store
-// directory: one core.Service (shared sharded chunk store, per-job
+// directory: one core.Service (one shared chunk store, per-job
 // manifest namespaces) exposed on the qckpt wire protocol, so remote
 // trainers (`train -remote URL`) save and restore through it. The
 // resolved listen address is printed first — with -addr :0 scripts can

@@ -126,14 +126,12 @@ func allChunkReferences(b storage.Backend) (map[string]bool, error) {
 // pinnedChunks snapshots the addresses in-flight saves pin — with a shared
 // store, every manager's.
 func (m *Manager) pinnedChunks() map[string]bool {
-	out := make(map[string]bool)
-	for i := range m.shared.pins.stripes {
-		s := &m.shared.pins.stripes[i]
-		s.mu.Lock()
-		for a := range s.refs {
-			out[a] = true
-		}
-		s.mu.Unlock()
+	t := &m.shared.pins
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[string]bool, len(t.refs))
+	for a := range t.refs {
+		out[a] = true
 	}
 	return out
 }

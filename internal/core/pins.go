@@ -7,67 +7,42 @@ import (
 	"repro/internal/storage"
 )
 
-// pinStripes is the lock-stripe count of the pin table. Pins are taken
-// and released by chunk-write workers — with several tenants saving
-// concurrently, by several managers' workers at once — so the table is
-// striped by the same leading-address-byte rule as the sharded chunk
-// store rather than guarded by one mutex.
-const pinStripes = 32
-
 // pinTable is a refcounted set of chunk addresses belonging to in-flight
 // saves (concurrent saves may pin shared content more than once). Chunks
 // are durable before the manifest that references them, so without the
 // pin table a concurrent orphan-chunk GC would see a mid-flight save's
 // chunks as garbage and delete them out from under the manifest about to
-// commit.
+// commit. One mutex guards it: every operation is one map access.
 type pinTable struct {
-	stripes [pinStripes]pinStripe
-}
-
-type pinStripe struct {
 	mu   sync.Mutex
 	refs map[string]int
 }
 
-// stripe routes addr to its lock stripe by storage.ShardIndex — the one
-// striping rule the chunk store's shards also use — so two workers
-// contend only when their chunks share a leading byte modulo the stripe
-// count, and a chunk's pin stripe and store shard stay aligned.
-func (t *pinTable) stripe(addr string) *pinStripe {
-	return &t.stripes[storage.ShardIndex(addr, pinStripes)]
-}
-
 // pin marks addr as belonging to an in-flight save.
 func (t *pinTable) pin(addr string) {
-	s := t.stripe(addr)
-	s.mu.Lock()
-	if s.refs == nil {
-		s.refs = make(map[string]int)
-	}
-	s.refs[addr]++
-	s.mu.Unlock()
+	t.mu.Lock()
+	t.refs[addr]++
+	t.mu.Unlock()
 }
 
 // unpin releases one reference to addr.
 func (t *pinTable) unpin(addr string) {
-	s := t.stripe(addr)
-	s.mu.Lock()
-	if s.refs[addr] > 1 {
-		s.refs[addr]--
+	t.mu.Lock()
+	if t.refs[addr] > 1 {
+		t.refs[addr]--
 	} else {
-		delete(s.refs, addr)
+		delete(t.refs, addr)
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // pinned reports whether addr is pinned right now — the sweep's
 // delete-time check, which catches a save dedup-hitting an unreferenced
 // chunk while a sweep is in progress.
 func (t *pinTable) pinned(addr string) bool {
-	s := t.stripe(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refs[addr] > 0
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.refs[addr] > 0
 }
 
 // A PinSource contributes external pins to orphan collection: chunk
@@ -202,6 +177,7 @@ func (sc *sharedChunks) pinnedAnywhere(addr string) bool {
 func newSharedChunks(backend, root storage.Backend) *sharedChunks {
 	return &sharedChunks{
 		store:   storage.NewChunkStore(storage.WithPrefix(backend, ChunkPrefix)),
+		pins:    pinTable{refs: make(map[string]int)},
 		root:    root,
 		remote:  storage.Caps(root).Orphans != nil,
 		pending: make(map[string]struct{}),

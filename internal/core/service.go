@@ -13,8 +13,8 @@ import (
 
 // A Service is the multi-tenant checkpoint layer: N concurrent training
 // jobs checkpoint into ONE store, each under its own manifest namespace
-// (jobs/<id>/ckpt-…) while all of them share a single content-addressed,
-// sharded chunk store (chunks/…). Identical chunks written by different
+// (jobs/<id>/ckpt-…) while all of them share a single content-addressed
+// chunk store (chunks/…). Identical chunks written by different
 // jobs — replicas of a fine-tuning sweep, ensemble members, restarted
 // incarnations — are stored once, and the shared pin table plus reference
 // index keep garbage collection correct across tenants: a chunk is live
@@ -177,7 +177,7 @@ func JobBackend(base storage.Backend, jobID string) (storage.Backend, error) {
 // Backend returns the backend the service persists to.
 func (s *Service) Backend() storage.Backend { return s.backend }
 
-// ChunkStore returns the shared sharded chunk store.
+// ChunkStore returns the chunk store every job shares.
 func (s *Service) ChunkStore() *storage.ChunkStore { return s.shared.store }
 
 // CollectOrphans removes chunks no tenant references, whoever left them:

@@ -378,8 +378,8 @@ func TestCollectOrphansToleratesConcurrentManifestDelete(t *testing.T) {
 // back to back until the last saver is done — and checks every tenant
 // verifies clean and restores bitwise. Each job crosses three anchors that
 // reuse chunks of the anchor before them, which is the reuse the
-// collections race. Run with -race to exercise the sharded store, striped
-// pin table and shared GC gate under real concurrency.
+// collections race. Run with -race to exercise the shared chunk store, pin
+// table and GC gate under real concurrency.
 func TestServiceConcurrentJobsStress(t *testing.T) {
 	svc, err := NewService(ServiceOptions{Backend: storage.NewMem()})
 	if err != nil {

@@ -159,7 +159,7 @@ func t7RunFleet(jobs, steps int, mgr func(j int) (*core.Manager, error), restore
 // RunT7MultiJob persists steps snapshots per job for each fleet size in
 // jobCounts, twice: into isolated per-job stores (the baseline — N
 // single-tenant managers, no sharing possible) and into one multi-tenant
-// Service (per-job manifest namespaces, one sharded chunk store,
+// Service (per-job manifest namespaces, one shared chunk store,
 // cross-job dedup). Every job must restore its own final state bitwise
 // in both modes; the shared mode must never write more bytes than the
 // isolated one.
@@ -196,7 +196,7 @@ func RunT7MultiJob(jobCounts []int, steps int) ([]T7Row, error) {
 		}
 		rows = append(rows, t7Row("isolated", jobs, steps, iso, isoStore))
 
-		// Shared: one Service, one sharded chunk store for the fleet.
+		// Shared: one Service, one chunk store for the fleet.
 		svc, err := core.NewService(core.ServiceOptions{Backend: storage.NewMem()})
 		if err != nil {
 			return nil, err
@@ -240,7 +240,7 @@ func t7Row(mode string, jobs, steps int, o t7Outcome, storeBytes int64) T7Row {
 // T7Table renders the rows.
 func T7Table(rows []T7Row) *Table {
 	t := &Table{
-		Title:   "Table 7 — Multi-tenant checkpointing: isolated stores vs one sharded store (replicas sharing a 32768-param base)",
+		Title:   "Table 7 — Multi-tenant checkpointing: isolated stores vs one shared store (replicas sharing a 32768-param base)",
 		Columns: []string{"mode", "jobs", "saves/job", "stall/save", "worst-stall", "cost/save", "fleet-bytes", "store-bytes", "dedup-%", "bitwise"},
 	}
 	for _, r := range rows {

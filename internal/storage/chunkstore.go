@@ -12,17 +12,6 @@ import (
 // addresses.
 var ErrChunkNotFound = errors.New("storage: chunk not found")
 
-// DefaultChunkShards is the shard count NewChunkStore uses: enough stripes
-// that a full trainer fleet (the T7 workload tops out at 16 concurrent
-// jobs) rarely collides on one mutex, small enough that the per-shard maps
-// stay cache-friendly.
-const DefaultChunkShards = 32
-
-// maxChunkShards bounds the shard count to the address space of the
-// routing prefix (the first two hex digits select the shard, so more than
-// 256 shards would leave some permanently empty).
-const maxChunkShards = 256
-
 // ChunkStore is a content-addressed blob store on any Backend: chunks
 // are stored under <first2>/<hash>. Identical content is stored
 // once, which is what makes incremental checkpoint chains and chunked
@@ -30,89 +19,27 @@ const maxChunkShards = 256
 // tenants: several checkpoint managers (one per training job) can ingest
 // into the same store concurrently and share every repeated chunk.
 //
-// The store is partitioned into shards by the same leading hash byte that
-// fans chunks out on disk. Each shard has its own mutex and verification
-// cache, so concurrent Ingest/Get traffic from different jobs serializes
-// only when two operations land on the same shard — with the default
-// shard count that is a 1-in-32 collision, not a global lock. All methods
-// are safe for concurrent use when the backend is.
+// The verification set is one map under one RWMutex: a dedup hit takes
+// only the read lock, and a mark or unmark holds the write lock for one
+// map operation. All methods are safe for concurrent use when the backend
+// is.
 type ChunkStore struct {
-	b      Backend
-	shards []chunkShard
-}
+	b Backend
 
-// chunkShard is one lock stripe: a mutex plus the verification cache for
-// the addresses routed to it. verified remembers addresses whose resident
-// bytes this process has already read and matched against the address
-// (Ingest's dedup verification or a content-checked Get). It bounds
-// verification cost to one read per address per process: without it a
-// long run would re-read every recurring chunk on every save — on a
-// tiered backend, at cold-device cost once the chunk demotes.
-type chunkShard struct {
-	mu       sync.Mutex
+	// verified remembers addresses whose resident bytes this process has
+	// already read and matched against the address (Ingest's dedup
+	// verification or a content-checked Get). It bounds verification cost
+	// to one read per address per process: without it a long run would
+	// re-read every recurring chunk on every save — on a tiered backend, at
+	// cold-device cost once the chunk demotes.
+	mu       sync.RWMutex
 	verified map[string]bool
 }
 
-// NewShardedChunkStore returns a chunk store on b partitioned into the
-// given number of lock stripes (clamped to [1, 256]; values ≤ 0 select
-// DefaultChunkShards). Namespace the backend with WithPrefix when chunks
-// share it with other objects.
-func NewShardedChunkStore(b Backend, shards int) *ChunkStore {
-	if shards <= 0 {
-		shards = DefaultChunkShards
-	}
-	if shards > maxChunkShards {
-		shards = maxChunkShards
-	}
-	cs := &ChunkStore{b: b, shards: make([]chunkShard, shards)}
-	for i := range cs.shards {
-		cs.shards[i].verified = make(map[string]bool)
-	}
-	return cs
-}
-
-// NewChunkStore returns a chunk store on b with the default shard count.
+// NewChunkStore returns a chunk store on b. Namespace the backend with
+// WithPrefix when chunks share it with other objects.
 func NewChunkStore(b Backend) *ChunkStore {
-	return NewShardedChunkStore(b, DefaultChunkShards)
-}
-
-// hexNibble decodes one lowercase-hex digit; ok=false otherwise.
-func hexNibble(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	}
-	return 0, false
-}
-
-// ShardIndex maps a chunk address to a shard index in [0, n): the first
-// two hex digits — the address's on-disk fan-out prefix — reduced modulo
-// n. Malformed or short addresses map to 0 (harmless: routing only needs
-// to be deterministic, and key() rejects them before any backend
-// traffic). This is THE striping rule: the chunk store's lock shards and
-// the checkpoint engine's pin-table stripes both route through it, so a
-// chunk's store shard and pin stripe stay aligned by construction.
-func ShardIndex(addr string, n int) int {
-	if len(addr) < 2 || n <= 1 {
-		return 0
-	}
-	hi, ok1 := hexNibble(addr[0])
-	lo, ok2 := hexNibble(addr[1])
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return int(hi<<4|lo) % n
-}
-
-// ShardOf maps a chunk address to this store's shard index.
-func (cs *ChunkStore) ShardOf(addr string) int {
-	return ShardIndex(addr, len(cs.shards))
-}
-
-func (cs *ChunkStore) shard(addr string) *chunkShard {
-	return &cs.shards[cs.ShardOf(addr)]
+	return &ChunkStore{b: b, verified: make(map[string]bool)}
 }
 
 func (cs *ChunkStore) key(addr string) (string, error) {
@@ -218,24 +145,21 @@ func (cs *ChunkStore) Ingest(addr string, data []byte, class WriteClass) (writte
 }
 
 func (cs *ChunkStore) isVerified(addr string) bool {
-	s := cs.shard(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.verified[addr]
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	return cs.verified[addr]
 }
 
 func (cs *ChunkStore) markVerified(addr string) {
-	s := cs.shard(addr)
-	s.mu.Lock()
-	s.verified[addr] = true
-	s.mu.Unlock()
+	cs.mu.Lock()
+	cs.verified[addr] = true
+	cs.mu.Unlock()
 }
 
 func (cs *ChunkStore) unmarkVerified(addr string) {
-	s := cs.shard(addr)
-	s.mu.Lock()
-	delete(s.verified, addr)
-	s.mu.Unlock()
+	cs.mu.Lock()
+	delete(cs.verified, addr)
+	cs.mu.Unlock()
 }
 
 // Get retrieves the chunk at addr, verifying its content against the

@@ -38,53 +38,48 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedIngestParallel measures verified-dedup Ingest under
-// full parallelism at 1 vs the default shard count: the steady-state
-// multi-tenant hot path is every job re-offering mostly-unchanged chunks,
-// which reduces to a Stat plus a verification-cache lookup — exactly the
-// lookup the per-shard striping keeps off a single global mutex.
-func BenchmarkShardedIngestParallel(b *testing.B) {
-	for _, shards := range []int{1, DefaultChunkShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cs := NewShardedChunkStore(NewMem(), shards)
-			const distinct = 256
-			chunks := make([][]byte, distinct)
-			addrs := make([]string, distinct)
-			for i := range chunks {
-				chunks[i] = benchChunk(8 << 10)
-				chunks[i][0] = byte(i)
-				chunks[i][1] = byte(i >> 8)
-				var err error
-				if addrs[i], err = cs.Put(chunks[i]); err != nil {
-					b.Fatal(err)
+// BenchmarkIngestParallel measures verified-dedup Ingest under full
+// parallelism: the steady-state multi-tenant hot path is every job
+// re-offering mostly-unchanged chunks, which reduces to a Stat plus a
+// read-locked lookup in the verified set.
+func BenchmarkIngestParallel(b *testing.B) {
+	cs := NewChunkStore(NewMem())
+	const distinct = 256
+	chunks := make([][]byte, distinct)
+	addrs := make([]string, distinct)
+	for i := range chunks {
+		chunks[i] = benchChunk(8 << 10)
+		chunks[i][0] = byte(i)
+		chunks[i][1] = byte(i >> 8)
+		var err error
+		if addrs[i], err = cs.Put(chunks[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(8 << 10)
+	b.ResetTimer()
+	// b.Fatal must not be called from RunParallel workers; collect the
+	// first error and fail on the benchmark goroutine.
+	var (
+		errMu    sync.Mutex
+		firstErr error
+	)
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			i++
+			if _, err := cs.Ingest(addrs[i%distinct], chunks[i%distinct], ClassDefault); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
 				}
+				errMu.Unlock()
+				return
 			}
-			b.SetBytes(8 << 10)
-			b.ResetTimer()
-			// b.Fatal must not be called from RunParallel workers; collect
-			// the first error and fail on the benchmark goroutine.
-			var (
-				errMu    sync.Mutex
-				firstErr error
-			)
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					i++
-					if _, err := cs.Ingest(addrs[i%distinct], chunks[i%distinct], ClassDefault); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			})
-			if firstErr != nil {
-				b.Fatal(firstErr)
-			}
-		})
+		}
+	})
+	if firstErr != nil {
+		b.Fatal(firstErr)
 	}
 }
 

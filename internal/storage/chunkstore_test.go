@@ -116,52 +116,12 @@ func countOps(kind OpKind, n *atomic.Int64) Hook {
 	}
 }
 
-// TestShardedChunkStoreRouting checks the shard router: the shard index
-// is derived from the first address byte (the on-disk fan-out prefix),
-// stays in range for every shard count, and the full address space
-// touches every stripe at the default count.
-func TestShardedChunkStoreRouting(t *testing.T) {
-	for _, shards := range []int{1, 3, 16, DefaultChunkShards, 256, 1024, 0, -5} {
-		cs := NewShardedChunkStore(NewMem(), shards)
-		want := shards
-		if want <= 0 {
-			want = DefaultChunkShards
-		}
-		if want > maxChunkShards {
-			want = maxChunkShards
-		}
-		if len(cs.shards) != want {
-			t.Fatalf("shards=%d: got %d stripes, want %d", shards, len(cs.shards), want)
-		}
-		seen := make(map[int]bool)
-		for b := 0; b < 256; b++ {
-			addr := fmt.Sprintf("%02x", b)
-			idx := cs.ShardOf(addr)
-			if idx < 0 || idx >= len(cs.shards) {
-				t.Fatalf("shards=%d: prefix %s routed out of range (%d)", shards, addr, idx)
-			}
-			seen[idx] = true
-		}
-		if len(seen) != len(cs.shards) {
-			t.Errorf("shards=%d: only %d/%d stripes reachable", shards, len(seen), len(cs.shards))
-		}
-	}
-	// Malformed addresses must route somewhere valid rather than panic;
-	// key() rejects them before any backend traffic.
+// TestChunkStoreConcurrentIngest hammers one store from many goroutines
+// mixing Ingest, Get and re-Ingest — the multi-tenant access pattern — and
+// checks every chunk comes back bitwise. Run with -race to check the
+// verified set's locking.
+func TestChunkStoreConcurrentIngest(t *testing.T) {
 	cs := NewChunkStore(NewMem())
-	for _, bad := range []string{"", "z", "zz-not-hex"} {
-		if idx := cs.ShardOf(bad); idx != 0 {
-			t.Errorf("malformed address %q routed to %d, want 0", bad, idx)
-		}
-	}
-}
-
-// TestShardedChunkStoreConcurrentIngest hammers one store from many
-// goroutines mixing Ingest, Get and re-Ingest across all shards — the
-// multi-tenant access pattern — and checks every chunk comes back
-// bitwise. Run with -race to check the per-shard locking.
-func TestShardedChunkStoreConcurrentIngest(t *testing.T) {
-	cs := NewShardedChunkStore(NewMem(), 8)
 	const workers, chunks = 8, 64
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {

@@ -125,6 +125,9 @@ func TestCoalescerInvalidatesOnFailedQuorumWrite(t *testing.T) {
 	if err := co.Put(key, v2); err == nil {
 		t.Fatal("quorum write unexpectedly succeeded with 2/3 replicas rejecting")
 	}
+	// The failed Put returns at its second rejection, possibly before
+	// replica 0's copy lands; drain it so Repair sees v2 on replica 0.
+	rb.Close()
 
 	// Heal and converge: anti-entropy propagates the highest version —
 	// the minority-landed v2 — to every replica.
