@@ -371,14 +371,13 @@ func cmdRestore(dir string) error {
 	if restoreWorkers <= 0 {
 		opts.Workers = core.DefaultRestoreOptions().Workers
 	}
-	start := time.Now()
 	st, loadReport, err := core.LoadLatestBackendOptions(b, nil, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("restored: %s (seq %d, chain length %d) in %v with %d worker(s)\n",
 		loadReport.Path, loadReport.Seq, loadReport.ChainLen,
-		time.Since(start).Round(time.Microsecond), opts.Workers)
+		loadReport.Total().Round(time.Microsecond), opts.Workers)
 	printLoadReport(loadReport)
 	printState(st)
 	report()

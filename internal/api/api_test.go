@@ -7,9 +7,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/storage"
 )
+
+// fixedClock is a lease clock that stands at at; a test moves it by setting
+// another. A lease table never waits, so Sleep and After are the embedded
+// nil Clock's.
+type fixedClock struct {
+	clock.Clock
+	at time.Time
+}
+
+func (c fixedClock) Now() time.Time { return c.at }
+
+// epoch is where the tests' lease clocks start.
+var epoch = time.Unix(1<<30, 0)
 
 func newLocal(t *testing.T) (*Local, *core.Service, *storage.Mem) {
 	t.Helper()
@@ -86,6 +100,7 @@ func TestIngestRejectsCorruptUpload(t *testing.T) {
 // client story.
 func TestLeasesProtectUncommittedUploads(t *testing.T) {
 	l, _, _ := newLocal(t)
+	l.Leases().SetClock(fixedClock{at: epoch})
 	data := []byte("orphan-to-be")
 	addr := storage.Hash(data)
 	if _, err := l.IngestChunk(chunkKey(addr), data); err != nil {
@@ -95,7 +110,7 @@ func TestLeasesProtectUncommittedUploads(t *testing.T) {
 		t.Fatalf("leased chunk collected: removed=%d err=%v", removed, err)
 	}
 	// The client dies; the lease lapses.
-	l.Leases().SetClock(func() time.Time { return time.Now().Add(2 * time.Minute) })
+	l.Leases().SetClock(fixedClock{at: epoch.Add(2 * time.Minute)})
 	removed, _, err := l.CollectOrphans()
 	if err != nil || removed != 1 {
 		t.Fatalf("expired orphan not reaped: removed=%d err=%v", removed, err)
@@ -105,10 +120,48 @@ func TestLeasesProtectUncommittedUploads(t *testing.T) {
 	}
 }
 
+// TestLeaseLapsesOnceAtTTL pins Lapsed on the lease clock: a lease is
+// pinned until exactly TTL after its last touch, its lapse is reported once
+// and never before TTL, and the table is walked at most once per quarter
+// TTL, so a lapse may be reported up to that much late.
+func TestLeaseLapsesOnceAtTTL(t *testing.T) {
+	const ttl = time.Minute
+	l := NewLeases(ttl)
+	at := func(d time.Duration) { l.SetClock(fixedClock{at: epoch.Add(d)}) }
+	at(0)
+	l.Touch("a")
+	if got := l.Lapsed(); len(got) != 0 { // a walk: the next is due at ttl/4
+		t.Fatalf("a fresh lease lapsed: %v", got)
+	}
+	at(ttl - 1)
+	if got := l.Lapsed(); !l.Pinned("a") || len(got) != 0 { // a walk: the next is due at ttl-1 + ttl/4
+		t.Fatalf("lease lapsed before TTL: pinned %v, lapsed %v", l.Pinned("a"), got)
+	}
+	at(ttl)
+	if l.Pinned("a") {
+		t.Fatal("lease still pinned at TTL")
+	}
+	if got := l.Lapsed(); len(got) != 0 {
+		t.Fatalf("the table was walked again within a quarter TTL: %v", got)
+	}
+	at(ttl - 1 + ttl/4)
+	if got := l.Lapsed(); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("lapsed %v a quarter TTL after the last walk, want [a]", got)
+	}
+	at(3 * ttl)
+	if got := l.Lapsed(); len(got) != 0 {
+		t.Fatalf("a lapse reported twice: %v", got)
+	}
+	if l.Active() != 0 {
+		t.Fatalf("%d leases active after every one lapsed", l.Active())
+	}
+}
+
 // TestCommittedManifestOutlivesLease: once a manifest references the
 // chunk, lease expiry no longer matters.
 func TestCommittedManifestOutlivesLease(t *testing.T) {
 	l, svc, _ := newLocal(t)
+	l.Leases().SetClock(fixedClock{at: epoch})
 
 	// Save through a real manager so the manifest format is authentic.
 	m, err := svc.OpenJob("j", core.Options{Strategy: core.StrategyFull, ChunkBytes: core.MinChunkBytes, Workers: 2})
@@ -125,7 +178,7 @@ func TestCommittedManifestOutlivesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l.Leases().SetClock(func() time.Time { return time.Now().Add(time.Hour) })
+	l.Leases().SetClock(fixedClock{at: epoch.Add(time.Hour)})
 	if removed, _, err := l.CollectOrphans(); err != nil || removed != 0 {
 		t.Fatalf("referenced chunks collected after lease expiry: removed=%d err=%v", removed, err)
 	}
@@ -139,8 +192,7 @@ func TestCommittedManifestOutlivesLease(t *testing.T) {
 // at every step an explicit collection finds nothing left to remove.
 func TestManifestDeleteIsARetentionPass(t *testing.T) {
 	l, svc, _ := newLocal(t)
-	now := time.Now()
-	l.Leases().SetClock(func() time.Time { return now })
+	l.Leases().SetClock(fixedClock{at: epoch})
 	m, err := svc.OpenJob("src", core.Options{Strategy: core.StrategyFull, ChunkBytes: core.MinChunkBytes})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +261,7 @@ func TestManifestDeleteIsARetentionPass(t *testing.T) {
 		t.Fatalf("the surviving snapshot lost a chunk it shares with the deleted one: %v", err)
 	}
 	settled("older manifest deleted")
-	now = now.Add(2 * time.Minute) // the lease lapses
+	l.Leases().SetClock(fixedClock{at: epoch.Add(2 * time.Minute)}) // the lease lapses
 	if err := l.DeleteObject(keys[1]); err != nil {
 		t.Fatal(err)
 	}

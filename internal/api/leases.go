@@ -3,6 +3,8 @@ package api
 import (
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // DefaultLeaseTTL is how long an uploaded chunk outlives its last touch
@@ -20,8 +22,8 @@ const DefaultLeaseTTL = 5 * time.Minute
 // collection reaps the chunks its never-committed manifest would have
 // referenced. Leases implements core.PinSource.
 type Leases struct {
-	ttl time.Duration
-	now func() time.Time
+	ttl   time.Duration
+	clock clock.Clock
 
 	mu     sync.Mutex
 	exp    map[string]time.Time
@@ -34,20 +36,20 @@ func NewLeases(ttl time.Duration) *Leases {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	return &Leases{ttl: ttl, now: time.Now, exp: make(map[string]time.Time)}
+	return &Leases{ttl: ttl, clock: clock.Wall, exp: make(map[string]time.Time)}
 }
 
-// SetClock injects a time source for tests.
-func (l *Leases) SetClock(now func() time.Time) {
+// SetClock swaps the table's clock, clock.Wall until then, for a test's.
+func (l *Leases) SetClock(c clock.Clock) {
 	l.mu.Lock()
-	l.now = now
+	l.clock = c
 	l.mu.Unlock()
 }
 
 // Touch grants or extends addr's lease to TTL from now.
 func (l *Leases) Touch(addr string) {
 	l.mu.Lock()
-	l.exp[addr] = l.now().Add(l.ttl)
+	l.exp[addr] = l.clock.Now().Add(l.ttl)
 	l.mu.Unlock()
 }
 
@@ -56,7 +58,7 @@ func (l *Leases) Pinned(addr string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	exp, ok := l.exp[addr]
-	return ok && l.now().Before(exp)
+	return ok && l.clock.Now().Before(exp)
 }
 
 // Lapsed implements core.PinSource: the addresses whose lease has run out
@@ -67,7 +69,7 @@ func (l *Leases) Pinned(addr string) bool {
 func (l *Leases) Lapsed() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
+	now := l.clock.Now()
 	if now.Before(l.walkAt) {
 		return nil
 	}
@@ -86,7 +88,7 @@ func (l *Leases) Lapsed() []string {
 func (l *Leases) Active() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
+	now := l.clock.Now()
 	n := 0
 	for _, exp := range l.exp {
 		if now.Before(exp) {

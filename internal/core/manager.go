@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -171,6 +172,7 @@ type Stats struct {
 type Manager struct {
 	opt     Options
 	backend storage.Backend
+	clock   clock.Clock         // times the save ledger, QoS pacing and the migrator
 	tiered  *storage.Tiered     // non-nil iff the backend is tiered
 	chunks  *storage.ChunkStore // non-nil iff ChunkBytes > 0
 	rule    cdcParams           // the chunk boundary rule, fixed or content-defined
@@ -235,7 +237,7 @@ type Manager struct {
 	migrateKick chan struct{}
 	migrateStop chan struct{}
 	migrateDone sync.WaitGroup
-	activityNs  atomic.Int64 // UnixNano of the last foreground save activity
+	activityNs  atomic.Int64 // UnixNano of the last foreground save activity, a ledger stamp
 
 	jobs      chan writeJob // async sequencer queue
 	sequencer sync.WaitGroup
@@ -256,14 +258,14 @@ func NewManager(opt Options) (*Manager, error) {
 	if opt.Backend == nil {
 		return nil, errors.New("core: Options.Backend required")
 	}
-	return newManager(opt, opt.Backend, nil)
+	return newManager(opt, opt.Backend, nil, clock.Wall)
 }
 
 // newManager validates opt and wires a Manager over an already-resolved
 // backend. shared, when non-nil, is the service-level chunk machinery the
 // manager joins (one chunk store, pin table and GC gate for every job of a
 // Service) instead of creating its own.
-func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Manager, error) {
+func newManager(opt Options, backend storage.Backend, shared *sharedChunks, clk clock.Clock) (*Manager, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -271,7 +273,7 @@ func newManager(opt Options, backend storage.Backend, shared *sharedChunks) (*Ma
 		opt.AnchorEvery = 16
 	}
 	opt.Workers = max(opt.Workers, 1)
-	m := &Manager{opt: opt, backend: backend, pieceKeys: map[uint64]int{}}
+	m := &Manager{opt: opt, backend: backend, clock: clk, pieceKeys: map[uint64]int{}}
 	m.tiered, _ = backend.(*storage.Tiered)
 	if opt.Lifecycle.enabled() && m.tiered == nil {
 		return nil, errors.New("core: Lifecycle requires a tiered backend (set Backend to a *storage.Tiered)")

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Per-tenant QoS: byte quotas and token-bucket rate limits for the
@@ -71,11 +73,6 @@ type tenantQoS struct {
 
 	throttled  atomic.Int64 // throttle events (local sleeps + server rejections)
 	throttleNs atomic.Int64 // total nanoseconds of imposed delay
-
-	// The bucket's clock: time.Now and time.Sleep, except in a test that
-	// must see pacing whatever a save really takes.
-	now   func() time.Time
-	sleep func(time.Duration)
 }
 
 func (t *tenantQoS) burst() float64 {
@@ -124,63 +121,57 @@ func (t *tenantQoS) creditQuota(n int64) {
 	}
 }
 
-// admit runs the token bucket for n incoming bytes. While the bucket is
-// positive the write is admitted (and may overdraw the bucket — one
+// admit runs the token bucket, refilled on c, for n incoming bytes. While
+// the bucket is positive the write is admitted (and may overdraw it — one
 // oversized write is allowed through rather than wedging forever);
 // otherwise it reports how long until the bucket refills enough.
-func (t *tenantQoS) admit(n int64) (wait time.Duration, ok bool) {
+func (t *tenantQoS) admit(n int64, c clock.Clock) (wait time.Duration, ok bool) {
 	if t == nil || t.limit.RateBytesPerSec <= 0 {
 		return 0, true
 	}
 	rate := float64(t.limit.RateBytesPerSec)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
+	now := c.Now()
 	if t.last.IsZero() {
 		t.tokens = t.burst() // a fresh tenant starts with a full bucket
 	} else {
-		t.tokens += rate * now.Sub(t.last).Seconds()
-		if b := t.burst(); t.tokens > b {
-			t.tokens = b
-		}
+		t.tokens = min(t.tokens+rate*now.Sub(t.last).Seconds(), t.burst())
 	}
 	t.last = now
 	if t.tokens > 0 {
 		t.tokens -= float64(n)
 		return 0, true
 	}
-	needed := float64(n)
-	if b := t.burst(); needed > b {
-		needed = b
-	}
+	needed := min(float64(n), t.burst())
 	return time.Duration((needed - t.tokens) / rate * float64(time.Second)), false
 }
 
 // bill charges n persisted bytes to the tenant's quota and pays its rate
-// debt for them by sleeping — the local Manager's backpressure path. The
-// sleep lands in the writing tenant's own save path (the sequencer
+// debt for them by sleeping on c — the local Manager's backpressure path.
+// The sleep lands in the writing tenant's own save path (the sequencer
 // goroutine for async managers), never in anyone else's. Free when no QoS
 // is wired or the save was fully absorbed by dedup.
-func (t *tenantQoS) bill(n int64) {
+func (t *tenantQoS) bill(n int64, c clock.Clock) {
 	if t == nil || n <= 0 {
 		return
 	}
 	t.chargeQuota(n)
 	for {
-		wait, ok := t.admit(n)
+		wait, ok := t.admit(n, c)
 		if ok {
 			return
 		}
 		t.throttled.Add(1)
 		t.throttleNs.Add(int64(wait))
-		t.sleep(wait)
+		c.Sleep(wait)
 	}
 }
 
 // admitOrRetry is the server's non-sleeping admission check for n
 // incoming bytes: quota first (reason "quota"), then the token bucket
 // (reason "rate"). The returned delay rides a 429 Retry-After.
-func (t *tenantQoS) admitOrRetry(n int64) (retryAfter time.Duration, reason string, ok bool) {
+func (t *tenantQoS) admitOrRetry(n int64, c clock.Clock) (retryAfter time.Duration, reason string, ok bool) {
 	if t == nil {
 		return 0, "", true
 	}
@@ -188,7 +179,7 @@ func (t *tenantQoS) admitOrRetry(n int64) (retryAfter time.Duration, reason stri
 		t.throttled.Add(1)
 		return qosQuotaRetryAfter, "quota", false
 	}
-	if wait, ok := t.admit(n); !ok {
+	if wait, ok := t.admit(n, c); !ok {
 		t.throttled.Add(1)
 		t.throttleNs.Add(int64(wait))
 		return wait, "rate", false
@@ -237,7 +228,7 @@ func (q *qosTable) tenant(id string) *tenantQoS {
 	if !ok {
 		lim = q.cfg.Default
 	}
-	t := &tenantQoS{id: id, limit: lim, now: time.Now, sleep: time.Sleep}
+	t := &tenantQoS{id: id, limit: lim}
 	q.tenants[id] = t
 	return t
 }

@@ -95,14 +95,12 @@ func TestServiceRatePacingThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	// The bucket runs on a clock that only a pacing sleep advances: however
+	// The service runs on a clock that only a pacing sleep advances: however
 	// long a save really takes (longer than the 4 ms refill under -race on
 	// a busy box), the bucket has not refilled when the next one arrives.
-	// The manager is synchronous, so the clock stays on this goroutine.
-	clock := time.Unix(0, 0)
-	noisy := svc.qos.tenant("noisy")
-	noisy.now = func() time.Time { return clock }
-	noisy.sleep = func(d time.Duration) { clock = clock.Add(d) }
+	clk := newFakeClock(0)
+	svc.clock = clk
+	start := clk.peek()
 	m, err := svc.OpenJob("noisy", Options{Strategy: StrategyFull})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +113,9 @@ func TestServiceRatePacingThrottles(t *testing.T) {
 		}
 	}
 	u := svc.QoSUsage()["noisy"]
-	if u.Throttled < 3 || u.ThrottleWait != clock.Sub(time.Unix(0, 0)) {
+	if slept := clk.peek().Sub(start); u.Throttled < 3 || u.ThrottleWait != slept {
 		t.Errorf("rate-limited tenant paced %d times for %v (clock advanced %v), want every save after the first: %+v",
-			u.Throttled, u.ThrottleWait, clock.Sub(time.Unix(0, 0)), u)
+			u.Throttled, u.ThrottleWait, slept, u)
 	}
 	// An unlimited tenant on the same service is untouched.
 	q, err := svc.OpenJob("quiet", Options{Strategy: StrategyFull})
@@ -135,31 +133,35 @@ func TestServiceRatePacingThrottles(t *testing.T) {
 // TestAdmitOrRetry exercises the server-side (non-sleeping) admission
 // arithmetic directly.
 func TestAdmitOrRetry(t *testing.T) {
+	clk := newFakeClock(0)
 	// Quota dimension.
 	q := &tenantQoS{id: "q", limit: TenantQoS{QuotaBytes: 100}}
-	if _, _, ok := q.admitOrRetry(80); !ok {
+	if _, _, ok := q.admitOrRetry(80, clk); !ok {
 		t.Fatal("under-quota ingest refused")
 	}
 	q.chargeQuota(80)
-	retry, reason, ok := q.admitOrRetry(40)
+	retry, reason, ok := q.admitOrRetry(40, clk)
 	if ok || reason != "quota" || retry <= 0 {
 		t.Fatalf("over-quota ingest: retry=%v reason=%q ok=%v", retry, reason, ok)
 	}
 	// Rate dimension: drain the burst, next ingest must name a wait.
-	r := &tenantQoS{id: "r", limit: TenantQoS{RateBytesPerSec: 1000, BurstBytes: 1000}, now: time.Now}
-	if _, _, ok := r.admitOrRetry(2000); !ok {
+	// The 2000-byte ingest overdraws the 1000-byte bucket by 1000, so the
+	// next 500 bytes wait until it refills by 1500: 1.5 s at 1000 B/s.
+	r := &tenantQoS{id: "r", limit: TenantQoS{RateBytesPerSec: 1000, BurstBytes: 1000}}
+	if _, _, ok := r.admitOrRetry(2000, clk); !ok {
 		t.Fatal("burst-riding ingest refused")
 	}
-	retry, reason, ok = r.admitOrRetry(500)
-	if ok || reason != "rate" {
-		t.Fatalf("post-burst ingest admitted: reason=%q", reason)
+	retry, reason, ok = r.admitOrRetry(500, clk)
+	if ok || reason != "rate" || retry != 1500*time.Millisecond {
+		t.Fatalf("post-burst ingest: retry=%v reason=%q ok=%v, want a 1.5s rate wait", retry, reason, ok)
 	}
-	if retry <= 0 || retry > 5*time.Second {
-		t.Fatalf("implausible retry-after %v", retry)
+	clk.Advance(retry)
+	if _, _, ok := r.admitOrRetry(500, clk); !ok {
+		t.Fatal("ingest refused once its retry-after had passed")
 	}
 	// Nil tenant (QoS disabled) admits everything.
 	var none *tenantQoS
-	if _, _, ok := none.admitOrRetry(1 << 40); !ok {
+	if _, _, ok := none.admitOrRetry(1<<40, clk); !ok {
 		t.Fatal("nil tenant refused")
 	}
 }

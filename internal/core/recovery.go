@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -45,6 +46,9 @@ type LoadCost struct {
 	BytesHashed       int64 // bytes fed to SHA-256: snapshot files and the target's payload (its leaves and the root's 8 + 32·leaves input); on a conviction walk chunk frames, the anchor and every link too
 	ConvictionWalks   int   // chains walked a second time, every check on, to name the chunk or link that is wrong
 }
+
+// Total is the restore's time, its stages' sum: SaveCost.Persist's partner.
+func (c LoadCost) Total() time.Duration { return c.Index + c.Fetch + c.Apply + c.Verify + c.Decode }
 
 // indexEntry is one snapshot object beside its probed header.
 type indexEntry struct {
@@ -106,7 +110,7 @@ type snapshotObject struct {
 
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 	cb := storage.NewCoalescerShards(b, recoveryCacheBytes, 1)
-	return &snapshotView{stopwatch: stopwatch{time.Now()}, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
+	return &snapshotView{stopwatch: stopwatch{clock.Wall, clock.Wall.Now()}, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
 }
 
 // object fetches and checks the snapshot object at key, or recalls it from
@@ -392,7 +396,11 @@ func DirBackend(dir string) (storage.Backend, error) {
 // and decompress chunks and a chain prefetches its next link while the
 // current one applies. The state is bitwise-identical under every count.
 func LoadLatestBackendOptions(b storage.Backend, live *Meta, opts RestoreOptions) (*TrainingState, LoadReport, error) {
-	v := newSnapshotView(b, opts)
+	return newSnapshotView(b, opts).latest(live)
+}
+
+// latest is LoadLatestBackendOptions on a fresh view.
+func (v *snapshotView) latest(live *Meta) (*TrainingState, LoadReport, error) {
 	v.manifests = make(map[string]*snapshotObject)
 	if err := v.listIndex(); err != nil {
 		return nil, LoadReport{}, err

@@ -189,17 +189,49 @@ func TestVerifyAndMaintenanceGiveBackTheirBuffers(t *testing.T) {
 	}
 }
 
-// slowKeys is a Hook that delays every Get of the keys it names. Over a
-// Mem it declares no optional capability, so every full read of an object
-// is a Get.
-type slowKeys struct {
-	delay time.Duration
-	slow  map[string]bool
+// slowLinks is a Hook over a chain's store under which a warmer's Get of a
+// link's manifest takes delay on clk. Over a Mem a header probe is a Get
+// too, so a link's first Get, the resolver's probe before the walk, passes;
+// its second is the warmer's. That one is held until the next link's warmer
+// has sent its own: by then the resolver has started the next warmer and
+// waits on this one, so the delay falls inside that wait and nowhere else.
+// The chain's last link has no next one; its Get is not slowed.
+type slowLinks struct {
+	clk     *fakeClock
+	delay   time.Duration
+	next    map[string]string // each link's manifest key to the next link's, "" for the last
+	mu      sync.Mutex
+	gets    map[string]int
+	arrived map[string]chan struct{} // closed when the link's warmer Get arrives
 }
 
-func (s *slowKeys) hold(op storage.Op) (int64, error) {
-	if !op.After && op.Kind == storage.OpGet && s.slow[op.Key] {
-		time.Sleep(s.delay)
+// arrival is key's arrived channel, made on first use; s.mu is held.
+func (s *slowLinks) arrival(key string) chan struct{} {
+	if s.arrived[key] == nil {
+		s.arrived[key] = make(chan struct{})
+	}
+	return s.arrived[key]
+}
+
+func (s *slowLinks) hold(op storage.Op) (int64, error) {
+	next, link := s.next[op.Key]
+	if op.After || op.Kind != storage.OpGet || !link {
+		return 0, nil
+	}
+	s.mu.Lock()
+	if s.gets[op.Key]++; s.gets[op.Key] == 1 {
+		s.mu.Unlock()
+		return 0, nil
+	}
+	close(s.arrival(op.Key))
+	var wait chan struct{}
+	if next != "" {
+		wait = s.arrival(next)
+	}
+	s.mu.Unlock()
+	if wait != nil {
+		<-wait
+		s.clk.Sleep(s.delay)
 	}
 	return 0, nil
 }
@@ -207,36 +239,34 @@ func (s *slowKeys) hold(op storage.Op) (int64, error) {
 // TestLoadCostChargesWaitsOnTheWarmersToFetch: the stages of a LoadCost add
 // up to what the caller waited. What a walk spends waiting for a link's
 // warmer — here the warmed manifests are made slow to get, and nothing else
-// — is time spent getting that link's objects: it must show up in Fetch, and
-// the stages together must account for the restore.
+// takes any time — is time spent getting that link's objects: it must show
+// up in Fetch, each delay exactly once, and the stages together must account
+// for the restore.
 func TestLoadCostChargesWaitsOnTheWarmersToFetch(t *testing.T) {
 	const links, delay = 6, 20 * time.Millisecond
 	states := bigSeqStates(links)
 	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states)
-	ro := RestoreOptions{Workers: 2, Prefetch: 4}
-	_, quick, err := LoadLatestBackendOptions(mem, nil, ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := &slowKeys{delay: delay, slow: make(map[string]bool)}
+	clk := newFakeClock(0)
+	slow := &slowLinks{clk: clk, delay: delay, next: map[string]string{}, gets: map[string]int{}, arrived: map[string]chan struct{}{}}
 	for seq := uint64(1); seq < links; seq++ { // every link a warmer reads first
-		slow.slow[snapshotName(seq, KindDelta)] = true
+		slow.next[snapshotName(seq, KindDelta)] = ""
+		if seq < links-1 {
+			slow.next[snapshotName(seq, KindDelta)] = snapshotName(seq+1, KindDelta)
+		}
 	}
-	start := time.Now()
-	got, report, err := LoadLatestBackendOptions(storage.Observe(mem, slow.hold), nil, ro)
-	wall := time.Since(start)
+	v := newSnapshotView(storage.Observe(mem, slow.hold), RestoreOptions{Workers: 2, Prefetch: 4})
+	start := clk.peek()
+	v.stopwatch = stopwatch{clk, clk.Now()}
+	got, report, err := v.latest(nil)
 	if err != nil || !got.Equal(states[links-1]) {
 		t.Fatalf("restore through the slow store: %v", err)
 	}
-	// Two warmers run at a time, so the walk waits out at least every other
-	// delay; it was charged none of them before.
-	if grew := report.Fetch - quick.Fetch; grew < (links-1)/2*delay {
-		t.Errorf("Fetch grew by %v when %d warmed manifests each took %v longer to get, want at least %v", grew, links-1, delay, (links-1)/2*delay)
+	want := (links - 2) * delay
+	if c := report.LoadCost; c.Fetch != want || c.Total() != want {
+		t.Errorf("stages %+v when %d warmed manifests each took %v to get, want Fetch %v and nothing else", c, links-2, delay, want)
 	}
-	c := report.LoadCost
-	sum := c.Index + c.Fetch + c.Apply + c.Verify + c.Decode
-	if sum > wall || sum < wall*9/10 {
-		t.Errorf("stages sum to %v of a %v restore, want within a tenth below it", sum, wall)
+	if wall := clk.sinceLast(start); report.Total() != wall {
+		t.Errorf("stages sum to %v of a %v restore", report.Total(), wall)
 	}
 }
 
@@ -300,7 +330,7 @@ func TestFailedWalkLeaksNoScratch(t *testing.T) {
 			})
 			givesBackItsBuffers(t, "a walk whose visitor gave up", func() {
 				visits := 0
-				err := (&snapshotView{cs: cs, opts: ro}).walkPieces(info, func(int, []byte) error {
+				err := (&snapshotView{stopwatch: stopwatch{clock: newFakeClock(0)}, cs: cs, opts: ro}).walkPieces(info, func(int, []byte) error {
 					if visits++; visits > at {
 						return errors.New("enough")
 					}
@@ -321,7 +351,9 @@ func TestFailedWalkLeaksNoScratch(t *testing.T) {
 // of a LoadCost, lapped back to back on the restoring goroutine, add up to
 // LoadLatestBackendOptions' own wall time with under 5 % unattributed —
 // serial and parallel, monolithic and chunked, an anchor alone and a
-// 16-link chain.
+// 16-link chain. On a fake clock, where every reading is a tick past the
+// last, they add up to the span of the view's readings exactly: every
+// reading the resolving goroutine takes is a lap.
 func TestLoadCostSumsToWall(t *testing.T) {
 	const params, restores = 64 << 10, 10
 	for _, tc := range []struct {
@@ -329,13 +361,16 @@ func TestLoadCostSumsToWall(t *testing.T) {
 		opt   Options
 		saves int
 		ro    RestoreOptions
+		fake  bool // on a fakeClock: nothing unattributed
 	}{
-		{"monolithic-anchor", Options{}, 1, RestoreOptions{}},
-		{"monolithic-chain", Options{}, 17, RestoreOptions{}},
-		{"chunked-anchor-serial", Options{ChunkBytes: 8 << 10}, 1, RestoreOptions{}},
-		{"chunked-chain-serial", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{}},
-		{"chunked-anchor-parallel", Options{ChunkBytes: 8 << 10}, 1, RestoreOptions{Workers: 4, Prefetch: 4}},
-		{"chunked-chain-parallel", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{Workers: 4, Prefetch: 4}},
+		{"monolithic-anchor", Options{}, 1, RestoreOptions{}, false},
+		{"monolithic-chain", Options{}, 17, RestoreOptions{}, false},
+		{"chunked-anchor-serial", Options{ChunkBytes: 8 << 10}, 1, RestoreOptions{}, false},
+		{"chunked-chain-serial", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{}, false},
+		{"chunked-anchor-parallel", Options{ChunkBytes: 8 << 10}, 1, RestoreOptions{Workers: 4, Prefetch: 4}, false},
+		{"chunked-chain-parallel", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{Workers: 4, Prefetch: 4}, false},
+		{"fake-clock-monolithic-chain", Options{}, 17, RestoreOptions{}, true},
+		{"fake-clock-chunked-chain-parallel", Options{ChunkBytes: 8 << 10}, 17, RestoreOptions{Workers: 4, Prefetch: 4}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(9))
@@ -356,16 +391,21 @@ func TestLoadCostSumsToWall(t *testing.T) {
 			mem := saveChain(t, tc.opt, states)
 			var wall, sum time.Duration
 			for i := 0; i < restores; i++ {
-				start := time.Now()
-				got, report, err := LoadLatestBackendOptions(mem, nil, tc.ro)
-				wall += time.Since(start)
+				start, since := time.Now(), time.Since
+				v := newSnapshotView(mem, tc.ro)
+				if tc.fake {
+					clk := newFakeClock(time.Microsecond)
+					start, since = clk.peek(), clk.sinceLast
+					v.stopwatch = stopwatch{clk, clk.Now()}
+				}
+				got, report, err := v.latest(nil)
+				wall += since(start)
 				if err != nil || !got.Equal(states[len(states)-1]) || report.ChainLen != tc.saves {
 					t.Fatalf("restore: %v, chain %d", err, report.ChainLen)
 				}
-				c := report.LoadCost
-				sum += c.Index + c.Fetch + c.Apply + c.Verify + c.Decode
+				sum += report.Total()
 			}
-			if rest := wall - sum; rest < 0 || rest > wall/20 {
+			if rest := wall - sum; rest < 0 || rest > wall/20 || tc.fake && rest != 0 {
 				t.Errorf("the stages sum to %v of a %v wall: %v unattributed", sum, wall, rest)
 			}
 			t.Logf("wall %v, stages %v", wall/restores, sum/restores)

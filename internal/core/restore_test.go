@@ -41,7 +41,7 @@ func assembleWith(cs *storage.ChunkStore, manifest []byte, opt RestoreOptions) (
 	if err != nil {
 		return nil, err
 	}
-	body, err := (&snapshotView{cs: cs, opts: opt}).assemble(info)
+	body, err := (&snapshotView{stopwatch: stopwatch{clock: newFakeClock(0)}, cs: cs, opts: opt}).assemble(info)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func TestWalkPiecesCallerIsAWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, visits, started := runtime.NumGoroutine(), 0, false
-		v := &snapshotView{cs: cs, opts: tc.opt}
+		v := &snapshotView{stopwatch: stopwatch{clock: newFakeClock(0)}, cs: cs, opts: tc.opt}
 		err = v.walkPieces(info, func(int, []byte) error {
 			visits++
 			started = started || runtime.NumGoroutine() > before

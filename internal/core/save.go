@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -71,12 +72,15 @@ func (c *SaveCost) add(d SaveCost) {
 	c.Retain += d.Retain
 }
 
-// stopwatch laps one goroutine's stages back to back, a save's (ledger) or a
-// restore's (snapshotView), so that they add up to its wall time.
-type stopwatch struct{ t time.Time }
+// stopwatch laps one goroutine's stages back to back on its clock, a save's
+// (ledger) or a restore's (snapshotView), so that they add up to its wall time.
+type stopwatch struct {
+	clock clock.Clock
+	t     time.Time
+}
 
 func (w *stopwatch) lap(stage *time.Duration) {
-	now := time.Now()
+	now := w.clock.Now()
 	*stage += now.Sub(w.t)
 	w.t = now
 }
@@ -138,8 +142,8 @@ func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
 	if err := m.admit(); err != nil {
 		return SaveResult{}, err
 	}
-	l := ledger{stopwatch: stopwatch{time.Now()}}
-	m.markActivity(l.t)
+	l := ledger{stopwatch: stopwatch{m.clock, m.clock.Now()}}
+	m.activityNs.Store(l.t.UnixNano())
 	if err := m.encode(state); err != nil {
 		return SaveResult{}, err
 	}
@@ -271,7 +275,7 @@ func (m *Manager) delta(payload *refBuf, step uint64) writeJob {
 func (m *Manager) runSequencer() {
 	defer m.sequencer.Done()
 	for job := range m.jobs {
-		l := ledger{stopwatch: stopwatch{time.Now()}}
+		l := ledger{stopwatch: stopwatch{m.clock, m.clock.Now()}}
 		if _, err := m.commit(job, &l); err != nil {
 			m.mu.Lock()
 			if m.asyncErr == nil {
@@ -289,7 +293,7 @@ func (m *Manager) runSequencer() {
 // retention and wake the migrator, and account the save in Stats, its
 // ledger l included. It returns the bytes newly written.
 func (m *Manager) commit(job writeJob, l *ledger) (n int, err error) {
-	m.markActivity(l.t)
+	m.activityNs.Store(l.t.UnixNano())
 	var w chunkWrite // a chunked persist's counts; zero for a monolithic or failed one
 	var fileBytes int
 	if m.chunks != nil {
@@ -303,10 +307,10 @@ func (m *Manager) commit(job writeJob, l *ledger) (n int, err error) {
 	job.body.release()
 	job.hash.get() // joined already unless persist failed first; Close relies on this join
 	l.lap(&l.Commit)
-	m.markActivity(l.t)
+	m.activityNs.Store(l.t.UnixNano())
 	if err == nil {
 		m.refs = append(m.refs, snapshotRef{key: job.name, seq: job.h.Seq, kind: job.h.Kind.Base(), size: int64(fileBytes)})
-		m.qos.bill(int64(n))
+		m.qos.bill(int64(n), m.clock)
 		m.gc()
 		m.kickMigrate()
 	}

@@ -11,9 +11,9 @@ import "time"
 // scheduler and runs one final synchronous pass, so a closed store is
 // always fully settled — the invariant every lifecycle test observes.
 
-// Scheduler pacing knobs. Package variables, not constants, so tests
-// can compress the cadence; production code never mutates them.
-var (
+// Scheduler pacing, on the manager's clock: a test advances a fake clock
+// past these instead of shrinking them.
+const (
 	// migrateIdleWindow is how long the manager must have been free of
 	// foreground save activity before a migration pass may start.
 	migrateIdleWindow = 20 * time.Millisecond
@@ -55,27 +55,11 @@ func (m *Manager) kickMigrate() {
 	}
 }
 
-// markActivity stamps the manager's foreground-activity clock with t, a
-// stamp the save's ledger took; the scheduler reads it to yield to save
-// traffic.
-func (m *Manager) markActivity(t time.Time) {
-	m.activityNs.Store(t.UnixNano())
-}
-
-// idleFor reports how long the manager has been free of foreground
-// activity.
-func (m *Manager) idleFor() time.Duration {
-	last := m.activityNs.Load()
-	if last == 0 {
-		return migrateIdleWindow
-	}
-	return time.Since(time.Unix(0, last))
-}
-
-// runMigrator is the scheduler loop: wait for a kick, pace, wait for an
-// idle window, run one migration pass. Passes are best-effort exactly
-// like the inline calls they replace — placement is an optimization and
-// must never surface an error into the save path.
+// runMigrator is the scheduler loop: on a kick, wait until migratePace has
+// passed since the last pass and migrateIdleWindow since the last
+// foreground activity, then run one migration pass. Passes are best-effort
+// exactly like the inline calls they replace — placement is an
+// optimization and must never surface an error into the save path.
 func (m *Manager) runMigrator() {
 	defer m.migrateDone.Done()
 	var lastPass time.Time
@@ -85,29 +69,24 @@ func (m *Manager) runMigrator() {
 			return
 		case <-m.migrateKick:
 		}
-		if wait := migratePace - time.Since(lastPass); wait > 0 {
-			select {
-			case <-m.migrateStop:
-				return
-			case <-time.After(wait):
-			}
-		}
 		// Yield to foreground traffic: a save burst in progress keeps
 		// pushing the idle horizon out, and the pass waits its turn.
 		// Under sustained traffic the scheduler may never run — Close's
 		// final synchronous pass is the backstop.
 		for {
-			idle := m.idleFor()
-			if idle >= migrateIdleWindow {
+			now := m.clock.Now()
+			active := time.Unix(0, m.activityNs.Load())
+			wait := max(migratePace-now.Sub(lastPass), migrateIdleWindow-now.Sub(active))
+			if wait <= 0 {
 				break
 			}
 			select {
 			case <-m.migrateStop:
 				return
-			case <-time.After(migrateIdleWindow - idle):
+			case <-m.clock.After(wait):
 			}
 		}
 		m.Migrate()
-		lastPass = time.Now()
+		lastPass = m.clock.Now()
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -29,6 +30,7 @@ type Service struct {
 	backend storage.Backend
 	shared  *sharedChunks
 	qos     *qosTable
+	clock   clock.Clock // the QoS bucket's and every job's: clock.Wall, or a test's fake set before OpenJob
 
 	mu     sync.Mutex
 	open   map[string]*Manager
@@ -71,7 +73,7 @@ func NewService(opt ServiceOptions) (*Service, error) {
 	}
 	return &Service{
 		backend: backend, shared: newSharedChunks(backend, backend),
-		open: make(map[string]*Manager), qos: newQoSTable(opt.QoS),
+		open: make(map[string]*Manager), qos: newQoSTable(opt.QoS), clock: clock.Wall,
 	}, nil
 }
 
@@ -124,7 +126,7 @@ func (s *Service) OpenJob(jobID string, opt Options) (*Manager, error) {
 	if prev, ok := s.open[jobID]; ok && !prev.isClosed() {
 		return nil, fmt.Errorf("core: job %q already open", jobID)
 	}
-	m, err := newManager(opt, view, s.shared)
+	m, err := newManager(opt, view, s.shared, s.clock)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +247,7 @@ func (s *Service) QoSAdmit(tenant string, n int64) (retryAfter time.Duration, re
 	if s.qos == nil {
 		return 0, "", true
 	}
-	return s.qos.tenant(tenant).admitOrRetry(n)
+	return s.qos.tenant(tenant).admitOrRetry(n, s.clock)
 }
 
 // QoSCharge bills n stored bytes to tenant's quota — the server calls it

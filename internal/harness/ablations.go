@@ -67,12 +67,11 @@ func RunA1AnchorSweep(steps int, anchors []int) ([]A1Row, error) {
 		var chain int
 		live := cfg.Meta()
 		for i := 0; i < loads; i++ {
-			start := time.Now()
 			_, report, err := core.LoadLatestBackendOptions(store, &live, core.RestoreOptions{})
-			recTotal += time.Since(start)
 			if err != nil {
 				return nil, err
 			}
+			recTotal += report.Total()
 			chain = report.ChainLen
 		}
 		os.RemoveAll(dir)

@@ -96,9 +96,7 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 
 		// Recovery measurement.
 		live := liveMetaFor(cfg)
-		recStart := time.Now()
-		st, _, err := core.LoadLatestBackendOptions(opts.Backend, &live, core.RestoreOptions{})
-		recDur := time.Since(recStart)
+		st, rec, err := core.LoadLatestBackendOptions(opts.Backend, &live, core.RestoreOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s recovery: %w", spec.name, err)
 		}
@@ -134,7 +132,7 @@ func RunT2Strategies(steps int) ([]StrategyRow, error) {
 			TotalBytes:     stats.BytesWritten,
 			MeanSnapshotB:  mean,
 			Cost:           stats.Cost,
-			RecoveryTime:   recDur,
+			RecoveryTime:   rec.Total(),
 			RecoveredStep:  st.Step,
 			BitwiseResume:  bitwise,
 			ForegroundTime: stats.Cost.Stall(opts.Async),

@@ -132,12 +132,10 @@ func runT3Spec(spec t3Spec, steps int) (T3Row, error) {
 		return T3Row{}, err
 	}
 	stats := mgr.Stats()
-	recStart := time.Now()
-	got, _, err := core.LoadLatestBackendOptions(b, nil, core.RestoreOptions{})
+	got, rec, err := core.LoadLatestBackendOptions(b, nil, core.RestoreOptions{})
 	if err != nil {
 		return T3Row{}, err
 	}
-	recovery := time.Since(recStart)
 	if !got.Equal(st) {
 		return T3Row{}, fmt.Errorf("recovered state diverges from last save")
 	}
@@ -148,7 +146,7 @@ func runT3Spec(spec t3Spec, steps int) (T3Row, error) {
 		Snapshots:  stats.Snapshots,
 		MeanSave:   stats.Cost.Stall(false) / time.Duration(steps),
 		BytesTotal: stats.BytesWritten,
-		Recovery:   recovery,
+		Recovery:   rec.Total(),
 	}
 	if stats.Chunks > 0 {
 		// Chunks that never had to be written: content-addressed dedup hits

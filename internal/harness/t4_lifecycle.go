@@ -133,12 +133,11 @@ func runT4Spec(spec t4Spec, steps int) (T4Row, error) {
 	}
 
 	billBefore := sumModeled()
-	recStart := time.Now()
-	got, _, err := core.LoadLatestBackendOptions(tiered, nil, core.RestoreOptions{})
+	got, rec, err := core.LoadLatestBackendOptions(tiered, nil, core.RestoreOptions{})
 	if err != nil {
 		return T4Row{}, err
 	}
-	row.Recovery = time.Since(recStart)
+	row.Recovery = rec.Total()
 	row.RecBill = sumModeled() - billBefore
 	row.Bitwise = got.Equal(st)
 

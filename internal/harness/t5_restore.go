@@ -130,7 +130,6 @@ func runT5Config(name string, demoted bool, steps int) ([]T5Row, error) {
 	var rows []T5Row
 	for _, mode := range modes {
 		billBefore := sumModeled()
-		start := time.Now()
 		got, report, err := core.LoadLatestBackendOptions(tiered, nil, mode.opts)
 		if err != nil {
 			return nil, err
@@ -141,7 +140,7 @@ func runT5Config(name string, demoted bool, steps int) ([]T5Row, error) {
 			Workers:   max(1, mode.opts.Workers),
 			Snapshots: steps,
 			ChainLen:  report.ChainLen,
-			Recovery:  time.Since(start),
+			Recovery:  report.Total(),
 			RecBill:   sumModeled() - billBefore,
 			Bitwise:   got.Equal(st),
 		})

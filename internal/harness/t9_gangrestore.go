@@ -27,7 +27,7 @@ type T9Row struct {
 	ChunkBytes int64         // resident chunk payload in the store
 	StateBytes int64         // logical bytes each restorer recovers
 	Wall       time.Duration // gang wall time, dial to last bitwise check
-	MeanWall   time.Duration // mean per-restorer restore wall
+	MeanWall   time.Duration // mean per-restorer restore time, its LoadCost.Total (the dial excluded)
 	AggBW      float64       // aggregate restore bandwidth, MiB/s
 	ColdBytes  int64         // chunk bytes read from the cold store during the gang
 	Amp        float64       // ColdBytes / ChunkBytes with the origin cache
@@ -157,7 +157,6 @@ func t9RunOne(restorers, steps int, cacheBytes int64) (t9Result, error) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			t0 := time.Now()
 			c, err := remote.Dial(url, remote.Options{
 				Tenant:    fmt.Sprintf("restorer%03d", j),
 				Transport: transport,
@@ -172,12 +171,12 @@ func t9RunOne(restorers, steps int, cacheBytes int64) (t9Result, error) {
 				errs[j] = err
 				return
 			}
-			got, _, err := core.LoadLatestBackendOptions(rview, nil, core.RestoreOptions{Workers: 4})
+			got, report, err := core.LoadLatestBackendOptions(rview, nil, core.RestoreOptions{Workers: 4})
 			if err != nil {
 				errs[j] = err
 				return
 			}
-			walls[j] = time.Since(t0)
+			walls[j] = report.Total()
 			if !got.Equal(final) {
 				errs[j] = fmt.Errorf("restorer %d: state not bitwise", j)
 			}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
 
@@ -91,6 +92,7 @@ type Client struct {
 	opt    Options
 	caps   api.Caps
 	haster *hasBatcher
+	clock  clock.Clock // backoff sleeps on it: clock.Wall, or a test's fake
 
 	// readSlots bounds concurrent wire reads.
 	readSlots chan struct{}
@@ -135,6 +137,7 @@ func Dial(baseURL string, opt Options) (*Client, error) {
 		base:      strings.TrimRight(u.String(), "/"),
 		hc:        &http.Client{Transport: rt, Timeout: requestTimeout},
 		opt:       opt,
+		clock:     clock.Wall,
 		readSlots: make(chan struct{}, maxConcurrentReads),
 	}
 	c.haster = &hasBatcher{send: c.hasRound}
@@ -267,20 +270,11 @@ func retryable(status int) bool {
 // save path for long).
 func (c *Client) backoff(attempt int, hdr http.Header) {
 	d := c.opt.RetryBase << attempt
-	if hdr != nil {
-		if s := hdr.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil {
-				hint := time.Duration(secs) * time.Second
-				if hint > d {
-					d = hint
-				}
-			}
-		}
+	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil {
+		d = max(d, time.Duration(secs)*time.Second)
 	}
-	if max := 2 * time.Second; d > max {
-		d = max
-	}
-	time.Sleep(time.Duration(rand.Int63n(int64(d) + 1)))
+	d = min(d, 2*time.Second)
+	c.clock.Sleep(time.Duration(rand.Int63n(int64(d) + 1)))
 }
 
 // doIdem performs an idempotent request with retries: transport errors

@@ -11,10 +11,12 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/remote"
 	"repro/internal/server"
@@ -118,6 +120,77 @@ func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, nil
 	}
 	return resp, nil
+}
+
+// fixedClock is a lease clock that stands at at; a test moves it by setting
+// another. A lease table never waits, so Sleep and After are the embedded
+// nil Clock's.
+type fixedClock struct {
+	clock.Clock
+	at time.Time
+}
+
+func (c fixedClock) Now() time.Time { return c.at }
+
+// sleepClock is a client's backoff clock that returns from Sleep at once,
+// recording what it was asked to wait. A client only sleeps on its clock,
+// so Now and After are the embedded nil Clock's.
+type sleepClock struct {
+	clock.Clock
+	mu    sync.Mutex
+	slept []time.Duration
+}
+
+func (c *sleepClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.slept = append(c.slept, d)
+	c.mu.Unlock()
+}
+
+// busyTransport answers the first busy GETs 503 with a Retry-After of 30 s,
+// a server shedding load, and passes everything else through.
+type busyTransport struct {
+	base http.RoundTripper
+	busy atomic.Int64
+}
+
+func (b *busyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodGet && b.busy.Add(-1) >= 0 {
+		hdr := http.Header{"Retry-After": {"30"}}
+		return &http.Response{StatusCode: http.StatusServiceUnavailable, Header: hdr, Body: io.NopCloser(strings.NewReader("")), Request: req}, nil
+	}
+	return b.base.RoundTrip(req)
+}
+
+// TestBackoffCapsRetryAfter: a read the server sheds three times is retried
+// three times, each after a full-jitter sleep on the client's clock that a
+// 30 s Retry-After cannot stretch past the 2 s cap — so the test sleeps for
+// none of them.
+func TestBackoffCapsRetryAfter(t *testing.T) {
+	url, _ := newStack(t)
+	busy := &busyTransport{base: http.DefaultTransport}
+	client, err := remote.Dial(url, remote.Options{Transport: busy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	clk := &sleepClock{}
+	remote.SetClock(client, clk)
+	if err := client.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	busy.busy.Store(3)
+	if got, err := client.Get("k"); err != nil || string(got) != "v" {
+		t.Fatalf("get through a busy server: %q, %v", got, err)
+	}
+	if len(clk.slept) != 3 || client.ClientStats().Retries != 3 {
+		t.Fatalf("slept %v over %d retries, want 3 backoffs", clk.slept, client.ClientStats().Retries)
+	}
+	for _, d := range clk.slept {
+		if d < 0 || d > 2*time.Second {
+			t.Errorf("backoff slept %v, want within [0, 2s]", d)
+		}
+	}
 }
 
 // stack builds the full server stack and returns its URL plus the Local
@@ -303,6 +376,8 @@ func TestTruncatedUploadRejected(t *testing.T) {
 // lapse. The server-side collection reaps every orphan.
 func TestKilledClientLeavesReapableOrphans(t *testing.T) {
 	url, local := newStack(t)
+	epoch := time.Unix(1<<30, 0)
+	local.Leases().SetClock(fixedClock{at: epoch})
 	client, err := remote.Dial(url, remote.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +405,7 @@ func TestKilledClientLeavesReapableOrphans(t *testing.T) {
 		t.Fatalf("leased uploads collected: removed=%d err=%v", removed, err)
 	}
 	// The leases lapse…
-	local.Leases().SetClock(func() time.Time { return time.Now().Add(2 * time.Minute) })
+	local.Leases().SetClock(fixedClock{at: epoch.Add(2 * time.Minute)})
 	removed, _, ok, err := survivor.CollectOrphans()
 	if err != nil || !ok || removed != chunks {
 		t.Fatalf("orphans not reaped: removed=%d ok=%v err=%v", removed, ok, err)

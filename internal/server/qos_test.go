@@ -305,8 +305,7 @@ func TestServerChunkSweepCreditsQuota(t *testing.T) {
 	}
 	t.Cleanup(func() { svc.Close() })
 	leases := api.NewLeases(time.Minute)
-	now := time.Now()
-	leases.SetClock(func() time.Time { return now })
+	leases.SetClock(fixedClock{at: epoch})
 	ts := httptest.NewServer(New(api.NewLocalOptions(svc, leases, api.LocalOptions{}), Options{}))
 	t.Cleanup(ts.Close)
 
@@ -323,7 +322,7 @@ func TestServerChunkSweepCreditsQuota(t *testing.T) {
 	}
 	// Let the upload lease lapse (the client never committed a manifest),
 	// then collect: the orphaned chunk's bytes come back to the tenant.
-	leases.SetClock(func() time.Time { return now.Add(2 * time.Minute) })
+	leases.SetClock(fixedClock{at: epoch.Add(2 * time.Minute)})
 	resp, body = doHeadered(t, http.MethodPost, ts.URL+api.PathGC, nil, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("gc: %d %s", resp.StatusCode, body)

@@ -12,9 +12,23 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/storage"
 )
+
+// fixedClock is a lease clock that stands at at; a test moves it by setting
+// another. A lease table never waits, so Sleep and After are the embedded
+// nil Clock's.
+type fixedClock struct {
+	clock.Clock
+	at time.Time
+}
+
+func (c fixedClock) Now() time.Time { return c.at }
+
+// epoch is where the tests' lease clocks start.
+var epoch = time.Unix(1<<30, 0)
 
 func newTestServer(t *testing.T, opt Options) (*httptest.Server, *api.Local) {
 	t.Helper()
@@ -327,6 +341,7 @@ func TestAdmissionControl(t *testing.T) {
 
 func TestCapsAndGC(t *testing.T) {
 	ts, local := newTestServer(t, Options{})
+	local.Leases().SetClock(fixedClock{at: epoch})
 	resp, body := doReq(t, http.MethodGet, ts.URL+api.PathCaps, nil)
 	var caps api.Caps
 	if err := json.Unmarshal(body, &caps); err != nil || resp.StatusCode != 200 {
@@ -341,7 +356,7 @@ func TestCapsAndGC(t *testing.T) {
 	data := []byte("gc me")
 	addr := storage.Hash(data)
 	doReq(t, http.MethodPut, ts.URL+api.PathChunks+"chunks/"+addr[:2]+"/"+addr, data)
-	local.Leases().SetClock(func() time.Time { return time.Now().Add(time.Hour) })
+	local.Leases().SetClock(fixedClock{at: epoch.Add(time.Hour)})
 	resp, body = doReq(t, http.MethodPost, ts.URL+api.PathGC, nil)
 	var gc api.GCResponse
 	if err := json.Unmarshal(body, &gc); err != nil || resp.StatusCode != 200 {

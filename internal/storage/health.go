@@ -111,17 +111,17 @@ func (h *replicaHealth) markSuccess(gen int64) {
 	h.mu.Unlock()
 }
 
-// markFailure records one failed operation, which starts a new health
-// generation; crossing the threshold takes the replica's domain out of the
-// write fan-out and flags it for repair.
-func (h *replicaHealth) markFailure(err error) {
+// markFailure records one failed operation at now, which starts a new
+// health generation; crossing the threshold takes the replica's domain out
+// of the write fan-out and flags it for repair.
+func (h *replicaHealth) markFailure(err error, now time.Time) {
 	h.mu.Lock()
 	h.failures++
 	h.consecutive++
 	if err != nil {
 		h.lastErr = err.Error()
 	}
-	h.lastAttempt = time.Now()
+	h.lastAttempt = now
 	if h.consecutive >= h.threshold {
 		h.down = true
 		h.needsRepair = true

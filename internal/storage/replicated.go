@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Replicated is a composite Backend that writes every object to R replica
@@ -52,10 +54,11 @@ type Replicated struct {
 	w        int // write quorum
 	rq       int // read quorum, n - w + 1
 	domains  []string
+	clock    clock.Clock // times replica health: clock.Wall, or a test's fake
 
-	// clock is the Lamport clock behind envelope versions: bumped past
+	// lamport is the Lamport clock behind envelope versions: bumped past
 	// every version observed, incremented for every write.
-	clock atomic.Uint64
+	lamport atomic.Uint64
 
 	// wg tracks straggler goroutines (late fan-out writes, read top-ups)
 	// so Close can drain them.
@@ -96,14 +99,14 @@ type replica struct {
 	stripes [verStripes]verStripe
 }
 
-// observe records the outcome of one operation on this replica, admitted
-// at health generation gen, in its health. ErrNotFound is an answer — the
-// replica is reachable — not a failure.
-func (rep *replica) observe(gen int64, err error) {
+// observe records the outcome of one operation on rep, admitted at health
+// generation gen, in its health; a failure is stamped on r's clock.
+// ErrNotFound is an answer — the replica is reachable — not a failure.
+func (r *Replicated) observe(rep *replica, gen int64, err error) {
 	if err == nil || errors.Is(err, ErrNotFound) {
 		rep.health.markSuccess(gen)
 	} else {
-		rep.health.markFailure(err)
+		rep.health.markFailure(err, r.clock.Now())
 	}
 }
 
@@ -161,7 +164,7 @@ func NewReplicated(opts ReplicatedOptions, members ...Replica) (*Replicated, err
 	if w < 1 || w > n {
 		return nil, fmt.Errorf("storage: write quorum %d out of range for %d replicas", w, n)
 	}
-	r := &Replicated{w: w, rq: n - w + 1}
+	r := &Replicated{w: w, rq: n - w + 1, clock: clock.Wall}
 	for i, m := range members {
 		if m.Backend == nil {
 			return nil, fmt.Errorf("storage: replica %d without a backend", i)
@@ -276,10 +279,10 @@ func (r *Replicated) Close() error {
 	return nil
 }
 
-func (r *Replicated) bumpClock(v uint64) {
+func (r *Replicated) bumpLamport(v uint64) {
 	for {
-		cur := r.clock.Load()
-		if cur >= v || r.clock.CompareAndSwap(cur, v) {
+		cur := r.lamport.Load()
+		if cur >= v || r.lamport.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -306,14 +309,14 @@ func stripeFor(key string) int {
 	return int(h.Sum32() % verStripes)
 }
 
-// push writes raw, an envelope at version ver, to this replica: the one
-// replica write, behind the quorum fan-out, read-repair, its top-ups and
+// push writes raw, an envelope at version ver, to rep: the one replica
+// write, behind the quorum fan-out, read-repair, its top-ups and
 // anti-entropy. Like every replica operation it reports to health, and a
 // failure flags the replica for repair.
-func (rep *replica) push(key string, ver uint64, raw []byte, class WriteClass) error {
+func (r *Replicated) push(rep *replica, key string, ver uint64, raw []byte, class WriteClass) error {
 	gen := rep.health.admit()
 	err := rep.putOrdered(key, ver, raw, class)
-	if rep.observe(gen, err); err != nil {
+	if r.observe(rep, gen, err); err != nil {
 		rep.health.markDirty()
 	}
 	return err
@@ -345,7 +348,7 @@ func (rep *replica) putOrdered(key string, ver uint64, raw []byte, class WriteCl
 // sit the write out — their domain is degraded — unless they are needed
 // to reach quorum at all.
 func (r *Replicated) quorumWrite(key string, ver uint64, raw []byte, class WriteClass) error {
-	now := time.Now()
+	now := r.clock.Now()
 	targets := make([]*replica, 0, len(r.replicas))
 	var skipped []*replica
 	for _, rep := range r.replicas {
@@ -367,7 +370,7 @@ func (r *Replicated) quorumWrite(key string, ver uint64, raw []byte, class Write
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			ch <- rep.push(key, ver, raw, class)
+			ch <- r.push(rep, key, ver, raw, class)
 		}()
 	}
 	succ, fail := 0, 0
@@ -405,13 +408,13 @@ func (r *Replicated) PutClass(key string, data []byte, class WriteClass) error {
 	}
 	if _, chunk := ChunkKeyAddr(key); !chunk {
 		// Mutable keys read the current version first (the gather bumps the
-		// clock past it) so a fresh instance over an existing store, or a
-		// second instance on another node, overwrites above it instead of
-		// under it. Chunk writes skip the round trip — they arrive through
-		// the ingest path, which has already probed.
+		// Lamport clock past it) so a fresh instance over an existing store,
+		// or a second instance on another node, overwrites above it instead
+		// of under it. Chunk writes skip the round trip — they arrive
+		// through the ingest path, which has already probed.
 		r.probeGather(key)
 	}
-	ver := r.clock.Add(1)
+	ver := r.lamport.Add(1)
 	// The envelope is a fresh allocation: Put must not retain data, whose
 	// buffer the save pipeline recycles the moment we return, while
 	// straggler fan-out writes are still in flight.
@@ -446,11 +449,11 @@ func (st *repState) holds(winner repState) bool {
 		bytes.Equal(st.payload(), winner.payload())
 }
 
-// settle fills st from one read of rep admitted at gen, which returned
-// data (the stored object, or its envelope header) and err, and reports
-// the outcome to rep's health.
-func (st *repState) settle(gen int64, data []byte, err error) {
-	st.rep.observe(gen, err)
+// settle fills st from one read of its replica admitted at gen, which
+// returned data (the stored object, or its envelope header) and err, and
+// reports the outcome to the replica's health.
+func (r *Replicated) settle(st *repState, gen int64, data []byte, err error) {
+	r.observe(st.rep, gen, err)
 	switch {
 	case errors.Is(err, ErrNotFound):
 	case err != nil:
@@ -464,18 +467,18 @@ func (st *repState) settle(gen int64, data []byte, err error) {
 }
 
 // fetchFull reads rep's whole stored object at key.
-func fetchFull(rep *replica, key string) repState {
+func (r *Replicated) fetchFull(rep *replica, key string) repState {
 	st := repState{rep: rep}
 	gen := rep.health.admit()
 	data, err := rep.b.Get(key)
 	st.raw = data
-	st.settle(gen, data, err)
+	r.settle(&st, gen, data, err)
 	return st
 }
 
 // fetchProbe reads rep's header-level state of key: a Stat for the size,
 // then the envelope header.
-func fetchProbe(rep *replica, key string) repState {
+func (r *Replicated) fetchProbe(rep *replica, key string) repState {
 	st := repState{rep: rep}
 	gen := rep.health.admit()
 	info, err := rep.b.Stat(key)
@@ -485,7 +488,7 @@ func fetchProbe(rep *replica, key string) repState {
 		// read; definitively absent.
 		hdr, err = GetRange(rep.b, key, 0, repHeaderSize)
 	}
-	st.settle(gen, hdr, err)
+	r.settle(&st, gen, hdr, err)
 	if st.size = info.Size; st.found && !st.bare {
 		st.size -= repHeaderSize
 	}
@@ -493,18 +496,18 @@ func fetchProbe(rep *replica, key string) repState {
 }
 
 // gather fans fetch out to every replica and collects replies until a
-// read-quorum has answered, bumping the clock past every version they
-// carry. Beside those states it returns the channel the stragglers will
-// still answer on and how many are pending; the channel is buffered for
-// all of them, so a caller with no use for stragglers drops it.
-func (r *Replicated) gather(key string, fetch func(*replica, string) repState) ([]repState, chan repState, int, error) {
+// read-quorum has answered, bumping the Lamport clock past every version
+// they carry. Beside those states it returns the channel the stragglers
+// will still answer on and how many are pending; the channel is buffered
+// for all of them, so a caller with no use for stragglers drops it.
+func (r *Replicated) gather(key string, fetch func(*Replicated, *replica, string) repState) ([]repState, chan repState, int, error) {
 	pending := len(r.replicas)
 	ch := make(chan repState, pending)
 	for _, rep := range r.replicas {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			ch <- fetch(rep, key)
+			ch <- fetch(r, rep, key)
 		}()
 	}
 	var answered []repState
@@ -522,7 +525,7 @@ func (r *Replicated) gather(key string, fetch func(*replica, string) repState) (
 		return nil, nil, 0, fmt.Errorf("storage: read quorum %d/%d unreachable for %q: %w", len(answered), r.rq, key, firstErr)
 	}
 	for _, st := range answered {
-		r.bumpClock(st.ver)
+		r.bumpLamport(st.ver)
 	}
 	return answered, ch, pending, nil
 }
@@ -530,7 +533,7 @@ func (r *Replicated) gather(key string, fetch func(*replica, string) repState) (
 // probeGather is the header-level gather (version, tombstone, size)
 // behind Stat, Delete, ingest dedup and the pre-write version read.
 func (r *Replicated) probeGather(key string) ([]repState, error) {
-	states, _, _, err := r.gather(key, fetchProbe)
+	states, _, _, err := r.gather(key, (*Replicated).fetchProbe)
 	return states, err
 }
 
@@ -586,12 +589,12 @@ func (r *Replicated) getChunk(key string) ([]byte, error) {
 	answered := 0
 	var lastErr error
 	for _, rep := range r.ordered() {
-		st := fetchFull(rep, key)
+		st := r.fetchFull(rep, key)
 		if st.err != nil {
 			lastErr = st.err
 			continue
 		}
-		r.bumpClock(st.ver)
+		r.bumpLamport(st.ver)
 		answered++
 		if st.found && !st.tomb {
 			return st.payload(), nil
@@ -610,7 +613,7 @@ func (r *Replicated) getChunk(key string) ([]byte, error) {
 // which is exactly the inversion the k-atomicity auditor would flag.
 // Remaining stale replicas are topped up asynchronously.
 func (r *Replicated) getMutable(key string) ([]byte, error) {
-	answered, ch, pending, err := r.gather(key, fetchFull)
+	answered, ch, pending, err := r.gather(key, (*Replicated).fetchFull)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +660,7 @@ func (r *Replicated) writeBack(key string, winner repState, answered []repState)
 		if holders >= r.w {
 			break
 		}
-		if err := rep.push(key, winner.ver, winner.raw, ClassDefault); err != nil {
+		if err := r.push(rep, key, winner.ver, winner.raw, ClassDefault); err != nil {
 			lastErr = err
 			continue
 		}
@@ -686,9 +689,9 @@ func (r *Replicated) drainTopUp(key string, ch chan repState, pending int, winne
 			if st.err != nil {
 				continue
 			}
-			r.bumpClock(st.ver)
+			r.bumpLamport(st.ver)
 			if !st.holds(winner) {
-				st.rep.push(key, winner.ver, winner.raw, ClassDefault)
+				r.push(st.rep, key, winner.ver, winner.raw, ClassDefault)
 			}
 		}
 	}()
@@ -710,7 +713,7 @@ func (r *Replicated) Delete(key string) error {
 	if win < 0 || states[win].tomb {
 		return ErrNotFound
 	}
-	ver := r.clock.Add(1)
+	ver := r.lamport.Add(1)
 	raw := encodeEnvelope(ver, true, nil)
 	return r.quorumWrite(key, ver, raw, ClassDefault)
 }
@@ -792,7 +795,7 @@ func (r *Replicated) IngestKeyedClass(key, addr string, data []byte, class Write
 	if win := pickWinner(states, false); win >= 0 && !states[win].tomb {
 		return 0, true, nil
 	}
-	ver := r.clock.Add(1)
+	ver := r.lamport.Add(1)
 	raw := encodeEnvelope(ver, false, data)
 	if err := r.quorumWrite(key, ver, raw, class); err != nil {
 		return 0, true, err
@@ -847,7 +850,7 @@ func (r *Replicated) union(prefix string) ([]string, int, error) {
 			defer r.wg.Done()
 			gen := rep.health.admit()
 			keys, err := rep.b.List(prefix)
-			rep.observe(gen, err)
+			r.observe(rep, gen, err)
 			ch <- listResult{keys, err}
 		}()
 	}
@@ -899,11 +902,11 @@ func (r *Replicated) Repair() (RepairStats, error) {
 		key := keys[i]
 		states := make([]repState, len(r.replicas))
 		for j, rep := range r.replicas {
-			states[j] = fetchFull(rep, key)
+			states[j] = r.fetchFull(rep, key)
 			if states[j].err != nil {
 				errCount.Add(1)
 			}
-			r.bumpClock(states[j].ver)
+			r.bumpLamport(states[j].ver)
 		}
 		win := pickWinner(states, true)
 		if win < 0 {
@@ -914,7 +917,7 @@ func (r *Replicated) Repair() (RepairStats, error) {
 			if st.err != nil || st.holds(winner) || (winner.tomb && !st.found) {
 				continue
 			}
-			if err := st.rep.push(key, winner.ver, winner.raw, ClassDefault); err != nil {
+			if err := r.push(st.rep, key, winner.ver, winner.raw, ClassDefault); err != nil {
 				errCount.Add(1)
 				continue
 			}

@@ -5,11 +5,40 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/storage"
 )
+
+// stepClock is the replica health clock of the tests that time it: it
+// stands still until the test advances it. Replicated never waits on its
+// clock, so Sleep and After are the embedded nil Clock's and panic.
+type stepClock struct {
+	clock.Clock
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newStepClock(r *storage.Replicated) *stepClock {
+	c := &stepClock{now: time.Unix(1<<30, 0)}
+	storage.SetClock(r, c)
+	return c
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
 
 // faultBackend observes a Backend with switchable failure injection: dead
 // replicas error on everything, write-rejecting replicas keep serving
@@ -294,6 +323,7 @@ func TestReplicatedRepairAntiEntropy(t *testing.T) {
 
 func TestReplicatedHealthLifecycle(t *testing.T) {
 	rb, faults, _ := newFaultSet(t)
+	clk := newStepClock(rb)
 	if err := rb.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -324,33 +354,13 @@ func TestReplicatedHealthLifecycle(t *testing.T) {
 	// Recovery: the replica answers again, the probe lets it back in, and
 	// it is marked up but still needing repair until anti-entropy runs.
 	faults[1].setDead(false)
-	time.Sleep(2 * time.Millisecond) // past ProbeInterval
+	clk.Advance(time.Millisecond) // ProbeInterval
 	if err := rb.Put("k2", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	rb.Close()
-	deadline := time.Now().Add(time.Second)
-	for {
-		var rec storage.ReplicaStatus
-		for _, s := range rb.Health() {
-			if s.Index == 1 {
-				rec = s
-			}
-		}
-		if rec.Up {
-			if !rec.NeedsRepair {
-				t.Errorf("recovered replica lost its repair flag before Repair ran: %+v", rec)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica 1 never recovered: %+v", rec)
-		}
-		time.Sleep(time.Millisecond)
-		if err := rb.Put("k2", []byte("v2")); err != nil {
-			t.Fatal(err)
-		}
-		rb.Close()
+	if rec := rb.Health()[1]; !rec.Up || !rec.NeedsRepair {
+		t.Fatalf("replica 1 after a successful probe: %+v, want up and still needing repair", rec)
 	}
 	if _, err := rb.Repair(); err != nil {
 		t.Fatal(err)
@@ -395,6 +405,7 @@ func TestStragglerSuccessDoesNotReviveDeadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rb.Close()
+	clk := newStepClock(rb)
 	status := func() storage.ReplicaStatus { return rb.Health()[1] }
 	if err := rb.Put("m", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -430,13 +441,73 @@ func TestStragglerSuccessDoesNotReviveDeadReplica(t *testing.T) {
 	}
 
 	fault.setDead(false)
-	time.Sleep(2 * time.Millisecond) // past ProbeInterval
+	clk.Advance(time.Millisecond) // ProbeInterval
 	if err := rb.Put("k2", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	rb.Close()
 	if st := status(); !st.Up || st.Consecutive != 0 || !st.NeedsRepair {
 		t.Fatalf("a successful probe did not bring replica 1 back up, pending repair: %+v", st)
+	}
+}
+
+// TestDownReplicaGetsOneProbePerInterval: a down replica is offered one
+// write per ProbeInterval, however many writers arrive at once, so
+// concurrent savers do not stampede a dead disk. Counted at the replica:
+// none inside the interval after the failures that took it down, exactly
+// one from a burst of concurrent writes once the interval has passed, and
+// exactly one more after the next.
+func TestDownReplicaGetsOneProbePerInterval(t *testing.T) {
+	const probe, burst = time.Second, 8
+	var offered atomic.Int64
+	fault := newFault(storage.NewMem())
+	members := []storage.Replica{{Backend: storage.NewMem()}, {Backend: storage.Observe(fault, func(op storage.Op) (int64, error) {
+		if !op.After && op.Kind == storage.OpPut {
+			offered.Add(1)
+		}
+		return 0, nil
+	})}, {Backend: storage.NewMem()}}
+	rb, err := storage.NewReplicated(storage.ReplicatedOptions{FailureThreshold: 2, ProbeInterval: probe}, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	clk := newStepClock(rb)
+	n := 0
+	writes := func(k int) int64 { // k concurrent chunk writes; what replica 1 was offered
+		offered.Store(0)
+		var wg sync.WaitGroup
+		for range k {
+			n++
+			chunk := []byte(fmt.Sprintf("chunk %d", n))
+			addr := storage.Hash(chunk)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := rb.Put("chunks/"+addr[:2]+"/"+addr, chunk); err != nil { // chunk keys: no pre-write read
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		rb.Close() // every straggler has reported to health
+		return offered.Load()
+	}
+	fault.setDead(true)
+	if got := writes(2); got != 2 || rb.Health()[1].Up {
+		t.Fatalf("two failed writes offered replica 1 %d, health %+v: want it down after both", got, rb.Health()[1])
+	}
+	if got := writes(burst); got != 0 {
+		t.Errorf("%d writes inside the probe interval offered the down replica %d, want none", burst, got)
+	}
+	for i := 0; i < 2; i++ {
+		clk.Advance(probe)
+		if got := writes(burst); got != 1 {
+			t.Errorf("%d concurrent writes after interval %d offered the down replica %d, want exactly one probe", burst, i+1, got)
+		}
+	}
+	if st := rb.Health()[1]; st.Up || st.Failures != 4 {
+		t.Errorf("replica 1 after two failed probes: %+v, want down with 4 failures", st)
 	}
 }
 
