@@ -8,12 +8,12 @@
 // It is also the CI perf-regression gate: -compare checks a fresh
 // document against the committed baseline and exits non-zero when any
 // benchmark's allocs/op regressed beyond the tolerance, one of its count
-// columns (gateRules' exact set) grew at all or went unreported, or a
-// baseline benchmark silently disappeared (it would otherwise hide its own
-// regression forever). ns/op movement beyond the tolerance is printed as
-// ADVISORY lines and never fails the gate: the baseline's wall-clock was
-// taken on another host, and wall-clock claims belong to the paired runs
-// of bench/ (BENCHMARK.json). A PR that deliberately retires a benchmark
+// columns (gateRules' exact set) grew or a floor share fell at all or went
+// unreported, or a baseline benchmark silently disappeared (it would
+// otherwise hide its own regression forever). ns/op movement beyond the
+// tolerance is printed as ADVISORY lines and never fails the gate: the
+// baseline's wall-clock was taken on another host, and wall-clock claims
+// belong to the paired runs of bench/ (BENCHMARK.json). A PR that deliberately retires a benchmark
 // passes -allow-missing: absences are still listed, just not counted as
 // violations.
 //
@@ -137,17 +137,20 @@ func mergeResults(rows []BenchResult) []BenchResult {
 // (allocs/op: hardware-independent, but it moves a little with the
 // runtime); exact growth fails whatever -tolerance says, from a zero
 // baseline too, and so does dropping the column — these are counts of the
-// code and the fixture alone, the same on every run and every host.
+// code and the fixture alone, the same on every run and every host. A
+// floor column, a deterministic share, fails likewise on any fall.
 type gateRule int
 
 const (
 	advisory gateRule = iota
 	tolerance
 	exact
+	floor
 )
 
 // gateRules are the columns -compare gates, in report order. Every other
-// unit (MB/s, clean-%, <stage>-ns/op) rides along in Metrics ungated.
+// unit (MB/s, dedup-%, which moves with the iteration count, <stage>-ns/op)
+// rides along in Metrics ungated.
 var gateRules = []struct {
 	unit string
 	rule gateRule
@@ -166,16 +169,18 @@ var gateRules = []struct {
 	{"delete-ops/op", exact},
 	{"probed/op", exact}, {"chunks-fetched/op", exact}, // a restore's header probes and chunk reads
 	{"requests/op", exact}, {"wire-B/op", exact}, // a remote restore's HTTP requests and the bytes they moved
+	{"clean-%", floor}, // the share of an anchor's chunks reused from the anchor before
 }
 
 // compareDocs gates newDoc against oldDoc: every baseline benchmark must
 // still exist, and each column gateRules names must not exceed its baseline
 // by more than tolerancePct percent — at all, for an exact column (advisory
-// columns that do are reported, not counted). A column the baseline does
-// not report is not compared, and neither is a zero baseline under the
-// tolerance (nothing meaningful to ratio against). It returns the
-// human-readable report, the names of baseline benchmarks absent from the
-// new results, and the number of violations. With allowMissing set, absent
+// columns that do are reported, not counted), and no floor column may fall
+// below it. A column the baseline does not report is not compared, and
+// neither is a zero baseline under the tolerance (nothing meaningful to
+// ratio against). It returns the human-readable report, the names of
+// baseline benchmarks absent from the new results, and the number of
+// violations. With allowMissing set, absent
 // baselines are still reported and listed but not counted as violations —
 // the escape hatch for PRs that deliberately retire a benchmark.
 func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool) (report, missing []string, failures int) {
@@ -205,9 +210,15 @@ func compareDocs(oldDoc, newDoc Output, tolerancePct float64, allowMissing bool)
 			now, reported := cur.Metrics[g.unit]
 			tol := tolerancePct
 			switch {
-			case g.rule == exact && !reported:
+			case (g.rule == exact || g.rule == floor) && !reported:
 				failures++
 				report = append(report, fmt.Sprintf("REGRESSED %s %s: %.10g in baseline, not reported now", old.Name, g.unit, was))
+				continue
+			case g.rule == floor:
+				if now < was {
+					failures++
+					report = append(report, fmt.Sprintf("REGRESSED %s %s: %.10g -> %.10g (may not fall)", old.Name, g.unit, was, now))
+				}
 				continue
 			case g.rule == exact:
 				tol = 0

@@ -340,6 +340,35 @@ func TestCompareGatesCountColumnsExactly(t *testing.T) {
 	}
 }
 
+// TestCompareCleanShareMayNotFall: clean-% (an anchor's chunks reused from
+// the anchor before, deterministic) is gated from below. Any fall fails
+// inside any tolerance, and so does a row that stops reporting it; a rise
+// or an equal value passes. dedup-% moves with the iteration count and
+// stays ungated.
+func TestCompareCleanShareMayNotFall(t *testing.T) {
+	row := func(unit string, v float64) BenchResult {
+		r := bench("BenchmarkSaveAnchor", 1000, 47)
+		r.Metrics[unit] = v
+		return r
+	}
+	old := gateDoc(row("clean-%", 94.19))
+	report, _, failures := compareDocs(old, gateDoc(row("clean-%", 94.18)), 60, false)
+	if joined := strings.Join(report, "\n"); failures != 1 || !strings.Contains(joined, "REGRESSED BenchmarkSaveAnchor clean-%") {
+		t.Errorf("clean-%% fell: %d violation(s), want 1 (%v)", failures, report)
+	}
+	for _, v := range []float64{94.19, 97} {
+		if report, _, failures := compareDocs(old, gateDoc(row("clean-%", v)), 20, false); failures != 0 {
+			t.Errorf("clean-%% at %v failed the gate: %v", v, report)
+		}
+	}
+	if report, _, failures := compareDocs(old, gateDoc(bench("BenchmarkSaveAnchor", 1000, 47)), 20, false); failures != 1 {
+		t.Errorf("clean-%% dropped from the row: %d violation(s), want 1 (%v)", failures, report)
+	}
+	if report, _, failures := compareDocs(gateDoc(row("dedup-%", 0.27)), gateDoc(row("dedup-%", 0.096)), 20, false); failures != 0 {
+		t.Errorf("dedup-%% is gated: %v", report)
+	}
+}
+
 // TestCompareUngatedColumnsRideAlong: the retired table benchmarks' columns
 // — wire bytes and reductions, p99 stalls and throttle counts, per-chunker
 // bytes and ratios, the audit's k and availability — are units outside

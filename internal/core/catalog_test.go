@@ -278,12 +278,17 @@ func TestManifestAddrs(t *testing.T) {
 			t.Errorf("%s: manifestAddrs = %v, %v; want the manifest's addresses in order", name, got, err)
 		}
 	}
-	// A monolithic snapshot is recognised on the header probe: its body is
-	// never fetched. (Mem has no ranged read, so the probe is the one Get.)
-	gets := 0
-	counting := hooked(mem, faults{getErr: func(string) error { gets++; return nil }})
-	if got, err := manifestAddrs(counting, mono); err != nil || got != nil || gets != 1 {
-		t.Errorf("monolithic: manifestAddrs = %v, %v after %d reads; want nothing after the probe alone", got, err, gets)
+	// A monolithic snapshot is recognised on the header probe, a ranged
+	// read: its body is never fetched.
+	reads := map[storage.OpKind]int{}
+	counting := storage.Observe(mem, func(op storage.Op) (int64, error) {
+		if !op.After {
+			reads[op.Kind]++
+		}
+		return 0, nil
+	})
+	if got, err := manifestAddrs(counting, mono); err != nil || got != nil || reads[storage.OpGetRange] != 1 || len(reads) != 1 {
+		t.Errorf("monolithic: manifestAddrs = %v, %v after reads %v; want nothing after the probe alone", got, err, reads)
 	}
 	// Torn and corrupt objects reference nothing and are not an error; a
 	// CHUNKS1 manifest, whose reader is gone, is one of them.

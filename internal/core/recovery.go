@@ -109,8 +109,9 @@ type snapshotObject struct {
 }
 
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
+	origin := stopwatch{clock.Wall, clock.Wall.Now()} // first, so the view's construction is a lap too
 	cb := storage.NewCoalescerShards(b, recoveryCacheBytes, 1)
-	return &snapshotView{stopwatch: stopwatch{clock.Wall, clock.Wall.Now()}, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
+	return &snapshotView{stopwatch: origin, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
 }
 
 // object fetches and checks the snapshot object at key, or recalls it from

@@ -139,10 +139,14 @@ func (a *payloadHash) get() [32]byte {
 // async mode the returned SaveResult has FileBytes and Write set to zero;
 // aggregate numbers appear in Stats after Barrier.
 func (m *Manager) Save(state *TrainingState) (SaveResult, error) {
+	return m.save(state, ledger{stopwatch: stopwatch{m.clock, m.clock.Now()}})
+}
+
+// save is Save on ledger l, whose origin Save reads before anything else.
+func (m *Manager) save(state *TrainingState, l ledger) (SaveResult, error) {
 	if err := m.admit(); err != nil {
 		return SaveResult{}, err
 	}
-	l := ledger{stopwatch: stopwatch{m.clock, m.clock.Now()}}
 	m.activityNs.Store(l.t.UnixNano())
 	if err := m.encode(state); err != nil {
 		return SaveResult{}, err

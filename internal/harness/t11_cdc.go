@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
@@ -214,10 +213,7 @@ func t11RemotePass(chunker core.Chunker, blobs [][]byte) (int64, bool, error) {
 	}
 	defer shutdown()
 
-	client, err := remote.Dial(url, remote.Options{
-		Tenant:    "t11",
-		RetryBase: time.Millisecond,
-	})
+	client, err := remote.Dial(url, remote.Options{Tenant: "t11"})
 	if err != nil {
 		return 0, false, err
 	}

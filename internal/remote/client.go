@@ -44,17 +44,16 @@ type Options struct {
 	// Transport overrides the pooled default (fault-injection tests plug a
 	// flaky RoundTripper in here).
 	Transport http.RoundTripper
-	// RetryBase is the first backoff delay, doubled per attempt with full
-	// jitter (0 selects DefaultRetryBase).
-	RetryBase time.Duration
 }
 
 const (
 	// maxRetries is the idempotent-request retry budget: attempts after
 	// the first.
 	maxRetries = 4
-	// DefaultRetryBase is the initial backoff step.
-	DefaultRetryBase = 50 * time.Millisecond
+	// retryBase is the first backoff delay, doubled per attempt with full
+	// jitter. Tests that retry install a clock (SetClock) instead of a
+	// shorter base.
+	retryBase = 50 * time.Millisecond
 	// requestTimeout bounds a single HTTP request.
 	requestTimeout = 2 * time.Minute
 	// maxHasBatch caps one coalesced /v1/has round.
@@ -121,9 +120,6 @@ func Dial(baseURL string, opt Options) (*Client, error) {
 	}
 	if opt.Tenant == "" {
 		opt.Tenant = api.DefaultTenant
-	}
-	if opt.RetryBase <= 0 {
-		opt.RetryBase = DefaultRetryBase
 	}
 	rt := opt.Transport
 	if rt == nil {
@@ -269,7 +265,7 @@ func retryable(status int) bool {
 // a Retry-After hint (capped so a generous server hint cannot stall the
 // save path for long).
 func (c *Client) backoff(attempt int, hdr http.Header) {
-	d := c.opt.RetryBase << attempt
+	d := retryBase << attempt
 	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil {
 		d = max(d, time.Duration(secs)*time.Second)
 	}

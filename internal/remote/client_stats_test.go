@@ -19,7 +19,7 @@ import (
 // without a counting RoundTripper.
 func TestClientStatsCountWireTraffic(t *testing.T) {
 	url, _ := newStack(t)
-	c, err := remote.Dial(url, remote.Options{RetryBase: time.Millisecond})
+	c, err := remote.Dial(url, remote.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestClientStatsCountWireTraffic(t *testing.T) {
 // all positions still correct.
 func TestGetBatchDedupsAndWindows(t *testing.T) {
 	url, _ := newStack(t)
-	c, err := remote.Dial(url, remote.Options{RetryBase: time.Millisecond})
+	c, err := remote.Dial(url, remote.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func (g *readGauge) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestBoundedReadConcurrency(t *testing.T) {
 	url, _ := newStack(t)
 	gauge := &readGauge{base: http.DefaultTransport, want: remote.MaxConcurrentReads, full: make(chan struct{})}
-	c, err := remote.Dial(url, remote.Options{Transport: gauge, RetryBase: time.Millisecond})
+	c, err := remote.Dial(url, remote.Options{Transport: gauge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func (p *pathLog) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestForeignChunkStoreRidesObjectPlane(t *testing.T) {
 	url, local := newStack(t)
 	wire := &pathLog{}
-	c, err := remote.Dial(url, remote.Options{Transport: wire, RetryBase: time.Millisecond})
+	c, err := remote.Dial(url, remote.Options{Transport: wire})
 	if err != nil {
 		t.Fatal(err)
 	}

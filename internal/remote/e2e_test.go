@@ -7,9 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/remote"
 )
+
+// scaledClock is a client's backoff clock that sleeps a fiftieth of each
+// delay: concurrent clients' retries keep real spacing (a 429 clears only
+// as its tenant's writes in flight finish), at test speed. A client only
+// sleeps on its clock, so Now and After are the embedded nil Clock's.
+type scaledClock struct{ clock.Clock }
+
+func (scaledClock) Sleep(d time.Duration) { time.Sleep(d / 50) }
 
 // TestConcurrentJobsShareChunksOverTheWire is the tentpole end-to-end
 // scenario: four Managers on four distinct jobs hammer one in-process
@@ -49,12 +58,13 @@ func TestConcurrentJobsShareChunksOverTheWire(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			client, err := remote.Dial(url, remote.Options{Tenant: fmt.Sprintf("tenant-%d", j), RetryBase: time.Millisecond})
+			client, err := remote.Dial(url, remote.Options{Tenant: fmt.Sprintf("tenant-%d", j)})
 			if err != nil {
 				saveErrs[j] = err
 				return
 			}
 			defer client.Close()
+			remote.SetClock(client, scaledClock{})
 			view, err := core.JobBackend(client, fmt.Sprintf("job-%d", j))
 			if err != nil {
 				saveErrs[j] = err
@@ -92,10 +102,11 @@ func TestConcurrentJobsShareChunksOverTheWire(t *testing.T) {
 	late.Params = append([]float64(nil), base...)
 	late.Meta = core.Meta{FormatVersion: core.FormatVersion, CircuitFP: "late", ProblemFP: "shared", OptimizerName: "adam"}
 	{
-		client, err := remote.Dial(url, remote.Options{Tenant: "tenant-late", RetryBase: time.Millisecond})
+		client, err := remote.Dial(url, remote.Options{Tenant: "tenant-late"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		remote.SetClock(client, scaledClock{})
 		view, err := core.JobBackend(client, "job-late")
 		if err != nil {
 			t.Fatal(err)

@@ -248,11 +248,12 @@ func TestSaveRestoreSurvivesFlakyNetwork(t *testing.T) {
 		return faultNone
 	}
 	flaky := newFlaky(http.DefaultTransport, decide)
-	client, err := remote.Dial(url, remote.Options{Transport: flaky, RetryBase: time.Millisecond})
+	client, err := remote.Dial(url, remote.Options{Transport: flaky})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	remote.SetClock(client, &sleepClock{})
 
 	m, err := core.NewManager(core.Options{Backend: client, Strategy: core.StrategyFull, ChunkBytes: core.MinChunkBytes, Workers: 4})
 	if err != nil {
@@ -294,11 +295,12 @@ func TestCommitNotBlindlyRetried(t *testing.T) {
 		return faultNone
 	}
 	flaky := newFlaky(http.DefaultTransport, decide)
-	client, err := remote.Dial(url, remote.Options{Transport: flaky, RetryBase: time.Millisecond})
+	client, err := remote.Dial(url, remote.Options{Transport: flaky})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	remote.SetClock(client, &sleepClock{})
 
 	data := []byte("the one true manifest")
 	if err := client.Put(key, data); err != nil {
@@ -326,11 +328,12 @@ func TestCommitRetriedWhenNotApplied(t *testing.T) {
 		return faultNone
 	}
 	flaky := newFlaky(http.DefaultTransport, decide)
-	client, err := remote.Dial(url, remote.Options{Transport: flaky, RetryBase: time.Millisecond})
+	client, err := remote.Dial(url, remote.Options{Transport: flaky})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	remote.SetClock(client, &sleepClock{})
 
 	data := []byte("manifest v2")
 	if err := client.Put(key, data); err != nil {

@@ -333,8 +333,9 @@ func (m *Mem) Put(key string, data []byte) error {
 	return nil
 }
 
-// Get implements Backend.
-func (m *Mem) Get(key string) ([]byte, error) {
+// object returns key's stored bytes, for reading only: Put stores a fresh
+// copy and never writes to it again, so no lock need be held to read them.
+func (m *Mem) object(key string) ([]byte, error) {
 	if err := ValidateKey(key); err != nil {
 		return nil, err
 	}
@@ -344,7 +345,22 @@ func (m *Mem) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return append([]byte(nil), data...), nil
+	return data, nil
+}
+
+// Get implements Backend.
+func (m *Mem) Get(key string) ([]byte, error) {
+	data, err := m.object(key)
+	return append([]byte(nil), data...), err
+}
+
+// GetRange implements RangeReader: only the clamped window is copied.
+func (m *Mem) GetRange(key string, off, n int64) ([]byte, error) {
+	if err := validRange(off, n); err != nil {
+		return nil, err
+	}
+	data, err := m.object(key)
+	return append([]byte(nil), clampRange(data, off, n)...), err
 }
 
 // List implements Backend.
@@ -377,14 +393,9 @@ func (m *Mem) Delete(key string) error {
 
 // Stat implements Backend.
 func (m *Mem) Stat(key string) (ObjectInfo, error) {
-	if err := ValidateKey(key); err != nil {
+	data, err := m.object(key)
+	if err != nil {
 		return ObjectInfo{}, err
-	}
-	m.mu.RLock()
-	data, ok := m.objects[key]
-	m.mu.RUnlock()
-	if !ok {
-		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	return ObjectInfo{Key: key, Size: int64(len(data))}, nil
 }

@@ -1,11 +1,11 @@
 package storage
 
-// Batched reads: the restore engine fetches many chunks per snapshot, and
-// on a Tiered backend a naive loop pays every cold fetch in sequence.
-// BatchReader lets composite backends overlap that work — Tiered fetches
-// each level's residents in a separate goroutine, Coalescer serves hits
-// without touching the base and batch-fills its misses — while plain
-// backends fall back to sequential Gets with identical semantics.
+// Batched reads: the restore engine fetches many chunks per snapshot.
+// BatchReader lets composite backends plan that work — Tiered asks each
+// level, in one batch, only for what every warmer level missed; Coalescer
+// serves hits without touching the base and batch-fills its misses; a
+// remote client sends one request per window — while plain backends fall
+// back to sequential Gets with identical semantics.
 
 // BatchReader is an optional Backend extension for multi-object reads.
 // GetBatch returns positional results: result i (or its error) corresponds

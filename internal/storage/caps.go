@@ -43,7 +43,8 @@ type CapsReporter interface {
 }
 
 // OccupancyReporter exposes per-level residency accounting; Tiered
-// implements it and Replicated forwards it when its replicas are tiered.
+// implements it, and wrappers that forward capabilities pass it through.
+// Replicated does not: its replicas are plain stores.
 type OccupancyReporter interface {
 	Occupancy() ([]LevelOccupancy, error)
 }

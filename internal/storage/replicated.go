@@ -63,8 +63,6 @@ type Replicated struct {
 	// wg tracks straggler goroutines (late fan-out writes, read top-ups)
 	// so Close can drain them.
 	wg sync.WaitGroup
-
-	hasOcc bool
 }
 
 // Replica configures one member of a Replicated set.
@@ -179,9 +177,6 @@ func NewReplicated(opts ReplicatedOptions, members ...Replica) (*Replicated, err
 			health: newReplicaHealth(opts.FailureThreshold, opts.ProbeInterval),
 		})
 		r.domains = append(r.domains, dom)
-		if Caps(m.Backend).Occupancy != nil {
-			r.hasOcc = true
-		}
 	}
 	return r, nil
 }
@@ -225,19 +220,16 @@ func (r *Replicated) Capabilities() Capabilities {
 // Caps implements CapsReporter. Orphans stays nil on purpose: orphan
 // collection must run over the replicated union view, never per replica.
 // Range stays nil too: a ranged read is the quorum Get, clamped, which is
-// what GetRange's fallback does.
+// what GetRange's fallback does. So does Occupancy: residency per level is
+// a tiered store's account, and replicas are plain stores.
 func (r *Replicated) Caps() CapSet {
-	c := CapSet{
+	return CapSet{
 		Batch:       r,
 		Ingest:      r,
 		ClassWrite:  r,
 		ClassIngest: r,
 		Replication: r.ReplicationInfo(),
 	}
-	if r.hasOcc {
-		c.Occupancy = r
-	}
-	return c
 }
 
 // ReplicationInfo implements Replicator. Callers must not mutate Domains.
@@ -257,20 +249,6 @@ func (r *Replicated) Health() []ReplicaStatus {
 		out[i] = rep.health.snapshot(i, rep.b.Name(), rep.domain)
 	}
 	return out
-}
-
-// Occupancy forwards to the first healthy replica that reports it — the
-// replicas converge on the same contents, so one view is representative.
-func (r *Replicated) Occupancy() ([]LevelOccupancy, error) {
-	for _, rep := range r.ordered() {
-		if oc := Caps(rep.b).Occupancy; oc != nil {
-			occ, err := oc.Occupancy()
-			if err == nil {
-				return occ, nil
-			}
-		}
-	}
-	return nil, errors.New("storage: no replica reports occupancy")
 }
 
 // Close drains straggler writes and repair top-ups.

@@ -573,7 +573,7 @@ func TestReplicatedCaps(t *testing.T) {
 		t.Error("replicated store must not forward per-replica orphan collection")
 	}
 	if c.Occupancy != nil {
-		t.Error("occupancy declared over plain mem replicas")
+		t.Error("replicated store declares occupancy; per-level residency is a tiered store's")
 	}
 	if c.Replication.Replicas != 3 || c.Replication.WriteQuorum != 2 {
 		t.Errorf("replication info = %+v", c.Replication)

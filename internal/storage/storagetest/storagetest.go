@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,6 +42,7 @@ func Run(t *testing.T, mk Maker) {
 		{"GetRangeEdgeCases", testGetRangeEdgeCases},
 		{"CapabilitiesAndName", testCapabilitiesAndName},
 		{"CapsAreHonest", testCapsAreHonest},
+		{"BatchMatchesGet", testBatchMatchesGet},
 		{"ChunkStore", testChunkStore},
 	}
 	for _, p := range props {
@@ -307,9 +309,9 @@ func testCapabilitiesAndName(t *testing.T, b storage.Backend) {
 
 // testCapsAreHonest cross-checks a backend's declared capability set
 // against what it does: every handle is the backend itself (a handle to
-// anything else lets calls skip the wrapper that declared it), a declared
-// classed write is readable back, and a declared batch read is positional
-// — a duplicate and an absent key each keep their slot.
+// anything else lets calls skip the wrapper that declared it) and a
+// declared classed write is readable back. A declared batch read is held
+// to per-key Get by testBatchMatchesGet.
 func testCapsAreHonest(t *testing.T, b storage.Backend) {
 	caps := storage.Caps(b)
 	v := reflect.ValueOf(caps)
@@ -327,14 +329,23 @@ func testCapsAreHonest(t *testing.T, b storage.Backend) {
 			t.Errorf("Get after declared PutClass = %q, %v", got, err)
 		}
 	}
-	if caps.Batch != nil {
-		if err := b.Put("p", []byte("p")); err != nil {
+}
+
+// testBatchMatchesGet: a batch read (declared, or GetBatch's fallback)
+// answers what per-key Get answers, the same bytes and ErrNotFound in the
+// same positions, for resident, empty, repeated and absent keys alike.
+func testBatchMatchesGet(t *testing.T, b storage.Backend) {
+	for k, v := range map[string]string{"a": "alpha", "empty": "", "dir/b": strings.Repeat("b", 4096)} {
+		if err := b.Put(k, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
-		out, errs := caps.Batch.GetBatch([]string{"p", "absent", "p"})
-		if len(out) != 3 || len(errs) != 3 || string(out[0]) != "p" || string(out[2]) != "p" ||
-			errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], storage.ErrNotFound) {
-			t.Errorf("GetBatch(p, absent, p) = %q, %v: want positional results", out, errs)
+	}
+	keys := []string{"a", "absent", "dir/b", "empty", "a", "dir/absent", "dir/b"}
+	out, errs := storage.GetBatch(b, keys)
+	for i, k := range keys {
+		want, err := b.Get(k)
+		if (errs[i] == nil) != (err == nil) || errors.Is(errs[i], storage.ErrNotFound) != errors.Is(err, storage.ErrNotFound) || !bytes.Equal(out[i], want) {
+			t.Errorf("GetBatch[%d] %s = %q, %v; Get = %q, %v", i, k, out[i], errs[i], want, err)
 		}
 	}
 }

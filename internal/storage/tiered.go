@@ -80,8 +80,8 @@ func (t *Tiered) Len() int { return len(t.levels) }
 // Level returns level i (0 = hottest).
 func (t *Tiered) Level(i int) Level { return t.levels[i] }
 
-// LevelIndex resolves a level name to its index.
-func (t *Tiered) LevelIndex(name string) (int, error) {
+// levelIndex resolves a level name to its index.
+func (t *Tiered) levelIndex(name string) (int, error) {
 	for i, lv := range t.levels {
 		if lv.Name == name {
 			return i, nil
@@ -154,7 +154,7 @@ func (t *Tiered) SetPlacement(pol PlacementPolicy) error {
 		if name == "" {
 			continue
 		}
-		idx, err := t.LevelIndex(name)
+		idx, err := t.levelIndex(name)
 		if err != nil {
 			return fmt.Errorf("storage: placement for class %s: %w", c, err)
 		}
@@ -229,10 +229,10 @@ func (t *Tiered) PutClass(key string, data []byte, class WriteClass) error {
 	return nil
 }
 
-// readThrough is the one hot→cold read loop: the first level on which
-// read succeeds answers, ErrNotFound falls through to the next level, and
-// any other error ends the read. It reports the level that answered and,
-// when count is set, books the hit or the miss.
+// readThrough is the hot→cold rule for one key (GetBatch applies it per
+// level to a batch): the first level whose read succeeds answers,
+// ErrNotFound falls through and any other error ends the read. It reports
+// the answering level and, when count is set, books the hit or the miss.
 func readThrough[T any](t *Tiered, key string, count bool, read func(Backend) (T, error)) (T, int, error) {
 	var zero T
 	if err := ValidateKey(key); err != nil {
@@ -272,70 +272,38 @@ func (t *Tiered) GetRange(key string, off, n int64) ([]byte, error) {
 	return data, err
 }
 
-// GetBatch implements BatchReader: every level attempts the whole batch
-// in its own goroutine, so a batch that spans the hierarchy overlaps its
-// cold fetches with the warm ones instead of paying them in sequence —
-// the restore engine's chunk prefetch rides this. Because a key normally
-// resides on exactly one level, each object is still read once, with no
-// residency probing; only a mid-migration duplicate is read twice, and
-// the warmest copy wins, matching Get's read-through order. Results are
-// positional; keys no level holds report ErrNotFound.
+// GetBatch implements BatchReader with Get's read-through rule, one batch
+// per level: level i is asked (storage.GetBatch) only for the keys every
+// warmer level answered with ErrNotFound, and any other error ends the key.
+// Each key's warm probe precedes its cold one, as a move's copy precedes its
+// delete, so no move slips an object past both. Hits and misses count as in
+// Get; keys no level holds report the coldest level's ErrNotFound.
 func (t *Tiered) GetBatch(keys []string) ([][]byte, []error) {
-	out := make([][]byte, len(keys))
-	errs := make([]error, len(keys))
-	perLevel := make([][][]byte, len(t.levels))
-	perLevelErr := make([][]error, len(t.levels))
-	var wg sync.WaitGroup
-	for lv := range t.levels {
-		perLevel[lv] = make([][]byte, len(keys))
-		perLevelErr[lv] = make([]error, len(keys))
-		wg.Add(1)
-		go func(lv int) {
-			defer wg.Done()
-			for i, k := range keys {
-				if err := ValidateKey(k); err != nil {
-					perLevelErr[lv][i] = err
-					continue
-				}
-				data, err := t.levels[lv].Backend.Get(k)
-				if err == nil {
-					perLevel[lv][i] = data
-				} else if !errors.Is(err, ErrNotFound) {
-					perLevelErr[lv][i] = err
-				}
-			}
-		}(lv)
+	out, errs := make([][]byte, len(keys)), make([]error, len(keys))
+	var pending []int
+	for i, k := range keys {
+		if errs[i] = ValidateKey(k); errs[i] == nil {
+			pending = append(pending, i)
+		}
 	}
-	wg.Wait()
-	for i := range keys {
-		found := false
-		for lv := range t.levels {
-			if perLevel[lv][i] != nil {
+	for lv := 0; lv < len(t.levels) && len(pending) > 0; lv++ {
+		ask := make([]string, len(pending))
+		for j, i := range pending {
+			ask[j] = keys[i]
+		}
+		data, lerrs := GetBatch(t.levels[lv].Backend, ask)
+		next := pending[:0]
+		for j, i := range pending {
+			if out[i], errs[i] = data[j], lerrs[j]; errs[i] == nil {
 				t.hit(lv)
-				out[i] = perLevel[lv][i]
-				found = true
-				break
+			} else if errors.Is(errs[i], ErrNotFound) {
+				next = append(next, i)
 			}
 		}
-		if found {
-			continue
-		}
-		for lv := range t.levels {
-			if perLevelErr[lv][i] != nil {
-				errs[i] = perLevelErr[lv][i]
-				break
-			}
-		}
-		if errs[i] == nil {
-			// No level answered, but the concurrent probes are not one
-			// consistent snapshot: a copy-verify-delete move can slip an
-			// object between the cold probe (too early) and the hot probe
-			// (too late). The sequential read-through is immune — the hot
-			// probe strictly precedes the cold one while a move's copy
-			// strictly precedes its delete — so retry through it before
-			// reporting ErrNotFound (Get also does the hit/miss counting).
-			out[i], errs[i] = t.Get(keys[i])
-		}
+		pending = next
+	}
+	for range pending {
+		t.miss()
 	}
 	return out, errs
 }
@@ -503,12 +471,12 @@ func (t *Tiered) Occupancy() ([]LevelOccupancy, error) {
 	return occ, nil
 }
 
-// TieredDirLevels builds the standard on-disk tiered layout rooted at dir:
+// NewTieredDir opens the standard on-disk tiered layout rooted at dir:
 // the hot level is dir itself (so untiered tools keep working on the hot
 // set), and each colder level lives under dir/.level-<name> — dot-prefixed
 // so hot-level listings never see it. Each name must resolve with
 // DeviceByName and the level is wrapped in its device cost model.
-func TieredDirLevels(dir string, names []string) ([]Level, error) {
+func NewTieredDir(dir string, names []string) (*Tiered, error) {
 	if len(names) == 0 {
 		return nil, errors.New("storage: tiered layout needs at least one level name")
 	}
@@ -527,16 +495,6 @@ func TieredDirLevels(dir string, names []string) ([]Level, error) {
 			return nil, err
 		}
 		levels = append(levels, Level{Name: name, Backend: NewTier(base, dev)})
-	}
-	return levels, nil
-}
-
-// NewTieredDir opens the standard on-disk tiered layout (see
-// TieredDirLevels) as a composite backend.
-func NewTieredDir(dir string, names []string) (*Tiered, error) {
-	levels, err := TieredDirLevels(dir, names)
-	if err != nil {
-		return nil, err
 	}
 	return NewTiered(levels...)
 }

@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -215,9 +217,9 @@ func TestTieredDirLayout(t *testing.T) {
 
 // TestTieredGetBatch spreads objects across both levels and batch-reads
 // them: every key must come back from its resident level (hit counters
-// prove both level goroutines served), missing keys must report
-// ErrNotFound positionally, and a duplicate residency must resolve to
-// the warmest copy.
+// prove both levels served), missing keys must report ErrNotFound
+// positionally, and a duplicate residency must resolve to the warmest
+// copy.
 func TestTieredGetBatch(t *testing.T) {
 	hot, cold := NewMem(), NewMem()
 	tb, err := NewTiered(Level{Name: "hot", Backend: hot}, Level{Name: "cold", Backend: cold})
@@ -259,4 +261,165 @@ func TestTieredGetBatch(t *testing.T) {
 	if st.Hits[0] < 5 || st.Hits[1] < 4 || st.Misses != 1 {
 		t.Errorf("hit accounting after batch: %+v", st)
 	}
+}
+
+// opLog counts, per key, the operations that reach one store.
+type opLog struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+// hook is an Observe hook that logs each before-call and fails the ones
+// whose key is in fail with its error.
+func (l *opLog) hook(fail map[string]error) Hook {
+	return func(op Op) (int64, error) {
+		if op.After {
+			return 0, nil
+		}
+		l.mu.Lock()
+		l.seen[op.Key]++
+		l.mu.Unlock()
+		return 0, fail[op.Key]
+	}
+}
+
+// take returns the log and empties it.
+func (l *opLog) take() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seen := l.seen
+	l.seen = map[string]int{}
+	return seen
+}
+
+// TestTieredGetBatchTraffic counts what a batch read costs each level of
+// Tiered(Mem, Replicated 3×Mem), through Observe hooks on the hot level, on
+// the cold level and on each cold replica: a level is asked, once per key,
+// only for the keys every warmer level answered with ErrNotFound, so a
+// hot-resident batch never reaches the cold level and a warm copy hides a
+// cold one, exactly as Get reads.
+func TestTieredGetBatchTraffic(t *testing.T) {
+	hotMem := NewMem()
+	hot, cold, replicas := &opLog{seen: map[string]int{}}, &opLog{seen: map[string]int{}}, &opLog{seen: map[string]int{}}
+	down := errors.New("hot level down")
+	members := make([]Replica, 3)
+	for i := range members {
+		members[i] = Replica{Backend: Observe(NewMem(), replicas.hook(nil))}
+	}
+	// W = 3: a write returns once every replica has it, so no straggler
+	// reaches a replica after the logs are emptied.
+	rb, err := NewReplicated(ReplicatedOptions{WriteQuorum: 3}, members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rb.Close() })
+	tb, err := NewTiered(Level{Name: "hot", Backend: Observe(hotMem, hot.hook(map[string]error{"broken": down}))},
+		Level{Name: "cold", Backend: Observe(rb, cold.hook(nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hotKeys, coldKeys []string
+	for i := 0; i < 100; i++ {
+		hotKeys = append(hotKeys, fmt.Sprintf("h%03d", i))
+		if err := hotMem.Put(hotKeys[i], []byte(hotKeys[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		coldKeys = append(coldKeys, fmt.Sprintf("c%02d", i))
+		if err := rb.Put(coldKeys[i], []byte(coldKeys[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []string{"dup", "broken"} {
+		if err := hotMem.Put(k, []byte("warm")); err != nil {
+			t.Fatal(err)
+		}
+		if err := rb.Put(k, []byte("cold")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// settle drains the replicated level's stragglers (a read's late
+	// replica answers), then empties the three logs.
+	settle := func() (h, c, r map[string]int) {
+		rb.Close()
+		return hot.take(), cold.take(), replicas.take()
+	}
+	settle()
+
+	// once reports whether log holds exactly keys, each asked once.
+	once := func(log map[string]int, keys ...string) bool {
+		if len(log) != len(keys) {
+			return false
+		}
+		for _, k := range keys {
+			if log[k] != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	ops := func(log map[string]int) (n int) {
+		for _, c := range log {
+			n += c
+		}
+		return n
+	}
+	read := func(keys []string, want func(i int) string) {
+		t.Helper()
+		out, errs := tb.GetBatch(keys)
+		for i, k := range keys {
+			if errs[i] != nil || string(out[i]) != want(i) {
+				t.Errorf("batch[%d] %s = %q, %v; want %q", i, k, out[i], errs[i], want(i))
+			}
+		}
+	}
+
+	t.Run("hot-resident", func(t *testing.T) {
+		read(hotKeys, func(i int) string { return hotKeys[i] })
+		if h, c, r := settle(); !once(h, hotKeys...) || len(c) != 0 || len(r) != 0 {
+			t.Errorf("100 hot-resident keys cost %d hot, %d cold and %d replica ops; want 100, 0, 0", ops(h), ops(c), ops(r))
+		}
+	})
+	t.Run("cold-resident", func(t *testing.T) {
+		read(coldKeys, func(i int) string { return coldKeys[i] })
+		h, c, r := settle()
+		if !once(h, coldKeys...) || !once(c, coldKeys...) {
+			t.Errorf("cold-resident keys asked of the hot level %v and of the cold level %v; want each key once of each", h, c)
+		}
+		for k := range r {
+			if !slices.Contains(coldKeys, k) {
+				t.Errorf("a cold replica was asked for %s, which no warmer level missed", k)
+			}
+		}
+	})
+	t.Run("warm-copy-wins", func(t *testing.T) {
+		read([]string{"dup"}, func(int) string { return "warm" })
+		if h, c, r := settle(); !once(h, "dup") || len(c) != 0 || len(r) != 0 {
+			t.Errorf("a key resident on both levels cost %v hot, %v cold, %v replica ops; want the hot read only", h, c, r)
+		}
+	})
+	t.Run("absent", func(t *testing.T) {
+		misses := tb.Stats().Misses
+		_, errs := tb.GetBatch([]string{"absent"})
+		if !errors.Is(errs[0], ErrNotFound) {
+			t.Errorf("absent key: %v, want ErrNotFound", errs[0])
+		}
+		if h, c, _ := settle(); !once(h, "absent") || !once(c, "absent") {
+			t.Errorf("absent key asked of the hot level %v and of the cold level %v; want once of each", h, c)
+		}
+		if got := tb.Stats().Misses - misses; got != 1 {
+			t.Errorf("absent key booked %d misses, want 1", got)
+		}
+	})
+	t.Run("warm-error-ends-the-key", func(t *testing.T) {
+		_, errs := tb.GetBatch([]string{"broken", "h000"})
+		_, gerr := tb.Get("broken")
+		if !errors.Is(errs[0], down) || !errors.Is(gerr, down) || errs[1] != nil {
+			t.Errorf("hot level failing broken: batch %v, Get %v; want its error from both", errs, gerr)
+		}
+		if _, c, r := settle(); len(c) != 0 || len(r) != 0 {
+			t.Errorf("a key the hot level failed reached the cold level: %v, replicas %v", c, r)
+		}
+	})
 }
