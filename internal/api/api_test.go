@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -329,7 +330,8 @@ func TestObjectPlaneMatchesBackendContract(t *testing.T) {
 	}
 }
 
-// TestBatchFraming round-trips the binary batch records.
+// TestBatchFraming round-trips the binary batch records, each payload cut
+// in place from the framed bytes.
 func TestBatchFraming(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBatchRecord(&buf, BatchStatusOK, []byte("payload")); err != nil {
@@ -341,22 +343,58 @@ func TestBatchFraming(t *testing.T) {
 	if err := WriteBatchRecord(&buf, BatchStatusOK, nil); err != nil {
 		t.Fatal(err)
 	}
-	st, p, err := ReadBatchRecord(&buf)
-	if err != nil || st != BatchStatusOK || string(p) != "payload" {
-		t.Fatalf("record 1: %d %q %v", st, p, err)
+	b := buf.Bytes()
+	st, p, b, ok := CutBatchRecord(b)
+	if !ok || st != BatchStatusOK || string(p) != "payload" {
+		t.Fatalf("record 1: %d %q %v", st, p, ok)
 	}
-	st, p, err = ReadBatchRecord(&buf)
-	if err != nil || st != BatchStatusNotFound || string(p) != "missing: k" {
-		t.Fatalf("record 2: %d %q %v", st, p, err)
+	st, p, b, ok = CutBatchRecord(b)
+	if !ok || st != BatchStatusNotFound || string(p) != "missing: k" {
+		t.Fatalf("record 2: %d %q %v", st, p, ok)
 	}
-	st, p, err = ReadBatchRecord(&buf)
-	if err != nil || st != BatchStatusOK || len(p) != 0 {
-		t.Fatalf("record 3: %d %q %v", st, p, err)
+	st, p, b, ok = CutBatchRecord(b)
+	if !ok || st != BatchStatusOK || len(p) != 0 || len(b) != 0 {
+		t.Fatalf("record 3: %d %q %v, %d bytes left", st, p, ok, len(b))
 	}
-	// Truncated stream surfaces an error, not a short record.
-	buf.Reset()
-	buf.Write([]byte{BatchStatusOK, 0, 0, 0, 10, 'x'})
-	if _, _, err := ReadBatchRecord(&buf); err == nil {
-		t.Fatal("truncated record read silently")
+	// A truncated stream cuts nothing, not a short record.
+	if _, _, rest, ok := CutBatchRecord([]byte{BatchStatusOK, 0, 0, 0, 10, 'x'}); ok || len(rest) != 6 {
+		t.Fatalf("truncated record cut: ok=%v, %d bytes left", ok, len(rest))
 	}
+}
+
+// FuzzCutBatchRecord holds /v1/batch framing both ways over any received
+// body: cutting never panics, every payload it cuts lies inside the input
+// at the offset its header says with cap == len, it stops only where no
+// whole record is left, and WriteBatchRecord re-frames the cut records
+// into exactly the prefix they consumed. The seed corpus (testdata/fuzz)
+// holds three framed records, a hostile length prefix, a truncated payload
+// and a short trailing header.
+func FuzzCutBatchRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var reframed bytes.Buffer
+		b := in
+		for {
+			off := len(in) - len(b)
+			st, p, rest, ok := CutBatchRecord(b)
+			if !ok {
+				if len(rest) != len(b) || len(b) >= 5 && int(binary.BigEndian.Uint32(b[1:5])) <= len(b)-5 {
+					t.Fatalf("at %d: refused a whole record (%d bytes left)", off, len(b))
+				}
+				break
+			}
+			if cap(p) != len(p) || len(rest) != len(b)-5-len(p) || st != b[0] {
+				t.Fatalf("at %d: payload %d bytes (cap %d), %d left of %d", off, len(p), cap(p), len(rest), len(b))
+			}
+			if len(p) > 0 && &p[0] != &in[off+5] || len(rest) > 0 && &rest[0] != &in[off+5+len(p)] {
+				t.Fatalf("at %d: the cut does not alias the input", off)
+			}
+			if err := WriteBatchRecord(&reframed, st, p); err != nil {
+				t.Fatal(err)
+			}
+			b = rest
+		}
+		if !bytes.Equal(reframed.Bytes(), in[:len(in)-len(b)]) {
+			t.Fatalf("re-framed %d bytes differ from the %d consumed", reframed.Len(), len(in)-len(b))
+		}
+	})
 }

@@ -2,7 +2,6 @@ package api
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
@@ -94,10 +93,6 @@ const (
 	BatchStatusError    = 2
 )
 
-// maxBatchRecord bounds a single decoded record (1 GiB) so a corrupt or
-// hostile length prefix cannot ask the reader to allocate arbitrarily.
-const maxBatchRecord = 1 << 30
-
 // WriteBatchRecord frames one batch result onto w.
 func WriteBatchRecord(w io.Writer, status byte, payload []byte) error {
 	var hdr [5]byte
@@ -110,19 +105,19 @@ func WriteBatchRecord(w io.Writer, status byte, payload []byte) error {
 	return err
 }
 
-// ReadBatchRecord decodes one batch record from r.
-func ReadBatchRecord(r io.Reader) (status byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// CutBatchRecord cuts the first batch record off b without copying: the
+// payload is b's own bytes, capped at its length so an append cannot run
+// into the next record, and rest is what follows it. ok is false, and b
+// untouched, when b holds no whole record — under 5 bytes, or a length
+// prefix claiming more bytes than b has — so a hostile prefix costs
+// nothing.
+func CutBatchRecord(b []byte) (status byte, payload, rest []byte, ok bool) {
+	if len(b) < 5 {
+		return 0, nil, b, false
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxBatchRecord {
-		return 0, nil, fmt.Errorf("api: batch record of %d bytes exceeds limit", n)
+	end := 5 + uint64(binary.BigEndian.Uint32(b[1:5]))
+	if end > uint64(len(b)) {
+		return 0, nil, b, false
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("api: truncated batch record: %w", err)
-	}
-	return hdr[0], payload, nil
+	return b[0], b[5:end:end], b[end:], true
 }

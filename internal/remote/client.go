@@ -10,11 +10,15 @@
 // uploads only for the misses — so a chunk any tenant already stored
 // never crosses the wire again. Everything else is an object commit.
 //
-// Retries follow the idempotency table of DESIGN.md §11: reads, listings,
-// has-probes and chunk uploads are retried with jittered exponential
-// backoff (honoring Retry-After on 429); an object commit (Put) is never
-// blindly resent — after an ambiguous transport failure the client reads
-// the key back and only re-sends when the stored bytes don't match.
+// Every request goes through call, under one of the three rules of DESIGN.md
+// §11's idempotency table: idempotent (reads, listings, has-probes, batch
+// windows and chunk uploads are re-sent with jittered exponential backoff,
+// honoring Retry-After, after a transport error or a 429/500/502/503/504),
+// commit (an object Put is re-sent after a 429, and after an ambiguous
+// transport failure only when reading the key back shows the stored bytes
+// don't match) and once (a Delete). A batch response's records are cut in
+// place from the received body, so a length prefix cannot claim more bytes
+// than arrived.
 package remote
 
 import (
@@ -47,8 +51,8 @@ type Options struct {
 }
 
 const (
-	// maxRetries is the idempotent-request retry budget: attempts after
-	// the first.
+	// maxRetries is the retry budget of the rules that re-send: attempts
+	// after the first.
 	maxRetries = 4
 	// retryBase is the first backoff delay, doubled per attempt with full
 	// jitter. Tests that retry install a clock (SetClock) instead of a
@@ -137,15 +141,8 @@ func Dial(baseURL string, opt Options) (*Client, error) {
 		readSlots: make(chan struct{}, maxConcurrentReads),
 	}
 	c.haster = &hasBatcher{send: c.hasRound}
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathCaps, nil, nil, storage.ClassDefault)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial %s: %w", baseURL, err)
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("remote: dial %s: %s", baseURL, strings.TrimSpace(string(body)))
-	}
-	if err := json.Unmarshal(body, &c.caps); err != nil {
-		return nil, fmt.Errorf("remote: %s does not speak the qckpt protocol: %w", baseURL, err)
+	if _, _, err := c.call(req{op: "dial", key: baseURL, method: http.MethodGet, path: api.PathCaps}, &c.caps); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -194,33 +191,113 @@ func (c *Client) Caps() storage.CapSet {
 	return set
 }
 
-// --- single attempt and retry machinery ---
+// --- the one request path ---
 
-// roundTrip performs one request and returns the status, headers, and the
-// fully read body. A non-nil error means the exchange itself failed —
-// the server may or may not have applied the request. A write class other
-// than ClassDefault rides as a header, so the server's placement policy
-// sees remote writes with the same fidelity as local ones.
-func (c *Client) roundTrip(method, pth string, query url.Values, body []byte, class storage.WriteClass) (int, http.Header, []byte, error) {
-	u := c.base + pth
-	if len(query) > 0 {
-		u += "?" + query.Encode()
+// rule is how call treats a failed attempt: DESIGN.md §11's idempotency
+// table, one row per rule.
+type rule int
+
+const (
+	// idempotent requests — reads, listings, has-probes, batch windows and
+	// chunk uploads (content-addressed: a replay is a dedup hit) — are
+	// re-sent after a transport error or a 429/500/502/503/504.
+	idempotent rule = iota
+	// commit is an object Put. A 429 was refused at admission, so it is
+	// re-sent; any other clean status means not applied and is returned. A
+	// transport error is ambiguous: the key is read back, and the commit
+	// is re-sent only when the stored bytes don't match.
+	commit
+	// once is a Delete, sent once: a replay of a delete that landed would
+	// report a spurious ErrNotFound, and nothing in the save or GC path
+	// needs delete-at-all-costs semantics.
+	once
+)
+
+// resends reports whether a clean status is worth another attempt under r.
+func (r rule) resends(status int) bool {
+	switch status {
+	case http.StatusTooManyRequests:
+		return r != once
+	case http.StatusInternalServerError, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return r == idempotent
+	}
+	return false
+}
+
+// req is one request: the rule it is sent under, the op and key its
+// errors name (a commit also reads the key back), and what goes on the
+// wire. A write class other than ClassDefault rides as a header, so the
+// server's placement policy sees remote writes with the same fidelity as
+// local ones.
+type req struct {
+	rule    rule
+	op, key string
+	method  string
+	path    string
+	query   url.Values
+	body    []byte
+	class   storage.WriteClass
+}
+
+// call is the only code that sends a request: it sends r under r.rule
+// with full-jitter exponential backoff between attempts, maps a status
+// other than 200 or 204 through wireError, and decodes a successful body
+// as JSON into out unless out is nil. It returns the successful
+// response's headers and body.
+func (c *Client) call(r req, out any) (http.Header, []byte, error) {
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			c.retries.Add(1)
+		}
+		status, hdr, data, err := c.roundTrip(r)
+		switch {
+		case err != nil:
+			if r.rule == commit { // ambiguous: the commit may have landed
+				if got, gerr := c.Get(r.key); gerr == nil && bytes.Equal(got, r.body) {
+					return nil, nil, nil
+				}
+			}
+			if r.rule == once || attempt == maxRetries {
+				return nil, nil, fmt.Errorf("remote: %s %s: %w", r.op, r.key, err)
+			}
+		case status == http.StatusOK || status == http.StatusNoContent:
+			if out != nil {
+				if err := json.Unmarshal(data, out); err != nil {
+					return nil, nil, fmt.Errorf("remote: %s %s: %w", r.op, r.key, err)
+				}
+			}
+			return hdr, data, nil
+		case attempt == maxRetries || !r.rule.resends(status):
+			return nil, nil, wireError(r.op, r.key, status, data)
+		}
+		c.backoff(attempt, hdr)
+	}
+}
+
+// roundTrip performs one attempt of r and returns the status, headers,
+// and the fully read body. A non-nil error means the exchange itself
+// failed — the server may or may not have applied the request.
+func (c *Client) roundTrip(r req) (int, http.Header, []byte, error) {
+	u := c.base + r.path
+	if len(r.query) > 0 {
+		u += "?" + r.query.Encode()
 	}
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if r.body != nil {
+		rd = bytes.NewReader(r.body)
 	}
-	req, err := http.NewRequest(method, u, rd)
+	hr, err := http.NewRequest(r.method, u, rd)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	req.Header.Set(api.TenantHeader, c.opt.Tenant)
-	if class != storage.ClassDefault {
-		req.Header.Set(api.ClassHeader, class.String())
+	hr.Header.Set(api.TenantHeader, c.opt.Tenant)
+	if r.class != storage.ClassDefault {
+		hr.Header.Set(api.ClassHeader, r.class.String())
 	}
 	c.requests.Add(1)
-	c.bytesSent.Add(int64(len(body)))
-	resp, err := c.hc.Do(req)
+	c.bytesSent.Add(int64(len(r.body)))
+	resp, err := c.hc.Do(hr)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -249,18 +326,6 @@ func (c *Client) ClientStats() ClientStats {
 	}
 }
 
-// retryable reports whether a clean HTTP status is worth another attempt
-// of an idempotent request.
-func retryable(status int) bool {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout,
-		http.StatusInternalServerError:
-		return true
-	}
-	return false
-}
-
 // backoff sleeps the full-jitter exponential delay for attempt, honoring
 // a Retry-After hint (capped so a generous server hint cannot stall the
 // save path for long).
@@ -271,38 +336,6 @@ func (c *Client) backoff(attempt int, hdr http.Header) {
 	}
 	d = min(d, 2*time.Second)
 	c.clock.Sleep(time.Duration(rand.Int63n(int64(d) + 1)))
-}
-
-// doIdem performs an idempotent request with retries: transport errors
-// and retryable statuses are re-attempted, anything else is returned for
-// the caller to map.
-func (c *Client) doIdem(method, pth string, query url.Values, body []byte, class storage.WriteClass) (int, http.Header, []byte, error) {
-	var (
-		status    int
-		hdr       http.Header
-		data      []byte
-		err       error
-		lastRetry http.Header
-	)
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-		}
-		status, hdr, data, err = c.roundTrip(method, pth, query, body, class)
-		if err == nil && !retryable(status) {
-			return status, hdr, data, nil
-		}
-		if err == nil {
-			lastRetry = hdr
-		}
-		if attempt >= maxRetries {
-			if err == nil {
-				return status, hdr, data, nil
-			}
-			return 0, nil, nil, err
-		}
-		c.backoff(attempt, lastRetry)
-	}
 }
 
 // wireError maps an error response onto backend error semantics. 404 (or
@@ -333,163 +366,88 @@ func escapeKey(key string) string {
 
 // --- object plane (storage.Backend) ---
 
-// Put commits an object. Commits are not idempotent, so the retry
-// protocol differs from every other verb: a clean error response means
-// the commit was not applied and is simply returned; a transport error is
-// ambiguous, so the client reads the key back and re-sends only when the
-// stored bytes don't match what it meant to write.
+// Put commits an object under the commit rule: a blind resend after an
+// ambiguous failure could double-apply across an interleaved retention
+// trim, so the key is read back first.
 func (c *Client) Put(key string, data []byte) error {
 	return c.PutClass(key, data, storage.ClassDefault)
 }
 
 // PutClass implements storage.ClassWriter: Put with the write class sent
-// as a header, same verify-then-retry protocol.
+// as a header, under the same commit rule.
 func (c *Client) PutClass(key string, data []byte, class storage.WriteClass) error {
 	if err := storage.ValidateKey(key); err != nil {
 		return err
 	}
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-		}
-		status, hdr, body, err := c.roundTrip(http.MethodPut, api.PathObjects+escapeKey(key), nil, data, class)
-		if err == nil {
-			switch {
-			case status == http.StatusNoContent || status == http.StatusOK:
-				return nil
-			case status == http.StatusTooManyRequests:
-				// Refused at admission: known not applied, safe to retry.
-				lastErr = wireError("put", key, status, body)
-				c.backoff(attempt, hdr)
-				continue
-			default:
-				// A clean error response: known not applied.
-				return wireError("put", key, status, body)
-			}
-		}
-		lastErr = err
-		// Ambiguous failure. Read back before even thinking of re-sending.
-		if got, gerr := c.Get(key); gerr == nil && bytes.Equal(got, data) {
-			return nil
-		}
-		if attempt < maxRetries {
-			c.backoff(attempt, nil)
-		}
-	}
-	return fmt.Errorf("remote: put %s: %w", key, lastErr)
+	_, _, err := c.call(req{rule: commit, op: "put", key: key, method: http.MethodPut, path: api.PathObjects + escapeKey(key), body: data, class: class}, nil)
+	return err
 }
 
 // Get implements storage.Backend.
 func (c *Client) Get(key string) ([]byte, error) {
-	if err := storage.ValidateKey(key); err != nil {
-		return nil, err
-	}
-	release := c.acquireRead()
-	defer release()
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathObjects+escapeKey(key), nil, nil, storage.ClassDefault)
-	if err != nil {
-		return nil, fmt.Errorf("remote: get %s: %w", key, err)
-	}
-	if status != http.StatusOK {
-		return nil, wireError("get", key, status, body)
-	}
-	return body, nil
+	return c.getObject("get", key, nil)
 }
 
 // GetRange implements storage.RangeReader.
 func (c *Client) GetRange(key string, off, n int64) ([]byte, error) {
-	if err := storage.ValidateKey(key); err != nil {
-		return nil, err
-	}
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("remote: invalid range off=%d n=%d", off, n)
 	}
-	q := url.Values{}
-	q.Set("off", strconv.FormatInt(off, 10))
-	q.Set("n", strconv.FormatInt(n, 10))
+	return c.getObject("get-range", key, url.Values{"off": {strconv.FormatInt(off, 10)}, "n": {strconv.FormatInt(n, 10)}})
+}
+
+// getObject GETs key's object, or the window query selects, on a wire
+// read slot.
+func (c *Client) getObject(op, key string, query url.Values) ([]byte, error) {
+	if err := storage.ValidateKey(key); err != nil {
+		return nil, err
+	}
 	release := c.acquireRead()
 	defer release()
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathObjects+escapeKey(key), q, nil, storage.ClassDefault)
-	if err != nil {
-		return nil, fmt.Errorf("remote: get-range %s: %w", key, err)
-	}
-	if status != http.StatusOK {
-		return nil, wireError("get-range", key, status, body)
-	}
-	return body, nil
+	_, body, err := c.call(req{op: op, key: key, method: http.MethodGet, path: api.PathObjects + escapeKey(key), query: query}, nil)
+	return body, err
 }
 
 // GetBatch implements storage.BatchReader: POSTs that stream the objects
-// back in order. Repeated keys are requested once and the payload shared
-// across their positions (a delta chain references shared chunks many
-// times), and long requests go down in maxBatchWindow-sized windows so
-// the server streams bounded responses. If a stream breaks mid-response
-// the already-parsed prefix is kept and the remainder falls back to
-// per-key Gets, so a flaky wire degrades to more requests, not wrong
-// results.
+// back in order, in maxBatchWindow-sized windows so the server streams
+// bounded responses. Repeated keys are not collapsed here: the callers
+// pass distinct keys, and the server's batch planner fetches a repeat
+// once anyway. If a stream breaks mid-response the already-parsed prefix
+// is kept and the remainder falls back to per-key Gets, so a flaky wire
+// degrades to more requests, not wrong results.
 func (c *Client) GetBatch(keys []string) ([][]byte, []error) {
 	out := make([][]byte, len(keys))
 	errs := make([]error, len(keys))
-	if len(keys) == 0 {
-		return out, errs
-	}
-	uniq := keys
-	idx := make([]int, len(keys))
-	seen := make(map[string]int, len(keys))
-	for i, k := range keys {
-		j, ok := seen[k]
-		if !ok {
-			j = len(seen)
-			seen[k] = j
-		}
-		idx[i] = j
-	}
-	if len(seen) < len(keys) {
-		uniq = make([]string, len(seen))
-		for k, j := range seen {
-			uniq[j] = k
-		}
-	}
-	uniqOut := make([][]byte, len(uniq))
-	uniqErrs := make([]error, len(uniq))
-	for start := 0; start < len(uniq); start += maxBatchWindow {
-		end := start + maxBatchWindow
-		if end > len(uniq) {
-			end = len(uniq)
-		}
-		c.batchWindow(uniq[start:end], uniqOut[start:end], uniqErrs[start:end])
-	}
-	for i, j := range idx {
-		out[i], errs[i] = uniqOut[j], uniqErrs[j]
+	for start := 0; start < len(keys); start += maxBatchWindow {
+		end := min(start+maxBatchWindow, len(keys))
+		c.batchWindow(keys[start:end], out[start:end], errs[start:end])
 	}
 	return out, errs
 }
 
 // batchWindow fetches one /v1/batch window into out/errs (parallel to
-// keys).
+// keys). Each payload is cut in place from the response body, so the
+// window's payloads share one allocation and no length prefix can claim
+// more bytes than arrived.
 func (c *Client) batchWindow(keys []string, out [][]byte, errs []error) {
 	reqBody, _ := json.Marshal(api.KeysRequest{Keys: keys})
 	release := c.acquireRead()
-	status, _, body, err := c.doIdem(http.MethodPost, api.PathBatch, nil, reqBody, storage.ClassDefault)
+	_, body, err := c.call(req{op: "batch", method: http.MethodPost, path: api.PathBatch, body: reqBody}, nil)
 	release()
 	next := 0
-	if err == nil && status == http.StatusOK {
-		r := bytes.NewReader(body)
-		for next < len(keys) {
-			st, payload, rerr := api.ReadBatchRecord(r)
-			if rerr != nil {
-				break // truncated stream: finish below, one key at a time
-			}
-			switch st {
-			case api.BatchStatusOK:
-				out[next] = payload
-			case api.BatchStatusNotFound:
-				errs[next] = fmt.Errorf("%w: %s", storage.ErrNotFound, keys[next])
-			default:
-				errs[next] = fmt.Errorf("remote: batch get %s: %s", keys[next], payload)
-			}
-			next++
+	for ; err == nil && next < len(keys); next++ {
+		st, payload, rest, ok := api.CutBatchRecord(body)
+		if !ok {
+			break // truncated stream: finish below, one key at a time
+		}
+		body = rest
+		switch st {
+		case api.BatchStatusOK:
+			out[next] = payload
+		case api.BatchStatusNotFound:
+			errs[next] = fmt.Errorf("%w: %s", storage.ErrNotFound, keys[next])
+		default:
+			errs[next] = fmt.Errorf("remote: batch get %s: %s", keys[next], payload)
 		}
 	}
 	for ; next < len(keys); next++ {
@@ -503,12 +461,9 @@ func (c *Client) Stat(key string) (storage.ObjectInfo, error) {
 	if err := storage.ValidateKey(key); err != nil {
 		return storage.ObjectInfo{}, err
 	}
-	status, hdr, body, err := c.doIdem(http.MethodHead, api.PathObjects+escapeKey(key), nil, nil, storage.ClassDefault)
+	hdr, _, err := c.call(req{op: "stat", key: key, method: http.MethodHead, path: api.PathObjects + escapeKey(key)}, nil)
 	if err != nil {
-		return storage.ObjectInfo{}, fmt.Errorf("remote: stat %s: %w", key, err)
-	}
-	if status != http.StatusOK {
-		return storage.ObjectInfo{}, wireError("stat", key, status, body)
+		return storage.ObjectInfo{}, err
 	}
 	size, err := strconv.ParseInt(hdr.Get("Content-Length"), 10, 64)
 	if err != nil {
@@ -519,38 +474,18 @@ func (c *Client) Stat(key string) (storage.ObjectInfo, error) {
 
 // List implements storage.Backend.
 func (c *Client) List(prefix string) ([]string, error) {
-	q := url.Values{}
-	q.Set("prefix", prefix)
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathList, q, nil, storage.ClassDefault)
-	if err != nil {
-		return nil, fmt.Errorf("remote: list %q: %w", prefix, err)
-	}
-	if status != http.StatusOK {
-		return nil, wireError("list", prefix, status, body)
-	}
 	var resp api.ListResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("remote: list %q: %w", prefix, err)
-	}
-	return resp.Keys, nil
+	_, _, err := c.call(req{op: "list", key: prefix, method: http.MethodGet, path: api.PathList, query: url.Values{"prefix": {prefix}}}, &resp)
+	return resp.Keys, err
 }
 
-// Delete implements storage.Backend. Deletes are sent once: a blind
-// retry of a delete that already landed would report a spurious
-// ErrNotFound, and nothing in the save or GC path needs delete-at-all-
-// costs semantics.
+// Delete implements storage.Backend under the once rule.
 func (c *Client) Delete(key string) error {
 	if err := storage.ValidateKey(key); err != nil {
 		return err
 	}
-	status, _, body, err := c.roundTrip(http.MethodDelete, api.PathObjects+escapeKey(key), nil, nil, storage.ClassDefault)
-	if err != nil {
-		return fmt.Errorf("remote: delete %s: %w", key, err)
-	}
-	if status != http.StatusNoContent && status != http.StatusOK {
-		return wireError("delete", key, status, body)
-	}
-	return nil
+	_, _, err := c.call(req{rule: once, op: "delete", key: key, method: http.MethodDelete, path: api.PathObjects + escapeKey(key)}, nil)
+	return err
 }
 
 // --- chunk plane (storage.AddressedIngester) ---
@@ -578,42 +513,23 @@ func (c *Client) IngestKeyedClass(key, addr string, data []byte, class storage.W
 		return 0, false, nil
 	}
 	have, err := c.haster.has(key)
-	if err != nil {
-		return 0, true, fmt.Errorf("remote: has %s: %w", key, err)
-	}
-	if have {
-		return 0, true, nil
-	}
-	status, _, body, err := c.doIdem(http.MethodPut, api.PathChunks+escapeKey(key), nil, data, class)
-	if err != nil {
-		return 0, true, fmt.Errorf("remote: ingest %s: %w", key, err)
-	}
-	if status != http.StatusOK {
-		return 0, true, wireError("ingest", key, status, body)
+	if err != nil || have {
+		return 0, true, err
 	}
 	var resp api.IngestResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return 0, true, fmt.Errorf("remote: ingest %s: %w", key, err)
-	}
-	return resp.Written, true, nil
+	_, _, err = c.call(req{op: "ingest", key: key, method: http.MethodPut, path: api.PathChunks + escapeKey(key), body: data, class: class}, &resp)
+	return resp.Written, true, err
 }
 
 // hasRound is one wire-level /v1/has exchange.
 func (c *Client) hasRound(keys []string) ([]bool, error) {
 	reqBody, _ := json.Marshal(api.KeysRequest{Keys: keys})
-	status, _, body, err := c.doIdem(http.MethodPost, api.PathHas, nil, reqBody, storage.ClassDefault)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, wireError("has", strconv.Itoa(len(keys))+" keys", status, body)
-	}
 	var resp api.HasResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if _, _, err := c.call(req{op: "has", method: http.MethodPost, path: api.PathHas, body: reqBody}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Have) != len(keys) {
-		return nil, fmt.Errorf("has response has %d answers for %d keys", len(resp.Have), len(keys))
+		return nil, fmt.Errorf("remote: has response has %d answers for %d keys", len(resp.Have), len(keys))
 	}
 	return resp.Have, nil
 }
@@ -683,49 +599,22 @@ func (b *hasBatcher) has(key string) (bool, error) {
 // leases. Client-side chunk sweeps would be blind to all of those, which
 // is exactly why the interface exists.
 func (c *Client) CollectOrphans() (int, int64, bool, error) {
-	status, _, body, err := c.doIdem(http.MethodPost, api.PathGC, nil, nil, storage.ClassDefault)
-	if err != nil {
-		return 0, 0, true, fmt.Errorf("remote: gc: %w", err)
-	}
-	if status != http.StatusOK {
-		return 0, 0, true, wireError("gc", "", status, body)
-	}
 	var resp api.GCResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return 0, 0, true, fmt.Errorf("remote: gc: %w", err)
-	}
-	return resp.Removed, resp.Reclaimed, true, nil
+	_, _, err := c.call(req{op: "gc", method: http.MethodPost, path: api.PathGC}, &resp)
+	return resp.Removed, resp.Reclaimed, true, err
 }
 
 // Jobs lists the job namespaces on the server.
 func (c *Client) Jobs() ([]string, error) {
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathJobs, nil, nil, storage.ClassDefault)
-	if err != nil {
-		return nil, fmt.Errorf("remote: jobs: %w", err)
-	}
-	if status != http.StatusOK {
-		return nil, wireError("jobs", "", status, body)
-	}
 	var resp api.ListResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("remote: jobs: %w", err)
-	}
-	return resp.Keys, nil
+	_, _, err := c.call(req{op: "jobs", method: http.MethodGet, path: api.PathJobs}, &resp)
+	return resp.Keys, err
 }
 
 // Stats snapshots the server-side counters (the T8 harness reads dedup
 // and traffic totals from here).
 func (c *Client) Stats() (api.Stats, error) {
-	status, _, body, err := c.doIdem(http.MethodGet, api.PathStats, nil, nil, storage.ClassDefault)
-	if err != nil {
-		return api.Stats{}, fmt.Errorf("remote: stats: %w", err)
-	}
-	if status != http.StatusOK {
-		return api.Stats{}, wireError("stats", "", status, body)
-	}
 	var st api.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		return api.Stats{}, fmt.Errorf("remote: stats: %w", err)
-	}
-	return st, nil
+	_, _, err := c.call(req{op: "stats", method: http.MethodGet, path: api.PathStats}, &st)
+	return st, err
 }

@@ -50,9 +50,9 @@ func TestClientStatsCountWireTraffic(t *testing.T) {
 }
 
 // TestGetBatchDedupsAndWindows pins the client-side batch shape: a
-// request with repeated keys costs one POST and shares the payload, and
-// a request wider than one window goes down in ceil(n/window) POSTs —
-// all positions still correct.
+// request with repeated keys costs one POST (the server's batch planner
+// fetches each repeat once), and a request wider than one window goes down
+// in ceil(n/window) POSTs — all positions still correct.
 func TestGetBatchDedupsAndWindows(t *testing.T) {
 	url, _ := newStack(t)
 	c, err := remote.Dial(url, remote.Options{})

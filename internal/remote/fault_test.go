@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -147,17 +148,20 @@ func (c *sleepClock) Sleep(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// busyTransport answers the first busy GETs 503 with a Retry-After of 30 s,
-// a server shedding load, and passes everything else through.
+// busyTransport answers the next busy requests of method with status and a
+// Retry-After of 30 s, a server shedding load, and passes everything else
+// through.
 type busyTransport struct {
-	base http.RoundTripper
-	busy atomic.Int64
+	base   http.RoundTripper
+	method string
+	status int
+	busy   atomic.Int64
 }
 
 func (b *busyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodGet && b.busy.Add(-1) >= 0 {
+	if req.Method == b.method && b.busy.Add(-1) >= 0 {
 		hdr := http.Header{"Retry-After": {"30"}}
-		return &http.Response{StatusCode: http.StatusServiceUnavailable, Header: hdr, Body: io.NopCloser(strings.NewReader("")), Request: req}, nil
+		return &http.Response{StatusCode: b.status, Header: hdr, Body: io.NopCloser(strings.NewReader("")), Request: req}, nil
 	}
 	return b.base.RoundTrip(req)
 }
@@ -168,7 +172,7 @@ func (b *busyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // none of them.
 func TestBackoffCapsRetryAfter(t *testing.T) {
 	url, _ := newStack(t)
-	busy := &busyTransport{base: http.DefaultTransport}
+	busy := &busyTransport{base: http.DefaultTransport, method: http.MethodGet, status: http.StatusServiceUnavailable}
 	client, err := remote.Dial(url, remote.Options{Transport: busy})
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +194,104 @@ func TestBackoffCapsRetryAfter(t *testing.T) {
 		if d < 0 || d > 2*time.Second {
 			t.Errorf("backoff slept %v, want within [0, 2s]", d)
 		}
+	}
+}
+
+// TestRetryRules pins the cells of DESIGN.md §11's idempotency table that
+// the commit tests above leave open: the requests an op sends when the wire
+// fails it (Retries counting each re-send, each after one backoff), how many
+// of them reach the server, and what the key holds afterwards ("" for
+// absent).
+func TestRetryRules(t *testing.T) {
+	del := func(c *remote.Client) error { return c.Delete("k") }
+	put := func(c *remote.Client) error { return c.Put("k", []byte("v2")) }
+	get := func(c *remote.Client) error { _, err := c.Get("k"); return err }
+	cases := []struct {
+		name    string
+		op      func(*remote.Client) error
+		method  string    // the method the wire fails
+		fault   faultKind // on its first attempt, or
+		status  int       // answered to the first `times` attempts
+		times   int64
+		wantErr bool
+		sent    int64 // requests the op sends
+		reached int   // of them, the ones that reach the server
+		after   string
+	}{
+		{"delete reset after it landed", del, http.MethodDelete, faultAfterSend, 0, 0, true, 1, 1, ""},
+		{"delete reset before it landed", del, http.MethodDelete, faultConnReset, 0, 0, true, 1, 0, "v1"},
+		{"commit answered 503", put, http.MethodPut, faultNone, http.StatusServiceUnavailable, 1, true, 1, 0, "v1"},
+		{"commit answered 429", put, http.MethodPut, faultNone, http.StatusTooManyRequests, 2, false, 3, 1, "v2"},
+		{"get answered 503", get, http.MethodGet, faultNone, http.StatusServiceUnavailable, 2, false, 3, 1, "v1"},
+	}
+	// No subtests: CI runs this test fifty times under a -run pattern whose
+	// subtest half selects only fake-clock cases.
+	for _, tc := range cases {
+		url, _ := newStack(t)
+		flaky := newFlaky(http.DefaultTransport, func(method, _ string, attempt int) faultKind {
+			if method == tc.method && attempt == 1 {
+				return tc.fault
+			}
+			return faultNone
+		})
+		busy := &busyTransport{base: flaky, method: tc.method, status: tc.status}
+		client, err := remote.Dial(url, remote.Options{Transport: busy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		clk := &sleepClock{}
+		remote.SetClock(client, clk)
+		if err := client.Put("k", []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		_, reached := flaky.counts(tc.method, api.PathObjects+"k")
+		busy.busy.Store(tc.times)
+		before := client.ClientStats()
+
+		if err := tc.op(client); (err != nil) != tc.wantErr {
+			t.Errorf("%s: op: %v, want an error: %v", tc.name, err, tc.wantErr)
+		}
+		st := client.ClientStats()
+		_, fwd := flaky.counts(tc.method, api.PathObjects+"k")
+		if sent, retries := st.Requests-before.Requests, st.Retries-before.Retries; sent != tc.sent || retries != sent-1 || len(clk.slept) != int(retries) {
+			t.Errorf("%s: sent %d requests, %d retries, %d backoffs; want %d sent, one retry and one backoff per re-send", tc.name, sent, retries, len(clk.slept), tc.sent)
+		}
+		if fwd-reached != tc.reached {
+			t.Errorf("%s: %d requests reached the server, want %d", tc.name, fwd-reached, tc.reached)
+		}
+		got, err := client.Get("k")
+		if string(got) != tc.after || (tc.after == "") != errors.Is(err, storage.ErrNotFound) {
+			t.Errorf("%s: k holds %q, %v afterwards; want %q", tc.name, got, err, tc.after)
+		}
+	}
+}
+
+// TestHostileBatchRecordCostsNothing: a /v1/batch response whose only
+// record claims a 1 GiB payload and carries none is cut to nothing, not
+// allocated, and the key is still read through the per-key fallback.
+func TestHostileBatchRecordCostsNothing(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc(api.PathCaps, func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("{}")) })
+	mux.HandleFunc(api.PathBatch, func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte{0, 0x3f, 0xff, 0xff, 0xff}) })
+	mux.HandleFunc(api.PathObjects+"k", func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("v")) })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	client, err := remote.Dial(ts.URL, remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, errs := client.GetBatch([]string{"k"})
+	runtime.ReadMemStats(&after)
+	if errs[0] != nil || string(out[0]) != "v" {
+		t.Fatalf("GetBatch = %q, %v; want the object through the fallback", out[0], errs[0])
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("a 5-byte hostile record cost %d B of allocation", alloc)
 	}
 }
 

@@ -189,21 +189,20 @@ func TestBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d", resp.StatusCode)
 	}
-	r := bytes.NewReader(body)
-	st, p, err := api.ReadBatchRecord(r)
-	if err != nil || st != api.BatchStatusOK || string(p) != "alpha" {
-		t.Fatalf("record a: %d %q %v", st, p, err)
+	st, p, body, ok := api.CutBatchRecord(body)
+	if !ok || st != api.BatchStatusOK || string(p) != "alpha" {
+		t.Fatalf("record a: %d %q %v", st, p, ok)
 	}
-	st, p, err = api.ReadBatchRecord(r)
-	if err != nil || st != api.BatchStatusNotFound {
-		t.Fatalf("record missing: %d %q %v", st, p, err)
+	st, p, body, ok = api.CutBatchRecord(body)
+	if !ok || st != api.BatchStatusNotFound {
+		t.Fatalf("record missing: %d %q %v", st, p, ok)
 	}
-	st, p, err = api.ReadBatchRecord(r)
-	if err != nil || st != api.BatchStatusOK || string(p) != "beta" {
-		t.Fatalf("record b: %d %q %v", st, p, err)
+	st, p, body, ok = api.CutBatchRecord(body)
+	if !ok || st != api.BatchStatusOK || string(p) != "beta" {
+		t.Fatalf("record b: %d %q %v", st, p, ok)
 	}
-	if _, _, err := api.ReadBatchRecord(r); err != io.EOF {
-		t.Fatalf("stream not exhausted: %v", err)
+	if len(body) != 0 {
+		t.Fatalf("stream not exhausted: %d bytes left", len(body))
 	}
 }
 
