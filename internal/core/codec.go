@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"unsafe"
 )
 
@@ -91,7 +90,7 @@ func sealSections(p []byte, sums []uint64, d *dirtyMap, last *refBuf) int {
 				continue
 			}
 			c := uint64(0)
-			if d.clean(off, hi) && j < len(last.sums) {
+			if !d.markedAt(off) && j < len(last.sums) {
 				c = last.sums[j]
 			}
 			if c == 0 {
@@ -156,7 +155,11 @@ type payloadSpans struct {
 	params [2]int // the parameters' payload offsets
 }
 
-var spansPool = sync.Pool{New: func() any { return new(payloadSpans) }}
+// spansFree holds AppendPayload's layouts. A sync.Pool would lose them to
+// every other collection, and encoding a multi-MiB state starts one about
+// that often, so a layout would be an allocation per call again. Eight is
+// more encodes than ever overlap: a save lays out into its manager's own.
+var spansFree = make(chan *payloadSpans, 8)
 
 // off is the payload offset of the next byte laid out.
 func (p *payloadSpans) off() int { return p.n + len(p.small) - p.mark }
@@ -269,11 +272,11 @@ func (p *payloadSpans) fill(rb, last *refBuf, patch bool) (copied, crc int) {
 		}
 		for len(s) > 0 {
 			j, k := off/granuleBytes, min(len(s), granuleBytes-off%granuleBytes)
-			same := d.gran > 0 && d.bits[j/64]&(1<<(j%64)) == 0 && off+k <= len(last.b) && bytes.Equal(s[:k], last.b[off:off+k])
+			same := !d.markedAt(off) && off+k <= len(last.b) && bytes.Equal(s[:k], last.b[off:off+k])
 			if !same {
 				d.bits[j/64] |= 1 << (j % 64)
 			}
-			if patch && (!same || !last.dirty.clean(off, off+k)) {
+			if patch && (!same || last.dirty.markedAt(off)) {
 				copied += copy(rb.b[off:], s[:k])
 			}
 			off, s = off+k, s[k:]
@@ -297,7 +300,12 @@ func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	p := spansPool.Get().(*payloadSpans)
+	var p *payloadSpans
+	select {
+	case p = <-spansFree:
+	default:
+		p = new(payloadSpans)
+	}
 	p.layout(s)
 	at := len(buf)
 	if cap(buf)-at < p.n { // make, unlike slices.Grow, skips zeroing fresh memory
@@ -306,8 +314,11 @@ func AppendPayload(buf []byte, s *TrainingState) ([]byte, error) {
 	for _, span := range p.spans {
 		buf = appendPieces(buf, span)
 	}
-	clear(p.spans) // the pool holds no state's memory
-	spansPool.Put(p)
+	clear(p.spans) // the free list holds no state's memory
+	select {
+	case spansFree <- p:
+	default:
+	}
 	sealSections(buf[at:], nil, &dirtyMap{}, nil)
 	return buf, nil
 }
@@ -325,11 +336,7 @@ func checkParams(p []byte, span, lastSpan [2]int, d dirtyMap) (int, error) {
 		d = dirtyMap{} // no map: every granule is read
 	}
 	read := 0
-	for g, end := span[0], 0; g < span[1]; g = end {
-		end = min((g/granuleBytes+1)*granuleBytes, span[1])
-		if d.clean(g, end) {
-			continue
-		}
+	for g, end := range d.marked(span[0], span[1]) {
 		read += end - g
 		for off := g - (g-span[0])%8; off < end; off += 8 {
 			if v := binary.LittleEndian.Uint64(p[off:]); v&expBits == expBits {

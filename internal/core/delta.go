@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 )
@@ -45,14 +46,8 @@ func appendDelta(dst, base, cur []byte, dirty dirtyMap) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, len(cur))[:off+len(cur)]
 	out := dst[off:]
-	if dirty.gran == 0 {
-		subtle.XORBytes(out, cur[:n], base[:n])
-	} else {
-		for lo := 0; lo < n; lo += dirty.gran {
-			if hi := min(lo+dirty.gran, n); !dirty.clean(lo, hi) {
-				subtle.XORBytes(out[lo:hi], cur[lo:hi], base[lo:hi])
-			}
-		}
+	for lo, hi := range dirty.marked(0, n) {
+		subtle.XORBytes(out[lo:hi], cur[lo:hi], base[lo:hi])
 	}
 	copy(out[n:], cur[n:])
 	return dst
@@ -88,6 +83,43 @@ func (d dirtyMap) clean(lo, hi int) bool {
 		}
 	}
 	return true
+}
+
+// markedAt reports whether d marks the granule holding byte off: with no
+// map, or past it, every granule is marked.
+func (d dirtyMap) markedAt(off int) bool {
+	j := off / max(d.gran, 1)
+	return d.gran == 0 || j/64 >= len(d.bits) || d.bits[j/64]&(1<<(j%64)) != 0
+}
+
+// marked yields the bytes of [lo, hi) under each granule d marks, in order,
+// as [from, to): a walk of the set bits that skips a clean word whole, so a
+// loop over it costs O(marked granules + words), not a step per granule.
+// With no map it yields [lo, hi) itself.
+func (d dirtyMap) marked(lo, hi int) iter.Seq2[int, int] {
+	return func(yield func(int, int) bool) {
+		if lo >= hi {
+			return
+		}
+		if d.gran == 0 {
+			yield(lo, hi)
+			return
+		}
+		s := uint(bits.TrailingZeros(uint(d.gran)))
+		for j, past := uint(lo)>>s, uint(hi-1)>>s+1; j < past; j++ {
+			word := ^uint64(0) // past the map every granule is marked
+			if j/64 < uint(len(d.bits)) {
+				word = d.bits[j/64]
+			}
+			if word >>= j % 64; word == 0 {
+				j |= 63 // the rest of j's word is clean
+				continue
+			}
+			if j += uint(bits.TrailingZeros64(word)); j < past && !yield(max(lo, int(j<<s)), min(hi, int(j+1)<<s)) {
+				return
+			}
+		}
+	}
 }
 
 // ApplyDelta reconstructs cur from base and a delta produced by

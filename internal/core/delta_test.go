@@ -258,10 +258,27 @@ func cleanBitLoop(d dirtyMap, lo, hi int) bool {
 	return true
 }
 
-// TestCleanMatchesBitLoop holds clean to the bit loop over random maps —
-// sparse, dense and empty words, granules of one byte to 4 KiB — and
-// ranges that start, end and run past the map at and between granule and
-// word boundaries.
+// markedBitLoop is dirtyMap.marked one granule at a time: the pieces of
+// [lo, hi) under the granules the bit loop does not call clean.
+func markedBitLoop(d dirtyMap, lo, hi int) [][2]int {
+	var runs [][2]int
+	for a := lo; a < hi; {
+		b := hi
+		if d.gran > 0 {
+			b = min(hi, (a/d.gran+1)*d.gran)
+		}
+		if !cleanBitLoop(d, a, b) {
+			runs = append(runs, [2]int{a, b})
+		}
+		a = b
+	}
+	return runs
+}
+
+// TestCleanMatchesBitLoop holds clean, marked and markedAt to the bit loop
+// over random maps — sparse, dense and empty words, granules of one byte to
+// 4 KiB — and ranges that start, end and run past the map at and between
+// granule and word boundaries.
 func TestCleanMatchesBitLoop(t *testing.T) {
 	r := rng.New(42)
 	for i := 0; i < 20000; i++ {
@@ -284,8 +301,23 @@ func TestCleanMatchesBitLoop(t *testing.T) {
 		if got, want := d.clean(lo, hi), cleanBitLoop(d, lo, hi); got != want {
 			t.Fatalf("gran %d, %d words %x: clean(%d, %d) = %v, the bit loop says %v", d.gran, len(d.bits), d.bits, lo, hi, got, want)
 		}
+		var runs [][2]int
+		for from, to := range d.marked(lo, hi) {
+			runs = append(runs, [2]int{from, to})
+		}
+		if want := markedBitLoop(d, lo, hi); !slices.Equal(runs, want) {
+			t.Fatalf("gran %d, %d words %x: marked(%d, %d) = %v, the bit loop says %v", d.gran, len(d.bits), d.bits, lo, hi, runs, want)
+		}
+		if got, want := d.markedAt(lo), !cleanBitLoop(d, lo, lo+1); got != want {
+			t.Fatalf("gran %d, %d words %x: markedAt(%d) = %v, the bit loop says %v", d.gran, len(d.bits), d.bits, lo, got, want)
+		}
 	}
-	if (dirtyMap{}).clean(0, 1) {
+	if (dirtyMap{}).clean(0, 1) || !(dirtyMap{}).markedAt(0) {
 		t.Error("no map reads as clean")
+	}
+	for from, to := range (dirtyMap{}).marked(3, 9) {
+		if from != 3 || to != 9 {
+			t.Errorf("no map: marked(3, 9) yields [%d, %d)", from, to)
+		}
 	}
 }

@@ -116,10 +116,8 @@ func (z *zeroBodies) put(rb *refBuf) {
 	clear(rb.b[:deltaHeaderLen])
 	body, d := rb.b[deltaHeaderLen:], rb.dirty
 	n := min(len(body), d.base)
-	for lo := 0; lo < n; lo += granuleBytes {
-		if hi := min(lo+granuleBytes, n); !d.clean(lo, hi) {
-			clear(body[lo:hi])
-		}
+	for lo, hi := range d.marked(0, n) {
+		clear(body[lo:hi])
 	}
 	clear(body[n:])
 	if poolHook != nil {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -463,6 +464,37 @@ func BenchmarkChunkFrame(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(dst)), "bytes-written/op")
 		})
+	}
+}
+
+// TestEncodeLayoutSurvivesCollections: EncodePayload of a multi-MiB state
+// allocates its payload and nothing else, even when collections come
+// between calls, as they do about every other call at that size. A layout
+// kept in a sync.Pool was gone after two of them and cost its slices anew.
+// The count is the median call's: the runtime's own allocations land in
+// the process-wide count now and then.
+func TestEncodeLayoutSurvivesCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	s := sampleState()
+	s.Params, s.BestParams = make([]float64, 5<<20/8), nil
+	mallocs := make([]uint64, 9)
+	for i := -1; i < len(mallocs); i++ { // the first call may make the layout
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := EncodePayload(s); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 0 {
+			mallocs[i] = after.Mallocs - before.Mallocs
+		}
+	}
+	if slices.Sort(mallocs); mallocs[len(mallocs)/2] != 1 {
+		t.Errorf("EncodePayload of a 5 MiB state with collections between calls: %v allocs, median want 1 (the payload)", mallocs)
 	}
 }
 

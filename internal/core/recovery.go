@@ -78,6 +78,9 @@ const recoveryCacheBytes = 64 << 20
 // candidate after candidate over the same links), keeps every chunked
 // snapshot object checked and parsed, so each is fetched, hashed, inflated
 // and parsed once — by the chain warmer when there is one, hence mu.
+// batches is whether the store under the view reads a batch natively
+// (storage.Caps before the Coalescer, which declares one on any base): only
+// then is a walk's anchor warmed in one batch (prefetcher.start).
 //
 // Payloads the view resolves are pooled (pool.go, DESIGN.md §8): whoever is
 // handed a *refBuf is its one holder and releases it when done, on every
@@ -90,6 +93,7 @@ type snapshotView struct {
 	cost      LoadCost
 	convicted map[string]error
 	unchecked bool
+	batches   bool
 	refs      []snapshotRef // the recovery index (listIndex): the store's snapshots, oldest first,
 	headers   []*Header     // … refs[i]'s once probed (entry), a zero Header if it did not parse,
 	skipped   []string      // … and what recovery passed over, in the order it met it
@@ -111,7 +115,7 @@ type snapshotObject struct {
 func newSnapshotView(b storage.Backend, opts RestoreOptions) *snapshotView {
 	origin := stopwatch{clock.Wall, clock.Wall.Now()} // first, so the view's construction is a lap too
 	cb := storage.NewCoalescerShards(b, recoveryCacheBytes, 1)
-	return &snapshotView{stopwatch: origin, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error)}
+	return &snapshotView{stopwatch: origin, b: cb, cs: storage.NewChunkStore(storage.WithPrefix(cb, ChunkPrefix)), opts: opts, convicted: make(map[string]error), batches: storage.Caps(b).Batch != nil}
 }
 
 // object fetches and checks the snapshot object at key, or recalls it from
@@ -340,7 +344,8 @@ func (v *snapshotView) resolvePayload(chain []indexEntry) (*refBuf, error) {
 // of content a clean walk makes. With everything, chunks are also hashed
 // against their addresses and the payload against its header at the anchor
 // and after every link (applyVerified). A failure is at chain[at], and the
-// buffer is back in the pool. The next link is warmed while this one applies;
+// buffer is back in the pool. The next link is warmed while this one applies,
+// and on a store that batches the anchor is warmed beside the first link;
 // waiting for a warmer is Fetch time.
 func (v *snapshotView) walk(chain []indexEntry, everything bool) (payload *refBuf, at int, err error) {
 	v.unchecked = !everything
@@ -351,7 +356,9 @@ func (v *snapshotView) walk(chain []indexEntry, everything bool) (payload *refBu
 		v.unchecked = false
 	}()
 	at = len(chain) - 1
+	anchor := pf.start(v, chain, at)
 	warmed := pf.start(v, chain, at-1)
+	anchor() // readBody's first lap books the wait as Fetch
 	_, payload, err = v.readBody(chain[at].key, &chain[at].h)
 	if err != nil {
 		return nil, at, err

@@ -15,7 +15,10 @@ import (
 // goroutine alone hands the pieces to a visitor
 // in manifest order — appended into a preallocated buffer for an anchor,
 // XORed in place into the running payload for a delta link — and chain
-// resolution warms the next delta's chunks while the current one applies.
+// resolution warms the next delta's chunks while the current one applies;
+// on a store that reads batches natively (a remote one) it warms the
+// anchor's in one batch too, so a restore costs O(1) round trips, not one
+// per anchor chunk (prefetcher.start says why it does not elsewhere).
 // A serial restore is the one-worker case: no helpers, no goroutines.
 // Correctness invariants:
 //
@@ -306,7 +309,8 @@ func (s *pieceSlot) release() {
 type prefetcher struct{ sync.WaitGroup }
 
 // start warms the manifest and chunks of chain[i] in the background and
-// returns a wait function; with one worker, or no link i, it does nothing.
+// returns a wait function; with one worker, no link i, or an anchor on a
+// store that reads no batch natively, it does nothing.
 // The resolver waits right before its foreground read of the link: by then
 // the warmer has run for the whole previous link, so the wait is usually
 // instant, and blocking until the fill lands keeps the foreground's
@@ -316,8 +320,17 @@ type prefetcher struct{ sync.WaitGroup }
 // the one after it — and consecutive links share chunks (the all-zero one
 // at least); the cache's single-flight makes the second asker of a shared
 // address join the first one's fetch, so the warms need no ordering.
+//
+// The anchor is warmed too, beside the first link, when the store reads a
+// batch natively (snapshotView.batches): over the wire its 259 chunk GETs
+// become ⌈259/256⌉ = 2 /v1/batch requests. Elsewhere its chunks are the
+// walk's own, one at a time: a batch there is sequential Gets on the
+// warmer's one goroutine, and warming the anchor so made substep_local's
+// restore 23 % and fullstep_local's 27–49 % slower than the two-worker walk.
+// Each warm is one batch: per-worker batch windows cut substep_remote's
+// restore further but pushed mixed_remote's saver past its bounds.
 func (p *prefetcher) start(v *snapshotView, chain []indexEntry, i int) func() {
-	if v.opts.Workers <= 1 || i < 0 { // a serial restore warms nothing
+	if v.opts.Workers <= 1 || i < 0 || i == len(chain)-1 && !v.batches { // a serial restore warms nothing
 		return func() {}
 	}
 	done := make(chan struct{})
@@ -331,13 +344,15 @@ func (p *prefetcher) start(v *snapshotView, chain []indexEntry, i int) func() {
 }
 
 // warm pulls key's snapshot object — and, for chunked kinds, its distinct
-// chunks, in one batch a Tiered backend overlaps per level — through the
+// chunks, in one batch a Tiered backend plans per level — through the
 // view's read cache and leaves the parsed manifest with the view for the
 // foreground to pick up (object). It hashes no chunk and drops results and
 // errors: the foreground read reports any failure with full context.
 func (v *snapshotView) warm(key string) {
 	o, err := v.object(key)
-	if err != nil || !o.h.Kind.Chunked() {
+	// An anchor over half the cache would evict its first chunks before the
+	// walk reached them, and each would cross the wire twice: it is walked.
+	if err != nil || !o.h.Kind.Chunked() || o.h.Kind.Base() == KindFull && o.info.rawLen > recoveryCacheBytes/2 {
 		return
 	}
 	keys, _ := distinctAddrs(o.info.addrs)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,37 +233,81 @@ func (s *slowLinks) hold(op storage.Op) (int64, error) {
 	return 0, nil
 }
 
+// batchMem is a Mem that declares a native batch read, as a remote store
+// does: a restore through it warms its anchor too. It counts the chunks
+// read one at a time.
+type batchMem struct {
+	*storage.Mem
+	chunkGets *atomic.Int64
+}
+
+func (b batchMem) Caps() storage.CapSet {
+	c := storage.Caps(b.Mem)
+	c.Batch = b
+	return c
+}
+
+func (b batchMem) Get(key string) ([]byte, error) {
+	if _, ok := storage.ChunkKeyAddr(key); ok {
+		b.chunkGets.Add(1)
+	}
+	return b.Mem.Get(key)
+}
+
+func (b batchMem) GetBatch(keys []string) ([][]byte, []error) { return storage.GetBatch(b.Mem, keys) }
+
 // TestLoadCostChargesWaitsOnTheWarmersToFetch: the stages of a LoadCost add
 // up to what the caller waited. What a walk spends waiting for a link's
 // warmer — here the warmed manifests are made slow to get, and nothing else
 // takes any time — is time spent getting that link's objects: it must show
 // up in Fetch, each delay exactly once, and the stages together must account
-// for the restore.
+// for the restore. On a store that batches, the anchor's warm is waited for
+// too, before the anchor is read, and no chunk is read but in a batch.
 func TestLoadCostChargesWaitsOnTheWarmersToFetch(t *testing.T) {
 	const links, delay = 6, 20 * time.Millisecond
 	states := bigSeqStates(links)
 	mem := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states)
-	clk := newFakeClock(0)
-	slow := &slowLinks{clk: clk, delay: delay, next: map[string]string{}, arrived: map[string]chan struct{}{}}
-	for seq := uint64(1); seq < links; seq++ { // every link a warmer reads first
-		slow.next[snapshotName(seq, KindDelta)] = ""
-		if seq < links-1 {
-			slow.next[snapshotName(seq, KindDelta)] = snapshotName(seq+1, KindDelta)
-		}
-	}
-	v := newSnapshotView(storage.Observe(mem, slow.hold), RestoreOptions{Workers: 2, Prefetch: 4})
-	start := clk.peek()
-	v.stopwatch = stopwatch{clk, clk.Now()}
-	got, report, err := v.latest(nil)
-	if err != nil || !got.Equal(states[links-1]) {
-		t.Fatalf("restore through the slow store: %v", err)
-	}
-	want := (links - 2) * delay
-	if c := report.LoadCost; c.Fetch != want || c.Total() != want {
-		t.Errorf("stages %+v when %d warmed manifests each took %v to get, want Fetch %v and nothing else", c, links-2, delay, want)
-	}
-	if wall := clk.sinceLast(start); report.Total() != wall {
-		t.Errorf("stages sum to %v of a %v restore", report.Total(), wall)
+	var chunkGets atomic.Int64
+	for _, tc := range []struct {
+		name    string
+		store   storage.Backend
+		batches bool
+	}{
+		{"mem", mem, false},
+		{"batching", batchMem{mem, &chunkGets}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock(0)
+			slow := &slowLinks{clk: clk, delay: delay, next: map[string]string{}, arrived: map[string]chan struct{}{}}
+			for seq := uint64(1); seq < links; seq++ {
+				slow.next[snapshotName(seq, KindDelta)] = ""
+				if seq < links-1 {
+					slow.next[snapshotName(seq, KindDelta)] = snapshotName(seq+1, KindDelta)
+				}
+			}
+			slowed := links - 2 // every link a warmer reads first
+			if tc.batches {     // and the anchor, whose warm gets it beside the first link's
+				slow.next[snapshotName(0, KindFull)] = snapshotName(1, KindDelta)
+				slowed++
+			}
+			v := newSnapshotView(storage.Observe(tc.store, slow.hold), RestoreOptions{Workers: 2, Prefetch: 4})
+			start := clk.peek()
+			v.stopwatch = stopwatch{clk, clk.Now()}
+			got, report, err := v.latest(nil)
+			if err != nil || !got.Equal(states[links-1]) {
+				t.Fatalf("restore through the slow store: %v", err)
+			}
+			want := time.Duration(slowed) * delay
+			if c := report.LoadCost; c.Fetch != want || c.Total() != want {
+				t.Errorf("stages %+v when %d warmed manifests each took %v to get, want Fetch %v and nothing else", c, slowed, delay, want)
+			}
+			if wall := clk.sinceLast(start); report.Total() != wall {
+				t.Errorf("stages sum to %v of a %v restore", report.Total(), wall)
+			}
+			if n := chunkGets.Load(); n != 0 {
+				t.Errorf("%d chunks read one at a time from a store that batches", n)
+			}
+		})
 	}
 }
 
@@ -406,6 +452,85 @@ func TestLoadCostSumsToWall(t *testing.T) {
 				t.Errorf("the stages sum to %v of a %v wall: %v unattributed", sum, wall, rest)
 			}
 			t.Logf("wall %v, stages %v", wall/restores, sum/restores)
+		})
+	}
+}
+
+// TestRestoreOpsWithoutNativeBatch: on a store that reads no batch natively
+// — Mem, Local, a Tiered store of Locals with the chain on its cold level —
+// a two-worker restore warms no anchor and asks the store for what the
+// serial walk asks: every operation kind as often, each manifest and each
+// distinct chunk once, per level.
+func TestRestoreOpsWithoutNativeBatch(t *testing.T) {
+	states := bigSeqStates(12)
+	src := saveChain(t, chunkedOpts(Options{AnchorEvery: 8}), states)
+	keys, err := src.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := func(t *testing.T) storage.Backend {
+		l, err := storage.NewLocal(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	stores := []struct {
+		name string
+		open func(t *testing.T, hook storage.Hook) (b, fill storage.Backend)
+	}{
+		{"mem", func(t *testing.T, hook storage.Hook) (storage.Backend, storage.Backend) {
+			m := storage.NewMem()
+			return storage.Observe(m, hook), m
+		}},
+		{"local", func(t *testing.T, hook storage.Hook) (storage.Backend, storage.Backend) {
+			l := local(t)
+			return storage.Observe(l, hook), l
+		}},
+		{"tiered-local", func(t *testing.T, hook storage.Hook) (storage.Backend, storage.Backend) {
+			cold := local(t)
+			tb, err := storage.NewTiered(storage.Level{Name: "hot", Backend: storage.Observe(local(t), hook)}, storage.Level{Name: "cold", Backend: storage.Observe(cold, hook)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tb, cold
+		}},
+	}
+	for _, st := range stores {
+		t.Run(st.name, func(t *testing.T) {
+			ops := func(opts RestoreOptions) map[storage.OpKind]int {
+				var mu sync.Mutex
+				seen := map[storage.OpKind]int{}
+				b, fill := st.open(t, func(op storage.Op) (int64, error) {
+					if !op.After {
+						mu.Lock()
+						seen[op.Kind]++
+						mu.Unlock()
+					}
+					return 0, nil
+				})
+				for _, k := range keys {
+					data, err := src.Get(k)
+					if err == nil {
+						err = fill.Put(k, data)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if newSnapshotView(b, opts).batches {
+					t.Errorf("%s declares a native batch", b.Name())
+				}
+				got, _, err := LoadLatestBackendOptions(b, nil, opts)
+				if err != nil || !got.Equal(states[len(states)-1]) {
+					t.Fatalf("restore with %d workers: %v", opts.Workers, err)
+				}
+				return seen
+			}
+			serial, parallel := ops(RestoreOptions{}), ops(RestoreOptions{Workers: 2, Prefetch: 4})
+			if !maps.Equal(serial, parallel) || serial[storage.OpGet] == 0 {
+				t.Errorf("two workers ask for %v, one for %v (by op kind)", parallel, serial)
+			}
 		})
 	}
 }

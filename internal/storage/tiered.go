@@ -133,13 +133,21 @@ func (t *Tiered) Capabilities() Capabilities {
 	return c
 }
 
-// Caps implements CapsReporter. Read-through ranged reads, per-level
-// batch planning, class-routed writes, and occupancy accounting are all
-// native to the composite; addressed ingest and orphan collection are
-// not forwarded — the chunk-store protocol runs above a tiered store,
-// never inside one level of it.
+// Caps implements CapsReporter. Read-through ranged reads, class-routed
+// writes, and occupancy accounting are native to the composite; per-level
+// batch planning is declared, as ForwardCaps would, only when a level reads
+// batches natively: over plain levels it is sequential Gets on one
+// goroutine. Addressed ingest and orphan collection are not forwarded — the
+// chunk-store protocol runs above a tiered store, never inside one level.
 func (t *Tiered) Caps() CapSet {
-	return CapSet{Range: t, Batch: t, ClassWrite: t, Occupancy: t}
+	c := CapSet{Range: t, ClassWrite: t, Occupancy: t}
+	for _, lv := range t.levels {
+		if Caps(lv.Backend).Batch != nil {
+			c.Batch = t
+			break
+		}
+	}
+	return c
 }
 
 // SetPlacement installs a placement policy, resolving each class's level

@@ -423,3 +423,28 @@ func TestTieredGetBatchTraffic(t *testing.T) {
 		}
 	})
 }
+
+// TestTieredDeclaresBatchOnlyOverABatchingLevel: a tiered store declares a
+// batch read when one of its levels reads batches natively (over a
+// Replicated one, its per-level plan) and not over plain levels, whose batch
+// would be sequential Gets on one goroutine. The conformance suite's
+// BatchMatchesGet holds both to per-key Get (tiered, replicated-under-tiered).
+func TestTieredDeclaresBatchOnlyOverABatchingLevel(t *testing.T) {
+	rep, err := NewReplicated(ReplicatedOptions{}, Replica{Backend: NewMem(), Domain: "a"}, Replica{Backend: NewMem(), Domain: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	for _, tc := range []struct {
+		cold  Backend
+		batch bool
+	}{{NewMem(), false}, {rep, true}} {
+		tb, err := NewTiered(Level{Name: "hot", Backend: NewMem()}, Level{Name: "cold", Backend: tc.cold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Caps(tb).Batch; (got != nil) != tc.batch || (got != nil && got != BatchReader(tb)) {
+			t.Errorf("tiered over (mem, %s) declares batch %v, want %v", tc.cold.Name(), got != nil, tc.batch)
+		}
+	}
+}
