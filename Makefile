@@ -130,8 +130,9 @@ experiments:
 # One read-through rule in Tiered (GetBatch asks each level, in one batch, only for what every warmer level missed; its goroutines, matrices and Get retry gone), Replicated's occupancy forwarding, TieredDirLevels and remote.Options.RetryBase gone, net of Mem's ranged read, the batch-equals-Get property and the clean-% floor rule: -36 / -33. It pays 36 / 33 of the O(dirty) sub-step save's raise; ROADMAP item 2's write merge carries the rest, +100 / +38.
 # One request path in remote.Client (call sends every request under one of three retry rules, idempotent, commit and once; doIdem, PutClass's loop, Delete's special case and ten verbs' status/decode blocks gone) and batch records cut in place (api.CutBatchRecord replaces ReadBatchRecord and maxBatchRecord; GetBatch's duplicate collapse gone): 0 / -116. It pays the second figure's last +38 of the O(dirty) sub-step save's raise; ROADMAP item 2's write merge carries the first figure's +100.
 # The anchor in one batch (the view's native-batch probe, the anchor warm and its cache guard, Tiered's batch declared only over a batching level), the dirty map's set-bit walk and one-granule test, and AppendPayload's layout free list raised both by +67 / +67; no deletion pays it yet, so ROADMAP item 2 carries it beside PR 40's +100.
-LOC_CEILING = 9701
-LOC_CEILING_ALL = 23418
+# The read cache caches reads only (the Coalescer's PutClass, IngestKeyed[Class], CollectOrphans and ForwardCaps call and storage.Forward gone; api.Local's one eviction rule; /v1/caps' write side from the store), net of Local's sync counters and train's sync line: -68 / -63. It pays 68 / 63 of the +167 / +67 owed; ROADMAP item 2's write merge carries the rest, +99 / +4.
+LOC_CEILING = 9633
+LOC_CEILING_ALL = 23355
 loc:
 	@find internal/storage internal/core -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

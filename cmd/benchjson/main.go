@@ -169,6 +169,7 @@ var gateRules = []struct {
 	{"delete-ops/op", exact},
 	{"probed/op", exact}, {"chunks-fetched/op", exact}, // a restore's header probes and chunk reads
 	{"requests/op", exact}, {"wire-B/op", exact}, // a remote restore's HTTP requests and the bytes they moved
+	{"fsyncs/op", exact}, {"dirsyncs/op", exact}, // a paper-scale save's file and directory syncs
 	{"clean-%", floor}, // the share of an anchor's chunks reused from the anchor before
 }
 

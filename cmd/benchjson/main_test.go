@@ -298,8 +298,8 @@ func TestRunCompareAllowMissing(t *testing.T) {
 
 // TestCompareGatesCountColumnsExactly: bytes-written/op, a save's
 // validated parameter bytes and the bytes it copied, an anchor's hashed
-// chunks and a retention pass's backend operations are counts like
-// hashed-B/op — one more over the
+// chunks, a retention pass's backend operations and a paper-scale save's
+// syncs are counts like hashed-B/op — one more over the
 // baseline fails inside any tolerance, a zero baseline included; one fewer
 // passes; a row that stops reporting the column fails.
 func TestCompareGatesCountColumnsExactly(t *testing.T) {
@@ -320,6 +320,8 @@ func TestCompareGatesCountColumnsExactly(t *testing.T) {
 		{"BenchmarkRestoreChain", "chunks-fetched/op", 329},
 		{"BenchmarkRestoreChainRemote", "requests/op", 305},
 		{"BenchmarkRestoreChainRemote", "wire-B/op", 2202690},
+		{"BenchmarkSavePaperScale/chunked", "fsyncs/op", 3},
+		{"BenchmarkSavePaperScale/chunked", "dirsyncs/op", 3},
 	} {
 		row := func(v float64) BenchResult {
 			r := bench(tc.name, 1000, 47)

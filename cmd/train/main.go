@@ -298,6 +298,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "chunk pipeline: %d chunks (%d clean, %d dedup, %d raw-framed), %d bytes written\n",
 			st.Chunks, st.CleanChunks, st.DedupHits, st.RawChunks, st.BytesWritten)
 	}
+	if local, ok := opt.Backend.(*storage.Local); ok { // on a disk, a small save costs its syncs
+		file, dir := local.Syncs()
+		fmt.Fprintf(out, "store: %d file sync(s), %d directory sync(s)\n", file, dir)
+	}
 	if client != nil {
 		if st, serr := client.Stats(); serr == nil {
 			fmt.Fprintf(out, "server: %d chunk upload(s) (%d dedup hit(s)), %d B offered, %d B written, %d manifest commit(s)\n",

@@ -75,6 +75,10 @@ func TestSingleJobCheckpointsAtTheStoreRoot(t *testing.T) {
 	if !strings.Contains(out, "done: best loss") || !strings.Contains(out, "chunk pipeline: 6 chunks") {
 		t.Errorf("single-job summary missing:\n%s", out)
 	}
+	// Six manifests and six new chunks, each one file and one directory sync.
+	if !strings.Contains(out, "store: 12 file sync(s), 12 directory sync(s)") {
+		t.Errorf("sync count missing or wrong:\n%s", out)
+	}
 }
 
 func TestFleetCheckpointsPerJobAndSharesChunks(t *testing.T) {

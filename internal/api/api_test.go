@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -327,6 +328,89 @@ func TestObjectPlaneMatchesBackendContract(t *testing.T) {
 	jobs, err := l.Jobs()
 	if err != nil || len(jobs) != 1 || jobs[0] != "j" {
 		t.Errorf("Jobs = %v, %v", jobs, err)
+	}
+}
+
+// landThenFail is a store whose chunk writes land and then report an
+// error, as a quorum write does that reached a minority of its replicas.
+type landThenFail struct{ storage.Backend }
+
+func (b landThenFail) Put(key string, data []byte) error {
+	if err := b.Backend.Put(key, data); err != nil || !strings.HasPrefix(key, core.ChunkPrefix+"/") {
+		return err
+	}
+	return errors.New("chunk write landed, ack lost")
+}
+
+// TestFailedIngestEvictsOriginCache: a chunk ingest that fails may still
+// have written, so it evicts the chunk's cached copy like one that wrote.
+// The origin cache holds a corrupt resident; the ingest of the good bytes
+// rewrites it and fails; the next read must see the good bytes, not the
+// cached corrupt ones.
+func TestFailedIngestEvictsOriginCache(t *testing.T) {
+	mem := storage.NewMem()
+	svc, err := core.NewService(core.ServiceOptions{Backend: landThenFail{mem}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	l := NewLocalOptions(svc, nil, LocalOptions{CacheBytes: 1 << 20})
+	good := []byte("the chunk payload")
+	key := chunkKey(storage.Hash(good))
+	corrupt := append([]byte(nil), good...)
+	corrupt[0] ^= 0xff
+	if err := mem.Put(key, corrupt); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.GetObject(key); err != nil || !bytes.Equal(got, corrupt) {
+		t.Fatalf("GetObject before the repair = %q, %v", got, err)
+	}
+	if _, err := l.IngestChunkClass(key, good, storage.ClassAnchorChunk); err == nil {
+		t.Fatal("ingest over a failing chunk write succeeded")
+	}
+	if got, err := l.GetObject(key); err != nil || !bytes.Equal(got, good) {
+		t.Errorf("GetObject after the failed repair = %q, %v; want the bytes that landed", got, err)
+	}
+}
+
+// TestCapsWriteSideIsTheStores: the origin cache serves reads only, so
+// the write side of /v1/caps (guarantees, classed writes, the chunk
+// plane, replication geometry) reads the same with the cache on and off.
+func TestCapsWriteSideIsTheStores(t *testing.T) {
+	local, err := storage.NewLocal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := storage.NewTiered(
+		storage.Level{Name: "hot", Backend: storage.NewMem()},
+		storage.Level{Name: "cold", Backend: storage.NewTier(storage.NewMem(), storage.DeviceObject)},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicated, err := storage.NewReplicated(storage.ReplicatedOptions{},
+		storage.Replica{Backend: storage.NewMem(), Domain: "zone-a"},
+		storage.Replica{Backend: storage.NewMem(), Domain: "zone-b"},
+		storage.Replica{Backend: storage.NewMem(), Domain: "zone-c"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replicated.Close() })
+	for _, store := range []storage.Backend{local, tiered, replicated} {
+		svc, err := core.NewService(core.ServiceOptions{Backend: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		writeSide := func(cacheBytes int64) Caps {
+			c := NewLocalOptions(svc, nil, LocalOptions{CacheBytes: cacheBytes}).Caps()
+			c.Name, c.Batch, c.Range = "", false, false
+			return c
+		}
+		if off, on := writeSide(0), writeSide(1<<20); !reflect.DeepEqual(off, on) {
+			t.Errorf("%s: write side with the cache %+v, without %+v", store.Name(), on, off)
+		}
 	}
 }
 

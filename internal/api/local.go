@@ -21,9 +21,8 @@ type Local struct {
 
 	// origin is the single-flight coalescing read cache wrapped around
 	// the backend when LocalOptions.CacheBytes > 0 (l.backend then IS the
-	// coalescer, so every read path coalesces); nil when disabled. Writes
-	// that bypass the wrapper — the canonical chunk store ingest and the
-	// service-wide GC sweep — invalidate through it explicitly.
+	// coalescer, so every read path coalesces); nil when disabled. Every
+	// write goes beneath it, through the service, and evicts (evict).
 	origin *storage.Coalescer
 
 	hasQueries     atomic.Int64
@@ -65,25 +64,26 @@ func NewLocalOptions(svc *core.Service, leases *Leases, opts LocalOptions) *Loca
 // Leases exposes the lease table (tests drive its clock).
 func (l *Local) Leases() *Leases { return l.leases }
 
-// Caps implements Service: the backend's guarantees plus its actual
-// capability set as one storage.Caps probe, so /v1/caps reports what the
-// store really supports (and, for a replicated store, its quorum
-// geometry) rather than a hardcoded protocol claim.
+// Caps implements Service: what the store really supports rather than a
+// hardcoded protocol claim. The read fields probe the read path (the
+// origin cache, when there is one); the guarantees, the write fields and
+// a replicated store's quorum geometry probe the store writes reach.
 func (l *Local) Caps() Caps {
-	c := l.backend.Capabilities()
-	set := storage.Caps(l.backend)
+	store := l.svc.Backend()
+	c := store.Capabilities()
+	read, write := storage.Caps(l.backend), storage.Caps(store)
 	caps := Caps{
 		Name:            l.backend.Name(),
 		Atomic:          c.Atomic,
 		Persistent:      c.Persistent,
 		Modeled:         c.Modeled,
-		Batch:           set.Batch != nil,
-		Range:           set.Range != nil,
-		ClassedWrites:   set.ClassWrite != nil,
-		AddressedIngest: set.Ingest != nil,
-		OrphanCollect:   set.Orphans != nil,
+		Batch:           read.Batch != nil,
+		Range:           read.Range != nil,
+		ClassedWrites:   write.ClassWrite != nil,
+		AddressedIngest: write.Ingest != nil,
+		OrphanCollect:   write.Orphans != nil,
 	}
-	if rep := set.Replication; rep.Replicas > 0 {
+	if rep := write.Replication; rep.Replicas > 0 {
 		caps.Replicas = rep.Replicas
 		caps.WriteQuorum = rep.WriteQuorum
 		caps.ReadQuorum = rep.ReadQuorum
@@ -104,12 +104,8 @@ func (l *Local) CommitManifestClass(key string, data []byte, class storage.Write
 	if err := storage.ValidateKey(key); err != nil {
 		return err
 	}
-	// The service writes beneath the origin cache: evict after the write,
-	// failed or not, as the cache's own write-through would.
 	err := l.svc.CommitObject(key, data, class)
-	if l.origin != nil {
-		l.origin.Invalidate(key)
-	}
+	l.evict(key, false)
 	if err != nil {
 		return err
 	}
@@ -160,16 +156,22 @@ func (l *Local) ListObjects(prefix string) ([]string, error) {
 }
 
 // DeleteObject implements Service. Deleting a snapshot object sweeps the
-// chunks only it referenced, beneath the origin cache like the delete
-// itself: the key is evicted, and the whole cache when chunks went.
+// chunks only it referenced, so the whole cache goes when chunks went.
 func (l *Local) DeleteObject(key string) error {
 	swept, err := l.svc.DeleteObject(key)
-	if l.origin != nil && swept > 0 {
+	l.evict(key, swept > 0)
+	return err
+}
+
+// evict is the one rule for a write beneath the origin cache: after it,
+// failed or not (a failed quorum write may have landed on a replica), key's
+// cached copy goes, or every copy when all is set (a sweep deleted chunks).
+func (l *Local) evict(key string, all bool) {
+	if l.origin != nil && all {
 		l.origin.InvalidateAll()
 	} else if l.origin != nil {
 		l.origin.Invalidate(key)
 	}
-	return err
 }
 
 // HasAddresses implements Service. The lease is taken before the
@@ -213,16 +215,15 @@ func (l *Local) IngestChunkClass(key string, data []byte, class storage.WriteCla
 	l.chunksIngested.Add(1)
 	l.chunkOffered.Add(int64(len(data)))
 	written, err := l.svc.ChunkStore().Ingest(addr, data, class)
+	// A dedup hit wrote nothing and keeps the verified resident's cached copy.
+	if written > 0 || err != nil {
+		l.evict(key, false)
+	}
 	if err != nil {
 		return 0, err
 	}
 	if written == 0 {
 		l.chunkDedup.Add(1)
-	} else if l.origin != nil {
-		// The store wrote beneath the origin cache (fresh chunk, or the
-		// repair path rewriting a corrupt resident): evict any cached
-		// copy of the old bytes.
-		l.origin.Invalidate(key)
 	}
 	l.chunkWritten.Add(int64(written))
 	return written, nil
@@ -267,12 +268,11 @@ func (l *Local) Jobs() ([]string, error) { return l.svc.Jobs() }
 
 // CollectOrphans implements Service: the service-wide collection, which
 // honors every tenant's manifests, local pins, and this table's leases.
-// The sweep deletes chunks directly through the service, beneath the
-// origin cache, so the whole cache is dropped after a collection.
+// A sweep that removed chunks drops the whole origin cache.
 func (l *Local) CollectOrphans() (int, int64, error) {
 	removed, reclaimed, err := l.svc.CollectOrphans()
-	if removed > 0 && l.origin != nil {
-		l.origin.InvalidateAll()
+	if removed > 0 {
+		l.evict("", true)
 	}
 	return removed, reclaimed, err
 }

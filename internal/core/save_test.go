@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -418,5 +421,74 @@ func TestPinnedLaggingBufferIsWrittenWhole(t *testing.T) {
 	}
 	if now := pooledOut.Load(); now != out {
 		t.Errorf("%d pooled buffers still out after Close", now-out)
+	}
+}
+
+// BenchmarkSavePaperScale saves at the paper's own scale: T1's largest row
+// (12 qubits, 4 layers), a state of 108 parameters, a 1 777-byte optimizer,
+// a 1 755-byte gradient accumulator and the RNG, into a directory store.
+// Each op is one optimizer step saved as a delta — every parameter, the
+// optimizer moments and the accumulator move — monolithic, and in 4 KiB
+// chunks. fsyncs/op and dirsyncs/op are the file and directory syncs the
+// store issued per save, gated exactly: on a disk a save this small costs
+// its syncs, not its bytes. The anchor and 63 deltas are saved before the
+// timer starts, so that allocs/op does not move with b.N.
+func BenchmarkSavePaperScale(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		chunk int
+	}{{"mono", 0}, {"chunked", MinChunkBytes}} {
+		b.Run(c.name, func(b *testing.B) {
+			root := b.TempDir()
+			// Every chunk fan-out directory exists, as in a store saved to
+			// for a while: the first chunk into a missing one pays a failed
+			// create and a MkdirAll, which would make allocs/op fall with b.N.
+			for i := range 256 {
+				if err := os.MkdirAll(filepath.Join(root, ChunkPrefix, fmt.Sprintf("%02x", i)), 0o755); err != nil {
+					b.Fatal(err)
+				}
+			}
+			store, err := storage.NewLocal(root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := NewManager(Options{Backend: store, Strategy: StrategyDelta, AnchorEvery: 1 << 30, ChunkBytes: c.chunk})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			r := rand.New(rand.NewSource(12))
+			s := NewTrainingState()
+			s.Params, s.BestParams = make([]float64, 108), make([]float64, 108)
+			s.Optimizer, s.RNG, s.GradAccum = make([]byte, 1777), make([]byte, 200), make([]byte, 1755)
+			s.LossHistory = make([]float64, 32)
+			r.Read(s.RNG)
+			s.Meta = Meta{FormatVersion: FormatVersion, CircuitFP: "hea-q12-l4", ProblemFP: "tfim-n12", OptimizerName: "adam"}
+			step := func() {
+				for i := range s.Params {
+					s.Params[i] += 1e-2 * r.NormFloat64()
+				}
+				r.Read(s.Optimizer)
+				r.Read(s.GradAccum)
+				s.LossHistory[s.Step%32] = r.Float64()
+				s.Step++
+				if _, err := m.Save(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for range 64 {
+				step()
+			}
+			file0, dir0 := store.Syncs()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			file, dir := store.Syncs()
+			b.ReportMetric(float64(file-file0)/float64(b.N), "fsyncs/op")
+			b.ReportMetric(float64(dir-dir0)/float64(b.N), "dirsyncs/op")
+		})
 	}
 }

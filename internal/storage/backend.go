@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrNotFound is returned by Backend.Get, Stat and Delete for unknown keys.
@@ -129,10 +130,11 @@ func ValidateKey(key string) error {
 }
 
 // Local is the filesystem Backend: objects are files under a root
-// directory, written with AtomicWriteFile, so every Put is crash-consistent
+// directory, written with writeFile, so every Put is crash-consistent
 // (temp file + fsync + rename + directory sync).
 type Local struct {
-	root string
+	root                string
+	fileSyncs, dirSyncs atomic.Int64 // what writeFile issued (Syncs)
 }
 
 // NewLocal creates (if needed) a root directory and returns the backend.
@@ -142,6 +144,10 @@ func NewLocal(root string) (*Local, error) {
 	}
 	return &Local{root: root}, nil
 }
+
+// Syncs reports the file and directory syncs the store's writes issued:
+// on a disk, a small save costs its syncs rather than its bytes.
+func (l *Local) Syncs() (file, dir int64) { return l.fileSyncs.Load(), l.dirSyncs.Load() }
 
 // Root returns the backing directory.
 func (l *Local) Root() string { return l.root }
@@ -167,16 +173,61 @@ func (l *Local) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	err = AtomicWriteFile(p, data, 0o644)
+	err = l.writeFile(p, data)
 	// A key's directory is made when a write first finds it missing, not
 	// checked for on every write.
 	if dir := filepath.Dir(p); dir != l.root && errors.Is(err, fs.ErrNotExist) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("storage: create key dir: %w", err)
 		}
-		err = AtomicWriteFile(p, data, 0o644)
+		err = l.writeFile(p, data)
 	}
 	return err
+}
+
+// writeFile writes data to path crash-consistently: it writes to a unique
+// temporary file in the same directory, syncs it, renames it over path, and
+// syncs the directory, counting both syncs. A reader never observes a
+// partial file. The temporary file is removed only on failure: after the
+// rename there is nothing to remove, and trying would cost every write an
+// unlink that fails and os.Remove's rmdir fallback.
+func (l *Local) writeFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("storage: create temp: %w", err)
+	}
+	fail := func(what string, err error) error {
+		tmp.Close() // after a successful Close, only an ErrClosed: no syscall
+		os.Remove(tmp.Name())
+		return fmt.Errorf("storage: %s: %w", what, err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return fail("write temp", err)
+	}
+	if err := tmp.Chmod(0o644); err != nil {
+		return fail("chmod temp", err)
+	}
+	l.fileSyncs.Add(1)
+	if err := tmp.Sync(); err != nil {
+		return fail("sync temp", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail("close temp", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fail("rename", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("storage: open dir: %w", err)
+	}
+	defer d.Close()
+	l.dirSyncs.Add(1)
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("storage: sync dir: %w", err)
+	}
+	return nil
 }
 
 // Get implements Backend.
@@ -227,7 +278,7 @@ func (l *Local) GetRange(key string, off, n int64) ([]byte, error) {
 }
 
 // List implements Backend. Temporary files left by an interrupted
-// AtomicWriteFile (dot-prefixed) are invisible. Subtrees that cannot
+// writeFile (dot-prefixed) are invisible. Subtrees that cannot
 // contain the prefix are pruned, so listing top-level snapshot keys stays
 // cheap however many chunks live under chunks/.
 func (l *Local) List(prefix string) ([]string, error) {

@@ -7,7 +7,7 @@ import "strings"
 // OrphanCollector, OccupancyReporter) are probed in one place. Callers
 // switch on one CapSet — each field the typed handle to call through, nil
 // when unsupported — and a wrapper declares what it forwards once, by
-// implementing CapsReporter with the one rule, ForwardCaps (forward.go).
+// implementing CapsReporter with the one rule, ForwardCaps.
 
 // CapSet is a backend's capability set. Fields hold the interface to call
 // through (non-nil = supported); Replication is a value because it carries
@@ -101,6 +101,38 @@ func Caps(b Backend) CapSet {
 	}
 	if r, ok := b.(Replicator); ok {
 		c.Replication = r.ReplicationInfo()
+	}
+	return c
+}
+
+// ForwardCaps is the one rule for what a wrapper declares: each optional
+// capability its base offers and w has the method for, the handle pointing
+// at w so no call skips the wrapper, and the base's replication geometry
+// showing through. A wrapper that serves capabilities natively whatever
+// its base (Tier, the Coalescer) declares a literal instead.
+func ForwardCaps(w, base Backend) CapSet {
+	b := Caps(base)
+	c := CapSet{Replication: b.Replication}
+	if b.Range != nil {
+		c.Range, _ = w.(RangeReader)
+	}
+	if b.Batch != nil {
+		c.Batch, _ = w.(BatchReader)
+	}
+	if b.Ingest != nil {
+		c.Ingest, _ = w.(AddressedIngester)
+	}
+	if b.ClassWrite != nil {
+		c.ClassWrite, _ = w.(ClassWriter)
+	}
+	if b.ClassIngest != nil {
+		c.ClassIngest, _ = w.(KeyedClassIngester)
+	}
+	if b.Orphans != nil {
+		c.Orphans, _ = w.(OrphanCollector)
+	}
+	if b.Occupancy != nil {
+		c.Occupancy, _ = w.(OccupancyReporter)
 	}
 	return c
 }

@@ -77,8 +77,8 @@ type AddressedIngester interface {
 
 // TryIngestKeyed delegates an addressed ingest to b when it implements
 // AddressedIngester, and reports ok=false otherwise. The chunk store
-// ingests through TryIngestKeyedClass; this spelling is what Forward's
-// classless IngestKeyed and bench's span wrapper pass on.
+// ingests through TryIngestKeyedClass; this spelling is what bench's span
+// wrapper passes on.
 func TryIngestKeyed(b Backend, key, addr string, data []byte) (written int, ok bool, err error) {
 	if ai := Caps(b).Ingest; ai != nil {
 		return ai.IngestKeyed(key, addr, data)

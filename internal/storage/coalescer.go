@@ -20,16 +20,16 @@ import (
 //
 // The in-flight table is shared by Get, GetBatch, and GetRange, so a
 // batch restore stream joining a singleton fetch (or vice versa) still
-// coalesces. Writes go through to the base and invalidate any cached
-// copy under a per-shard generation fence (see Put), so the Coalescer
-// never serves stale objects it created itself; coherence with writers
-// that bypass the wrapper is Invalidate's job. A fetch that fails
-// completes its flight with the error (every waiter gets a clean error,
-// never a hang) and deregisters it, so one failed or abandoned restorer
-// cannot poison the address for the next reader. Every method is safe
-// for concurrent use.
+// coalesces. It caches reads only: its writes are the Put and Delete the
+// Backend contract requires, which go through to the base and invalidate
+// any cached copy under a per-shard generation fence (see Put). Every
+// product write happens beneath it, and Invalidate keeps it coherent with
+// such a writer. A fetch that fails completes its flight with the error
+// (every waiter gets a clean error, never a hang) and deregisters it, so
+// one failed or abandoned restorer cannot poison the address for the next
+// reader. Every method is safe for concurrent use.
 type Coalescer struct {
-	Forward  // the base; List, Stat, Capabilities and Occupancy pass through
+	Backend  // the base; List, Stat and Capabilities pass through
 	perShard int64
 	shards   []coShard
 }
@@ -91,7 +91,7 @@ func NewCoalescerShards(base Backend, maxBytes int64, shards int) *Coalescer {
 	if shards < 1 {
 		shards = 1
 	}
-	c := &Coalescer{Forward: Forward{base}, shards: make([]coShard, shards)}
+	c := &Coalescer{Backend: base, shards: make([]coShard, shards)}
 	if maxBytes > 0 {
 		c.perShard = maxBytes / int64(shards)
 		if c.perShard < 1 {
@@ -250,15 +250,11 @@ func (c *Coalescer) InvalidateAll() {
 // Name implements Backend.
 func (c *Coalescer) Name() string { return "coalesce+" + c.Backend.Name() }
 
-// Caps implements CapsReporter. Ranged, batch and classed-write traffic
-// is native whatever the base offers — every read must enter the
-// single-flight machinery and every write must invalidate — and the rest
-// forwards when the base participates.
-func (c *Coalescer) Caps() CapSet {
-	out := ForwardCaps(c, c.Backend)
-	out.Range, out.Batch, out.ClassWrite = c, c, c
-	return out
-}
+// Caps implements CapsReporter: ranged and batch reads are native whatever
+// the base offers, so every read enters the single-flight machinery. The
+// cache declares nothing of the base's write side: its writes are the
+// required Put and Delete.
+func (c *Coalescer) Caps() CapSet { return CapSet{Range: c, Batch: c} }
 
 // Get implements Backend: cache hit, joined flight, or led base fetch.
 func (c *Coalescer) Get(key string) ([]byte, error) {
@@ -375,65 +371,21 @@ func sliceRange(data []byte, off, n int64) []byte {
 	return append([]byte(nil), clampRange(data, off, n)...)
 }
 
-// Put implements Backend.
+// Put implements Backend: write through, then invalidate any cached copy
+// and fence in-flight fills, whatever the outcome. Updating the entry in
+// place would race a concurrent Put of the same key and could pin the
+// loser's bytes; and a failed write over a replicated base may still have
+// landed on a minority of replicas and win a later quorum read.
 func (c *Coalescer) Put(key string, data []byte) error {
-	return c.PutClass(key, data, ClassDefault)
-}
-
-// PutClass implements ClassWriter: write-through, invalidating any cached
-// copy and fencing in-flight fills. Updating the cached entry in place instead
-// would race a concurrent Put of the same key — base writes and cache
-// updates could interleave in opposite orders, pinning the loser's data
-// until eviction; dropping the entry and bumping the generation makes the
-// next Get re-read whatever the base settled on. The invalidation happens
-// even when the base write FAILS: over a replicated base a failed quorum
-// write may still have landed on a minority of replicas and can surface
-// at a later quorum read once repair spreads it, so the cached old bytes
-// are no longer trustworthy either way.
-func (c *Coalescer) PutClass(key string, data []byte, class WriteClass) error {
-	err := PutClass(c.Backend, key, data, class)
+	err := c.Backend.Put(key, data)
 	c.Invalidate(key)
 	return err
 }
 
-// Delete implements Backend, evicting any cached copy first.
+// Delete implements Backend under Put's rule: delete, then invalidate,
+// whatever the outcome.
 func (c *Coalescer) Delete(key string) error {
+	err := c.Backend.Delete(key)
 	c.Invalidate(key)
-	return c.Backend.Delete(key)
-}
-
-// IngestKeyed implements AddressedIngester.
-func (c *Coalescer) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	return c.IngestKeyedClass(key, addr, data, ClassDefault)
-}
-
-// IngestKeyedClass forwards an addressed ingest to the base (ok=false when
-// the base is a plain backend), invalidating the key when bytes were
-// written: the repair path may rewrite a corrupt resident chunk under its
-// existing address, and a cached copy of the corrupt bytes must not
-// outlive the rewrite.
-func (c *Coalescer) IngestKeyedClass(key, addr string, data []byte, class WriteClass) (int, bool, error) {
-	if err := ValidateKey(key); err != nil {
-		return 0, false, err
-	}
-	written, ok, err := TryIngestKeyedClass(c.Backend, key, addr, data, class)
-	if ok && err == nil && written > 0 {
-		// Bytes actually hit the store: either a fresh chunk (never cached)
-		// or a repair rewrite of a corrupt resident — evict any cached copy
-		// of the old bytes. A dedup hit (written == 0) leaves the verified
-		// resident copy, and the cached copy with it, in place.
-		c.Invalidate(key)
-	}
-	return written, ok, err
-}
-
-// CollectOrphans forwards GC to the base (ok=false when the base cannot
-// collect) and, when a sweep ran, empties the cache: the sweep deletes
-// chunks directly beneath this wrapper.
-func (c *Coalescer) CollectOrphans() (int, int64, bool, error) {
-	removed, reclaimed, ok, err := TryCollectOrphans(c.Backend)
-	if ok {
-		c.InvalidateAll()
-	}
-	return removed, reclaimed, ok, err
+	return err
 }

@@ -2,71 +2,6 @@ package storage
 
 import "errors"
 
-// Forward is the pass-through base of the wrappers that change what a
-// call does (the re-keying view, the Coalescer, Observed): embedded, it
-// hands every call to its base, each optional one through the helper that
-// owns its fallback. It declares no optional capability, so a wrapper that
-// does not restate Caps is reached through the required methods only and
-// never bypassed; and as its own Put and IngestKeyed go straight to the
-// base, a wrapper that intercepts the classed form of a write keeps the
-// classless one as an alias of it. To watch or fault a store, use Observe.
-type Forward struct{ Backend }
-
-func (f Forward) Caps() CapSet { return CapSet{} }
-
-func (f Forward) PutClass(key string, data []byte, class WriteClass) error {
-	return PutClass(f.Backend, key, data, class)
-}
-func (f Forward) GetRange(key string, off, n int64) ([]byte, error) {
-	return GetRange(f.Backend, key, off, n)
-}
-func (f Forward) GetBatch(keys []string) ([][]byte, []error) { return GetBatch(f.Backend, keys) }
-func (f Forward) IngestKeyed(key, addr string, data []byte) (int, bool, error) {
-	return TryIngestKeyed(f.Backend, key, addr, data)
-}
-func (f Forward) IngestKeyedClass(key, addr string, data []byte, class WriteClass) (int, bool, error) {
-	return TryIngestKeyedClass(f.Backend, key, addr, data, class)
-}
-func (f Forward) CollectOrphans() (int, int64, bool, error) { return TryCollectOrphans(f.Backend) }
-func (f Forward) Occupancy() ([]LevelOccupancy, error) {
-	if oc := Caps(f.Backend).Occupancy; oc != nil {
-		return oc.Occupancy()
-	}
-	return nil, errors.New("storage: " + f.Name() + " reports no occupancy")
-}
-
-// ForwardCaps is the one rule for what a wrapper declares: each optional
-// capability its base offers and w has the method for, the handle pointing
-// at w so no call skips the wrapper, and the base's replication geometry
-// showing through. A wrapper that serves a capability natively, whatever
-// its base, sets that handle on the result.
-func ForwardCaps(w, base Backend) CapSet {
-	b := Caps(base)
-	c := CapSet{Replication: b.Replication}
-	if b.Range != nil {
-		c.Range, _ = w.(RangeReader)
-	}
-	if b.Batch != nil {
-		c.Batch, _ = w.(BatchReader)
-	}
-	if b.Ingest != nil {
-		c.Ingest, _ = w.(AddressedIngester)
-	}
-	if b.ClassWrite != nil {
-		c.ClassWrite, _ = w.(ClassWriter)
-	}
-	if b.ClassIngest != nil {
-		c.ClassIngest, _ = w.(KeyedClassIngester)
-	}
-	if b.Orphans != nil {
-		c.Orphans, _ = w.(OrphanCollector)
-	}
-	if b.Occupancy != nil {
-		c.Occupancy, _ = w.(OccupancyReporter)
-	}
-	return c
-}
-
 // OpKind is the kind of operation a Hook sees.
 type OpKind uint8
 
@@ -111,15 +46,25 @@ type Hook func(op Op) (stamp int64, err error)
 // hook's state (Tier, consistency.Recorder) restates Caps so that the
 // handles are itself.
 type Observed struct {
-	Forward
+	Backend
 	hook Hook
 }
 
 // Observe wraps b so that hook sees every keyed operation on it.
-func Observe(b Backend, hook Hook) *Observed { return &Observed{Forward{b}, hook} }
+func Observe(b Backend, hook Hook) *Observed { return &Observed{b, hook} }
 
 // Caps implements CapsReporter.
 func (o *Observed) Caps() CapSet { return ForwardCaps(o, o.Backend) }
+
+func (o *Observed) CollectOrphans() (int, int64, bool, error) { return TryCollectOrphans(o.Backend) }
+
+// Occupancy reports the base's, and fails on a base that reports none.
+func (o *Observed) Occupancy() ([]LevelOccupancy, error) {
+	if oc := Caps(o.Backend).Occupancy; oc != nil {
+		return oc.Occupancy()
+	}
+	return nil, errors.New("storage: " + o.Name() + " reports no occupancy")
+}
 
 // run makes op's before-call and, unless the hook refuses the op, does
 // it and makes the after-call; do returns the bytes the op moved and, for

@@ -10,7 +10,7 @@
 // Coalescer, the one read cache (a bounded LRU whose misses are
 // single-flight, under recovery and under a server alike), and Observe,
 // the one way to watch or fault a store: one Hook called before and after
-// every keyed operation (forward.go). Tier, a Device latency/bandwidth
+// every keyed operation (observe.go). Tier, a Device latency/bandwidth
 // cost model for tiers the test machine does not have, is such a hook. A
 // content-addressed ChunkStore deduplicates identical content on any
 // backend, built on the low-level crash-consistent file primitives the
@@ -21,57 +21,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 )
-
-// AtomicWriteFile writes data to path crash-consistently: it writes to a
-// unique temporary file in the same directory, syncs it, renames it over
-// path, and syncs the directory. A reader never observes a partial file.
-// The temporary file is removed only on failure: after the rename there is
-// nothing to remove, and trying would cost every write an unlink that fails
-// and os.Remove's rmdir fallback.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("storage: create temp: %w", err)
-	}
-	fail := func(what string, err error) error {
-		tmp.Close() // after a successful Close, only an ErrClosed: no syscall
-		os.Remove(tmp.Name())
-		return fmt.Errorf("storage: %s: %w", what, err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail("write temp", err)
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		return fail("chmod temp", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail("sync temp", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail("close temp", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fail("rename", err)
-	}
-	return syncDir(dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: open dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("storage: sync dir: %w", err)
-	}
-	return nil
-}
 
 // Hash returns the SHA-256 hex digest of data — the content address used by
 // the chunk store and the whole-file integrity check in checkpoint files.

@@ -15,7 +15,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "f.bin")
 	data := []byte("hello checkpoint")
-	if err := AtomicWriteFile(p, data, 0o644); err != nil {
+	if err := new(Local).writeFile(p, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(p)
@@ -26,7 +26,7 @@ func TestAtomicWriteFile(t *testing.T) {
 		t.Errorf("content mismatch")
 	}
 	// Overwrite works and leaves no temp files.
-	if err := AtomicWriteFile(p, []byte("v2"), 0o644); err != nil {
+	if err := new(Local).writeFile(p, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(dir)
@@ -40,7 +40,7 @@ func TestAtomicWriteFile(t *testing.T) {
 }
 
 func TestAtomicWriteFileBadDir(t *testing.T) {
-	if err := AtomicWriteFile("/nonexistent-dir-xyz/f", []byte("x"), 0o644); err == nil {
+	if err := new(Local).writeFile("/nonexistent-dir-xyz/f", []byte("x")); err == nil {
 		t.Errorf("write into missing dir succeeded")
 	}
 }
@@ -79,6 +79,44 @@ func TestLocalPutLeavesNoTemp(t *testing.T) {
 		}
 		return err
 	})
+}
+
+// TestLocalCountsSyncs: every Put that lands costs one file sync and one
+// directory sync, the first into a missing key directory included (its
+// failed first attempt synced nothing); a Put whose rename fails synced
+// its file but not the directory.
+func TestLocalCountsSyncs(t *testing.T) {
+	dir := t.TempDir()
+	l, err := NewLocal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"top", "a/b/obj", "a/b/obj"} {
+		if err := l.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if file, dirs := l.Syncs(); file != 3 || dirs != 3 {
+		t.Errorf("after three Puts: %d file and %d directory syncs, want 3 and 3", file, dirs)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "a", "full", "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put("a/full", []byte("v")); err == nil {
+		t.Fatal("a Put over a non-empty directory succeeded")
+	}
+	if file, dirs := l.Syncs(); file != 4 || dirs != 3 {
+		t.Errorf("after a failed rename: %d file and %d directory syncs, want 4 and 3", file, dirs)
+	}
+	if _, err := l.Get("top"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Delete("top"); err != nil {
+		t.Fatal(err)
+	}
+	if file, dirs := l.Syncs(); file != 4 || dirs != 3 {
+		t.Errorf("a Get and a Delete synced: %d file and %d directory syncs, want 4 and 3", file, dirs)
+	}
 }
 
 func TestHashStable(t *testing.T) {

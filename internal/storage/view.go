@@ -10,10 +10,10 @@ import (
 // through unchanged. The checkpoint manager mounts its chunk store with
 // one ("chunks/" inside the backend that holds the manifests), and a job
 // of a multi-tenant store is one: manifests under jobs/<id>/, chunks in
-// the namespace every tenant shares. Only Name and Capabilities are
-// Forward's; every keyed method re-keys.
+// the namespace every tenant shares. Name and Capabilities are the base's;
+// every keyed method re-keys.
 type view struct {
-	Forward
+	Backend
 	prefix string // joined in front of a key; ends with "/"
 	shared string // namespace passed through; ends with "/", "" for none
 }
@@ -21,14 +21,14 @@ type view struct {
 // WithPrefix returns a view of base in which every key is transparently
 // prefixed. The prefix must be a valid key and is joined with "/".
 func WithPrefix(base Backend, prefix string) Backend {
-	return &view{Forward: Forward{base}, prefix: namespace(prefix)}
+	return &view{Backend: base, prefix: namespace(prefix)}
 }
 
 // WithSharedPrefix is WithPrefix except that keys under shared keep their
 // place in base, so several views over one base see the same objects
 // there while each keeps the rest of its keys to itself.
 func WithSharedPrefix(base Backend, prefix, shared string) Backend {
-	return &view{Forward: Forward{base}, prefix: namespace(prefix), shared: namespace(shared)}
+	return &view{Backend: base, prefix: namespace(prefix), shared: namespace(shared)}
 }
 
 func namespace(prefix string) string { return strings.TrimSuffix(prefix, "/") + "/" }
@@ -61,17 +61,18 @@ func (v *view) full(key string) string {
 	return v.prefix + key
 }
 
-// Caps implements CapsReporter. Occupancy is a whole-store figure a
-// namespace must not report as its own, and orphan collection a
-// whole-store sweep only a view sharing the swept namespace may pass on.
+// Caps implements CapsReporter. The view has no Occupancy, a whole-store
+// figure a namespace must not report as its own, and orphan collection is
+// a whole-store sweep only a view sharing the swept namespace may pass on.
 func (v *view) Caps() CapSet {
 	c := ForwardCaps(v, v.Backend)
-	c.Occupancy = nil
 	if v.shared == "" {
 		c.Orphans = nil
 	}
 	return c
 }
+
+func (v *view) CollectOrphans() (int, int64, bool, error) { return TryCollectOrphans(v.Backend) }
 
 func (v *view) Put(key string, data []byte) error {
 	return v.PutClass(key, data, ClassDefault)
